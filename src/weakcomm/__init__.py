@@ -14,7 +14,6 @@ structure (kernels, ranges, spectra), instances (registry and samplers),
 shiftlab (operator truncations), cli (batch entry point).
 """
 
-from ._backend import BACKEND
 from .scalar import Scalar
 from .exact import (
     ExactMatrix,
@@ -80,7 +79,6 @@ from .shiftlab import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "__version__",
     "Scalar",
     "ExactMatrix",

@@ -3,8 +3,7 @@
 Matrices are carried in a normalized flat representation: a triple
 ``(den, re, im)`` where ``den`` is a positive int, ``re`` and ``im`` are
 row-major lists of ints of length d*d, and gcd(den, content) == 1. The
-represented matrix is (RE + i*IM) / den. The compiled backend implements
-the same functions with the same semantics.
+represented matrix is (RE + i*IM) / den.
 """
 
 from __future__ import annotations

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
-from ._backend import BACKEND
 from .errors import WeakcommError
 from .exact import charpoly, nilpotency_degree
 from .identities import IdentityId, verify_suite
@@ -31,7 +31,7 @@ from .instances import (
     search_witness,
     witness_predicates,
 )
-from .numeric import CMatrix, eigenvalues
+from .numeric import DEFAULT_CLUSTER_TOL, CMatrix, eigenvalues
 from .relations import relation_check
 from . import shiftlab
 
@@ -60,14 +60,22 @@ def _parse_sizes(text):
     return sizes
 
 
+def _parse_cluster_tol(text):
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad tolerance: {text!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError("cluster tolerance must be finite and > 0")
+    return tol
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="weakcomm",
         description="exact verification laboratory for weak commutation relations",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"weakcomm {__version__} ({BACKEND} kernels)"
-    )
+    parser.add_argument("--version", action="version", version=f"weakcomm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the identity suite on sampled pairs")
@@ -102,7 +110,7 @@ def build_parser():
         choices=[e.value for e in ExampleId if example_entry(e).kind == "op_spec"],
     )
     p_trunc.add_argument("--sizes", type=_parse_sizes, default=(10, 20, 40))
-    p_trunc.add_argument("--cluster-tol", type=float, default=None)
+    p_trunc.add_argument("--cluster-tol", type=_parse_cluster_tol, default=DEFAULT_CLUSTER_TOL)
 
     for p in (p_verify, p_example, p_search, p_trunc):
         p.add_argument("--format", choices=("json", "markdown"), default="json")
@@ -187,10 +195,7 @@ def _run_truncate(args):
     rows = []
     for n in args.sizes:
         t = shiftlab.truncate(spec, n)
-        if args.cluster_tol is None:
-            spectrum = eigenvalues(CMatrix.from_exact(t))
-        else:
-            spectrum = eigenvalues(CMatrix.from_exact(t), cluster_tol=args.cluster_tol)
+        spectrum = eigenvalues(CMatrix.from_exact(t), cluster_tol=args.cluster_tol)
         rows.append(
             {
                 "n": n,
@@ -345,8 +350,12 @@ def main(argv=None):
         return 2
     text = render(payload, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return status

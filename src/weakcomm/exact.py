@@ -6,8 +6,7 @@ Three immutable value types live here:
     A square matrix of Gaussian rationals, stored as an integer matrix over
     a common positive denominator. Arithmetic is exact; equality is exact.
     Hot operations (products, powers, characteristic polynomials, rank and
-    kernel computations) run on a kernel backend selected at import time
-    (compiled when available, pure Python otherwise).
+    kernel computations) run on the integer kernels in ``_kernel_py``.
 
 ``ExactPoly``
     A polynomial with ``Scalar`` coefficients, ascending order, normalized
@@ -29,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from ._backend import kernel
+from . import _kernel_py as kernel
 from .errors import (
     DimensionMismatchError,
     LiteralFormatError,

@@ -1023,7 +1023,7 @@ def registry_self_test(example_id, dim=None):
             rel = "equals" if equal else "differs from"
             checks.append((f"word {lhs} {rel} word {rhs}", got == equal))
     else:
-        spec, _ = paper_example(entry.id)
+        spec, _ = paper_example(entry.id, dim)
         text = _read_data(entry.data_files[0])
         checks.append(
             ("spec file round-trips through the text format", shiftlab.parse_spec(shiftlab.format_spec(spec)) == spec)

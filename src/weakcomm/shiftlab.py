@@ -167,22 +167,19 @@ def truncate(spec, n):
     """Exact n x n compression onto the first n coordinates."""
     if n < 1 or n < spec.support():
         raise ValueError(f"truncation size {n} below finite-rank support {spec.support()}")
-    m = ExactMatrix.zeros(n)
+    zero = Scalar(0)
+    rows = [[zero] * n for _ in range(n)]
     if spec.direction == "down":
         for k in range(1, n):
-            w = spec.weights.weight(k)
-            if not w.is_zero():
-                m = m + ExactMatrix.single_entry(n, k, k - 1, w)
+            rows[k][k - 1] = spec.weights.weight(k)
     elif spec.direction == "up":
         for k in range(1, n):
-            w = spec.weights.weight(k)
-            if not w.is_zero():
-                m = m + ExactMatrix.single_entry(n, k - 1, k, w)
+            rows[k - 1][k] = spec.weights.weight(k)
+    # finite-rank entries add to whatever already sits in their cell
+    # (EXNILP_N relies on T + N cancelling at (2, 1))
     for r, c, v in spec.finite_rank:
-        v = Scalar.coerce(v)
-        if not v.is_zero():
-            m = m + ExactMatrix.single_entry(n, r - 1, c - 1, v)
-    return m
+        rows[r - 1][c - 1] += Scalar.coerce(v)
+    return ExactMatrix(rows)
 
 
 def finite_support_kernel(spec, n):

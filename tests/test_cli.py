@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from weakcomm import __version__
 from weakcomm.cli import main
 
 FAST_VERIFY = [
@@ -188,15 +189,47 @@ def test_out_writes_file(tmp_path, capsys):
     assert payload["id"] == "REMARK_TN"
 
 
-def test_version_mentions_backend():
+def test_out_unwritable_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    status, out, err = _run_inproc(
+        ["truncate", "EXNILP_T", "--sizes", "4,8", "--out", str(target)], capsys
+    )
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["truncate", "EXNILP_T", "--sizes", "4,6", "--cluster-tol", "-1"],
+        ["truncate", "EXNILP_T", "--sizes", "4,6", "--cluster-tol", "0"],
+        ["truncate", "EXNILP_T", "--sizes", "4,6", "--cluster-tol", "nan"],
+        ["truncate", "EXNILP_T", "--sizes", "4,6", "--cluster-tol", "inf"],
+        ["example", "EXNILP_T", "--dim", "3"],
+    ],
+    ids=["tol-negative", "tol-zero", "tol-nan", "tol-inf", "spec-with-dim"],
+)
+def test_bad_values_exit_two(argv, capsys):
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # argparse rejects bad option values itself
+        status = exc.code
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
+def test_version():
     proc = subprocess.run(
         [sys.executable, "-m", "weakcomm", "--version"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
-    assert "weakcomm" in proc.stdout
-    assert ("compiled" in proc.stdout) or ("pure" in proc.stdout)
+    assert proc.stdout == f"weakcomm {__version__}\n"
 
 
 def test_cross_process_byte_determinism(tmp_path):

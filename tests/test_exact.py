@@ -7,9 +7,11 @@ shared with the Faddeev-LeVerrier implementation under test.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from weakcomm import _kernel_py
 from weakcomm.errors import (
     DimensionMismatchError,
     LiteralFormatError,
@@ -143,6 +145,32 @@ def test_pow():
     assert a ** 0 == ExactMatrix.identity(2)
     assert a ** 5 == ExactMatrix([[1, 5], [0, 1]])
     assert a ** -1 == ExactMatrix([[1, -1], [0, 1]])
+
+
+def _rand_rep(rng, d):
+    re = [rng.randint(-60, 60) for _ in range(d * d)]
+    im = [rng.randint(-60, 60) if rng.random() < 0.4 else 0 for _ in range(d * d)]
+    return _kernel_py.normalize(rng.randint(1, 40), re, im)
+
+
+def test_kernel_normalization_invariants():
+    rng = random.Random(77)
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        den, re, im = _kernel_py.mat_mul(d, _rand_rep(rng, d), _rand_rep(rng, d))
+        assert den >= 1
+        assert gcd(den, *re, *im) == 1
+    zero = (1, [0] * 4, [0] * 4)
+    assert _kernel_py.normalize(6, [0] * 4, [0] * 4) == zero
+    assert _kernel_py.mat_mul(2, _rand_rep(rng, 2), zero) == zero
+
+
+def test_kernel_negative_den_sign_flip():
+    assert _kernel_py.normalize(-2, [2, 0, 0, 2], [0, 0, 0, 0]) == (
+        1,
+        [-1, 0, 0, -1],
+        [0, 0, 0, 0],
+    )
 
 
 def test_transpose_conj():
