@@ -4,6 +4,12 @@ Matrices are carried in a normalized flat representation: a triple
 ``(den, re, im)`` where ``den`` is a positive int, ``re`` and ``im`` are
 row-major lists of ints of length d*d, and gcd(den, content) == 1. The
 represented matrix is (RE + i*IM) / den.
+
+The products, ``charpoly_ints`` and ``echelon`` skip zero entries: they
+return the same integers as the dense loops, with work proportional to the
+nonzero entries. Every exact division checks its remainder and raises
+``ArithmeticError`` when it is not zero, so a broken invariant fails loudly
+(also under ``python -O``).
 """
 
 from __future__ import annotations
@@ -125,7 +131,11 @@ def charpoly_ints(d, re, im):
     for i in range(d):
         mre[i * d + i] = 1
     for k in range(1, d + 1):
-        # AM = A*M, plain integer matmul
+        # AM = A*M, plain integer matmul over the nonzero entries of M
+        m_nz = [
+            [j for j in range(d) if mre[koff + j] or mim[koff + j]]
+            for koff in range(0, n, d)
+        ]
         amre = [0] * n
         amim = [0] * n
         for i in range(d):
@@ -135,14 +145,17 @@ def charpoly_ints(d, re, im):
                 avi = im[ioff + kk]
                 if avr or avi:
                     koff = kk * d
-                    for j in range(d):
-                        amre[ioff + j] += avr * mre[koff + j] - avi * mim[koff + j]
-                        amim[ioff + j] += avr * mim[koff + j] + avi * mre[koff + j]
+                    for j in m_nz[kk]:
+                        bvr = mre[koff + j]
+                        bvi = mim[koff + j]
+                        amre[ioff + j] += avr * bvr - avi * bvi
+                        amim[ioff + j] += avr * bvi + avi * bvr
         tr_re = sum(amre[i * d + i] for i in range(d))
         tr_im = sum(amim[i * d + i] for i in range(d))
-        assert tr_re % k == 0 and tr_im % k == 0
-        ck_re = -(tr_re // k)
-        ck_im = -(tr_im // k)
+        ck_re, rem_re = divmod(-tr_re, k)
+        ck_im, rem_im = divmod(-tr_im, k)
+        if rem_re or rem_im:
+            raise ArithmeticError(f"trace {tr_re}+{tr_im}i is not divisible by {k}")
         bre[k] = ck_re
         bim[k] = ck_im
         if k < d:
@@ -160,10 +173,11 @@ def charpoly_ints(d, re, im):
 def _gdiv_exact(xr, xi, pr, pi):
     # exact division of Gaussian integers: (xr+xi*i) / (pr+pi*i)
     nrm = pr * pr + pi * pi
-    qr = xr * pr + xi * pi
-    qi = xi * pr - xr * pi
-    assert qr % nrm == 0 and qi % nrm == 0
-    return qr // nrm, qi // nrm
+    qr, rem_r = divmod(xr * pr + xi * pi, nrm)
+    qi, rem_i = divmod(xi * pr - xr * pi, nrm)
+    if rem_r or rem_i:
+        raise ArithmeticError(f"{xr}+{xi}i is not divisible by {pr}+{pi}i")
+    return qr, qi
 
 
 def echelon(nrows, ncols, re, im):
@@ -172,6 +186,12 @@ def echelon(nrows, ncols, re, im):
     Input: flat row-major integer matrix. Returns (rank, pivots, ere, eim)
     where pivots lists the pivot column of each of the first `rank` rows of
     the echelon form.
+
+    Each step sets x = (p*x - f*y) / prev for the entries right of the pivot
+    column, where p is the pivot, f the target row's entry in the pivot
+    column, y the pivot row's entry and prev the previous pivot (Bareiss
+    1968). Only columns where the pivot row or the target row is nonzero
+    are visited, and a row with f == 0 is left as it is when p == prev.
     """
     r = [list(re[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
     m = [list(im[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
@@ -191,20 +211,38 @@ def echelon(nrows, ncols, re, im):
         if p != row:
             r[row], r[p] = r[p], r[row]
             m[row], m[p] = m[p], m[row]
-        pr = r[row][col]
-        pi = m[row][col]
+        prow_r = r[row]
+        prow_i = m[row]
+        pr = prow_r[col]
+        pi = prow_i[col]
+        same_pivot = pr == prev_r and pi == prev_i
+        pivot_nz = {cc for cc in range(col + 1, ncols) if prow_r[cc] or prow_i[cc]}
         for rr in range(row + 1, nrows):
-            fr = r[rr][col]
-            fi = m[rr][col]
-            for cc in range(col + 1, ncols):
-                xr = (pr * r[rr][cc] - pi * m[rr][cc]) - (fr * r[row][cc] - fi * m[row][cc])
-                xi = (pr * m[rr][cc] + pi * r[rr][cc]) - (fr * m[row][cc] + fi * r[row][cc])
-                if prev_r != 1 or prev_i != 0:
+            tr = r[rr]
+            ti = m[rr]
+            fr = tr[col]
+            fi = ti[col]
+            if not (fr or fi) and same_pivot:
+                continue
+            cols = {cc for cc in range(col + 1, ncols) if tr[cc] or ti[cc]}
+            if fr or fi:
+                cols |= pivot_nz
+            for cc in cols:
+                yr = prow_r[cc]
+                yi = prow_i[cc]
+                xr = (pr * tr[cc] - pi * ti[cc]) - (fr * yr - fi * yi)
+                xi = (pr * ti[cc] + pi * tr[cc]) - (fr * yi + fi * yr)
+                if prev_i:
                     xr, xi = _gdiv_exact(xr, xi, prev_r, prev_i)
-                r[rr][cc] = xr
-                m[rr][cc] = xi
-            r[rr][col] = 0
-            m[rr][col] = 0
+                elif prev_r != 1:
+                    xr, rem_r = divmod(xr, prev_r)
+                    xi, rem_i = divmod(xi, prev_r)
+                    if rem_r or rem_i:
+                        raise ArithmeticError(f"Bareiss step is not divisible by {prev_r}")
+                tr[cc] = xr
+                ti[cc] = xi
+            tr[col] = 0
+            ti[col] = 0
         prev_r, prev_i = pr, pi
         pivots.append(col)
         row += 1

@@ -429,7 +429,8 @@ class ExactPoly:
             return ExactPoly.one()
         g = self.gcd(self.derivative())
         q, r = divmod(self, g)
-        assert r.is_zero()
+        if not r.is_zero():
+            raise ArithmeticError("squarefree part: gcd(p, p') does not divide p")
         return q.monic()
 
     def strip_zero_roots(self):
@@ -574,8 +575,14 @@ def _kernel_from_echelon(nrows, ncols, rank, pivots, ere, eim):
 
 def nilpotency_degree(a):
     """Least n >= 1 with a**n == 0, or None when a is not nilpotent."""
-    d = a.dim
-    if charpoly(a) != ExactPoly([0] * d + [1]):
+    # a d x d matrix is nilpotent exactly when a**d == 0; square up to an
+    # exponent of at least d
+    power = a
+    exponent = 1
+    while exponent < a.dim and not power.is_zero():
+        power = power * power
+        exponent *= 2
+    if not power.is_zero():
         return None
     power = a
     n = 1
@@ -620,12 +627,17 @@ def _rref(rows):
         if p is None:
             continue
         rows[row], rows[p] = rows[p], rows[row]
-        lead = rows[row][col]
-        rows[row] = [v / lead for v in rows[row]]
+        pivot_row = rows[row]
+        lead = pivot_row[col]
+        nonzero = [j for j in range(col, ncols) if not pivot_row[j].is_zero()]
+        for j in nonzero:
+            pivot_row[j] = pivot_row[j] / lead
         for r in range(len(rows)):
-            if r != row and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [rows[r][j] - f * rows[row][j] for j in range(ncols)]
+            target = rows[r]
+            if r != row and not target[col].is_zero():
+                f = target[col]
+                for j in nonzero:
+                    target[j] = target[j] - f * pivot_row[j]
         pivots.append(col)
         row += 1
         if row == len(rows):

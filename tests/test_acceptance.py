@@ -347,7 +347,7 @@ def test_criterion_10_shiftlab_truncations():
         q_spec, _ = paper_example(ExampleId.EXNILP_Q)
         tn = t_spec + n_spec
         tq = t_spec + q_spec
-        for size in (10, 20, 40):
+        for size in (10, 20, 40, 80):
             tm = truncate(t_spec, size)
             tnm = truncate(tn, size)
             assert charpoly(tm).literal() == f"x^{size}"

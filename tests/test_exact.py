@@ -29,7 +29,9 @@ from weakcomm.exact import (
     poly_radical_nonzero,
     rank_kernel,
 )
+from weakcomm.instances import ExampleId, paper_example
 from weakcomm.scalar import Scalar
+from weakcomm.shiftlab import truncate
 
 
 def _rand_scalar(rng, small=False):
@@ -42,6 +44,32 @@ def _rand_scalar(rng, small=False):
 
 def _rand_matrix(rng, d):
     return ExactMatrix([[_rand_scalar(rng) for _ in range(d)] for _ in range(d)])
+
+
+def _rand_shift_matrix(rng, d):
+    """Weighted shift on the sub- or superdiagonal plus a few finite-rank entries."""
+    rows = [[Scalar(0)] * d for _ in range(d)]
+    below = rng.random() < 0.5
+    for i in range(d - 1):
+        if rng.random() < 0.8:
+            if below:
+                rows[i + 1][i] = _rand_scalar(rng)
+            else:
+                rows[i][i + 1] = _rand_scalar(rng)
+    for _ in range(rng.randint(0, 2)):
+        rows[rng.randrange(d)][rng.randrange(d)] = _rand_scalar(rng)
+    return ExactMatrix(rows)
+
+
+def _rand_one_per_row_matrix(rng, d):
+    """Exactly one nonzero entry in each row, in a random column."""
+    rows = [[Scalar(0)] * d for _ in range(d)]
+    for i in range(d):
+        value = _rand_scalar(rng)
+        while value.is_zero():
+            value = _rand_scalar(rng)
+        rows[i][rng.randrange(d)] = value
+    return ExactMatrix(rows)
 
 
 # -- oracle: cofactor-expansion charpoly ---------------------------------------------
@@ -77,10 +105,11 @@ def charpoly_oracle(a):
 
 def test_charpoly_matches_cofactor_oracle():
     rng = random.Random(42)
-    for _ in range(200):
-        d = rng.randint(1, 5)
-        a = _rand_matrix(rng, d)
-        assert charpoly(a) == charpoly_oracle(a)
+    for make in (_rand_matrix, _rand_shift_matrix, _rand_one_per_row_matrix):
+        for _ in range(200):
+            d = rng.randint(1, 5)
+            a = make(rng, d)
+            assert charpoly(a) == charpoly_oracle(a)
 
 
 def test_cayley_hamilton():
@@ -163,6 +192,121 @@ def test_kernel_normalization_invariants():
     zero = (1, [0] * 4, [0] * 4)
     assert _kernel_py.normalize(6, [0] * 4, [0] * 4) == zero
     assert _kernel_py.mat_mul(2, _rand_rep(rng, 2), zero) == zero
+
+
+def test_gdiv_exact_raises_on_remainder():
+    assert _kernel_py._gdiv_exact(4, 2, 2, 0) == (2, 1)
+    assert _kernel_py._gdiv_exact(2, 0, 1, 1) == (1, -1)
+    with pytest.raises(ArithmeticError):
+        _kernel_py._gdiv_exact(1, 0, 2, 0)
+
+
+# -- oracle: dense Bareiss echelon -----------------------------------------------------
+
+
+def _reference_gdiv(xr, xi, pr, pi):
+    nrm = pr * pr + pi * pi
+    qr = xr * pr + xi * pi
+    qi = xi * pr - xr * pi
+    assert qr % nrm == 0 and qi % nrm == 0
+    return qr // nrm, qi // nrm
+
+
+def reference_echelon(nrows, ncols, re, im):
+    """Dense Gaussian Bareiss loop that visits every entry; the kernel must agree."""
+    r = [list(re[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
+    m = [list(im[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
+    prev_r, prev_i = 1, 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        p = -1
+        for rr in range(row, nrows):
+            if r[rr][col] or m[rr][col]:
+                p = rr
+                break
+        if p < 0:
+            continue
+        if p != row:
+            r[row], r[p] = r[p], r[row]
+            m[row], m[p] = m[p], m[row]
+        pr = r[row][col]
+        pi = m[row][col]
+        for rr in range(row + 1, nrows):
+            fr = r[rr][col]
+            fi = m[rr][col]
+            for cc in range(col + 1, ncols):
+                xr = (pr * r[rr][cc] - pi * m[rr][cc]) - (fr * r[row][cc] - fi * m[row][cc])
+                xi = (pr * m[rr][cc] + pi * r[rr][cc]) - (fr * m[row][cc] + fi * r[row][cc])
+                if prev_r != 1 or prev_i != 0:
+                    xr, xi = _reference_gdiv(xr, xi, prev_r, prev_i)
+                r[rr][cc] = xr
+                m[rr][cc] = xi
+            r[rr][col] = 0
+            m[rr][col] = 0
+        prev_r, prev_i = pr, pi
+        pivots.append(col)
+        row += 1
+    ere = [v for rowvals in r for v in rowvals]
+    eim = [v for rowvals in m for v in rowvals]
+    return row, pivots, ere, eim
+
+
+def _rand_int_matrix(rng, nrows, ncols, density, complex_entries):
+    re = [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(nrows * ncols)]
+    if complex_entries:
+        im = [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(nrows * ncols)]
+    else:
+        im = [0] * (nrows * ncols)
+    return re, im
+
+
+def _rank_deficient(rng, nrows, ncols, complex_entries):
+    """Product of an nrows x k and a k x ncols matrix, k below both sizes."""
+    k = rng.randint(0, max(0, min(nrows, ncols) - 1))
+    lre, lim = _rand_int_matrix(rng, nrows, k, 0.7, complex_entries)
+    rre, rim = _rand_int_matrix(rng, k, ncols, 0.7, complex_entries)
+    re = [0] * (nrows * ncols)
+    im = [0] * (nrows * ncols)
+    for i in range(nrows):
+        for t in range(k):
+            ar, ai = lre[i * k + t], lim[i * k + t]
+            for j in range(ncols):
+                br, bi = rre[t * ncols + j], rim[t * ncols + j]
+                re[i * ncols + j] += ar * br - ai * bi
+                im[i * ncols + j] += ar * bi + ai * br
+    return re, im
+
+
+def _echelon_inputs():
+    rng = random.Random(2024)
+    for case in range(400):
+        nrows = rng.randint(1, 7)
+        ncols = rng.randint(1, 7) if case % 2 else nrows
+        complex_entries = case % 3 == 0
+        if case % 5 == 4:
+            re, im = _rank_deficient(rng, nrows, ncols, complex_entries)
+        else:
+            density = rng.choice((0.15, 0.35, 1.0))
+            re, im = _rand_int_matrix(rng, nrows, ncols, density, complex_entries)
+        if case % 7 == 0:
+            zero_row = rng.randrange(nrows)
+            re[zero_row * ncols:(zero_row + 1) * ncols] = [0] * ncols
+            im[zero_row * ncols:(zero_row + 1) * ncols] = [0] * ncols
+        yield nrows, ncols, re, im
+    for example in (ExampleId.EXNILP_T, ExampleId.EXNILP_N, ExampleId.EXNILP_Q):
+        spec, _ = paper_example(example)
+        for n in (10, 20):
+            _, re, im = truncate(spec, n)._rep()
+            yield n, n, re, im
+
+
+def test_echelon_matches_dense_reference():
+    for nrows, ncols, re, im in _echelon_inputs():
+        expected = reference_echelon(nrows, ncols, re, im)
+        assert _kernel_py.echelon(nrows, ncols, re, im) == expected, (nrows, ncols, re, im)
 
 
 def test_kernel_negative_den_sign_flip():
@@ -260,12 +404,47 @@ def test_rank_small_cases():
 # -- nilpotency and exponential ------------------------------------------------------
 
 
+def _jordan_block(d):
+    return ExactMatrix([[1 if j == i + 1 else 0 for j in range(d)] for i in range(d)])
+
+
 def test_nilpotency_degree():
     n = ExactMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert nilpotency_degree(n) == 3
     assert nilpotency_degree(n * n) == 2
     assert nilpotency_degree(ExactMatrix.zeros(2)) == 1
     assert nilpotency_degree(ExactMatrix.identity(2)) is None
+    assert nilpotency_degree(ExactMatrix.zeros(1)) == 1
+    assert nilpotency_degree(ExactMatrix([[Fraction(-1, 3)]])) is None
+    # squaring overshoots d when d is not a power of two
+    for d in range(1, 10):
+        assert nilpotency_degree(_jordan_block(d)) == d
+    # singular with zero trace, yet not nilpotent
+    assert nilpotency_degree(ExactMatrix.diagonal([1, -1, 0])) is None
+    # None exactly when the charpoly is not x^d
+    rng = random.Random(31)
+    nilpotent = 0
+    for _ in range(120):
+        d = rng.randint(1, 5)
+        if rng.random() < 0.5:
+            a = _rand_matrix(rng, d)
+        else:
+            # conjugate a strictly upper triangular matrix by an invertible one
+            upper = ExactMatrix(
+                [[_rand_scalar(rng) if j > i else 0 for j in range(d)] for i in range(d)]
+            )
+            s = _rand_matrix(rng, d)
+            while rank_kernel(s)[0] < d:
+                s = _rand_matrix(rng, d)
+            a = s * upper * inverse(s)
+        deg = nilpotency_degree(a)
+        x_to_d = ExactPoly([0] * d + [1])
+        assert (deg is None) == (charpoly(a) != x_to_d)
+        if deg is not None:
+            nilpotent += 1
+            assert (a ** deg).is_zero()
+            assert deg == 1 or not (a ** (deg - 1)).is_zero()
+    assert 20 < nilpotent < 100
 
 
 def test_exp_exact_nilpotent():
