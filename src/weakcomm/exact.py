@@ -66,8 +66,8 @@ class ExactMatrix:
         for row in entries:
             for v in row:
                 den = lcm(den, v.re.denominator, v.im.denominator)
-        re = [int(v.re * den) for row in entries for v in row]
-        im = [int(v.im * den) for row in entries for v in row]
+        re = [v.re.numerator * (den // v.re.denominator) for row in entries for v in row]
+        im = [v.im.numerator * (den // v.im.denominator) for row in entries for v in row]
         self._init_rep(d, kernel.normalize(den, re, im))
 
     def _init_rep(self, dim, rep):
@@ -159,12 +159,15 @@ class ExactMatrix:
             return ExactMatrix._from_rep(
                 self.dim, kernel.mat_mul(self.dim, self._rep(), other._rep())
             )
-        if isinstance(other, (int, Fraction, Scalar)):
+        if isinstance(other, int):
+            rep = kernel.mat_scale(self.dim, self._rep(), other, 0, 1)
+            return ExactMatrix._from_rep(self.dim, rep)
+        if isinstance(other, (Fraction, Scalar)):
             s = Scalar.coerce(other)
             den = lcm(s.re.denominator, s.im.denominator)
-            rep = kernel.mat_scale(
-                self.dim, self._rep(), int(s.re * den), int(s.im * den), den
-            )
+            re = s.re.numerator * (den // s.re.denominator)
+            im = s.im.numerator * (den // s.im.denominator)
+            rep = kernel.mat_scale(self.dim, self._rep(), re, im, den)
             return ExactMatrix._from_rep(self.dim, rep)
         return NotImplemented
 
@@ -233,12 +236,13 @@ class ExactMatrix:
         return self == ExactMatrix.identity(self.dim)
 
     def frobenius(self):
-        """Frobenius norm as a float."""
-        total = Fraction(0)
-        den2 = self._den * self._den
-        for k in range(self.dim * self.dim):
-            total += Fraction(self._re[k] * self._re[k] + self._im[k] * self._im[k], den2)
-        return float(total) ** 0.5
+        """Frobenius norm as a float.
+
+        The integer true division rounds correctly, so this is the float of
+        the exact squared norm, as ``float(Fraction(...))`` would give.
+        """
+        total = sum(x * x for x in self._re) + sum(y * y for y in self._im)
+        return (total / (self._den * self._den)) ** 0.5
 
     def to_complex_rows(self):
         """Entries as a nested list of Python complex numbers."""

@@ -28,13 +28,13 @@ from math import comb
 from .errors import UnknownIdentityError
 from .exact import (
     ExactMatrix,
+    ExactPoly,
     charpoly,
     exp_exact_nilpotent,
     nilpotency_degree,
     poly_radical,
-    poly_radical_nonzero,
 )
-from .numeric import CMatrix, spectral_radius_exact
+from .numeric import max_root_modulus
 from .relations import relation_check
 from .scalar import Scalar
 from .structure import kernel_inclusion_forward, kernel_inclusion_reverse, range_kernel_criterion
@@ -126,54 +126,99 @@ def _json_params(params):
 
 
 class PairContext:
-    """Cached products, powers and auxiliary data for one ordered pair."""
+    """Per-pair memo of the products and spectral data the checkers share.
+
+    A context serves one ordered pair (a, b) and nothing outlives it:
+    ``verify_suite`` builds one per sampled pair and ``check_identity`` a
+    fresh one per call. Products are keyed by words over the letters ``a``,
+    ``b`` and ``s`` (s = a + b); ``word("aab")`` is a*a*b, built from the
+    cached prefix ``word("aa")``, so each word is multiplied once per pair.
+    Telescoping sums are kept per n and nilpotency degrees per word; for the
+    base words ``a``, ``b``, ``ab`` and ``s`` the charpoly radical, nonzero
+    radical and spectral radius are each computed once.
+
+    ``ExactMatrix`` stores a normalized (den, re, im) that is unique for each
+    matrix, so a word's value does not depend on how its product was
+    associated: every result equals the one computed without the memo.
+    """
 
     def __init__(self, a, b, report=None):
         self.a = a
         self.b = b
         self.dim = a.dim
         self.report = report if report is not None else relation_check(a, b)
-        self._bases = {"a": a, "b": b, "ab": a * b, "ba": b * a, "s": a + b}
-        ident = ExactMatrix.identity(self.dim)
-        self._pows = {k: [ident, v] for k, v in self._bases.items()}
-        self._nil = {}
-        self._cm = {}
+        self._words = {"": ExactMatrix.identity(self.dim), "a": a, "b": b, "s": a + b}
+        self._memo = {}
 
     @property
     def ab(self):
-        return self._bases["ab"]
+        return self.word("ab")
 
     @property
     def ba(self):
-        return self._bases["ba"]
+        return self.word("ba")
 
     @property
     def s(self):
-        return self._bases["s"]
+        return self._words["s"]
 
-    def base(self, name):
-        return self._bases[name]
+    def word(self, w):
+        """The product of the letters of w, e.g. ``word("ab" * 2)`` = (ab)^2."""
+        words = self._words
+        m = words.get(w)
+        if m is None:
+            k = len(w) - 1
+            while w[:k] not in words:
+                k -= 1
+            m = words[w[:k]]
+            for j in range(k, len(w)):
+                m = words[w[: j + 1]] = m * words[w[j]]
+        return m
 
-    def power(self, name, k):
-        ps = self._pows[name]
-        while len(ps) <= k:
-            ps.append(ps[-1] * ps[1])
-        return ps[k]
+    def _cached(self, key, compute):
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
-    def nil_degree(self, name):
-        if name not in self._nil:
-            self._nil[name] = nilpotency_degree(self._bases[name])
-        return self._nil[name]
+    def telescope_sums(self, n):
+        """(sum_j b^j a^(n-1-j), sum_j a^(n-1-j) b^j) over 0 <= j < n."""
 
-    def cmatrix(self, name):
-        if name not in self._cm:
-            self._cm[name] = CMatrix.from_exact(self._bases[name])
-        return self._cm[name]
+        def compute():
+            s_ba = s_ab = ExactMatrix.zeros(self.dim)
+            for j in range(n):
+                s_ba = s_ba + self.word("b" * j + "a" * (n - 1 - j))
+                s_ab = s_ab + self.word("a" * (n - 1 - j) + "b" * j)
+            return s_ba, s_ab
+
+        return self._cached(("telescope", n), compute)
+
+    def nil_degree(self, w):
+        return self._cached(("nil", w), lambda: nilpotency_degree(self.word(w)))
+
+    def radical(self, w):
+        return self._cached(("radical", w), lambda: poly_radical(charpoly(self.word(w))))
+
+    def radical_nonzero(self, w):
+        """``poly_radical_nonzero`` of the charpoly, derived from the radical.
+
+        The radical is monic and squarefree, so x divides it at most once and
+        dividing that factor out leaves the monic radical of the nonzero roots.
+        """
+
+        def compute():
+            rad = self.radical(w)
+            return ExactPoly(rad.coeffs[1:]) if rad.coeffs[0].is_zero() else rad
+
+        return self._cached(("radical_nonzero", w), compute)
+
+    def spectral_radius(self, w):
+        return self._cached(("radius", w), lambda: max_root_modulus(self.radical(w)))
 
 
-def _memb(x, y):
-    """Defect of the membership x in comm(y)."""
-    return x * y - y * x
+def _memb(ctx, x, y):
+    """Defect of the membership of word x in comm(word y)."""
+    return ctx.word(x + y) - ctx.word(y + x)
 
 
 def _from_defects(hyp, defects):
@@ -205,54 +250,52 @@ def _chk_l1_i_i(ctx, p):
     hyp = ctx.report.ab_in_comm_a
     defects = []
     for n in _POWERS:
-        anb = ctx.power("a", n) * ctx.b
-        defects.extend(_memb(anb, ctx.power("a", m)) for m in _POWERS)
+        defects.extend(_memb(ctx, "a" * n + "b", "a" * m) for m in _POWERS)
     return _from_defects(hyp, defects)
 
 
 def _chk_l1_i_ii(ctx, p):
     hyp = ctx.report.ab_in_comm_a
-    a, b = ctx.a, ctx.b
+    w = ctx.word
     defects = []
     for n in (2, 3, 4):
-        ban = ctx.power("ba", n)
-        defects.append(ctx.power("ab", n) - ctx.power("a", n) * ctx.power("b", n))
-        defects.append(ban - b * ctx.power("a", n) * ctx.power("b", n - 1))
-        defects.append(ban - ctx.ba * ctx.power("ab", n - 1))
-        defects.append(ban - b * ctx.power("a", n - 1) * ctx.power("b", n - 1) * a)
+        ban = w("ba" * n)
+        defects.append(w("ab" * n) - w("a" * n + "b" * n))
+        defects.append(ban - w("b" + "a" * n + "b" * (n - 1)))
+        defects.append(ban - w("ba" + "ab" * (n - 1)))
+        defects.append(ban - w("b" + "a" * (n - 1) + "b" * (n - 1) + "a"))
     return _from_defects(hyp, defects)
 
 
 def _chk_l1_i_iii(ctx, p):
     hyp = ctx.report.ab_in_comm_a
-    return _from_defects(hyp, [_memb(ctx.a * ctx.s, ctx.a)])
+    return _from_defects(hyp, [_memb(ctx, "as", "a")])
 
 
 def _chk_l1_ii_i(ctx, p):
     hyp = ctx.report.ab_in_comm_b
     defects = []
     for n in _POWERS:
-        abn = ctx.a * ctx.power("b", n)
-        defects.extend(_memb(abn, ctx.power("b", m)) for m in _POWERS)
+        defects.extend(_memb(ctx, "a" + "b" * n, "b" * m) for m in _POWERS)
     return _from_defects(hyp, defects)
 
 
 def _chk_l1_ii_ii(ctx, p):
     hyp = ctx.report.ab_in_comm_b
-    a, b = ctx.a, ctx.b
+    w = ctx.word
     defects = []
     for n in (2, 3, 4):
-        ban = ctx.power("ba", n)
-        defects.append(ctx.power("ab", n) - ctx.power("a", n) * ctx.power("b", n))
-        defects.append(ban - ctx.power("a", n - 1) * ctx.power("b", n) * a)
-        defects.append(ban - ctx.power("ab", n - 1) * ctx.ba)
-        defects.append(ban - b * ctx.power("a", n - 1) * ctx.power("b", n - 1) * a)
+        ban = w("ba" * n)
+        defects.append(w("ab" * n) - w("a" * n + "b" * n))
+        defects.append(ban - w("a" * (n - 1) + "b" * n + "a"))
+        defects.append(ban - w("ab" * (n - 1) + "ba"))
+        defects.append(ban - w("b" + "a" * (n - 1) + "b" * (n - 1) + "a"))
     return _from_defects(hyp, defects)
 
 
 def _chk_l1_ii_iii(ctx, p):
     hyp = ctx.report.ab_in_comm_b
-    return _from_defects(hyp, [_memb(ctx.s * ctx.b, ctx.b)])
+    return _from_defects(hyp, [_memb(ctx, "sb", "b")])
 
 
 def _chk_l1_iii_i(ctx, p):
@@ -260,37 +303,26 @@ def _chk_l1_iii_i(ctx, p):
     defects = []
     for n in _TRIPLE:
         for m in _TRIPLE:
-            anbm = ctx.power("a", n) * ctx.power("b", m)
-            defects.extend(_memb(anbm, ctx.power("a", k)) for k in _TRIPLE)
+            defects.extend(_memb(ctx, "a" * n + "b" * m, "a" * k) for k in _TRIPLE)
     return _from_defects(hyp, defects)
-
-
-def _telescope_sums(ctx, n):
-    d = ctx.dim
-    s_ba = ExactMatrix.zeros(d)
-    s_ab = ExactMatrix.zeros(d)
-    for j in range(n):
-        s_ba = s_ba + ctx.power("b", j) * ctx.power("a", n - 1 - j)
-        s_ab = s_ab + ctx.power("a", n - 1 - j) * ctx.power("b", j)
-    return s_ba, s_ab
 
 
 def _chk_l1_iii_ii(ctx, p):
     hyp = ctx.report.comm_l
-    a, b = ctx.a, ctx.b
+    w = ctx.word
+    diff = ctx.a - ctx.b
     defects = []
     for n in (2, 3, 4, 5):
-        an, bn = ctx.power("a", n), ctx.power("b", n)
-        an1, bn1 = ctx.power("a", n - 1), ctx.power("b", n - 1)
-        s_ba, s_ab = _telescope_sums(ctx, n)
-        defects.append((an - bn + b * an1 - an1 * b) - s_ba * (a - b))
-        defects.append((an - bn + bn1 * a - a * bn1) - s_ab * (a - b))
+        an, bn = w("a" * n), w("b" * n)
+        s_ba, s_ab = ctx.telescope_sums(n)
+        defects.append((an - bn + w("b" + "a" * (n - 1)) - w("a" * (n - 1) + "b")) - s_ba * diff)
+        defects.append((an - bn + w("b" * (n - 1) + "a") - w("a" + "b" * (n - 1))) - s_ab * diff)
     return _from_defects(hyp, defects)
 
 
 def _chk_l1_iii_iii(ctx, p):
     hyp = ctx.report.comm_l
-    return _from_defects(hyp, [_memb(ctx.s * ctx.a, ctx.s), _memb(ctx.b * ctx.s, ctx.b)])
+    return _from_defects(hyp, [_memb(ctx, "sa", "s"), _memb(ctx, "bs", "b")])
 
 
 def _chk_l1_iv_i(ctx, p):
@@ -298,27 +330,26 @@ def _chk_l1_iv_i(ctx, p):
     defects = []
     for n in _TRIPLE:
         for m in _TRIPLE:
-            anbm = ctx.power("a", n) * ctx.power("b", m)
-            defects.extend(_memb(anbm, ctx.power("b", k)) for k in _TRIPLE)
+            defects.extend(_memb(ctx, "a" * n + "b" * m, "b" * k) for k in _TRIPLE)
     return _from_defects(hyp, defects)
 
 
 def _chk_l1_iv_ii(ctx, p):
     hyp = ctx.report.comm_r
-    a, b = ctx.a, ctx.b
+    w = ctx.word
+    diff = ctx.a - ctx.b
     defects = []
     for n in (2, 3, 4, 5):
-        an, bn = ctx.power("a", n), ctx.power("b", n)
-        an1, bn1 = ctx.power("a", n - 1), ctx.power("b", n - 1)
-        s_ba, s_ab = _telescope_sums(ctx, n)
-        defects.append((an - bn + a * bn1 - bn1 * a) - (a - b) * s_ba)
-        defects.append((an - bn + an1 * b - b * an1) - (a - b) * s_ab)
+        an, bn = w("a" * n), w("b" * n)
+        s_ba, s_ab = ctx.telescope_sums(n)
+        defects.append((an - bn + w("a" + "b" * (n - 1)) - w("b" * (n - 1) + "a")) - diff * s_ba)
+        defects.append((an - bn + w("a" * (n - 1) + "b") - w("b" + "a" * (n - 1))) - diff * s_ab)
     return _from_defects(hyp, defects)
 
 
 def _chk_l1_iv_iii(ctx, p):
     hyp = ctx.report.comm_r
-    return _from_defects(hyp, [_memb(ctx.a * ctx.s, ctx.s), _memb(ctx.s * ctx.b, ctx.b)])
+    return _from_defects(hyp, [_memb(ctx, "as", "s"), _memb(ctx, "sb", "b")])
 
 
 def _shift(m, lam):
@@ -330,7 +361,8 @@ def _chk_r_i(ctx, p):
     mu = Scalar.coerce(p.get("mu", 0))
     hyp = ctx.report.ab_in_comm_a and (ctx.report.comm or lam.is_zero())
     sa, sb = _shift(ctx.a, lam), _shift(ctx.b, mu)
-    return _from_defects(hyp, [_memb(sa * sb, sa)])
+    sab = sa * sb
+    return _from_defects(hyp, [sab * sa - sa * sab])
 
 
 def _chk_r_ii(ctx, p):
@@ -338,16 +370,14 @@ def _chk_r_ii(ctx, p):
     mu = Scalar.coerce(p.get("mu", 0))
     hyp = ctx.report.ba_in_comm_a and (ctx.report.comm or lam.is_zero())
     sa, sb = _shift(ctx.a, lam), _shift(ctx.b, mu)
-    return _from_defects(hyp, [_memb(sb * sa, sa)])
+    sba = sb * sa
+    return _from_defects(hyp, [sba * sa - sa * sba])
 
 
 def _chk_r_iii(ctx, p):
     hyp = ctx.report.comm_w
     defects = [
-        _memb(ctx.power("a", n), ctx.power("b", m))
-        for n in _TRIPLE
-        for m in _TRIPLE
-        if n * m >= 2
+        _memb(ctx, "a" * n, "b" * m) for n in _TRIPLE for m in _TRIPLE if n * m >= 2
     ]
     return _from_defects(hyp, defects)
 
@@ -368,69 +398,58 @@ def _chk_r_iv(ctx, p):
 
 
 def _chk_r_v(ctx, p):
-    aba = ctx.a * ctx.ba
-    hyp = aba == ctx.a * ctx.ab and aba == ctx.ba * ctx.a
-    defects = [
-        _memb(ctx.power("a", n), ctx.power("b", m)) for n in (2, 3, 4) for m in _TRIPLE
-    ]
+    aba = ctx.word("aba")
+    hyp = aba == ctx.word("aab") and aba == ctx.word("baa")
+    defects = [_memb(ctx, "a" * n, "b" * m) for n in (2, 3, 4) for m in _TRIPLE]
     return _from_defects(hyp, defects)
-
-
-def _newton_sum_r(ctx, n):
-    d = ctx.dim
-    s = ExactMatrix.zeros(d)
-    for k in range(1, n + 1):
-        term = ctx.power("a", n - k) * ctx.power("b", k) + ctx.power("b", n - k) * ctx.power("a", k)
-        s = s + term * comb(n - 1, k - 1)
-    return s
-
-
-def _newton_sum_l(ctx, n):
-    d = ctx.dim
-    s = ExactMatrix.zeros(d)
-    for k in range(1, n + 1):
-        term = ctx.power("a", k) * ctx.power("b", n - k) + ctx.power("b", k) * ctx.power("a", n - k)
-        s = s + term * comb(n - 1, k - 1)
-    return s
 
 
 def _chk_newton_r(ctx, p):
     n = p.get("n", 3)
     hyp = ctx.report.comm_r
-    return _from_defects(hyp, [ctx.power("s", n) - _newton_sum_r(ctx, n)])
+    w = ctx.word
+    total = ExactMatrix.zeros(ctx.dim)
+    for k in range(1, n + 1):
+        term = w("a" * (n - k) + "b" * k) + w("b" * (n - k) + "a" * k)
+        total = total + term * comb(n - 1, k - 1)
+    return _from_defects(hyp, [w("s" * n) - total])
 
 
 def _chk_newton_l(ctx, p):
     n = p.get("n", 3)
     hyp = ctx.report.comm_l
-    return _from_defects(hyp, [ctx.power("s", n) - _newton_sum_l(ctx, n)])
+    w = ctx.word
+    total = ExactMatrix.zeros(ctx.dim)
+    for k in range(1, n + 1):
+        term = w("a" * k + "b" * (n - k)) + w("b" * k + "a" * (n - k))
+        total = total + term * comb(n - 1, k - 1)
+    return _from_defects(hyp, [w("s" * n) - total])
 
 
 def _chk_binom(ctx, p):
     n = p.get("n", 3)
     hyp = ctx.report.comm_w and n != 2
-    d = ctx.dim
-    s1 = ExactMatrix.zeros(d)
-    s2 = ExactMatrix.zeros(d)
+    w = ctx.word
+    s1 = s2 = ExactMatrix.zeros(ctx.dim)
     for k in range(n + 1):
         c = comb(n, k)
-        s1 = s1 + ctx.power("a", k) * ctx.power("b", n - k) * c
-        s2 = s2 + ctx.power("b", k) * ctx.power("a", n - k) * c
-    sn = ctx.power("s", n)
+        s1 = s1 + w("a" * k + "b" * (n - k)) * c
+        s2 = s2 + w("b" * k + "a" * (n - k)) * c
+    sn = w("s" * n)
     return _from_defects(hyp, [sn - s1, sn - s2])
 
 
 def _chk_telescope(ctx, p):
     n = p.get("n", 3)
     hyp = ctx.report.comm_w and n != 2
-    a, b = ctx.a, ctx.b
-    target = ctx.power("a", n) - ctx.power("b", n)
-    s_ba, s_ab = _telescope_sums(ctx, n)
+    diff = ctx.a - ctx.b
+    target = ctx.word("a" * n) - ctx.word("b" * n)
+    s_ba, s_ab = ctx.telescope_sums(n)
     defects = [
-        target - s_ba * (a - b),
-        target - (a - b) * s_ba,
-        target - s_ab * (a - b),
-        target - (a - b) * s_ab,
+        target - s_ba * diff,
+        target - diff * s_ba,
+        target - s_ab * diff,
+        target - diff * s_ab,
     ]
     return _from_defects(hyp, defects)
 
@@ -485,45 +504,41 @@ def _chk_nil_sum(ctx, p):
     return _bool_result(hyp, ok, f"d(a)={qa}, d(b)={qb}, d(a+b)={ds}")
 
 
-def _detect_power_membership(ctx, x_name, base_name):
-    """Smallest n <= dim with x in comm(base^n), or None."""
-    x = ctx._bases[x_name]
+def _detect_power_membership(ctx, x, base):
+    """Smallest n <= dim with word x in comm(base^n), or None."""
     for n in range(1, ctx.dim + 1):
-        if _memb(x, ctx.power(base_name, n)).is_zero():
+        if _memb(ctx, x, base * n).is_zero():
             return n
     return None
 
 
 def _chk_nil_tele(ctx, p):
-    a, b = ctx.a, ctx.b
     rep = ctx.report
     n_given = p.get("n")
+    diff = ctx.a - ctx.b
     defects = []
     applicable = False
     if rep.comm_l:
         n = n_given if n_given is not None else _detect_power_membership(ctx, "b", "a")
-        if n is not None and _memb(b, ctx.power("a", n)).is_zero():
+        if n is not None and _memb(ctx, "b", "a" * n).is_zero():
             applicable = True
             for m in (n + 1, n + 2, n + 3):
-                s_ba, _ = _telescope_sums(ctx, m)
-                defects.append((ctx.power("a", m) - ctx.power("b", m)) - s_ba * (a - b))
+                s_ba, _ = ctx.telescope_sums(m)
+                defects.append((ctx.word("a" * m) - ctx.word("b" * m)) - s_ba * diff)
     if rep.comm_r:
         n = n_given if n_given is not None else _detect_power_membership(ctx, "a", "b")
-        if n is not None and _memb(a, ctx.power("b", n)).is_zero():
+        if n is not None and _memb(ctx, "a", "b" * n).is_zero():
             applicable = True
             for m in (n + 1, n + 2, n + 3):
-                s_ba, _ = _telescope_sums(ctx, m)
-                defects.append((ctx.power("a", m) - ctx.power("b", m)) - (a - b) * s_ba)
+                s_ba, _ = ctx.telescope_sums(m)
+                defects.append((ctx.word("a" * m) - ctx.word("b" * m)) - diff * s_ba)
     return _from_defects(applicable, defects)
 
 
 def _chk_rad_prod(ctx, p):
     rep = ctx.report
     hyp = rep.ab_in_comm_a or rep.ab_in_comm_b
-    ra = spectral_radius_exact(ctx.base("a"))
-    rb = spectral_radius_exact(ctx.base("b"))
-    rab = spectral_radius_exact(ctx.base("ab"))
-    over = rab - ra * rb
+    over = ctx.spectral_radius("ab") - ctx.spectral_radius("a") * ctx.spectral_radius("b")
     ok = over <= RADIUS_TOL
     return hyp, ok, max(0.0, over), None
 
@@ -531,10 +546,7 @@ def _chk_rad_prod(ctx, p):
 def _chk_rad_sum(ctx, p):
     rep = ctx.report
     hyp = rep.comm_l or rep.comm_r
-    ra = spectral_radius_exact(ctx.base("a"))
-    rb = spectral_radius_exact(ctx.base("b"))
-    rs = spectral_radius_exact(ctx.base("s"))
-    over = rs - (ra + rb)
+    over = ctx.spectral_radius("s") - (ctx.spectral_radius("a") + ctx.spectral_radius("b"))
     ok = over <= RADIUS_TOL
     return hyp, ok, max(0.0, over), None
 
@@ -565,22 +577,19 @@ def _poly_defect(hyp, ok, lhs, rhs):
 
 def _chk_spec_incl(ctx, p):
     hyp = ctx.nil_degree("b") is not None and ctx.report.ba_in_comm_a
-    ra = poly_radical_nonzero(charpoly(ctx.a))
-    rs = poly_radical_nonzero(charpoly(ctx.s))
+    ra, rs = ctx.radical_nonzero("a"), ctx.radical_nonzero("s")
     return _poly_defect(hyp, ra.divides(rs), ra, rs)
 
 
 def _chk_spec_eq_n2(ctx, p):
-    hyp = (ctx.b * ctx.b).is_zero() and ctx.report.ba_in_comm_a
-    ra = poly_radical_nonzero(charpoly(ctx.a))
-    rs = poly_radical_nonzero(charpoly(ctx.s))
+    hyp = ctx.word("bb").is_zero() and ctx.report.ba_in_comm_a
+    ra, rs = ctx.radical_nonzero("a"), ctx.radical_nonzero("s")
     return _poly_defect(hyp, ra == rs, ra, rs)
 
 
 def _chk_spec_eq_w(ctx, p):
     hyp = ctx.nil_degree("b") is not None and ctx.report.comm_w
-    fa = poly_radical(charpoly(ctx.a))
-    fs = poly_radical(charpoly(ctx.s))
+    fa, fs = ctx.radical("a"), ctx.radical("s")
     return _poly_defect(hyp, fa == fs, fa, fs)
 
 
@@ -594,7 +603,7 @@ def _chk_ker_incl(ctx, p):
     if not hyp:
         return False, True, 0.0, None
     ok = kernel_inclusion_forward(ctx.a, ctx.b, lam)
-    if (ctx.b * ctx.b).is_zero() or ctx.report.ab_in_comm_b:
+    if ctx.word("bb").is_zero() or ctx.report.ab_in_comm_b:
         ok = ok and kernel_inclusion_reverse(ctx.a, ctx.b, lam)
     return _bool_result(hyp, ok, f"kernel inclusion failed at lam={lam.literal()}")
 

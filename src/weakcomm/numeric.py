@@ -14,7 +14,6 @@ scales pass their own tolerance.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, EigenvalueConvergenceError
 
@@ -24,6 +23,7 @@ __all__ = [
     "eigenvalues",
     "spectral_radius",
     "spectral_radius_exact",
+    "max_root_modulus",
     "expm",
     "spectrum_compare",
 ]
@@ -179,9 +179,15 @@ def spectral_radius_exact(m):
     """
     from .exact import charpoly, poly_radical
 
-    rad = poly_radical(charpoly(m))
-    coeffs = [complex(c) for c in reversed(rad.coeffs)]
-    roots = np.roots(coeffs)
+    return max_root_modulus(poly_radical(charpoly(m)))
+
+
+def max_root_modulus(p):
+    """Largest root modulus of an exact polynomial (0.0 when it has no roots).
+
+    Given a radical (squarefree part), the roots found are all simple.
+    """
+    roots = np.roots([complex(c) for c in reversed(p.coeffs)])
     if len(roots) == 0:
         return 0.0
     return float(np.max(np.abs(roots)))
@@ -189,6 +195,8 @@ def spectral_radius_exact(m):
 
 def expm(m):
     """Matrix exponential by scaling-and-squaring; overflow raises."""
+    import scipy.linalg
+
     out = scipy.linalg.expm(m.array)
     if not np.all(np.isfinite(out.view(np.float64))):
         raise OverflowError("matrix exponential overflowed")

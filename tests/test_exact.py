@@ -334,6 +334,90 @@ def test_trace_frobenius():
     assert a.frobenius() == float(30) ** 0.5
 
 
+def _frobenius_reference(m):
+    """The Frobenius norm summed in Fractions, entry by entry."""
+    den, re, im = m._rep()
+    total = sum(Fraction(x * x + y * y, den * den) for x, y in zip(re, im))
+    return float(total) ** 0.5
+
+
+def _outcome(norm, m):
+    try:
+        return norm(m)
+    except OverflowError:
+        return "overflow"
+
+
+def test_frobenius_matches_fraction_reference():
+    rng = random.Random(23)
+    seen = set()
+    for trial in range(400):
+        d = rng.randint(1, 4)
+        bits = rng.choice((3, 40, 200, 620))
+        den = rng.choice((1, rng.randint(2, 50), rng.getrandbits(rng.randint(1, bits)) | 1))
+        re = [rng.randint(-(1 << bits), 1 << bits) for _ in range(d * d)]
+        if trial % 2:
+            im = [rng.randint(-(1 << bits), 1 << bits) for _ in range(d * d)]
+        else:
+            im = [0] * (d * d)
+        m = ExactMatrix._from_rep(d, _kernel_py.normalize(den, re, im))
+        expected = _outcome(_frobenius_reference, m)
+        assert _outcome(ExactMatrix.frobenius, m) == expected
+        seen.add((bits, m._den > 1, expected == "overflow"))
+    # entries above 2**600 are covered both in range and overflowing
+    assert {(620, True, False), (620, True, True)} <= seen
+    den = 3**130
+    rep = _kernel_py.normalize(den, [1 << 700, 5, -7, 1], [0, 1 << 650, 0, 2])
+    big = ExactMatrix._from_rep(2, rep)
+    assert big.frobenius() == _frobenius_reference(big) > 2.0 ** 490
+
+
+def test_frobenius_overflow_raises_like_reference():
+    m = ExactMatrix._from_rep(2, _kernel_py.normalize(1, [1 << 1100, 0, 0, 1], [0] * 4))
+    with pytest.raises(OverflowError):
+        _frobenius_reference(m)
+    with pytest.raises(OverflowError):
+        m.frobenius()
+
+
+def test_construction_mixed_denominators_round_trips():
+    rng = random.Random(31)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        rows = [
+            [
+                Scalar(
+                    Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+                    Fraction(rng.randint(-30, 30), rng.randint(1, 12)) if rng.random() < 0.6 else 0,
+                )
+                for _ in range(d)
+            ]
+            for _ in range(d)
+        ]
+        m = ExactMatrix(rows)
+        assert m.rows() == tuple(tuple(r) for r in rows)
+        flat = [v for row in rows for v in row]
+        assert list(m._re) == [int(v.re * m._den) for v in flat]
+        assert list(m._im) == [int(v.im * m._den) for v in flat]
+    m = ExactMatrix(
+        [[Fraction(1, 6), Scalar(Fraction(-3, 4), Fraction(5, 9))], [0, Fraction(7, 10)]]
+    )
+    assert m._den == 180
+    assert m.entry(0, 1) == Scalar(Fraction(-3, 4), Fraction(5, 9))
+    assert m.entry(1, 1) == Scalar(Fraction(7, 10))
+
+
+def test_scaling_by_int_fraction_and_scalar_agree():
+    rng = random.Random(37)
+    for _ in range(40):
+        a = _rand_matrix(rng, rng.randint(1, 4))
+        k = rng.randint(-9, 9)
+        assert a * k == a * Scalar(k) == a * Fraction(k) == k * a
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        assert a * q == a * Scalar(q)
+        assert (a * q).rows() == tuple(tuple(v * q for v in row) for row in a.rows())
+
+
 def test_literal_round_trip():
     rng = random.Random(9)
     for _ in range(60):

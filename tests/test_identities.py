@@ -5,15 +5,20 @@ from fractions import Fraction
 
 import pytest
 
+from weakcomm.cli import main
 from weakcomm.errors import UnknownIdentityError
-from weakcomm.exact import ExactMatrix, Scalar
+from weakcomm.exact import ExactMatrix, Scalar, charpoly, poly_radical, poly_radical_nonzero
 from weakcomm.identities import (
     IdentityId,
+    PairContext,
+    _run_checker,
+    _suite_plan,
     check_identity,
     identity_catalog,
     verify_suite,
 )
-from weakcomm.instances import ExampleId, paper_example
+from weakcomm.instances import ExampleId, RelationClass, paper_example, sample_pair
+from weakcomm.numeric import spectral_radius_exact
 from weakcomm.relations import relation_check
 
 E = ExactMatrix.single_entry
@@ -258,3 +263,77 @@ def test_suite_rejects_bad_config():
         verify_suite(dims=(), samples_per_class=1, seed=1)
     with pytest.raises(ValueError):
         verify_suite(classes=["nonsense"], samples_per_class=1, seed=1)
+
+
+# -- the per-pair memo ------------------------------------------------------------
+
+
+def _memo_sweep():
+    """Seeded pairs of every relation class at dims 2-4, nilpotent ones included."""
+    pairs = []
+    for k, cls in enumerate(RelationClass):
+        for dim in (2, 3, 4):
+            nilpotent = (k + dim) % 2 == 0
+            pairs.append(sample_pair(cls, dim, 100 + 7 * k + dim, nilpotent=nilpotent))
+    return pairs
+
+
+def test_shared_context_matches_fresh_context():
+    # One context serves the whole suite in verify_suite's order; every
+    # result must equal the one a fresh context gives for that call alone.
+    for a, b in _memo_sweep():
+        ctx = PairContext(a, b)
+        for identity in IdentityId:
+            for params in _suite_plan(identity, ctx):
+                shared = _run_checker(identity, ctx, params)
+                fresh = check_identity(identity, a, b, **params)
+                assert shared == fresh, (identity, params, a.literal(), b.literal())
+
+
+def test_spectral_memo_matches_direct():
+    # The nonzero radical is derived from the radical, not from the charpoly.
+    pairs = _memo_sweep()
+    n = ExactMatrix.parse("0,1,0;0,0,1;0,0,0")
+    pairs.append((n, n.transpose()))
+    nilpotent_seen = False
+    for a, b in pairs:
+        ctx = PairContext(a, b)
+        for w in ("a", "b", "ab", "s"):
+            m = ctx.word(w)
+            assert ctx.radical_nonzero(w) == poly_radical_nonzero(charpoly(m))
+            assert ctx.radical(w) == poly_radical(charpoly(m))
+            assert ctx.spectral_radius(w) == spectral_radius_exact(m)
+            if ctx.radical(w).literal() == "x":
+                nilpotent_seen = True
+                assert ctx.radical_nonzero(w).literal() == "1"
+    assert nilpotent_seen
+
+
+def test_words_are_products_of_letters():
+    a, b = _pair(ExampleId.SEX_I_PQ)
+    ctx = PairContext(a, b)
+    s = a + b
+    assert ctx.word("") == ExactMatrix.identity(a.dim)
+    assert ctx.word("abab") == a * b * a * b
+    assert ctx.word("sba") == s * (b * a)
+    assert ctx.word("ab" * 3) == (a * b) ** 3
+    assert ctx.ab == a * b and ctx.ba == b * a and ctx.s == s
+    s_ba, s_ab = ctx.telescope_sums(3)
+    assert s_ba == a * a + b * a + b * b
+    assert s_ab == a * a + a * b + b * b
+
+
+def test_inject_fault_binom_flips_only_binom(capsys):
+    argv = ["verify", "--dims", "2,3,4", "--samples", "2", "--seed", "13"]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--inject-fault", "BINOM"]) == 1
+    faulty = json.loads(capsys.readouterr().out)
+    for name, slot in clean["identities"].items():
+        if name != "BINOM":
+            assert faulty["identities"][name] == slot
+    before, after = clean["identities"]["BINOM"], faulty["identities"]["BINOM"]
+    assert before["fail"] == 0 and before["pass"] > 0
+    assert after["fail"] == before["pass"]
+    assert after["pass"] == before["fail"]
+    assert after["vacuous"] == before["vacuous"]

@@ -1,6 +1,8 @@
 """Floating-point layer: eigenvalue clustering, radii, exponentials."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from weakcomm.numeric import (
     SpectrumSet,
     eigenvalues,
     expm,
+    max_root_modulus,
     spectral_radius,
     spectral_radius_exact,
     spectrum_compare,
@@ -127,6 +130,24 @@ def test_spectral_radius_exact_matches_numeric_on_diagonalizable():
     assert spectral_radius_exact(m) == pytest.approx(
         spectral_radius(CMatrix.from_exact(m)), abs=1e-10
     )
+
+
+def test_spectral_radius_exact_is_root_modulus_of_radical():
+    from weakcomm.exact import charpoly, poly_radical
+
+    for lit in ("-1,4;-1,3", "0,1;0,0", "2,0,0;0,-3,1;0,0,-3", "0,-1;1,0"):
+        m = ExactMatrix.parse(lit)
+        assert spectral_radius_exact(m) == max_root_modulus(poly_radical(charpoly(m)))
+
+
+def test_import_does_not_load_scipy():
+    code = (
+        "import sys, weakcomm, weakcomm.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_expm_zero_is_identity():
