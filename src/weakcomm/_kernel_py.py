@@ -5,6 +5,9 @@ Matrices are carried in a normalized flat representation: a triple
 row-major lists of ints of length d*d, and gcd(den, content) == 1. The
 represented matrix is (RE + i*IM) / den.
 
+``echelon`` is the package's only elimination: ranks, kernels, images and
+every canonical subspace basis in ``exact`` start from it.
+
 The products, ``charpoly_ints`` and ``echelon`` skip zero entries: they
 return the same integers as the dense loops, with work proportional to the
 nonzero entries. Every exact division checks its remainder and raises

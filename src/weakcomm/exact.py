@@ -18,6 +18,11 @@ Three immutable value types live here:
     equal subspaces compare equal. Supports membership, containment, sums,
     intersections, and images under a matrix.
 
+Every rank, kernel, image and subspace comes from one canonical reduced row
+echelon form, ``_rref``: Bareiss ``echelon`` from ``_kernel_py`` over the
+Gaussian integers, then one back-substitution in integers and a single
+division by the last pivot.
+
 Matrix literal format (used by the CLI and the registry data files): rows
 separated by ``;``, entries separated by ``,``, each entry a scalar literal
 such as ``1``, ``-2/3`` or ``1/2+1/3i``. Indices in this API are 0-based.
@@ -26,7 +31,7 @@ such as ``1``, ``-2/3`` or ``1/2+1/3i``. Indices in this API are 0-based.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import _kernel_py as kernel
 from .errors import (
@@ -62,13 +67,8 @@ class ExactMatrix:
         d = len(entries)
         if d == 0 or any(len(row) != d for row in entries):
             raise DimensionMismatchError("matrix must be square with dim >= 1")
-        den = 1
-        for row in entries:
-            for v in row:
-                den = lcm(den, v.re.denominator, v.im.denominator)
-        re = [v.re.numerator * (den // v.re.denominator) for row in entries for v in row]
-        im = [v.im.numerator * (den // v.im.denominator) for row in entries for v in row]
-        self._init_rep(d, kernel.normalize(den, re, im))
+        flat = [v for row in entries for v in row]
+        self._init_rep(d, kernel.normalize(*_clear_denominators(flat)))
 
     def _init_rep(self, dim, rep):
         den, re, im = rep
@@ -163,10 +163,7 @@ class ExactMatrix:
             rep = kernel.mat_scale(self.dim, self._rep(), other, 0, 1)
             return ExactMatrix._from_rep(self.dim, rep)
         if isinstance(other, (Fraction, Scalar)):
-            s = Scalar.coerce(other)
-            den = lcm(s.re.denominator, s.im.denominator)
-            re = s.re.numerator * (den // s.re.denominator)
-            im = s.im.numerator * (den // s.im.denominator)
+            den, (re,), (im,) = _clear_denominators([Scalar.coerce(other)])
             rep = kernel.mat_scale(self.dim, self._rep(), re, im, den)
             return ExactMatrix._from_rep(self.dim, rep)
         return NotImplemented
@@ -232,9 +229,6 @@ class ExactMatrix:
     def is_zero(self):
         return not any(self._re) and not any(self._im)
 
-    def is_identity(self):
-        return self == ExactMatrix.identity(self.dim)
-
     def frobenius(self):
         """Frobenius norm as a float.
 
@@ -246,7 +240,11 @@ class ExactMatrix:
 
     def to_complex_rows(self):
         """Entries as a nested list of Python complex numbers."""
-        return [[complex(self.entry(i, j)) for j in range(self.dim)] for i in range(self.dim)]
+        d, den = self.dim, self._den
+        return [
+            [complex(self._re[k] / den, self._im[k] / den) for k in range(i * d, (i + 1) * d)]
+            for i in range(d)
+        ]
 
     # -- presentation -----------------------------------------------------------
 
@@ -260,6 +258,16 @@ class ExactMatrix:
         return f"ExactMatrix({self.literal()!r})"
 
     __str__ = __repr__
+
+
+def _clear_denominators(values):
+    """Scalars as Gaussian integers over one common denominator: (den, re, im)."""
+    den = 1
+    for v in values:
+        den = lcm(den, v.re.denominator, v.im.denominator)
+    re = [v.re.numerator * (den // v.re.denominator) for v in values]
+    im = [v.im.numerator * (den // v.im.denominator) for v in values]
+    return den, re, im
 
 
 def parse_matrix(text):
@@ -539,42 +547,24 @@ def rank_kernel(a):
     Returns (rank, kernel, image) with rank + kernel.dim == dim always.
     """
     d = a.dim
-    den, re, im = a._rep()
-    rank, pivots, ere, eim = kernel.echelon(d, d, re, im)
-    ker_vectors = _kernel_from_echelon(d, d, rank, pivots, ere, eim)
-    image_vectors = [a.column(j) for j in pivots]
+    _, re, im = a._rep()
+    rows, pivots = _rref(d, d, re, im)
+    rank = len(pivots)
+    zero, one = Scalar(0), Scalar(1)
+    ker_vectors = []
+    for f in sorted(set(range(d)) - set(pivots)):
+        x = [zero] * d
+        x[f] = one
+        for row, p in zip(rows, pivots):
+            x[p] = -row[f]
+        ker_vectors.append(x)
+    image_re = [re[i * d + j] for j in pivots for i in range(d)]
+    image_im = [im[i * d + j] for j in pivots for i in range(d)]
     return (
         rank,
         SubspaceBasis.span(ker_vectors, ambient=d),
-        SubspaceBasis.span(image_vectors, ambient=d),
+        SubspaceBasis._make(d, *_rref(rank, d, image_re, image_im)),
     )
-
-
-def _kernel_from_echelon(nrows, ncols, rank, pivots, ere, eim):
-    """Back-substitute an integer echelon form into exact kernel vectors."""
-    rows = [
-        [
-            Scalar(Fraction(ere[i * ncols + j]), Fraction(eim[i * ncols + j]))
-            for j in range(ncols)
-        ]
-        for i in range(rank)
-    ]
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(ncols) if j not in pivot_set]
-    vectors = []
-    for f in free_cols:
-        x = [Scalar(0)] * ncols
-        x[f] = Scalar(1)
-        for i in range(rank - 1, -1, -1):
-            p = pivots[i]
-            s = Scalar(0)
-            for j in range(p + 1, ncols):
-                if not x[j].is_zero() and not rows[i][j].is_zero():
-                    s = s + rows[i][j] * x[j]
-            if not s.is_zero():
-                x[p] = -s / rows[i][p]
-        vectors.append(tuple(x))
-    return vectors
 
 
 def nilpotency_degree(a):
@@ -614,39 +604,64 @@ def exp_exact_nilpotent(a):
 # -- subspaces --------------------------------------------------------------------
 
 
-def _rref(rows):
-    """Reduced row echelon form over Scalars; returns (rows, pivots), no zero rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        p = None
-        for r in range(row, len(rows)):
-            if not rows[r][col].is_zero():
-                p = r
-                break
-        if p is None:
-            continue
-        rows[row], rows[p] = rows[p], rows[row]
-        pivot_row = rows[row]
-        lead = pivot_row[col]
-        nonzero = [j for j in range(col, ncols) if not pivot_row[j].is_zero()]
-        for j in nonzero:
-            pivot_row[j] = pivot_row[j] / lead
-        for r in range(len(rows)):
-            target = rows[r]
-            if r != row and not target[col].is_zero():
-                f = target[col]
-                for j in nonzero:
-                    target[j] = target[j] - f * pivot_row[j]
-        pivots.append(col)
-        row += 1
-        if row == len(rows):
-            break
-    return rows[:row], pivots
+def _rref(nrows, ncols, re, im):
+    """Canonical reduced row echelon form of a flat Gaussian-integer row block.
+
+    Returns (rows, pivots): the nonzero reduced rows as tuples of Scalars and
+    the pivot column of each. Each row is divided by its content, which keeps
+    Bareiss pivots small on sparse rows such as shift sections; ``echelon``
+    then clears below each pivot. Its last pivot D is the determinant of the
+    pivot minor, so D*R is integral (Cramer's rule): one back-substitution,
+    bottom row first, clears above each pivot in integers with
+    D*R_i = (D*E_i - sum over k > i of E_i[p_k] * D*R_k) / E_i[p_i],
+    and every entry is divided by D once at the end.
+    """
+    re, im = list(re), list(im)
+    for off in range(0, nrows * ncols, ncols):
+        g = gcd(*re[off:off + ncols], *im[off:off + ncols])
+        if g > 1:
+            re[off:off + ncols] = [x // g for x in re[off:off + ncols]]
+            im[off:off + ncols] = [x // g for x in im[off:off + ncols]]
+    rank, pivots, ere, eim = kernel.echelon(nrows, ncols, re, im)
+    if not rank:
+        return [], pivots
+    last = (rank - 1) * ncols + pivots[-1]
+    dr, di = ere[last], eim[last]
+    scaled = [None] * rank  # D*R_i over its nonzero non-pivot columns
+    for i in range(rank - 1, -1, -1):
+        off = i * ncols
+        row = {}
+        for j in range(pivots[i] + 1, ncols):
+            er, ei = ere[off + j], eim[off + j]
+            if er or ei:
+                row[j] = (er * dr - ei * di, er * di + ei * dr)
+        for k in range(i + 1, rank):
+            cr, ci = ere[off + pivots[k]], eim[off + pivots[k]]
+            if cr or ci:
+                del row[pivots[k]]
+                for j, (yr, yi) in scaled[k].items():
+                    xr, xi = row.get(j, (0, 0))
+                    row[j] = (xr - cr * yr + ci * yi, xi - cr * yi - ci * yr)
+        pr, pi = ere[off + pivots[i]], eim[off + pivots[i]]
+        scaled[i] = {
+            j: kernel._gdiv_exact(xr, xi, pr, pi) for j, (xr, xi) in row.items() if xr or xi
+        }
+    nrm = dr * dr + di * di
+    zero, one = Scalar(0), Scalar(1)
+    rows = []
+    for p, row in zip(pivots, scaled):
+        full = [zero] * ncols
+        full[p] = one
+        for j, (xr, xi) in row.items():
+            full[j] = Scalar(Fraction(xr * dr + xi * di, nrm), Fraction(xi * dr - xr * di, nrm))
+        rows.append(tuple(full))
+    return rows, pivots
+
+
+def _mat_vec(a, vec):
+    """The column vector a * vec, for a vector of Scalars."""
+    terms = [(j, v) for j, v in enumerate(vec) if not v.is_zero()]
+    return tuple(sum((a.entry(i, j) * v for j, v in terms), Scalar(0)) for i in range(a.dim))
 
 
 class SubspaceBasis:
@@ -658,39 +673,36 @@ class SubspaceBasis:
     __slots__ = ("ambient", "vectors", "_pivots")
 
     def __init__(self, vectors, ambient=None):
-        vectors = [tuple(Scalar.coerce(v) for v in vec) for vec in vectors]
-        if ambient is None:
-            if not vectors:
-                raise DimensionMismatchError("ambient dimension required for empty basis")
-            ambient = len(vectors[0])
-        if any(len(v) != ambient for v in vectors):
-            raise DimensionMismatchError("vectors of mixed length")
-        reduced, pivots = _rref(vectors)
-        if len(reduced) != len(vectors):
+        vectors = list(vectors)
+        basis = SubspaceBasis.span(vectors, ambient=ambient)
+        if basis.dim != len(vectors):
             raise ValueError("vectors are linearly dependent; use SubspaceBasis.span")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "vectors", tuple(tuple(r) for r in reduced))
-        object.__setattr__(self, "_pivots", tuple(pivots))
+        for name in SubspaceBasis.__slots__:
+            object.__setattr__(self, name, getattr(basis, name))
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceBasis is immutable")
 
     @classmethod
+    def _make(cls, ambient, rows, pivots):
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "ambient", ambient)
+        object.__setattr__(obj, "vectors", tuple(rows))
+        object.__setattr__(obj, "_pivots", tuple(pivots))
+        return obj
+
+    @classmethod
     def span(cls, vectors, ambient=None):
         """Subspace spanned by possibly dependent vectors."""
-        vectors = [tuple(Scalar.coerce(v) for v in vec) for vec in vectors]
+        vectors = [[Scalar.coerce(v) for v in vec] for vec in vectors]
         if ambient is None:
             if not vectors:
                 raise DimensionMismatchError("ambient dimension required for empty span")
             ambient = len(vectors[0])
         if any(len(v) != ambient for v in vectors):
             raise DimensionMismatchError("vectors of mixed length")
-        reduced, pivots = _rref(vectors)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "ambient", ambient)
-        object.__setattr__(obj, "vectors", tuple(tuple(r) for r in reduced))
-        object.__setattr__(obj, "_pivots", tuple(pivots))
-        return obj
+        _, re, im = _clear_denominators([v for vec in vectors for v in vec])
+        return cls._make(ambient, *_rref(len(vectors), ambient, re, im))
 
     @classmethod
     def zero(cls, ambient):
@@ -706,14 +718,7 @@ class SubspaceBasis:
         return len(self.vectors)
 
     def contains_vector(self, vec):
-        vec = [Scalar.coerce(v) for v in vec]
-        if len(vec) != self.ambient:
-            raise DimensionMismatchError("vector length differs from ambient")
-        for row, p in zip(self.vectors, self._pivots):
-            c = vec[p]
-            if not c.is_zero():
-                vec = [vec[j] - c * row[j] for j in range(self.ambient)]
-        return all(v.is_zero() for v in vec)
+        return self.coordinates_of(vec) is not None
 
     def contains(self, other):
         if self.ambient != other.ambient:
@@ -726,10 +731,10 @@ class SubspaceBasis:
         if len(vec) != self.ambient:
             raise DimensionMismatchError("vector length differs from ambient")
         coords = tuple(vec[p] for p in self._pivots)
-        residue = list(vec)
         for c, row in zip(coords, self.vectors):
-            residue = [residue[j] - c * row[j] for j in range(self.ambient)]
-        if any(not v.is_zero() for v in residue):
+            if not c.is_zero():
+                vec = [x if y.is_zero() else x - c * y for x, y in zip(vec, row)]
+        if any(not v.is_zero() for v in vec):
             return None
         return coords
 
@@ -739,37 +744,27 @@ class SubspaceBasis:
         return SubspaceBasis.span(list(self.vectors) + list(other.vectors), ambient=self.ambient)
 
     def intersect(self, other):
-        """Zassenhaus block elimination."""
+        """Zassenhaus block elimination.
+
+        The reduced rows of [[u, u], [w, 0]] whose pivot lies in the right
+        half are zero on the left; their right halves are the intersection,
+        already in canonical form.
+        """
         if self.ambient != other.ambient:
             raise DimensionMismatchError("ambient dimensions differ")
         n = self.ambient
-        zero = [Scalar(0)] * n
-        block = [list(v) + list(v) for v in self.vectors]
-        block += [list(v) + zero for v in other.vectors]
-        reduced, _ = _rref(block)
-        out = []
-        for row in reduced:
-            if all(v.is_zero() for v in row[:n]):
-                out.append(tuple(row[n:]))
-        return SubspaceBasis.span(out, ambient=n)
+        zero = (Scalar(0),) * n
+        block = [v + v for v in self.vectors] + [v + zero for v in other.vectors]
+        _, re, im = _clear_denominators([v for vec in block for v in vec])
+        rows, pivots = _rref(len(block), 2 * n, re, im)
+        k = sum(p < n for p in pivots)
+        return SubspaceBasis._make(n, [row[n:] for row in rows[k:]], [p - n for p in pivots[k:]])
 
     def image_under(self, a):
         """Span of a*v over the basis vectors."""
         if a.dim != self.ambient:
             raise DimensionMismatchError("matrix dim differs from ambient")
-        d = self.ambient
-        imgs = []
-        for v in self.vectors:
-            img = [Scalar(0)] * d
-            for j in range(d):
-                if not v[j].is_zero():
-                    col = a.column(j)
-                    img = [img[i] + col[i] * v[j] for i in range(d)]
-            imgs.append(tuple(img))
-        return SubspaceBasis.span(imgs, ambient=d)
-
-    def vector_literals(self):
-        return [",".join(v.literal() for v in vec) for vec in self.vectors]
+        return SubspaceBasis.span([_mat_vec(a, v) for v in self.vectors], ambient=self.ambient)
 
     def __eq__(self, other):
         if not isinstance(other, SubspaceBasis):

@@ -142,11 +142,11 @@ class PairContext:
     associated: every result equals the one computed without the memo.
     """
 
-    def __init__(self, a, b, report=None):
+    def __init__(self, a, b):
         self.a = a
         self.b = b
         self.dim = a.dim
-        self.report = report if report is not None else relation_check(a, b)
+        self.report = relation_check(a, b)
         self._words = {"": ExactMatrix.identity(self.dim), "a": a, "b": b, "s": a + b}
         self._memo = {}
 

@@ -248,14 +248,13 @@ def _solve_comm_r(rng, dim):
     _, kernel, _ = rank_kernel(ExactMatrix(sys_rows))
     if kernel.dim == 0:
         return None
+    basis = [ExactMatrix([v[i * dim : (i + 1) * dim] for i in range(dim)]) for v in kernel.vectors]
     for _ in range(24):
-        vec = [Scalar(0)] * n2
-        for basis_vec in kernel.vectors:
-            c = Scalar(rng.randint(-2, 2))
-            if c.is_zero():
-                continue
-            vec = [v + c * w for v, w in zip(vec, basis_vec)]
-        b = ExactMatrix([vec[i * dim : (i + 1) * dim] for i in range(dim)])
+        b = ExactMatrix.zeros(dim)
+        for m in basis:
+            c = rng.randint(-2, 2)
+            if c:
+                b = b + m * c
         rep = relation_check(a, b)
         if rep.comm_r and not rep.comm:
             return a, b
@@ -382,8 +381,10 @@ class SpectralInstance:
     p: int
 
     def __post_init__(self):
-        assert (self.n ** self.p).is_zero()
-        assert charpoly(self.t).eval_scalar(self.lam).is_zero()
+        if not (self.n ** self.p).is_zero():
+            raise ValueError(f"n**{self.p} must be zero")
+        if not charpoly(self.t).eval_scalar(self.lam).is_zero():
+            raise ValueError(f"{self.lam.literal()} is not an eigenvalue of t")
 
 
 _EIGEN_POOL = (
@@ -424,7 +425,8 @@ def sample_spectral_instance(dim, seed, kind="comm_r"):
     t, n = _conjugate_pair(rng, t, n)
     lam = Scalar(rng.choice(eigen))
     rep = relation_check(t, n)
-    assert class_matches(rep, kind), "spectral construction left its class"
+    if not class_matches(rep, kind):
+        raise ArithmeticError("spectral construction left its class")
     return SpectralInstance(t=t, n=n, lam=lam, p=2)
 
 
@@ -1024,7 +1026,6 @@ def registry_self_test(example_id, dim=None):
             checks.append((f"word {lhs} {rel} word {rhs}", got == equal))
     else:
         spec, _ = paper_example(entry.id, dim)
-        text = _read_data(entry.data_files[0])
         checks.append(
             ("spec file round-trips through the text format", shiftlab.parse_spec(shiftlab.format_spec(spec)) == spec)
         )

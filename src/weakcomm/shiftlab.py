@@ -192,16 +192,17 @@ def finite_support_kernel(spec, n):
     """
     if n < spec.support() + 1 or n < 2:
         raise ValueError(f"need n >= support+1 = {spec.support() + 1} and n >= 2")
-    m = truncate(spec, n)
-    _, kernel, _ = rank_kernel(m)
-    head = SubspaceBasis.span(
-        [
-            tuple(Scalar(1) if j == i else Scalar(0) for j in range(n))
-            for i in range(n - 1)
-        ],
-        ambient=n,
-    )
-    return kernel.intersect(head)
+    _, kernel, _ = rank_kernel(truncate(spec, n))
+    vectors = list(kernel.vectors)
+    # clear the last coordinate with the first vector that has one, then drop it
+    k = next((k for k, v in enumerate(vectors) if not v[-1].is_zero()), None)
+    if k is not None:
+        head = vectors.pop(k)
+        for i, v in enumerate(vectors):
+            if not v[-1].is_zero():
+                c = v[-1] / head[-1]
+                vectors[i] = [x if h.is_zero() else x - c * h for x, h in zip(v, head)]
+    return SubspaceBasis.span(vectors, ambient=n)
 
 
 @dataclass(frozen=True)

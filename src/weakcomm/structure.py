@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import HypothesisNotMetError, NotNilpotentError
 from .exact import (
     ExactMatrix,
-    SubspaceBasis,
+    _mat_vec,
     charpoly,
     nilpotency_degree,
     poly_radical,
@@ -32,6 +32,7 @@ from .exact import (
     rank_kernel,
 )
 from .relations import relation_check
+from .scalar import Scalar
 
 __all__ = [
     "ChainProfile",
@@ -145,8 +146,6 @@ def invariant_restriction(s, t, lam):
     When the eigenspace is invariant, the restrictions of s and t to it are
     formed in the eigenspace basis and checked to commute exactly.
     """
-    from .scalar import Scalar
-
     lam = Scalar.coerce(lam)
     if lam.is_zero():
         raise ValueError("lam must be nonzero")
@@ -167,16 +166,12 @@ def invariant_restriction(s, t, lam):
     def restriction(op):
         cols = []
         for v in eigenspace.vectors:
-            img = [Scalar(0)] * d
-            for j in range(d):
-                if not v[j].is_zero():
-                    col = op.column(j)
-                    img = [img[i] + col[i] * v[j] for i in range(d)]
-            coords = eigenspace.coordinates_of(img)
-            assert coords is not None
+            coords = eigenspace.coordinates_of(_mat_vec(op, v))
+            if coords is None:
+                raise ArithmeticError("eigenspace is not invariant under the operator")
             cols.append(coords)
         # cols[j] holds the coordinates of op * basis_j: transpose into rows
-        return ExactMatrix([[cols[j][i] for j in range(m)] for i in range(m)]) if m else None
+        return ExactMatrix([[cols[j][i] for j in range(m)] for i in range(m)])
 
     s_m = restriction(s)
     t_m = restriction(t)
@@ -199,8 +194,6 @@ def kernel_inclusion_forward(t, n, lam, p=None):
 
     Requires lam != 0 and the membership t in comm(n*t); violations raise.
     """
-    from .scalar import Scalar
-
     lam = Scalar.coerce(lam)
     if lam.is_zero():
         raise ValueError("lam must be nonzero")
@@ -222,8 +215,6 @@ def kernel_inclusion_reverse(t, n, lam, p=None):
     is nilpotent of degree <= p and n commutes with t*n (then q = p). Raises
     when neither hypothesis holds.
     """
-    from .scalar import Scalar
-
     lam = Scalar.coerce(lam)
     if lam.is_zero():
         raise ValueError("lam must be nonzero")

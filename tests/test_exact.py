@@ -309,6 +309,184 @@ def test_echelon_matches_dense_reference():
         assert _kernel_py.echelon(nrows, ncols, re, im) == expected, (nrows, ncols, re, im)
 
 
+# -- oracle: Gauss-Jordan over Scalars ----------------------------------------------------
+
+
+def reference_rref(rows):
+    """Gauss-Jordan over Scalars, pivot by pivot; returns (rows, pivots), no zero rows."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        p = None
+        for r in range(row, len(rows)):
+            if not rows[r][col].is_zero():
+                p = r
+                break
+        if p is None:
+            continue
+        rows[row], rows[p] = rows[p], rows[row]
+        pivot_row = rows[row]
+        lead = pivot_row[col]
+        nonzero = [j for j in range(col, ncols) if not pivot_row[j].is_zero()]
+        for j in nonzero:
+            pivot_row[j] = pivot_row[j] / lead
+        for r in range(len(rows)):
+            target = rows[r]
+            if r != row and not target[col].is_zero():
+                f = target[col]
+                for j in nonzero:
+                    target[j] = target[j] - f * pivot_row[j]
+        pivots.append(col)
+        row += 1
+        if row == len(rows):
+            break
+    return rows[:row], pivots
+
+
+def reference_kernel_from_echelon(nrows, ncols, rank, pivots, ere, eim):
+    """Back-substitute an integer echelon form into exact kernel vectors."""
+    rows = [
+        [
+            Scalar(Fraction(ere[i * ncols + j]), Fraction(eim[i * ncols + j]))
+            for j in range(ncols)
+        ]
+        for i in range(rank)
+    ]
+    pivot_set = set(pivots)
+    free_cols = [j for j in range(ncols) if j not in pivot_set]
+    vectors = []
+    for f in free_cols:
+        x = [Scalar(0)] * ncols
+        x[f] = Scalar(1)
+        for i in range(rank - 1, -1, -1):
+            p = pivots[i]
+            s = Scalar(0)
+            for j in range(p + 1, ncols):
+                if not x[j].is_zero() and not rows[i][j].is_zero():
+                    s = s + rows[i][j] * x[j]
+            if not s.is_zero():
+                x[p] = -s / rows[i][p]
+        vectors.append(tuple(x))
+    return vectors
+
+
+def reference_span(vectors):
+    reduced, pivots = reference_rref([[Scalar.coerce(v) for v in vec] for vec in vectors])
+    return tuple(tuple(r) for r in reduced), tuple(pivots)
+
+
+def reference_rank_kernel(a):
+    d = a.dim
+    _, re, im = a._rep()
+    rank, pivots, ere, eim = _kernel_py.echelon(d, d, re, im)
+    kernel = reference_kernel_from_echelon(d, d, rank, pivots, ere, eim)
+    return rank, reference_span(kernel), reference_span([a.column(j) for j in pivots])
+
+
+def _canonical(basis):
+    return basis.vectors, basis._pivots
+
+
+def _rand_rows(rng, nrows, ncols, complex_entries, density):
+    """Scalar rows with denominators up to 6, some rows combinations of others."""
+
+    def entry():
+        if rng.random() >= density:
+            return Scalar(0)
+        im = Fraction(rng.randint(-5, 5), rng.randint(1, 6)) if complex_entries else 0
+        return Scalar(Fraction(rng.randint(-7, 7), rng.randint(1, 6)), im)
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _span_inputs():
+    rng = random.Random(4096)
+    for case in range(300):
+        ncols = rng.randint(1, 7)
+        nrows = rng.randint(0, 8) if case % 2 else ncols
+        complex_entries = case % 3 == 0
+        rows = _rand_rows(rng, nrows, ncols, complex_entries, rng.choice((0.3, 0.6, 1.0)))
+        if rows and case % 5 == 4:
+            # rank-deficient: append combinations of the rows already drawn
+            for _ in range(rng.randint(1, 3)):
+                c1 = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-1, 1))
+                c2 = Scalar(rng.randint(-2, 2))
+                u, w = rng.choice(rows), rng.choice(rows)
+                rows.append([c1 * x + c2 * y for x, y in zip(u, w)])
+        if rows and case % 7 == 0:
+            rows.insert(rng.randrange(len(rows) + 1), [Scalar(0)] * ncols)
+        yield ncols, rows
+        if case % 4 == 1:
+            # Zassenhaus-shaped block [[u, u], [w, 0]]
+            other = _rand_rows(rng, rng.randint(0, 4), ncols, complex_entries, 0.6)
+            block = [r + r for r in rows] + [r + [Scalar(0)] * ncols for r in other]
+            yield 2 * ncols, block
+    for example in (ExampleId.EXNILP_T, ExampleId.EXNILP_N, ExampleId.EXNILP_Q):
+        spec, _ = paper_example(example)
+        for n in (10, 20):
+            rows = [list(r) for r in truncate(spec, n).rows()]
+            yield n, rows
+            yield n, [list(r) for r in truncate(spec, n).transpose().rows()]
+
+
+def test_span_matches_gauss_jordan_reference():
+    for ambient, rows in _span_inputs():
+        basis = SubspaceBasis.span(rows, ambient=ambient)
+        assert _canonical(basis) == reference_span(rows), rows
+        if len(basis.vectors) == len(rows):
+            assert _canonical(SubspaceBasis(rows, ambient=ambient)) == _canonical(basis)
+        else:
+            with pytest.raises(ValueError):
+                SubspaceBasis(rows, ambient=ambient)
+
+
+def test_intersect_matches_zassenhaus_reference():
+    rng = random.Random(4097)
+    for case in range(120):
+        n = rng.randint(1, 6)
+        complex_entries = case % 3 == 0
+        u = _rand_rows(rng, rng.randint(0, n), n, complex_entries, 0.7)
+        w = _rand_rows(rng, rng.randint(0, n), n, complex_entries, 0.7)
+        if u and w and case % 2:
+            w.append(list(u[0]))  # force a shared direction
+        a = SubspaceBasis.span(u, ambient=n)
+        b = SubspaceBasis.span(w, ambient=n)
+        block = [list(v) + list(v) for v in a.vectors]
+        block += [list(v) + [Scalar(0)] * n for v in b.vectors]
+        reduced, _ = reference_rref(block)
+        tails = [row[n:] for row in reduced if all(x.is_zero() for x in row[:n])]
+        expected = reference_span(tails) if tails else ((), ())
+        assert _canonical(a.intersect(b)) == expected, (u, w)
+
+
+def _rank_kernel_inputs():
+    rng = random.Random(4098)
+    for case in range(200):
+        d = rng.randint(1, 6)
+        rows = _rand_rows(rng, d, d, case % 3 == 0, rng.choice((0.3, 0.6, 1.0)))
+        if d > 1 and case % 4 == 3:
+            rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+        if case % 7 == 0:
+            rows[rng.randrange(d)] = [Scalar(0)] * d
+        yield ExactMatrix(rows)
+    yield ExactMatrix.zeros(3)
+    yield ExactMatrix.identity(3)
+    for example in (ExampleId.EXNILP_T, ExampleId.EXNILP_N, ExampleId.EXNILP_Q):
+        spec, _ = paper_example(example)
+        for n in (10, 20):
+            yield truncate(spec, n)
+
+
+def test_rank_kernel_matches_reference():
+    for a in _rank_kernel_inputs():
+        rank, kernel, image = rank_kernel(a)
+        assert (rank, _canonical(kernel), _canonical(image)) == reference_rank_kernel(a), a
+
+
 def test_kernel_negative_den_sign_flip():
     assert _kernel_py.normalize(-2, [2, 0, 0, 2], [0, 0, 0, 0]) == (
         1,
@@ -370,6 +548,30 @@ def test_frobenius_matches_fraction_reference():
     rep = _kernel_py.normalize(den, [1 << 700, 5, -7, 1], [0, 1 << 650, 0, 2])
     big = ExactMatrix._from_rep(2, rep)
     assert big.frobenius() == _frobenius_reference(big) > 2.0 ** 490
+
+
+def test_to_complex_rows_matches_entry_route():
+    rng = random.Random(29)
+    seen = set()
+    for trial in range(300):
+        d = rng.randint(1, 4)
+        bits = rng.choice((3, 40, 620, 1100))
+        den = rng.choice((1, rng.randint(2, 50), rng.getrandbits(rng.randint(1, 80)) | 1))
+        re = [rng.randint(-(1 << bits), 1 << bits) for _ in range(d * d)]
+        if trial % 2:
+            im = [rng.randint(-(1 << bits), 1 << bits) for _ in range(d * d)]
+        else:
+            im = [0] * (d * d)
+        m = ExactMatrix._from_rep(d, _kernel_py.normalize(den, re, im))
+
+        def by_entry(m):
+            return [[complex(m.entry(i, j)) for j in range(m.dim)] for i in range(m.dim)]
+
+        expected = _outcome(by_entry, m)
+        assert _outcome(ExactMatrix.to_complex_rows, m) == expected
+        seen.add((bits, m._den > 1, expected == "overflow"))
+    # den > 1 with entries above 2**600, in range and overflowing
+    assert {(620, True, False), (1100, True, True)} <= seen
 
 
 def test_frobenius_overflow_raises_like_reference():

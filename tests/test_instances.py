@@ -1,16 +1,23 @@
 """Registry pairs, relation-class samplers, spectral instances, witness search."""
 
+import ast
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weakcomm
 from weakcomm.errors import SamplerBudgetError, UnknownExampleError, UnknownPredicateError
 from weakcomm.exact import ExactMatrix, Scalar
 from weakcomm.instances import (
     ExampleId,
     RelationClass,
+    SpectralInstance,
     class_matches,
     derive_seed,
     evaluate_word,
@@ -192,6 +199,49 @@ def test_spectral_instance_validation():
         sample_spectral_instance(3, 0, kind="comm_w")
     with pytest.raises(ValueError):
         sample_spectral_instance(4, 0, kind="bogus")
+
+
+def test_spectral_instance_rejects_broken_hypotheses():
+    good = sample_spectral_instance(4, 7, kind="comm_r")
+    not_nilpotent = ExactMatrix.identity(4)
+    with pytest.raises(ValueError):
+        SpectralInstance(t=good.t, n=not_nilpotent, lam=good.lam, p=2)
+    with pytest.raises(ValueError):
+        SpectralInstance(t=good.t, n=good.n, lam=Scalar(1000), p=2)
+
+
+def test_spectral_instance_check_survives_optimize_flag():
+    code = (
+        "from weakcomm.exact import ExactMatrix, Scalar\n"
+        "from weakcomm.instances import SpectralInstance\n"
+        "try:\n"
+        "    SpectralInstance(t=ExactMatrix.identity(2), n=ExactMatrix.identity(2),"
+        " lam=Scalar(1), p=2)\n"
+        "except ValueError:\n"
+        "    print('raised')\n"
+    )
+    src = pathlib.Path(weakcomm.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert; invariants in the package raise instead
+    sources = sorted(pathlib.Path(weakcomm.__file__).resolve().parent.rglob("*.py"))
+    assert len(sources) > 5
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_spectral_instance_deterministic():

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from weakcomm.errors import LiteralFormatError
-from weakcomm.exact import ExactMatrix, Scalar, charpoly, nilpotency_degree
+from weakcomm.exact import (
+    ExactMatrix,
+    Scalar,
+    SubspaceBasis,
+    charpoly,
+    nilpotency_degree,
+    rank_kernel,
+)
 from weakcomm.instances import ExampleId, paper_example
 from weakcomm.relations import relation_check
 from weakcomm.shiftlab import (
@@ -191,6 +198,42 @@ def test_finite_support_kernel_odd_coordinates():
     tq = t + q
     assert finite_support_kernel(tq, 8).dim == 4
     assert finite_support_kernel(tq, 12).dim == 6
+
+
+def _head_intersect_reference(spec, n):
+    """Kernel of the n-truncation intersected with span(e_1, ..., e_(n-1))."""
+    _, kernel, _ = rank_kernel(truncate(spec, n))
+    head = SubspaceBasis.span(
+        [[Scalar(1) if j == i else Scalar(0) for j in range(n)] for i in range(n - 1)],
+        ambient=n,
+    )
+    return kernel.intersect(head)
+
+
+def test_finite_support_kernel_matches_head_intersection():
+    t = _spec(ExampleId.EXNILP_T)
+    specs = {
+        "T": t,
+        "T+N": t + _spec(ExampleId.EXNILP_N),
+        "T+Q": t + _spec(ExampleId.EXNILP_Q),
+        "N": _spec(ExampleId.EXNILP_N),
+        "Q": _spec(ExampleId.EXNILP_Q),
+        "none": LTwoOpSpec(direction="none", finite_rank=((3, 3, Scalar(1)),)),
+        # at n = 4 the kernel is x4 = x1 + x2: two basis vectors reach the cut
+        "up": parse_spec(
+            "direction: up\nweights: 1\n"
+            "finite: 1 2 -1\nfinite: 2 3 -1\nfinite: 3 1 -1\nfinite: 3 2 -1\n"
+        ),
+    }
+    at_cut = set()
+    for name, spec in specs.items():
+        for size in range(4, 25):
+            got = finite_support_kernel(spec, size)
+            assert got == _head_intersect_reference(spec, size), (name, size)
+            _, kernel, _ = rank_kernel(truncate(spec, size))
+            at_cut.add(sum(not v[-1].is_zero() for v in kernel.vectors))
+    # kernels with none, one and several basis vectors at the cut are covered
+    assert {0, 1, 2} <= at_cut
 
 
 def test_finite_support_kernel_validation():
