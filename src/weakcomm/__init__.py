@@ -32,11 +32,9 @@ from .numeric import (
     SpectrumSet,
     eigenvalues,
     expm,
-    spectral_radius,
     spectral_radius_exact,
-    spectrum_compare,
 )
-from .relations import RelationReport, relation_check, relation_check_tol
+from .relations import RelationReport, relation_check
 from .identities import (
     IdentityId,
     IdentityResult,
@@ -69,7 +67,6 @@ from .instances import (
 from .shiftlab import (
     LTwoOpSpec,
     WeightRule,
-    eigen_convergence,
     finite_support_kernel,
     format_spec,
     parse_spec,
@@ -95,12 +92,9 @@ __all__ = [
     "SpectrumSet",
     "eigenvalues",
     "expm",
-    "spectral_radius",
     "spectral_radius_exact",
-    "spectrum_compare",
     "RelationReport",
     "relation_check",
-    "relation_check_tol",
     "IdentityId",
     "IdentityResult",
     "SuiteReport",
@@ -126,7 +120,6 @@ __all__ = [
     "search_witness",
     "LTwoOpSpec",
     "WeightRule",
-    "eigen_convergence",
     "finite_support_kernel",
     "format_spec",
     "parse_spec",

@@ -9,9 +9,14 @@ Three immutable value types live here:
     kernel computations) run on the integer kernels in ``_kernel_py``.
 
 ``ExactPoly``
-    A polynomial with ``Scalar`` coefficients, ascending order, normalized
-    so the leading coefficient is nonzero. Supports exact division, gcd,
-    squarefree parts and radicals, and evaluation at matrices.
+    A polynomial in the same format: ascending integer coefficient lists
+    ``(re, im)`` over one positive denominator, normalized by
+    ``kernel.normalize`` with trailing zeros stripped, so equality is
+    structural. Arithmetic stays in integers: products are convolutions,
+    division is pseudo-division over Z[i] followed by one exact division,
+    and ``charpoly`` builds the form straight from ``charpoly_ints``.
+    Supports gcd, squarefree parts and radicals, and evaluation at
+    matrices. ``coeffs`` is a Scalar view for printing and tests.
 
 ``SubspaceBasis``
     A subspace of column vectors in canonical reduced-row-echelon form, so
@@ -293,60 +298,83 @@ def parse_matrix(text):
 
 
 class ExactPoly:
-    """Polynomial with Scalar coefficients, ascending order, exact arithmetic.
+    """Polynomial with Gaussian-rational coefficients, ascending order, exact arithmetic.
 
-    The zero polynomial has an empty coefficient tuple and degree -1.
+    Stored like ``ExactMatrix``: integer coefficient lists ``(re, im)`` over
+    one positive denominator, normalized by ``kernel.normalize`` and with
+    trailing zeros stripped, so equal polynomials have equal storage. The
+    zero polynomial has empty lists and degree -1. ``coeffs`` is a read-only
+    view of the coefficients as Scalars.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_den", "_re", "_im")
 
     def __init__(self, coeffs):
-        cs = [Scalar.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._init_rep(*_clear_denominators([Scalar.coerce(c) for c in coeffs]))
+
+    def _init_rep(self, den, re, im):
+        n = len(re)
+        while n and not re[n - 1] and not im[n - 1]:
+            n -= 1
+        den, re, im = kernel.normalize(den, re[:n], im[:n])
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_re", tuple(re))
+        object.__setattr__(self, "_im", tuple(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactPoly is immutable")
 
     @classmethod
+    def _from_rep(cls, den, re, im):
+        obj = object.__new__(cls)
+        obj._init_rep(den, re, im)
+        return obj
+
+    @classmethod
     def zero(cls):
-        return cls(())
+        return cls._from_rep(1, [], [])
 
     @classmethod
     def one(cls):
-        return cls((1,))
+        return cls._from_rep(1, [1], [0])
 
     @classmethod
     def variable(cls):
-        return cls((0, 1))
+        return cls._from_rep(1, [0, 1], [0, 0])
+
+    @property
+    def coeffs(self):
+        den = self._den
+        return tuple(
+            Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(self._re, self._im)
+        )
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._re) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._re
 
     def __eq__(self, other):
         if not isinstance(other, ExactPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._re == other._re and self._im == other._im
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._den, self._re, self._im))
 
     def __add__(self, other):
         if not isinstance(other, ExactPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return ExactPoly(
-            [
-                (a[k] if k < len(a) else Scalar(0)) + (b[k] if k < len(b) else Scalar(0))
-                for k in range(n)
-            ]
+        da, db = self._den, other._den
+        n = max(len(self._re), len(other._re))
+        ar, ai, br, bi = (
+            list(c) + [0] * (n - len(c)) for c in (self._re, self._im, other._re, other._im)
         )
+        re = [x * db + y * da for x, y in zip(ar, br)]
+        im = [x * db + y * da for x, y in zip(ai, bi)]
+        return ExactPoly._from_rep(da * db, re, im)
 
     def __sub__(self, other):
         if not isinstance(other, ExactPoly):
@@ -354,44 +382,65 @@ class ExactPoly:
         return self + (-other)
 
     def __neg__(self):
-        return ExactPoly([-c for c in self.coeffs])
+        return ExactPoly._from_rep(self._den, [-x for x in self._re], [-y for y in self._im])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            s = Scalar.coerce(other)
-            return ExactPoly([c * s for c in self.coeffs])
-        if not isinstance(other, ExactPoly):
+            other = ExactPoly((other,))
+        elif not isinstance(other, ExactPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return ExactPoly.zero()
-        out = [Scalar(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return ExactPoly(out)
+        n = len(self._re) + len(other._re) - 1
+        re, im = [0] * n, [0] * n
+        pairs = list(zip(other._re, other._im))
+        for i, (xr, xi) in enumerate(zip(self._re, self._im)):
+            if xr or xi:
+                for j, (yr, yi) in enumerate(pairs, i):
+                    re[j] += xr * yr - xi * yi
+                    im[j] += xr * yi + xi * yr
+        return ExactPoly._from_rep(self._den * other._den, re, im)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
+        """Pseudo-division over Z[i], then one exact division.
+
+        With A, B the integer numerators of self and other and l the leading
+        coefficient of B, k = deg A - deg B + 1 steps give l^k*A = Q*B + R;
+        the quotient and remainder are Q/l^k and R/l^k, rescaled by the two
+        denominators.
+        """
         if not isinstance(other, ExactPoly):
             return NotImplemented
         if other.is_zero():
             raise ZeroPolynomialError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Scalar(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        lead = other.coeffs[-1]
         db = other.degree
-        while len(rem) - 1 >= db and rem:
-            c = rem[-1] / lead
-            k = len(rem) - 1 - db
-            q[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - c * b
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return ExactPoly(q), ExactPoly(rem)
+        steps = len(self._re) - db
+        if steps <= 0:
+            return ExactPoly.zero(), self
+        br, bi = other._re, other._im
+        lr, li = br[-1], bi[-1]
+        rr, ri = list(self._re), list(self._im)
+        qr, qi = [0] * steps, [0] * steps
+        pr, pi = 1, 0  # l^(steps done)
+        for k in range(steps - 1, -1, -1):
+            cr, ci = rr[k + db], ri[k + db]
+            rr, ri = _gmul(rr, ri, lr, li)
+            qr, qi = _gmul(qr, qi, lr, li)
+            pr, pi = pr * lr - pi * li, pr * li + pi * lr
+            qr[k] += cr
+            qi[k] += ci
+            if cr or ci:
+                for j in range(db + 1):
+                    rr[k + j] -= cr * br[j] - ci * bi[j]
+                    ri[k + j] -= cr * bi[j] + ci * br[j]
+        # 1/l^k = conj(l^k) / |l^k|^2
+        den = self._den * (pr * pr + pi * pi)
+        return (
+            ExactPoly._from_rep(den, *_gmul(qr, qi, other._den * pr, -other._den * pi)),
+            ExactPoly._from_rep(den, *_gmul(rr[:db], ri[:db], pr, -pi)),
+        )
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -418,13 +467,16 @@ class ExactPoly:
         return (other % self).is_zero()
 
     def derivative(self):
-        return ExactPoly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
+        re = [k * x for k, x in enumerate(self._re)]
+        im = [k * y for k, y in enumerate(self._im)]
+        return ExactPoly._from_rep(self._den, re[1:], im[1:])
 
     def monic(self):
+        """The numerators times conj(l) over |l|^2, l the leading numerator."""
         if self.is_zero():
             raise ZeroPolynomialError("zero polynomial has no monic form")
-        lead = self.coeffs[-1]
-        return ExactPoly([c / lead for c in self.coeffs])
+        lr, li = self._re[-1], self._im[-1]
+        return ExactPoly._from_rep(lr * lr + li * li, *_gmul(self._re, self._im, lr, -li))
 
     def gcd(self, other):
         """Monic greatest common divisor (zero polynomial if both are zero)."""
@@ -450,9 +502,9 @@ class ExactPoly:
         if self.is_zero():
             raise ZeroPolynomialError("zero polynomial has no nonzero part")
         k = 0
-        while self.coeffs[k].is_zero():
+        while not (self._re[k] or self._im[k]):
             k += 1
-        return ExactPoly(self.coeffs[k:])
+        return ExactPoly._from_rep(self._den, self._re[k:], self._im[k:])
 
     def eval_scalar(self, x):
         x = Scalar.coerce(x)
@@ -462,19 +514,33 @@ class ExactPoly:
         return acc
 
     def eval_matrix(self, a):
-        acc = ExactMatrix.zeros(a.dim)
-        ident = ExactMatrix.identity(a.dim)
-        for c in reversed(self.coeffs):
-            acc = acc * a + ident * c
-        return acc
+        """Horner's rule on the integer numerators, then one division by den."""
+        d = a.dim
+        rep = a._rep()
+        ident = ExactMatrix.identity(d)._rep()
+        acc = ExactMatrix.zeros(d)._rep()
+        for cr, ci in zip(reversed(self._re), reversed(self._im)):
+            acc = kernel.mat_mul(d, acc, rep)
+            acc = kernel.mat_add(d, acc, kernel.mat_scale(d, ident, cr, ci, 1))
+        return ExactMatrix._from_rep(d, kernel.mat_scale(d, acc, 1, 0, self._den))
+
+    def to_complex_coeffs(self):
+        """Coefficients as Python complex numbers, ascending.
+
+        Each part is one correctly rounded integer division, the float of the
+        exact coefficient.
+        """
+        den = self._den
+        return [complex(x / den, y / den) for x, y in zip(self._re, self._im)]
 
     def literal(self, variable="x"):
         """Human-readable form, e.g. 'x^2 - 1'. The zero polynomial is '0'."""
         if self.is_zero():
             return "0"
         parts = []
+        coeffs = self.coeffs
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
+            c = coeffs[k]
             if c.is_zero():
                 continue
             if k == 0:
@@ -501,6 +567,11 @@ class ExactPoly:
         return f"ExactPoly({self.literal()!r})"
 
 
+def _gmul(re, im, zr, zi):
+    """Gaussian-integer lists (re, im) times the Gaussian integer zr + zi*i."""
+    return [x * zr - y * zi for x, y in zip(re, im)], [x * zi + y * zr for x, y in zip(re, im)]
+
+
 def poly_radical(p):
     """Monic squarefree part: same roots, all simple."""
     return p.squarefree_part()
@@ -523,22 +594,24 @@ def charpoly(a):
     d = a.dim
     den, re, im = a._rep()
     cre, cim = kernel.charpoly_ints(d, re, im)
-    coeffs = []
-    for j in range(d + 1):
-        scale = den ** (d - j)
-        coeffs.append(Scalar(Fraction(cre[j], scale), Fraction(cim[j], scale)))
-    return ExactPoly(coeffs)
+    # coefficient j is cre[j] / den^(d-j) = cre[j] * den^j / den^d
+    scale = [den ** j for j in range(d + 1)]
+    return ExactPoly._from_rep(
+        den ** d, [x * s for x, s in zip(cre, scale)], [y * s for y, s in zip(cim, scale)]
+    )
 
 
 def inverse(a):
     """Exact inverse; raises ZeroDivisionError when singular."""
     p = charpoly(a)
-    c0 = p.coeffs[0]
-    if c0.is_zero():
+    den, cr, ci = p._den, p._re[0], p._im[0]
+    if not (cr or ci):
         raise ZeroDivisionError("matrix is singular")
-    # p(a) = 0, so a * q(a) = -c0 * I with q(x) = (p(x) - c0) / x
-    q = ExactPoly(p.coeffs[1:])
-    return q.eval_matrix(a) * (Scalar(-1) / c0)
+    # p(a) = 0, so a * q(a) = -c0 * I with q(x) = (p(x) - c0) / x, and
+    # -1/c0 = -den * conj(cr + ci*i) / |cr + ci*i|^2
+    q = ExactPoly._from_rep(den, p._re[1:], p._im[1:])
+    rep = kernel.mat_scale(a.dim, q.eval_matrix(a)._rep(), -den * cr, den * ci, cr * cr + ci * ci)
+    return ExactMatrix._from_rep(a.dim, rep)
 
 
 def rank_kernel(a):

@@ -28,7 +28,6 @@ from math import comb
 from .errors import UnknownIdentityError
 from .exact import (
     ExactMatrix,
-    ExactPoly,
     charpoly,
     exp_exact_nilpotent,
     nilpotency_degree,
@@ -90,12 +89,23 @@ class IdentityId(str, Enum):
 
 @dataclass(frozen=True)
 class IdentityResult:
+    """One checker evaluation.
+
+    ``witness`` is the defect text, the first nonzero defect matrix, or None.
+    ``defect`` renders a matrix witness as its literal, only when read.
+    """
+
     identity: IdentityId
     hypothesis_met: bool
     holds: bool
     residual: float
     params: dict
-    defect: str | None
+    witness: ExactMatrix | str | None
+
+    @property
+    def defect(self):
+        w = self.witness
+        return w.literal() if isinstance(w, ExactMatrix) else w
 
     @property
     def verdict(self):
@@ -205,12 +215,7 @@ class PairContext:
         The radical is monic and squarefree, so x divides it at most once and
         dividing that factor out leaves the monic radical of the nonzero roots.
         """
-
-        def compute():
-            rad = self.radical(w)
-            return ExactPoly(rad.coeffs[1:]) if rad.coeffs[0].is_zero() else rad
-
-        return self._cached(("radical_nonzero", w), compute)
+        return self._cached(("radical_nonzero", w), lambda: self.radical(w).strip_zero_roots())
 
     def spectral_radius(self, w):
         return self._cached(("radius", w), lambda: max_root_modulus(self.radical(w)))
@@ -222,17 +227,15 @@ def _memb(ctx, x, y):
 
 
 def _from_defects(hyp, defects):
+    """Verdict over defect matrices; the first nonzero one is the witness."""
     residual = 0.0
-    defect_lit = None
-    ok = True
+    witness = None
     for d in defects:
         if not d.is_zero():
-            ok = False
-            r = d.frobenius()
-            residual = max(residual, r)
-            if defect_lit is None:
-                defect_lit = d.literal()
-    return hyp, ok, residual, defect_lit
+            residual = max(residual, d.frobenius())
+            if witness is None:
+                witness = d
+    return hyp, witness is None, residual, witness
 
 
 def _bool_result(hyp, ok, defect=None):
@@ -240,7 +243,7 @@ def _bool_result(hyp, ok, defect=None):
 
 
 # -- checkers -------------------------------------------------------------------
-# Each checker maps (ctx, params) to (hypothesis_met, holds, residual, defect).
+# Each checker maps (ctx, params) to (hypothesis_met, holds, residual, witness).
 
 _POWERS = (1, 2, 3, 4)
 _TRIPLE = (1, 2, 3)
@@ -383,18 +386,14 @@ def _chk_r_iii(ctx, p):
 
 
 def _chk_r_iv(ctx, p):
+    # comm_l and comm_r of the pair (s, b), from the memoized words
     rep = ctx.report
-    hyp = rep.comm_l or rep.comm_r
-    shifted = relation_check(ctx.s, ctx.b)
-    ok = True
-    residual = 0.0
-    if rep.comm_l and not shifted.comm_l:
-        ok = False
-        residual = max(residual, shifted.residuals["ab_in_comm_a"], shifted.residuals["ba_in_comm_b"])
-    if rep.comm_r and not shifted.comm_r:
-        ok = False
-        residual = max(residual, shifted.residuals["ab_in_comm_b"], shifted.residuals["ba_in_comm_a"])
-    return hyp, ok, residual, None
+    defects = []
+    if rep.comm_l:
+        defects += [_memb(ctx, "sb", "s"), _memb(ctx, "bs", "b")]
+    if rep.comm_r:
+        defects += [_memb(ctx, "sb", "b"), _memb(ctx, "bs", "s")]
+    return _from_defects(rep.comm_l or rep.comm_r, defects)
 
 
 def _chk_r_v(ctx, p):
@@ -674,7 +673,7 @@ def _suite_plan(identity, ctx):
 
 
 def _run_checker(identity, ctx, params, invert=False):
-    hyp, ok, residual, defect = _CHECKERS[identity](ctx, params)
+    hyp, ok, residual, witness = _CHECKERS[identity](ctx, params)
     if invert and hyp:
         ok = not ok
     return IdentityResult(
@@ -683,7 +682,7 @@ def _run_checker(identity, ctx, params, invert=False):
         holds=ok,
         residual=residual,
         params=params,
-        defect=defect,
+        witness=witness,
     )
 
 

@@ -1,9 +1,10 @@
 """Floating-point twin of the exact layer.
 
-Provides complex double matrices, eigenvalue clustering, spectral radius,
-and the matrix exponential (scaling-and-squaring via scipy). Everything
-here is approximate by design; the exact layer is the source of truth and
-the test suites cross-check the two.
+Provides complex double matrices, eigenvalue clustering, the largest root
+modulus of an exact polynomial, and the matrix exponential
+(scaling-and-squaring via scipy). Everything here is approximate by design;
+the exact layer is the source of truth and the test suites cross-check the
+two.
 
 Eigenvalues come from LAPACK (``numpy.linalg.eigvals``). Clustering uses an
 absolute distance threshold ``cluster_tol`` whose default (1e-8) is
@@ -21,15 +22,12 @@ __all__ = [
     "CMatrix",
     "SpectrumSet",
     "eigenvalues",
-    "spectral_radius",
     "spectral_radius_exact",
     "max_root_modulus",
     "expm",
-    "spectrum_compare",
 ]
 
 DEFAULT_CLUSTER_TOL = 1e-8
-DEFAULT_ZERO_RADIUS = 1e-8
 
 
 class CMatrix:
@@ -160,15 +158,6 @@ def eigenvalues(m, cluster_tol=DEFAULT_CLUSTER_TOL):
     return SpectrumSet(vals.tolist(), cluster_tol=cluster_tol)
 
 
-def spectral_radius(m):
-    """Largest eigenvalue modulus."""
-    try:
-        vals = np.linalg.eigvals(m.array)
-    except np.linalg.LinAlgError as exc:
-        raise EigenvalueConvergenceError(str(exc)) from exc
-    return float(np.max(np.abs(vals)))
-
-
 def spectral_radius_exact(m):
     """Largest root modulus of the exact characteristic polynomial.
 
@@ -187,7 +176,7 @@ def max_root_modulus(p):
 
     Given a radical (squarefree part), the roots found are all simple.
     """
-    roots = np.roots([complex(c) for c in reversed(p.coeffs)])
+    roots = np.roots(p.to_complex_coeffs()[::-1])
     if len(roots) == 0:
         return 0.0
     return float(np.max(np.abs(roots)))
@@ -202,17 +191,3 @@ def expm(m):
         raise OverflowError("matrix exponential overflowed")
     return CMatrix(out)
 
-
-def spectrum_compare(s1, s2, exclude_zero_radius=DEFAULT_ZERO_RADIUS):
-    """Set comparison of two spectra, ignoring multiplicities.
-
-    Points within exclude_zero_radius of 0 are dropped from both sides;
-    the remaining representative sets must match within the coarser of the
-    two cluster tolerances (both ways).
-    """
-    tol = max(s1.cluster_tol, s2.cluster_tol)
-    a = [z for z in s1.representatives() if abs(z) > exclude_zero_radius]
-    b = [z for z in s2.representatives() if abs(z) > exclude_zero_radius]
-    return all(any(abs(x - y) <= tol for y in b) for x in a) and all(
-        any(abs(x - y) <= tol for x in a) for y in b
-    )

@@ -27,18 +27,14 @@ The pointwise pieces of the three algebra-wide commutativity conditions:
     c3_pair = ab_in_comm_b or ba_in_comm_b
 
 ``residuals`` maps each flag name to the Frobenius norm of its defect
-matrix (exactly 0.0 when the flag is true in the exact checker).
+matrix (exactly 0.0 when the flag is true).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .numeric import CMatrix
-
-__all__ = ["RelationReport", "relation_check", "relation_check_tol", "FLAG_NAMES"]
+__all__ = ["RelationReport", "relation_check", "FLAG_NAMES"]
 
 FLAG_NAMES = ("comm", "ab_in_comm_a", "ab_in_comm_b", "ba_in_comm_a", "ba_in_comm_b")
 
@@ -79,23 +75,6 @@ class RelationReport:
         return out
 
 
-def _report_from_primitives(comm, ab_a, ab_b, ba_a, ba_b, residuals):
-    return RelationReport(
-        comm=comm,
-        ab_in_comm_a=ab_a,
-        ab_in_comm_b=ab_b,
-        ba_in_comm_a=ba_a,
-        ba_in_comm_b=ba_b,
-        comm_l=ab_a and ba_b,
-        comm_r=ab_b and ba_a,
-        comm_w=ab_a and ab_b and ba_a and ba_b,
-        c1_pair=ab_a or ba_a or ba_b,
-        c2_pair=ab_a or ba_a or ab_b,
-        c3_pair=ab_b or ba_b,
-        residuals=residuals,
-    )
-
-
 def relation_check(a, b):
     """Exact relation report for the ordered pair (a, b) of ExactMatrix."""
     ab = a * b
@@ -109,43 +88,19 @@ def relation_check(a, b):
     }
     flags = {k: d.is_zero() for k, d in defects.items()}
     residuals = {k: 0.0 if flags[k] else d.frobenius() for k, d in defects.items()}
-    return _report_from_primitives(
-        flags["comm"],
-        flags["ab_in_comm_a"],
-        flags["ab_in_comm_b"],
-        flags["ba_in_comm_a"],
-        flags["ba_in_comm_b"],
-        residuals,
-    )
-
-
-def relation_check_tol(a, b, tol=1e-8):
-    """Tolerance-based relation report for CMatrix operands.
-
-    A defect D counts as zero when ||D||_F <= tol * (1 + ||a|| * ||b|| *
-    (||a|| + ||b||)), the natural scale of the triple products involved.
-    """
-    aa = a.array if isinstance(a, CMatrix) else np.asarray(a, dtype=complex)
-    bb = b.array if isinstance(b, CMatrix) else np.asarray(b, dtype=complex)
-    ab = aa @ bb
-    ba = bb @ aa
-    defects = {
-        "comm": ab - ba,
-        "ab_in_comm_a": ab @ aa - aa @ ab,
-        "ab_in_comm_b": ab @ bb - bb @ ab,
-        "ba_in_comm_a": ba @ aa - aa @ ba,
-        "ba_in_comm_b": ba @ bb - bb @ ba,
-    }
-    na = float(np.linalg.norm(aa, "fro"))
-    nb = float(np.linalg.norm(bb, "fro"))
-    threshold = tol * (1.0 + na * nb * (na + nb))
-    residuals = {k: float(np.linalg.norm(d, "fro")) for k, d in defects.items()}
-    flags = {k: residuals[k] <= threshold for k in defects}
-    return _report_from_primitives(
-        flags["comm"],
-        flags["ab_in_comm_a"],
-        flags["ab_in_comm_b"],
-        flags["ba_in_comm_a"],
-        flags["ba_in_comm_b"],
-        residuals,
+    ab_a, ab_b = flags["ab_in_comm_a"], flags["ab_in_comm_b"]
+    ba_a, ba_b = flags["ba_in_comm_a"], flags["ba_in_comm_b"]
+    return RelationReport(
+        comm=flags["comm"],
+        ab_in_comm_a=ab_a,
+        ab_in_comm_b=ab_b,
+        ba_in_comm_a=ba_a,
+        ba_in_comm_b=ba_b,
+        comm_l=ab_a and ba_b,
+        comm_r=ab_b and ba_a,
+        comm_w=ab_a and ab_b and ba_a and ba_b,
+        c1_pair=ab_a or ba_a or ba_b,
+        c2_pair=ab_a or ba_a or ab_b,
+        c3_pair=ab_b or ba_b,
+        residuals=residuals,
     )

@@ -7,7 +7,7 @@ coordinates as an exact matrix. Kernel vectors of the truncation that vanish
 from coordinate n-1 onward are kernel vectors of the infinite operator:
 certifying genuine point-spectrum facts is the purpose of
 ``finite_support_kernel``. Eigenvalues of truncations, by contrast, are
-reported by ``eigen_convergence`` as evidence only; finite sections of
+evidence only (the ``truncate`` command reports them): finite sections of
 non-normal operators need not converge to the true spectrum.
 
 Spec text format (one key per line, ``#`` comments allowed):
@@ -33,7 +33,6 @@ from fractions import Fraction
 
 from .errors import LiteralFormatError
 from .exact import ExactMatrix, SubspaceBasis, rank_kernel
-from .numeric import CMatrix, eigenvalues
 from .scalar import Scalar
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "LTwoOpSpec",
     "truncate",
     "finite_support_kernel",
-    "eigen_convergence",
-    "ConvergenceRow",
     "parse_spec",
     "format_spec",
 ]
@@ -203,33 +200,6 @@ def finite_support_kernel(spec, n):
                 c = v[-1] / head[-1]
                 vectors[i] = [x if h.is_zero() else x - c * h for x, h in zip(v, head)]
     return SubspaceBasis.span(vectors, ambient=n)
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    spectrum: object
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "points": [
-                [z.real, z.imag, mult] for z, mult in self.spectrum.points
-            ],
-            "max_modulus": self.spectrum.max_modulus(),
-        }
-
-
-def eigen_convergence(spec, n_list):
-    """Eigenvalue clusters of truncations for each n; evidence, not proof."""
-    n_list = list(n_list)
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be nonempty and strictly ascending")
-    rows = []
-    for n in n_list:
-        spectrum = eigenvalues(CMatrix.from_exact(truncate(spec, n)))
-        rows.append(ConvergenceRow(n=n, spectrum=spectrum))
-    return rows
 
 
 # -- text format -------------------------------------------------------------

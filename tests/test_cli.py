@@ -152,6 +152,9 @@ def test_truncate_payload(capsys):
     assert payload["rows"][0]["charpoly"] == "x^4"
     assert payload["rows"][0]["nilpotency_degree"] == 4
     assert payload["rows"][0]["certified_kernel_dim"] == 0
+    for row in payload["rows"]:
+        assert sum(m for _, _, m in row["spectrum"]) == row["n"]
+        assert row["max_modulus"] < 0.6  # nilpotent truncations stay near 0
 
 
 def test_truncate_bad_sizes():

@@ -1,8 +1,9 @@
-"""Exact matrix core: arithmetic, charpoly, rank/kernel, subspaces.
+"""Exact matrix core: arithmetic, charpoly, polynomials, rank/kernel, subspaces.
 
 The characteristic polynomial has an independent oracle here: cofactor
-expansion of det(xI - A) over polynomial arithmetic, written with no code
-shared with the Faddeev-LeVerrier implementation under test.
+expansion of det(xI - A) over ``ReferencePoly``, a polynomial over Scalars
+that shares no code with the Faddeev-LeVerrier implementation or with the
+integer ``ExactPoly`` under test.
 """
 
 import random
@@ -29,7 +30,7 @@ from weakcomm.exact import (
     poly_radical_nonzero,
     rank_kernel,
 )
-from weakcomm.instances import ExampleId, paper_example
+from weakcomm.instances import ExampleId, RelationClass, paper_example, sample_pair
 from weakcomm.scalar import Scalar
 from weakcomm.shiftlab import truncate
 
@@ -72,15 +73,143 @@ def _rand_one_per_row_matrix(rng, d):
     return ExactMatrix(rows)
 
 
+# -- oracle: the Scalar-coefficient polynomial ---------------------------------------
+
+
+class ReferencePoly:
+    """Polynomial over Scalars, ascending, arithmetic coefficient by coefficient.
+
+    The earlier ``ExactPoly``, kept as the oracle for the integer (den, re, im)
+    form: every operation works on Scalars one at a time.
+    """
+
+    def __init__(self, coeffs):
+        cs = [Scalar.coerce(c) for c in coeffs]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        n = max(len(a), len(b))
+        zero = Scalar(0)
+        return ReferencePoly(
+            [(a[k] if k < len(a) else zero) + (b[k] if k < len(b) else zero) for k in range(n)]
+        )
+
+    def __neg__(self):
+        return ReferencePoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, ReferencePoly):
+            return ReferencePoly([c * Scalar.coerce(other) for c in self.coeffs])
+        if self.is_zero() or other.is_zero():
+            return ReferencePoly(())
+        out = [Scalar(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return ReferencePoly(out)
+
+    def __divmod__(self, other):
+        rem = list(self.coeffs)
+        q = [Scalar(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        lead = other.coeffs[-1]
+        db = other.degree
+        while len(rem) - 1 >= db and rem:
+            c = rem[-1] / lead
+            k = len(rem) - 1 - db
+            q[k] = c
+            for j, b in enumerate(other.coeffs):
+                rem[k + j] = rem[k + j] - c * b
+            while rem and rem[-1].is_zero():
+                rem.pop()
+        return ReferencePoly(q), ReferencePoly(rem)
+
+    def derivative(self):
+        return ReferencePoly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
+
+    def monic(self):
+        lead = self.coeffs[-1]
+        return ReferencePoly([c / lead for c in self.coeffs])
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, divmod(a, b)[1]
+        return a.monic() if not a.is_zero() else a
+
+    def squarefree_part(self):
+        if self.degree == 0:
+            return ReferencePoly((1,))
+        return divmod(self, self.gcd(self.derivative()))[0].monic()
+
+    def strip_zero_roots(self):
+        k = 0
+        while self.coeffs[k].is_zero():
+            k += 1
+        return ReferencePoly(self.coeffs[k:])
+
+    def eval_matrix(self, a):
+        acc = ExactMatrix.zeros(a.dim)
+        ident = ExactMatrix.identity(a.dim)
+        for c in reversed(self.coeffs):
+            acc = acc * a + ident * c
+        return acc
+
+    def literal(self):
+        if self.is_zero():
+            return "0"
+        parts = []
+        for k in range(self.degree, -1, -1):
+            c = self.coeffs[k]
+            if c.is_zero():
+                continue
+            if k == 0:
+                body = c.literal()
+            else:
+                power = "x" if k == 1 else f"x^{k}"
+                if c == Scalar(1):
+                    body = power
+                elif c == Scalar(-1):
+                    body = f"-{power}"
+                elif c.is_real() or c.re == 0:
+                    body = f"{c.literal()}{power}"
+                else:
+                    body = f"({c.literal()}){power}"
+            if not parts:
+                parts.append(body)
+            elif body.startswith("-"):
+                parts.append(f"- {body[1:]}")
+            else:
+                parts.append(f"+ {body}")
+        return " ".join(parts)
+
+
+def reference_inverse(a):
+    p = ReferencePoly(charpoly(a).coeffs)
+    return ReferencePoly(p.coeffs[1:]).eval_matrix(a) * (Scalar(-1) / p.coeffs[0])
+
+
 # -- oracle: cofactor-expansion charpoly ---------------------------------------------
 
 
 def _poly_det(rows):
-    """Determinant of a matrix of ExactPoly entries by cofactor expansion."""
+    """Determinant of a matrix of ReferencePoly entries by cofactor expansion."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    total = ExactPoly.zero()
+    total = ReferencePoly(())
     sign = 1
     for j in range(n):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
@@ -92,13 +221,12 @@ def _poly_det(rows):
 
 def charpoly_oracle(a):
     d = a.dim
-    x = ExactPoly.variable()
     rows = []
     for i in range(d):
         row = []
         for j in range(d):
-            diag = x if i == j else ExactPoly.zero()
-            row.append(diag - ExactPoly([a.entry(i, j)]))
+            diag = (0, 1) if i == j else ()
+            row.append(ReferencePoly(diag) - ReferencePoly([a.entry(i, j)]))
         rows.append(row)
     return _poly_det(rows)
 
@@ -109,7 +237,7 @@ def test_charpoly_matches_cofactor_oracle():
         for _ in range(200):
             d = rng.randint(1, 5)
             a = make(rng, d)
-            assert charpoly(a) == charpoly_oracle(a)
+            assert charpoly(a).coeffs == charpoly_oracle(a).coeffs
 
 
 def test_cayley_hamilton():
@@ -655,6 +783,7 @@ def test_inverse_random():
         count += 1
         assert a * inverse(a) == ExactMatrix.identity(d)
         assert inverse(a) * a == ExactMatrix.identity(d)
+        assert inverse(a) == reference_inverse(a)
 
 
 def test_inverse_singular():
@@ -752,6 +881,94 @@ def test_exp_exact_nilpotent():
 
 
 # -- polynomials ---------------------------------------------------------------------
+
+
+def _rand_poly(rng):
+    """Real or complex, den > 1 likely, often with repeated (and zero) roots."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ReferencePoly([_rand_scalar(rng) for _ in range(rng.randint(0, 6))])
+    p = ReferencePoly([_rand_scalar(rng, small=kind == 1)])
+    for _ in range(rng.randint(1, 3)):
+        root = _rand_scalar(rng, small=kind == 1) if rng.random() < 0.8 else Scalar(0)
+        for _ in range(rng.randint(1, 3)):
+            p = p * ReferencePoly((-root, 1))
+    return p
+
+
+def _poly_inputs():
+    rng = random.Random(6060)
+    polys = [ReferencePoly(()), ReferencePoly((3,)), ReferencePoly((Scalar(Fraction(-2, 3), 1),))]
+    polys += [_rand_poly(rng) for _ in range(150)]
+    for k, cls in enumerate(RelationClass):
+        for dim in range(2, 9):
+            a, b = sample_pair(cls, dim, 700 + 10 * k + dim, nilpotent=dim % 3 == 0)
+            polys += [ReferencePoly(charpoly(m).coeffs) for m in (a, b, a * b, a + b)]
+    for example in (ExampleId.EXNILP_T, ExampleId.EXNILP_N, ExampleId.EXNILP_Q):
+        spec, _ = paper_example(example)
+        for n in (4, 6, 10):
+            polys.append(ReferencePoly(charpoly(truncate(spec, n)).coeffs))
+    t, _ = paper_example(ExampleId.EXNILP_T)
+    nspec, _ = paper_example(ExampleId.EXNILP_N)
+    polys.append(ReferencePoly(charpoly(truncate(t + nspec, 6)).coeffs))
+    return polys
+
+
+def _same(p, ref):
+    assert p.coeffs == ref.coeffs
+    assert p.literal() == ref.literal()
+    assert p == ExactPoly(ref.coeffs) and hash(p) == hash(ExactPoly(ref.coeffs))
+
+
+def test_poly_matches_scalar_reference():
+    rng = random.Random(6061)
+    refs = _poly_inputs()
+    for ref, other in zip(refs, refs[1:] + refs[:1]):
+        p, q = ExactPoly(ref.coeffs), ExactPoly(other.coeffs)
+        _same(p, ref)
+        assert p.degree == ref.degree
+        assert p.to_complex_coeffs() == [complex(c) for c in ref.coeffs]
+        _same(p + q, ref + other)
+        _same(p - q, ref - other)
+        _same(p * q, ref * other)
+        for c in (rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 7), _rand_scalar(rng)):
+            _same(p * c, ref * c)
+            _same(c * p, ref * c)
+        _same(p.derivative(), ref.derivative())
+        _same(p.gcd(q), ref.gcd(other))
+        if not other.is_zero():
+            quo, rem = divmod(p, q)
+            rquo, rrem = divmod(ref, other)
+            _same(quo, rquo)
+            _same(rem, rrem)
+        if not ref.is_zero():
+            _same(p.monic(), ref.monic())
+            _same(p.squarefree_part(), ref.squarefree_part())
+            _same(p.strip_zero_roots(), ref.strip_zero_roots())
+        if ref.degree <= 6:
+            m = _rand_matrix(rng, rng.randint(1, 3))
+            assert p.eval_matrix(m) == ref.eval_matrix(m)
+
+
+def test_poly_layer_builds_no_scalars(monkeypatch):
+    pairs = [sample_pair(cls, 4, 31 + k) for k, cls in enumerate(RelationClass)]
+    built = []
+    original = Scalar.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    for a, b in pairs:
+        for m in (a, b, a * b, a + b):
+            p = charpoly(m)
+            rad = poly_radical(p)
+            assert rad.gcd(p) == rad
+            assert p.eval_matrix(m).is_zero()
+    assert built == []
+    Scalar(1)
+    assert len(built) == 1
 
 
 def test_poly_arith():

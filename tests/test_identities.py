@@ -1,5 +1,6 @@
 """Identity catalog: targeted pairs per identity and the suite harness."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -244,6 +245,58 @@ def test_failure_reports_defect_literal():
     ff = slot["first_failure"]
     assert ff is not None
     assert set(ff) >= {"class", "dim", "index", "seed", "a", "b", "params"}
+
+
+def test_failing_conclusion_defect_literal():
+    a = ExactMatrix.parse("1,2;0,1/2")
+    b = ExactMatrix.parse("0,1;i,0")
+    res = check_identity(IdentityId.L1_I_iii, a, b)
+    assert (res.hypothesis_met, res.holds) == (False, False)
+    assert res.residual == 4.2793106921559225
+    assert isinstance(res.witness, ExactMatrix)
+    assert res.defect == "-1i,-1/2+4i;1/4i,1i"
+    assert res.to_json_dict()["defect"] == res.defect
+    spec = check_identity(IdentityId.SPEC_EQ_W, a, b)
+    assert spec.defect == "x^2 - 3/2x + 1/2 vs x^2 - 3/2x + 1/2-3i"
+
+
+def test_clean_suite_renders_no_defect_literal(monkeypatch):
+    # defect text is rendered only for a first failure
+    rendered = []
+    original = ExactMatrix.literal
+
+    def counting_literal(self):
+        rendered.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ExactMatrix, "literal", counting_literal)
+    rep = verify_suite(dims=(2, 3), samples_per_class=2, seed=9)
+    assert rep.failures == 0
+    assert rendered == []
+
+
+def test_r_iv_matches_relation_check_of_the_shifted_pair():
+    # force each hypothesis on arbitrary pairs, so the shifted pair (a+b, b)
+    # can fail, and compare with its relation report
+    groups = {
+        "comm_l": ("ab_in_comm_a", "ba_in_comm_b"),
+        "comm_r": ("ab_in_comm_b", "ba_in_comm_a"),
+    }
+    failed = 0
+    for a, b in _memo_sweep():
+        shifted = relation_check(a + b, b)
+        for forced in (("comm_l",), ("comm_r",), ("comm_l", "comm_r")):
+            ctx = PairContext(a, b)
+            ctx.report = dataclasses.replace(
+                ctx.report, comm_l="comm_l" in forced, comm_r="comm_r" in forced
+            )
+            res = _run_checker(IdentityId.R_iv, ctx, {})
+            assert res.hypothesis_met
+            assert res.holds == all(getattr(shifted, g) for g in forced)
+            flags = [k for g in forced for k in groups[g]]
+            assert res.residual == max(shifted.residuals[k] for k in flags)
+            failed += not res.holds
+    assert failed > 0
 
 
 def test_suite_small_run_clean_and_deterministic():

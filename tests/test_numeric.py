@@ -15,9 +15,7 @@ from weakcomm.numeric import (
     eigenvalues,
     expm,
     max_root_modulus,
-    spectral_radius,
     spectral_radius_exact,
-    spectrum_compare,
 )
 from weakcomm.errors import DimensionMismatchError
 
@@ -106,17 +104,13 @@ def test_eigenvalues_rotation_pair():
     assert reps[1] == pytest.approx(1j)
 
 
-def test_spectral_radius_simple():
-    assert spectral_radius(CMatrix([[3, 0], [0, -4]])) == pytest.approx(4.0)
-
-
 def test_spectral_radius_exact_on_defective_matrix():
     # charpoly (x-1)^2; LAPACK eigenvalues of this defective matrix are
     # off by ~1e-8, the exact squarefree route must be clean.
     m = ExactMatrix.parse("-1,4;-1,3")
     r = spectral_radius_exact(m)
     assert abs(r - 1.0) < 1e-12
-    approx = spectral_radius(CMatrix.from_exact(m))
+    approx = eigenvalues(CMatrix.from_exact(m)).max_modulus()
     assert abs(approx - 1.0) < 1e-6
 
 
@@ -128,7 +122,7 @@ def test_spectral_radius_exact_nilpotent_is_zero():
 def test_spectral_radius_exact_matches_numeric_on_diagonalizable():
     m = ExactMatrix.parse("1,2;3,4")
     assert spectral_radius_exact(m) == pytest.approx(
-        spectral_radius(CMatrix.from_exact(m)), abs=1e-10
+        eigenvalues(CMatrix.from_exact(m)).max_modulus(), abs=1e-10
     )
 
 
@@ -169,19 +163,3 @@ def test_expm_scalar_block():
     m = expm(CMatrix([[1, 0], [0, 2]]))
     assert m.entry(0, 0) == pytest.approx(math.e)
     assert m.entry(1, 1) == pytest.approx(math.e**2)
-
-
-def test_spectrum_compare_ignores_multiplicity_and_zeros():
-    s1 = SpectrumSet([0.0, 1.0, 1.0])
-    s2 = SpectrumSet([1.0])
-    assert spectrum_compare(s1, s2)
-    s3 = SpectrumSet([1.0, 2.0])
-    assert not spectrum_compare(s1, s3)
-
-
-def test_spectrum_compare_respects_tolerance():
-    s1 = SpectrumSet([1.0], cluster_tol=1e-8)
-    s2 = SpectrumSet([1.0 + 1e-9], cluster_tol=1e-8)
-    assert spectrum_compare(s1, s2)
-    s3 = SpectrumSet([1.0 + 1e-3], cluster_tol=1e-8)
-    assert not spectrum_compare(s1, s3)

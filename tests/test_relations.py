@@ -1,4 +1,4 @@
-"""Relation flags: truth on frozen pairs, symmetry, duality, tolerances."""
+"""Relation flags: truth on frozen pairs, symmetry, duality."""
 
 import random
 from fractions import Fraction
@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakcomm.exact import ExactMatrix, Scalar
-from weakcomm.numeric import CMatrix
-from weakcomm.relations import FLAG_NAMES, relation_check, relation_check_tol
+from weakcomm.relations import FLAG_NAMES, relation_check
 
 E = ExactMatrix.single_entry
 
@@ -148,30 +147,6 @@ def test_json_dict_shape():
     }
     assert set(d["residuals"]) == set(FLAG_NAMES)
     assert all(isinstance(v, float) for v in d["residuals"].values())
-
-
-def test_tolerant_check_agrees_with_exact_on_clean_input():
-    rng = random.Random(41)
-    for _ in range(100):
-        a = _rand_matrix(rng, 3)
-        b = _rand_matrix(rng, 3)
-        exact = relation_check(a, b)
-        # exact-zero defects stay zero in floating point, so the tolerant
-        # flags can only be >= the exact ones; nonzero rational defects of
-        # this size sit far above the threshold
-        approx = relation_check_tol(CMatrix.from_exact(a), CMatrix.from_exact(b))
-        assert exact.flags() == approx.flags()
-
-
-def test_tolerant_check_accepts_noise():
-    # exact strictly weak pair perturbed by 1e-13: flags survive the
-    # default tolerance and die under an ultra-tight one
-    a = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1e-13, 1.0, 0.0]]
-    b = [[0.0, 0.0, 1e-13], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    r = relation_check_tol(a, b, tol=1e-8)
-    assert r.comm_w and not r.comm
-    strict = relation_check_tol(a, b, tol=1e-16)
-    assert not strict.comm_w
 
 
 @settings(max_examples=60, deadline=None)

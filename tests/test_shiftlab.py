@@ -1,4 +1,4 @@
-"""Weighted shift specs: parsing, truncation, certified kernels, convergence."""
+"""Weighted shift specs: parsing, truncation, certified kernels."""
 
 from fractions import Fraction
 
@@ -18,7 +18,6 @@ from weakcomm.relations import relation_check
 from weakcomm.shiftlab import (
     LTwoOpSpec,
     WeightRule,
-    eigen_convergence,
     finite_support_kernel,
     format_spec,
     parse_spec,
@@ -258,18 +257,3 @@ def test_kernel_vectors_annihilated_in_larger_truncations():
             for i in range(12)
         ]
         assert all(x.is_zero() for x in image)
-
-
-def test_eigen_convergence_rows():
-    t = _spec(ExampleId.EXNILP_T)
-    rows = eigen_convergence(t, (4, 8))
-    assert [r.n for r in rows] == [4, 8]
-    for r in rows:
-        assert r.spectrum.total_multiplicity() == r.n
-        d = r.to_json_dict()
-        assert d["n"] == r.n
-        assert d["max_modulus"] < 0.6  # nilpotent truncations stay near 0
-    with pytest.raises(ValueError):
-        eigen_convergence(t, ())
-    with pytest.raises(ValueError):
-        eigen_convergence(t, (8, 4))
