@@ -19,14 +19,15 @@ Three immutable value types live here:
     matrices. ``coeffs`` is a Scalar view for printing and tests.
 
 ``SubspaceBasis``
-    A subspace of column vectors in canonical reduced-row-echelon form, so
-    equal subspaces compare equal. Supports membership, containment, sums,
-    intersections, and images under a matrix.
+    A subspace in the same format: its canonical reduced row echelon rows as
+    one flat integer block over one positive denominator, plus the pivots, so
+    equal subspaces have equal storage. Membership, containment, sums,
+    intersections and images all run on that block.
 
 Every rank, kernel, image and subspace comes from one canonical reduced row
 echelon form, ``_rref``: Bareiss ``echelon`` from ``_kernel_py`` over the
 Gaussian integers, then one back-substitution in integers and a single
-division by the last pivot.
+division by the last pivot. Scalars appear only at the parse/print boundary.
 
 Matrix literal format (used by the CLI and the registry data files): rows
 separated by ``;``, entries separated by ``,``, each entry a scalar literal
@@ -119,9 +120,12 @@ class ExactMatrix:
     @classmethod
     def single_entry(cls, dim, i, j, value=1):
         """Matrix with one nonzero entry at 0-based position (i, j)."""
-        rows = [[0] * dim for _ in range(dim)]
-        rows[i][j] = Scalar.coerce(value)
-        return cls(rows)
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise DimensionMismatchError(f"entry ({i}, {j}) is outside a {dim}x{dim} matrix")
+        den, (vr,), (vi,) = _clear_denominators([Scalar.coerce(value)])
+        re, im = [0] * (dim * dim), [0] * (dim * dim)
+        re[i * dim + j], im[i * dim + j] = vr, vi
+        return cls._from_rep(dim, kernel.normalize(den, re, im))
 
     @classmethod
     def parse(cls, text):
@@ -617,25 +621,26 @@ def inverse(a):
 def rank_kernel(a):
     """Exact rank, kernel basis and column-space basis of a square matrix.
 
-    Returns (rank, kernel, image) with rank + kernel.dim == dim always.
+    Returns (rank, kernel, image) with rank + kernel.dim == dim always. With
+    N/den the reduced form, free column f gives the kernel vector den at f and
+    -N[i][f] at pivot i.
     """
     d = a.dim
     _, re, im = a._rep()
-    rows, pivots = _rref(d, d, re, im)
+    pivots, (den, rre, rim) = _rref(d, d, re, im)
     rank = len(pivots)
-    zero, one = Scalar(0), Scalar(1)
-    ker_vectors = []
-    for f in sorted(set(range(d)) - set(pivots)):
-        x = [zero] * d
-        x[f] = one
-        for row, p in zip(rows, pivots):
-            x[p] = -row[f]
-        ker_vectors.append(x)
+    free = sorted(set(range(d)) - set(pivots))
+    ker_re, ker_im = [0] * (len(free) * d), [0] * (len(free) * d)
+    for k, f in enumerate(free):
+        ker_re[k * d + f] = den
+        for i, p in enumerate(pivots):
+            ker_re[k * d + p] = -rre[i * d + f]
+            ker_im[k * d + p] = -rim[i * d + f]
     image_re = [re[i * d + j] for j in pivots for i in range(d)]
     image_im = [im[i * d + j] for j in pivots for i in range(d)]
     return (
         rank,
-        SubspaceBasis.span(ker_vectors, ambient=d),
+        SubspaceBasis._make(d, *_rref(len(free), d, ker_re, ker_im)),
         SubspaceBasis._make(d, *_rref(rank, d, image_re, image_im)),
     )
 
@@ -680,14 +685,16 @@ def exp_exact_nilpotent(a):
 def _rref(nrows, ncols, re, im):
     """Canonical reduced row echelon form of a flat Gaussian-integer row block.
 
-    Returns (rows, pivots): the nonzero reduced rows as tuples of Scalars and
-    the pivot column of each. Each row is divided by its content, which keeps
-    Bareiss pivots small on sparse rows such as shift sections; ``echelon``
-    then clears below each pivot. Its last pivot D is the determinant of the
-    pivot minor, so D*R is integral (Cramer's rule): one back-substitution,
-    bottom row first, clears above each pivot in integers with
+    Returns (pivots, (den, re, im)): the pivot column of each nonzero reduced
+    row, and those rows as one flat integer block over a positive
+    denominator, normalized by ``kernel.normalize``. Each input row is
+    divided by its content, which keeps Bareiss pivots small on sparse rows
+    such as shift sections; ``echelon`` then clears below each pivot. Its
+    last pivot D is the determinant of the pivot minor, so D*R is integral
+    (Cramer's rule): one back-substitution, bottom row first, clears above
+    each pivot in integers with
     D*R_i = (D*E_i - sum over k > i of E_i[p_k] * D*R_k) / E_i[p_i],
-    and every entry is divided by D once at the end.
+    and R = D*R * conj(D) / |D|^2.
     """
     re, im = list(re), list(im)
     for off in range(0, nrows * ncols, ncols):
@@ -697,9 +704,11 @@ def _rref(nrows, ncols, re, im):
             im[off:off + ncols] = [x // g for x in im[off:off + ncols]]
     rank, pivots, ere, eim = kernel.echelon(nrows, ncols, re, im)
     if not rank:
-        return [], pivots
+        return pivots, (1, [], [])
     last = (rank - 1) * ncols + pivots[-1]
     dr, di = ere[last], eim[last]
+    nrm = dr * dr + di * di
+    out_re, out_im = [0] * (rank * ncols), [0] * (rank * ncols)
     scaled = [None] * rank  # D*R_i over its nonzero non-pivot columns
     for i in range(rank - 1, -1, -1):
         off = i * ncols
@@ -719,31 +728,25 @@ def _rref(nrows, ncols, re, im):
         scaled[i] = {
             j: kernel._gdiv_exact(xr, xi, pr, pi) for j, (xr, xi) in row.items() if xr or xi
         }
-    nrm = dr * dr + di * di
-    zero, one = Scalar(0), Scalar(1)
-    rows = []
-    for p, row in zip(pivots, scaled):
-        full = [zero] * ncols
-        full[p] = one
-        for j, (xr, xi) in row.items():
-            full[j] = Scalar(Fraction(xr * dr + xi * di, nrm), Fraction(xi * dr - xr * di, nrm))
-        rows.append(tuple(full))
-    return rows, pivots
-
-
-def _mat_vec(a, vec):
-    """The column vector a * vec, for a vector of Scalars."""
-    terms = [(j, v) for j, v in enumerate(vec) if not v.is_zero()]
-    return tuple(sum((a.entry(i, j) * v for j, v in terms), Scalar(0)) for i in range(a.dim))
+        out_re[off + pivots[i]] = nrm
+        for j, (xr, xi) in scaled[i].items():
+            out_re[off + j] = xr * dr + xi * di
+            out_im[off + j] = xi * dr - xr * di
+    return pivots, kernel.normalize(nrm, out_re, out_im)
 
 
 class SubspaceBasis:
     """Subspace of ambient column vectors, held in canonical RREF form.
 
-    Equal subspaces compare equal regardless of the generating vectors.
+    Stored like ``ExactMatrix``: the reduced rows as one flat integer block
+    ``(re, im)`` over a positive denominator, normalized by
+    ``kernel.normalize``, plus each row's pivot column. The reduced form is
+    unique, so equal subspaces have equal storage. ``vectors`` is a
+    read-only Scalar view. Scaling a row keeps its span, so sums,
+    intersections and images reduce the numerators alone.
     """
 
-    __slots__ = ("ambient", "vectors", "_pivots")
+    __slots__ = ("ambient", "_pivots", "_den", "_re", "_im")
 
     def __init__(self, vectors, ambient=None):
         vectors = list(vectors)
@@ -757,11 +760,11 @@ class SubspaceBasis:
         raise AttributeError("SubspaceBasis is immutable")
 
     @classmethod
-    def _make(cls, ambient, rows, pivots):
+    def _make(cls, ambient, pivots, rep):
+        den, re, im = rep
         obj = object.__new__(cls)
-        object.__setattr__(obj, "ambient", ambient)
-        object.__setattr__(obj, "vectors", tuple(rows))
-        object.__setattr__(obj, "_pivots", tuple(pivots))
+        for name, value in zip(cls.__slots__, (ambient, tuple(pivots), den, tuple(re), tuple(im))):
+            object.__setattr__(obj, name, value)
         return obj
 
     @classmethod
@@ -779,42 +782,60 @@ class SubspaceBasis:
 
     @classmethod
     def zero(cls, ambient):
-        return cls.span([], ambient=ambient)
+        return cls._make(ambient, (), (1, (), ()))
 
     @classmethod
     def full(cls, ambient):
-        rows = ExactMatrix.identity(ambient).rows()
-        return cls.span(rows, ambient=ambient)
+        return cls._make(ambient, range(ambient), ExactMatrix.identity(ambient)._rep())
 
     @property
     def dim(self):
-        return len(self.vectors)
+        return len(self._pivots)
+
+    def _rows(self):
+        """The reduced rows' numerators as (re, im) tuple pairs."""
+        n = self.ambient
+        return [(self._re[o:o + n], self._im[o:o + n]) for o in range(0, self.dim * n, n)]
+
+    @property
+    def vectors(self):
+        den = self._den
+        return tuple(
+            tuple(Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(re, im))
+            for re, im in self._rows()
+        )
+
+    def _matrix(self):
+        """The basis vectors as the first rows of an ambient x ambient matrix."""
+        n = self.ambient
+        pad = [0] * ((n - self.dim) * n)
+        return ExactMatrix._from_rep(n, (self._den, list(self._re) + pad, list(self._im) + pad))
 
     def contains_vector(self, vec):
         return self.coordinates_of(vec) is not None
 
     def contains(self, other):
-        if self.ambient != other.ambient:
-            raise DimensionMismatchError("ambient dimensions differ")
-        return all(self.contains_vector(v) for v in other.vectors)
+        return self.sum_with(other) == self
 
     def coordinates_of(self, vec):
-        """Coefficients of vec in this basis, or None when not contained."""
+        """Coefficients of vec in this basis, or None when not contained.
+
+        Reduced row i is 1 at pivot i and 0 at the other pivots, so the
+        coefficients of a contained vector are its pivot entries.
+        """
         vec = [Scalar.coerce(v) for v in vec]
         if len(vec) != self.ambient:
             raise DimensionMismatchError("vector length differs from ambient")
-        coords = tuple(vec[p] for p in self._pivots)
-        for c, row in zip(coords, self.vectors):
-            if not c.is_zero():
-                vec = [x if y.is_zero() else x - c * y for x, y in zip(vec, row)]
-        if any(not v.is_zero() for v in vec):
+        if not self.contains(SubspaceBasis.span([vec], ambient=self.ambient)):
             return None
-        return coords
+        return tuple(vec[p] for p in self._pivots)
 
     def sum_with(self, other):
         if self.ambient != other.ambient:
             raise DimensionMismatchError("ambient dimensions differ")
-        return SubspaceBasis.span(list(self.vectors) + list(other.vectors), ambient=self.ambient)
+        rows = self.dim + other.dim
+        block = _rref(rows, self.ambient, self._re + other._re, self._im + other._im)
+        return SubspaceBasis._make(self.ambient, *block)
 
     def intersect(self, other):
         """Zassenhaus block elimination.
@@ -826,26 +847,33 @@ class SubspaceBasis:
         if self.ambient != other.ambient:
             raise DimensionMismatchError("ambient dimensions differ")
         n = self.ambient
-        zero = (Scalar(0),) * n
-        block = [v + v for v in self.vectors] + [v + zero for v in other.vectors]
-        _, re, im = _clear_denominators([v for vec in block for v in vec])
-        rows, pivots = _rref(len(block), 2 * n, re, im)
+        u, w = self._rows(), other._rows()
+        re = [x for r, _ in u for x in r + r] + [x for r, _ in w for x in r + (0,) * n]
+        im = [y for _, i in u for y in i + i] + [y for _, i in w for y in i + (0,) * n]
+        pivots, (den, bre, bim) = _rref(len(u) + len(w), 2 * n, re, im)
         k = sum(p < n for p in pivots)
-        return SubspaceBasis._make(n, [row[n:] for row in rows[k:]], [p - n for p in pivots[k:]])
+        right = [o + j for o in range(k * 2 * n, len(bre), 2 * n) for j in range(n, 2 * n)]
+        rep = kernel.normalize(den, [bre[x] for x in right], [bim[x] for x in right])
+        return SubspaceBasis._make(n, [p - n for p in pivots[k:]], rep)
 
     def image_under(self, a):
-        """Span of a*v over the basis vectors."""
+        """Span of a*v over the basis vectors: the rows of V*a^T."""
         if a.dim != self.ambient:
             raise DimensionMismatchError("matrix dim differs from ambient")
-        return SubspaceBasis.span([_mat_vec(a, v) for v in self.vectors], ambient=self.ambient)
+        n, k = self.ambient, self.dim
+        _, re, im = (self._matrix() * a.transpose())._rep()
+        return SubspaceBasis._make(n, *_rref(k, n, re[:k * n], im[:k * n]))
+
+    def _key(self):
+        return self.ambient, self._den, self._re, self._im
 
     def __eq__(self, other):
         if not isinstance(other, SubspaceBasis):
             return NotImplemented
-        return self.ambient == other.ambient and self.vectors == other.vectors
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.ambient, self.vectors))
+        return hash(self._key())
 
     def __repr__(self):
         return f"SubspaceBasis(dim={self.dim}, ambient={self.ambient})"

@@ -355,26 +355,18 @@ def _chk_l1_iv_iii(ctx, p):
     return _from_defects(hyp, [_memb(ctx, "as", "s"), _memb(ctx, "sb", "b")])
 
 
-def _shift(m, lam):
-    return m - ExactMatrix.identity(m.dim) * lam
-
-
+# With A = a - lam and B = b - mu, ABA - AAB = A(BA - AB) = (a - lam)(ba - ab)
+# and BAA - ABA = (ba - ab)(a - lam), whatever mu is.
 def _chk_r_i(ctx, p):
     lam = Scalar.coerce(p.get("lam", 0))
-    mu = Scalar.coerce(p.get("mu", 0))
     hyp = ctx.report.ab_in_comm_a and (ctx.report.comm or lam.is_zero())
-    sa, sb = _shift(ctx.a, lam), _shift(ctx.b, mu)
-    sab = sa * sb
-    return _from_defects(hyp, [sab * sa - sa * sab])
+    return _from_defects(hyp, [_memb(ctx, "ab", "a") - _memb(ctx, "b", "a") * lam])
 
 
 def _chk_r_ii(ctx, p):
     lam = Scalar.coerce(p.get("lam", 0))
-    mu = Scalar.coerce(p.get("mu", 0))
     hyp = ctx.report.ba_in_comm_a and (ctx.report.comm or lam.is_zero())
-    sa, sb = _shift(ctx.a, lam), _shift(ctx.b, mu)
-    sba = sb * sa
-    return _from_defects(hyp, [sba * sa - sa * sba])
+    return _from_defects(hyp, [_memb(ctx, "ba", "a") - _memb(ctx, "b", "a") * lam])
 
 
 def _chk_r_iii(ctx, p):

@@ -25,6 +25,7 @@ from functools import lru_cache
 from pathlib import Path
 from enum import Enum
 
+from ._kernel_py import normalize
 from .errors import (
     SamplerBudgetError,
     UnknownExampleError,
@@ -216,6 +217,19 @@ def _pattern_comm_w(rng, dim, nilpotent):
     return _block_diag(a3, m), _block_diag(b3, _poly_of(rng, m, nilpotent))
 
 
+def _comm_r_system(a):
+    """Matrix of b -> b*a^2 - a*b*a on row-major b, for an integer matrix a.
+
+    Column (p, q) is E_pq*a^2 - a*E_pq*a.
+    """
+    d, a2 = a.dim, a * a
+    n2 = d * d
+    re, im = [0] * (n2 * n2), [0] * (n2 * n2)
+    for c, e in enumerate(ExactMatrix.single_entry(d, p, q) for p in range(d) for q in range(d)):
+        _, re[c::n2], im[c::n2] = (e * a2 - a * e * a)._rep()
+    return ExactMatrix._from_rep(n2, (1, re, im))
+
+
 def _solve_comm_r(rng, dim):
     """Draw singular a; solve the linear system b a^2 = a b a for b.
 
@@ -223,32 +237,14 @@ def _solve_comm_r(rng, dim):
     of a kernel basis are filtered through the quadratic condition
     (ab)b = b(ab) and non-commutation.
     """
-    a = _rand_int_matrix(rng, dim, -2, 2)
-    rows = [list(r) for r in a.rows()]
-    coeffs = [Scalar(rng.randint(-2, 2)) for _ in range(dim - 1)]
-    rows[dim - 1] = [
-        sum((coeffs[i] * rows[i][j] for i in range(dim - 1)), Scalar(0))
-        for j in range(dim)
-    ]
+    rows = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+    coeffs = [rng.randint(-2, 2) for _ in range(dim - 1)]
+    rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(dim)]
     a = ExactMatrix(rows)
-    a2 = a * a
-    n2 = dim * dim
-    sys_rows = [[Scalar(0)] * n2 for _ in range(n2)]
-    for i in range(dim):
-        for j in range(dim):
-            r = i * dim + j
-            for q in range(dim):
-                sys_rows[r][i * dim + q] += a2.entry(q, j)
-            for p in range(dim):
-                apart = a.entry(i, p)
-                if apart.is_zero():
-                    continue
-                for q in range(dim):
-                    sys_rows[r][p * dim + q] -= apart * a.entry(q, j)
-    _, kernel, _ = rank_kernel(ExactMatrix(sys_rows))
+    _, kernel, _ = rank_kernel(_comm_r_system(a))
     if kernel.dim == 0:
         return None
-    basis = [ExactMatrix([v[i * dim : (i + 1) * dim] for i in range(dim)]) for v in kernel.vectors]
+    basis = [ExactMatrix._from_rep(dim, normalize(kernel._den, *row)) for row in kernel._rows()]
     for _ in range(24):
         b = ExactMatrix.zeros(dim)
         for m in basis:
@@ -559,7 +555,6 @@ class ExampleEntry:
     summary: str
     expected_flags: dict | None
     claims: tuple  # (lhs_word, rhs_word, equal) triples
-    data_files: tuple
 
 
 def _read_data(relpath):
@@ -637,7 +632,6 @@ _REGISTRY = {
             ("abb", "bba", False),
             ("ab", "ba", False),
         ),
-        data_files=("matrices/SEX_I_PQ.txt",),
     ),
     ExampleId.SEX_I_PS: ExampleEntry(
         id=ExampleId.SEX_I_PS,
@@ -660,7 +654,6 @@ _REGISTRY = {
             ("baa", "aba", False),
             ("bab", "bba", False),
         ),
-        data_files=("matrices/SEX_I_PS.txt",),
     ),
     ExampleId.SEX_II_TS: ExampleEntry(
         id=ExampleId.SEX_II_TS,
@@ -683,7 +676,6 @@ _REGISTRY = {
             ("baa", "aba", False),
             ("abb", "bab", False),
         ),
-        data_files=("matrices/SEX_II_TS.txt",),
     ),
     ExampleId.SEX_II_MN: ExampleEntry(
         id=ExampleId.SEX_II_MN,
@@ -705,7 +697,6 @@ _REGISTRY = {
             ("abb", "bab", False),
             ("baa", "aba", False),
         ),
-        data_files=("matrices/SEX_II_MN.txt",),
     ),
     ExampleId.SEX_III_TN: ExampleEntry(
         id=ExampleId.SEX_III_TN,
@@ -732,7 +723,6 @@ _REGISTRY = {
             ("baa", "aba", False),
             ("bab", "bba", False),
         ),
-        data_files=("matrices/SEX_III_TN.txt",),
     ),
     ExampleId.SEX_IV_N1N2: ExampleEntry(
         id=ExampleId.SEX_IV_N1N2,
@@ -749,7 +739,6 @@ _REGISTRY = {
             "comm_w": True,
         },
         claims=(("ab", "ba", False),),
-        data_files=("matrices/SEX_IV_N1N2.txt",),
     ),
     ExampleId.SEX_V_PQ: ExampleEntry(
         id=ExampleId.SEX_V_PQ,
@@ -774,7 +763,6 @@ _REGISTRY = {
             ("abb", "0", True),
             ("ab", "ba", False),
         ),
-        data_files=("matrices/SEX_V_PQ.txt",),
     ),
     ExampleId.REMARK_TN: ExampleEntry(
         id=ExampleId.REMARK_TN,
@@ -795,7 +783,6 @@ _REGISTRY = {
             ("baa", "0", True),
             ("aab", "0", True),
         ),
-        data_files=("matrices/REMARK_TN.txt",),
     ),
     ExampleId.EX4_RN: ExampleEntry(
         id=ExampleId.EX4_RN,
@@ -817,7 +804,6 @@ _REGISTRY = {
             ("baa", "aba", True),
             ("ab", "ba", False),
         ),
-        data_files=("matrices/EX4_RN.txt",),
     ),
     ExampleId.EXNILP_T: ExampleEntry(
         id=ExampleId.EXNILP_T,
@@ -827,7 +813,6 @@ _REGISTRY = {
         summary="lower shift with harmonic weights 1/(k+1)",
         expected_flags=None,
         claims=(),
-        data_files=("shiftspecs/EXNILP_T.txt",),
     ),
     ExampleId.EXNILP_N: ExampleEntry(
         id=ExampleId.EXNILP_N,
@@ -837,7 +822,6 @@ _REGISTRY = {
         summary="rank-one perturbation cancelling the first shift weight",
         expected_flags=None,
         claims=(),
-        data_files=("shiftspecs/EXNILP_N.txt",),
     ),
     ExampleId.EXNILP_Q: ExampleEntry(
         id=ExampleId.EXNILP_Q,
@@ -847,7 +831,6 @@ _REGISTRY = {
         summary="odd-index weight cancellation making the sum square to zero",
         expected_flags=None,
         claims=(),
-        data_files=("shiftspecs/EXNILP_Q.txt",),
     ),
 }
 

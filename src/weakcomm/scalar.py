@@ -10,7 +10,7 @@ Literal grammar (whitespace is ignored everywhere):
     real     := SIGN? rational
     imag     := SIGN? uimag
     uimag    := rational 'i' | 'i'
-    rational := int ('/' int)?
+    rational := int ('/' int)?    (the denominator is not zero)
 
 Examples: ``1``, ``-2/3``, ``i``, ``-i``, ``3i``, ``1/2-1/3i``, ``2+i``.
 The formatter always emits a canonical form that the parser accepts.
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import LiteralFormatError
 
-_RATIONAL = r"\d+(?:/\d+)?"
+_RATIONAL = r"\d+(?:/\d*[1-9]\d*)?"
 _SCALAR_RE = _re.compile(
     rf"^(?P<first>[+-]?{_RATIONAL}i?|[+-]?i)(?P<second>[+-](?:{_RATIONAL})?i)?$"
 )

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import LiteralFormatError
 from .exact import ExactMatrix, SubspaceBasis, rank_kernel
-from .scalar import Scalar
+from .scalar import _RATIONAL, Scalar
 
 __all__ = [
     "WeightRule",
@@ -48,7 +48,7 @@ _DIRECTIONS = ("down", "up", "none")
 
 # c/(k+a) with rational c and integer a >= 0
 _TERM_RE = re.compile(
-    r"^\s*(?P<coef>[+-]?\d+(?:/\d+)?)\s*/\s*\(\s*k\s*\+\s*(?P<shift>\d+)\s*\)\s*$"
+    rf"^\s*(?P<coef>[+-]?{_RATIONAL})\s*/\s*\(\s*k\s*\+\s*(?P<shift>\d+)\s*\)\s*$"
 )
 
 
@@ -205,25 +205,19 @@ def finite_support_kernel(spec, n):
 # -- text format -------------------------------------------------------------
 
 
-def _parse_term(text, where):
-    text = text.strip()
+def _parse_rule_value(text, where):
+    """A rule is a closed-form term c/(k+a) or a constant scalar literal."""
     m = _TERM_RE.match(text)
     if m:
-        return (Fraction(m.group("coef")), int(m.group("shift")))
-    raise LiteralFormatError(f"{where}: expected c/(k+a), got {text!r}")
+        return (Fraction(m.group("coef")), int(m.group("shift"))), None
+    return None, _parse_scalar(text, where, "c/(k+a) or a scalar literal")
 
 
-def _parse_rule_value(text, where):
-    """A rule is a closed-form term or a constant scalar literal."""
-    text = text.strip()
-    if _TERM_RE.match(text):
-        return _parse_term(text, where), None
+def _parse_scalar(text, where, expected="a scalar literal"):
     try:
-        return None, Scalar.parse(text)
+        return Scalar.parse(text)
     except LiteralFormatError:
-        raise LiteralFormatError(
-            f"{where}: expected c/(k+a) or a scalar literal, got {text!r}"
-        ) from None
+        raise LiteralFormatError(f"{where}: expected {expected}, got {text!r}") from None
 
 
 def parse_spec(text):
@@ -263,13 +257,16 @@ def parse_spec(text):
                     raise LiteralFormatError(f"{where}: parity constants unsupported")
                 odd = term
         elif key == "weights_prefix":
-            prefix = tuple(Scalar.parse(tok) for tok in value.split())
+            prefix = tuple(_parse_scalar(tok, where) for tok in value.split())
         elif key == "finite":
             parts = value.split()
             if len(parts) != 3:
                 raise LiteralFormatError(f"{where}: expected 'row col value'")
-            r, c = int(parts[0]), int(parts[1])
-            finite.append((r, c, Scalar.parse(parts[2])))
+            try:
+                r, c = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise LiteralFormatError(f"{where}: row and col must be integers") from None
+            finite.append((r, c, _parse_scalar(parts[2], where)))
         else:
             raise LiteralFormatError(f"line {lineno}: unknown key {key!r}")
     rule = WeightRule(even=even, odd=odd, const=const, prefix=prefix)

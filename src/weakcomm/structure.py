@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .errors import HypothesisNotMetError, NotNilpotentError
 from .exact import (
     ExactMatrix,
-    _mat_vec,
     charpoly,
     nilpotency_degree,
     poly_radical,
@@ -163,15 +162,14 @@ def invariant_restriction(s, t, lam):
     if m == 0:
         return RestrictionVerdict(True, True, True, 0)
 
+    basis = eigenspace._matrix()
+
     def restriction(op):
-        cols = []
-        for v in eigenspace.vectors:
-            coords = eigenspace.coordinates_of(_mat_vec(op, v))
-            if coords is None:
-                raise ArithmeticError("eigenspace is not invariant under the operator")
-            cols.append(coords)
-        # cols[j] holds the coordinates of op * basis_j: transpose into rows
-        return ExactMatrix([[cols[j][i] for j in range(m)] for i in range(m)])
+        # row j of basis * op^T is op * basis_j, and its coordinates are column j
+        coords = [eigenspace.coordinates_of(row) for row in (basis * op.transpose()).rows()[:m]]
+        if None in coords:
+            raise ArithmeticError("eigenspace is not invariant under the operator")
+        return ExactMatrix(coords).transpose()
 
     s_m = restriction(s)
     t_m = restriction(t)

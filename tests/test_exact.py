@@ -270,6 +270,24 @@ def test_constructors():
     assert sum(1 for i in range(3) for j in range(3) if not e.entry(i, j).is_zero()) == 1
 
 
+def test_single_entry_checks_indices():
+    rng = random.Random(41)
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        i, j = rng.randrange(d), rng.randrange(d)
+        value = _rand_scalar(rng) if rng.random() < 0.9 else 0
+        rows = [[0] * d for _ in range(d)]
+        rows[i][j] = value
+        e = ExactMatrix.single_entry(d, i, j, value)
+        assert e == ExactMatrix(rows) and hash(e) == hash(ExactMatrix(rows))
+    # a negative index must not wrap around to the last row
+    for i, j in ((-1, 0), (0, -1), (3, 0), (0, 3)):
+        with pytest.raises(DimensionMismatchError):
+            ExactMatrix.single_entry(3, i, j, 5)
+    with pytest.raises(DimensionMismatchError):
+        ExactMatrix.single_entry(0, 0, 0)
+
+
 def test_rejects_nonsquare():
     with pytest.raises(DimensionMismatchError):
         ExactMatrix([[1, 2]])
@@ -515,8 +533,34 @@ def reference_rank_kernel(a):
     return rank, reference_span(kernel), reference_span([a.column(j) for j in pivots])
 
 
+def reference_coordinates(rows, pivots, vec):
+    """Coefficients of vec in reduced rows by Scalar elimination, or None."""
+    vec = [Scalar.coerce(v) for v in vec]
+    coords = tuple(vec[p] for p in pivots)
+    for c, row in zip(coords, rows):
+        if not c.is_zero():
+            vec = [x if y.is_zero() else x - c * y for x, y in zip(vec, row)]
+    if any(not v.is_zero() for v in vec):
+        return None
+    return coords
+
+
+def reference_mat_vec(a, vec):
+    """The column vector a * vec, entry by entry in Scalars."""
+    terms = [(j, v) for j, v in enumerate(vec) if not v.is_zero()]
+    return tuple(sum((a.entry(i, j) * v for j, v in terms), Scalar(0)) for i in range(a.dim))
+
+
 def _canonical(basis):
     return basis.vectors, basis._pivots
+
+
+def _assert_integer_storage(basis):
+    """Only ints, over a positive denominator coprime to the entries."""
+    ints = (basis.ambient, basis._den, *basis._pivots, *basis._re, *basis._im)
+    assert all(type(x) is int for x in ints)
+    assert basis._den > 0 and gcd(basis._den, *basis._re, *basis._im) == 1
+    assert len(basis._re) == len(basis._im) == basis.dim * basis.ambient
 
 
 def _rand_rows(rng, nrows, ncols, complex_entries, density):
@@ -572,7 +616,7 @@ def test_span_matches_gauss_jordan_reference():
                 SubspaceBasis(rows, ambient=ambient)
 
 
-def test_intersect_matches_zassenhaus_reference():
+def _zassenhaus_inputs():
     rng = random.Random(4097)
     for case in range(120):
         n = rng.randint(1, 6)
@@ -581,14 +625,102 @@ def test_intersect_matches_zassenhaus_reference():
         w = _rand_rows(rng, rng.randint(0, n), n, complex_entries, 0.7)
         if u and w and case % 2:
             w.append(list(u[0]))  # force a shared direction
+        yield n, u, w
+
+
+def reference_intersect(n, u_rows, w_rows):
+    """Zassenhaus over Scalars: right halves of the reduced rows that are zero on the left."""
+    block = [list(v) + list(v) for v in u_rows] + [list(v) + [Scalar(0)] * n for v in w_rows]
+    reduced, _ = reference_rref(block)
+    return reference_span([row[n:] for row in reduced if all(x.is_zero() for x in row[:n])])
+
+
+def test_intersect_matches_zassenhaus_reference():
+    for n, u, w in _zassenhaus_inputs():
         a = SubspaceBasis.span(u, ambient=n)
         b = SubspaceBasis.span(w, ambient=n)
-        block = [list(v) + list(v) for v in a.vectors]
-        block += [list(v) + [Scalar(0)] * n for v in b.vectors]
-        reduced, _ = reference_rref(block)
-        tails = [row[n:] for row in reduced if all(x.is_zero() for x in row[:n])]
-        expected = reference_span(tails) if tails else ((), ())
-        assert _canonical(a.intersect(b)) == expected, (u, w)
+        assert _canonical(a.intersect(b)) == reference_intersect(n, a.vectors, b.vectors), (u, w)
+
+
+def _subspace_pairs():
+    """(ambient, u, w): span inputs paired by ambient (EXNILP sections and their
+    transposes included), then the Zassenhaus draws."""
+    last = {}
+    for ambient, rows in _span_inputs():
+        if ambient in last:
+            yield ambient, last[ambient], rows
+        last[ambient] = rows
+    yield from _zassenhaus_inputs()
+
+
+def test_subspace_ops_match_scalar_references():
+    rng = random.Random(4099)
+    for n, u, w in _subspace_pairs():
+        a = SubspaceBasis.span(u, ambient=n)
+        b = SubspaceBasis.span(w, ambient=n)
+        ref_a, ref_b = reference_span(u), reference_span(w)
+        total, meet = a.sum_with(b), a.intersect(b)
+        m = ExactMatrix(_rand_rows(rng, n, n, rng.random() < 0.3, rng.choice((0.3, 1.0))))
+        image = a.image_under(m)
+        for basis in (a, b, total, meet, image):
+            _assert_integer_storage(basis)
+        assert (_canonical(a), _canonical(b)) == (ref_a, ref_b)
+        assert _canonical(total) == reference_span(u + w)
+        assert _canonical(meet) == reference_intersect(n, ref_a[0], ref_b[0])
+        assert _canonical(image) == reference_span([reference_mat_vec(m, v) for v in ref_a[0]])
+        assert a.contains(b) == all(reference_coordinates(*ref_a, v) is not None for v in ref_b[0])
+        assert total.contains(a) and a.contains(meet) and b.contains(meet)
+        # equality and hash are structural: equal spans compare equal however generated
+        assert (a == b) == (ref_a == ref_b)
+        assert total == b.sum_with(a) and hash(total) == hash(b.sum_with(a))
+        rebuilt = SubspaceBasis.span(a.vectors, ambient=n)
+        assert rebuilt == a and hash(rebuilt) == hash(a)
+        # coordinates: rows of w (mostly outside a) and combinations of u (inside a)
+        combos = []
+        for _ in range(2):
+            c = [Scalar(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in u]
+            combos.append([sum((x * r[j] for x, r in zip(c, u)), Scalar(0)) for j in range(n)])
+        for vec in w + (combos if u else []):
+            expected = reference_coordinates(*ref_a, vec)
+            assert a.coordinates_of(vec) == expected, (u, vec)
+            assert a.contains_vector(vec) == (expected is not None)
+        full, zero = SubspaceBasis.full(n), SubspaceBasis.zero(n)
+        assert _canonical(full) == reference_span(ExactMatrix.identity(n).rows())
+        assert _canonical(zero) == ((), ()) and zero.intersect(a) == zero
+        for vec in w:
+            assert full.coordinates_of(vec) == tuple(vec)
+            assert zero.contains_vector(vec) == all(x.is_zero() for x in vec)
+        if len(u) == n:
+            sq = ExactMatrix(u)
+            rank, kernel, img = rank_kernel(sq)
+            _assert_integer_storage(kernel)
+            _assert_integer_storage(img)
+            assert (rank, _canonical(kernel), _canonical(img)) == reference_rank_kernel(sq)
+
+
+def test_subspace_layer_builds_no_scalars(monkeypatch):
+    pairs = [sample_pair(cls, 4, 41 + k) for k, cls in enumerate(RelationClass)]
+    sections = [truncate(paper_example(e)[0], 10) for e in (ExampleId.EXNILP_T, ExampleId.EXNILP_Q)]
+    pairs.append(tuple(sections))
+    built = []
+    original = Scalar.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    for a, b in pairs:
+        rank, ker_a, img_a = rank_kernel(a)
+        _, ker_b, img_b = rank_kernel(b)
+        assert rank + ker_a.dim == a.dim
+        assert ker_a.contains(ker_a.intersect(img_b)) and img_a.contains(img_a.image_under(a))
+        assert ker_a.image_under(a) == SubspaceBasis.zero(a.dim)
+        assert img_a.sum_with(ker_b).contains(ker_b)
+        assert SubspaceBasis.full(a.dim).contains(ker_b.sum_with(img_b))
+    assert built == []
+    Scalar(1)
+    assert len(built) == 1
 
 
 def _rank_kernel_inputs():
@@ -753,6 +885,12 @@ def test_literal_round_trip():
     for _ in range(60):
         a = _rand_matrix(rng, rng.randint(1, 4))
         assert ExactMatrix.parse(a.literal()) == a
+
+
+def test_parse_rejects_zero_denominator():
+    for text in ("1/0,1;0,1", "1,0;0,2/00", "1,1/2+3/0i;0,1"):
+        with pytest.raises(LiteralFormatError):
+            ExactMatrix.parse(text)
 
 
 def test_parse_rejects():

@@ -331,6 +331,31 @@ def _memo_sweep():
     return pairs
 
 
+def _shifted_defects(a, b, lam, mu):
+    """R.i and R.ii defects built from the shifted factors a - lam and b - mu."""
+    ident = ExactMatrix.identity(a.dim)
+    sa, sb = a - ident * lam, b - ident * mu
+    sab, sba = sa * sb, sb * sa
+    return sab * sa - sa * sab, sba * sa - sa * sba
+
+
+def test_r_i_r_ii_match_the_shifted_products():
+    grid = [(0, 0), (0, 1), (1, 0), (1, -1), (Scalar(0, 1), Fraction(1, 2)), (Fraction(-2, 3), 3)]
+    nonzero = 0
+    for a, b in _memo_sweep():
+        ctx = PairContext(a, b)
+        for lam, mu in grid:
+            params = {"lam": Scalar.coerce(lam), "mu": Scalar.coerce(mu)}
+            defects = _shifted_defects(a, b, lam, mu)
+            for identity, defect in zip((IdentityId.R_i, IdentityId.R_ii), defects):
+                res = _run_checker(identity, ctx, params)
+                expected = None if defect.is_zero() else defect
+                assert res.witness == expected, (identity, lam, mu)
+                assert res.residual == (0.0 if expected is None else defect.frobenius())
+                nonzero += expected is not None
+    assert nonzero > 0
+
+
 def test_shared_context_matches_fresh_context():
     # One context serves the whole suite in verify_suite's order; every
     # result must equal the one a fresh context gives for that call alone.

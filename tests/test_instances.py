@@ -3,6 +3,7 @@
 import ast
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import weakcomm
 from weakcomm.errors import SamplerBudgetError, UnknownExampleError, UnknownPredicateError
-from weakcomm.exact import ExactMatrix, Scalar
+from weakcomm.exact import ExactMatrix, Scalar, rank_kernel
 from weakcomm.instances import (
     ExampleId,
     RelationClass,
@@ -80,6 +81,64 @@ def test_paper_example_dim_validation():
     # builder-backed entries do scale
     (a, b), rep = paper_example(ExampleId.SEX_IV_N1N2, dim=6)
     assert a.dim == 6 and rep.comm_w and not rep.comm
+
+
+def reference_comm_r_system(a):
+    """The system of b*a^2 = a*b*a on row-major b, built cell by cell in Scalars."""
+    dim = a.dim
+    a2 = a * a
+    n2 = dim * dim
+    sys_rows = [[Scalar(0)] * n2 for _ in range(n2)]
+    for i in range(dim):
+        for j in range(dim):
+            r = i * dim + j
+            for q in range(dim):
+                sys_rows[r][i * dim + q] += a2.entry(q, j)
+            for p in range(dim):
+                apart = a.entry(i, p)
+                if apart.is_zero():
+                    continue
+                for q in range(dim):
+                    sys_rows[r][p * dim + q] -= apart * a.entry(q, j)
+    return ExactMatrix(sys_rows)
+
+
+def test_comm_r_system_matches_cell_by_cell_reference():
+    from weakcomm.instances import _comm_r_system
+
+    rng = random.Random(2024)
+    for case in range(40):
+        dim = rng.randint(2, 4)
+        rows = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+        if case % 2:
+            rows[-1] = [x + 2 * y for x, y in zip(rows[0], rows[1])]  # singular, as sampled
+        a = ExactMatrix(rows)
+        system = _comm_r_system(a)
+        reference = reference_comm_r_system(a)
+        assert system == reference
+        _, kernel, _ = rank_kernel(system)
+        assert kernel == rank_kernel(reference)[1]
+        for v in kernel.vectors:
+            b = ExactMatrix([v[i * dim:(i + 1) * dim] for i in range(dim)])
+            assert b * a * a == a * b * a
+
+
+def test_solve_comm_r_draws_are_pinned():
+    # (seed, dim) -> (a, b) literals, drawn with the system built cell by cell
+    # as in reference_comm_r_system
+    from weakcomm.instances import _solve_comm_r
+
+    pinned = {
+        (0, 3): ("1,1,-2;0,2,1;0,4,2", "-2,-2,-1;0,-1,3/2;0,-2,3"),
+        (7, 4): (
+            "0,-1,1,-2;-2,2,-2,0;2,-2,2,-1;-2,4,-4,6",
+            "2,1,0,0;-1,223/66,-23/33,-19/22;-1,-71/66,31/33,-5/22;-1,-71/22,-13/11,29/22",
+        ),
+        (10, 3): ("2,-2,1;1,2,-2;-1,-2,2", "-1,0,-2;-2/3,1,10/3;2/3,-1,-10/3"),
+    }
+    for (seed, dim), literals in pinned.items():
+        a, b = _solve_comm_r(random.Random(seed), dim)
+        assert (a.literal(), b.literal()) == literals
 
 
 def test_builder_entries_match_their_data_files():

@@ -53,7 +53,7 @@ def test_parse(text, value):
     assert Scalar.parse(text) == value
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1+", "i2", "1//2", "+"])
+@pytest.mark.parametrize("bad", ["", "x", "1+", "i2", "1//2", "+", "1/0", "-3/00i", "1+2/0i"])
 def test_parse_rejects(bad):
     with pytest.raises(LiteralFormatError):
         Scalar.parse(bad)

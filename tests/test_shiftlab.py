@@ -82,6 +82,19 @@ def test_parse_comments_and_errors():
             parse_spec(bad)
 
 
+def test_parse_spec_bad_literals_name_the_line():
+    for bad in (
+        "weights: 1/0",
+        "weights: 3/0/(k+1)",
+        "weights_prefix: 1 2/0",
+        "finite: 1 1 2/0",
+        "finite: a 1 2",
+    ):
+        with pytest.raises(LiteralFormatError, match="^line 2 "):
+            parse_spec("direction: down\n" + bad + "\n")
+    assert parse_spec("weights: 3/10/(k+1)\n").weights.even == (Fraction(3, 10), 1)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         LTwoOpSpec(direction="left")
