@@ -10,9 +10,11 @@ every canonical subspace basis in ``exact`` start from it.
 
 The products, ``charpoly_ints`` and ``echelon`` skip zero entries: they
 return the same integers as the dense loops, with work proportional to the
-nonzero entries. Every exact division checks its remainder and raises
-``ArithmeticError`` when it is not zero, so a broken invariant fails loudly
-(also under ``python -O``).
+nonzero entries. ``charpoly_ints`` lists the nonzeros of its matrix once and
+carries the nonzero columns of each row of its iterate from step to step, so
+no step scans a d*d block for nonzeros. Every exact division checks its
+remainder and raises ``ArithmeticError`` when it is not zero, so a broken
+invariant fails loudly (also under ``python -O``).
 """
 
 from __future__ import annotations
@@ -123,8 +125,18 @@ def charpoly_ints(d, re, im):
     Input: an integer matrix (flat re/im of length d*d, no denominator).
     Output: ascending coefficient lists (cre, cim) of det(lambda*I - A),
     length d+1, monic. All intermediate divisions are exact.
+
+    Each step sets M <- A*M + c_k*I. The nonzero entries of A are listed per
+    row once, and the nonzero columns of M are carried per row from step to
+    step: row i of A*M can only be nonzero in the union of the carried
+    columns of the rows that A's row i meets, plus the diagonal once c_k is
+    added. The last step needs only the trace of A*M.
     """
     n = d * d
+    a_rows = [
+        [(kk, re[ioff + kk], im[ioff + kk]) for kk in range(d) if re[ioff + kk] or im[ioff + kk]]
+        for ioff in range(0, n, d)
+    ]
     # descending coefficients b_0..b_d with b_0 = 1
     bre = [0] * (d + 1)
     bim = [0] * (d + 1)
@@ -133,28 +145,38 @@ def charpoly_ints(d, re, im):
     mim = [0] * n
     for i in range(d):
         mre[i * d + i] = 1
+    m_nz = [[i] for i in range(d)]
     for k in range(1, d + 1):
-        # AM = A*M, plain integer matmul over the nonzero entries of M
-        m_nz = [
-            [j for j in range(d) if mre[koff + j] or mim[koff + j]]
-            for koff in range(0, n, d)
-        ]
-        amre = [0] * n
-        amim = [0] * n
-        for i in range(d):
-            ioff = i * d
-            for kk in range(d):
-                avr = re[ioff + kk]
-                avi = im[ioff + kk]
-                if avr or avi:
+        tr_re = tr_im = 0
+        if k == d:
+            # only the trace of A*M is needed
+            for i in range(d):
+                for kk, avr, avi in a_rows[i]:
+                    bvr = mre[kk * d + i]
+                    bvi = mim[kk * d + i]
+                    tr_re += avr * bvr - avi * bvi
+                    tr_im += avr * bvi + avi * bvr
+        else:
+            amre = [0] * n
+            amim = [0] * n
+            cols = []
+            for i in range(d):
+                ioff = i * d
+                row = a_rows[i]
+                for kk, avr, avi in row:
                     koff = kk * d
                     for j in m_nz[kk]:
                         bvr = mre[koff + j]
                         bvi = mim[koff + j]
                         amre[ioff + j] += avr * bvr - avi * bvi
                         amim[ioff + j] += avr * bvi + avi * bvr
-        tr_re = sum(amre[i * d + i] for i in range(d))
-        tr_im = sum(amim[i * d + i] for i in range(d))
+                # a shift row meets one row of M: share its column list
+                if len(row) == 1:
+                    cols.append(m_nz[row[0][0]])
+                else:
+                    cols.append({j for kk, _, _ in row for j in m_nz[kk]})
+                tr_re += amre[ioff + i]
+                tr_im += amim[ioff + i]
         ck_re, rem_re = divmod(-tr_re, k)
         ck_im, rem_im = divmod(-tr_im, k)
         if rem_re or rem_im:
@@ -164,9 +186,17 @@ def charpoly_ints(d, re, im):
         if k < d:
             mre = amre
             mim = amim
+            diag = ck_re or ck_im
             for i in range(d):
-                mre[i * d + i] += ck_re
-                mim[i * d + i] += ck_im
+                ioff = i * d
+                c = cols[i]
+                if diag:
+                    mre[ioff + i] += ck_re
+                    mim[ioff + i] += ck_im
+                nz = [j for j in c if mre[ioff + j] or mim[ioff + j]]
+                if diag and i not in c:
+                    nz.append(i)
+                m_nz[i] = nz
     # ascending order: coefficient of lambda^j is b_{d-j}
     cre = [bre[d - j] for j in range(d + 1)]
     cim = [bim[d - j] for j in range(d + 1)]

@@ -647,21 +647,26 @@ def rank_kernel(a):
 
 def nilpotency_degree(a):
     """Least n >= 1 with a**n == 0, or None when a is not nilpotent."""
-    # a d x d matrix is nilpotent exactly when a**d == 0; square up to an
-    # exponent of at least d
-    power = a
+    # a d x d matrix is nilpotent exactly when a**d == 0; squares[j] is
+    # a**(2**j), squared up to an exponent of at least d or to zero
+    squares = [a]
     exponent = 1
-    while exponent < a.dim and not power.is_zero():
-        power = power * power
+    while exponent < a.dim and not squares[-1].is_zero():
+        squares.append(squares[-1] * squares[-1])
         exponent *= 2
-    if not power.is_zero():
+    if not squares[-1].is_zero():
         return None
-    power = a
-    n = 1
-    while not power.is_zero():
-        power = power * a
-        n += 1
-    return n
+    # binary lifting for the largest m with a**m != 0, high bits first: m is
+    # below the exponent of the first zero square, and bit j stays set when
+    # a**m * a**(2**j) is still nonzero (power is a**m, None for m == 0)
+    power = None
+    m = 0
+    for j in range(len(squares) - 2, -1, -1):
+        candidate = squares[j] if power is None else power * squares[j]
+        if not candidate.is_zero():
+            power = candidate
+            m += 1 << j
+    return m + 1
 
 
 def exp_exact_nilpotent(a):

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import LiteralFormatError
-from .exact import ExactMatrix, SubspaceBasis, rank_kernel
+from . import _kernel_py as kernel
+from .exact import ExactMatrix, SubspaceBasis, _clear_denominators, rank_kernel
 from .scalar import _RATIONAL, Scalar
 
 __all__ = [
@@ -164,19 +165,26 @@ def truncate(spec, n):
     """Exact n x n compression onto the first n coordinates."""
     if n < 1 or n < spec.support():
         raise ValueError(f"truncation size {n} below finite-rank support {spec.support()}")
-    zero = Scalar(0)
-    rows = [[zero] * n for _ in range(n)]
+    # at most 2n nonzero cells, keyed by 0-based (row, col)
+    cells = {}
     if spec.direction == "down":
         for k in range(1, n):
-            rows[k][k - 1] = spec.weights.weight(k)
+            cells[k, k - 1] = spec.weights.weight(k)
     elif spec.direction == "up":
         for k in range(1, n):
-            rows[k - 1][k] = spec.weights.weight(k)
+            cells[k - 1, k] = spec.weights.weight(k)
     # finite-rank entries add to whatever already sits in their cell
     # (EXNILP_N relies on T + N cancelling at (2, 1))
     for r, c, v in spec.finite_rank:
-        rows[r - 1][c - 1] += Scalar.coerce(v)
-    return ExactMatrix(rows)
+        cell = (r - 1, c - 1)
+        cells[cell] = cells.get(cell, Scalar(0)) + Scalar.coerce(v)
+    den, vre, vim = _clear_denominators(cells.values())
+    re = [0] * (n * n)
+    im = [0] * (n * n)
+    for (r, c), x, y in zip(cells, vre, vim):
+        re[r * n + c] = x
+        im[r * n + c] = y
+    return ExactMatrix._from_rep(n, kernel.normalize(den, re, im))
 
 
 def finite_support_kernel(spec, n):
@@ -266,6 +274,8 @@ def parse_spec(text):
                 r, c = int(parts[0]), int(parts[1])
             except ValueError:
                 raise LiteralFormatError(f"{where}: row and col must be integers") from None
+            if r < 1 or c < 1:
+                raise LiteralFormatError(f"{where}: row and col must be 1-based positive")
             finite.append((r, c, _parse_scalar(parts[2], where)))
         else:
             raise LiteralFormatError(f"line {lineno}: unknown key {key!r}")

@@ -347,13 +347,17 @@ def test_criterion_10_shiftlab_truncations():
         q_spec, _ = paper_example(ExampleId.EXNILP_Q)
         tn = t_spec + n_spec
         tq = t_spec + q_spec
-        for size in (10, 20, 40, 80):
+        for size in (10, 20, 40, 80, 160):
             tm = truncate(t_spec, size)
             tnm = truncate(tn, size)
             assert charpoly(tm).literal() == f"x^{size}"
             assert charpoly(tnm).literal() == f"x^{size}"
+            # N cancels the first weight of T, so T+N has one step less
+            assert nilpotency_degree(tm) == size
+            assert nilpotency_degree(tnm) == size - 1
             tqm = truncate(tq, size)
             assert (tqm * tqm).is_zero()  # even sizes
+            assert nilpotency_degree(tqm) == 2
             # certified kernel stays exactly span{e1}
             ker = finite_support_kernel(tn, size)
             assert ker.dim == 1

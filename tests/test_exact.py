@@ -258,6 +258,130 @@ def test_charpoly_frozen_examples():
     assert charpoly(rot).literal() == "x^2 + 1"
 
 
+# -- oracle: the dense Faddeev-LeVerrier loop ----------------------------------------
+
+
+def reference_charpoly_ints(d, re, im, iterates=None):
+    """Faddeev-LeVerrier with a dense product and a full nonzero rescan per step.
+
+    When ``iterates`` is a list, each step appends its (M, A*M) as flat
+    (re, im) pairs.
+    """
+    n = d * d
+    bre = [0] * (d + 1)
+    bim = [0] * (d + 1)
+    bre[0] = 1
+    mre = [0] * n
+    mim = [0] * n
+    for i in range(d):
+        mre[i * d + i] = 1
+    for k in range(1, d + 1):
+        m_nz = [
+            [j for j in range(d) if mre[koff + j] or mim[koff + j]]
+            for koff in range(0, n, d)
+        ]
+        amre = [0] * n
+        amim = [0] * n
+        for i in range(d):
+            ioff = i * d
+            for kk in range(d):
+                avr = re[ioff + kk]
+                avi = im[ioff + kk]
+                if avr or avi:
+                    koff = kk * d
+                    for j in m_nz[kk]:
+                        bvr = mre[koff + j]
+                        bvi = mim[koff + j]
+                        amre[ioff + j] += avr * bvr - avi * bvi
+                        amim[ioff + j] += avr * bvi + avi * bvr
+        if iterates is not None:
+            iterates.append(((list(mre), list(mim)), (list(amre), list(amim))))
+        tr_re = sum(amre[i * d + i] for i in range(d))
+        tr_im = sum(amim[i * d + i] for i in range(d))
+        ck_re, rem_re = divmod(-tr_re, k)
+        ck_im, rem_im = divmod(-tr_im, k)
+        if rem_re or rem_im:
+            raise ArithmeticError(f"trace {tr_re}+{tr_im}i is not divisible by {k}")
+        bre[k] = ck_re
+        bim[k] = ck_im
+        if k < d:
+            mre = amre
+            mim = amim
+            for i in range(d):
+                mre[i * d + i] += ck_re
+                mim[i * d + i] += ck_im
+    cre = [bre[d - j] for j in range(d + 1)]
+    cim = [bim[d - j] for j in range(d + 1)]
+    return cre, cim
+
+
+def _cancels_then_returns(d, re, im):
+    """True when an entry of A*M can be nonzero from the nonzero pattern, is
+    zero at one step, and is nonzero again at a later step."""
+    iterates = []
+    reference_charpoly_ints(d, re, im, iterates)
+    cancelled = set()
+    for (mre, mim), (amre, amim) in iterates:
+        for i in range(d):
+            for j in range(d):
+                if amre[i * d + j] or amim[i * d + j]:
+                    if (i, j) in cancelled:
+                        return True
+                    continue
+                if any(
+                    (re[i * d + kk] or im[i * d + kk]) and (mre[kk * d + j] or mim[kk * d + j])
+                    for kk in range(d)
+                ):
+                    cancelled.add((i, j))
+    return False
+
+
+def _charpoly_inputs():
+    rng = random.Random(808)
+    for case in range(300):
+        d = rng.randint(1, 7)
+        density = rng.choice((0.15, 0.35, 1.0))
+        yield (d, *_rand_int_matrix(rng, d, d, density, case % 2 == 1))
+    for _ in range(100):
+        d = rng.randint(1, 7)
+        make = rng.choice((_rand_shift_matrix, _rand_one_per_row_matrix))
+        _, re, im = make(rng, d)._rep()
+        yield d, re, im
+    # diagonal, with a superdiagonal now and then: c_k is mostly nonzero
+    for _ in range(60):
+        d = rng.randint(1, 7)
+        re, im = [0] * (d * d), [0] * (d * d)
+        for i in range(d):
+            re[i * d + i] = rng.choice((-3, -2, -1, 1, 2, 3))
+            im[i * d + i] = rng.choice((0, 0, 1, -2))
+            if i + 1 < d and rng.random() < 0.3:
+                re[i * d + i + 1] = rng.randint(-3, 3)
+        yield d, re, im
+    # entries of A*M that cancel to zero and come back at a later step
+    returns = 0
+    while returns < 40:
+        d = rng.randint(3, 6)
+        complex_entries = rng.random() < 0.3
+        re = [rng.choice((-1, 0, 0, 1)) for _ in range(d * d)]
+        im = [rng.choice((-1, 0, 0, 1)) if complex_entries else 0 for _ in range(d * d)]
+        if _cancels_then_returns(d, re, im):
+            returns += 1
+            yield d, re, im
+    t_spec, _ = paper_example(ExampleId.EXNILP_T)
+    n_spec, _ = paper_example(ExampleId.EXNILP_N)
+    q_spec, _ = paper_example(ExampleId.EXNILP_Q)
+    for spec in (t_spec, n_spec, q_spec, t_spec + n_spec, t_spec + q_spec):
+        for n in (4, 5, 8, 13, 24):
+            _, re, im = truncate(spec, n)._rep()
+            yield n, re, im
+
+
+def test_charpoly_ints_matches_dense_reference():
+    for d, re, im in _charpoly_inputs():
+        expected = reference_charpoly_ints(d, re, im)
+        assert _kernel_py.charpoly_ints(d, re, im) == expected, (d, re, im)
+
+
 # -- matrix arithmetic ---------------------------------------------------------------
 
 
@@ -998,6 +1122,126 @@ def test_nilpotency_degree():
             assert (a ** deg).is_zero()
             assert deg == 1 or not (a ** (deg - 1)).is_zero()
     assert 20 < nilpotent < 100
+
+
+def reference_nilpotency_degree(a):
+    """Squaring test for nilpotency, then the linear power loop a, a^2, ..."""
+    power = a
+    exponent = 1
+    while exponent < a.dim and not power.is_zero():
+        power = power * power
+        exponent *= 2
+    if not power.is_zero():
+        return None
+    power = a
+    n = 1
+    while not power.is_zero():
+        power = power * a
+        n += 1
+    return n
+
+
+def _nonzero_scalar(rng):
+    value = _rand_scalar(rng)
+    while value.is_zero():
+        value = _rand_scalar(rng)
+    return value
+
+
+def _jordan_sum(rng, sizes):
+    """Direct sum of nilpotent Jordan blocks with nonzero (complex) weights."""
+    d = sum(sizes)
+    rows = [[Scalar(0)] * d for _ in range(d)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size - 1):
+            rows[i][i + 1] = _nonzero_scalar(rng)
+        start += size
+    return ExactMatrix(rows)
+
+
+def _unimodular(rng, d):
+    """Gaussian-integer matrix of determinant 1: unit upper times unit lower."""
+    def unit_triangular(upper):
+        rows = [[Scalar(int(i == j)) for j in range(d)] for i in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                entry = Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+                if upper:
+                    rows[i][j] = entry
+                else:
+                    rows[j][i] = entry
+        return ExactMatrix(rows)
+
+    return unit_triangular(True) * unit_triangular(False)
+
+
+def _partition(rng, d):
+    sizes = []
+    while d:
+        size = rng.randint(1, d)
+        sizes.append(size)
+        d -= size
+    rng.shuffle(sizes)
+    return sizes
+
+
+def _nilpotency_inputs():
+    """(matrix, known degree or None when not known in advance)."""
+    rng = random.Random(1601)
+    # one block of every size, so the largest block hits 2^j and 2^j +- 1
+    for d in range(1, 21):
+        yield _jordan_sum(rng, [d]), d
+    for _ in range(80):
+        sizes = _partition(rng, rng.randint(1, 20))
+        yield _jordan_sum(rng, sizes), max(sizes)
+    for d in (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17):
+        sizes = _partition(rng, d)
+        u = _unimodular(rng, d)
+        yield u * _jordan_sum(rng, sizes) * inverse(u), max(sizes)
+    # not nilpotent: random, a Jordan chain closed into a cycle, shifted blocks
+    for d in range(1, 9):
+        yield _rand_matrix(rng, d), None
+        cycle = _jordan_sum(rng, [d]) + ExactMatrix.single_entry(d, d - 1, 0, _nonzero_scalar(rng))
+        yield cycle, None
+        yield _jordan_sum(rng, _partition(rng, d)) + ExactMatrix.identity(d), None
+    for d in range(1, 6):
+        yield ExactMatrix.zeros(d), 1
+    for _ in range(10):
+        value = _rand_scalar(rng)
+        yield ExactMatrix([[value]]), 1 if value.is_zero() else None
+    t_spec, _ = paper_example(ExampleId.EXNILP_T)
+    n_spec, _ = paper_example(ExampleId.EXNILP_N)
+    q_spec, _ = paper_example(ExampleId.EXNILP_Q)
+    for n in range(4, 25):
+        yield truncate(t_spec, n), n
+        yield truncate(t_spec + n_spec, n), n - 1
+        yield truncate(t_spec + q_spec, n), 2
+
+
+def test_nilpotency_degree_matches_linear_reference():
+    for a, known in _nilpotency_inputs():
+        degree = nilpotency_degree(a)
+        assert degree == reference_nilpotency_degree(a), a
+        if known is not None:
+            assert degree == known, a
+
+
+def test_nilpotency_degree_takes_logarithmic_products(monkeypatch):
+    spec, _ = paper_example(ExampleId.EXNILP_T)
+    section = truncate(spec, 160)
+    calls = []
+    mat_mul = _kernel_py.mat_mul
+
+    def counted(d, a, b):
+        calls.append(d)
+        return mat_mul(d, a, b)
+
+    monkeypatch.setattr(_kernel_py, "mat_mul", counted)
+    assert nilpotency_degree(section) == 160
+    # squarings up to a^256, then one product for each of the bits 6..0:
+    # below 2 * ceil(log2 160) = 16, where the linear loop made 167
+    assert len(calls) == 8 + 7
 
 
 def test_exp_exact_nilpotent():

@@ -89,6 +89,8 @@ def test_parse_spec_bad_literals_name_the_line():
         "weights_prefix: 1 2/0",
         "finite: 1 1 2/0",
         "finite: a 1 2",
+        "finite: 0 1 2",
+        "finite: 1 -1 2",
     ):
         with pytest.raises(LiteralFormatError, match="^line 2 "):
             parse_spec("direction: down\n" + bad + "\n")
@@ -114,6 +116,47 @@ def test_truncate_weighted_shift():
     assert m == ExactMatrix(rows)
     up = truncate(parse_spec("direction: up\nweights: 1\n"), 3)
     assert up == ExactMatrix.single_entry(3, 0, 1) + ExactMatrix.single_entry(3, 1, 2)
+
+
+def reference_truncate(spec, n):
+    """The n x n Scalar grid, finite-rank entries added to their cell."""
+    if n < 1 or n < spec.support():
+        raise ValueError(f"truncation size {n} below finite-rank support {spec.support()}")
+    zero = Scalar(0)
+    rows = [[zero] * n for _ in range(n)]
+    if spec.direction == "down":
+        for k in range(1, n):
+            rows[k][k - 1] = spec.weights.weight(k)
+    elif spec.direction == "up":
+        for k in range(1, n):
+            rows[k - 1][k] = spec.weights.weight(k)
+    for r, c, v in spec.finite_rank:
+        rows[r - 1][c - 1] += Scalar.coerce(v)
+    return ExactMatrix(rows)
+
+
+def _truncation_specs():
+    t = _spec(ExampleId.EXNILP_T)
+    n = _spec(ExampleId.EXNILP_N)
+    q = _spec(ExampleId.EXNILP_Q)
+    texts = (
+        "direction: up\nweights: 2/(k+3)\nfinite: 1 1 1/3\n",
+        "direction: none\nfinite: 3 1 1/2+1i\nfinite: 1 3 -2/5i\nfinite: 3 1 1/7\n",
+        "direction: down\nweights: 1/(k+1)\nweights_prefix: 1/2 0 1/3i\n",
+        "direction: up\nweights_even: -3/(k+0)\nweights: 1/2\nfinite: 4 2 3/4-1/6i\n",
+        # cancels the shift entry at (3, 2) and leaves a complex one at (2, 1)
+        "direction: down\nweights: 1\nfinite: 3 2 -1\nfinite: 2 1 1/9i\n",
+    )
+    return [t, n, q, t + n, t + q, n + q] + [parse_spec(text) for text in texts]
+
+
+def test_truncate_matches_scalar_grid_reference():
+    for spec in _truncation_specs():
+        for size in list(range(max(1, spec.support()), 25)) + [80]:
+            m = truncate(spec, size)
+            expected = reference_truncate(spec, size)
+            assert m == expected, (format_spec(spec), size)
+            assert m._rep() == expected._rep(), (format_spec(spec), size)
 
 
 def test_truncate_respects_support():
