@@ -74,7 +74,7 @@ class ExactMatrix:
         if d == 0 or any(len(row) != d for row in entries):
             raise DimensionMismatchError("matrix must be square with dim >= 1")
         flat = [v for row in entries for v in row]
-        self._init_rep(d, kernel.normalize(*_clear_denominators(flat)))
+        self._init_rep(d, _clear_denominators(flat))
 
     def _init_rep(self, dim, rep):
         den, re, im = rep
@@ -125,7 +125,7 @@ class ExactMatrix:
         den, (vr,), (vi,) = _clear_denominators([Scalar.coerce(value)])
         re, im = [0] * (dim * dim), [0] * (dim * dim)
         re[i * dim + j], im[i * dim + j] = vr, vi
-        return cls._from_rep(dim, kernel.normalize(den, re, im))
+        return cls._from_rep(dim, (den, re, im))
 
     @classmethod
     def parse(cls, text):
@@ -270,7 +270,11 @@ class ExactMatrix:
 
 
 def _clear_denominators(values):
-    """Scalars as Gaussian integers over one common denominator: (den, re, im)."""
+    """Scalars as Gaussian integers over one common denominator: (den, re, im).
+
+    Already normalized: each prime's full power in den divides some value's
+    reduced denominator, so that value's scaled numerator is prime to it.
+    """
     den = 1
     for v in values:
         den = lcm(den, v.re.denominator, v.im.denominator)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import LiteralFormatError
-from . import _kernel_py as kernel
 from .exact import ExactMatrix, SubspaceBasis, _clear_denominators, rank_kernel
 from .scalar import _RATIONAL, Scalar
 
@@ -184,7 +183,7 @@ def truncate(spec, n):
     for (r, c), x, y in zip(cells, vre, vim):
         re[r * n + c] = x
         im[r * n + c] = y
-    return ExactMatrix._from_rep(n, kernel.normalize(den, re, im))
+    return ExactMatrix._from_rep(n, (den, re, im))
 
 
 def finite_support_kernel(spec, n):

@@ -61,6 +61,15 @@ def test_verify_bad_class_exits_two(capsys):
     assert "error" in err
 
 
+def test_verify_repeated_class_exits_two(capsys):
+    status, out, err = _run_inproc(
+        ["verify", "--seed", "1", "--classes", "comm,comm", "--samples", "1"], capsys
+    )
+    assert status == 2
+    assert out == ""
+    assert "relation classes repeat: comm,comm" in err
+
+
 def test_verify_bad_samples_exits_two(capsys):
     status, _, err = _run_inproc(["verify", "--seed", "1", "--samples", "0"], capsys)
     assert status == 2

@@ -22,6 +22,7 @@ from weakcomm.exact import (
     ExactMatrix,
     ExactPoly,
     SubspaceBasis,
+    _clear_denominators,
     charpoly,
     exp_exact_nilpotent,
     inverse,
@@ -462,6 +463,28 @@ def test_kernel_normalization_invariants():
     zero = (1, [0] * 4, [0] * 4)
     assert _kernel_py.normalize(6, [0] * 4, [0] * 4) == zero
     assert _kernel_py.mat_mul(2, _rand_rep(rng, 2), zero) == zero
+
+
+def test_cleared_denominators_are_already_normalized():
+    # ExactMatrix, single_entry and shiftlab.truncate store this output as is
+    rng = random.Random(91)
+    cases = [[], [Scalar(0)] * 5, [Scalar(Fraction(-3, 4))], [Scalar(0, Fraction(-5, 6))]]
+    for _ in range(400):
+        values = []
+        for _ in range(rng.randint(1, 12)):
+            kind = rng.random()
+            if kind < 0.3:
+                values.append(Scalar(0))
+            else:
+                re = Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 9, 12, 35)))
+                im = Fraction(rng.randint(-30, 30), rng.randint(1, 20)) if kind > 0.7 else 0
+                values.append(Scalar(re, im))
+        cases.append(values)
+    for values in cases:
+        rep = _clear_denominators(values)
+        assert _kernel_py.normalize(*rep) == rep, values
+        den, re, im = rep
+        assert [Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(re, im)] == values
 
 
 def test_gdiv_exact_raises_on_remainder():

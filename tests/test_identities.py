@@ -3,6 +3,7 @@
 import dataclasses
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,6 +13,9 @@ from weakcomm.exact import ExactMatrix, Scalar, charpoly, poly_radical, poly_rad
 from weakcomm.identities import (
     IdentityId,
     PairContext,
+    _detect_power_membership,
+    _from_defects,
+    _memb,
     _run_checker,
     _suite_plan,
     check_identity,
@@ -41,6 +45,25 @@ def test_check_identity_accepts_string_ids():
     res = check_identity("R.iii", a, b)
     assert res.identity is IdentityId.R_iii
     assert res.verdict == "pass"
+
+
+@pytest.mark.parametrize(
+    "identity, n",
+    [
+        ("NEWTON_R", 0),
+        ("NEWTON_R", -2),
+        ("BINOM", -1),
+        ("NIL_TELE", 0),
+        ("TELESCOPE", -3),
+        ("TELESCOPE", 2.0),
+        ("BINOM", True),
+        ("L1.I.i", 0),
+    ],
+)
+def test_check_identity_rejects_bad_n(identity, n):
+    a, b = _pair(ExampleId.SEX_I_PQ)
+    with pytest.raises(ValueError, match="n must be an int >= 1"):
+        check_identity(identity, a, b, n=n)
 
 
 def test_unknown_identity_rejected():
@@ -316,6 +339,8 @@ def test_suite_rejects_bad_config():
         verify_suite(dims=(), samples_per_class=1, seed=1)
     with pytest.raises(ValueError):
         verify_suite(classes=["nonsense"], samples_per_class=1, seed=1)
+    with pytest.raises(ValueError, match="relation classes repeat: comm,comm_l,comm"):
+        verify_suite(classes=["comm", "comm_l", "comm"], samples_per_class=1, seed=1)
 
 
 # -- the per-pair memo ------------------------------------------------------------
@@ -396,9 +421,150 @@ def test_words_are_products_of_letters():
     assert ctx.word("sba") == s * (b * a)
     assert ctx.word("ab" * 3) == (a * b) ** 3
     assert ctx.ab == a * b and ctx.ba == b * a and ctx.s == s
-    s_ba, s_ab = ctx.telescope_sums(3)
-    assert s_ba == a * a + b * a + b * b
-    assert s_ab == a * a + a * b + b * b
+    # combo: repeated words, negative coefficients, the empty word, s words,
+    # and words with mixed denominators (2, 3, 5, 7)
+    a = ExactMatrix.parse("1/2,1;0,-1/3")
+    b = ExactMatrix.parse("0,1/5;1/7+2i,i")
+    ctx = PairContext(a, b)
+    s = a + b
+    assert ctx.combo([("ab", 1), ("ab", 2)]) == a * b * 3
+    assert ctx.combo([("a", 2), ("b", -3), ("ba", -1)]) == a * 2 - b * 3 - b * a
+    assert ctx.combo([("", 5), ("a", -1)]) == ExactMatrix.identity(2) * 5 - a
+    assert ctx.combo([("ss", 1), ("sa", -1)]) == s * b
+    assert ctx.combo([("ss", 1), ("aa", -1), ("ab", -1), ("ba", -1), ("bb", -1)]).is_zero()
+    assert ctx.combo([("ab", 1), ("ab", -1), ("b", 0)]) == ExactMatrix.zeros(2)
+    assert ctx.combo([]) == ExactMatrix.zeros(2)
+    assert ctx.combo([("aab", 3), ("b", -2), ("aab", -1)]) == a * a * b * 2 - b * 2
+
+
+# -- reference checkers: the per-term loops that the word combinations replaced --
+
+
+def _ref_telescope_sums(ctx, n):
+    s_ba = s_ab = ExactMatrix.zeros(ctx.dim)
+    for j in range(n):
+        s_ba = s_ba + ctx.word("b" * j + "a" * (n - 1 - j))
+        s_ab = s_ab + ctx.word("a" * (n - 1 - j) + "b" * j)
+    return s_ba, s_ab
+
+
+def _ref_l1_iii_ii(ctx, p):
+    w = ctx.word
+    diff = ctx.a - ctx.b
+    defects = []
+    for n in (2, 3, 4, 5):
+        an, bn = w("a" * n), w("b" * n)
+        s_ba, s_ab = _ref_telescope_sums(ctx, n)
+        defects.append((an - bn + w("b" + "a" * (n - 1)) - w("a" * (n - 1) + "b")) - s_ba * diff)
+        defects.append((an - bn + w("b" * (n - 1) + "a") - w("a" + "b" * (n - 1))) - s_ab * diff)
+    return _from_defects(ctx.report.comm_l, defects)
+
+
+def _ref_l1_iv_ii(ctx, p):
+    w = ctx.word
+    diff = ctx.a - ctx.b
+    defects = []
+    for n in (2, 3, 4, 5):
+        an, bn = w("a" * n), w("b" * n)
+        s_ba, s_ab = _ref_telescope_sums(ctx, n)
+        defects.append((an - bn + w("a" + "b" * (n - 1)) - w("b" * (n - 1) + "a")) - diff * s_ba)
+        defects.append((an - bn + w("a" * (n - 1) + "b") - w("b" + "a" * (n - 1))) - diff * s_ab)
+    return _from_defects(ctx.report.comm_r, defects)
+
+
+def _ref_newton_r(ctx, p):
+    n, w = p["n"], ctx.word
+    total = ExactMatrix.zeros(ctx.dim)
+    for k in range(1, n + 1):
+        term = w("a" * (n - k) + "b" * k) + w("b" * (n - k) + "a" * k)
+        total = total + term * comb(n - 1, k - 1)
+    return _from_defects(ctx.report.comm_r, [w("s" * n) - total])
+
+
+def _ref_newton_l(ctx, p):
+    n, w = p["n"], ctx.word
+    total = ExactMatrix.zeros(ctx.dim)
+    for k in range(1, n + 1):
+        term = w("a" * k + "b" * (n - k)) + w("b" * k + "a" * (n - k))
+        total = total + term * comb(n - 1, k - 1)
+    return _from_defects(ctx.report.comm_l, [w("s" * n) - total])
+
+
+def _ref_binom(ctx, p):
+    n, w = p["n"], ctx.word
+    s1 = s2 = ExactMatrix.zeros(ctx.dim)
+    for k in range(n + 1):
+        c = comb(n, k)
+        s1 = s1 + w("a" * k + "b" * (n - k)) * c
+        s2 = s2 + w("b" * k + "a" * (n - k)) * c
+    sn = w("s" * n)
+    return _from_defects(ctx.report.comm_w and n != 2, [sn - s1, sn - s2])
+
+
+def _ref_telescope(ctx, p):
+    n = p["n"]
+    diff = ctx.a - ctx.b
+    target = ctx.word("a" * n) - ctx.word("b" * n)
+    s_ba, s_ab = _ref_telescope_sums(ctx, n)
+    defects = [target - s_ba * diff, target - diff * s_ba, target - s_ab * diff, target - diff * s_ab]
+    return _from_defects(ctx.report.comm_w and n != 2, defects)
+
+
+def _ref_nil_tele(ctx, p):
+    rep = ctx.report
+    n_given = p.get("n")
+    diff = ctx.a - ctx.b
+    defects = []
+    applicable = False
+    if rep.comm_l:
+        n = n_given if n_given is not None else _detect_power_membership(ctx, "b", "a")
+        if n is not None and _memb(ctx, "b", "a" * n).is_zero():
+            applicable = True
+            for m in (n + 1, n + 2, n + 3):
+                s_ba, _ = _ref_telescope_sums(ctx, m)
+                defects.append((ctx.word("a" * m) - ctx.word("b" * m)) - s_ba * diff)
+    if rep.comm_r:
+        n = n_given if n_given is not None else _detect_power_membership(ctx, "a", "b")
+        if n is not None and _memb(ctx, "a", "b" * n).is_zero():
+            applicable = True
+            for m in (n + 1, n + 2, n + 3):
+                s_ba, _ = _ref_telescope_sums(ctx, m)
+                defects.append((ctx.word("a" * m) - ctx.word("b" * m)) - diff * s_ba)
+    return _from_defects(applicable, defects)
+
+
+_REFERENCES = {
+    IdentityId.L1_III_ii: _ref_l1_iii_ii,
+    IdentityId.L1_IV_ii: _ref_l1_iv_ii,
+    IdentityId.NEWTON_R: _ref_newton_r,
+    IdentityId.NEWTON_L: _ref_newton_l,
+    IdentityId.BINOM: _ref_binom,
+    IdentityId.TELESCOPE: _ref_telescope,
+    IdentityId.NIL_TELE: _ref_nil_tele,
+}
+
+
+def test_word_combinations_match_the_loop_references():
+    # every class at dims 2-5, nilpotent pairs included, n = 1..8: the
+    # hypothesis, verdict, residual and witness matrix must all be equal
+    orders = [{"n": n} for n in range(1, 9)]
+    plans = {IdentityId.L1_III_ii: [{}], IdentityId.L1_IV_ii: [{}], IdentityId.NIL_TELE: [{}] + orders}
+    evaluations = failing = 0
+    for k, cls in enumerate(RelationClass):
+        for dim in (2, 3, 4, 5):
+            for seed in (0, 1):
+                nilpotent = (k + dim + seed) % 2 == 0
+                a, b = sample_pair(cls, dim, 300 + 11 * k + 2 * dim + seed, nilpotent=nilpotent)
+                ctx, ref = PairContext(a, b), PairContext(a, b)
+                for identity, reference in _REFERENCES.items():
+                    for params in plans.get(identity, orders):
+                        res = _run_checker(identity, ctx, params)
+                        got = (res.hypothesis_met, res.holds, res.residual, res.witness)
+                        assert got == reference(ref, params), (identity, params, cls, dim)
+                        evaluations += 1
+                        failing += not res.holds
+    assert evaluations == 40 * (2 + 4 * 8 + 9)
+    assert failing > evaluations // 5
 
 
 def test_inject_fault_binom_flips_only_binom(capsys):

@@ -1,0 +1,202 @@
+"""Pinned report hashes: verify, example, search and truncate reports stay byte-identical.
+
+Each pinned command runs through ``weakcomm.cli.main`` in-process, once per
+format, and the sha256 of its report is compared with the value recorded
+when the pin was set. The truncate reports drop their ``spectrum`` and
+``max_modulus`` fields (and the Markdown ``max |eig|`` column) first: those
+come from LAPACK, not from the exact code.
+
+An injected fault inverts verdicts whose conclusion holds, so its first
+failure carries no defect. The defect literals and residuals of the
+expansion identities are pinned by a separate ``check_identity`` sweep in
+which 80 of 280 evaluations fail and carry a defect.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from weakcomm.cli import main
+from weakcomm.identities import IdentityId, check_identity
+from weakcomm.instances import ExampleId, RelationClass, sample_pair
+
+VERIFY = "verify --dims 2,3,4 --samples 5 --seed 3"
+SEARCH = "search --dim 4 --budget 400 --seed 5 --predicate "
+SIZES = " --sizes 4,6,10"
+
+# command -> (exit status, sha256 of the JSON report, sha256 of the Markdown report)
+PINS = {
+    VERIFY: (
+        0,
+        "8ab1c9562cf0d0d2ba1d0dea7b42d778382b602870101660371676ec19a9c3c2",
+        "62bda917e1bcc167ed1965d0b88dfb4844331bcb66702431b9965b6dd0f711d6",
+    ),
+    VERIFY + " --inject-fault NEWTON_R": (
+        1,
+        "cae4ad65e752eb84f1ac3ce2858f5c54040feb3190a00a41f37c9af716454bcb",
+        "f841d1075aa22cbbefea02cefc85ada6b66f8adc4d5ed353611a0668a4e24a93",
+    ),
+    VERIFY + " --inject-fault TELESCOPE": (
+        1,
+        "e1b6d1c5936bdc281b6a46d0462fd5777a72905b1d26a016ef26d7a778f548f8",
+        "b5dccbe8109e66821222dfff532fa4a428f51757c4c02d62b63933aac0d97681",
+    ),
+    "example SEX_I_PQ": (
+        0,
+        "357bd9ba06dab989462e0d4829afb25e9b92c91122f0eb35048240c740444b60",
+        "72d4d9d0925b670a87de4ac92b3da3cf27dc31311fd1f53ece9d608574aaca41",
+    ),
+    "example SEX_I_PS": (
+        0,
+        "396c13afb889fa5fc575404a989ad082df7c708ba7ae87c05165a27d0e40c500",
+        "d9d36c62609eb52b53639c79f2a287e40676710cd48d13222fffc1a598f9a709",
+    ),
+    "example SEX_II_TS": (
+        0,
+        "4f48365ca472b78d87bc48f9de07648cc798cd0cead6028558e522fe1734f42d",
+        "6a30774962405ed85aa77a7289b51d9f9eff552dfa9520aadc882356605fae40",
+    ),
+    "example SEX_II_MN": (
+        0,
+        "410eabf54324720aee1ceefeef6368266983ea5f715ffc4dd2c149b14af8900e",
+        "e21f06d7b3ad934011dd37bfa6ec15a0b6832e0c5ae3480ba9292d34bb6324cc",
+    ),
+    "example SEX_III_TN": (
+        0,
+        "93c0b4e80c34e65681ace4729f3ac615b7930795014aabcff791f36c1653ae5c",
+        "77f588c77f9681b6a5a3edd6bf29e58ceaf770d3620f246be25b42b564ac6778",
+    ),
+    "example SEX_IV_N1N2": (
+        0,
+        "19b4ff60fa2c7f523e39b0b1aa84c1b07d1a1a1db3270d8fb22b4203fc3c710a",
+        "6868cca80dc6c3aed369c80bb5db105ff6ebdf1b0a661ed1920637172f94a15e",
+    ),
+    "example SEX_V_PQ": (
+        0,
+        "42c4a709f08ed5905262cde853bfdf6e2052c3d855edae90beec5f627bac7dca",
+        "c42bc17276f5d483743ea9f999f765a8813144e813386c7d7a9d9d7083ef91c0",
+    ),
+    "example REMARK_TN": (
+        0,
+        "94c7d5c83fc8ff598547549f778a38381a4b3aa50a033a9ed73bf37616017c1b",
+        "92ba9e347136ff2e1a784b45f174e5c0b3295bb2b05d0d1decb9f3e032d15f33",
+    ),
+    "example EX4_RN": (
+        0,
+        "0bc97c6a15e2995f9d0e1a4e779c1b2242dbb43fc44cfb38527d30c549e7db1c",
+        "c5f356882514c27fb8afdedf31573017ba72244b7bc7b0e9b7f94429da95fa99",
+    ),
+    "example EXNILP_T": (
+        0,
+        "966ecb90af830ccefd5160da57b84c0bd7b695fed4226611695b897c81a1c5b1",
+        "2adcaab531f6fee8f90b3e9e1e6cfda419b66433b52d27f321c4703f1c6810d6",
+    ),
+    "example EXNILP_N": (
+        0,
+        "508eebb31f6268f2832e770a269cb5718edd84471770bc57bf98fb370ba31293",
+        "a45b667c7f961793409674aefeeb370bca7c8f40c000680ffac2aec67061af6e",
+    ),
+    "example EXNILP_Q": (
+        0,
+        "37d052ab9181f599e37776a5e218684f37eca7602a3ae04e0566d1a33098356f",
+        "5dd74818e0063eceb0bfada78e29ddca48edc286c071badced5d6ab4f1e00632",
+    ),
+    SEARCH + "comm_w_not_comm": (
+        1,
+        "0fa90957d6031c1a300eff0f0423b357be3c858a9f059a7e57c4c0c46413ffe3",
+        "74736bdd7409d2e61df79d2cb75bcbe0af3d9e1c146d62b0849e36dc9ea6735c",
+    ),
+    SEARCH + "comm_l_not_comm_r": (
+        0,
+        "fb6d7210111e71e6d08ffa8b07be61e67cf11eebacd218fc3090f73bcae06f53",
+        "47bf73ac7a155d1bfd2c63d7256ba66c6f8c9d5c07c0fac24f61e4b30d72792d",
+    ),
+    SEARCH + "comm_r_not_comm_l": (
+        0,
+        "7faeee83033aacb57c1aec39e96b5b6e32e88d732bddaf937d7e641d166161ee",
+        "4c970e31582c254d472d3dd9ebda691df554c2fe233606fa42ec57fd76eb6988",
+    ),
+    "truncate EXNILP_T" + SIZES: (
+        0,
+        "c26c8fb289e1c1090c310d0cfa91cd92cf89880855a4ce399272b1f4663261da",
+        "ab156725ac90a390ba1862d69e1b571fe1ae08963dd4f35fbe9266cb5970854c",
+    ),
+    "truncate EXNILP_N" + SIZES: (
+        0,
+        "7eb94653d4976c721d42b34ec84b8c4863c9fb83892d08258ec63d4cfce2e471",
+        "6c7eb4d5c008327ef74a502381546f0e8ff232e44edee56f5ee92685284dd8e0",
+    ),
+    "truncate EXNILP_Q" + SIZES: (
+        0,
+        "b8aac60f818f610a414a5ba5b983de785a3ced5d2ab7b4c6a522e213b5531140",
+        "109a068f02e371c2ed07529c4f576a5f5a2e3bf53399583f0ac254d37643b3dc",
+    ),
+}
+
+# sha256 of the JSON lines of _expansion_sweep(), and its fail count
+EXPANSION_PIN = ("d6fd4d8e3f4178c8bdb376d7f18461da8e852efd38ed954bb8966ffc568abf12", 80)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _report(argv, fmt, capsys):
+    status = main(argv + ["--format", fmt])
+    text = capsys.readouterr().out
+    if argv[0] == "truncate":
+        if fmt == "json":
+            payload = json.loads(text)
+            for row in payload["rows"]:
+                del row["spectrum"], row["max_modulus"]
+            text = json.dumps(payload, sort_keys=True, indent=2)
+        else:
+            text = "\n".join(
+                line.rsplit("|", 2)[0] + "|" if line.startswith("|") else line
+                for line in text.splitlines()
+            )
+    return status, _sha(text)
+
+
+def digests(command, capsys):
+    argv = command.split()
+    status, json_sha = _report(argv, "json", capsys)
+    md_status, md_sha = _report(argv, "markdown", capsys)
+    assert md_status == status
+    return status, json_sha, md_sha
+
+
+def test_pins_cover_every_example():
+    assert {f"example {e.value}" for e in ExampleId} <= set(PINS)
+
+
+@pytest.mark.parametrize("command", list(PINS))
+def test_report_is_pinned(command, capsys):
+    assert digests(command, capsys) == PINS[command]
+
+
+def _expansion_sweep():
+    """check_identity results of the expansion identities, one JSON line each."""
+    with_n = (
+        IdentityId.NEWTON_R,
+        IdentityId.NEWTON_L,
+        IdentityId.BINOM,
+        IdentityId.TELESCOPE,
+        IdentityId.NIL_TELE,
+    )
+    lines = []
+    for k, cls in enumerate(RelationClass):
+        for dim in (2, 3):
+            a, b = sample_pair(cls, dim, 40 + k)
+            for ident in (IdentityId.L1_III_ii, IdentityId.L1_IV_ii, IdentityId.NIL_TELE):
+                lines.append(check_identity(ident, a, b).to_json_dict())
+            for ident in with_n:
+                lines.extend(check_identity(ident, a, b, n=n).to_json_dict() for n in range(1, 6))
+    return [json.dumps(d, sort_keys=True) for d in lines]
+
+
+def test_expansion_defects_are_pinned():
+    lines = _expansion_sweep()
+    fails = sum('"holds": false' in line for line in lines)
+    assert (_sha("\n".join(lines)), fails) == EXPANSION_PIN
