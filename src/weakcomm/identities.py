@@ -7,12 +7,14 @@ a concrete pair yields an :class:`IdentityResult` with a three-way verdict:
 
     pass     hypothesis met, conclusion holds
     fail     hypothesis met, conclusion violated
-    vacuous  hypothesis not met (the conclusion is still evaluated and its
-             raw outcome reported informationally)
+    vacuous  hypothesis not met (``check_identity`` still evaluates the
+             conclusion and reports its raw outcome informationally)
 
 ``verify_suite`` samples pairs from the relation-class samplers and runs
 the whole catalog over them deterministically, producing a JSON-stable
-report with per-identity counts and a first-failure witness. A fault can
+report with per-identity counts and a first-failure witness. It decides
+each hypothesis first and counts an unmet one as vacuous without
+evaluating the conclusion, which the report never reads. A fault can
 be injected into one identity (its computed verdict is inverted) to prove
 the harness actually detects failures.
 """
@@ -35,7 +37,7 @@ from .exact import (
     poly_radical,
 )
 from .numeric import max_root_modulus
-from .relations import relation_check
+from .relations import _relation_words
 from .scalar import Scalar
 from .structure import kernel_inclusion_forward, kernel_inclusion_reverse, range_kernel_criterion
 
@@ -142,8 +144,10 @@ class PairContext:
     A context serves one ordered pair (a, b) and nothing outlives it:
     ``verify_suite`` builds one per sampled pair and ``check_identity`` a
     fresh one per call. Products are keyed by words over the letters ``a``,
-    ``b`` and ``s`` (s = a + b); ``word("aab")`` is a*a*b, built from the
-    cached prefix ``word("aa")``, so each word is multiplied once per pair.
+    ``b`` and ``s`` (s = a + b); ``word("aaab")`` is a*a*a*b, built from the
+    cached prefix ``word("aaa")``, so each word is multiplied once per pair.
+    The relation check already multiplies ab, ba, aab, aba, baa, abb, bab
+    and bba, and the memo starts with those eight words.
     ``combo`` sums integer multiples of words in one pass over their integer
     numerators; each binomial, Newton and telescoping identity is a list of
     such combinations that must vanish. Nilpotency degrees are kept per
@@ -159,8 +163,8 @@ class PairContext:
         self.a = a
         self.b = b
         self.dim = a.dim
-        self.report = relation_check(a, b)
-        self._words = {"": ExactMatrix.identity(self.dim), "a": a, "b": b, "s": a + b}
+        self.report, words = _relation_words(a, b)
+        self._words = {"": ExactMatrix.identity(self.dim), "a": a, "b": b, "s": a + b, **words}
         self._memo = {}
 
     @property
@@ -225,24 +229,41 @@ class PairContext:
 
 
 def _memb(ctx, x, y):
-    """Defect of the membership of word x in comm(word y)."""
-    return ctx.word(x + y) - ctx.word(y + x)
+    """Defect pair of the membership of word x in comm(word y): xy against yx."""
+    return ctx.word(x + y), ctx.word(y + x)
 
 
-def _from_defects(hyp, defects):
-    """Verdict over defect matrices; the first nonzero one is the witness."""
+def _from_defects(defects):
+    """(holds, residual, witness) over defects that must vanish.
+
+    A defect is a matrix that must be zero or a pair (lhs, rhs) that must be
+    equal; a pair is decided by equality and lhs - rhs is built only when the
+    two differ. The first nonzero defect is the witness.
+    """
     residual = 0.0
     witness = None
     for d in defects:
-        if not d.is_zero():
-            residual = max(residual, d.frobenius())
-            if witness is None:
-                witness = d
-    return hyp, witness is None, residual, witness
+        if isinstance(d, tuple):
+            lhs, rhs = d
+            if lhs == rhs:
+                continue
+            d = lhs - rhs
+        elif d.is_zero():
+            continue
+        residual = max(residual, d.frobenius())
+        if witness is None:
+            witness = d
+    return witness is None, residual, witness
 
 
-def _bool_result(hyp, ok, defect=None):
-    return hyp, ok, 0.0 if ok else 1.0, None if ok else defect
+def _bool_result(ok, defect):
+    return ok, 0.0 if ok else 1.0, None if ok else defect
+
+
+def _vacuous():
+    """The conclusion of a checker whose unmet hypothesis leaves nothing to
+    evaluate, e.g. a nilpotency bound without a nilpotent factor."""
+    return True, 0.0, None
 
 
 def _telescope(ctx, n, lhs, s_ab, diff_right):
@@ -256,7 +277,10 @@ def _telescope(ctx, n, lhs, s_ab, diff_right):
 
 
 # -- checkers -------------------------------------------------------------------
-# Each checker maps (ctx, params) to (hypothesis_met, holds, residual, witness).
+# Each checker maps (ctx, params) to (hypothesis_met, conclude), where
+# conclude() gives (holds, residual, witness). The hypothesis is decided
+# first and the conclusion builds nothing until it is called, so a caller
+# that only counts a vacuous evaluation skips its cost.
 
 _POWERS = (1, 2, 3, 4)
 _TRIPLE = (1, 2, 3)
@@ -264,181 +288,196 @@ _TRIPLE = (1, 2, 3)
 
 def _chk_l1_i_i(ctx, p):
     hyp = ctx.report.ab_in_comm_a
-    defects = []
-    for n in _POWERS:
-        defects.extend(_memb(ctx, "a" * n + "b", "a" * m) for m in _POWERS)
-    return _from_defects(hyp, defects)
+    return hyp, lambda: _from_defects(
+        _memb(ctx, "a" * n + "b", "a" * m) for n in _POWERS for m in _POWERS
+    )
 
 
 def _chk_l1_i_ii(ctx, p):
-    hyp = ctx.report.ab_in_comm_a
     w = ctx.word
-    defects = []
-    for n in (2, 3, 4):
-        ban = w("ba" * n)
-        defects.append(w("ab" * n) - w("a" * n + "b" * n))
-        defects.append(ban - w("b" + "a" * n + "b" * (n - 1)))
-        defects.append(ban - w("ba" + "ab" * (n - 1)))
-        defects.append(ban - w("b" + "a" * (n - 1) + "b" * (n - 1) + "a"))
-    return _from_defects(hyp, defects)
+
+    def defects():
+        for n in (2, 3, 4):
+            ban = w("ba" * n)
+            yield w("ab" * n), w("a" * n + "b" * n)
+            yield ban, w("b" + "a" * n + "b" * (n - 1))
+            yield ban, w("ba" + "ab" * (n - 1))
+            yield ban, w("b" + "a" * (n - 1) + "b" * (n - 1) + "a")
+
+    return ctx.report.ab_in_comm_a, lambda: _from_defects(defects())
 
 
 def _chk_l1_i_iii(ctx, p):
-    hyp = ctx.report.ab_in_comm_a
-    return _from_defects(hyp, [_memb(ctx, "as", "a")])
+    return ctx.report.ab_in_comm_a, lambda: _from_defects([_memb(ctx, "as", "a")])
 
 
 def _chk_l1_ii_i(ctx, p):
     hyp = ctx.report.ab_in_comm_b
-    defects = []
-    for n in _POWERS:
-        defects.extend(_memb(ctx, "a" + "b" * n, "b" * m) for m in _POWERS)
-    return _from_defects(hyp, defects)
+    return hyp, lambda: _from_defects(
+        _memb(ctx, "a" + "b" * n, "b" * m) for n in _POWERS for m in _POWERS
+    )
 
 
 def _chk_l1_ii_ii(ctx, p):
-    hyp = ctx.report.ab_in_comm_b
     w = ctx.word
-    defects = []
-    for n in (2, 3, 4):
-        ban = w("ba" * n)
-        defects.append(w("ab" * n) - w("a" * n + "b" * n))
-        defects.append(ban - w("a" * (n - 1) + "b" * n + "a"))
-        defects.append(ban - w("ab" * (n - 1) + "ba"))
-        defects.append(ban - w("b" + "a" * (n - 1) + "b" * (n - 1) + "a"))
-    return _from_defects(hyp, defects)
+
+    def defects():
+        for n in (2, 3, 4):
+            ban = w("ba" * n)
+            yield w("ab" * n), w("a" * n + "b" * n)
+            yield ban, w("a" * (n - 1) + "b" * n + "a")
+            yield ban, w("ab" * (n - 1) + "ba")
+            yield ban, w("b" + "a" * (n - 1) + "b" * (n - 1) + "a")
+
+    return ctx.report.ab_in_comm_b, lambda: _from_defects(defects())
 
 
 def _chk_l1_ii_iii(ctx, p):
-    hyp = ctx.report.ab_in_comm_b
-    return _from_defects(hyp, [_memb(ctx, "sb", "b")])
+    return ctx.report.ab_in_comm_b, lambda: _from_defects([_memb(ctx, "sb", "b")])
 
 
 def _chk_l1_iii_i(ctx, p):
     hyp = ctx.report.comm_l
-    defects = []
-    for n in _TRIPLE:
-        for m in _TRIPLE:
-            defects.extend(_memb(ctx, "a" * n + "b" * m, "a" * k) for k in _TRIPLE)
-    return _from_defects(hyp, defects)
+    return hyp, lambda: _from_defects(
+        _memb(ctx, "a" * n + "b" * m, "a" * k) for n in _TRIPLE for m in _TRIPLE for k in _TRIPLE
+    )
 
 
 def _chk_l1_iii_ii(ctx, p):
-    hyp = ctx.report.comm_l
-    defects = []
-    for n in (2, 3, 4, 5):
-        a1, b1 = "a" * (n - 1), "b" * (n - 1)
-        defects.append(_telescope(ctx, n, [("b" + a1, 1), (a1 + "b", -1)], False, True))
-        defects.append(_telescope(ctx, n, [(b1 + "a", 1), ("a" + b1, -1)], True, True))
-    return _from_defects(hyp, defects)
+    def defects():
+        for n in (2, 3, 4, 5):
+            a1, b1 = "a" * (n - 1), "b" * (n - 1)
+            yield _telescope(ctx, n, [("b" + a1, 1), (a1 + "b", -1)], False, True)
+            yield _telescope(ctx, n, [(b1 + "a", 1), ("a" + b1, -1)], True, True)
+
+    return ctx.report.comm_l, lambda: _from_defects(defects())
 
 
 def _chk_l1_iii_iii(ctx, p):
     hyp = ctx.report.comm_l
-    return _from_defects(hyp, [_memb(ctx, "sa", "s"), _memb(ctx, "bs", "b")])
+    return hyp, lambda: _from_defects([_memb(ctx, "sa", "s"), _memb(ctx, "bs", "b")])
 
 
 def _chk_l1_iv_i(ctx, p):
     hyp = ctx.report.comm_r
-    defects = []
-    for n in _TRIPLE:
-        for m in _TRIPLE:
-            defects.extend(_memb(ctx, "a" * n + "b" * m, "b" * k) for k in _TRIPLE)
-    return _from_defects(hyp, defects)
+    return hyp, lambda: _from_defects(
+        _memb(ctx, "a" * n + "b" * m, "b" * k) for n in _TRIPLE for m in _TRIPLE for k in _TRIPLE
+    )
 
 
 def _chk_l1_iv_ii(ctx, p):
-    hyp = ctx.report.comm_r
-    defects = []
-    for n in (2, 3, 4, 5):
-        a1, b1 = "a" * (n - 1), "b" * (n - 1)
-        defects.append(_telescope(ctx, n, [("a" + b1, 1), (b1 + "a", -1)], False, False))
-        defects.append(_telescope(ctx, n, [(a1 + "b", 1), ("b" + a1, -1)], True, False))
-    return _from_defects(hyp, defects)
+    def defects():
+        for n in (2, 3, 4, 5):
+            a1, b1 = "a" * (n - 1), "b" * (n - 1)
+            yield _telescope(ctx, n, [("a" + b1, 1), (b1 + "a", -1)], False, False)
+            yield _telescope(ctx, n, [(a1 + "b", 1), ("b" + a1, -1)], True, False)
+
+    return ctx.report.comm_r, lambda: _from_defects(defects())
 
 
 def _chk_l1_iv_iii(ctx, p):
     hyp = ctx.report.comm_r
-    return _from_defects(hyp, [_memb(ctx, "as", "s"), _memb(ctx, "sb", "b")])
+    return hyp, lambda: _from_defects([_memb(ctx, "as", "s"), _memb(ctx, "sb", "b")])
 
 
 # With A = a - lam and B = b - mu, ABA - AAB = A(BA - AB) = (a - lam)(ba - ab)
 # and BAA - ABA = (ba - ab)(a - lam), whatever mu is.
+def _shifted_memb(ctx, x, lam):
+    """Defect of x = ab or ba in comm(a), less lam(ba - ab); the pair itself
+    when lam = 0."""
+    pair = _memb(ctx, x, "a")
+    if lam.is_zero():
+        return pair
+    (xa, ax), (ba, ab) = pair, _memb(ctx, "b", "a")
+    return (xa - ax) - (ba - ab) * lam
+
+
 def _chk_r_i(ctx, p):
     lam = Scalar.coerce(p.get("lam", 0))
     hyp = ctx.report.ab_in_comm_a and (ctx.report.comm or lam.is_zero())
-    return _from_defects(hyp, [_memb(ctx, "ab", "a") - _memb(ctx, "b", "a") * lam])
+    return hyp, lambda: _from_defects([_shifted_memb(ctx, "ab", lam)])
 
 
 def _chk_r_ii(ctx, p):
     lam = Scalar.coerce(p.get("lam", 0))
     hyp = ctx.report.ba_in_comm_a and (ctx.report.comm or lam.is_zero())
-    return _from_defects(hyp, [_memb(ctx, "ba", "a") - _memb(ctx, "b", "a") * lam])
+    return hyp, lambda: _from_defects([_shifted_memb(ctx, "ba", lam)])
 
 
 def _chk_r_iii(ctx, p):
     hyp = ctx.report.comm_w
-    defects = [
+    return hyp, lambda: _from_defects(
         _memb(ctx, "a" * n, "b" * m) for n in _TRIPLE for m in _TRIPLE if n * m >= 2
-    ]
-    return _from_defects(hyp, defects)
+    )
 
 
 def _chk_r_iv(ctx, p):
     # comm_l and comm_r of the pair (s, b), from the memoized words
     rep = ctx.report
-    defects = []
-    if rep.comm_l:
-        defects += [_memb(ctx, "sb", "s"), _memb(ctx, "bs", "b")]
-    if rep.comm_r:
-        defects += [_memb(ctx, "sb", "b"), _memb(ctx, "bs", "s")]
-    return _from_defects(rep.comm_l or rep.comm_r, defects)
+
+    def defects():
+        if rep.comm_l:
+            yield _memb(ctx, "sb", "s")
+            yield _memb(ctx, "bs", "b")
+        if rep.comm_r:
+            yield _memb(ctx, "sb", "b")
+            yield _memb(ctx, "bs", "s")
+
+    return rep.comm_l or rep.comm_r, lambda: _from_defects(defects())
 
 
 def _chk_r_v(ctx, p):
     aba = ctx.word("aba")
     hyp = aba == ctx.word("aab") and aba == ctx.word("baa")
-    defects = [_memb(ctx, "a" * n, "b" * m) for n in (2, 3, 4) for m in _TRIPLE]
-    return _from_defects(hyp, defects)
+    return hyp, lambda: _from_defects(
+        _memb(ctx, "a" * n, "b" * m) for n in (2, 3, 4) for m in _TRIPLE
+    )
 
 
 def _chk_newton_r(ctx, p):
-    n = p.get("n", 3)
-    terms = [("s" * n, 1)]
-    for k in range(1, n + 1):
-        c = -comb(n - 1, k - 1)
-        terms += [("a" * (n - k) + "b" * k, c), ("b" * (n - k) + "a" * k, c)]
-    return _from_defects(ctx.report.comm_r, [ctx.combo(terms)])
+    def conclude():
+        n = p.get("n", 3)
+        terms = [("s" * n, 1)]
+        for k in range(1, n + 1):
+            c = -comb(n - 1, k - 1)
+            terms += [("a" * (n - k) + "b" * k, c), ("b" * (n - k) + "a" * k, c)]
+        return _from_defects([ctx.combo(terms)])
+
+    return ctx.report.comm_r, conclude
 
 
 def _chk_newton_l(ctx, p):
-    n = p.get("n", 3)
-    terms = [("s" * n, 1)]
-    for k in range(1, n + 1):
-        c = -comb(n - 1, k - 1)
-        terms += [("a" * k + "b" * (n - k), c), ("b" * k + "a" * (n - k), c)]
-    return _from_defects(ctx.report.comm_l, [ctx.combo(terms)])
+    def conclude():
+        n = p.get("n", 3)
+        terms = [("s" * n, 1)]
+        for k in range(1, n + 1):
+            c = -comb(n - 1, k - 1)
+            terms += [("a" * k + "b" * (n - k), c), ("b" * k + "a" * (n - k), c)]
+        return _from_defects([ctx.combo(terms)])
+
+    return ctx.report.comm_l, conclude
 
 
 def _chk_binom(ctx, p):
     n = p.get("n", 3)
     hyp = ctx.report.comm_w and n != 2
-    defects = []
-    for x, y in (("a", "b"), ("b", "a")):
-        terms = [("s" * n, 1)] + [(x * k + y * (n - k), -comb(n, k)) for k in range(n + 1)]
-        defects.append(ctx.combo(terms))
-    return _from_defects(hyp, defects)
+
+    def defects():
+        for x, y in (("a", "b"), ("b", "a")):
+            terms = [("s" * n, 1)] + [(x * k + y * (n - k), -comb(n, k)) for k in range(n + 1)]
+            yield ctx.combo(terms)
+
+    return hyp, lambda: _from_defects(defects())
 
 
 def _chk_telescope(ctx, p):
     n = p.get("n", 3)
     hyp = ctx.report.comm_w and n != 2
-    defects = [
+    return hyp, lambda: _from_defects(
         _telescope(ctx, n, [], s_ab, diff_right)
         for s_ab in (False, True)
         for diff_right in (True, False)
-    ]
-    return _from_defects(hyp, defects)
+    )
 
 
 def _chk_exp_corr(ctx, p):
@@ -448,18 +487,22 @@ def _chk_exp_corr(ctx, p):
         and ctx.nil_degree("b") is not None
     )
     if not hyp:
-        return False, True, 0.0, None
+        return False, _vacuous
     if ctx.nil_degree("s") is None:
-        return True, False, 1.0, "a+b not nilpotent"
-    ea = exp_exact_nilpotent(ctx.a)
-    eb = exp_exact_nilpotent(ctx.b)
-    es = exp_exact_nilpotent(ctx.s)
-    commutator = ctx.ab - ctx.ba
-    defects = [
-        ea * eb - es - commutator * Fraction(1, 2),
-        ea * eb - eb * ea - commutator,
-    ]
-    return _from_defects(hyp, defects)
+        return True, lambda: (False, 1.0, "a+b not nilpotent")
+
+    def conclude():
+        ea = exp_exact_nilpotent(ctx.a)
+        eb = exp_exact_nilpotent(ctx.b)
+        es = exp_exact_nilpotent(ctx.s)
+        commutator = ctx.ab - ctx.ba
+        defects = [
+            (ea * eb, es + commutator * Fraction(1, 2)),
+            (ea * eb - eb * ea, commutator),
+        ]
+        return _from_defects(defects)
+
+    return True, conclude
 
 
 def _chk_nil_prod(ctx, p):
@@ -467,70 +510,83 @@ def _chk_nil_prod(ctx, p):
     qa, qb = ctx.nil_degree("a"), ctx.nil_degree("b")
     via_ab = rep.ab_in_comm_a or rep.ab_in_comm_b
     via_ba = rep.ba_in_comm_a or rep.ba_in_comm_b
-    hyp = (qa is not None or qb is not None) and (via_ab or via_ba)
-    if not hyp:
-        return False, True, 0.0, None
-    q = min(d for d in (qa, qb) if d is not None)
-    dab, dba = ctx.nil_degree("ab"), ctx.nil_degree("ba")
-    ok = dab is not None and dba is not None
-    if ok and via_ab:
-        ok = dab <= q and dba <= q + 1
-    if ok and via_ba:
-        ok = dba <= q and dab <= q + 1
-    return _bool_result(hyp, ok, f"d(ab)={dab}, d(ba)={dba}, bound q={q}")
+    if not ((qa is not None or qb is not None) and (via_ab or via_ba)):
+        return False, _vacuous
+
+    def conclude():
+        q = min(d for d in (qa, qb) if d is not None)
+        dab, dba = ctx.nil_degree("ab"), ctx.nil_degree("ba")
+        ok = dab is not None and dba is not None
+        if ok and via_ab:
+            ok = dab <= q and dba <= q + 1
+        if ok and via_ba:
+            ok = dba <= q and dab <= q + 1
+        return _bool_result(ok, f"d(ab)={dab}, d(ba)={dba}, bound q={q}")
+
+    return True, conclude
 
 
 def _chk_nil_sum(ctx, p):
     rep = ctx.report
     qa, qb = ctx.nil_degree("a"), ctx.nil_degree("b")
-    hyp = qa is not None and qb is not None and (rep.comm_l or rep.comm_r)
-    if not hyp:
-        return False, True, 0.0, None
-    ds = ctx.nil_degree("s")
-    ok = ds is not None and abs(qa - qb) <= ds <= qa + qb
-    return _bool_result(hyp, ok, f"d(a)={qa}, d(b)={qb}, d(a+b)={ds}")
+    if not (qa is not None and qb is not None and (rep.comm_l or rep.comm_r)):
+        return False, _vacuous
+
+    def conclude():
+        ds = ctx.nil_degree("s")
+        ok = ds is not None and abs(qa - qb) <= ds <= qa + qb
+        return _bool_result(ok, f"d(a)={qa}, d(b)={qb}, d(a+b)={ds}")
+
+    return True, conclude
+
+
+def _in_comm(ctx, x, y):
+    lhs, rhs = _memb(ctx, x, y)
+    return lhs == rhs
 
 
 def _detect_power_membership(ctx, x, base):
     """Smallest n <= dim with word x in comm(base^n), or None."""
     for n in range(1, ctx.dim + 1):
-        if _memb(ctx, x, base * n).is_zero():
+        if _in_comm(ctx, x, base * n):
             return n
     return None
 
 
 def _chk_nil_tele(ctx, p):
+    # applicability rests on the membership search, so it is decided in full
     rep = ctx.report
     n_given = p.get("n")
-    defects = []
-    applicable = False
+    orders = []
     if rep.comm_l:
         n = n_given if n_given is not None else _detect_power_membership(ctx, "b", "a")
-        if n is not None and _memb(ctx, "b", "a" * n).is_zero():
-            applicable = True
-            defects += [_telescope(ctx, m, [], False, True) for m in (n + 1, n + 2, n + 3)]
+        if n is not None and _in_comm(ctx, "b", "a" * n):
+            orders += [(m, True) for m in (n + 1, n + 2, n + 3)]
     if rep.comm_r:
         n = n_given if n_given is not None else _detect_power_membership(ctx, "a", "b")
-        if n is not None and _memb(ctx, "a", "b" * n).is_zero():
-            applicable = True
-            defects += [_telescope(ctx, m, [], False, False) for m in (n + 1, n + 2, n + 3)]
-    return _from_defects(applicable, defects)
+        if n is not None and _in_comm(ctx, "a", "b" * n):
+            orders += [(m, False) for m in (n + 1, n + 2, n + 3)]
+    return bool(orders), lambda: _from_defects(
+        _telescope(ctx, m, [], False, diff_right) for m, diff_right in orders
+    )
+
+
+def _radius_bound(over):
+    return over <= RADIUS_TOL, max(0.0, over), None
 
 
 def _chk_rad_prod(ctx, p):
     rep = ctx.report
     hyp = rep.ab_in_comm_a or rep.ab_in_comm_b
-    over = ctx.spectral_radius("ab") - ctx.spectral_radius("a") * ctx.spectral_radius("b")
-    ok = over <= RADIUS_TOL
-    return hyp, ok, max(0.0, over), None
+    r = ctx.spectral_radius
+    return hyp, lambda: _radius_bound(r("ab") - r("a") * r("b"))
 
 
 def _chk_rad_sum(ctx, p):
     rep = ctx.report
     hyp = rep.comm_l or rep.comm_r
-    over = ctx.spectral_radius("s") - (ctx.spectral_radius("a") + ctx.spectral_radius("b"))
-    ok = over <= RADIUS_TOL
-    return hyp, ok, max(0.0, over), None
+    r = ctx.spectral_radius
+    return hyp, lambda: _radius_bound(r("s") - (r("a") + r("b")))
 
 
 def _chk_quasi_closure(ctx, p):
@@ -540,60 +596,76 @@ def _chk_quasi_closure(ctx, p):
     prod_branch = (qa is not None or qb is not None) and (
         rep.ab_in_comm_a or rep.ab_in_comm_b or rep.ba_in_comm_a or rep.ba_in_comm_b
     )
-    hyp = sum_branch or prod_branch
-    if not hyp:
-        return False, True, 0.0, None
-    ok = True
-    if sum_branch:
-        ok = ok and ctx.nil_degree("s") is not None
-    if prod_branch:
-        ok = ok and ctx.nil_degree("ab") is not None and ctx.nil_degree("ba") is not None
-    return _bool_result(hyp, ok, "nilpotency lost")
+    if not (sum_branch or prod_branch):
+        return False, _vacuous
+
+    def conclude():
+        ok = True
+        if sum_branch:
+            ok = ok and ctx.nil_degree("s") is not None
+        if prod_branch:
+            ok = ok and ctx.nil_degree("ab") is not None and ctx.nil_degree("ba") is not None
+        return _bool_result(ok, "nilpotency lost")
+
+    return True, conclude
 
 
-def _poly_defect(hyp, ok, lhs, rhs):
+def _poly_defect(ok, lhs, rhs):
     if ok:
-        return hyp, True, 0.0, None
-    return hyp, False, 1.0, f"{lhs.literal()} vs {rhs.literal()}"
+        return True, 0.0, None
+    return False, 1.0, f"{lhs.literal()} vs {rhs.literal()}"
 
 
 def _chk_spec_incl(ctx, p):
-    hyp = ctx.nil_degree("b") is not None and ctx.report.ba_in_comm_a
-    ra, rs = ctx.radical_nonzero("a"), ctx.radical_nonzero("s")
-    return _poly_defect(hyp, ra.divides(rs), ra, rs)
+    def conclude():
+        ra, rs = ctx.radical_nonzero("a"), ctx.radical_nonzero("s")
+        return _poly_defect(ra.divides(rs), ra, rs)
+
+    return ctx.report.ba_in_comm_a and ctx.nil_degree("b") is not None, conclude
 
 
 def _chk_spec_eq_n2(ctx, p):
-    hyp = ctx.word("bb").is_zero() and ctx.report.ba_in_comm_a
-    ra, rs = ctx.radical_nonzero("a"), ctx.radical_nonzero("s")
-    return _poly_defect(hyp, ra == rs, ra, rs)
+    def conclude():
+        ra, rs = ctx.radical_nonzero("a"), ctx.radical_nonzero("s")
+        return _poly_defect(ra == rs, ra, rs)
+
+    return ctx.report.ba_in_comm_a and ctx.word("bb").is_zero(), conclude
 
 
 def _chk_spec_eq_w(ctx, p):
-    hyp = ctx.nil_degree("b") is not None and ctx.report.comm_w
-    fa, fs = ctx.radical("a"), ctx.radical("s")
-    return _poly_defect(hyp, fa == fs, fa, fs)
+    def conclude():
+        fa, fs = ctx.radical("a"), ctx.radical("s")
+        return _poly_defect(fa == fs, fa, fs)
+
+    return ctx.report.comm_w and ctx.nil_degree("b") is not None, conclude
 
 
 def _chk_ker_incl(ctx, p):
     lam = Scalar.coerce(p.get("lam", 1))
     hyp = (
         not lam.is_zero()
-        and ctx.nil_degree("b") is not None
         and ctx.report.ba_in_comm_a
+        and ctx.nil_degree("b") is not None
     )
     if not hyp:
-        return False, True, 0.0, None
-    ok = kernel_inclusion_forward(ctx.a, ctx.b, lam)
-    if ctx.word("bb").is_zero() or ctx.report.ab_in_comm_b:
-        ok = ok and kernel_inclusion_reverse(ctx.a, ctx.b, lam)
-    return _bool_result(hyp, ok, f"kernel inclusion failed at lam={lam.literal()}")
+        return False, _vacuous
+
+    def conclude():
+        ok = kernel_inclusion_forward(ctx.a, ctx.b, lam)
+        if ctx.word("bb").is_zero() or ctx.report.ab_in_comm_b:
+            ok = ok and kernel_inclusion_reverse(ctx.a, ctx.b, lam)
+        return _bool_result(ok, f"kernel inclusion failed at lam={lam.literal()}")
+
+    return True, conclude
 
 
 def _chk_kriterion_range(ctx, p):
-    first, second = range_kernel_criterion(ctx.b, ctx.a)
-    ok = first == ctx.report.ab_in_comm_a and second == ctx.report.ba_in_comm_a
-    return _bool_result(True, ok, "range/kernel criterion disagrees with product flags")
+    def conclude():
+        first, second = range_kernel_criterion(ctx.b, ctx.a)
+        ok = first == ctx.report.ab_in_comm_a and second == ctx.report.ba_in_comm_a
+        return _bool_result(ok, "range/kernel criterion disagrees with product flags")
+
+    return True, conclude
 
 
 _CHECKERS = {
@@ -633,6 +705,19 @@ _CHECKERS = {
 }
 
 
+# the parameters an identity reads; check_identity rejects any other
+_READS = {
+    IdentityId.NEWTON_R: ("n",),
+    IdentityId.NEWTON_L: ("n",),
+    IdentityId.BINOM: ("n",),
+    IdentityId.TELESCOPE: ("n",),
+    IdentityId.NIL_TELE: ("n",),
+    IdentityId.R_i: ("lam", "mu"),
+    IdentityId.R_ii: ("lam", "mu"),
+    IdentityId.KER_INCL: ("lam",),
+}
+
+
 def identity_catalog():
     """All identity ids in catalog order."""
     return list(IdentityId)
@@ -655,8 +740,13 @@ def _suite_plan(identity, ctx):
     return [{}]
 
 
-def _run_checker(identity, ctx, params, invert=False):
-    hyp, ok, residual, witness = _CHECKERS[identity](ctx, params)
+def _run_checker(identity, ctx, params, invert=False, skip_vacuous=False):
+    """The checker's result; with ``skip_vacuous`` None for an unmet
+    hypothesis, whose conclusion is then never evaluated."""
+    hyp, conclude = _CHECKERS[identity](ctx, params)
+    if skip_vacuous and not hyp:
+        return None
+    ok, residual, witness = conclude()
     if invert and hyp:
         ok = not ok
     return IdentityResult(
@@ -670,7 +760,10 @@ def _run_checker(identity, ctx, params, invert=False):
 
 
 def check_identity(identity, a, b, n=None, lam=None, mu=None):
-    """Check one catalog identity on the ordered pair (a, b); n must be an int >= 1."""
+    """Check one catalog identity on the ordered pair (a, b); n must be an int >= 1.
+
+    A parameter the identity does not read raises ValueError.
+    """
     if not isinstance(identity, IdentityId):
         try:
             identity = IdentityId(identity)
@@ -685,6 +778,9 @@ def check_identity(identity, a, b, n=None, lam=None, mu=None):
         params["lam"] = Scalar.coerce(lam)
     if mu is not None:
         params["mu"] = Scalar.coerce(mu)
+    for name in params:
+        if name not in _READS.get(identity, ()):
+            raise ValueError(f"{identity.value} does not read the parameter {name}")
     return _run_checker(identity, PairContext(a, b), params)
 
 
@@ -757,9 +853,12 @@ def verify_suite(
             for identity in IdentityId:
                 for params in _suite_plan(identity, ctx):
                     res = _run_checker(
-                        identity, ctx, params, invert=identity is inject_fault
+                        identity, ctx, params, invert=identity is inject_fault, skip_vacuous=True
                     )
                     slot = counts[identity.value]
+                    if res is None:
+                        slot["vacuous"] += 1
+                        continue
                     slot[res.verdict] += 1
                     if res.verdict == "fail" and slot["first_failure"] is None:
                         slot["first_failure"] = {

@@ -77,20 +77,45 @@ class RelationReport:
 
 def relation_check(a, b):
     """Exact relation report for the ordered pair (a, b) of ExactMatrix."""
-    ab = a * b
-    ba = b * a
-    defects = {
-        "comm": ab - ba,
-        "ab_in_comm_a": ab * a - a * ab,
-        "ab_in_comm_b": ab * b - b * ab,
-        "ba_in_comm_a": ba * a - a * ba,
-        "ba_in_comm_b": ba * b - b * ba,
+    return _relation_words(a, b)[0]
+
+
+# each flag compares two words: (ab)a with a(ab), and so on
+_FLAG_WORDS = {
+    "comm": ("ab", "ba"),
+    "ab_in_comm_a": ("aba", "aab"),
+    "ab_in_comm_b": ("abb", "bab"),
+    "ba_in_comm_a": ("baa", "aba"),
+    "ba_in_comm_b": ("bab", "bba"),
+}
+
+
+def _relation_words(a, b):
+    """(relation report, the eight products it compares keyed by word).
+
+    The words are ab, ba and the six distinct products of three letters with
+    one of them: each is multiplied once. ExactMatrix is normalized, so a
+    flag is decided by equality, and a defect is built only for a residual.
+    """
+    ab, ba = a * b, b * a
+    words = {
+        "ab": ab,
+        "ba": ba,
+        "aab": a * ab,
+        "aba": ab * a,
+        "baa": ba * a,
+        "abb": ab * b,
+        "bab": b * ab,
+        "bba": b * ba,
     }
-    flags = {k: d.is_zero() for k, d in defects.items()}
-    residuals = {k: 0.0 if flags[k] else d.frobenius() for k, d in defects.items()}
+    flags = {}
+    residuals = {}
+    for k, (x, y) in _FLAG_WORDS.items():
+        flags[k] = words[x] == words[y]
+        residuals[k] = 0.0 if flags[k] else (words[x] - words[y]).frobenius()
     ab_a, ab_b = flags["ab_in_comm_a"], flags["ab_in_comm_b"]
     ba_a, ba_b = flags["ba_in_comm_a"], flags["ba_in_comm_b"]
-    return RelationReport(
+    report = RelationReport(
         comm=flags["comm"],
         ab_in_comm_a=ab_a,
         ab_in_comm_b=ab_b,
@@ -104,3 +129,4 @@ def relation_check(a, b):
         c3_pair=ab_b or ba_b,
         residuals=residuals,
     )
+    return report, words

@@ -15,7 +15,7 @@ from weakcomm.identities import (
     PairContext,
     _detect_power_membership,
     _from_defects,
-    _memb,
+    _json_params,
     _run_checker,
     _suite_plan,
     check_identity,
@@ -64,6 +64,50 @@ def test_check_identity_rejects_bad_n(identity, n):
     a, b = _pair(ExampleId.SEX_I_PQ)
     with pytest.raises(ValueError, match="n must be an int >= 1"):
         check_identity(identity, a, b, n=n)
+
+
+@pytest.mark.parametrize(
+    "identity, params",
+    [
+        ("L1.I.i", {"n": 5}),
+        ("L1.I.i", {"lam": 3}),
+        ("L1.I.i", {"mu": 2}),
+        ("R.iii", {"n": 2}),
+        ("NEWTON_R", {"lam": 1}),
+        ("BINOM", {"mu": 1}),
+        ("NIL_TELE", {"lam": 2}),
+        ("R.i", {"n": 3}),
+        ("R.ii", {"n": 3}),
+        ("KER_INCL", {"mu": 1}),
+        ("KER_INCL", {"n": 2}),
+        ("RAD_PROD", {"lam": 1}),
+        ("SPEC_EQ_W", {"n": 2}),
+    ],
+)
+def test_check_identity_rejects_unread_parameters(identity, params):
+    a, b = _pair(ExampleId.SEX_I_PQ)
+    (name,) = params
+    with pytest.raises(ValueError, match=rf"^{identity} does not read the parameter {name}$"):
+        check_identity(identity, a, b, **params)
+
+
+@pytest.mark.parametrize(
+    "identity, params",
+    [
+        ("NEWTON_R", {"n": 4}),
+        ("NEWTON_L", {"n": 4}),
+        ("BINOM", {"n": 4}),
+        ("TELESCOPE", {"n": 4}),
+        ("NIL_TELE", {"n": 1}),
+        ("R.i", {"lam": 0, "mu": 1}),
+        ("R.ii", {"lam": 0, "mu": 1}),
+        ("KER_INCL", {"lam": 2}),
+    ],
+)
+def test_check_identity_accepts_read_parameters(identity, params):
+    a, b = _pair(ExampleId.SEX_I_PQ)
+    res = check_identity(identity, a, b, **params)
+    assert set(res.params) == set(params)
 
 
 def test_unknown_identity_rejected():
@@ -440,6 +484,10 @@ def test_words_are_products_of_letters():
 # -- reference checkers: the per-term loops that the word combinations replaced --
 
 
+def _ref_memb(ctx, x, y):
+    return ctx.word(x + y) - ctx.word(y + x)
+
+
 def _ref_telescope_sums(ctx, n):
     s_ba = s_ab = ExactMatrix.zeros(ctx.dim)
     for j in range(n):
@@ -457,7 +505,7 @@ def _ref_l1_iii_ii(ctx, p):
         s_ba, s_ab = _ref_telescope_sums(ctx, n)
         defects.append((an - bn + w("b" + "a" * (n - 1)) - w("a" * (n - 1) + "b")) - s_ba * diff)
         defects.append((an - bn + w("b" * (n - 1) + "a") - w("a" + "b" * (n - 1))) - s_ab * diff)
-    return _from_defects(ctx.report.comm_l, defects)
+    return ctx.report.comm_l, *_from_defects(defects)
 
 
 def _ref_l1_iv_ii(ctx, p):
@@ -469,7 +517,7 @@ def _ref_l1_iv_ii(ctx, p):
         s_ba, s_ab = _ref_telescope_sums(ctx, n)
         defects.append((an - bn + w("a" + "b" * (n - 1)) - w("b" * (n - 1) + "a")) - diff * s_ba)
         defects.append((an - bn + w("a" * (n - 1) + "b") - w("b" + "a" * (n - 1))) - diff * s_ab)
-    return _from_defects(ctx.report.comm_r, defects)
+    return ctx.report.comm_r, *_from_defects(defects)
 
 
 def _ref_newton_r(ctx, p):
@@ -478,7 +526,7 @@ def _ref_newton_r(ctx, p):
     for k in range(1, n + 1):
         term = w("a" * (n - k) + "b" * k) + w("b" * (n - k) + "a" * k)
         total = total + term * comb(n - 1, k - 1)
-    return _from_defects(ctx.report.comm_r, [w("s" * n) - total])
+    return ctx.report.comm_r, *_from_defects([w("s" * n) - total])
 
 
 def _ref_newton_l(ctx, p):
@@ -487,7 +535,7 @@ def _ref_newton_l(ctx, p):
     for k in range(1, n + 1):
         term = w("a" * k + "b" * (n - k)) + w("b" * k + "a" * (n - k))
         total = total + term * comb(n - 1, k - 1)
-    return _from_defects(ctx.report.comm_l, [w("s" * n) - total])
+    return ctx.report.comm_l, *_from_defects([w("s" * n) - total])
 
 
 def _ref_binom(ctx, p):
@@ -498,7 +546,7 @@ def _ref_binom(ctx, p):
         s1 = s1 + w("a" * k + "b" * (n - k)) * c
         s2 = s2 + w("b" * k + "a" * (n - k)) * c
     sn = w("s" * n)
-    return _from_defects(ctx.report.comm_w and n != 2, [sn - s1, sn - s2])
+    return ctx.report.comm_w and n != 2, *_from_defects([sn - s1, sn - s2])
 
 
 def _ref_telescope(ctx, p):
@@ -507,7 +555,7 @@ def _ref_telescope(ctx, p):
     target = ctx.word("a" * n) - ctx.word("b" * n)
     s_ba, s_ab = _ref_telescope_sums(ctx, n)
     defects = [target - s_ba * diff, target - diff * s_ba, target - s_ab * diff, target - diff * s_ab]
-    return _from_defects(ctx.report.comm_w and n != 2, defects)
+    return ctx.report.comm_w and n != 2, *_from_defects(defects)
 
 
 def _ref_nil_tele(ctx, p):
@@ -518,19 +566,19 @@ def _ref_nil_tele(ctx, p):
     applicable = False
     if rep.comm_l:
         n = n_given if n_given is not None else _detect_power_membership(ctx, "b", "a")
-        if n is not None and _memb(ctx, "b", "a" * n).is_zero():
+        if n is not None and _ref_memb(ctx, "b", "a" * n).is_zero():
             applicable = True
             for m in (n + 1, n + 2, n + 3):
                 s_ba, _ = _ref_telescope_sums(ctx, m)
                 defects.append((ctx.word("a" * m) - ctx.word("b" * m)) - s_ba * diff)
     if rep.comm_r:
         n = n_given if n_given is not None else _detect_power_membership(ctx, "a", "b")
-        if n is not None and _memb(ctx, "a", "b" * n).is_zero():
+        if n is not None and _ref_memb(ctx, "a", "b" * n).is_zero():
             applicable = True
             for m in (n + 1, n + 2, n + 3):
                 s_ba, _ = _ref_telescope_sums(ctx, m)
                 defects.append((ctx.word("a" * m) - ctx.word("b" * m)) - diff * s_ba)
-    return _from_defects(applicable, defects)
+    return applicable, *_from_defects(defects)
 
 
 _REFERENCES = {
@@ -581,3 +629,161 @@ def test_inject_fault_binom_flips_only_binom(capsys):
     assert after["fail"] == before["pass"]
     assert after["pass"] == before["fail"]
     assert after["vacuous"] == before["vacuous"]
+
+
+# -- hypothesis first: the suite skips conclusions no verdict reads --------------
+
+
+def reference_verify_counts(classes, dims, samples_per_class, seed, inject_fault=None):
+    """verify_suite's loop with every checker run in full, conclusions of
+    unmet hypotheses included: (identities, totals)."""
+    from weakcomm.instances import derive_seed
+
+    if inject_fault is not None:
+        inject_fault = IdentityId(inject_fault)
+    counts = {
+        ident.value: {"pass": 0, "vacuous": 0, "fail": 0, "first_failure": None}
+        for ident in IdentityId
+    }
+    for cls in (RelationClass(c) for c in classes):
+        for i in range(samples_per_class):
+            dim = dims[i % len(dims)]
+            pair_seed = derive_seed(seed, cls.value, i)
+            strict = cls is not RelationClass.COMM and not (
+                cls is RelationClass.COMM_W and dim < 3
+            )
+            a, b = sample_pair(cls, dim, pair_seed, require_noncommuting=strict)
+            ctx = PairContext(a, b)
+            for identity in IdentityId:
+                for params in _suite_plan(identity, ctx):
+                    res = _run_checker(identity, ctx, params, invert=identity is inject_fault)
+                    slot = counts[identity.value]
+                    slot[res.verdict] += 1
+                    if res.verdict == "fail" and slot["first_failure"] is None:
+                        slot["first_failure"] = {
+                            "class": cls.value,
+                            "dim": dim,
+                            "index": i,
+                            "seed": pair_seed,
+                            "a": a.literal(),
+                            "b": b.literal(),
+                            "params": _json_params(params),
+                            "residual": float(res.residual),
+                            "defect": res.defect,
+                        }
+    totals = {"pass": 0, "vacuous": 0, "fail": 0}
+    for slot in counts.values():
+        for key in totals:
+            totals[key] += slot[key]
+    return counts, totals
+
+
+@pytest.mark.parametrize(
+    "seed, inject_fault",
+    [(1, None), (2, None), (23, None), (5, "NEWTON_R"), (6, "TELESCOPE"),
+     (7, "RAD_PROD"), (8, "SPEC_EQ_W"), (9, "KER_INCL")],
+)
+def test_suite_counts_equal_the_full_evaluation(seed, inject_fault):
+    # every class, dims 2-5: skipping vacuous conclusions changes no count
+    # and no first failure
+    classes = [c.value for c in RelationClass]
+    dims = (2, 3, 4, 5)
+    rep = verify_suite(classes, dims, 4, seed, inject_fault=inject_fault)
+    identities, totals = reference_verify_counts(classes, dims, 4, seed, inject_fault)
+    assert rep.identities == identities
+    assert rep.totals == totals
+    assert totals["vacuous"] > 0
+    if inject_fault is not None:
+        assert rep.identities[inject_fault]["fail"] > 0
+
+
+def _newton_r_sides(a, b, n):
+    rhs = ExactMatrix.zeros(a.dim)
+    for k in range(1, n + 1):
+        rhs = rhs + (a ** (n - k) * b**k + b ** (n - k) * a**k) * comb(n - 1, k - 1)
+    return (a + b) ** n, rhs
+
+
+def test_suite_renders_the_witness_of_a_forced_hypothesis(monkeypatch):
+    # none-class pairs with ab_in_comm_a and comm_r forced: L1.I.iii fails
+    # on a defect pair and NEWTON_R on a word combination, and the suite's
+    # first failure must render what check_identity and lhs - rhs render
+    original = PairContext.__init__
+
+    def forced(self, a, b):
+        original(self, a, b)
+        self.report = dataclasses.replace(self.report, ab_in_comm_a=True, comm_r=True)
+
+    monkeypatch.setattr(PairContext, "__init__", forced)
+    rep = verify_suite(["none"], (2, 3), 2, 17)
+    sides = {
+        "L1.I.iii": lambda a, b, p: (a * (a + b) * a, a * a * (a + b)),
+        "NEWTON_R": lambda a, b, p: _newton_r_sides(a, b, p["n"]),
+    }
+    for name, defect_sides in sides.items():
+        ff = rep.identities[name]["first_failure"]
+        assert ff is not None and ff["class"] == "none", name
+        a, b = ExactMatrix.parse(ff["a"]), ExactMatrix.parse(ff["b"])
+        res = check_identity(name, a, b, **ff["params"])
+        assert res.verdict == "fail"
+        assert ff["defect"] == res.defect
+        assert ff["residual"] == res.residual > 0
+        lhs, rhs = defect_sides(a, b, ff["params"])
+        assert ff["defect"] == (lhs - rhs).literal()
+        assert ff["residual"] == (lhs - rhs).frobenius()
+
+
+def test_suite_builds_no_combination_without_a_hypothesis(monkeypatch):
+    # none-class pairs have comm_l, comm_r and comm_w false, so no binomial,
+    # Newton or telescoping conclusion may be evaluated
+    def refuse(self, terms):
+        raise AssertionError(f"combo called on {self.a.literal()}, {self.b.literal()}")
+
+    monkeypatch.setattr(PairContext, "combo", refuse)
+    rep = verify_suite(["none"], (2, 3, 4), 6, 29)
+    assert rep.totals["vacuous"] > 0
+    for name in ("NEWTON_R", "NEWTON_L", "BINOM", "TELESCOPE", "L1.III.ii", "L1.IV.ii"):
+        assert rep.identities[name]["vacuous"] == 6 * len(_suite_plan(IdentityId(name), None))
+
+
+def _count_products(monkeypatch):
+    from weakcomm import _kernel_py
+
+    calls = []
+    original = _kernel_py.mat_mul
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_kernel_py, "mat_mul", counting)
+    return calls
+
+
+_RELATION_WORDS = ("ab", "ba", "aab", "aba", "baa", "abb", "bab", "bba")
+
+
+def test_relation_check_multiplies_eight_words(monkeypatch):
+    a = ExactMatrix.parse("1,2,0;0,1/2,i;3,0,-1")
+    b = ExactMatrix.parse("0,1,1;i,0,2;0,0,1/3")
+    calls = _count_products(monkeypatch)
+    rep = relation_check(a, b)
+    assert len(calls) == 8
+    assert not rep.comm and rep.residuals["comm"] == (a * b - b * a).frobenius()
+
+
+def test_pair_context_starts_with_the_relation_words(monkeypatch):
+    a = ExactMatrix.parse("1,2,0;0,1/2,i;3,0,-1")
+    b = ExactMatrix.parse("0,1,1;i,0,2;0,0,1/3")
+    letters = {"a": a, "b": b}
+    calls = _count_products(monkeypatch)
+    ctx = PairContext(a, b)
+    assert len(calls) == 8
+    words = {w: ctx.word(w) for w in _RELATION_WORDS}
+    assert len(calls) == 8
+    for w, m in words.items():
+        x, y, *rest = (letters[c] for c in w)
+        expected = x * y
+        for z in rest:
+            expected = expected * z
+        assert m == expected, w
