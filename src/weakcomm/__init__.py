@@ -27,14 +27,7 @@ from .exact import (
     poly_radical_nonzero,
     rank_kernel,
 )
-from .numeric import (
-    CMatrix,
-    SpectrumSet,
-    eigenvalues,
-    expm,
-    spectral_radius_exact,
-)
-from .relations import RelationReport, relation_check
+from .relations import RelationReport, relation_check, relation_flags
 from .identities import (
     IdentityId,
     IdentityResult,
@@ -75,6 +68,17 @@ from .shiftlab import (
 
 __version__ = "0.1.0"
 
+# the floating twin loads NumPy, so its names are imported on first use (PEP 562)
+_NUMERIC_NAMES = ("CMatrix", "SpectrumSet", "eigenvalues", "expm", "spectral_radius_exact")
+
+
+def __getattr__(name):
+    if name in _NUMERIC_NAMES:
+        from . import numeric
+
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 __all__ = [
     "__version__",
     "Scalar",
@@ -95,6 +99,7 @@ __all__ = [
     "spectral_radius_exact",
     "RelationReport",
     "relation_check",
+    "relation_flags",
     "IdentityId",
     "IdentityResult",
     "SuiteReport",

@@ -31,9 +31,9 @@ from .instances import (
     search_witness,
     witness_predicates,
 )
-from .numeric import DEFAULT_CLUSTER_TOL, CMatrix, eigenvalues
 from .relations import relation_check
 from . import shiftlab
+from .shiftlab import DEFAULT_CLUSTER_TOL
 
 SCHEMA_VERSION = 1
 
@@ -191,6 +191,8 @@ def _run_search(args):
 
 
 def _run_truncate(args):
+    from .numeric import CMatrix, eigenvalues
+
     spec, _ = paper_example(args.id)
     rows = []
     for n in args.sizes:

@@ -7,8 +7,14 @@ a concrete pair yields an :class:`IdentityResult` with a three-way verdict:
 
     pass     hypothesis met, conclusion holds
     fail     hypothesis met, conclusion violated
-    vacuous  hypothesis not met (``check_identity`` still evaluates the
-             conclusion and reports its raw outcome informationally)
+    vacuous  hypothesis not met
+
+For most identities ``check_identity`` still evaluates the conclusion of a
+vacuous result and reports its raw outcome informationally. Seven do not.
+EXP_CORR, NIL_PROD, NIL_SUM, QUASI_CLOSURE and KER_INCL return ``_vacuous``
+(holds, residual 0.0, no witness) without evaluating anything. R.iv and
+NIL_TELE build their defect list from the flags, so an unmet hypothesis
+leaves it empty and the result holds.
 
 ``verify_suite`` samples pairs from the relation-class samplers and runs
 the whole catalog over them deterministically, producing a JSON-stable
@@ -36,7 +42,6 @@ from .exact import (
     nilpotency_degree,
     poly_radical,
 )
-from .numeric import max_root_modulus
 from .relations import _relation_words
 from .scalar import Scalar
 from .structure import kernel_inclusion_forward, kernel_inclusion_reverse, range_kernel_criterion
@@ -225,6 +230,8 @@ class PairContext:
         return self._cached(("radical_nonzero", w), lambda: self.radical(w).strip_zero_roots())
 
     def spectral_radius(self, w):
+        from .numeric import max_root_modulus  # loads NumPy, so only when a radius is needed
+
         return self._cached(("radius", w), lambda: max_root_modulus(self.radical(w)))
 
 

@@ -33,13 +33,14 @@ from .errors import (
 )
 from .exact import (
     ExactMatrix,
+    _clear_denominators,
     charpoly,
     inverse,
     nilpotency_degree,
     poly_radical_nonzero,
     rank_kernel,
 )
-from .relations import relation_check
+from .relations import relation_check, relation_flags
 from .scalar import Scalar
 from . import shiftlab
 
@@ -251,7 +252,7 @@ def _solve_comm_r(rng, dim):
             c = rng.randint(-2, 2)
             if c:
                 b = b + m * c
-        rep = relation_check(a, b)
+        rep = relation_flags(a, b)
         if rep.comm_r and not rep.comm:
             return a, b
     return None
@@ -320,7 +321,7 @@ _SAMPLE_BUDGET = 64
 def sample_pair(class_, dim, seed, require_noncommuting=False, nilpotent=False):
     """Deterministic pair in the requested relation class.
 
-    The returned pair always re-verifies: relation_check matches the class,
+    The returned pair always re-verifies: its relation flags match the class,
     plus non-commutation or nilpotency when requested. Exhausting the
     attempt budget raises SamplerBudgetError with statistics; for classes
     that are impossible to satisfy (strict comm_w at dim 2) this is the
@@ -354,7 +355,7 @@ def sample_pair(class_, dim, seed, require_noncommuting=False, nilpotent=False):
             nilpotency_degree(a) is None or nilpotency_degree(b) is None
         ):
             continue
-        if class_matches(relation_check(a, b), cls, require_noncommuting):
+        if class_matches(relation_flags(a, b), cls, require_noncommuting):
             return a, b
     raise SamplerBudgetError(
         f"no {cls.value} pair found at dim {dim}"
@@ -420,8 +421,7 @@ def sample_spectral_instance(dim, seed, kind="comm_r"):
         t, n = _block_diag(blk, d), _block_diag(nblk, zero_k)
     t, n = _conjugate_pair(rng, t, n)
     lam = Scalar(rng.choice(eigen))
-    rep = relation_check(t, n)
-    if not class_matches(rep, kind):
+    if not class_matches(relation_flags(t, n), kind):
         raise ArithmeticError("spectral construction left its class")
     return SpectralInstance(t=t, n=n, lam=lam, p=2)
 
@@ -467,7 +467,7 @@ class WitnessRecord:
 
     def __post_init__(self):
         pred = _PREDICATES[self.predicate]
-        if not pred(relation_check(self.a, self.b)):
+        if not pred(relation_flags(self.a, self.b)):
             raise ValueError("witness does not satisfy its predicate")
 
     def to_json_dict(self):
@@ -480,16 +480,21 @@ class WitnessRecord:
         }
 
 
+# the alphabet as Gaussian integers over its common denominator
+_SEARCH_DEN, _SEARCH_RE, _SEARCH_IM = _clear_denominators(_SEARCH_ALPHABET)
+_SEARCH_CELLS = tuple(zip(_SEARCH_RE, _SEARCH_IM))
+
+
 def _witness_candidate(rng, dim):
+    """A matrix of alphabet entries, drawn straight into its integer block."""
     # zero-biased draws keep sparse patterns (the interesting ones) reachable
     sparse = rng.random() < 0.5
-
-    def entry():
-        if sparse and rng.random() < 0.6:
-            return Scalar(0)
-        return rng.choice(_SEARCH_ALPHABET)
-
-    return ExactMatrix([[entry() for _ in range(dim)] for _ in range(dim)])
+    n = dim * dim
+    re, im = [0] * n, [0] * n
+    for k in range(n):
+        if not (sparse and rng.random() < 0.6):
+            re[k], im[k] = rng.choice(_SEARCH_CELLS)
+    return ExactMatrix._from_rep(dim, normalize(_SEARCH_DEN, re, im))
 
 
 def search_witness(predicate, dim, budget, seed):
@@ -503,7 +508,7 @@ def search_witness(predicate, dim, budget, seed):
     for i in range(1, budget + 1):
         a = _witness_candidate(rng, dim)
         b = _witness_candidate(rng, dim)
-        if pred(relation_check(a, b)):
+        if pred(relation_flags(a, b)):
             return WitnessRecord(
                 a=a, b=b, predicate=predicate, samples_tried=i, seed=seed
             )

@@ -26,15 +26,30 @@ The pointwise pieces of the three algebra-wide commutativity conditions:
     c2_pair = ab_in_comm_a or ba_in_comm_a or ab_in_comm_b
     c3_pair = ab_in_comm_b or ba_in_comm_b
 
-``residuals`` maps each flag name to the Frobenius norm of its defect
-matrix (exactly 0.0 when the flag is true).
+``relation_check`` multiplies the eight compared words ab, ba, aab, aba,
+baa, abb, bab and bba once each. ``residuals`` maps each flag name to the
+Frobenius norm of its defect matrix (exactly 0.0 when the flag is true).
+
+``relation_flags`` returns the same flags with ``residuals=None``, for
+callers that read only the flags. It screens each flag first: the two words
+of a flag have the same letters, so their integer numerators over one
+denominator are compared, each applied to a fixed probe vector v with
+entries (-1)^j (j^2 + j + 41). Twelve matrix-vector products give every
+word's image of v, and X v != Y v proves X != Y, so the flag is false. The
+probe is fixed, not drawn, so no random state is read. A flag the probe
+does not refute (every true flag, and a false one whose defect has v in
+its kernel) falls back to the exact products, so a flag is true only when
+the exact products are equal (Freivalds, "Probabilistic machines can use
+less running time", IFIP 1977, with the random vector fixed and the exact
+check as fallback).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul, neg
 
-__all__ = ["RelationReport", "relation_check", "FLAG_NAMES"]
+__all__ = ["RelationReport", "relation_check", "relation_flags", "FLAG_NAMES"]
 
 FLAG_NAMES = ("comm", "ab_in_comm_a", "ab_in_comm_b", "ba_in_comm_a", "ba_in_comm_b")
 
@@ -52,7 +67,7 @@ class RelationReport:
     c1_pair: bool
     c2_pair: bool
     c3_pair: bool
-    residuals: dict = field(compare=False)
+    residuals: dict | None = field(compare=False)
 
     def flags(self):
         return {
@@ -70,6 +85,8 @@ class RelationReport:
         }
 
     def to_json_dict(self):
+        if self.residuals is None:
+            raise ValueError("a relation_flags report has no residuals; use relation_check")
         out = dict(self.flags())
         out["residuals"] = {k: float(v) for k, v in sorted(self.residuals.items())}
         return out
@@ -78,6 +95,26 @@ class RelationReport:
 def relation_check(a, b):
     """Exact relation report for the ordered pair (a, b) of ExactMatrix."""
     return _relation_words(a, b)[0]
+
+
+def relation_flags(a, b):
+    """The flags of ``relation_check(a, b)`` with ``residuals=None``.
+
+    Each flag is first screened with the fixed probe: a flag whose two
+    words differ on the probe is false. Only a flag the probe does not
+    refute is decided by the exact products, each multiplied once.
+    """
+    a._check_dim(b)
+    rows = {"a": _numerator_rows(a), "b": _numerator_rows(b)}
+    images = {"": _probe(a.dim)}
+    for w, first, rest in _PROBE_STEPS:
+        images[w] = _apply(rows[first], images[rest])
+    words = {"a": a, "b": b}
+    flags = {
+        k: images[x] == images[y] and _word(words, x) == _word(words, y)
+        for k, (x, y) in _FLAG_WORDS.items()
+    }
+    return _report(flags, None)
 
 
 # each flag compares two words: (ab)a with a(ab), and so on
@@ -89,33 +126,91 @@ _FLAG_WORDS = {
     "ba_in_comm_b": ("bab", "bba"),
 }
 
+# the eight compared words, each the product of two shorter ones
+_PRODUCTS = {
+    "ab": ("a", "b"),
+    "ba": ("b", "a"),
+    "aab": ("a", "ab"),
+    "aba": ("ab", "a"),
+    "baa": ("ba", "a"),
+    "abb": ("ab", "b"),
+    "bab": ("b", "ab"),
+    "bba": ("b", "ba"),
+}
+
+# the nonempty suffixes of the compared words, shortest first: the probe
+# image of each is one matrix-vector product from that of its own suffix
+_PROBE_STEPS = tuple(
+    (w, w[0], w[1:])
+    for w in sorted(
+        {w[k:] for pair in _FLAG_WORDS.values() for w in pair for k in range(len(w))},
+        key=lambda w: (len(w), w),
+    )
+)
+
+
+def _probe(dim):
+    """The fixed probe: entry j is (-1)^j (j^2 + j + 41), a prime for j < 40."""
+    return tuple((j * j + j + 41) * (-1) ** j for j in range(dim))
+
+
+def _word(words, w):
+    """The product w of the letters a and b, multiplied once into ``words``."""
+    m = words.get(w)
+    if m is None:
+        x, y = _PRODUCTS[w]
+        m = words[w] = _word(words, x) * _word(words, y)
+    return m
+
+
+def _numerator_rows(m):
+    """The rows (RE | -IM) and (IM | RE) of the integer numerator RE + i*IM of m.
+
+    A dot product of the first or the second with (re | im) of a vector is
+    the real or the imaginary part of the numerator times that vector.
+    """
+    d, n = m.dim, m.dim * m.dim
+    re = [m._re[i : i + d] for i in range(0, n, d)]
+    im = [m._im[i : i + d] for i in range(0, n, d)]
+    return [r + tuple(map(neg, y)) for r, y in zip(re, im)], [y + r for r, y in zip(re, im)]
+
+
+def _apply(rows, v):
+    """A numerator, given by its ``_numerator_rows``, times the vector v.
+
+    A vector is its real part, followed by its imaginary part only when that
+    is not zero, so equal vectors are equal lists; ``map`` stops at the end
+    of a real v.
+    """
+    first, second = rows
+    re = [sum(map(mul, r, v)) for r in first]
+    im = [sum(map(mul, r, v)) for r in second]
+    return re + im if any(im) else re
+
 
 def _relation_words(a, b):
     """(relation report, the eight products it compares keyed by word).
 
-    The words are ab, ba and the six distinct products of three letters with
-    one of them: each is multiplied once. ExactMatrix is normalized, so a
-    flag is decided by equality, and a defect is built only for a residual.
+    ExactMatrix is normalized, so a flag is decided by equality, and a
+    defect is built only for a residual.
     """
-    ab, ba = a * b, b * a
-    words = {
-        "ab": ab,
-        "ba": ba,
-        "aab": a * ab,
-        "aba": ab * a,
-        "baa": ba * a,
-        "abb": ab * b,
-        "bab": b * ab,
-        "bba": b * ba,
-    }
+    words = {"a": a, "b": b}
+    for w in _PRODUCTS:
+        _word(words, w)
     flags = {}
     residuals = {}
     for k, (x, y) in _FLAG_WORDS.items():
         flags[k] = words[x] == words[y]
         residuals[k] = 0.0 if flags[k] else (words[x] - words[y]).frobenius()
+    del words["a"], words["b"]
+    return _report(flags, residuals), words
+
+
+def _report(flags, residuals):
+    """The report of the five primitive flags, with the memberships they imply."""
     ab_a, ab_b = flags["ab_in_comm_a"], flags["ab_in_comm_b"]
     ba_a, ba_b = flags["ba_in_comm_a"], flags["ba_in_comm_b"]
-    report = RelationReport(
+    return RelationReport(
         comm=flags["comm"],
         ab_in_comm_a=ab_a,
         ab_in_comm_b=ab_b,
@@ -129,4 +224,3 @@ def _relation_words(a, b):
         c3_pair=ab_b or ba_b,
         residuals=residuals,
     )
-    return report, words

@@ -258,3 +258,34 @@ def test_cross_process_byte_determinism(tmp_path):
         assert proc.returncode == 0
         outs.append(target.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_search_and_import_do_not_load_numpy():
+    # NumPy serves only the float twin: truncate spectra and spectral radii
+    code = (
+        "import contextlib, io, sys\n"
+        "import weakcomm, weakcomm.cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for pred in ('comm_w_not_comm', 'comm_l_not_comm_r'):\n"
+        "        weakcomm.cli.main(['search', '--dim', '3', '--budget', '200',"
+        " '--seed', '5', '--predicate', pred])\n"
+        "    weakcomm.cli.main(['example', 'SEX_I_PQ'])\n"
+        "assert 'numpy' not in sys.modules, 'commands'\n"
+        "weakcomm.CMatrix\n"
+        "assert 'numpy' in sys.modules, 'lazy name'\n"
+        "print('ok')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_numeric_names_stay_exported():
+    import weakcomm
+
+    for name in ("CMatrix", "SpectrumSet", "eigenvalues", "expm", "spectral_radius_exact"):
+        assert name in weakcomm.__all__
+        assert getattr(weakcomm, name).__module__ == "weakcomm.numeric"
+    with pytest.raises(AttributeError):
+        weakcomm.no_such_name

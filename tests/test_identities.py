@@ -24,7 +24,7 @@ from weakcomm.identities import (
 )
 from weakcomm.instances import ExampleId, RelationClass, paper_example, sample_pair
 from weakcomm.numeric import spectral_radius_exact
-from weakcomm.relations import relation_check
+from weakcomm.relations import FLAG_NAMES, _probe, relation_check, relation_flags
 
 E = ExactMatrix.single_entry
 
@@ -787,3 +787,66 @@ def test_pair_context_starts_with_the_relation_words(monkeypatch):
         for z in rest:
             expected = expected * z
         assert m == expected, w
+
+
+def test_relation_flags_multiplies_nothing_on_a_noncommuting_pair(monkeypatch):
+    a = ExactMatrix.parse("1,2,0;0,1/2,i;3,0,-1")
+    b = ExactMatrix.parse("0,1,1;i,0,2;0,0,1/3")
+    want = relation_check(a, b)
+    assert not any(want.flags().values())
+    calls = _count_products(monkeypatch)
+    assert relation_flags(a, b) == want
+    assert calls == []
+
+
+def _probe_kernel_pair():
+    """a = A0 P and b = B0 P with P v = 0 for the probe v, so every word of
+    the relation check maps v to 0 and the probe refutes no flag."""
+    v = _probe(3)
+    p = ExactMatrix.identity(3) - ExactMatrix(
+        [[Fraction(v[i], v[0]) if j == 0 else 0 for j in range(3)] for i in range(3)]
+    )
+    a = ExactMatrix.parse("2,0,2;-1,0,1;2,0,1") * p
+    b = ExactMatrix.parse("0,0,0;0,0,-1;0,0,0") * p
+    return a, b, v
+
+
+def test_relation_flags_decides_a_probe_kernel_pair_exactly(monkeypatch):
+    a, b, v = _probe_kernel_pair()
+    ctx = PairContext(a, b)
+    for w in _RELATION_WORDS:
+        m = ctx.word(w)
+        assert all(sum(m.entry(i, j) * v[j] for j in range(3)).is_zero() for i in range(3)), w
+    calls = _count_products(monkeypatch)
+    for x, y in ((a, b), (b, a)):
+        want = relation_check(x, y)
+        prim = [want.flags()[k] for k in FLAG_NAMES]
+        assert any(prim) and not all(prim)
+        before = len(calls)
+        assert relation_flags(x, y) == want
+        # every flag went to the exact products, each word multiplied once
+        assert len(calls) - before == 8
+
+
+def test_relation_flags_multiplies_only_for_unrefuted_flags(monkeypatch):
+    # SEX_I_PQ: ab in comm(a), ba in comm(a) and ba in comm(b) hold, ab and
+    # ba differ; the three true flags need ab, ba, aab, aba, baa, bab, bba
+    a, b = _pair(ExampleId.SEX_I_PQ)
+    want = relation_check(a, b)
+    calls = _count_products(monkeypatch)
+    got = relation_flags(a, b)
+    assert got == want and got.comm_l and not got.comm
+    assert len(calls) == 7
+
+
+@pytest.mark.parametrize(
+    "identity",
+    ["EXP_CORR", "NIL_PROD", "NIL_SUM", "QUASI_CLOSURE", "KER_INCL", "R.iv", "NIL_TELE"],
+)
+def test_seven_identities_hold_when_vacuous(identity):
+    # the module docstring: these report no raw outcome for an unmet hypothesis
+    for k in range(6):
+        a, b = sample_pair("none", 3, 70 + k)
+        res = check_identity(identity, a, b)
+        assert not res.hypothesis_met
+        assert (res.holds, res.residual, res.witness) == (True, 0.0, None)

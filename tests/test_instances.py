@@ -16,6 +16,7 @@ import weakcomm
 from weakcomm.errors import SamplerBudgetError, UnknownExampleError, UnknownPredicateError
 from weakcomm.exact import ExactMatrix, Scalar, rank_kernel
 from weakcomm.instances import (
+    _SEARCH_ALPHABET,
     ExampleId,
     RelationClass,
     SpectralInstance,
@@ -29,6 +30,7 @@ from weakcomm.instances import (
     sample_spectral_instance,
     search_witness,
     witness_predicates,
+    _witness_candidate,
 )
 from weakcomm.relations import relation_check
 
@@ -350,3 +352,29 @@ def test_weak_but_not_commuting_witness_dim3():
     assert rec is not None
     rep = relation_check(rec.a, rec.b)
     assert rep.comm_w and not rep.comm
+
+
+def reference_witness_candidate(rng, dim):
+    """The Scalar-per-entry draw that the integer draw replaced."""
+    sparse = rng.random() < 0.5
+
+    def entry():
+        if sparse and rng.random() < 0.6:
+            return Scalar(0)
+        return rng.choice(_SEARCH_ALPHABET)
+
+    return ExactMatrix([[entry() for _ in range(dim)] for _ in range(dim)])
+
+
+def test_witness_candidate_matches_the_scalar_draw():
+    halves = 0
+    for dim in range(1, 9):
+        for seed in range(150):
+            new, ref = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                got, want = _witness_candidate(new, dim), reference_witness_candidate(ref, dim)
+                assert got == want, (dim, seed)
+                assert (got._den, got._re, got._im) == (want._den, want._re, want._im)
+                halves += got._den == 2
+            assert new.random() == ref.random(), (dim, seed)
+    assert halves > 1000

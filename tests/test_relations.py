@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakcomm.errors import DimensionMismatchError, SamplerBudgetError
 from weakcomm.exact import ExactMatrix, Scalar
-from weakcomm.relations import FLAG_NAMES, relation_check
+from weakcomm.instances import RelationClass, _witness_candidate, sample_pair
+from weakcomm.relations import FLAG_NAMES, relation_check, relation_flags
 
 E = ExactMatrix.single_entry
 
@@ -158,3 +160,65 @@ def test_any_pair_of_polynomials_in_one_matrix_fully_commutes(c0, c1, d0, d1):
     b = one * Scalar(d0) + m * Scalar(d1)
     r = relation_check(a, b)
     assert r.comm and r.comm_w
+
+
+# search candidates per dimension: small dims have true flags, large ones
+# almost only false flags refuted by the probe
+_SCREEN_PAIRS = {2: 3000, 3: 3000, 4: 2000, 5: 800, 6: 500, 7: 400, 8: 300}
+
+
+def test_flags_match_relation_check_on_search_candidates():
+    # 10,000 drawn pairs, 20,000 candidates, each pair in both orders
+    assert sum(_SCREEN_PAIRS.values()) == 10_000
+    true_flags = 0
+    for dim, count in _SCREEN_PAIRS.items():
+        rng = random.Random(1000 + dim)
+        for _ in range(count):
+            a, b = _witness_candidate(rng, dim), _witness_candidate(rng, dim)
+            for x, y in ((a, b), (b, a)):
+                want = relation_check(x, y).flags()
+                got = relation_flags(x, y)
+                assert got.flags() == want, (x, y)
+                assert got.residuals is None
+                true_flags += sum(want[k] for k in FLAG_NAMES)
+    assert true_flags > 1000
+
+
+def test_flags_match_relation_check_on_sampled_pairs():
+    checked = 0
+    for cls in RelationClass:
+        for dim in (2, 3, 4, 5):
+            for seed in range(4):
+                for strict in (False, True) if cls is not RelationClass.COMM else (False,):
+                    for nilpotent in (False, True):
+                        try:
+                            a, b = sample_pair(cls, dim, seed, strict, nilpotent)
+                        except SamplerBudgetError:
+                            continue
+                        for x, y in ((a, b), (b, a)):
+                            assert relation_flags(x, y) == relation_check(x, y), (cls, x, y)
+                            checked += 1
+    assert checked > 500
+
+
+def test_flags_read_no_random_state():
+    a = ExactMatrix.parse("1,2,0;0,1/2,i;3,0,-1")
+    b = ExactMatrix.parse("0,1,1;i,0,2;0,0,1/3")
+    state = random.getstate()
+    first = relation_flags(a, b)
+    assert random.getstate() == state
+    assert relation_flags(a, b) == first
+
+
+def test_flags_report_has_no_residuals():
+    r = relation_flags(E(2, 1, 0), E(2, 0, 1))
+    assert r.residuals is None
+    with pytest.raises(ValueError, match="no residuals"):
+        r.to_json_dict()
+
+
+def test_flags_reject_mismatched_dims():
+    with pytest.raises(DimensionMismatchError):
+        relation_flags(E(2, 1, 0), E(3, 1, 0))
+    with pytest.raises(DimensionMismatchError):
+        relation_check(E(2, 1, 0), E(3, 1, 0))

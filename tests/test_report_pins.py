@@ -117,6 +117,51 @@ PINS = {
         "7faeee83033aacb57c1aec39e96b5b6e32e88d732bddaf937d7e641d166161ee",
         "4c970e31582c254d472d3dd9ebda691df554c2fe233606fa42ec57fd76eb6988",
     ),
+    "search --dim 2 --budget 400 --seed 5 --predicate comm_w_not_comm": (
+        1,
+        "58eb2f18ab680fc611ecf1821250e285e544c5232c8d6d654a53322bed81299e",
+        "60a1c2eb8fd6e1071adc23246427405449194368c0359a7c15d218c14921249e",
+    ),
+    "search --dim 2 --budget 400 --seed 5 --predicate comm_l_not_comm_r": (
+        0,
+        "cd0f356757b0e5a226240e46e7f51028dadbfbe53bc71d60812838cdbc67d746",
+        "26cbdb04ea56240baa255d74b21b79558dc7c71244fc87c7f8a5c5d89f49edce",
+    ),
+    "search --dim 2 --budget 400 --seed 5 --predicate comm_r_not_comm_l": (
+        0,
+        "d70f4efa344184eec29573e74352e9cf8858869d76ac4027a9ffe4874154dbf2",
+        "3d7f1d45ae1e1740e3ba870284f8d09152cca2972c3f343298bb5bffffce4e38",
+    ),
+    "search --dim 3 --budget 400 --seed 5 --predicate comm_w_not_comm": (
+        1,
+        "cf23f5294521e6a43863e3e8afb6eebcf4276ac417181d1d0a411630c7b162e1",
+        "86e111d4450356dffbdd5c33e04e5de79d13049f7263ac681f6cfd1673bed635",
+    ),
+    "search --dim 3 --budget 400 --seed 5 --predicate comm_l_not_comm_r": (
+        0,
+        "2ba97818513081d611dfbe9bc44efdb887e9c6f0b8ec99068aa800f030ab66be",
+        "5def7640e05c599daa626fd0d0290706abe3cb3fd976ce65170c7c18571d79ea",
+    ),
+    "search --dim 3 --budget 400 --seed 5 --predicate comm_r_not_comm_l": (
+        0,
+        "da88412f301451f5c0392d6258ee525009d6ef740708aecef6a8a133b8c75eb3",
+        "7ec25073616450bf9f01dd474f301e19df889c7ab79c02fea3448476f4853112",
+    ),
+    "search --dim 6 --budget 400 --seed 5 --predicate comm_w_not_comm": (
+        1,
+        "1b51eae678670eb4d82cbe7a6fe423ed5c376d6aa10300d3ed3a5e7e5906ca16",
+        "429ac2c26f7ec32684190f4393c7efb420f34a44d63eb5257076de1d306e10cc",
+    ),
+    "search --dim 6 --budget 400 --seed 5 --predicate comm_l_not_comm_r": (
+        1,
+        "5bdfac22e3e3d1b385f7fefe41eee50f782d2f58dc95901169257be8d05ec549",
+        "79dfc6bbe18a1fbed408ccec455f21a952aeb45be6605e782de5abd3dcc5c1dc",
+    ),
+    "search --dim 6 --budget 400 --seed 5 --predicate comm_r_not_comm_l": (
+        1,
+        "4d4a5e1f5292f867e6a78c386029ad27ec6ee9bb874f33c1c58932a1af0aa3a0",
+        "2fd93db16a1bff2d97ebf2270e414748b7c990a49a080d75132d4a0ef9f10b76",
+    ),
     "truncate EXNILP_T" + SIZES: (
         0,
         "c26c8fb289e1c1090c310d0cfa91cd92cf89880855a4ce399272b1f4663261da",
