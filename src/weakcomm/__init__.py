@@ -8,7 +8,7 @@ force, samples random pairs inside each class, replays a registry of fixed
 examples, and studies truncations of weighted-shift operators whose
 spectral behavior separates the classes.
 
-Modules: scalar/exact (arithmetic core), numeric (floating twin),
+Modules: scalar (literals), exact (arithmetic core), numeric (floating twin),
 relations (class flags), identities (checkable identity catalog),
 structure (kernels, ranges, spectra), instances (registry and samplers),
 shiftlab (operator truncations), cli (batch entry point).

@@ -69,12 +69,11 @@ class ExactMatrix:
     __slots__ = ("dim", "_den", "_re", "_im")
 
     def __init__(self, rows):
-        entries = [[Scalar.coerce(v) for v in row] for row in rows]
-        d = len(entries)
-        if d == 0 or any(len(row) != d for row in entries):
+        rows = [list(row) for row in rows]
+        d = len(rows)
+        if d == 0 or any(len(row) != d for row in rows):
             raise DimensionMismatchError("matrix must be square with dim >= 1")
-        flat = [v for row in entries for v in row]
-        self._init_rep(d, _clear_denominators(flat))
+        self._init_rep(d, _clear_denominators(_parts(v) for row in rows for v in row))
 
     def _init_rep(self, dim, rep):
         den, re, im = rep
@@ -98,31 +97,31 @@ class ExactMatrix:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _diagonal_rep(cls, den, re, im):
+        """The diagonal matrix of the normalized integer entries (den, re, im)."""
+        d = _check_dim(len(re))
+        out_re, out_im = [0] * (d * d), [0] * (d * d)
+        out_re[::d + 1], out_im[::d + 1] = re, im
+        return cls._from_rep(d, (den, out_re, out_im))
+
+    @classmethod
     def identity(cls, dim):
-        re = [0] * (dim * dim)
-        for i in range(dim):
-            re[i * dim + i] = 1
-        return cls._from_rep(dim, (1, re, [0] * (dim * dim)))
+        return cls._diagonal_rep(1, [1] * dim, [0] * dim)
 
     @classmethod
     def zeros(cls, dim):
-        if dim < 1:
-            raise DimensionMismatchError("dim must be >= 1")
-        return cls._from_rep(dim, (1, [0] * (dim * dim), [0] * (dim * dim)))
+        return cls._diagonal_rep(1, [0] * dim, [0] * dim)
 
     @classmethod
     def diagonal(cls, values):
-        values = [Scalar.coerce(v) for v in values]
-        d = len(values)
-        rows = [[values[i] if i == j else 0 for j in range(d)] for i in range(d)]
-        return cls(rows)
+        return cls._diagonal_rep(*_clear_denominators(map(_parts, values)))
 
     @classmethod
     def single_entry(cls, dim, i, j, value=1):
         """Matrix with one nonzero entry at 0-based position (i, j)."""
         if not (0 <= i < dim and 0 <= j < dim):
             raise DimensionMismatchError(f"entry ({i}, {j}) is outside a {dim}x{dim} matrix")
-        den, (vr,), (vi,) = _clear_denominators([Scalar.coerce(value)])
+        den, (vr,), (vi,) = _clear_denominators([_parts(value)])
         re, im = [0] * (dim * dim), [0] * (dim * dim)
         re[i * dim + j], im[i * dim + j] = vr, vi
         return cls._from_rep(dim, (den, re, im))
@@ -168,11 +167,8 @@ class ExactMatrix:
             return ExactMatrix._from_rep(
                 self.dim, kernel.mat_mul(self.dim, self._rep(), other._rep())
             )
-        if isinstance(other, int):
-            rep = kernel.mat_scale(self.dim, self._rep(), other, 0, 1)
-            return ExactMatrix._from_rep(self.dim, rep)
-        if isinstance(other, (Fraction, Scalar)):
-            den, (re,), (im,) = _clear_denominators([Scalar.coerce(other)])
+        if isinstance(other, (int, Fraction, Scalar)):
+            den, (re,), (im,) = _clear_denominators([_parts(other)])
             rep = kernel.mat_scale(self.dim, self._rep(), re, im, den)
             return ExactMatrix._from_rep(self.dim, rep)
         return NotImplemented
@@ -183,14 +179,6 @@ class ExactMatrix:
         return NotImplemented
 
     __matmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            s = Scalar.coerce(other)
-            if s.is_zero():
-                raise ZeroDivisionError("division of matrix by zero scalar")
-            return self * (Scalar(1) / s)
-        return NotImplemented
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -269,17 +257,33 @@ class ExactMatrix:
     __str__ = __repr__
 
 
-def _clear_denominators(values):
-    """Scalars as Gaussian integers over one common denominator: (den, re, im).
+def _check_dim(dim):
+    if dim < 1:
+        raise DimensionMismatchError("dim must be >= 1")
+    return dim
 
-    Already normalized: each prime's full power in den divides some value's
-    reduced denominator, so that value's scaled numerator is prime to it.
+
+def _parts(value):
+    """An int, Fraction, Scalar or scalar literal as its exact (re, im) pair."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value, 0
+    value = Scalar.coerce(value)
+    return value.re, value.im
+
+
+def _clear_denominators(pairs):
+    """Exact (re, im) pairs as Gaussian integers over one common denominator.
+
+    Each part is an int or a Fraction; the result is (den, re, im), already
+    normalized: each prime's full power in den divides some part's reduced
+    denominator, so that part's scaled numerator is prime to it.
     """
+    pairs = list(pairs)
     den = 1
-    for v in values:
-        den = lcm(den, v.re.denominator, v.im.denominator)
-    re = [v.re.numerator * (den // v.re.denominator) for v in values]
-    im = [v.im.numerator * (den // v.im.denominator) for v in values]
+    for x, y in pairs:
+        den = lcm(den, x.denominator, y.denominator)
+    re = [x.numerator * (den // x.denominator) for x, _ in pairs]
+    im = [y.numerator * (den // y.denominator) for _, y in pairs]
     return den, re, im
 
 
@@ -318,7 +322,7 @@ class ExactPoly:
     __slots__ = ("_den", "_re", "_im")
 
     def __init__(self, coeffs):
-        self._init_rep(*_clear_denominators([Scalar.coerce(c) for c in coeffs]))
+        self._init_rep(*_clear_denominators(map(_parts, coeffs)))
 
     def _init_rep(self, den, re, im):
         n = len(re)
@@ -514,13 +518,6 @@ class ExactPoly:
             k += 1
         return ExactPoly._from_rep(self._den, self._re[k:], self._im[k:])
 
-    def eval_scalar(self, x):
-        x = Scalar.coerce(x)
-        acc = Scalar(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def eval_matrix(self, a):
         """Horner's rule on the integer numerators, then one division by den."""
         d = a.dim
@@ -546,20 +543,20 @@ class ExactPoly:
         if self.is_zero():
             return "0"
         parts = []
-        coeffs = self.coeffs
+        den = self._den
         for k in range(self.degree, -1, -1):
-            c = coeffs[k]
-            if c.is_zero():
+            if not (self._re[k] or self._im[k]):
                 continue
+            c = Scalar(Fraction(self._re[k], den), Fraction(self._im[k], den))
             if k == 0:
                 body = c.literal()
             else:
                 power = variable if k == 1 else f"{variable}^{k}"
-                if c == Scalar(1):
+                if c == 1:
                     body = power
-                elif c == Scalar(-1):
+                elif c == -1:
                     body = f"-{power}"
-                elif c.is_real() or c.re == 0:
+                elif c.im == 0 or c.re == 0:
                     body = f"{c.literal()}{power}"
                 else:
                     body = f"({c.literal()}){power}"
@@ -625,28 +622,37 @@ def inverse(a):
 def rank_kernel(a):
     """Exact rank, kernel basis and column-space basis of a square matrix.
 
-    Returns (rank, kernel, image) with rank + kernel.dim == dim always. With
-    N/den the reduced form, free column f gives the kernel vector den at f and
-    -N[i][f] at pivot i.
+    Returns (rank, kernel, image) with rank + kernel.dim == dim always.
     """
     d = a.dim
     _, re, im = a._rep()
-    pivots, (den, rre, rim) = _rref(d, d, re, im)
+    pivots, reduced = _rref(d, d, re, im)
     rank = len(pivots)
-    free = sorted(set(range(d)) - set(pivots))
-    ker_re, ker_im = [0] * (len(free) * d), [0] * (len(free) * d)
-    for k, f in enumerate(free):
-        ker_re[k * d + f] = den
-        for i, p in enumerate(pivots):
-            ker_re[k * d + p] = -rre[i * d + f]
-            ker_im[k * d + p] = -rim[i * d + f]
     image_re = [re[i * d + j] for j in pivots for i in range(d)]
     image_im = [im[i * d + j] for j in pivots for i in range(d)]
     return (
         rank,
-        SubspaceBasis._make(d, *_rref(len(free), d, ker_re, ker_im)),
+        _kernel_basis(d, pivots, reduced, d),
         SubspaceBasis._make(d, *_rref(rank, d, image_re, image_im)),
     )
+
+
+def _kernel_basis(ncols, pivots, reduced, ambient):
+    """Kernel of the reduced block ``_rref`` returned for a block of ncols
+    columns, in ambient >= ncols coordinates, zero beyond the first ncols.
+
+    With N/den the reduced form, free column f gives the kernel vector den at
+    f and -N[i][f] at pivot i.
+    """
+    den, rre, rim = reduced
+    free = sorted(set(range(ncols)) - set(pivots))
+    ker_re, ker_im = [0] * (len(free) * ambient), [0] * (len(free) * ambient)
+    for k, f in enumerate(free):
+        ker_re[k * ambient + f] = den
+        for i, p in enumerate(pivots):
+            ker_re[k * ambient + p] = -rre[i * ncols + f]
+            ker_im[k * ambient + p] = -rim[i * ncols + f]
+    return SubspaceBasis._make(ambient, *_rref(len(free), ambient, ker_re, ker_im))
 
 
 def nilpotency_degree(a):
@@ -779,19 +785,20 @@ class SubspaceBasis:
     @classmethod
     def span(cls, vectors, ambient=None):
         """Subspace spanned by possibly dependent vectors."""
-        vectors = [[Scalar.coerce(v) for v in vec] for vec in vectors]
+        vectors = [list(vec) for vec in vectors]
         if ambient is None:
             if not vectors:
                 raise DimensionMismatchError("ambient dimension required for empty span")
             ambient = len(vectors[0])
+        _check_dim(ambient)
         if any(len(v) != ambient for v in vectors):
             raise DimensionMismatchError("vectors of mixed length")
-        _, re, im = _clear_denominators([v for vec in vectors for v in vec])
+        _, re, im = _clear_denominators(_parts(v) for vec in vectors for v in vec)
         return cls._make(ambient, *_rref(len(vectors), ambient, re, im))
 
     @classmethod
     def zero(cls, ambient):
-        return cls._make(ambient, (), (1, (), ()))
+        return cls._make(_check_dim(ambient), (), (1, (), ()))
 
     @classmethod
     def full(cls, ambient):
@@ -832,12 +839,12 @@ class SubspaceBasis:
         Reduced row i is 1 at pivot i and 0 at the other pivots, so the
         coefficients of a contained vector are its pivot entries.
         """
-        vec = [Scalar.coerce(v) for v in vec]
+        vec = list(vec)
         if len(vec) != self.ambient:
             raise DimensionMismatchError("vector length differs from ambient")
         if not self.contains(SubspaceBasis.span([vec], ambient=self.ambient)):
             return None
-        return tuple(vec[p] for p in self._pivots)
+        return tuple(Scalar.coerce(vec[p]) for p in self._pivots)
 
     def sum_with(self, other):
         if self.ambient != other.ambient:

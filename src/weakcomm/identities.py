@@ -730,21 +730,28 @@ def identity_catalog():
     return list(IdentityId)
 
 
-def _suite_plan(identity, ctx):
+# the parameter grids of verify_suite, built once and only read
+_NEWTON_GRID = tuple({"n": n} for n in (2, 3, 4, 5, 6, 7, 8))
+_BINOM_GRID = tuple({"n": n} for n in (1, 2, 3, 4, 5, 6))
+_LAM_MU_GRID = (
+    {"lam": Scalar(0), "mu": Scalar(0)},
+    {"lam": Scalar(0), "mu": Scalar(1)},
+    {"lam": Scalar(1), "mu": Scalar(0)},
+)
+_KER_INCL_GRID = ({"lam": Scalar(1)}, {"lam": Scalar(-1)}, {"lam": Scalar(0, 1)})
+
+
+def _suite_plan(identity):
     """Parameter grid for one identity inside verify_suite."""
     if identity in (IdentityId.NEWTON_R, IdentityId.NEWTON_L):
-        return [{"n": n} for n in (2, 3, 4, 5, 6, 7, 8)]
+        return _NEWTON_GRID
     if identity in (IdentityId.BINOM, IdentityId.TELESCOPE):
-        return [{"n": n} for n in (1, 2, 3, 4, 5, 6)]
+        return _BINOM_GRID
     if identity in (IdentityId.R_i, IdentityId.R_ii):
-        return [
-            {"lam": Scalar(0), "mu": Scalar(0)},
-            {"lam": Scalar(0), "mu": Scalar(1)},
-            {"lam": Scalar(1), "mu": Scalar(0)},
-        ]
+        return _LAM_MU_GRID
     if identity is IdentityId.KER_INCL:
-        return [{"lam": Scalar(1)}, {"lam": Scalar(-1)}, {"lam": Scalar(0, 1)}]
-    return [{}]
+        return _KER_INCL_GRID
+    return ({},)
 
 
 def _run_checker(identity, ctx, params, invert=False, skip_vacuous=False):
@@ -858,7 +865,7 @@ def verify_suite(
             a, b = sample_pair(cls, dim, pair_seed, require_noncommuting=strict)
             ctx = PairContext(a, b)
             for identity in IdentityId:
-                for params in _suite_plan(identity, ctx):
+                for params in _suite_plan(identity):
                     res = _run_checker(
                         identity, ctx, params, invert=identity is inject_fault, skip_vacuous=True
                     )

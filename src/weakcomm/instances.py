@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from pathlib import Path
 from enum import Enum
 
@@ -34,6 +35,7 @@ from .errors import (
 from .exact import (
     ExactMatrix,
     _clear_denominators,
+    _parts,
     charpoly,
     inverse,
     nilpotency_degree,
@@ -110,30 +112,33 @@ def _rand_fraction(rng, nonzero=False):
 
 
 def _rand_entry(rng):
+    """One random entry as an exact (re, im) pair."""
     r = rng.random()
     if r < 0.70:
-        return Scalar(rng.choice(_SMALL_INTS))
+        return rng.choice(_SMALL_INTS), 0
     if r < 0.92:
-        return Scalar(_rand_fraction(rng))
-    return Scalar(0, _rand_fraction(rng, nonzero=True))
+        return _rand_fraction(rng), 0
+    return 0, _rand_fraction(rng, nonzero=True)
+
+
+def _matrix_of(dim, cells):
+    """The dim x dim matrix of row-major (re, im) pairs, in one integer block."""
+    return ExactMatrix._from_rep(dim, _clear_denominators(cells))
 
 
 def _rand_matrix(rng, dim):
-    return ExactMatrix([[_rand_entry(rng) for _ in range(dim)] for _ in range(dim)])
+    return _matrix_of(dim, [_rand_entry(rng) for _ in range(dim * dim)])
 
 
 def _rand_int_matrix(rng, dim, lo=-3, hi=3):
-    return ExactMatrix(
-        [[rng.randint(lo, hi) for _ in range(dim)] for _ in range(dim)]
-    )
+    re = [rng.randint(lo, hi) for _ in range(dim * dim)]
+    return ExactMatrix._from_rep(dim, (1, re, [0] * (dim * dim)))
 
 
 def _rand_strict_lower(rng, dim):
-    rows = [
-        [_rand_entry(rng) if j < i else Scalar(0) for j in range(dim)]
-        for i in range(dim)
-    ]
-    return ExactMatrix(rows)
+    return _matrix_of(
+        dim, [_rand_entry(rng) if j < i else (0, 0) for i in range(dim) for j in range(dim)]
+    )
 
 
 def _rand_strict_upper(rng, dim):
@@ -156,22 +161,26 @@ def _conjugate_pair(rng, a, b):
 
 def _poly_of(rng, a, nilpotent):
     dim = a.dim
-    c1 = Scalar(_rand_fraction(rng))
-    c2 = Scalar(_rand_fraction(rng))
+    c1 = _rand_fraction(rng)
+    c2 = _rand_fraction(rng)
     b = a * c1 + (a * a) * c2
     if not nilpotent:
-        b = b + ExactMatrix.identity(dim) * Scalar(_rand_fraction(rng))
+        b = b + ExactMatrix.identity(dim) * _rand_fraction(rng)
     return b
 
 
 def _block_diag(m1, m2):
-    d1, d2 = m1.dim, m2.dim
-    rows = []
-    for i in range(d1):
-        rows.append(list(m1.rows()[i]) + [Scalar(0)] * d2)
-    for i in range(d2):
-        rows.append([Scalar(0)] * d1 + list(m2.rows()[i]))
-    return ExactMatrix(rows)
+    """diag(m1, m2), joined on the integer blocks over their common denominator."""
+    d = m1.dim + m2.dim
+    den = lcm(m1._den, m2._den)
+    re, im = [0] * (d * d), [0] * (d * d)
+    for m, off in ((m1, 0), (m2, m1.dim)):
+        s, k = den // m._den, m.dim
+        for i in range(k):
+            at = (off + i) * d + off
+            re[at:at + k] = [x * s for x in m._re[i * k:(i + 1) * k]]
+            im[at:at + k] = [y * s for y in m._im[i * k:(i + 1) * k]]
+    return ExactMatrix._from_rep(d, normalize(den, re, im))
 
 
 # -- class builders ----------------------------------------------------------------
@@ -185,29 +194,26 @@ def _build_comm(rng, dim, nilpotent):
 
 def _pattern_comm_l(rng, dim):
     """diag(u, 0, junk) and a multiple of the (2,1) unit: strict comm_l."""
-    u = Scalar(_rand_fraction(rng, nonzero=True))
-    diag = [u, Scalar(0)] + [Scalar(_rand_fraction(rng)) for _ in range(dim - 2)]
-    b = ExactMatrix.diagonal(diag)
-    a = ExactMatrix.single_entry(dim, 1, 0, Scalar(_rand_fraction(rng, nonzero=True)))
+    u = _rand_fraction(rng, nonzero=True)
+    b = ExactMatrix.diagonal([u, 0] + [_rand_fraction(rng) for _ in range(dim - 2)])
+    a = ExactMatrix.single_entry(dim, 1, 0, _rand_fraction(rng, nonzero=True))
     return a, b
 
 
 def _pattern_shift_corner(rng, dim):
     """Weighted lower shift plus a corner perturbation: strict comm_r for dim>=4."""
-    m = ExactMatrix.zeros(dim)
+    cells = [(0, 0)] * (dim * dim)
     for k in range(1, dim):
-        m = m + ExactMatrix.single_entry(
-            dim, k, k - 1, Scalar(_rand_fraction(rng, nonzero=True))
-        )
-    b = ExactMatrix.single_entry(dim, 1, 0, Scalar(_rand_fraction(rng, nonzero=True)))
-    return m, b
+        cells[k * dim + k - 1] = _rand_fraction(rng, nonzero=True), 0
+    b = ExactMatrix.single_entry(dim, 1, 0, _rand_fraction(rng, nonzero=True))
+    return _matrix_of(dim, cells), b
 
 
 def _pattern_comm_w(rng, dim, nilpotent):
     """Two-step nilpotent chain against a corner entry: strict comm_w, dim>=3."""
-    alpha = Scalar(_rand_fraction(rng))
-    beta = Scalar(_rand_fraction(rng, nonzero=True))
-    gamma = Scalar(_rand_fraction(rng, nonzero=True))
+    alpha = _rand_fraction(rng)
+    beta = _rand_fraction(rng, nonzero=True)
+    gamma = _rand_fraction(rng, nonzero=True)
     a3 = ExactMatrix.single_entry(3, 1, 0, alpha) + ExactMatrix.single_entry(
         3, 2, 1, beta
     )
@@ -380,7 +386,8 @@ class SpectralInstance:
     def __post_init__(self):
         if not (self.n ** self.p).is_zero():
             raise ValueError(f"n**{self.p} must be zero")
-        if not charpoly(self.t).eval_scalar(self.lam).is_zero():
+        shifted = self.t - ExactMatrix.identity(self.t.dim) * self.lam
+        if rank_kernel(shifted)[0] == self.t.dim:
             raise ValueError(f"{self.lam.literal()} is not an eigenvalue of t")
 
 
@@ -413,7 +420,7 @@ def sample_spectral_instance(dim, seed, kind="comm_r"):
         k = 3
         blk, nblk = _pattern_comm_w(rng, 3, nilpotent=True)
     eigen = rng.sample(_EIGEN_POOL, dim - k)
-    d = ExactMatrix.diagonal([Scalar(v) for v in eigen])
+    d = ExactMatrix.diagonal(eigen)
     zero_k = ExactMatrix.zeros(dim - k)
     if rng.random() < 0.5:
         t, n = _block_diag(d, blk), _block_diag(zero_k, nblk)
@@ -481,7 +488,7 @@ class WitnessRecord:
 
 
 # the alphabet as Gaussian integers over its common denominator
-_SEARCH_DEN, _SEARCH_RE, _SEARCH_IM = _clear_denominators(_SEARCH_ALPHABET)
+_SEARCH_DEN, _SEARCH_RE, _SEARCH_IM = _clear_denominators(map(_parts, _SEARCH_ALPHABET))
 _SEARCH_CELLS = tuple(zip(_SEARCH_RE, _SEARCH_IM))
 
 
@@ -896,7 +903,7 @@ def _check_extra(example_id, checks):
         checks.append(
             (
                 "correction concentrates at entry (3,1) with value -1/12",
-                corr.entry(2, 0) == Scalar(Fraction(-1, 12))
+                corr.entry(2, 0) == Fraction(-1, 12)
                 and sum(
                     0 if corr.entry(i, j).is_zero() else 1
                     for i in range(3)
@@ -935,7 +942,7 @@ def _check_extra(example_id, checks):
         want = [Fraction(1, k + 1) for k in range(1, 6)]
         got = [t6.entry(k, k - 1) for k in range(1, 6)]
         checks.append(
-            ("subdiagonal weights are 1/2..1/6", got == [Scalar(w) for w in want])
+            ("subdiagonal weights are 1/2..1/6", got == want)
         )
         checks.append(("charpoly of the 6-truncation is x^6", charpoly(t6).literal() == "x^6"))
         checks.append(
@@ -945,7 +952,7 @@ def _check_extra(example_id, checks):
         spec_n, _ = paper_example(eid)
         spec_t, _ = paper_example(ExampleId.EXNILP_T)
         n4 = shiftlab.truncate(spec_n, 4)
-        checks.append(("single entry -1/2 at (2,1)", n4 == ExactMatrix.single_entry(4, 1, 0, Scalar(Fraction(-1, 2)))))
+        checks.append(("single entry -1/2 at (2,1)", n4 == ExactMatrix.single_entry(4, 1, 0, Fraction(-1, 2))))
         checks.append(("squares to zero", (n4 * n4).is_zero()))
         for size in (4, 6):
             t = shiftlab.truncate(spec_t, size)
@@ -962,7 +969,7 @@ def _check_extra(example_id, checks):
             checks.append((f"pair is comm_r at n={size}", rep.comm_r))
             checks.append((f"pair is not comm_l at n={size}", not rep.comm_l))
             fsk = shiftlab.finite_support_kernel(spec_t + spec_n, size)
-            e1 = [Scalar(1)] + [Scalar(0)] * (size - 1)
+            e1 = [1] + [0] * (size - 1)
             checks.append(
                 (f"certified kernel of t+n is span(e1) at n={size}", fsk.dim == 1 and fsk.contains_vector(e1))
             )
@@ -980,9 +987,9 @@ def _check_extra(example_id, checks):
             (
                 "entries sit at (2,1), (4,3), (6,5) with values -1/2, -1/4, -1/6",
                 q6
-                == ExactMatrix.single_entry(6, 1, 0, Scalar(Fraction(-1, 2)))
-                + ExactMatrix.single_entry(6, 3, 2, Scalar(Fraction(-1, 4)))
-                + ExactMatrix.single_entry(6, 5, 4, Scalar(Fraction(-1, 6))),
+                == ExactMatrix.single_entry(6, 1, 0, Fraction(-1, 2))
+                + ExactMatrix.single_entry(6, 3, 2, Fraction(-1, 4))
+                + ExactMatrix.single_entry(6, 5, 4, Fraction(-1, 6)),
             )
         )
         checks.append(("squares to zero", (q6 * q6).is_zero()))

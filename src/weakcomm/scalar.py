@@ -1,8 +1,12 @@
-"""Exact complex rational scalars.
+"""Gaussian-rational literals and views.
 
-A ``Scalar`` is a Gaussian rational: a pair of ``fractions.Fraction`` values
-(real and imaginary part). All field operations are exact; equality is exact
-structural equality. Scalars are immutable and hashable.
+A ``Scalar`` is a Gaussian rational held as a pair of ``fractions.Fraction``
+values (real and imaginary part). It is the literal and view type of the
+package: what parsing a literal returns, the entry views that ``exact`` hands
+out for printing and tests, and the reported parameters of an identity. It
+has no arithmetic; every computation runs on the integer format of ``exact``.
+Equality is exact, a real Scalar equals (and hashes like) its real part, and
+Scalars are immutable.
 
 Literal grammar (whitespace is ignored everywhere):
 
@@ -30,7 +34,7 @@ _SCALAR_RE = _re.compile(
 
 
 class Scalar:
-    """Immutable Gaussian rational number."""
+    """Immutable Gaussian rational: parse, print and compare."""
 
     __slots__ = ("re", "im")
 
@@ -38,6 +42,12 @@ class Scalar:
     im: Fraction
 
     def __init__(self, re=0, im=0):
+        for part in (re, im):
+            if isinstance(part, bool) or not isinstance(part, (int, Fraction)):
+                raise TypeError(
+                    f"Scalar parts are int or Fraction, not {type(part).__name__};"
+                    " literals go through Scalar.parse"
+                )
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
@@ -111,109 +121,18 @@ class Scalar:
     def __str__(self):
         return self.literal()
 
-    # -- field operations --------------------------------------------------
-
-    def _coerced(self, other):
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Scalar")
-        return Scalar((self.re * o.re + self.im * o.im) / n, (self.im * o.re - self.re * o.im) / n)
-
-    def __rtruediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return (Scalar(1) / self) ** (-k)
-        out = Scalar(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __neg__(self):
-        return Scalar(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
-
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        """Squared modulus, exactly."""
-        return self.re * self.re + self.im * self.im
-
-    # -- predicates / conversions ------------------------------------------
+    # -- comparison --------------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def __bool__(self):
-        return not self.is_zero()
-
     def __eq__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, Scalar):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-
-ZERO = Scalar(0)
-ONE = Scalar(1)
-I = Scalar(0, 1)
+        # equal to its real part when real, so hashed like it, as complex is
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))

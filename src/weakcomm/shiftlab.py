@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import LiteralFormatError
-from .exact import ExactMatrix, SubspaceBasis, _clear_denominators, rank_kernel
+from .exact import ExactMatrix, _clear_denominators, _kernel_basis, _parts, _rref
 from .scalar import _RATIONAL, Scalar
 
 __all__ = [
@@ -61,9 +61,12 @@ _TERM_RE = re.compile(
 class WeightRule:
     """Weight at 1-based index k.
 
-    Each parity term is None (contributes 0) or a (coef, shift) pair meaning
-    coef/(k+shift). ``const`` adds to every index. ``prefix`` overrides the
-    rule entirely at indices 1..len(prefix).
+    Each parity term is None (contributes 0) or a (coef, shift) pair of a
+    nonzero Fraction and an int, meaning coef/(k+shift). ``const`` adds to
+    every index. ``prefix`` overrides the rule entirely at indices
+    1..len(prefix). ``const`` and the prefix entries are parsed literals;
+    ``weight`` reads their parts and adds in Fractions, so a weight is an
+    exact (re, im) pair ready for the integer format of ``exact``.
     """
 
     even: tuple[Fraction, int] | None = None
@@ -72,23 +75,24 @@ class WeightRule:
     prefix: tuple[Scalar, ...] = ()
 
     def weight(self, k):
+        """The weight at index k as an exact (re, im) pair."""
         if k < 1:
             raise ValueError("weight index must be >= 1")
         if k <= len(self.prefix):
-            return self.prefix[k - 1]
+            return _parts(self.prefix[k - 1])
         term = self.even if k % 2 == 0 else self.odd
-        value = Scalar.coerce(self.const)
+        re, im = _parts(self.const)
         if term is not None:
             coef, shift = term
-            value = value + Scalar(Fraction(coef, k + shift))
-        return value
+            re += Fraction(coef, k + shift)
+        return re, im
 
     def is_zero(self):
         return (
             self.even is None
             and self.odd is None
-            and Scalar.coerce(self.const).is_zero()
-            and all(Scalar.coerce(w).is_zero() for w in self.prefix)
+            and self.const == 0
+            and all(w == 0 for w in self.prefix)
         )
 
 
@@ -150,7 +154,8 @@ def _merge_rules(r1, r2):
     prefix_len = max(len(r1.prefix), len(r2.prefix))
     if prefix_len:
         raise ValueError("cannot merge weight rules with explicit prefixes")
-    const = Scalar.coerce(r1.const) + Scalar.coerce(r2.const)
+    (re1, im1), (re2, im2) = _parts(r1.const), _parts(r2.const)
+    const = Scalar(re1 + re2, im1 + im2)
 
     def pick(t1, t2):
         if t1 is not None and t2 is not None:
@@ -169,26 +174,20 @@ def truncate(spec, n):
     """Exact n x n compression onto the first n coordinates."""
     if n < 1 or n < spec.support():
         raise ValueError(f"truncation size {n} below finite-rank support {spec.support()}")
-    # at most 2n nonzero cells, keyed by 0-based (row, col)
-    cells = {}
-    if spec.direction == "down":
-        for k in range(1, n):
-            cells[k, k - 1] = spec.weights.weight(k)
-    elif spec.direction == "up":
-        for k in range(1, n):
-            cells[k - 1, k] = spec.weights.weight(k)
+    re, im = [0] * (n * n), [0] * (n * n)
+    den = 1
+    if spec.direction != "none":
+        # the weights of k = 1..n-1 fill the diagonal below (down) or above
+        # (up) the main one, which starts at cell (1, 0) or (0, 1)
+        den, wre, wim = _clear_denominators(spec.weights.weight(k) for k in range(1, n))
+        start = n if spec.direction == "down" else 1
+        re[start::n + 1], im[start::n + 1] = wre, wim
+    out = ExactMatrix._from_rep(n, (den, re, im))
     # finite-rank entries add to whatever already sits in their cell
     # (EXNILP_N relies on T + N cancelling at (2, 1))
     for r, c, v in spec.finite_rank:
-        cell = (r - 1, c - 1)
-        cells[cell] = cells.get(cell, Scalar(0)) + Scalar.coerce(v)
-    den, vre, vim = _clear_denominators(cells.values())
-    re = [0] * (n * n)
-    im = [0] * (n * n)
-    for (r, c), x, y in zip(cells, vre, vim):
-        re[r * n + c] = x
-        im[r * n + c] = y
-    return ExactMatrix._from_rep(n, (den, re, im))
+        out = out + ExactMatrix.single_entry(n, r - 1, c - 1, v)
+    return out
 
 
 def finite_support_kernel(spec, n):
@@ -201,17 +200,12 @@ def finite_support_kernel(spec, n):
     """
     if n < spec.support() + 1 or n < 2:
         raise ValueError(f"need n >= support+1 = {spec.support() + 1} and n >= 2")
-    _, kernel, _ = rank_kernel(truncate(spec, n))
-    vectors = list(kernel.vectors)
-    # clear the last coordinate with the first vector that has one, then drop it
-    k = next((k for k, v in enumerate(vectors) if not v[-1].is_zero()), None)
-    if k is not None:
-        head = vectors.pop(k)
-        for i, v in enumerate(vectors):
-            if not v[-1].is_zero():
-                c = v[-1] / head[-1]
-                vectors[i] = [x if h.is_zero() else x - c * h for x, h in zip(v, head)]
-    return SubspaceBasis.span(vectors, ambient=n)
+    _, re, im = truncate(spec, n)._rep()
+    # the kernel vectors that vanish at the last coordinate are the kernel of
+    # the section without its last column, padded with a zero
+    cols = [k for k in range(n * n) if k % n != n - 1]
+    pivots, reduced = _rref(n, n - 1, [re[k] for k in cols], [im[k] for k in cols])
+    return _kernel_basis(n - 1, pivots, reduced, n)
 
 
 # -- text format -------------------------------------------------------------
@@ -221,7 +215,9 @@ def _parse_rule_value(text, where):
     """A rule is a closed-form term c/(k+a) or a constant scalar literal."""
     m = _TERM_RE.match(text)
     if m:
-        return (Fraction(m.group("coef")), int(m.group("shift"))), None
+        # a zero coefficient contributes nothing, like no term at all
+        coef = Fraction(m.group("coef"))
+        return ((coef, int(m.group("shift"))) if coef else None), None
     return None, _parse_scalar(text, where, "c/(k+a) or a scalar literal")
 
 
@@ -303,7 +299,7 @@ def format_spec(spec):
             lines.append(f"weights_even: {_format_term(rule.even)}")
         if rule.odd is not None:
             lines.append(f"weights_odd: {_format_term(rule.odd)}")
-    if not Scalar.coerce(rule.const).is_zero():
+    if rule.const != 0:
         lines.append(f"weights: {Scalar.coerce(rule.const).literal()}")
     if rule.prefix:
         lines.append(

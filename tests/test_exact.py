@@ -1,9 +1,10 @@
 """Exact matrix core: arithmetic, charpoly, polynomials, rank/kernel, subspaces.
 
 The characteristic polynomial has an independent oracle here: cofactor
-expansion of det(xI - A) over ``ReferencePoly``, a polynomial over Scalars
-that shares no code with the Faddeev-LeVerrier implementation or with the
-integer ``ExactPoly`` under test.
+expansion of det(xI - A) over ``ReferencePoly``, a polynomial over
+``FieldScalar`` coefficients (``field_scalar.py``) that shares no code with
+the Faddeev-LeVerrier implementation or with the integer ``ExactPoly`` under
+test.
 """
 
 import random
@@ -17,12 +18,14 @@ from weakcomm.errors import (
     DimensionMismatchError,
     LiteralFormatError,
     NotNilpotentError,
+    SamplerBudgetError,
 )
 from weakcomm.exact import (
     ExactMatrix,
     ExactPoly,
     SubspaceBasis,
     _clear_denominators,
+    _parts,
     charpoly,
     exp_exact_nilpotent,
     inverse,
@@ -33,15 +36,17 @@ from weakcomm.exact import (
 )
 from weakcomm.instances import ExampleId, RelationClass, paper_example, sample_pair
 from weakcomm.scalar import Scalar
-from weakcomm.shiftlab import truncate
+from weakcomm.shiftlab import finite_support_kernel, truncate
+
+from field_scalar import FieldScalar
 
 
 def _rand_scalar(rng, small=False):
     num = rng.randint(-4, 4)
     den = rng.randint(1, 3)
     if small or rng.random() < 0.75:
-        return Scalar(Fraction(num, den))
-    return Scalar(Fraction(num, den), Fraction(rng.randint(-3, 3), den))
+        return FieldScalar(Fraction(num, den))
+    return FieldScalar(Fraction(num, den), Fraction(rng.randint(-3, 3), den))
 
 
 def _rand_matrix(rng, d):
@@ -85,7 +90,7 @@ class ReferencePoly:
     """
 
     def __init__(self, coeffs):
-        cs = [Scalar.coerce(c) for c in coeffs]
+        cs = [FieldScalar.coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = tuple(cs)
@@ -100,7 +105,7 @@ class ReferencePoly:
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         n = max(len(a), len(b))
-        zero = Scalar(0)
+        zero = FieldScalar(0)
         return ReferencePoly(
             [(a[k] if k < len(a) else zero) + (b[k] if k < len(b) else zero) for k in range(n)]
         )
@@ -113,10 +118,10 @@ class ReferencePoly:
 
     def __mul__(self, other):
         if not isinstance(other, ReferencePoly):
-            return ReferencePoly([c * Scalar.coerce(other) for c in self.coeffs])
+            return ReferencePoly([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return ReferencePoly(())
-        out = [Scalar(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [FieldScalar(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -124,7 +129,7 @@ class ReferencePoly:
 
     def __divmod__(self, other):
         rem = list(self.coeffs)
-        q = [Scalar(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        q = [FieldScalar(0)] * max(0, len(rem) - len(other.coeffs) + 1)
         lead = other.coeffs[-1]
         db = other.degree
         while len(rem) - 1 >= db and rem:
@@ -180,11 +185,11 @@ class ReferencePoly:
                 body = c.literal()
             else:
                 power = "x" if k == 1 else f"x^{k}"
-                if c == Scalar(1):
+                if c == 1:
                     body = power
-                elif c == Scalar(-1):
+                elif c == -1:
                     body = f"-{power}"
-                elif c.is_real() or c.re == 0:
+                elif c.im == 0 or c.re == 0:
                     body = f"{c.literal()}{power}"
                 else:
                     body = f"({c.literal()}){power}"
@@ -199,7 +204,7 @@ class ReferencePoly:
 
 def reference_inverse(a):
     p = ReferencePoly(charpoly(a).coeffs)
-    return ReferencePoly(p.coeffs[1:]).eval_matrix(a) * (Scalar(-1) / p.coeffs[0])
+    return ReferencePoly(p.coeffs[1:]).eval_matrix(a) * (FieldScalar(-1) / p.coeffs[0])
 
 
 # -- oracle: cofactor-expansion charpoly ---------------------------------------------
@@ -413,6 +418,23 @@ def test_single_entry_checks_indices():
         ExactMatrix.single_entry(0, 0, 0)
 
 
+def test_dimensions_below_one_are_rejected_alike():
+    for dim in (0, -1):
+        for build in (
+            ExactMatrix.identity,
+            ExactMatrix.zeros,
+            SubspaceBasis.zero,
+            SubspaceBasis.full,
+            lambda n: SubspaceBasis([], ambient=n),
+            lambda n: SubspaceBasis.span([], ambient=n),
+        ):
+            with pytest.raises(DimensionMismatchError, match="dim must be >= 1"):
+                build(dim)
+    with pytest.raises(DimensionMismatchError, match="dim must be >= 1"):
+        ExactMatrix.diagonal([])
+    assert SubspaceBasis([], ambient=1) == SubspaceBasis.zero(1)
+
+
 def test_rejects_nonsquare():
     with pytest.raises(DimensionMismatchError):
         ExactMatrix([[1, 2]])
@@ -437,7 +459,6 @@ def test_ring_ops():
         assert a * ExactMatrix.identity(d) == a
         assert (a * Fraction(2, 3)) * 3 == a * 2
         assert -a == a * -1
-        assert a / 2 == a * Fraction(1, 2)
 
 
 def test_pow():
@@ -481,7 +502,7 @@ def test_cleared_denominators_are_already_normalized():
                 values.append(Scalar(re, im))
         cases.append(values)
     for values in cases:
-        rep = _clear_denominators(values)
+        rep = _clear_denominators(map(_parts, values))
         assert _kernel_py.normalize(*rep) == rep, values
         den, re, im = rep
         assert [Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(re, im)] == values
@@ -607,7 +628,7 @@ def test_echelon_matches_dense_reference():
 
 def reference_rref(rows):
     """Gauss-Jordan over Scalars, pivot by pivot; returns (rows, pivots), no zero rows."""
-    rows = [list(r) for r in rows]
+    rows = [[FieldScalar.coerce(x) for x in r] for r in rows]
     if not rows:
         return [], []
     ncols = len(rows[0])
@@ -644,7 +665,7 @@ def reference_kernel_from_echelon(nrows, ncols, rank, pivots, ere, eim):
     """Back-substitute an integer echelon form into exact kernel vectors."""
     rows = [
         [
-            Scalar(Fraction(ere[i * ncols + j]), Fraction(eim[i * ncols + j]))
+            FieldScalar(Fraction(ere[i * ncols + j]), Fraction(eim[i * ncols + j]))
             for j in range(ncols)
         ]
         for i in range(rank)
@@ -653,11 +674,11 @@ def reference_kernel_from_echelon(nrows, ncols, rank, pivots, ere, eim):
     free_cols = [j for j in range(ncols) if j not in pivot_set]
     vectors = []
     for f in free_cols:
-        x = [Scalar(0)] * ncols
-        x[f] = Scalar(1)
+        x = [FieldScalar(0)] * ncols
+        x[f] = FieldScalar(1)
         for i in range(rank - 1, -1, -1):
             p = pivots[i]
-            s = Scalar(0)
+            s = FieldScalar(0)
             for j in range(p + 1, ncols):
                 if not x[j].is_zero() and not rows[i][j].is_zero():
                     s = s + rows[i][j] * x[j]
@@ -668,7 +689,7 @@ def reference_kernel_from_echelon(nrows, ncols, rank, pivots, ere, eim):
 
 
 def reference_span(vectors):
-    reduced, pivots = reference_rref([[Scalar.coerce(v) for v in vec] for vec in vectors])
+    reduced, pivots = reference_rref(vectors)
     return tuple(tuple(r) for r in reduced), tuple(pivots)
 
 
@@ -682,7 +703,7 @@ def reference_rank_kernel(a):
 
 def reference_coordinates(rows, pivots, vec):
     """Coefficients of vec in reduced rows by Scalar elimination, or None."""
-    vec = [Scalar.coerce(v) for v in vec]
+    vec = [FieldScalar.coerce(v) for v in vec]
     coords = tuple(vec[p] for p in pivots)
     for c, row in zip(coords, rows):
         if not c.is_zero():
@@ -694,8 +715,10 @@ def reference_coordinates(rows, pivots, vec):
 
 def reference_mat_vec(a, vec):
     """The column vector a * vec, entry by entry in Scalars."""
-    terms = [(j, v) for j, v in enumerate(vec) if not v.is_zero()]
-    return tuple(sum((a.entry(i, j) * v for j, v in terms), Scalar(0)) for i in range(a.dim))
+    terms = [(j, FieldScalar.coerce(v)) for j, v in enumerate(vec) if not v.is_zero()]
+    return tuple(
+        sum((a.entry(i, j) * v for j, v in terms), FieldScalar(0)) for i in range(a.dim)
+    )
 
 
 def _canonical(basis):
@@ -715,9 +738,9 @@ def _rand_rows(rng, nrows, ncols, complex_entries, density):
 
     def entry():
         if rng.random() >= density:
-            return Scalar(0)
+            return FieldScalar(0)
         im = Fraction(rng.randint(-5, 5), rng.randint(1, 6)) if complex_entries else 0
-        return Scalar(Fraction(rng.randint(-7, 7), rng.randint(1, 6)), im)
+        return FieldScalar(Fraction(rng.randint(-7, 7), rng.randint(1, 6)), im)
 
     return [[entry() for _ in range(ncols)] for _ in range(nrows)]
 
@@ -732,8 +755,10 @@ def _span_inputs():
         if rows and case % 5 == 4:
             # rank-deficient: append combinations of the rows already drawn
             for _ in range(rng.randint(1, 3)):
-                c1 = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-1, 1))
-                c2 = Scalar(rng.randint(-2, 2))
+                c1 = FieldScalar(
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-1, 1)
+                )
+                c2 = FieldScalar(rng.randint(-2, 2))
                 u, w = rng.choice(rows), rng.choice(rows)
                 rows.append([c1 * x + c2 * y for x, y in zip(u, w)])
         if rows and case % 7 == 0:
@@ -825,8 +850,8 @@ def test_subspace_ops_match_scalar_references():
         # coordinates: rows of w (mostly outside a) and combinations of u (inside a)
         combos = []
         for _ in range(2):
-            c = [Scalar(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in u]
-            combos.append([sum((x * r[j] for x, r in zip(c, u)), Scalar(0)) for j in range(n)])
+            c = [FieldScalar(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in u]
+            combos.append([sum(x * r[j] for x, r in zip(c, u)) for j in range(n)])
         for vec in w + (combos if u else []):
             expected = reference_coordinates(*ref_a, vec)
             assert a.coordinates_of(vec) == expected, (u, vec)
@@ -845,18 +870,29 @@ def test_subspace_ops_match_scalar_references():
             assert (rank, _canonical(kernel), _canonical(img)) == reference_rank_kernel(sq)
 
 
-def test_subspace_layer_builds_no_scalars(monkeypatch):
+@pytest.fixture
+def count_scalars(monkeypatch):
+    """Call it to start counting Scalar constructions; it returns their arguments."""
+
+    def start():
+        built = []
+        original = Scalar.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Scalar, "__init__", counting_init)
+        return built
+
+    return start
+
+
+def test_subspace_layer_builds_no_scalars(count_scalars):
     pairs = [sample_pair(cls, 4, 41 + k) for k, cls in enumerate(RelationClass)]
     sections = [truncate(paper_example(e)[0], 10) for e in (ExampleId.EXNILP_T, ExampleId.EXNILP_Q)]
     pairs.append(tuple(sections))
-    built = []
-    original = Scalar.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    built = count_scalars()
     for a, b in pairs:
         rank, ker_a, img_a = rank_kernel(a)
         _, ker_b, img_b = rank_kernel(b)
@@ -865,6 +901,33 @@ def test_subspace_layer_builds_no_scalars(monkeypatch):
         assert ker_a.image_under(a) == SubspaceBasis.zero(a.dim)
         assert img_a.sum_with(ker_b).contains(ker_b)
         assert SubspaceBasis.full(a.dim).contains(ker_b.sum_with(img_b))
+    assert built == []
+    Scalar(1)
+    assert len(built) == 1
+
+
+def test_samplers_and_sections_build_no_scalars(count_scalars):
+    exnilp = (ExampleId.EXNILP_T, ExampleId.EXNILP_N, ExampleId.EXNILP_Q)
+    t, n, q = (paper_example(e)[0] for e in exnilp)
+    specs = [t, n, q, t + n, t + q]
+    built = count_scalars()
+    sampled = 0
+    for k, cls in enumerate(RelationClass):
+        for dim in (2, 3, 4, 5):
+            for strict in (False, True):
+                for nilpotent in (False, True):
+                    if strict and cls is RelationClass.COMM:
+                        continue
+                    try:
+                        sample_pair(cls, dim, 50 + k, strict, nilpotent)
+                        sampled += 1
+                    except SamplerBudgetError:
+                        pass
+    assert built == [] and sampled > 50
+    for spec in specs:
+        for size in (6, 10, 20):
+            truncate(spec, size)
+            finite_support_kernel(spec, size)
     assert built == []
     Scalar(1)
     assert len(built) == 1
@@ -972,7 +1035,9 @@ def test_to_complex_rows_matches_entry_route():
         m = ExactMatrix._from_rep(d, _kernel_py.normalize(den, re, im))
 
         def by_entry(m):
-            return [[complex(m.entry(i, j)) for j in range(m.dim)] for i in range(m.dim)]
+            d = m.dim
+            return [[complex(FieldScalar.coerce(m.entry(i, j))) for j in range(d)]
+                    for i in range(d)]
 
         expected = _outcome(by_entry, m)
         assert _outcome(ExactMatrix.to_complex_rows, m) == expected
@@ -1024,7 +1089,8 @@ def test_scaling_by_int_fraction_and_scalar_agree():
         assert a * k == a * Scalar(k) == a * Fraction(k) == k * a
         q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         assert a * q == a * Scalar(q)
-        assert (a * q).rows() == tuple(tuple(v * q for v in row) for row in a.rows())
+        scaled = tuple(tuple(FieldScalar.coerce(v) * q for v in row) for row in a.rows())
+        assert (a * q).rows() == scaled
 
 
 def test_literal_round_trip():
@@ -1084,13 +1150,8 @@ def test_rank_kernel_consistency():
         rank, kernel, image = rank_kernel(a)
         assert rank + kernel.dim == d
         assert image.dim == rank
-        zero = [Scalar(0)] * d
         for vec in kernel.vectors:
-            out = [
-                sum((a.entry(i, j) * vec[j] for j in range(d)), Scalar(0))
-                for i in range(d)
-            ]
-            assert out == zero
+            assert reference_mat_vec(a, vec) == (0,) * d
         for j in range(d):
             assert image.contains_vector(list(a.column(j)))
 
@@ -1295,7 +1356,7 @@ def _rand_poly(rng):
         return ReferencePoly([_rand_scalar(rng) for _ in range(rng.randint(0, 6))])
     p = ReferencePoly([_rand_scalar(rng, small=kind == 1)])
     for _ in range(rng.randint(1, 3)):
-        root = _rand_scalar(rng, small=kind == 1) if rng.random() < 0.8 else Scalar(0)
+        root = _rand_scalar(rng, small=kind == 1) if rng.random() < 0.8 else FieldScalar(0)
         for _ in range(rng.randint(1, 3)):
             p = p * ReferencePoly((-root, 1))
     return p
@@ -1355,16 +1416,9 @@ def test_poly_matches_scalar_reference():
             assert p.eval_matrix(m) == ref.eval_matrix(m)
 
 
-def test_poly_layer_builds_no_scalars(monkeypatch):
+def test_poly_layer_builds_no_scalars(count_scalars):
     pairs = [sample_pair(cls, 4, 31 + k) for k, cls in enumerate(RelationClass)]
-    built = []
-    original = Scalar.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    built = count_scalars()
     for a, b in pairs:
         for m in (a, b, a * b, a + b):
             p = charpoly(m)
@@ -1398,7 +1452,6 @@ def test_poly_radical():
 def test_poly_eval():
     x = ExactPoly.variable()
     p = x ** 2 - ExactPoly.one()
-    assert p.eval_scalar(Scalar(3)) == Scalar(8)
     a = ExactMatrix([[0, 1], [1, 0]])
     assert p.eval_matrix(a).is_zero()
 

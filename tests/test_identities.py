@@ -26,6 +26,8 @@ from weakcomm.instances import ExampleId, RelationClass, paper_example, sample_p
 from weakcomm.numeric import spectral_radius_exact
 from weakcomm.relations import FLAG_NAMES, _probe, relation_check, relation_flags
 
+from field_scalar import FieldScalar
+
 E = ExactMatrix.single_entry
 
 
@@ -431,7 +433,7 @@ def test_shared_context_matches_fresh_context():
     for a, b in _memo_sweep():
         ctx = PairContext(a, b)
         for identity in IdentityId:
-            for params in _suite_plan(identity, ctx):
+            for params in _suite_plan(identity):
                 shared = _run_checker(identity, ctx, params)
                 fresh = check_identity(identity, a, b, **params)
                 assert shared == fresh, (identity, params, a.literal(), b.literal())
@@ -655,7 +657,7 @@ def reference_verify_counts(classes, dims, samples_per_class, seed, inject_fault
             a, b = sample_pair(cls, dim, pair_seed, require_noncommuting=strict)
             ctx = PairContext(a, b)
             for identity in IdentityId:
-                for params in _suite_plan(identity, ctx):
+                for params in _suite_plan(identity):
                     res = _run_checker(identity, ctx, params, invert=identity is inject_fault)
                     slot = counts[identity.value]
                     slot[res.verdict] += 1
@@ -743,7 +745,7 @@ def test_suite_builds_no_combination_without_a_hypothesis(monkeypatch):
     rep = verify_suite(["none"], (2, 3, 4), 6, 29)
     assert rep.totals["vacuous"] > 0
     for name in ("NEWTON_R", "NEWTON_L", "BINOM", "TELESCOPE", "L1.III.ii", "L1.IV.ii"):
-        assert rep.identities[name]["vacuous"] == 6 * len(_suite_plan(IdentityId(name), None))
+        assert rep.identities[name]["vacuous"] == 6 * len(_suite_plan(IdentityId(name)))
 
 
 def _count_products(monkeypatch):
@@ -816,7 +818,10 @@ def test_relation_flags_decides_a_probe_kernel_pair_exactly(monkeypatch):
     ctx = PairContext(a, b)
     for w in _RELATION_WORDS:
         m = ctx.word(w)
-        assert all(sum(m.entry(i, j) * v[j] for j in range(3)).is_zero() for i in range(3)), w
+        assert all(
+            sum(FieldScalar.coerce(m.entry(i, j)) * v[j] for j in range(3)).is_zero()
+            for i in range(3)
+        ), w
     calls = _count_products(monkeypatch)
     for x, y in ((a, b), (b, a)):
         want = relation_check(x, y)

@@ -24,6 +24,8 @@ from weakcomm.shiftlab import (
     truncate,
 )
 
+from field_scalar import FieldScalar
+
 
 def _spec(example_id):
     spec, _ = paper_example(example_id)
@@ -32,40 +34,55 @@ def _spec(example_id):
 
 def test_weight_rule_basics():
     r = WeightRule(even=(Fraction(1), 0), odd=(Fraction(-1), 1))
-    assert r.weight(2) == Scalar(Fraction(1, 2))
-    assert r.weight(3) == Scalar(Fraction(-1, 4))
+    assert r.weight(2) == (Fraction(1, 2), 0)
+    assert r.weight(3) == (Fraction(-1, 4), 0)
     with pytest.raises(ValueError):
         r.weight(0)
     assert not r.is_zero()
     assert WeightRule().is_zero()
+    # a constant adds to the closed-form term of either parity
+    c = WeightRule(even=(Fraction(1), 0), const=Scalar(Fraction(1, 2), 1))
+    assert c.weight(2) == (Fraction(1), 1)
+    assert c.weight(3) == (Fraction(1, 2), 1)
 
 
 def test_weight_rule_prefix_overrides():
     r = WeightRule(odd=(Fraction(1), 0), even=(Fraction(1), 0), prefix=(Scalar(7),))
-    assert r.weight(1) == Scalar(7)
-    assert r.weight(2) == Scalar(Fraction(1, 2))
+    assert r.weight(1) == (7, 0)
+    assert r.weight(2) == (Fraction(1, 2), 0)
 
 
 def test_parse_format_round_trip():
     text = "direction: down\nweights: 1/(k+1)\nfinite: 2 1 -1/2\n"
     spec = parse_spec(text)
     assert spec.direction == "down"
-    assert spec.weights.weight(1) == Scalar(Fraction(1, 2))
+    assert spec.weights.weight(1) == (Fraction(1, 2), 0)
     assert spec.finite_rank == ((2, 1, Scalar(Fraction(-1, 2))),)
     assert parse_spec(format_spec(spec)) == spec
+
+
+def test_zero_weight_term_is_no_term():
+    zero = parse_spec("direction: down\nweights_even: 0/(k+1)\nweights_odd: -0/(k+3)\n")
+    assert zero.weights == WeightRule() and zero.weights.is_zero()
+    assert format_spec(zero) == "direction: down\n"
+    assert parse_spec("direction: up\nweights: 0/(k+2)\n").weights == WeightRule()
+    # an identically zero shift adds to a shift of either direction
+    up = parse_spec("direction: up\nweights: 1/(k+1)\nfinite: 1 2 1\n")
+    for total in (zero + up, up + zero):
+        assert truncate(total, 8) == truncate(up, 8)
 
 
 def test_parse_parity_and_prefix_and_const():
     spec = parse_spec(
         "direction: up\nweights_odd: -1/(k+2)\nweights_prefix: 1/2 0\n"
     )
-    assert spec.weights.weight(1) == Scalar(Fraction(1, 2))
-    assert spec.weights.weight(2) == Scalar(0)
-    assert spec.weights.weight(3) == Scalar(Fraction(-1, 5))
-    assert spec.weights.weight(4) == Scalar(0)
+    assert spec.weights.weight(1) == (Fraction(1, 2), 0)
+    assert spec.weights.weight(2) == (0, 0)
+    assert spec.weights.weight(3) == (Fraction(-1, 5), 0)
+    assert spec.weights.weight(4) == (0, 0)
     assert parse_spec(format_spec(spec)) == spec
     const = parse_spec("direction: down\nweights: 2/3\n")
-    assert const.weights.weight(5) == Scalar(Fraction(2, 3))
+    assert const.weights.weight(5) == (Fraction(2, 3), 0)
 
 
 def test_parse_comments_and_errors():
@@ -122,14 +139,14 @@ def reference_truncate(spec, n):
     """The n x n Scalar grid, finite-rank entries added to their cell."""
     if n < 1 or n < spec.support():
         raise ValueError(f"truncation size {n} below finite-rank support {spec.support()}")
-    zero = Scalar(0)
+    zero = FieldScalar(0)
     rows = [[zero] * n for _ in range(n)]
     if spec.direction == "down":
         for k in range(1, n):
-            rows[k][k - 1] = spec.weights.weight(k)
+            rows[k][k - 1] = FieldScalar(*spec.weights.weight(k))
     elif spec.direction == "up":
         for k in range(1, n):
-            rows[k - 1][k] = spec.weights.weight(k)
+            rows[k - 1][k] = FieldScalar(*spec.weights.weight(k))
     for r, c, v in spec.finite_rank:
         rows[r - 1][c - 1] += Scalar.coerce(v)
     return ExactMatrix(rows)
@@ -309,7 +326,7 @@ def test_kernel_vectors_annihilated_in_larger_truncations():
     for vec in small.vectors:
         padded = list(vec) + [Scalar(0)] * 6
         image = [
-            sum((big.entry(i, j) * padded[j] for j in range(12)), Scalar(0))
+            sum((FieldScalar.coerce(big.entry(i, j)) * padded[j] for j in range(12)), 0)
             for i in range(12)
         ]
         assert all(x.is_zero() for x in image)
