@@ -194,6 +194,12 @@ def _run_truncate(args):
     from .numeric import CMatrix, eigenvalues
 
     spec, _ = paper_example(args.id)
+    least = max(2, spec.support() + 1)
+    if args.sizes[0] < least:
+        raise ConfigError(
+            f"--sizes must be >= {least} for {args.id}: "
+            f"its finite-rank part reaches coordinate {spec.support()}"
+        )
     rows = []
     for n in args.sizes:
         t = shiftlab.truncate(spec, n)

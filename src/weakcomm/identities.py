@@ -42,7 +42,7 @@ from .exact import (
     nilpotency_degree,
     poly_radical,
 )
-from .relations import _relation_words
+from .relations import _decide, _product, _report
 from .scalar import Scalar
 from .structure import kernel_inclusion_forward, kernel_inclusion_reverse, range_kernel_criterion
 
@@ -149,10 +149,11 @@ class PairContext:
     A context serves one ordered pair (a, b) and nothing outlives it:
     ``verify_suite`` builds one per sampled pair and ``check_identity`` a
     fresh one per call. Products are keyed by words over the letters ``a``,
-    ``b`` and ``s`` (s = a + b); ``word("aaab")`` is a*a*a*b, built from the
-    cached prefix ``word("aaa")``, so each word is multiplied once per pair.
-    The relation check already multiplies ab, ba, aab, aba, baa, abb, bab
-    and bba, and the memo starts with those eight words.
+    ``b`` and ``s`` (s = a + b), with ``""`` the identity; ``word`` builds a
+    missing word from its longest cached prefix or suffix (``relations._product``),
+    so each word is multiplied once per pair. ``report`` holds the relation
+    flags, without residuals; deciding them leaves in the memo the products
+    of the flags the probe does not refute, and no others.
     ``combo`` sums integer multiples of words in one pass over their integer
     numerators; each binomial, Newton and telescoping identity is a list of
     such combinations that must vanish. Nilpotency degrees are kept per
@@ -168,8 +169,8 @@ class PairContext:
         self.a = a
         self.b = b
         self.dim = a.dim
-        self.report, words = _relation_words(a, b)
-        self._words = {"": ExactMatrix.identity(self.dim), "a": a, "b": b, "s": a + b, **words}
+        self._words = {"": ExactMatrix.identity(self.dim), "a": a, "b": b, "s": a + b}
+        self.report = _report(_decide(self._words), None)
         self._memo = {}
 
     @property
@@ -186,16 +187,8 @@ class PairContext:
 
     def word(self, w):
         """The product of the letters of w, e.g. ``word("ab" * 2)`` = (ab)^2."""
-        words = self._words
-        m = words.get(w)
-        if m is None:
-            k = len(w) - 1
-            while w[:k] not in words:
-                k -= 1
-            m = words[w[:k]]
-            for j in range(k, len(w)):
-                m = words[w[: j + 1]] = m * words[w[j]]
-        return m
+        m = self._words.get(w)  # most calls find the word: skip the call
+        return _product(self._words, w) if m is None else m
 
     def combo(self, terms):
         """Sum of c * word(w) over the (w, c) pairs; c is an int, w may repeat."""

@@ -77,11 +77,10 @@ class CMatrix:
         return NotImplemented if o is None else CMatrix(self._a - o)
 
     def __mul__(self, other):
-        if isinstance(other, CMatrix):
-            return CMatrix(self._a @ other._a)
         if isinstance(other, (int, float, complex)):
             return CMatrix(self._a * other)
-        return NotImplemented
+        o = self._coerce(other)
+        return NotImplemented if o is None else CMatrix(self._a @ o)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):

@@ -26,22 +26,26 @@ The pointwise pieces of the three algebra-wide commutativity conditions:
     c2_pair = ab_in_comm_a or ba_in_comm_a or ab_in_comm_b
     c3_pair = ab_in_comm_b or ba_in_comm_b
 
-``relation_check`` multiplies the eight compared words ab, ba, aab, aba,
-baa, abb, bab and bba once each. ``residuals`` maps each flag name to the
-Frobenius norm of its defect matrix (exactly 0.0 when the flag is true).
-
-``relation_flags`` returns the same flags with ``residuals=None``, for
-callers that read only the flags. It screens each flag first: the two words
-of a flag have the same letters, so their integer numerators over one
-denominator are compared, each applied to a fixed probe vector v with
-entries (-1)^j (j^2 + j + 41). Twelve matrix-vector products give every
-word's image of v, and X v != Y v proves X != Y, so the flag is false. The
-probe is fixed, not drawn, so no random state is read. A flag the probe
-does not refute (every true flag, and a false one whose defect has v in
-its kernel) falls back to the exact products, so a flag is true only when
+Every flag is decided in one place, the screen behind ``relation_flags``.
+The two words of a flag have the same letters, so their integer numerators
+over one denominator are compared, each applied to a fixed probe vector v
+with entries (-1)^j (j^2 + j + 41). Twelve matrix-vector products give
+every word's image of v, and X v != Y v proves X != Y, so the flag is
+false. The probe is fixed, not drawn, so no random state is read. A flag the
+probe does not refute (every true flag, and a false one whose defect has v
+in its kernel) falls back to the exact products, so a flag is true only when
 the exact products are equal (Freivalds, "Probabilistic machines can use
 less running time", IFIP 1977, with the random vector fixed and the exact
-check as fallback).
+check as fallback). ``relation_flags`` returns these flags with
+``residuals=None``. ``relation_check`` adds ``residuals``, which maps each
+flag name to the Frobenius norm of its defect matrix (exactly 0.0 when the
+flag is true).
+
+Words are multiplied in one place too: ``_product`` keeps a memo of words
+keyed by their letters and multiplies only a missing word, from its longest
+memoized prefix or suffix. The screen, the residuals, ``PairContext`` in
+``identities`` and the registry's word claims all fill such a memo, and no
+memo multiplies a word twice.
 """
 
 from __future__ import annotations
@@ -93,8 +97,15 @@ class RelationReport:
 
 
 def relation_check(a, b):
-    """Exact relation report for the ordered pair (a, b) of ExactMatrix."""
-    return _relation_words(a, b)[0]
+    """Exact relation report for the ordered pair (a, b) of ExactMatrix:
+    the flags of ``relation_flags`` and the residuals of the false ones."""
+    words = {"a": a, "b": b}
+    flags = _decide(words)
+    residuals = {
+        k: 0.0 if flags[k] else (_product(words, x) - _product(words, y)).frobenius()
+        for k, (x, y) in _FLAG_WORDS.items()
+    }
+    return _report(flags, residuals)
 
 
 def relation_flags(a, b):
@@ -104,17 +115,47 @@ def relation_flags(a, b):
     words differ on the probe is false. Only a flag the probe does not
     refute is decided by the exact products, each multiplied once.
     """
+    return _report(_decide({"a": a, "b": b}), None)
+
+
+def _decide(words):
+    """The five primitive flags of the pair in the memo ``words``, which
+    keeps the products of the flags the probe does not refute."""
+    a, b = words["a"], words["b"]
     a._check_dim(b)
     rows = {"a": _numerator_rows(a), "b": _numerator_rows(b)}
     images = {"": _probe(a.dim)}
     for w, first, rest in _PROBE_STEPS:
         images[w] = _apply(rows[first], images[rest])
-    words = {"a": a, "b": b}
-    flags = {
-        k: images[x] == images[y] and _word(words, x) == _word(words, y)
+    return {
+        k: images[x] == images[y] and _product(words, x) == _product(words, y)
         for k, (x, y) in _FLAG_WORDS.items()
     }
-    return _report(flags, None)
+
+
+def _product(words, w):
+    """The product of the letters of w, kept in the memo ``words``.
+
+    ``words`` maps words to matrices and holds at least every letter of w.
+    A missing word is the product of its longest memoized prefix or suffix
+    and the rest, and every product made is kept, so no word is multiplied
+    twice. On a tie the piece comes from the end where a letter repeats, or
+    else from the front: aab = a(ab) and abb = (ab)b, so the rest is the
+    ab or ba that other flags share.
+    """
+    m = words.get(w)
+    if m is None:
+        k = len(w) - 1
+        while k > 0 and w[:k] not in words and w[-k:] not in words:
+            k -= 1
+        if k < 1:
+            raise KeyError(f"no matrix for the word {w!r}")
+        if w[:k] in words and (w[-k:] not in words or w[0] == w[1] or w[-1] != w[-2]):
+            m = words[w[:k]] * _product(words, w[k:])
+        else:
+            m = _product(words, w[:-k]) * words[w[-k:]]
+        words[w] = m
+    return m
 
 
 # each flag compares two words: (ab)a with a(ab), and so on
@@ -124,18 +165,6 @@ _FLAG_WORDS = {
     "ab_in_comm_b": ("abb", "bab"),
     "ba_in_comm_a": ("baa", "aba"),
     "ba_in_comm_b": ("bab", "bba"),
-}
-
-# the eight compared words, each the product of two shorter ones
-_PRODUCTS = {
-    "ab": ("a", "b"),
-    "ba": ("b", "a"),
-    "aab": ("a", "ab"),
-    "aba": ("ab", "a"),
-    "baa": ("ba", "a"),
-    "abb": ("ab", "b"),
-    "bab": ("b", "ab"),
-    "bba": ("b", "ba"),
 }
 
 # the nonempty suffixes of the compared words, shortest first: the probe
@@ -152,15 +181,6 @@ _PROBE_STEPS = tuple(
 def _probe(dim):
     """The fixed probe: entry j is (-1)^j (j^2 + j + 41), a prime for j < 40."""
     return tuple((j * j + j + 41) * (-1) ** j for j in range(dim))
-
-
-def _word(words, w):
-    """The product w of the letters a and b, multiplied once into ``words``."""
-    m = words.get(w)
-    if m is None:
-        x, y = _PRODUCTS[w]
-        m = words[w] = _word(words, x) * _word(words, y)
-    return m
 
 
 def _numerator_rows(m):
@@ -186,24 +206,6 @@ def _apply(rows, v):
     re = [sum(map(mul, r, v)) for r in first]
     im = [sum(map(mul, r, v)) for r in second]
     return re + im if any(im) else re
-
-
-def _relation_words(a, b):
-    """(relation report, the eight products it compares keyed by word).
-
-    ExactMatrix is normalized, so a flag is decided by equality, and a
-    defect is built only for a residual.
-    """
-    words = {"a": a, "b": b}
-    for w in _PRODUCTS:
-        _word(words, w)
-    flags = {}
-    residuals = {}
-    for k, (x, y) in _FLAG_WORDS.items():
-        flags[k] = words[x] == words[y]
-        residuals[k] = 0.0 if flags[k] else (words[x] - words[y]).frobenius()
-    del words["a"], words["b"]
-    return _report(flags, residuals), words
 
 
 def _report(flags, residuals):

@@ -121,6 +121,14 @@ def test_example_bad_dim_exits_two(capsys):
     assert "error" in err
 
 
+def test_example_below_min_dim_exits_two(capsys):
+    # at dim 3 the EX4_RN pair is comm_l as well, so its flags fail there
+    status, out, err = _run_inproc(["example", "EX4_RN", "--dim", "3"], capsys)
+    assert status == 2 and out == ""
+    assert "needs dim >= 4" in err
+    assert _run_inproc(["example", "EX4_RN", "--dim", "4"], capsys)[0] == 0
+
+
 def test_search_found_exits_zero(capsys):
     status, out, _ = _run_inproc(
         ["search", "--predicate", "not_c3", "--dim", "2", "--budget", "10000", "--seed", "1"],
@@ -173,6 +181,14 @@ def test_truncate_bad_sizes():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_truncate_sizes_below_the_support_exit_two(capsys):
+    # EXNILP_N's finite-rank part reaches coordinate 2, so sizes start at 3
+    status, out, err = _run_inproc(["truncate", "EXNILP_N", "--sizes", "2,3"], capsys)
+    assert status == 2 and out == ""
+    assert "--sizes must be >= 3 for EXNILP_N" in err
+    assert _run_inproc(["truncate", "EXNILP_N", "--sizes", "3"], capsys)[0] == 0
 
 
 def test_markdown_rendering(capsys):

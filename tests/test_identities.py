@@ -774,21 +774,66 @@ def test_relation_check_multiplies_eight_words(monkeypatch):
     assert not rep.comm and rep.residuals["comm"] == (a * b - b * a).frobenius()
 
 
-def test_pair_context_starts_with_the_relation_words(monkeypatch):
-    a = ExactMatrix.parse("1,2,0;0,1/2,i;3,0,-1")
-    b = ExactMatrix.parse("0,1,1;i,0,2;0,0,1/3")
-    letters = {"a": a, "b": b}
+def test_pair_context_multiplies_only_the_words_of_unrefuted_flags(monkeypatch):
+    # the probe refutes every flag of the first pair, so construction
+    # multiplies nothing; SEX_I_PQ keeps three flags, whose seven words are
+    # multiplied once each
+    first = (ExactMatrix.parse("1,2,0;0,1/2,i;3,0,-1"), ExactMatrix.parse("0,1,1;i,0,2;0,0,1/3"))
+    for (a, b), made in ((first, set()), (_pair(ExampleId.SEX_I_PQ), set(_RELATION_WORDS) - {"abb"})):
+        letters = {"a": a, "b": b}
+        want = relation_flags(a, b)
+        calls = _count_products(monkeypatch)
+        ctx = PairContext(a, b)
+        assert len(calls) == len(made)
+        assert set(ctx._words) == {"", "a", "b", "s"} | made
+        assert ctx.report == want and ctx.report.residuals is None
+        words = {w: ctx.word(w) for w in _RELATION_WORDS}
+        assert len(calls) == 8
+        for w, m in words.items():
+            x, y, *rest = (letters[c] for c in w)
+            expected = x * y
+            for z in rest:
+                expected = expected * z
+            assert m == expected, w
+
+
+def test_pair_context_multiplies_no_word_twice(monkeypatch):
+    # one context per pair runs every checker of verify_suite's plan in
+    # full; each word is multiplied once, by one product, and kept
+    from weakcomm import identities, relations
+
+    pairs = _memo_sweep()
+    original = relations._product
+    made = []
+    nesting = inside = 0  # depth of _product calls, products made inside them
+
+    def recording(words, w):
+        nonlocal nesting, inside
+        if w not in words:
+            made.append(w)
+        before = len(calls)
+        nesting += 1
+        m = original(words, w)
+        nesting -= 1
+        if nesting == 0:
+            inside += len(calls) - before
+        return m
+
+    monkeypatch.setattr(relations, "_product", recording)
+    monkeypatch.setattr(identities, "_product", recording)
     calls = _count_products(monkeypatch)
-    ctx = PairContext(a, b)
-    assert len(calls) == 8
-    words = {w: ctx.word(w) for w in _RELATION_WORDS}
-    assert len(calls) == 8
-    for w, m in words.items():
-        x, y, *rest = (letters[c] for c in w)
-        expected = x * y
-        for z in rest:
-            expected = expected * z
-        assert m == expected, w
+    total = 0
+    for a, b in pairs:
+        made.clear()
+        ctx = PairContext(a, b)
+        for identity in IdentityId:
+            for params in _suite_plan(identity):
+                _run_checker(identity, ctx, params)
+        assert len(made) == len(set(made)), sorted(w for w in made if made.count(w) > 1)
+        assert set(made) == set(ctx._words) - {"", "a", "b", "s"}
+        assert len(made) > 50
+        total += len(made)
+    assert inside == total
 
 
 def test_relation_flags_multiplies_nothing_on_a_noncommuting_pair(monkeypatch):

@@ -16,6 +16,7 @@ import weakcomm
 from weakcomm.errors import SamplerBudgetError, UnknownExampleError, UnknownPredicateError
 from weakcomm.exact import ExactMatrix, Scalar, rank_kernel
 from weakcomm.instances import (
+    _PAIR_BUILDERS,
     _SEARCH_ALPHABET,
     ExampleId,
     RelationClass,
@@ -61,6 +62,17 @@ def test_registry_flags_and_claims(example_id):
         assert (lhs == rhs) == equal, (left, right, equal)
 
 
+@pytest.mark.parametrize("example_id", list(_PAIR_BUILDERS), ids=lambda e: e.value)
+def test_builder_entries_pass_at_every_dim(example_id):
+    # paper_example asserts the expected flags at every dim it accepts
+    entry = example_entry(example_id)
+    for dim in range(entry.min_dim, 9):
+        checks = registry_self_test(example_id, dim)
+        assert [name for name, ok in checks if not ok] == [], dim
+    with pytest.raises(ValueError, match=f"needs dim >= {entry.min_dim}"):
+        paper_example(example_id, dim=entry.min_dim - 1)
+
+
 def test_evaluate_word():
     a = ExactMatrix.parse("0,1;0,0")
     b = ExactMatrix.parse("0,0;1,0")
@@ -68,6 +80,9 @@ def test_evaluate_word():
     assert evaluate_word("bab", a, b) == b * a * b
     assert evaluate_word("1", a, b) == ExactMatrix.identity(2)
     assert evaluate_word("0", a, b).is_zero()
+    for word in ("", "abc", "a1"):
+        with pytest.raises(ValueError, match="not 0, 1 or a word"):
+            evaluate_word(word, a, b)
 
 
 def test_unknown_example_rejected():

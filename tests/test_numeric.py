@@ -61,6 +61,12 @@ def test_cmatrix_dim_mismatch():
     b = CMatrix([[1, 0], [0, 1]])
     with pytest.raises(DimensionMismatchError):
         a + b
+    with pytest.raises(DimensionMismatchError):
+        a - b
+    with pytest.raises(DimensionMismatchError):
+        a * b
+    with pytest.raises(DimensionMismatchError):
+        b @ a
 
 
 def test_from_exact_round_trip():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from weakcomm.errors import DimensionMismatchError, SamplerBudgetError
 from weakcomm.exact import ExactMatrix, Scalar
 from weakcomm.instances import RelationClass, _witness_candidate, sample_pair
-from weakcomm.relations import FLAG_NAMES, relation_check, relation_flags
+from weakcomm.relations import _FLAG_WORDS, FLAG_NAMES, relation_check, relation_flags
 
 E = ExactMatrix.single_entry
 
@@ -222,3 +222,73 @@ def test_flags_reject_mismatched_dims():
         relation_flags(E(2, 1, 0), E(3, 1, 0))
     with pytest.raises(DimensionMismatchError):
         relation_check(E(2, 1, 0), E(3, 1, 0))
+
+
+# -- reference: every product first, then every flag and residual ---------------
+
+# the eight compared words, each the product of two shorter ones
+_REF_PRODUCTS = {
+    "ab": ("a", "b"),
+    "ba": ("b", "a"),
+    "aab": ("a", "ab"),
+    "aba": ("ab", "a"),
+    "baa": ("ba", "a"),
+    "abb": ("ab", "b"),
+    "bab": ("b", "ab"),
+    "bba": ("b", "ba"),
+}
+
+
+def _ref_word(words, w):
+    m = words.get(w)
+    if m is None:
+        x, y = _REF_PRODUCTS[w]
+        m = words[w] = _ref_word(words, x) * _ref_word(words, y)
+    return m
+
+
+def _ref_relation_words(a, b):
+    """(flags, residuals) from all eight products, without the probe screen."""
+    words = {"a": a, "b": b}
+    for w in _REF_PRODUCTS:
+        _ref_word(words, w)
+    flags = {}
+    residuals = {}
+    for k, (x, y) in _FLAG_WORDS.items():
+        flags[k] = words[x] == words[y]
+        residuals[k] = 0.0 if flags[k] else (words[x] - words[y]).frobenius()
+    return flags, residuals
+
+
+def _assert_matches_reference(a, b):
+    flags, residuals = _ref_relation_words(a, b)
+    r = relation_check(a, b)
+    assert {k: r.flags()[k] for k in FLAG_NAMES} == flags, (a, b)
+    assert r.residuals == residuals, (a, b)
+    return sum(flags.values())
+
+
+def test_relation_check_matches_the_reference_on_sampled_pairs():
+    true_flags = checked = 0
+    for cls in RelationClass:
+        for dim in (2, 3, 4, 5):
+            for seed in range(3):
+                for nilpotent in (False, True):
+                    try:
+                        a, b = sample_pair(cls, dim, 500 + seed, cls is not RelationClass.COMM, nilpotent)
+                    except SamplerBudgetError:
+                        continue
+                    for x, y in ((a, b), (b, a)):
+                        true_flags += _assert_matches_reference(x, y)
+                        checked += 1
+    assert checked > 200 and true_flags > 200
+
+
+def test_relation_check_matches_the_reference_on_search_candidates():
+    true_flags = 0
+    for dim in (2, 3, 4):
+        rng = random.Random(2000 + dim)
+        for _ in range(400):
+            a, b = _witness_candidate(rng, dim), _witness_candidate(rng, dim)
+            true_flags += _assert_matches_reference(a, b)
+    assert true_flags > 100
