@@ -26,8 +26,8 @@ from .instances import (
     ExampleId,
     RelationClass,
     example_entry,
+    _registry_checks,
     paper_example,
-    registry_self_test,
     search_witness,
     witness_predicates,
 )
@@ -144,7 +144,8 @@ def _run_verify(args):
 
 def _run_example(args):
     entry = example_entry(args.id)
-    checks = registry_self_test(entry.id, args.dim)
+    built = paper_example(entry.id, args.dim)
+    checks = _registry_checks(entry, built)
     ok = all(passed for _, passed in checks)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -156,14 +157,13 @@ def _run_example(args):
         "all_ok": ok,
     }
     if entry.kind == "pair":
-        (a, b), report = paper_example(entry.id, args.dim)
+        (a, b), report = built
         payload["dim"] = a.dim
         payload["a"] = a.literal()
         payload["b"] = b.literal()
         payload["relation"] = report.to_json_dict()
     else:
-        spec, _ = paper_example(entry.id)
-        payload["spec"] = shiftlab.format_spec(spec)
+        payload["spec"] = shiftlab.format_spec(built[0])
     return payload, 0 if ok else 1
 
 

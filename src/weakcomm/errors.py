@@ -38,6 +38,10 @@ class SamplerBudgetError(WeakcommError, RuntimeError):
         self.attempts = attempts
         self.accepted = accepted
 
+    def __reduce__(self):
+        # rebuild from the formatted message without calling __init__ again
+        return (type(self).__new__, (type(self), *self.args), self.__dict__)
+
 
 class EigenvalueConvergenceError(WeakcommError, RuntimeError):
     """The iterative eigenvalue solver failed to converge."""

@@ -23,6 +23,11 @@ each hypothesis first and counts an unmet one as vacuous without
 evaluating the conclusion, which the report never reads. A fault can
 be injected into one identity (its computed verdict is inverted) to prove
 the harness actually detects failures.
+
+Each pair comes from its own seed, derived from (seed, class, index), so
+the pairs are independent: ``verify_suite`` checks them in forked worker
+processes, one per usable CPU, and merges their verdicts in (class, index)
+order. The report is the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -747,6 +752,12 @@ def _suite_plan(identity):
     return ({},)
 
 
+# every (identity, params) evaluation of one pair, in report order
+_SUITE_EVALUATIONS = tuple(
+    (identity, params) for identity in IdentityId for params in _suite_plan(identity)
+)
+
+
 def _run_checker(identity, ctx, params, invert=False, skip_vacuous=False):
     """The checker's result; with ``skip_vacuous`` None for an unmet
     hypothesis, whose conclusion is then never evaluated."""
@@ -828,9 +839,11 @@ def verify_suite(
 
     Sampling is deterministic in (seed, class, index). ``inject_fault`` names
     an identity whose computed verdict is inverted on every evaluation, a
-    self-test that the harness records failures.
+    self-test that the harness records failures. The pairs are checked on
+    every CPU the process may use and merged in (class, index) order, so the
+    report and the ``progress`` calls do not depend on the number of CPUs.
     """
-    from .instances import RelationClass, derive_seed, sample_pair
+    from .instances import RelationClass, derive_seed
 
     if classes is None:
         classes = list(RelationClass)
@@ -844,43 +857,31 @@ def verify_suite(
     if inject_fault is not None:
         inject_fault = IdentityId(inject_fault)
 
+    jobs = []
+    for cls in classes:
+        for i in range(samples_per_class):
+            dim = dims[i % len(dims)]
+            strict = cls is not RelationClass.COMM and not (
+                cls is RelationClass.COMM_W and dim < 3
+            )
+            jobs.append((cls, i, dim, derive_seed(seed, cls.value, i), strict))
+    rendered = set()
     counts = {
         ident.value: {"pass": 0, "vacuous": 0, "fail": 0, "first_failure": None}
         for ident in IdentityId
     }
-    for ci, cls in enumerate(classes):
-        for i in range(samples_per_class):
-            dim = dims[i % len(dims)]
-            pair_seed = derive_seed(seed, cls.value, i)
-            strict = cls is not RelationClass.COMM and not (
-                cls is RelationClass.COMM_W and dim < 3
-            )
-            a, b = sample_pair(cls, dim, pair_seed, require_noncommuting=strict)
-            ctx = PairContext(a, b)
-            for identity in IdentityId:
-                for params in _suite_plan(identity):
-                    res = _run_checker(
-                        identity, ctx, params, invert=identity is inject_fault, skip_vacuous=True
-                    )
-                    slot = counts[identity.value]
-                    if res is None:
-                        slot["vacuous"] += 1
-                        continue
-                    slot[res.verdict] += 1
-                    if res.verdict == "fail" and slot["first_failure"] is None:
-                        slot["first_failure"] = {
-                            "class": cls.value,
-                            "dim": dim,
-                            "index": i,
-                            "seed": pair_seed,
-                            "a": a.literal(),
-                            "b": b.literal(),
-                            "params": _json_params(params),
-                            "residual": float(res.residual),
-                            "defect": res.defect,
-                        }
+    outcomes = _outcomes(jobs, lambda job: _pair_outcome(job, inject_fault, rendered))
+    try:
+        for (cls, i, *_), (verdicts, failures) in zip(jobs, outcomes):
+            for (identity, _), verdict in zip(_SUITE_EVALUATIONS, verdicts):
+                slot = counts[identity.value]
+                slot[verdict] += 1
+                if verdict == "fail" and slot["first_failure"] is None:
+                    slot["first_failure"] = failures[identity.value]
             if progress is not None:
                 progress(cls.value, i)
+    finally:
+        outcomes.close()
 
     totals = {"pass": 0, "vacuous": 0, "fail": 0}
     for slot in counts.values():
@@ -894,3 +895,142 @@ def verify_suite(
         "inject_fault": inject_fault.value if inject_fault else None,
     }
     return SuiteReport(config=config, identities=counts, totals=totals)
+
+
+def _pair_outcome(job, inject_fault, rendered):
+    """Sample one pair and run the suite plan on it.
+
+    Returns the verdicts in ``_SUITE_EVALUATIONS`` order and the first-failure
+    payloads keyed by identity. A payload is rendered only for an identity
+    that is not yet in ``rendered``, the identities whose failure this
+    process has already rendered: the pairs of one process come in job order,
+    so no later failure can be a first failure.
+    """
+    from .instances import sample_pair
+
+    cls, i, dim, pair_seed, strict = job
+    a, b = sample_pair(cls, dim, pair_seed, require_noncommuting=strict)
+    ctx = PairContext(a, b)
+    verdicts, failures = [], {}
+    for identity, params in _SUITE_EVALUATIONS:
+        res = _run_checker(
+            identity, ctx, params, invert=identity is inject_fault, skip_vacuous=True
+        )
+        verdict = "vacuous" if res is None else res.verdict
+        verdicts.append(verdict)
+        if verdict == "fail" and identity not in rendered:
+            rendered.add(identity)
+            failures[identity.value] = {
+                "class": cls.value,
+                "dim": dim,
+                "index": i,
+                "seed": pair_seed,
+                "a": a.literal(),
+                "b": b.literal(),
+                "params": _json_params(params),
+                "residual": float(res.residual),
+                "defect": res.defect,
+            }
+    return verdicts, failures
+
+
+def _worker_count(jobs):
+    """Processes that check ``jobs`` pairs: one per CPU the process may run
+    on, at most one per pair, and one where forking is unsafe (no
+    ``os.fork``, or more than one thread in the process)."""
+    import os
+
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        import threading
+
+        threads = threading.active_count()
+    if threads > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, jobs))
+
+
+def _outcomes(jobs, check):
+    """Yield ``check(job)`` for every job, in job order.
+
+    With W workers, job k is checked by worker k mod W. Worker 0 is this
+    process; the others are forked children that send each outcome, or
+    the exception that ended them, pickled and length-prefixed through a
+    pipe. An exception is raised here at its job's turn. Every child is
+    killed and reaped before the generator ends.
+    """
+    workers = _worker_count(len(jobs))
+    if workers == 1:
+        for job in jobs:
+            yield check(job)
+        return
+
+    import os
+    import pickle
+    import signal
+    import struct
+
+    header = struct.Struct("<Q")
+    pids, readers = [], []
+    try:
+        for w in range(1, workers):
+            r, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    for reader in readers:
+                        reader.close()
+                    with os.fdopen(wfd, "wb") as out:
+                        for job in jobs[w::workers]:
+                            try:
+                                record = (True, check(job))
+                            except BaseException as exc:
+                                record = (False, exc)
+                            data = pickle.dumps(record)
+                            out.write(header.pack(len(data)) + data)
+                            out.flush()
+                            if not record[0]:
+                                break
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wfd)
+            pids.append(pid)
+            readers.append(os.fdopen(r, "rb"))
+        for k, job in enumerate(jobs):
+            w = k % workers
+            if w == 0:
+                yield check(job)
+                continue
+            reader = readers[w - 1]
+            head = reader.read(header.size)
+            (size,) = header.unpack(head) if len(head) == header.size else (-1,)
+            data = reader.read(size) if size > 0 else b""
+            if len(data) != size:
+                raise RuntimeError(f"verify worker {w} exited before sending pair {k}")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        for pid in pids:
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
+        for reader in readers:
+            reader.close()

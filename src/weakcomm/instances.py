@@ -883,14 +883,17 @@ def paper_example(example_id, dim=None):
     return (a, b), report
 
 
-def _check_extra(example_id, checks):
-    """Bespoke exact checks per id, appended to the claim verdicts."""
+def _check_extra(example_id, payload, checks):
+    """Bespoke exact checks per id, appended to the claim verdicts.
+
+    ``payload`` is the id's pair or spec, as paper_example built it.
+    """
     from .exact import exp_exact_nilpotent, poly_radical
     from .structure import nonzero_spectrum_equal_exact
 
     eid = ExampleId(example_id)
     if eid is ExampleId.SEX_V_PQ:
-        (a, b), _ = paper_example(eid)
+        a, b = payload
         corr = exp_exact_nilpotent(a) * exp_exact_nilpotent(b) - exp_exact_nilpotent(
             a + b
         )
@@ -909,7 +912,7 @@ def _check_extra(example_id, checks):
             )
         )
     elif eid is ExampleId.REMARK_TN:
-        (a, b), _ = paper_example(eid)
+        a, b = payload
         rad_t = poly_radical_nonzero(charpoly(a))
         rad_sum = poly_radical_nonzero(charpoly(a + b))
         checks.append(("nonzero radical of t is 1", rad_t.literal() == "1"))
@@ -923,17 +926,17 @@ def _check_extra(example_id, checks):
             ("full radical of t is x", poly_radical(charpoly(a)).literal() == "x")
         )
     elif eid is ExampleId.SEX_II_TS:
-        (a, b), _ = paper_example(eid)
+        a, b = payload
         dual = relation_flags(a.conj_transpose(), b.conj_transpose())
         checks.append(("adjoint pair is comm_r", dual.comm_r))
         checks.append(("adjoint product breaks membership in comm(a*)", not dual.ab_in_comm_a))
         checks.append(("adjoint reversed product breaks comm(b*)", not dual.ba_in_comm_b))
     elif eid is ExampleId.EX4_RN:
-        (a, b), _ = paper_example(eid)
+        a, b = payload
         rank, _, _ = rank_kernel(a)
         checks.append(("shift truncation has corank one", rank == a.dim - 1))
     elif eid is ExampleId.EXNILP_T:
-        spec, _ = paper_example(eid)
+        spec = payload
         t6 = shiftlab.truncate(spec, 6)
         want = [Fraction(1, k + 1) for k in range(1, 6)]
         got = [t6.entry(k, k - 1) for k in range(1, 6)]
@@ -945,7 +948,7 @@ def _check_extra(example_id, checks):
             ("no finitely supported kernel", shiftlab.finite_support_kernel(spec, 6).dim == 0)
         )
     elif eid is ExampleId.EXNILP_N:
-        spec_n, _ = paper_example(eid)
+        spec_n = payload
         spec_t, _ = paper_example(ExampleId.EXNILP_T)
         n4 = shiftlab.truncate(spec_n, 4)
         checks.append(("single entry -1/2 at (2,1)", n4 == ExactMatrix.single_entry(4, 1, 0, Fraction(-1, 2))))
@@ -976,7 +979,7 @@ def _check_extra(example_id, checks):
             )
         )
     elif eid is ExampleId.EXNILP_Q:
-        spec_q, _ = paper_example(eid)
+        spec_q = payload
         spec_t, _ = paper_example(ExampleId.EXNILP_T)
         q6 = shiftlab.truncate(spec_q, 6)
         checks.append(
@@ -1006,9 +1009,15 @@ def registry_self_test(example_id, dim=None):
     inside paper_example itself.
     """
     entry = example_entry(example_id)
+    return _registry_checks(entry, paper_example(entry.id, dim))
+
+
+def _registry_checks(entry, built):
+    """registry_self_test on ``built``, the entry's paper_example payload."""
+    payload, report = built
     checks = []
     if entry.kind == "pair":
-        (a, b), report = paper_example(entry.id, dim)
+        a, b = payload
         for flag, want in (entry.expected_flags or {}).items():
             checks.append((f"flag {flag} is {want}", getattr(report, flag) == want))
         words = {"a": a, "b": b}
@@ -1017,8 +1026,7 @@ def registry_self_test(example_id, dim=None):
             rel = "equals" if equal else "differs from"
             checks.append((f"word {lhs} {rel} word {rhs}", got == equal))
     else:
-        spec, _ = paper_example(entry.id, dim)
         checks.append(
-            ("spec file round-trips through the text format", shiftlab.parse_spec(shiftlab.format_spec(spec)) == spec)
+            ("spec file round-trips through the text format", shiftlab.parse_spec(shiftlab.format_spec(payload)) == payload)
         )
-    return _check_extra(entry.id, checks)
+    return _check_extra(entry.id, payload, checks)

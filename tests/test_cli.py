@@ -305,3 +305,19 @@ def test_numeric_names_stay_exported():
         assert getattr(weakcomm, name).__module__ == "weakcomm.numeric"
     with pytest.raises(AttributeError):
         weakcomm.no_such_name
+
+
+def test_example_checks_its_pair_once(monkeypatch, capsys):
+    from weakcomm import instances
+
+    calls = []
+    original = instances.relation_check
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(instances, "relation_check", counting)
+    status, out, _ = _run_inproc(["example", "SEX_V_PQ"], capsys)
+    assert status == 0 and json.loads(out)["all_ok"]
+    assert len(calls) == 1

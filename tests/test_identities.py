@@ -1,13 +1,22 @@
 """Identity catalog: targeted pairs per identity and the suite harness."""
 
+import contextlib
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from weakcomm import identities, instances
 from weakcomm.cli import main
+from weakcomm.errors import SamplerBudgetError
 from weakcomm.errors import UnknownIdentityError
 from weakcomm.exact import ExactMatrix, Scalar, charpoly, poly_radical, poly_radical_nonzero
 from weakcomm.identities import (
@@ -329,7 +338,13 @@ def test_failing_conclusion_defect_literal():
     assert spec.defect == "x^2 - 3/2x + 1/2 vs x^2 - 3/2x + 1/2-3i"
 
 
-def test_clean_suite_renders_no_defect_literal(monkeypatch):
+@pytest.fixture
+def one_worker(monkeypatch):
+    """verify_suite checks every pair in this process, where spies see it."""
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
+
+
+def test_clean_suite_renders_no_defect_literal(monkeypatch, one_worker):
     # defect text is rendered only for a first failure
     rendered = []
     original = ExactMatrix.literal
@@ -387,6 +402,114 @@ def test_suite_rejects_bad_config():
         verify_suite(classes=["nonsense"], samples_per_class=1, seed=1)
     with pytest.raises(ValueError, match="relation classes repeat: comm,comm_l,comm"):
         verify_suite(classes=["comm", "comm_l", "comm"], samples_per_class=1, seed=1)
+
+
+# -- pairs checked on several workers ----------------------------------------------
+
+
+@pytest.fixture
+def no_child_left():
+    """Fails a test that leaves a child process behind."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _in_a_child(action):
+    """sample_pair that calls ``action`` for index 1, when a forked worker draws it."""
+    parent, original = os.getpid(), instances.sample_pair
+
+    def sample(cls, dim, seed, **kwargs):
+        if os.getpid() != parent and seed == instances.derive_seed(1, "comm", 1):
+            action()
+        return original(cls, dim, seed, **kwargs)
+
+    return sample
+
+
+def test_worker_count_is_one_per_cpu_and_pair():
+    # a fresh interpreter runs one thread; this one may run more
+    probe = "from weakcomm.identities import _worker_count as w; print(w(0), w(1), w(1000))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1", "1", str(len(os.sched_getaffinity(0)))]
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert identities._worker_count(1000) == 1
+    finally:
+        release.set()
+        other.join()
+
+
+def test_suite_reports_progress_in_order_on_two_workers(monkeypatch, no_child_left):
+    seen = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(identities, "_worker_count", lambda jobs: workers)
+        calls = seen[workers] = []
+        rep = verify_suite(["comm_r", "none"], (2, 3), 3, 4, progress=lambda c, i: calls.append((c, i)))
+        assert rep.failures == 0
+    assert seen[1] == seen[2] == [(c, i) for c in ("comm_r", "none") for i in range(3)]
+
+
+def test_worker_error_reaches_the_caller(monkeypatch, capsys, no_child_left):
+    def give_up():
+        raise SamplerBudgetError("comm pair not found", attempts=64, accepted=3)
+
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(instances, "sample_pair", _in_a_child(give_up))
+    with _deadline(60), pytest.raises(SamplerBudgetError) as info:
+        verify_suite(["comm"], (2,), 3, 1)
+    assert type(info.value) is SamplerBudgetError
+    assert str(info.value) == "comm pair not found (attempts=64, accepted=3)"
+    assert (info.value.attempts, info.value.accepted) == (64, 3)
+    with _deadline(60):
+        status = main(["verify", "--classes", "comm", "--dims", "2", "--samples", "3", "--seed", "1"])
+    assert status == 2
+    assert capsys.readouterr().err == "error: comm pair not found (attempts=64, accepted=3)\n"
+
+
+def test_worker_that_exits_early_is_an_error(monkeypatch, no_child_left):
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(instances, "sample_pair", _in_a_child(lambda: os._exit(3)))
+    with _deadline(60), pytest.raises(RuntimeError, match="worker 1 exited before sending pair 1"):
+        verify_suite(["comm"], (2,), 3, 1)
+
+
+@pytest.mark.parametrize("error", [SamplerBudgetError("comm pair not found", attempts=1), KeyboardInterrupt()])
+def test_error_in_the_callers_pair_stops_the_workers(monkeypatch, no_child_left, error):
+    # worker 1 would sleep for a minute: only killing it returns in time
+    parent = os.getpid()
+
+    def sample(cls, dim, seed, **kwargs):
+        if os.getpid() == parent:
+            raise error
+        time.sleep(60)
+
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(instances, "sample_pair", sample)
+    with _deadline(20), pytest.raises(type(error)):
+        verify_suite(["comm"], (2,), 3, 1)
+
+
+def test_suite_on_workers_leaves_no_child(monkeypatch, no_child_left):
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: 3)
+    rep = verify_suite(["comm_l"], (2, 3), 4, 2)
+    assert rep.failures == 0 and rep.totals["pass"] > 0
 
 
 # -- the per-pair memo ------------------------------------------------------------
@@ -685,18 +808,20 @@ def reference_verify_counts(classes, dims, samples_per_class, seed, inject_fault
     [(1, None), (2, None), (23, None), (5, "NEWTON_R"), (6, "TELESCOPE"),
      (7, "RAD_PROD"), (8, "SPEC_EQ_W"), (9, "KER_INCL")],
 )
-def test_suite_counts_equal_the_full_evaluation(seed, inject_fault):
+def test_suite_counts_equal_the_full_evaluation(monkeypatch, seed, inject_fault):
     # every class, dims 2-5: skipping vacuous conclusions changes no count
-    # and no first failure
+    # and no first failure, on one, two or three workers
     classes = [c.value for c in RelationClass]
     dims = (2, 3, 4, 5)
-    rep = verify_suite(classes, dims, 4, seed, inject_fault=inject_fault)
-    identities, totals = reference_verify_counts(classes, dims, 4, seed, inject_fault)
-    assert rep.identities == identities
-    assert rep.totals == totals
+    counts, totals = reference_verify_counts(classes, dims, 4, seed, inject_fault)
     assert totals["vacuous"] > 0
     if inject_fault is not None:
-        assert rep.identities[inject_fault]["fail"] > 0
+        assert counts[inject_fault]["fail"] > 0
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(identities, "_worker_count", lambda jobs: workers)
+        rep = verify_suite(classes, dims, 4, seed, inject_fault=inject_fault)
+        assert rep.identities == counts, workers
+        assert rep.totals == totals, workers
 
 
 def _newton_r_sides(a, b, n):
@@ -749,16 +874,17 @@ def test_suite_builds_no_combination_without_a_hypothesis(monkeypatch):
 
 
 def _count_products(monkeypatch):
-    from weakcomm import _kernel_py
-
+    # every product of two matrices, also one that a zero factor settles
+    # without the kernel
     calls = []
-    original = _kernel_py.mat_mul
+    original = ExactMatrix.__mul__
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(self, other):
+        if isinstance(other, ExactMatrix):
+            calls.append((self, other))
+        return original(self, other)
 
-    monkeypatch.setattr(_kernel_py, "mat_mul", counting)
+    monkeypatch.setattr(ExactMatrix, "__mul__", counting)
     return calls
 
 
