@@ -164,11 +164,6 @@ class ExactMatrix:
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             self._check_dim(other)
-            # a zero operand is already the normalized product
-            if self.is_zero():
-                return self
-            if other.is_zero():
-                return other
             return ExactMatrix._from_rep(
                 self.dim, kernel.mat_mul(self.dim, self._rep(), other._rep())
             )

@@ -27,7 +27,8 @@ the harness actually detects failures.
 Each pair comes from its own seed, derived from (seed, class, index), so
 the pairs are independent: ``verify_suite`` checks them in forked worker
 processes, one per usable CPU, and merges their verdicts in (class, index)
-order. The report is the same on any number of CPUs.
+order. The report is the same on any number of CPUs, and where no worker
+can be forked every pair is checked in the calling process.
 """
 
 from __future__ import annotations
@@ -963,49 +964,70 @@ def _outcomes(jobs, check):
     With W workers, job k is checked by worker k mod W. Worker 0 is this
     process; the others are forked children that send each outcome, or
     the exception that ended them, pickled and length-prefixed through a
-    pipe. An exception is raised here at its job's turn. Every child is
-    killed and reaped before the generator ends.
+    pipe. An exception is raised here at its job's turn. Where no pipe or
+    child can be made (out of processes, memory or file descriptors), the
+    children made so far are stopped and every job is checked here. Every
+    child is killed and reaped before the generator ends.
     """
-    workers = _worker_count(len(jobs))
-    if workers == 1:
-        for job in jobs:
-            yield check(job)
-        return
-
     import os
     import pickle
     import signal
     import struct
 
     header = struct.Struct("<Q")
+    workers = _worker_count(len(jobs))
     pids, readers = [], []
+
+    def stop():
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        for pid in pids:
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
+        for reader in readers:
+            reader.close()
+        pids.clear()
+        readers.clear()
+
     try:
-        for w in range(1, workers):
-            r, wfd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
+        try:
+            for w in range(1, workers):
+                r, wfd = os.pipe()
+                readers.append(os.fdopen(r, "rb"))
                 try:
-                    os.close(r)
-                    for reader in readers:
-                        reader.close()
-                    with os.fdopen(wfd, "wb") as out:
-                        for job in jobs[w::workers]:
-                            try:
-                                record = (True, check(job))
-                            except BaseException as exc:
-                                record = (False, exc)
-                            data = pickle.dumps(record)
-                            out.write(header.pack(len(data)) + data)
-                            out.flush()
-                            if not record[0]:
-                                break
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(wfd)
-            pids.append(pid)
-            readers.append(os.fdopen(r, "rb"))
+                    pid = os.fork()
+                except OSError:
+                    os.close(wfd)
+                    raise
+                if pid == 0:
+                    status = 1
+                    try:
+                        for reader in readers:
+                            reader.close()
+                        with os.fdopen(wfd, "wb") as out:
+                            for job in jobs[w::workers]:
+                                try:
+                                    record = (True, check(job))
+                                except BaseException as exc:
+                                    record = (False, exc)
+                                data = pickle.dumps(record)
+                                out.write(header.pack(len(data)) + data)
+                                out.flush()
+                                if not record[0]:
+                                    break
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(wfd)
+                pids.append(pid)
+        except OSError:
+            stop()
+            workers = 1
         for k, job in enumerate(jobs):
             w = k % workers
             if w == 0:
@@ -1022,15 +1044,4 @@ def _outcomes(jobs, check):
                 raise value
             yield value
     finally:
-        for pid in pids:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-        for pid in pids:
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:
-                pass
-        for reader in readers:
-            reader.close()
+        stop()

@@ -141,7 +141,8 @@ def _product(words, w):
     and the rest, and every product made is kept, so no word is multiplied
     twice. On a tie the piece comes from the end where a letter repeats, or
     else from the front: aab = a(ab) and abb = (ab)b, so the rest is the
-    ab or ba that other flags share.
+    ab or ba that other flags share. A zero factor is kept as the product
+    without a multiplication (``_times``).
     """
     m = words.get(w)
     if m is None:
@@ -151,11 +152,17 @@ def _product(words, w):
         if k < 1:
             raise KeyError(f"no matrix for the word {w!r}")
         if w[:k] in words and (w[-k:] not in words or w[0] == w[1] or w[-1] != w[-2]):
-            m = words[w[:k]] * _product(words, w[k:])
+            x, y = words[w[:k]], _product(words, w[k:])
         else:
-            m = _product(words, w[:-k]) * words[w[-k:]]
-        words[w] = m
+            x, y = _product(words, w[:-k]), words[w[-k:]]
+        m = words[w] = _times(x, y)
     return m
+
+
+def _times(x, y):
+    """x * y. A zero factor is already the normalized product, so it is
+    returned without a multiplication."""
+    return x if x.is_zero() else y if y.is_zero() else x * y
 
 
 # each flag compares two words: (ab)a with a(ab), and so on

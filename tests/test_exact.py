@@ -418,23 +418,6 @@ def test_single_entry_checks_indices():
         ExactMatrix.single_entry(0, 0, 0)
 
 
-def test_product_with_a_zero_factor_skips_the_kernel(monkeypatch):
-    a = ExactMatrix.parse("1/2,i;3,-1/3")
-    zeros = (ExactMatrix.zeros(2), a - a, a * 0)
-    kernel_zero = ExactMatrix._from_rep(2, _kernel_py.mat_mul(2, zeros[0]._rep(), a._rep()))
-    calls = []
-    monkeypatch.setattr(_kernel_py, "mat_mul", lambda *args: calls.append(args))
-    for z in zeros:
-        for product in (z * a, a * z, z * z, z @ a):
-            assert product == kernel_zero and product._den == 1 and product.is_zero()
-    assert calls == []
-    for z in zeros:
-        with pytest.raises(DimensionMismatchError):
-            z * ExactMatrix.identity(3)
-        with pytest.raises(DimensionMismatchError):
-            ExactMatrix.identity(3) * z
-
-
 def test_dimensions_below_one_are_rejected_alike():
     for dim in (0, -1):
         for build in (

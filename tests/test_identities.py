@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import json
 import os
 import signal
@@ -512,6 +513,39 @@ def test_suite_on_workers_leaves_no_child(monkeypatch, no_child_left):
     assert rep.failures == 0 and rep.totals["pass"] > 0
 
 
+def _fails_after(call, n, error):
+    """``call`` that raises ``error`` from its (n+1)-th use on."""
+    made = []
+
+    def limited():
+        if len(made) == n:
+            raise error
+        made.append(None)
+        return call()
+
+    return limited
+
+
+@pytest.mark.parametrize(
+    "name, workers, made, error",
+    [("fork", 2, 0, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+     ("fork", 3, 1, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+     ("pipe", 3, 1, OSError(errno.EMFILE, "Too many open files"))],
+)
+def test_suite_without_a_worker_to_spare_checks_every_pair_here(
+    monkeypatch, no_child_left, name, workers, made, error
+):
+    # the workers made before the failure are stopped; the report is the serial one
+    config = (["comm", "comm_l"], (2, 3), 3, 6)
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
+    serial = verify_suite(*config, inject_fault="TELESCOPE").to_json_dict()
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: workers)
+    monkeypatch.setattr(os, name, _fails_after(getattr(os, name), made, error))
+    with _deadline(60):
+        assert verify_suite(*config, inject_fault="TELESCOPE").to_json_dict() == serial
+    assert serial["totals"]["fail"] > 0
+
+
 # -- the per-pair memo ------------------------------------------------------------
 
 
@@ -874,17 +908,18 @@ def test_suite_builds_no_combination_without_a_hypothesis(monkeypatch):
 
 
 def _count_products(monkeypatch):
-    # every product of two matrices, also one that a zero factor settles
-    # without the kernel
+    # every word made from two factors, also one that a zero factor settles
+    # without a multiplication
+    from weakcomm import relations
+
     calls = []
-    original = ExactMatrix.__mul__
+    original = relations._times
 
-    def counting(self, other):
-        if isinstance(other, ExactMatrix):
-            calls.append((self, other))
-        return original(self, other)
+    def counting(x, y):
+        calls.append((x, y))
+        return original(x, y)
 
-    monkeypatch.setattr(ExactMatrix, "__mul__", counting)
+    monkeypatch.setattr(relations, "_times", counting)
     return calls
 
 

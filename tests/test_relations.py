@@ -224,6 +224,28 @@ def test_flags_reject_mismatched_dims():
         relation_check(E(2, 1, 0), E(3, 1, 0))
 
 
+def test_product_with_a_zero_factor_skips_the_kernel(monkeypatch):
+    # a zero factor is the normalized product, kept without a multiplication
+    from weakcomm import _kernel_py, relations
+
+    a = ExactMatrix.parse("1/2,i;3,-1/3")
+    zeros = (ExactMatrix.zeros(2), a - a, a * 0)
+    kernel_zero = ExactMatrix._from_rep(2, _kernel_py.mat_mul(2, zeros[0]._rep(), a._rep()))
+    calls = []
+    monkeypatch.setattr(_kernel_py, "mat_mul", lambda *args: calls.append(args))
+    for z in zeros:
+        for words in ({"a": a, "b": z}, {"a": z, "b": a}, {"a": z, "b": z}):
+            for w in ("ab", "ba", "aab", "bab", "abab"):
+                product = relations._product(words, w)
+                assert product == kernel_zero and product._den == 1 and words[w] is product
+    assert calls == []
+    for z in zeros:
+        with pytest.raises(DimensionMismatchError):
+            relation_check(z, ExactMatrix.zeros(3))
+        with pytest.raises(DimensionMismatchError):
+            relation_flags(ExactMatrix.identity(3), z)
+
+
 # -- reference: every product first, then every flag and residual ---------------
 
 # the eight compared words, each the product of two shorter ones
