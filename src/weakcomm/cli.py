@@ -143,6 +143,8 @@ def _run_verify(args):
 
 
 def _run_example(args):
+    if args.dim is not None and not 2 <= args.dim <= 8:
+        raise ConfigError("--dim must be in 2..8")
     entry = example_entry(args.id)
     built = paper_example(entry.id, args.dim)
     checks = _registry_checks(entry, built)

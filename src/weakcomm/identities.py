@@ -26,9 +26,11 @@ the harness actually detects failures.
 
 Each pair comes from its own seed, derived from (seed, class, index), so
 the pairs are independent: ``verify_suite`` checks them in forked worker
-processes, one per usable CPU, and merges their verdicts in (class, index)
-order. The report is the same on any number of CPUs, and where no worker
-can be forked every pair is checked in the calling process.
+processes, one per usable CPU. A pair's outcome, its verdicts and one
+payload per failing identity, is pickled through a pipe, and the outcomes
+are merged in (class, index) order, which alone decides each first failure.
+The report is the same on any number of CPUs, and where no worker can be
+forked every pair is checked in the calling process.
 """
 
 from __future__ import annotations
@@ -433,8 +435,8 @@ def _chk_r_iv(ctx, p):
 
 
 def _chk_r_v(ctx, p):
-    aba = ctx.word("aba")
-    hyp = aba == ctx.word("aab") and aba == ctx.word("baa")
+    # aab = aba = baa, the words of ab_in_comm_a and ba_in_comm_a
+    hyp = ctx.report.ab_in_comm_a and ctx.report.ba_in_comm_a
     return hyp, lambda: _from_defects(
         _memb(ctx, "a" * n, "b" * m) for n in (2, 3, 4) for m in _TRIPLE
     )
@@ -866,12 +868,11 @@ def verify_suite(
                 cls is RelationClass.COMM_W and dim < 3
             )
             jobs.append((cls, i, dim, derive_seed(seed, cls.value, i), strict))
-    rendered = set()
     counts = {
         ident.value: {"pass": 0, "vacuous": 0, "fail": 0, "first_failure": None}
         for ident in IdentityId
     }
-    outcomes = _outcomes(jobs, lambda job: _pair_outcome(job, inject_fault, rendered))
+    outcomes = _outcomes(jobs, lambda job: _pair_outcome(job, inject_fault))
     try:
         for (cls, i, *_), (verdicts, failures) in zip(jobs, outcomes):
             for (identity, _), verdict in zip(_SUITE_EVALUATIONS, verdicts):
@@ -898,14 +899,12 @@ def verify_suite(
     return SuiteReport(config=config, identities=counts, totals=totals)
 
 
-def _pair_outcome(job, inject_fault, rendered):
+def _pair_outcome(job, inject_fault):
     """Sample one pair and run the suite plan on it.
 
-    Returns the verdicts in ``_SUITE_EVALUATIONS`` order and the first-failure
-    payloads keyed by identity. A payload is rendered only for an identity
-    that is not yet in ``rendered``, the identities whose failure this
-    process has already rendered: the pairs of one process come in job order,
-    so no later failure can be a first failure.
+    Returns the verdicts in ``_SUITE_EVALUATIONS`` order and, keyed by
+    identity, the payload of each failing identity's first failing
+    evaluation on this pair. A pair without a failure renders no literal.
     """
     from .instances import sample_pair
 
@@ -919,8 +918,7 @@ def _pair_outcome(job, inject_fault, rendered):
         )
         verdict = "vacuous" if res is None else res.verdict
         verdicts.append(verdict)
-        if verdict == "fail" and identity not in rendered:
-            rendered.add(identity)
+        if verdict == "fail" and identity.value not in failures:
             failures[identity.value] = {
                 "class": cls.value,
                 "dim": dim,
@@ -962,19 +960,19 @@ def _outcomes(jobs, check):
     """Yield ``check(job)`` for every job, in job order.
 
     With W workers, job k is checked by worker k mod W. Worker 0 is this
-    process; the others are forked children that send each outcome, or
-    the exception that ended them, pickled and length-prefixed through a
-    pipe. An exception is raised here at its job's turn. Where no pipe or
-    child can be made (out of processes, memory or file descriptors), the
-    children made so far are stopped and every job is checked here. Every
-    child is killed and reaped before the generator ends.
+    process; the others are forked children that pickle each outcome into
+    a pipe, and as their last record the exception that ended them, if one
+    did. A record that is an exception is raised here at its job's turn,
+    and a missing or cut record (pickle marks where a record ends) is a
+    ``RuntimeError``. Where no pipe or child can be made (out of processes,
+    memory or file descriptors), the children made so far are stopped and
+    every job is checked here. Every child is killed and reaped before the
+    generator ends.
     """
     import os
     import pickle
     import signal
-    import struct
 
-    header = struct.Struct("<Q")
     workers = _worker_count(len(jobs))
     pids, readers = [], []
 
@@ -1012,13 +1010,12 @@ def _outcomes(jobs, check):
                         with os.fdopen(wfd, "wb") as out:
                             for job in jobs[w::workers]:
                                 try:
-                                    record = (True, check(job))
+                                    record = check(job)
                                 except BaseException as exc:
-                                    record = (False, exc)
-                                data = pickle.dumps(record)
-                                out.write(header.pack(len(data)) + data)
+                                    record = exc
+                                pickle.dump(record, out)
                                 out.flush()
-                                if not record[0]:
+                                if isinstance(record, BaseException):
                                     break
                         status = 0
                     finally:
@@ -1033,15 +1030,12 @@ def _outcomes(jobs, check):
             if w == 0:
                 yield check(job)
                 continue
-            reader = readers[w - 1]
-            head = reader.read(header.size)
-            (size,) = header.unpack(head) if len(head) == header.size else (-1,)
-            data = reader.read(size) if size > 0 else b""
-            if len(data) != size:
-                raise RuntimeError(f"verify worker {w} exited before sending pair {k}")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            yield value
+            try:
+                record = pickle.load(readers[w - 1])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"verify worker {w} exited before sending pair {k}") from None
+            if isinstance(record, BaseException):
+                raise record
+            yield record
     finally:
         stop()

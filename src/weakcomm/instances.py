@@ -145,18 +145,15 @@ def _rand_strict_upper(rng, dim):
     return _rand_strict_lower(rng, dim).transpose()
 
 
-def _rand_invertible(rng, dim):
-    while True:
-        g = _rand_int_matrix(rng, dim, -2, 2)
-        rank, _, _ = rank_kernel(g)
-        if rank == dim:
-            return g
-
-
 def _conjugate_pair(rng, a, b):
-    g = _rand_invertible(rng, a.dim)
-    gi = inverse(g)
-    return g * a * gi, g * b * gi
+    """(g a g^-1, g b g^-1) for the first invertible g drawn."""
+    while True:
+        g = _rand_int_matrix(rng, a.dim, -2, 2)
+        try:
+            gi = inverse(g)
+        except ZeroDivisionError:
+            continue
+        return g * a * gi, g * b * gi
 
 
 def _poly_of(rng, a, nilpotent):

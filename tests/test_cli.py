@@ -119,6 +119,9 @@ def test_example_bad_dim_exits_two(capsys):
     status, _, err = _run_inproc(["example", "SEX_I_PQ", "--dim", "5"], capsys)
     assert status == 2
     assert "error" in err
+    for dim in ("1", "9", "100000"):
+        status, out, err = _run_inproc(["example", "EX4_RN", "--dim", dim], capsys)
+        assert (status, out, err) == (2, "", "error: --dim must be in 2..8\n"), dim
 
 
 def test_example_below_min_dim_exits_two(capsys):

@@ -5,6 +5,7 @@ import dataclasses
 import errno
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -430,12 +431,12 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _in_a_child(action):
-    """sample_pair that calls ``action`` for index 1, when a forked worker draws it."""
+def _in_a_child(action, index=1):
+    """sample_pair that calls ``action`` for ``index``, when a forked worker draws it."""
     parent, original = os.getpid(), instances.sample_pair
 
     def sample(cls, dim, seed, **kwargs):
-        if os.getpid() != parent and seed == instances.derive_seed(1, "comm", 1):
+        if os.getpid() != parent and seed == instances.derive_seed(1, "comm", index):
             action()
         return original(cls, dim, seed, **kwargs)
 
@@ -443,10 +444,16 @@ def _in_a_child(action):
 
 
 def test_worker_count_is_one_per_cpu_and_pair():
-    # a fresh interpreter runs one thread; this one may run more
+    # a fresh interpreter runs one thread, and so does this one after NumPy
+    # loads: conftest.py keeps its BLAS on one thread, so the suites of the
+    # test process, the acceptance gate's included, fork their workers
+    import numpy  # noqa: F401
+
+    cpus = len(os.sched_getaffinity(0))
     probe = "from weakcomm.identities import _worker_count as w; print(w(0), w(1), w(1000))"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["1", "1", str(len(os.sched_getaffinity(0)))]
+    assert out.stdout.split() == ["1", "1", str(cpus)]
+    assert identities._worker_count(1000) == cpus
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
@@ -467,14 +474,18 @@ def test_suite_reports_progress_in_order_on_two_workers(monkeypatch, no_child_le
     assert seen[1] == seen[2] == [(c, i) for c in ("comm_r", "none") for i in range(3)]
 
 
-def test_worker_error_reaches_the_caller(monkeypatch, capsys, no_child_left):
+def test_worker_error_reaches_the_caller(monkeypatch, capsys, tmp_path, no_child_left):
     def give_up():
         raise SamplerBudgetError("comm pair not found", attempts=64, accepted=3)
 
+    # worker 1 stops at its error: it never draws its next pair, index 3
+    drawn = tmp_path / "drawn"
     monkeypatch.setattr(identities, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(instances, "sample_pair", _in_a_child(drawn.touch, index=3))
     monkeypatch.setattr(instances, "sample_pair", _in_a_child(give_up))
     with _deadline(60), pytest.raises(SamplerBudgetError) as info:
-        verify_suite(["comm"], (2,), 3, 1)
+        verify_suite(["comm"], (2,), 5, 1)
+    assert not drawn.exists()
     assert type(info.value) is SamplerBudgetError
     assert str(info.value) == "comm pair not found (attempts=64, accepted=3)"
     assert (info.value.attempts, info.value.accepted) == (64, 3)
@@ -485,10 +496,29 @@ def test_worker_error_reaches_the_caller(monkeypatch, capsys, no_child_left):
 
 
 def test_worker_that_exits_early_is_an_error(monkeypatch, no_child_left):
+    # worker 1 exits before its first record, or after part of it
+    parent, original = os.getpid(), pickle.dump
+
+    def write_part(keep):
+        def dump(record, out):
+            if os.getpid() == parent:
+                return original(record, out)
+            data = pickle.dumps(record)
+            out.write(data[:keep(len(data))])
+            out.flush()
+            os._exit(3)
+
+        return dump
+
     monkeypatch.setattr(identities, "_worker_count", lambda jobs: 2)
-    monkeypatch.setattr(instances, "sample_pair", _in_a_child(lambda: os._exit(3)))
-    with _deadline(60), pytest.raises(RuntimeError, match="worker 1 exited before sending pair 1"):
-        verify_suite(["comm"], (2,), 3, 1)
+    exit_early = _in_a_child(lambda: os._exit(3))
+    for sample, dump in [(exit_early, original)] + [
+        (instances.sample_pair, write_part(keep)) for keep in (lambda n: 1, lambda n: n // 2, lambda n: n - 1)
+    ]:
+        monkeypatch.setattr(instances, "sample_pair", sample)
+        monkeypatch.setattr(pickle, "dump", dump)
+        with _deadline(60), pytest.raises(RuntimeError, match="worker 1 exited before sending pair 1"):
+            verify_suite(["comm"], (2,), 3, 1)
 
 
 @pytest.mark.parametrize("error", [SamplerBudgetError("comm pair not found", attempts=1), KeyboardInterrupt()])
@@ -995,6 +1025,27 @@ def test_pair_context_multiplies_no_word_twice(monkeypatch):
         assert len(made) > 50
         total += len(made)
     assert inside == total
+
+
+def test_r_v_hypothesis_reads_the_flags(monkeypatch):
+    # aab = aba = baa is ab_in_comm_a and ba_in_comm_a; on none-class pairs
+    # whose probe refuted one of them, the hypothesis multiplies no word
+    for a, b in _memo_sweep():
+        aba = a * b * a
+        hyp, _ = identities._CHECKERS[IdentityId.R_v](PairContext(a, b), {})
+        assert hyp == (aba == a * a * b and aba == b * a * a)
+    calls = _count_products(monkeypatch)
+    refuted = 0
+    for i, dim in enumerate((2, 3, 4) * 4):
+        ctx = PairContext(*sample_pair(RelationClass.NONE, dim, 40 + i))
+        if {"aab", "aba", "baa"} <= set(ctx._words):
+            continue
+        refuted += 1
+        words, before = set(ctx._words), len(calls)
+        hyp, _ = identities._CHECKERS[IdentityId.R_v](ctx, {})
+        assert not hyp
+        assert set(ctx._words) == words and len(calls) == before
+    assert refuted > 6
 
 
 def test_relation_flags_multiplies_nothing_on_a_noncommuting_pair(monkeypatch):
