@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
@@ -33,7 +32,6 @@ from .instances import (
 )
 from .relations import relation_check
 from . import shiftlab
-from .shiftlab import DEFAULT_CLUSTER_TOL
 
 SCHEMA_VERSION = 1
 
@@ -58,16 +56,6 @@ def _parse_sizes(text):
     ):
         raise argparse.ArgumentTypeError("sizes must be ascending integers >= 2")
     return sizes
-
-
-def _parse_cluster_tol(text):
-    try:
-        tol = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad tolerance: {text!r}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError("cluster tolerance must be finite and > 0")
-    return tol
 
 
 def build_parser():
@@ -110,7 +98,6 @@ def build_parser():
         choices=[e.value for e in ExampleId if example_entry(e).kind == "op_spec"],
     )
     p_trunc.add_argument("--sizes", type=_parse_sizes, default=(10, 20, 40))
-    p_trunc.add_argument("--cluster-tol", type=_parse_cluster_tol, default=DEFAULT_CLUSTER_TOL)
 
     for p in (p_verify, p_example, p_search, p_trunc):
         p.add_argument("--format", choices=("json", "markdown"), default="json")
@@ -205,7 +192,7 @@ def _run_truncate(args):
     rows = []
     for n in args.sizes:
         t = shiftlab.truncate(spec, n)
-        spectrum = eigenvalues(CMatrix.from_exact(t), cluster_tol=args.cluster_tol)
+        spectrum = eigenvalues(CMatrix.from_exact(t))
         rows.append(
             {
                 "n": n,

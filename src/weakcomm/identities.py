@@ -161,7 +161,8 @@ class PairContext:
     missing word from its longest cached prefix or suffix (``relations._product``),
     so each word is multiplied once per pair. ``report`` holds the relation
     flags, without residuals; deciding them leaves in the memo the products
-    of the flags the probe does not refute, and no others.
+    of the flags the probe does not refute, and no others. ``verify_suite``
+    takes both over from the sampled pair (``sample_pair``) through ``_init``.
     ``combo`` sums integer multiples of words in one pass over their integer
     numerators; each binomial, Newton and telescoping identity is a list of
     such combinations that must vanish. Nilpotency degrees are kept per
@@ -174,12 +175,15 @@ class PairContext:
     """
 
     def __init__(self, a, b):
-        self.a = a
-        self.b = b
+        words = {"a": a, "b": b}
+        self._init(words, _report(_decide(words), None))
+
+    def _init(self, words, report):
+        """Serve the pair of the memo ``words``, whose flags ``report`` holds."""
+        a, b = self.a, self.b = words["a"], words["b"]
         self.dim = a.dim
-        self._words = {"": ExactMatrix.identity(self.dim), "a": a, "b": b, "s": a + b}
-        self.report = _report(_decide(self._words), None)
-        self._memo = {}
+        words.update({"": ExactMatrix.identity(a.dim), "s": a + b})
+        self._words, self.report, self._memo = words, report, {}
 
     @property
     def ab(self):
@@ -909,8 +913,9 @@ def _pair_outcome(job, inject_fault):
     from .instances import sample_pair
 
     cls, i, dim, pair_seed, strict = job
-    a, b = sample_pair(cls, dim, pair_seed, require_noncommuting=strict)
-    ctx = PairContext(a, b)
+    a, b = pair = sample_pair(cls, dim, pair_seed, require_noncommuting=strict)
+    ctx = PairContext.__new__(PairContext)
+    ctx._init(pair.words, pair.report)
     verdicts, failures = [], {}
     for identity, params in _SUITE_EVALUATIONS:
         res = _run_checker(

@@ -42,7 +42,7 @@ from .exact import (
     poly_radical_nonzero,
     rank_kernel,
 )
-from .relations import _product, relation_check, relation_flags
+from .relations import _decide, _product, _report, relation_check, relation_flags
 from .scalar import Scalar
 from . import shiftlab
 
@@ -321,11 +321,16 @@ def _build_none(rng, dim, nilpotent):
 _SAMPLE_BUDGET = 64
 
 
+class _SampledPair(tuple):
+    """An accepted (a, b) with its flags ``report`` and the memo ``words`` that decided them."""
+
+
 def sample_pair(class_, dim, seed, require_noncommuting=False, nilpotent=False):
     """Deterministic pair in the requested relation class.
 
     The returned pair always re-verifies: its relation flags match the class,
-    plus non-commutation or nilpotency when requested. Exhausting the
+    plus non-commutation or nilpotency when requested. It carries these flags
+    and their memo into its ``PairContext`` in ``verify_suite``. Exhausting the
     attempt budget raises SamplerBudgetError with statistics; for classes
     that are impossible to satisfy (strict comm_w at dim 2) this is the
     expected outcome.
@@ -358,8 +363,12 @@ def sample_pair(class_, dim, seed, require_noncommuting=False, nilpotent=False):
             nilpotency_degree(a) is None or nilpotency_degree(b) is None
         ):
             continue
-        if class_matches(relation_flags(a, b), cls, require_noncommuting):
-            return a, b
+        words = {"a": a, "b": b}
+        report = _report(_decide(words), None)
+        if class_matches(report, cls, require_noncommuting):
+            pair = _SampledPair((a, b))
+            pair.words, pair.report = words, report
+            return pair
     raise SamplerBudgetError(
         f"no {cls.value} pair found at dim {dim}"
         + (" (strict weak commutation needs dim >= 3)" if cls is RelationClass.COMM_W and dim < 3 else ""),

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, EigenvalueConvergenceError
-from .shiftlab import DEFAULT_CLUSTER_TOL
 
 __all__ = [
     "CMatrix",
@@ -27,6 +26,9 @@ __all__ = [
     "max_root_modulus",
     "expm",
 ]
+
+DEFAULT_CLUSTER_TOL = 1e-8
+
 
 class CMatrix:
     """Square complex double matrix; a thin immutable wrapper over numpy."""

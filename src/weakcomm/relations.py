@@ -45,7 +45,8 @@ Words are multiplied in one place too: ``_product`` keeps a memo of words
 keyed by their letters and multiplies only a missing word, from its longest
 memoized prefix or suffix. The screen, the residuals, ``PairContext`` in
 ``identities`` and the registry's word claims all fill such a memo, and no
-memo multiplies a word twice.
+memo multiplies a word twice. The memo that accepts a pair in ``sample_pair``
+goes with it into its ``PairContext``, so ``verify`` decides its flags once.
 """
 
 from __future__ import annotations

@@ -46,11 +46,6 @@ __all__ = [
 
 _DIRECTIONS = ("down", "up", "none")
 
-# absolute distance within which the float eigenvalues of a section are one
-# cluster (``truncate --cluster-tol``); calibrated for roughly unit scale and
-# kept here, not in ``numeric``, so that the parser need not load NumPy
-DEFAULT_CLUSTER_TOL = 1e-8
-
 # c/(k+a) with rational c and integer a >= 0
 _TERM_RE = re.compile(
     rf"^\s*(?P<coef>[+-]?{_RATIONAL})\s*/\s*\(\s*k\s*\+\s*(?P<shift>\d+)\s*\)\s*$"

@@ -234,13 +234,10 @@ def test_out_unwritable_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["truncate", "EXNILP_T", "--sizes", "4,6", "--cluster-tol", "-1"],
-        ["truncate", "EXNILP_T", "--sizes", "4,6", "--cluster-tol", "0"],
-        ["truncate", "EXNILP_T", "--sizes", "4,6", "--cluster-tol", "nan"],
-        ["truncate", "EXNILP_T", "--sizes", "4,6", "--cluster-tol", "inf"],
+        ["truncate", "EXNILP_T", "--sizes", "4,6", "--cluster-tol", "1e-8"],
         ["example", "EXNILP_T", "--dim", "3"],
     ],
-    ids=["tol-negative", "tol-zero", "tol-nan", "tol-inf", "spec-with-dim"],
+    ids=["tol-unknown-option", "spec-with-dim"],
 )
 def test_bad_values_exit_two(argv, capsys):
     try:

@@ -899,13 +899,12 @@ def test_suite_renders_the_witness_of_a_forced_hypothesis(monkeypatch):
     # none-class pairs with ab_in_comm_a and comm_r forced: L1.I.iii fails
     # on a defect pair and NEWTON_R on a word combination, and the suite's
     # first failure must render what check_identity and lhs - rhs render
-    original = PairContext.__init__
+    original = PairContext._init
 
-    def forced(self, a, b):
-        original(self, a, b)
-        self.report = dataclasses.replace(self.report, ab_in_comm_a=True, comm_r=True)
+    def forced(self, words, report):
+        original(self, words, dataclasses.replace(report, ab_in_comm_a=True, comm_r=True))
 
-    monkeypatch.setattr(PairContext, "__init__", forced)
+    monkeypatch.setattr(PairContext, "_init", forced)
     rep = verify_suite(["none"], (2, 3), 2, 17)
     sides = {
         "L1.I.iii": lambda a, b, p: (a * (a + b) * a, a * a * (a + b)),
@@ -1025,6 +1024,56 @@ def test_pair_context_multiplies_no_word_twice(monkeypatch):
         assert len(made) > 50
         total += len(made)
     assert inside == total
+
+
+def _sampled_context(pair):
+    """The context verify_suite builds on a pair that sample_pair accepted."""
+    ctx = PairContext.__new__(PairContext)
+    ctx._init(pair.words, pair.report)
+    return ctx
+
+
+def test_suite_decides_each_sampled_pair_once(monkeypatch):
+    # the sampler decides the flags that accept a pair, and the pair's
+    # context takes them over without deciding them again
+    from weakcomm import relations
+
+    decided = {instances: 0, identities: 0}
+
+    def counting(module):
+        def decide(words):
+            decided[module] += 1
+            return relations._decide(words)
+
+        return decide
+
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
+    for module in decided:
+        monkeypatch.setattr(module, "_decide", counting(module))
+    rep = verify_suite(dims=(2, 3, 4), samples_per_class=5, seed=1)
+    assert rep.failures == 0
+    assert decided[identities] == 0
+    assert decided[instances] >= 5 * len(RelationClass)
+
+
+def test_sampled_pair_context_equals_a_fresh_one():
+    # the memo and flags a sampled pair carries give the context that
+    # PairContext(a, b) builds; the pair is still the tuple (a, b)
+    for cls in RelationClass:
+        for dim in (2, 3, 4, 5):
+            for strict in (False, True):
+                if strict and (cls is RelationClass.COMM or (cls is RelationClass.COMM_W and dim < 3)):
+                    continue
+                pair = sample_pair(cls, dim, 60 + dim, require_noncommuting=strict)
+                a, b = pair
+                assert len(pair) == 2 and pair == (a, b) == tuple(pair)
+                ctx, fresh = _sampled_context(pair), PairContext(a, b)
+                assert (ctx.a, ctx.b, ctx.dim) == (a, b, dim)
+                assert ctx.report == fresh.report
+                assert ctx.report.flags() == fresh.report.flags() and ctx.report.residuals is None
+                assert set(ctx._words) == set(fresh._words)
+                for w in ("", "s") + _RELATION_WORDS:
+                    assert ctx.word(w) == fresh.word(w), (cls, dim, strict, w)
 
 
 def test_r_v_hypothesis_reads_the_flags(monkeypatch):
