@@ -1,6 +1,7 @@
 """Registry pairs, relation-class samplers, spectral instances, witness search."""
 
 import ast
+import functools
 import os
 import pathlib
 import random
@@ -33,7 +34,7 @@ from weakcomm.instances import (
     witness_predicates,
     _witness_candidate,
 )
-from weakcomm.relations import relation_check
+from weakcomm.relations import relation_check, relation_flags
 
 from field_scalar import FieldScalar
 
@@ -224,6 +225,24 @@ def test_sample_pair_deterministic():
     assert a1 == a2 and b1 == b2
     a3, _ = sample_pair(RelationClass.COMM_R, 4, 124, require_noncommuting=True)
     assert a1 != a3  # overwhelmingly likely; fixed seeds make it stable
+
+
+def test_sampled_pair_carries_the_memo_that_accepted_it():
+    # the flags a sampled pair carries are relation_flags(a, b), and every
+    # product in its memo is the product of the word's letters, multiplied
+    # left to right without the memo
+    flag_words = {"ab", "ba", "aab", "aba", "baa", "abb", "bab", "bba"}
+    for cls in RelationClass:
+        for dim in (2, 3, 4):
+            strict = cls is not RelationClass.COMM and not (cls is RelationClass.COMM_W and dim < 3)
+            pair = sample_pair(cls, dim, 30 + dim, require_noncommuting=strict)
+            a, b = pair
+            assert pair.words["a"] is a and pair.words["b"] is b
+            assert pair.report == relation_flags(a, b)
+            assert class_matches(pair.report, cls, require_noncommuting=strict)
+            assert set(pair.words) - {"a", "b"} <= flag_words, (cls, dim)
+            for w, m in pair.words.items():
+                assert m == functools.reduce(lambda x, y: x * y, ({"a": a, "b": b}[c] for c in w)), (cls, dim, w)
 
 
 def test_sample_pair_nilpotent_mode():
