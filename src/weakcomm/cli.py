@@ -3,7 +3,8 @@
 Four commands: verify (run the identity suite over sampled pairs), example
 (rebuild a registry pair or operator spec and re-verify its claims), search
 (look for a witness pair satisfying a relation predicate), truncate (finite
-sections of an operator spec with exact charpolys and numeric spectra).
+sections of an operator spec, with exact charpolys and the spectra read off
+them).
 
 Exit status: 0 when everything verified (vacuous verdicts do not fail),
 1 when any check failed or a search came up empty, 2 on configuration
@@ -180,8 +181,6 @@ def _run_search(args):
 
 
 def _run_truncate(args):
-    from .numeric import CMatrix, eigenvalues
-
     spec, _ = paper_example(args.id)
     least = max(2, spec.support() + 1)
     if args.sizes[0] < least:
@@ -192,15 +191,22 @@ def _run_truncate(args):
     rows = []
     for n in args.sizes:
         t = shiftlab.truncate(spec, n)
-        spectrum = eigenvalues(CMatrix.from_exact(t))
+        poly = charpoly(t)
+        rest = poly.strip_zero_roots()
+        if rest.degree > 0:
+            raise ConfigError(
+                f"{args.id} at n = {n}: charpoly {poly.literal()} has nonzero roots, "
+                "and truncate certifies only the root 0"
+            )
         rows.append(
             {
                 "n": n,
-                "charpoly": charpoly(t).literal(),
+                "charpoly": poly.literal(),
                 "nilpotency_degree": nilpotency_degree(t),
                 "certified_kernel_dim": shiftlab.finite_support_kernel(spec, n).dim,
-                "spectrum": [[z.real, z.imag, m] for z, m in spectrum.points],
-                "max_modulus": spectrum.max_modulus(),
+                # the root 0 with the multiplicity of the factor x
+                "spectrum": [[0.0, 0.0, poly.degree - rest.degree]],
+                "max_modulus": 0.0,
             }
         )
     payload = {

@@ -94,6 +94,10 @@ class ExactMatrix:
     def _rep(self):
         return (self._den, list(self._re), list(self._im))
 
+    def __reduce__(self):
+        # __setattr__ blocks pickle's slot restore, so rebuild from the rep
+        return (type(self)._from_rep, (self.dim, self._rep()))
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -341,6 +345,9 @@ class ExactPoly:
         obj = object.__new__(cls)
         obj._init_rep(den, re, im)
         return obj
+
+    def __reduce__(self):
+        return (type(self)._from_rep, (self._den, self._re, self._im))
 
     @classmethod
     def zero(cls):
@@ -781,6 +788,9 @@ class SubspaceBasis:
         for name, value in zip(cls.__slots__, (ambient, tuple(pivots), den, tuple(re), tuple(im))):
             object.__setattr__(obj, name, value)
         return obj
+
+    def __reduce__(self):
+        return (type(self)._make, (self.ambient, self._pivots, (self._den, self._re, self._im)))
 
     @classmethod
     def span(cls, vectors, ambient=None):

@@ -8,6 +8,7 @@ import pytest
 
 from weakcomm import __version__
 from weakcomm.cli import main
+from weakcomm.instances import ExampleId
 
 FAST_VERIFY = [
     "verify",
@@ -173,8 +174,43 @@ def test_truncate_payload(capsys):
     assert payload["rows"][0]["nilpotency_degree"] == 4
     assert payload["rows"][0]["certified_kernel_dim"] == 0
     for row in payload["rows"]:
-        assert sum(m for _, _, m in row["spectrum"]) == row["n"]
-        assert row["max_modulus"] < 0.6  # nilpotent truncations stay near 0
+        assert row["spectrum"] == [[0.0, 0.0, row["n"]]]
+        assert row["max_modulus"] == 0.0
+
+
+def test_truncate_spectrum_matches_the_float_oracle(capsys):
+    from weakcomm import shiftlab
+    from weakcomm.instances import example_entry, paper_example
+    from weakcomm.numeric import CMatrix, eigenvalues
+
+    for entry in ExampleId:
+        if example_entry(entry).kind != "op_spec":
+            continue
+        spec, _ = paper_example(entry)
+        sizes = range(max(2, spec.support() + 1), 13)
+        argv = ["truncate", entry.value, "--sizes", ",".join(map(str, sizes))]
+        status, out, _ = _run_inproc(argv, capsys)
+        assert status == 0
+        for row in json.loads(out)["rows"]:
+            oracle = eigenvalues(CMatrix.from_exact(shiftlab.truncate(spec, row["n"])))
+            assert [m for _, m in oracle.points] == [m for _, _, m in row["spectrum"]]
+            assert abs(oracle.max_modulus() - row["max_modulus"]) <= 1e-6
+
+
+def test_truncate_rejects_a_section_with_nonzero_roots(monkeypatch, capsys):
+    from weakcomm import shiftlab
+    from weakcomm.exact import ExactMatrix
+
+    original = shiftlab.truncate
+
+    def with_a_diagonal_entry(spec, n):
+        return original(spec, n) + ExactMatrix.single_entry(n, 0, 0, 1)
+
+    monkeypatch.setattr(shiftlab, "truncate", with_a_diagonal_entry)
+    status, out, err = _run_inproc(["truncate", "EXNILP_T", "--sizes", "4,6"], capsys)
+    assert status == 2 and out == ""
+    assert err.startswith("error: EXNILP_T at n = 4: charpoly x^4 - x^3 has nonzero roots")
+    assert "Traceback" not in err
 
 
 def test_truncate_bad_sizes():
@@ -276,8 +312,8 @@ def test_cross_process_byte_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_search_and_import_do_not_load_numpy():
-    # NumPy serves only the float twin: truncate spectra and spectral radii
+def test_search_truncate_and_import_do_not_load_numpy():
+    # NumPy serves only the float twin: the spectral radii of RAD_PROD and RAD_SUM
     code = (
         "import contextlib, io, sys\n"
         "import weakcomm, weakcomm.cli\n"
@@ -287,6 +323,8 @@ def test_search_and_import_do_not_load_numpy():
         "        weakcomm.cli.main(['search', '--dim', '3', '--budget', '200',"
         " '--seed', '5', '--predicate', pred])\n"
         "    weakcomm.cli.main(['example', 'SEX_I_PQ'])\n"
+        "    for fmt in ('json', 'markdown'):\n"
+        "        weakcomm.cli.main(['truncate', 'EXNILP_N', '--sizes', '3,10', '--format', fmt])\n"
         "assert 'numpy' not in sys.modules, 'commands'\n"
         "weakcomm.CMatrix\n"
         "assert 'numpy' in sys.modules, 'lazy name'\n"

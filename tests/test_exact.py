@@ -7,6 +7,7 @@ the Faddeev-LeVerrier implementation or with the integer ``ExactPoly`` under
 test.
 """
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -1117,6 +1118,47 @@ def test_immutable():
     a = ExactMatrix.identity(2)
     with pytest.raises(AttributeError):
         a.dim = 3
+
+
+def _pickle_inputs():
+    """Matrices, polynomials and subspaces of dims 1-4 with zero, complex and
+    mixed-denominator entries, the zero and full subspaces, the zero polynomial."""
+    rng = random.Random(47)
+    out = [ExactPoly.zero(), ExactPoly.one()]
+    for d in range(1, 5):
+        mixed = ExactMatrix(
+            [
+                [
+                    Scalar(
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                    )
+                    for _ in range(d)
+                ]
+                for _ in range(d)
+            ]
+        )
+        complex_diag = ExactMatrix.diagonal([Scalar(k, -k) for k in range(d)])
+        out += [ExactMatrix.zeros(d), ExactMatrix.identity(d), mixed, complex_diag]
+        out += [charpoly(mixed), ExactPoly(mixed.rows()[0])]
+        out += [SubspaceBasis.zero(d), SubspaceBasis.full(d)]
+        out += [SubspaceBasis.span(mixed.rows()[:2]), SubspaceBasis.span([mixed.rows()[0]] * 2)]
+    return out
+
+
+def test_exact_types_pickle_round_trip():
+    for x in _pickle_inputs():
+        back = pickle.loads(pickle.dumps(x))
+        assert type(back) is type(x)
+        assert back == x and hash(back) == hash(x)
+        assert {s: getattr(back, s) for s in type(x).__slots__} == {
+            s: getattr(x, s) for s in type(x).__slots__
+        }
+        with pytest.raises(AttributeError):
+            back._den = 2
+    pair = sample_pair(RelationClass.COMM_L, 3, 1)
+    back = pickle.loads(pickle.dumps(pair))
+    assert back == pair and back.report == pair.report and back.words == pair.words
 
 
 # -- inverse, rank, kernel -----------------------------------------------------------

@@ -1,10 +1,9 @@
 """Pinned report hashes: verify, example, search and truncate reports stay byte-identical.
 
 Each pinned command runs through ``weakcomm.cli.main`` in-process, once per
-format, and the sha256 of its report is compared with the value recorded
-when the pin was set. The truncate reports drop their ``spectrum`` and
-``max_modulus`` fields (and the Markdown ``max |eig|`` column) first: those
-come from LAPACK, not from the exact code.
+format, and the sha256 of its whole report is compared with the value
+recorded when the pin was set. The truncate reports are pinned whole too:
+their ``spectrum`` and ``max_modulus`` are read off the exact charpoly.
 
 An injected fault inverts verdicts whose conclusion holds, so its first
 failure carries no defect. The defect literals and residuals of the
@@ -164,18 +163,18 @@ PINS = {
     ),
     "truncate EXNILP_T" + SIZES: (
         0,
-        "c26c8fb289e1c1090c310d0cfa91cd92cf89880855a4ce399272b1f4663261da",
-        "ab156725ac90a390ba1862d69e1b571fe1ae08963dd4f35fbe9266cb5970854c",
+        "9ba25eb53815c852567a0246efb550b19b454dd02b9a51f67228d74f4749a870",
+        "da55f8423a3cf6d7789c348b69a01c9bb5a922f7d429d41df0d85932dcecd8bb",
     ),
     "truncate EXNILP_N" + SIZES: (
         0,
-        "7eb94653d4976c721d42b34ec84b8c4863c9fb83892d08258ec63d4cfce2e471",
-        "6c7eb4d5c008327ef74a502381546f0e8ff232e44edee56f5ee92685284dd8e0",
+        "6100c27e42d663d942a6da2a7fe99f6ed044463739b46e7532fd889caed2a42a",
+        "39339adbf8868e57f567052d4387a7694fab8a752c881fe099e54670f117add8",
     ),
     "truncate EXNILP_Q" + SIZES: (
         0,
-        "b8aac60f818f610a414a5ba5b983de785a3ced5d2ab7b4c6a522e213b5531140",
-        "109a068f02e371c2ed07529c4f576a5f5a2e3bf53399583f0ac254d37643b3dc",
+        "5c98ccc308f1fae3e4cbc9f2b3f4586380945ad2587d5f3a1e0d33500c866c8a",
+        "8f5d4b5b6fd1115dc4bac36f03952a4790fad8232c9aa6d3e85d523acc3bfdf4",
     ),
 }
 
@@ -189,19 +188,7 @@ def _sha(text):
 
 def _report(argv, fmt, capsys):
     status = main(argv + ["--format", fmt])
-    text = capsys.readouterr().out
-    if argv[0] == "truncate":
-        if fmt == "json":
-            payload = json.loads(text)
-            for row in payload["rows"]:
-                del row["spectrum"], row["max_modulus"]
-            text = json.dumps(payload, sort_keys=True, indent=2)
-        else:
-            text = "\n".join(
-                line.rsplit("|", 2)[0] + "|" if line.startswith("|") else line
-                for line in text.splitlines()
-            )
-    return status, _sha(text)
+    return status, _sha(capsys.readouterr().out)
 
 
 def digests(command, capsys):
