@@ -16,6 +16,14 @@ EXP_CORR, NIL_PROD, NIL_SUM, QUASI_CLOSURE and KER_INCL return ``_vacuous``
 NIL_TELE build their defect list from the flags, so an unmet hypothesis
 leaves it empty and the result holds.
 
+The word identities (L1.*, R.*, NEWTON_*, BINOM, TELESCOPE, NIL_TELE) are
+polynomial identities in a, b and s = a + b. Each states that some word
+combinations vanish: sequences of (word, int) terms over the letters a, b
+and s. ``PairContext.defect`` is their one evaluator. The sixteen whose
+hypothesis is a conjunction of relation flags are rows of one table,
+``_WORD_IDENTITIES``, which pairs the flags with a recipe of
+combinations; the others have checkers of their own.
+
 ``verify_suite`` samples pairs from the relation-class samplers and runs
 the whole catalog over them deterministically, producing a JSON-stable
 report with per-identity counts and a first-failure witness. It decides
@@ -164,10 +172,12 @@ class PairContext:
     of the flags the probe does not refute, and no others. ``verify_suite``
     takes both over from the sampled pair (``sample_pair``) through ``_init``.
     ``combo`` sums integer multiples of words in one pass over their integer
-    numerators; each binomial, Newton and telescoping identity is a list of
-    such combinations that must vanish. Nilpotency degrees are kept per
-    word; for the base words ``a``, ``b``, ``ab`` and ``s`` the charpoly
-    radical, nonzero radical and spectral radius are each computed once.
+    numerators. ``defect`` evaluates a word combination, a sequence of such
+    (word, int) terms that must vanish: x - y as the pair of its two words,
+    decided by equality, and any other through ``combo``. Nilpotency
+    degrees are kept per word; for the base words ``a``, ``b``, ``ab`` and
+    ``s`` the charpoly radical, nonzero radical and spectral radius are each
+    computed once.
 
     ``ExactMatrix`` stores a normalized (den, re, im) that is unique for each
     matrix, so a word's value does not depend on how its product was
@@ -214,6 +224,16 @@ class PairContext:
             im = [x + f * y for x, y in zip(im, m._im)]
         return ExactMatrix._from_rep(self.dim, _kernel_py.normalize(den, re, im))
 
+    def defect(self, terms):
+        """The word combination ``terms`` on this pair, for ``_from_defects``:
+        x - y as the pair (word(x), word(y)), which is decided by equality,
+        and any other combination as its ``combo`` matrix."""
+        if len(terms) == 2:
+            (x, c), (y, d) = terms
+            if c == 1 and d == -1:
+                return self.word(x), self.word(y)
+        return self.combo(terms)
+
     def _cached(self, key, compute):
         memo = self._memo
         if key not in memo:
@@ -238,11 +258,6 @@ class PairContext:
         from .numeric import max_root_modulus  # loads NumPy, so only when a radius is needed
 
         return self._cached(("radius", w), lambda: max_root_modulus(self.radical(w)))
-
-
-def _memb(ctx, x, y):
-    """Defect pair of the membership of word x in comm(word y): xy against yx."""
-    return ctx.word(x + y), ctx.word(y + x)
 
 
 def _from_defects(defects):
@@ -278,14 +293,76 @@ def _vacuous():
     return True, 0.0, None
 
 
-def _telescope(ctx, n, lhs, s_ab, diff_right):
+# -- word combinations ----------------------------------------------------------
+# A word combination is a sequence of (word, c) terms over the letters a, b
+# and s = a + b, with c a nonzero int, standing for the sum of c * word; each
+# word identity is a list of combinations that must vanish, and
+# PairContext.defect evaluates one on a pair. Every word of a combination
+# has one length, with s counted as one letter.
+
+
+def _eq(x, y):
+    """Word x equals word y: x - y."""
+    return (x, 1), (y, -1)
+
+
+def _memb(x, y):
+    """Word x is in comm(word y): xy - yx."""
+    return _eq(x + y, y + x)
+
+
+def _telescope(n, lhs, s_ab, diff_right):
     """a^n - b^n + lhs - S(a - b), or - (a - b)S if not diff_right, where S is
     s_ab = sum_j a^(n-1-j) b^j or else s_ba = sum_j b^j a^(n-1-j), 0 <= j < n."""
     terms = [("a" * n, 1), ("b" * n, -1), *lhs]
     for j in range(n):
         w = "a" * (n - 1 - j) + "b" * j if s_ab else "b" * j + "a" * (n - 1 - j)
         terms += [(w + "a", -1), (w + "b", 1)] if diff_right else [("a" + w, -1), ("b" + w, 1)]
-    return ctx.combo(terms)
+    return terms
+
+
+def _power_words(left):
+    """(ab)^n = a^n b^n and three words equal to (ba)^n, n = 2, 3, 4: those of
+    L1.I.ii (ab in comm(a)) if left, else of L1.II.ii (ab in comm(b))."""
+    for n in (2, 3, 4):
+        a1, b1, ban = "a" * (n - 1), "b" * (n - 1), "ba" * n
+        yield _eq("ab" * n, a1 + "a" + b1 + "b")
+        if left:
+            yield _eq(ban, "b" + a1 + "a" + b1)
+            yield _eq(ban, "ba" + "ab" * (n - 1))
+        else:
+            yield _eq(ban, a1 + "b" + b1 + "a")
+            yield _eq(ban, "ab" * (n - 1) + "ba")
+        yield _eq(ban, "b" + a1 + b1 + "a")
+
+
+def _l1_telescopes(diff_right):
+    """The telescoping defects of L1.III.ii (diff_right) or L1.IV.ii, n = 2..5."""
+    for n in (2, 3, 4, 5):
+        a1, b1 = "a" * (n - 1), "b" * (n - 1)
+        if diff_right:
+            yield _telescope(n, _eq("b" + a1, a1 + "b"), False, True)
+            yield _telescope(n, _eq(b1 + "a", "a" + b1), True, True)
+        else:
+            yield _telescope(n, _eq("a" + b1, b1 + "a"), False, False)
+            yield _telescope(n, _eq(a1 + "b", "b" + a1), True, False)
+
+
+def _newton(n, left):
+    """(a+b)^n less sum_k C(n-1, k-1) (a^(n-k) b^k + b^(n-k) a^k), k = 1..n,
+    with the powers in each product swapped if left."""
+    terms = [("s" * n, 1)]
+    for k in range(1, n + 1):
+        i, j = (k, n - k) if left else (n - k, k)
+        c = -comb(n - 1, k - 1)
+        terms += [("a" * i + "b" * j, c), ("b" * i + "a" * j, c)]
+    return terms
+
+
+def _binom(n):
+    """(a+b)^n less the binomial expansion, with a first and with b first."""
+    for x, y in (("a", "b"), ("b", "a")):
+        yield [("s" * n, 1)] + [(x * k + y * (n - k), -comb(n, k)) for k in range(n + 1)]
 
 
 # -- checkers -------------------------------------------------------------------
@@ -293,103 +370,68 @@ def _telescope(ctx, n, lhs, s_ab, diff_right):
 # conclude() gives (holds, residual, witness). The hypothesis is decided
 # first and the conclusion builds nothing until it is called, so a caller
 # that only counts a vacuous evaluation skips its cost.
+#
+# The word identities whose hypothesis is a conjunction of RelationReport
+# flags are rows of _WORD_IDENTITIES: identity -> (the flags, recipe), where
+# recipe(params) yields the word combinations that must vanish in defect
+# order, so the first nonzero one is the witness. _word_checker makes their
+# checkers; the other identities have checkers of their own.
 
 _POWERS = (1, 2, 3, 4)
 _TRIPLE = (1, 2, 3)
 
-
-def _chk_l1_i_i(ctx, p):
-    hyp = ctx.report.ab_in_comm_a
-    return hyp, lambda: _from_defects(
-        _memb(ctx, "a" * n + "b", "a" * m) for n in _POWERS for m in _POWERS
-    )
-
-
-def _chk_l1_i_ii(ctx, p):
-    w = ctx.word
-
-    def defects():
-        for n in (2, 3, 4):
-            ban = w("ba" * n)
-            yield w("ab" * n), w("a" * n + "b" * n)
-            yield ban, w("b" + "a" * n + "b" * (n - 1))
-            yield ban, w("ba" + "ab" * (n - 1))
-            yield ban, w("b" + "a" * (n - 1) + "b" * (n - 1) + "a")
-
-    return ctx.report.ab_in_comm_a, lambda: _from_defects(defects())
-
-
-def _chk_l1_i_iii(ctx, p):
-    return ctx.report.ab_in_comm_a, lambda: _from_defects([_memb(ctx, "as", "a")])
-
-
-def _chk_l1_ii_i(ctx, p):
-    hyp = ctx.report.ab_in_comm_b
-    return hyp, lambda: _from_defects(
-        _memb(ctx, "a" + "b" * n, "b" * m) for n in _POWERS for m in _POWERS
-    )
-
-
-def _chk_l1_ii_ii(ctx, p):
-    w = ctx.word
-
-    def defects():
-        for n in (2, 3, 4):
-            ban = w("ba" * n)
-            yield w("ab" * n), w("a" * n + "b" * n)
-            yield ban, w("a" * (n - 1) + "b" * n + "a")
-            yield ban, w("ab" * (n - 1) + "ba")
-            yield ban, w("b" + "a" * (n - 1) + "b" * (n - 1) + "a")
-
-    return ctx.report.ab_in_comm_b, lambda: _from_defects(defects())
+_WORD_IDENTITIES = {
+    IdentityId.L1_I_i: (
+        ("ab_in_comm_a",),
+        lambda p: (_memb("a" * n + "b", "a" * m) for n in _POWERS for m in _POWERS),
+    ),
+    IdentityId.L1_I_ii: (("ab_in_comm_a",), lambda p: _power_words(True)),
+    IdentityId.L1_I_iii: (("ab_in_comm_a",), lambda p: [_memb("as", "a")]),
+    IdentityId.L1_II_i: (
+        ("ab_in_comm_b",),
+        lambda p: (_memb("a" + "b" * n, "b" * m) for n in _POWERS for m in _POWERS),
+    ),
+    IdentityId.L1_II_ii: (("ab_in_comm_b",), lambda p: _power_words(False)),
+    IdentityId.L1_II_iii: (("ab_in_comm_b",), lambda p: [_memb("sb", "b")]),
+    IdentityId.L1_III_i: (
+        ("comm_l",),
+        lambda p: (
+            _memb("a" * n + "b" * m, "a" * k) for n in _TRIPLE for m in _TRIPLE for k in _TRIPLE
+        ),
+    ),
+    IdentityId.L1_III_ii: (("comm_l",), lambda p: _l1_telescopes(True)),
+    IdentityId.L1_III_iii: (("comm_l",), lambda p: [_memb("sa", "s"), _memb("bs", "b")]),
+    IdentityId.L1_IV_i: (
+        ("comm_r",),
+        lambda p: (
+            _memb("a" * n + "b" * m, "b" * k) for n in _TRIPLE for m in _TRIPLE for k in _TRIPLE
+        ),
+    ),
+    IdentityId.L1_IV_ii: (("comm_r",), lambda p: _l1_telescopes(False)),
+    IdentityId.L1_IV_iii: (("comm_r",), lambda p: [_memb("as", "s"), _memb("sb", "b")]),
+    IdentityId.R_iii: (
+        ("comm_w",),
+        lambda p: (_memb("a" * n, "b" * m) for n in _TRIPLE for m in _TRIPLE if n * m >= 2),
+    ),
+    # aab = aba = baa, the words of ab_in_comm_a and ba_in_comm_a
+    IdentityId.R_v: (
+        ("ab_in_comm_a", "ba_in_comm_a"),
+        lambda p: (_memb("a" * n, "b" * m) for n in (2, 3, 4) for m in _TRIPLE),
+    ),
+    IdentityId.NEWTON_R: (("comm_r",), lambda p: [_newton(p.get("n", 3), False)]),
+    IdentityId.NEWTON_L: (("comm_l",), lambda p: [_newton(p.get("n", 3), True)]),
+}
 
 
-def _chk_l1_ii_iii(ctx, p):
-    return ctx.report.ab_in_comm_b, lambda: _from_defects([_memb(ctx, "sb", "b")])
+def _word_checker(conjuncts, recipe):
+    """The checker of a _WORD_IDENTITIES row."""
 
+    def check(ctx, p):
+        rep = ctx.report
+        hyp = all(getattr(rep, flag) for flag in conjuncts)
+        return hyp, lambda: _from_defects(map(ctx.defect, recipe(p)))
 
-def _chk_l1_iii_i(ctx, p):
-    hyp = ctx.report.comm_l
-    return hyp, lambda: _from_defects(
-        _memb(ctx, "a" * n + "b" * m, "a" * k) for n in _TRIPLE for m in _TRIPLE for k in _TRIPLE
-    )
-
-
-def _chk_l1_iii_ii(ctx, p):
-    def defects():
-        for n in (2, 3, 4, 5):
-            a1, b1 = "a" * (n - 1), "b" * (n - 1)
-            yield _telescope(ctx, n, [("b" + a1, 1), (a1 + "b", -1)], False, True)
-            yield _telescope(ctx, n, [(b1 + "a", 1), ("a" + b1, -1)], True, True)
-
-    return ctx.report.comm_l, lambda: _from_defects(defects())
-
-
-def _chk_l1_iii_iii(ctx, p):
-    hyp = ctx.report.comm_l
-    return hyp, lambda: _from_defects([_memb(ctx, "sa", "s"), _memb(ctx, "bs", "b")])
-
-
-def _chk_l1_iv_i(ctx, p):
-    hyp = ctx.report.comm_r
-    return hyp, lambda: _from_defects(
-        _memb(ctx, "a" * n + "b" * m, "b" * k) for n in _TRIPLE for m in _TRIPLE for k in _TRIPLE
-    )
-
-
-def _chk_l1_iv_ii(ctx, p):
-    def defects():
-        for n in (2, 3, 4, 5):
-            a1, b1 = "a" * (n - 1), "b" * (n - 1)
-            yield _telescope(ctx, n, [("a" + b1, 1), (b1 + "a", -1)], False, False)
-            yield _telescope(ctx, n, [(a1 + "b", 1), ("b" + a1, -1)], True, False)
-
-    return ctx.report.comm_r, lambda: _from_defects(defects())
-
-
-def _chk_l1_iv_iii(ctx, p):
-    hyp = ctx.report.comm_r
-    return hyp, lambda: _from_defects([_memb(ctx, "as", "s"), _memb(ctx, "sb", "b")])
+    return check
 
 
 # With A = a - lam and B = b - mu, ABA - AAB = A(BA - AB) = (a - lam)(ba - ab)
@@ -397,11 +439,10 @@ def _chk_l1_iv_iii(ctx, p):
 def _shifted_memb(ctx, x, lam):
     """Defect of x = ab or ba in comm(a), less lam(ba - ab); the pair itself
     when lam = 0."""
-    pair = _memb(ctx, x, "a")
     if lam.is_zero():
-        return pair
-    (xa, ax), (ba, ab) = pair, _memb(ctx, "b", "a")
-    return (xa - ax) - (ba - ab) * lam
+        return ctx.defect(_memb(x, "a"))
+    w = ctx.word
+    return (w(x + "a") - w("a" + x)) - (w("ba") - w("ab")) * lam
 
 
 def _chk_r_i(ctx, p):
@@ -416,77 +457,32 @@ def _chk_r_ii(ctx, p):
     return hyp, lambda: _from_defects([_shifted_memb(ctx, "ba", lam)])
 
 
-def _chk_r_iii(ctx, p):
-    hyp = ctx.report.comm_w
-    return hyp, lambda: _from_defects(
-        _memb(ctx, "a" * n, "b" * m) for n in _TRIPLE for m in _TRIPLE if n * m >= 2
-    )
-
-
 def _chk_r_iv(ctx, p):
     # comm_l and comm_r of the pair (s, b), from the memoized words
     rep = ctx.report
 
     def defects():
         if rep.comm_l:
-            yield _memb(ctx, "sb", "s")
-            yield _memb(ctx, "bs", "b")
+            yield _memb("sb", "s")
+            yield _memb("bs", "b")
         if rep.comm_r:
-            yield _memb(ctx, "sb", "b")
-            yield _memb(ctx, "bs", "s")
+            yield _memb("sb", "b")
+            yield _memb("bs", "s")
 
-    return rep.comm_l or rep.comm_r, lambda: _from_defects(defects())
-
-
-def _chk_r_v(ctx, p):
-    # aab = aba = baa, the words of ab_in_comm_a and ba_in_comm_a
-    hyp = ctx.report.ab_in_comm_a and ctx.report.ba_in_comm_a
-    return hyp, lambda: _from_defects(
-        _memb(ctx, "a" * n, "b" * m) for n in (2, 3, 4) for m in _TRIPLE
-    )
-
-
-def _chk_newton_r(ctx, p):
-    def conclude():
-        n = p.get("n", 3)
-        terms = [("s" * n, 1)]
-        for k in range(1, n + 1):
-            c = -comb(n - 1, k - 1)
-            terms += [("a" * (n - k) + "b" * k, c), ("b" * (n - k) + "a" * k, c)]
-        return _from_defects([ctx.combo(terms)])
-
-    return ctx.report.comm_r, conclude
-
-
-def _chk_newton_l(ctx, p):
-    def conclude():
-        n = p.get("n", 3)
-        terms = [("s" * n, 1)]
-        for k in range(1, n + 1):
-            c = -comb(n - 1, k - 1)
-            terms += [("a" * k + "b" * (n - k), c), ("b" * k + "a" * (n - k), c)]
-        return _from_defects([ctx.combo(terms)])
-
-    return ctx.report.comm_l, conclude
+    return rep.comm_l or rep.comm_r, lambda: _from_defects(map(ctx.defect, defects()))
 
 
 def _chk_binom(ctx, p):
     n = p.get("n", 3)
     hyp = ctx.report.comm_w and n != 2
-
-    def defects():
-        for x, y in (("a", "b"), ("b", "a")):
-            terms = [("s" * n, 1)] + [(x * k + y * (n - k), -comb(n, k)) for k in range(n + 1)]
-            yield ctx.combo(terms)
-
-    return hyp, lambda: _from_defects(defects())
+    return hyp, lambda: _from_defects(map(ctx.defect, _binom(n)))
 
 
 def _chk_telescope(ctx, p):
     n = p.get("n", 3)
     hyp = ctx.report.comm_w and n != 2
     return hyp, lambda: _from_defects(
-        _telescope(ctx, n, [], s_ab, diff_right)
+        ctx.defect(_telescope(n, [], s_ab, diff_right))
         for s_ab in (False, True)
         for diff_right in (True, False)
     )
@@ -553,7 +549,7 @@ def _chk_nil_sum(ctx, p):
 
 
 def _in_comm(ctx, x, y):
-    lhs, rhs = _memb(ctx, x, y)
+    lhs, rhs = ctx.defect(_memb(x, y))
     return lhs == rhs
 
 
@@ -579,7 +575,7 @@ def _chk_nil_tele(ctx, p):
         if n is not None and _in_comm(ctx, "a", "b" * n):
             orders += [(m, False) for m in (n + 1, n + 2, n + 3)]
     return bool(orders), lambda: _from_defects(
-        _telescope(ctx, m, [], False, diff_right) for m, diff_right in orders
+        ctx.defect(_telescope(m, [], False, diff_right)) for m, diff_right in orders
     )
 
 
@@ -680,26 +676,11 @@ def _chk_kriterion_range(ctx, p):
     return True, conclude
 
 
-_CHECKERS = {
-    IdentityId.L1_I_i: _chk_l1_i_i,
-    IdentityId.L1_I_ii: _chk_l1_i_ii,
-    IdentityId.L1_I_iii: _chk_l1_i_iii,
-    IdentityId.L1_II_i: _chk_l1_ii_i,
-    IdentityId.L1_II_ii: _chk_l1_ii_ii,
-    IdentityId.L1_II_iii: _chk_l1_ii_iii,
-    IdentityId.L1_III_i: _chk_l1_iii_i,
-    IdentityId.L1_III_ii: _chk_l1_iii_ii,
-    IdentityId.L1_III_iii: _chk_l1_iii_iii,
-    IdentityId.L1_IV_i: _chk_l1_iv_i,
-    IdentityId.L1_IV_ii: _chk_l1_iv_ii,
-    IdentityId.L1_IV_iii: _chk_l1_iv_iii,
+# the identities with a checker of their own, in catalog order
+_BESPOKE = {
     IdentityId.R_i: _chk_r_i,
     IdentityId.R_ii: _chk_r_ii,
-    IdentityId.R_iii: _chk_r_iii,
     IdentityId.R_iv: _chk_r_iv,
-    IdentityId.R_v: _chk_r_v,
-    IdentityId.NEWTON_R: _chk_newton_r,
-    IdentityId.NEWTON_L: _chk_newton_l,
     IdentityId.BINOM: _chk_binom,
     IdentityId.TELESCOPE: _chk_telescope,
     IdentityId.EXP_CORR: _chk_exp_corr,
@@ -714,6 +695,11 @@ _CHECKERS = {
     IdentityId.SPEC_EQ_W: _chk_spec_eq_w,
     IdentityId.KER_INCL: _chk_ker_incl,
     IdentityId.KRITERION_RANGE: _chk_kriterion_range,
+}
+
+_CHECKERS = {
+    **{ident: _word_checker(*row) for ident, row in _WORD_IDENTITIES.items()},
+    **_BESPOKE,
 }
 
 

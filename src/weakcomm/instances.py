@@ -514,6 +514,8 @@ def search_witness(predicate, dim, budget, seed):
     """First sampled pair satisfying the named predicate, or None."""
     if predicate not in _PREDICATES:
         raise UnknownPredicateError(predicate)
+    if not 2 <= dim <= 8:
+        raise ValueError("dim must be between 2 and 8")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     pred = _PREDICATES[predicate]

@@ -7,8 +7,9 @@ coordinates as an exact matrix. Kernel vectors of the truncation that vanish
 from coordinate n-1 onward are kernel vectors of the infinite operator:
 certifying genuine point-spectrum facts is the purpose of
 ``finite_support_kernel``. Eigenvalues of truncations, by contrast, are
-evidence only (the ``truncate`` command reports them): finite sections of
-non-normal operators need not converge to the true spectrum.
+evidence only: finite sections of non-normal operators need not converge to
+the true spectrum. The ``truncate`` command reads each section's spectrum
+off its exact charpoly and certifies only the root 0.
 
 Spec text format (one key per line, ``#`` comments allowed):
 

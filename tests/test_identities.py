@@ -35,7 +35,7 @@ from weakcomm.identities import (
 )
 from weakcomm.instances import ExampleId, RelationClass, paper_example, sample_pair
 from weakcomm.numeric import spectral_radius_exact
-from weakcomm.relations import FLAG_NAMES, _probe, relation_check, relation_flags
+from weakcomm.relations import FLAG_NAMES, RelationReport, _probe, relation_check, relation_flags
 
 from field_scalar import FieldScalar
 
@@ -802,6 +802,65 @@ def test_word_combinations_match_the_loop_references():
                         failing += not res.holds
     assert evaluations == 40 * (2 + 4 * 8 + 9)
     assert failing > evaluations // 5
+
+
+def _recipe_combinations():
+    """(identity, params, combination) for every combination of the flag
+    table's recipes and of BINOM's and the telescopes' builders, at each
+    suite grid point and at n = 1..8."""
+    orders = [{"n": n} for n in range(1, 9)]
+    for identity, (_, recipe) in identities._WORD_IDENTITIES.items():
+        for params in list(_suite_plan(identity)) + orders:
+            for terms in recipe(params):
+                yield identity, params, terms
+    for params in orders:
+        n = params["n"]
+        for terms in identities._binom(n):
+            yield IdentityId.BINOM, params, terms
+        for s_ab in (False, True):
+            for diff_right in (True, False):
+                terms = identities._telescope(n, [], s_ab, diff_right)
+                yield IdentityId.TELESCOPE, params, terms
+
+
+def test_recipes_yield_homogeneous_integer_combinations():
+    # words over a, b and s of one length (s is one letter), nonzero int
+    # coefficients: a dropped letter or a zero term shows here
+    seen = set()
+    for identity, params, terms in _recipe_combinations():
+        assert terms, (identity, params)
+        assert {len(w) for w, _ in terms} == {len(terms[0][0])}, (identity, params, terms)
+        for w, c in terms:
+            assert set(w) <= {"a", "b", "s"}, (identity, params, w)
+            assert type(c) is int and c != 0, (identity, params, w, c)
+        seen.add(identity)
+    assert seen == set(identities._WORD_IDENTITIES) | {IdentityId.BINOM, IdentityId.TELESCOPE}
+
+
+def test_word_table_and_bespoke_checkers_cover_the_catalog_once():
+    # a {**table, **bespoke} merge would let a duplicate shadow its twin
+    table, bespoke = identities._WORD_IDENTITIES, identities._BESPOKE
+    assert len(table) == 16
+    assert set(table).isdisjoint(bespoke)
+    assert sorted(list(table) + list(bespoke)) == sorted(IdentityId)
+    assert identities._CHECKERS.keys() == set(IdentityId)
+    flags = {f.name for f in dataclasses.fields(RelationReport)} - {"residuals"}
+    for identity, (conjuncts, _) in table.items():
+        assert conjuncts and set(conjuncts) <= flags, identity
+
+
+def test_defect_is_a_word_pair_only_for_a_difference_of_two_words():
+    a, b = _pair(ExampleId.SEX_I_PQ)
+    ctx = PairContext(a, b)
+    assert ctx.defect([("ab", 1), ("ba", -1)]) == (a * b, b * a)
+    for terms, value in (
+        ([("ab", -1), ("ba", 1)], b * a - a * b),
+        ([("ab", 2), ("ba", -2)], (a * b - b * a) * 2),
+        ([("ss", 1), ("ab", -1), ("ba", -1)], a * a + b * b),
+        ([("aab", 1)], a * a * b),
+    ):
+        got = ctx.defect(terms)
+        assert isinstance(got, ExactMatrix) and got == value, terms
 
 
 def test_inject_fault_binom_flips_only_binom(capsys):

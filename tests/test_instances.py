@@ -384,6 +384,20 @@ def test_search_witness_validation():
         search_witness("not_c1", 2, 0, 0)
 
 
+@pytest.mark.parametrize("dim", [-1, 0, 1, 9])
+def test_search_witness_rejects_dims_outside_2_to_8(dim):
+    # as sample_pair and the CLI do: no range() error, no empty search
+    with pytest.raises(ValueError, match="^dim must be between 2 and 8$"):
+        search_witness("not_c1", dim, 5, 1)
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_search_witness_accepts_dims_2_and_8(dim):
+    rec = search_witness("not_c1", dim, 50, 1)
+    assert rec is not None and rec.a.dim == rec.b.dim == dim
+    assert not relation_check(rec.a, rec.b).c1_pair
+
+
 def test_weak_but_not_commuting_witness_dim3():
     rec = search_witness("comm_w_not_comm", 3, 10_000, 1)
     assert rec is not None

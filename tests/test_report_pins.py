@@ -8,7 +8,10 @@ their ``spectrum`` and ``max_modulus`` are read off the exact charpoly.
 An injected fault inverts verdicts whose conclusion holds, so its first
 failure carries no defect. The defect literals and residuals of the
 expansion identities are pinned by a separate ``check_identity`` sweep in
-which 80 of 280 evaluations fail and carry a defect.
+which 80 of 280 evaluations fail and carry a defect. A second sweep pins
+every identity but RAD_PROD and RAD_SUM at each point of its suite grid:
+200 of its 590 evaluations fail, every flag-table identity among them, so
+it pins each identity's witness and the order of its defects.
 """
 
 import hashlib
@@ -17,7 +20,7 @@ import json
 import pytest
 
 from weakcomm.cli import main
-from weakcomm.identities import IdentityId, check_identity
+from weakcomm.identities import IdentityId, _suite_plan, check_identity
 from weakcomm.instances import ExampleId, RelationClass, sample_pair
 
 VERIFY = "verify --dims 2,3,4 --samples 5 --seed 3"
@@ -181,6 +184,9 @@ PINS = {
 # sha256 of the JSON lines of _expansion_sweep(), and its fail count
 EXPANSION_PIN = ("d6fd4d8e3f4178c8bdb376d7f18461da8e852efd38ed954bb8966ffc568abf12", 80)
 
+# sha256 of the JSON lines of _identity_sweep(), and its fail count
+IDENTITY_PIN = ("347886e8956736bdbdf62e08f8f24c24c6d1bfa022f0d46ed99ae0d096757e80", 200)
+
 
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -232,3 +238,27 @@ def test_expansion_defects_are_pinned():
     lines = _expansion_sweep()
     fails = sum('"holds": false' in line for line in lines)
     assert (_sha("\n".join(lines)), fails) == EXPANSION_PIN
+
+
+def _identity_sweep():
+    """check_identity results at each point of _suite_plan, one JSON line
+    each; RAD_PROD and RAD_SUM are left out, as their residuals are LAPACK
+    floats."""
+    lines = []
+    for k, cls in enumerate(RelationClass):
+        for dim in (2, 3):
+            a, b = sample_pair(cls, dim, 40 + k)
+            for ident in IdentityId:
+                if ident in (IdentityId.RAD_PROD, IdentityId.RAD_SUM):
+                    continue
+                for params in _suite_plan(ident):
+                    res = check_identity(ident, a, b, **params)
+                    lines.append(json.dumps(res.to_json_dict(), sort_keys=True))
+    return lines
+
+
+def test_identity_defects_are_pinned():
+    lines = _identity_sweep()
+    fails = sum('"holds": false' in line for line in lines)
+    assert len(lines) == 590
+    assert (_sha("\n".join(lines)), fails) == IDENTITY_PIN
