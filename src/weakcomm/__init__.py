@@ -9,7 +9,8 @@ examples, and studies truncations of weighted-shift operators whose
 spectral behavior separates the classes.
 
 Modules: scalar (literals), exact (arithmetic core), numeric (floating twin),
-relations (class flags), identities (checkable identity catalog),
+algebraic (exact spectral-radius bounds), relations (class flags),
+identities (checkable identity catalog),
 structure (kernels, ranges, spectra), instances (registry and samplers),
 shiftlab (operator truncations), cli (batch entry point).
 """

@@ -2,8 +2,9 @@
 
 Every identity in the catalog is a statement "hypothesis (relation flags,
 possibly nilpotency) implies conclusion (exact matrix/polynomial equation,
-membership, degree bound, or numeric inequality)". Checking an identity on
-a concrete pair yields an :class:`IdentityResult` with a three-way verdict:
+membership, degree bound, or spectral-radius inequality)". Checking an
+identity on a concrete pair yields an :class:`IdentityResult` with a
+three-way verdict:
 
     pass     hypothesis met, conclusion holds
     fail     hypothesis met, conclusion violated
@@ -23,6 +24,10 @@ and s. ``PairContext.defect`` is their one evaluator. The sixteen whose
 hypothesis is a conjunction of relation flags are rows of one table,
 ``_WORD_IDENTITIES``, which pairs the flags with a recipe of
 combinations; the others have checkers of their own.
+
+RAD_PROD and RAD_SUM compare spectral radii with zero tolerance: the
+charpoly radicals of the pair's words go to ``algebraic``, which decides
+each bound exactly, and no checker reads a float or loads NumPy.
 
 ``verify_suite`` samples pairs from the relation-class samplers and runs
 the whole catalog over them deterministically, producing a JSON-stable
@@ -50,6 +55,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from . import _kernel_py
+from .algebraic import radius_product_bound, radius_sum_bound
 from .errors import UnknownIdentityError
 from .exact import (
     ExactMatrix,
@@ -71,9 +77,6 @@ __all__ = [
     "SuiteReport",
     "identity_catalog",
 ]
-
-RADIUS_TOL = 1e-8
-
 
 class IdentityId(str, Enum):
     L1_I_i = "L1.I.i"
@@ -176,8 +179,7 @@ class PairContext:
     (word, int) terms that must vanish: x - y as the pair of its two words,
     decided by equality, and any other through ``combo``. Nilpotency
     degrees are kept per word; for the base words ``a``, ``b``, ``ab`` and
-    ``s`` the charpoly radical, nonzero radical and spectral radius are each
-    computed once.
+    ``s`` the charpoly radical and nonzero radical are each computed once.
 
     ``ExactMatrix`` stores a normalized (den, re, im) that is unique for each
     matrix, so a word's value does not depend on how its product was
@@ -253,11 +255,6 @@ class PairContext:
         dividing that factor out leaves the monic radical of the nonzero roots.
         """
         return self._cached(("radical_nonzero", w), lambda: self.radical(w).strip_zero_roots())
-
-    def spectral_radius(self, w):
-        from .numeric import max_root_modulus  # loads NumPy, so only when a radius is needed
-
-        return self._cached(("radius", w), lambda: max_root_modulus(self.radical(w)))
 
 
 def _from_defects(defects):
@@ -579,22 +576,18 @@ def _chk_nil_tele(ctx, p):
     )
 
 
-def _radius_bound(over):
-    return over <= RADIUS_TOL, max(0.0, over), None
-
-
 def _chk_rad_prod(ctx, p):
     rep = ctx.report
     hyp = rep.ab_in_comm_a or rep.ab_in_comm_b
-    r = ctx.spectral_radius
-    return hyp, lambda: _radius_bound(r("ab") - r("a") * r("b"))
+    r = ctx.radical
+    return hyp, lambda: (*radius_product_bound(r("a"), r("b"), r("ab")), None)
 
 
 def _chk_rad_sum(ctx, p):
     rep = ctx.report
     hyp = rep.comm_l or rep.comm_r
-    r = ctx.spectral_radius
-    return hyp, lambda: _radius_bound(r("s") - (r("a") + r("b")))
+    r = ctx.radical
+    return hyp, lambda: (*radius_sum_bound(r("a"), r("b"), r("s")), None)
 
 
 def _chk_quasi_closure(ctx, p):

@@ -6,10 +6,11 @@ modulus of an exact polynomial, and the matrix exponential
 the exact layer is the source of truth and the test suites cross-check the
 two.
 
-Only ``max_root_modulus`` runs in a command: the spectral radii of RAD_PROD
-and RAD_SUM in ``verify``. ``eigenvalues`` and ``SpectrumSet`` are the float
-oracle of the tests and trace targets of the benchmark; ``truncate`` reads
-its spectrum off the exact charpoly.
+No command runs anything here. ``spectral_radius_exact``,
+``max_root_modulus``, ``eigenvalues`` and ``SpectrumSet`` are the float
+oracle of the tests and trace targets of the benchmark: ``verify`` decides
+the spectral radii of RAD_PROD and RAD_SUM exactly (``algebraic``), and
+``truncate`` reads its spectrum off the exact charpoly.
 
 Eigenvalues come from LAPACK (``numpy.linalg.eigvals``). Clustering uses an
 absolute distance threshold ``cluster_tol`` whose default (1e-8) is

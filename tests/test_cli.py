@@ -312,8 +312,25 @@ def test_cross_process_byte_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_verify_does_not_load_numpy():
+    # RAD_PROD and RAD_SUM are decided exactly, also when a fault inverts them
+    code = (
+        "import contextlib, io, sys\n"
+        "import weakcomm.cli\n"
+        f"argv = {FAST_VERIFY!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert weakcomm.cli.main(argv) == 0\n"
+        "    assert weakcomm.cli.main(argv + ['--inject-fault', 'RAD_PROD']) == 1\n"
+        "assert 'numpy' not in sys.modules\n"
+        "print('ok')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
 def test_search_truncate_and_import_do_not_load_numpy():
-    # NumPy serves only the float twin: the spectral radii of RAD_PROD and RAD_SUM
+    # NumPy serves only the float twin, which no command loads
     code = (
         "import contextlib, io, sys\n"
         "import weakcomm, weakcomm.cli\n"

@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import pickle
+import random
 import signal
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from math import comb
 
 import pytest
 
-from weakcomm import identities, instances
+from weakcomm import algebraic, identities, instances
 from weakcomm.cli import main
 from weakcomm.errors import SamplerBudgetError
 from weakcomm.errors import UnknownIdentityError
@@ -251,14 +252,87 @@ def test_rad_prod_and_sum_commuting():
     for ident in (IdentityId.RAD_PROD, IdentityId.RAD_SUM):
         res = check_identity(ident, a, b)
         assert res.verdict == "pass"
-        assert res.residual <= 1e-8
+        assert res.residual == 0.0
 
 
 def test_rad_bounds_vacuous_on_free_pair():
+    # a and b are nilpotent while ab and a + b have the radius 1: both
+    # conclusions fail by exactly 1
     a = ExactMatrix.parse("0,1;0,0")
     b = ExactMatrix.parse("0,0;1,0")
-    assert check_identity(IdentityId.RAD_PROD, a, b).verdict == "vacuous"
-    assert check_identity(IdentityId.RAD_SUM, a, b).verdict == "vacuous"
+    for ident in (IdentityId.RAD_PROD, IdentityId.RAD_SUM):
+        res = check_identity(ident, a, b)
+        assert (res.verdict, res.holds, res.residual) == ("vacuous", False, 1.0)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_rad_ties_are_decided_exactly(monkeypatch):
+    compared = _counting(monkeypatch, algebraic, "_compare")
+    tied = _counting(monkeypatch, algebraic, "_tie_polynomial")
+    # ab has the eigenvalues +-i, no product of the eigenvalues +-1 of a and
+    # b, so spectral inclusion fails; rho(ab) = rho(a)rho(b) = 1 is rational,
+    # and the exact enclosures meet
+    a, b = ExactMatrix.parse("1,0;0,-1"), ExactMatrix.parse("0,1;1,0")
+    res = check_identity(IdentityId.RAD_PROD, a, b)
+    assert (res.holds, res.residual) == (True, 0.0)
+    assert (len(compared), len(tied)) == (1, 0)
+    # the first block gives rho(ab) = rho(a)rho(b) = 1 + sqrt(2) and
+    # rho(a+b) = rho(a) + rho(b) = 2 + sqrt(2), and the second block the
+    # eigenvalues +-i/4 of ab and +-sqrt(2)/2 of a + b, no products or sums
+    # of eigenvalues of a and b: the ties are irrational, refinement stalls
+    # and the tie polynomials decide
+    a = ExactMatrix.parse("1,1,0,0;2,1,0,0;0,0,1/2,0;0,0,0,-1/2")
+    b = ExactMatrix.parse("1,0,0,0;0,1,0,0;0,0,0,1/2;0,0,1/2,0")
+    for ident in (IdentityId.RAD_PROD, IdentityId.RAD_SUM):
+        res = check_identity(ident, a, b)
+        assert (res.holds, res.residual) == (True, 0.0), ident
+    assert (len(compared), len(tied)) == (3, 2)
+
+
+def test_rad_verdicts_agree_with_the_float_oracle():
+    rng = random.Random(19)
+    decided = 0
+    for i in range(120):
+        dim = 2 + i % 4
+        a, b = (
+            ExactMatrix([[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])
+            for _ in range(2)
+        )
+        r = spectral_radius_exact
+        gaps = {
+            IdentityId.RAD_PROD: r(a * b) - r(a) * r(b),
+            IdentityId.RAD_SUM: r(a + b) - r(a) - r(b),
+        }
+        for ident, gap in gaps.items():
+            if abs(gap) <= 1e-6:
+                continue
+            res = check_identity(ident, a, b)
+            assert res.holds == (gap < 0), (ident, a.literal(), b.literal(), gap)
+            assert res.residual == (0.0 if gap < 0 else pytest.approx(gap, abs=1e-9))
+            decided += 1
+    assert decided > 150
+
+
+def test_verify_never_reaches_the_general_comparison(monkeypatch):
+    # the spectral-inclusion certificate decides every RAD evaluation whose
+    # hypothesis is met
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
+    compared = _counting(monkeypatch, algebraic, "_compare")
+    rep = verify_suite(dims=(2, 3, 4), samples_per_class=20, seed=7)
+    assert rep.failures == 0
+    assert rep.identities["RAD_PROD"]["pass"] > 0 and rep.identities["RAD_SUM"]["pass"] > 0
+    assert compared == []
 
 
 def test_spec_identities_on_spectral_instance():
@@ -464,6 +538,29 @@ def test_worker_count_is_one_per_cpu_and_pair():
         other.join()
 
 
+def test_later_suites_keep_their_workers():
+    # without the BLAS variables a NumPy import starts a thread, after which
+    # a suite would check its pairs in one process; verify loads no NumPy
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    code = (
+        "import sys\n"
+        "from weakcomm import identities\n"
+        "before = identities._worker_count(100)\n"
+        "for _ in range(2):\n"
+        "    identities.verify_suite(['comm_l', 'comm_r'], (2, 3), 4, 3)\n"
+        "    assert 'numpy' not in sys.modules\n"
+        "    assert identities._worker_count(100) == before, before\n"
+        "print(before)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{min(len(os.sched_getaffinity(0)), 100)}\n"
+
+
 def test_suite_reports_progress_in_order_on_two_workers(monkeypatch, no_child_left):
     seen = {}
     for workers in (1, 2):
@@ -638,7 +735,6 @@ def test_spectral_memo_matches_direct():
             m = ctx.word(w)
             assert ctx.radical_nonzero(w) == poly_radical_nonzero(charpoly(m))
             assert ctx.radical(w) == poly_radical(charpoly(m))
-            assert ctx.spectral_radius(w) == spectral_radius_exact(m)
             if ctx.radical(w).literal() == "x":
                 nilpotent_seen = True
                 assert ctx.radical_nonzero(w).literal() == "1"

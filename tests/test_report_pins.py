@@ -11,7 +11,8 @@ expansion identities are pinned by a separate ``check_identity`` sweep in
 which 80 of 280 evaluations fail and carry a defect. A second sweep pins
 every identity but RAD_PROD and RAD_SUM at each point of its suite grid:
 200 of its 590 evaluations fail, every flag-table identity among them, so
-it pins each identity's witness and the order of its defects.
+it pins each identity's witness and the order of its defects. A third pins
+RAD_PROD and RAD_SUM, decided exactly, at the pairs of the first.
 """
 
 import hashlib
@@ -184,6 +185,9 @@ PINS = {
 # sha256 of the JSON lines of _expansion_sweep(), and its fail count
 EXPANSION_PIN = ("d6fd4d8e3f4178c8bdb376d7f18461da8e852efd38ed954bb8966ffc568abf12", 80)
 
+# sha256 of the JSON lines of _radius_sweep(), and its fail count
+RADIUS_PIN = ("8e2b4d9df90872c25f6a75b2b1a523e000af4ef01c60bb260a5dac9859d99471", 0)
+
 # sha256 of the JSON lines of _identity_sweep(), and its fail count
 IDENTITY_PIN = ("347886e8956736bdbdf62e08f8f24c24c6d1bfa022f0d46ed99ae0d096757e80", 200)
 
@@ -214,6 +218,13 @@ def test_report_is_pinned(command, capsys):
     assert digests(command, capsys) == PINS[command]
 
 
+def _sweep_pairs():
+    """The pairs of the check_identity sweeps: one per relation class and dim 2, 3."""
+    for k, cls in enumerate(RelationClass):
+        for dim in (2, 3):
+            yield sample_pair(cls, dim, 40 + k)
+
+
 def _expansion_sweep():
     """check_identity results of the expansion identities, one JSON line each."""
     with_n = (
@@ -224,13 +235,11 @@ def _expansion_sweep():
         IdentityId.NIL_TELE,
     )
     lines = []
-    for k, cls in enumerate(RelationClass):
-        for dim in (2, 3):
-            a, b = sample_pair(cls, dim, 40 + k)
-            for ident in (IdentityId.L1_III_ii, IdentityId.L1_IV_ii, IdentityId.NIL_TELE):
-                lines.append(check_identity(ident, a, b).to_json_dict())
-            for ident in with_n:
-                lines.extend(check_identity(ident, a, b, n=n).to_json_dict() for n in range(1, 6))
+    for a, b in _sweep_pairs():
+        for ident in (IdentityId.L1_III_ii, IdentityId.L1_IV_ii, IdentityId.NIL_TELE):
+            lines.append(check_identity(ident, a, b).to_json_dict())
+        for ident in with_n:
+            lines.extend(check_identity(ident, a, b, n=n).to_json_dict() for n in range(1, 6))
     return [json.dumps(d, sort_keys=True) for d in lines]
 
 
@@ -240,20 +249,34 @@ def test_expansion_defects_are_pinned():
     assert (_sha("\n".join(lines)), fails) == EXPANSION_PIN
 
 
+def _radius_sweep():
+    """check_identity results of RAD_PROD and RAD_SUM at the pairs of
+    _expansion_sweep, one JSON line each."""
+    return [
+        json.dumps(check_identity(ident, a, b).to_json_dict(), sort_keys=True)
+        for a, b in _sweep_pairs()
+        for ident in (IdentityId.RAD_PROD, IdentityId.RAD_SUM)
+    ]
+
+
+def test_radius_verdicts_are_pinned():
+    lines = _radius_sweep()
+    fails = sum('"holds": false' in line for line in lines)
+    assert len(lines) == 20
+    assert (_sha("\n".join(lines)), fails) == RADIUS_PIN
+
+
 def _identity_sweep():
     """check_identity results at each point of _suite_plan, one JSON line
-    each; RAD_PROD and RAD_SUM are left out, as their residuals are LAPACK
-    floats."""
+    each; RAD_PROD and RAD_SUM have a sweep of their own."""
     lines = []
-    for k, cls in enumerate(RelationClass):
-        for dim in (2, 3):
-            a, b = sample_pair(cls, dim, 40 + k)
-            for ident in IdentityId:
-                if ident in (IdentityId.RAD_PROD, IdentityId.RAD_SUM):
-                    continue
-                for params in _suite_plan(ident):
-                    res = check_identity(ident, a, b, **params)
-                    lines.append(json.dumps(res.to_json_dict(), sort_keys=True))
+    for a, b in _sweep_pairs():
+        for ident in IdentityId:
+            if ident in (IdentityId.RAD_PROD, IdentityId.RAD_SUM):
+                continue
+            for params in _suite_plan(ident):
+                res = check_identity(ident, a, b, **params)
+                lines.append(json.dumps(res.to_json_dict(), sort_keys=True))
     return lines
 
 
