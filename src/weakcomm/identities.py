@@ -64,7 +64,7 @@ from .exact import (
     nilpotency_degree,
     poly_radical,
 )
-from .relations import _decide, _product, _report
+from .relations import _decide, _product
 from .scalar import Scalar
 from .structure import kernel_inclusion_forward, kernel_inclusion_reverse, range_kernel_criterion
 
@@ -188,7 +188,7 @@ class PairContext:
 
     def __init__(self, a, b):
         words = {"a": a, "b": b}
-        self._init(words, _report(_decide(words), None))
+        self._init(words, _decide(words))
 
     def _init(self, words, report):
         """Serve the pair of the memo ``words``, whose flags ``report`` holds."""

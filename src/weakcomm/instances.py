@@ -42,7 +42,7 @@ from .exact import (
     poly_radical_nonzero,
     rank_kernel,
 )
-from .relations import _decide, _product, _report, relation_check, relation_flags
+from .relations import _decide, _flags, _product, relation_check, relation_flags
 from .scalar import Scalar
 from . import shiftlab
 
@@ -255,8 +255,8 @@ def _solve_comm_r(rng, dim):
             c = rng.randint(-2, 2)
             if c:
                 b = b + m * c
-        rep = relation_flags(a, b)
-        if rep.comm_r and not rep.comm:
+        flag = _flags(a, b)
+        if flag("comm_r") and not flag("comm"):
             return a, b
     return None
 
@@ -364,7 +364,7 @@ def sample_pair(class_, dim, seed, require_noncommuting=False, nilpotent=False):
         ):
             continue
         words = {"a": a, "b": b}
-        report = _report(_decide(words), None)
+        report = _decide(words)
         if class_matches(report, cls, require_noncommuting):
             pair = _SampledPair((a, b))
             pair.words, pair.report = words, report
@@ -453,16 +453,18 @@ _SEARCH_ALPHABET = (
     Scalar(0, -1),
 )
 
+# each predicate reads the flags it needs through a getter (``relations._flags``),
+# so a candidate is screened only as far as its first deciding flag
 _PREDICATES = {
-    "not_c1": lambda r: not r.c1_pair,
-    "not_c2": lambda r: not r.c2_pair,
-    "not_c3": lambda r: not r.c3_pair,
-    "comm_w_not_comm": lambda r: r.comm_w and not r.comm,
-    "comm_l_not_comm": lambda r: r.comm_l and not r.comm,
-    "comm_r_not_comm": lambda r: r.comm_r and not r.comm,
-    "comm_l_not_comm_r": lambda r: r.comm_l and not r.comm_r,
-    "comm_r_not_comm_l": lambda r: r.comm_r and not r.comm_l,
-    "comm_not_comm": lambda r: r.comm and not r.comm,
+    "not_c1": lambda f: not f("c1_pair"),
+    "not_c2": lambda f: not f("c2_pair"),
+    "not_c3": lambda f: not f("c3_pair"),
+    "comm_w_not_comm": lambda f: f("comm_w") and not f("comm"),
+    "comm_l_not_comm": lambda f: f("comm_l") and not f("comm"),
+    "comm_r_not_comm": lambda f: f("comm_r") and not f("comm"),
+    "comm_l_not_comm_r": lambda f: f("comm_l") and not f("comm_r"),
+    "comm_r_not_comm_l": lambda f: f("comm_r") and not f("comm_l"),
+    "comm_not_comm": lambda f: f("comm") and not f("comm"),
 }
 
 
@@ -480,7 +482,7 @@ class WitnessRecord:
 
     def __post_init__(self):
         pred = _PREDICATES[self.predicate]
-        if not pred(relation_flags(self.a, self.b)):
+        if not pred(_flags(self.a, self.b)):
             raise ValueError("witness does not satisfy its predicate")
 
     def to_json_dict(self):
@@ -523,7 +525,7 @@ def search_witness(predicate, dim, budget, seed):
     for i in range(1, budget + 1):
         a = _witness_candidate(rng, dim)
         b = _witness_candidate(rng, dim)
-        if pred(relation_flags(a, b)):
+        if pred(_flags(a, b)):
             return WitnessRecord(
                 a=a, b=b, predicate=predicate, samples_tried=i, seed=seed
             )

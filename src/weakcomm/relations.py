@@ -26,20 +26,28 @@ The pointwise pieces of the three algebra-wide commutativity conditions:
     c2_pair = ab_in_comm_a or ba_in_comm_a or ab_in_comm_b
     c3_pair = ab_in_comm_b or ba_in_comm_b
 
-Every flag is decided in one place, the screen behind ``relation_flags``.
-The two words of a flag have the same letters, so their integer numerators
-over one denominator are compared, each applied to a fixed probe vector v
-with entries (-1)^j (j^2 + j + 41). Twelve matrix-vector products give
-every word's image of v, and X v != Y v proves X != Y, so the flag is
-false. The probe is fixed, not drawn, so no random state is read. A flag the
-probe does not refute (every true flag, and a false one whose defect has v
-in its kernel) falls back to the exact products, so a flag is true only when
-the exact products are equal (Freivalds, "Probabilistic machines can use
-less running time", IFIP 1977, with the random vector fixed and the exact
-check as fallback). ``relation_flags`` returns these flags with
+Every flag is decided in one place, a ``_Decider`` per pair memo, and only
+when it is read: ``flag(name)`` decides one of the eleven report names and
+keeps it. The derived flags above are written once, in the table
+``_DERIVED``, which ``flag`` and ``_report`` both read. Each is read left
+to right and stops at its first deciding flag, so ``comm_w`` on a pair
+whose ab_in_comm_a is false reads nothing more. A primitive flag is
+screened first. Its two words have the same letters, so their integer
+numerators over one denominator are compared, each applied to a fixed
+probe vector v with entries (-1)^j (j^2 + j + 41). A word's image of v is
+one matrix-vector product from that of its suffix, computed when first
+needed and kept, so the twelve suffix words cost at most twelve products.
+X v != Y v proves X != Y, so the flag is false. The probe is fixed, not
+drawn, so no random state is read. A flag the probe does not refute (every
+true flag, and a false one whose defect has v in its kernel) falls back to
+the exact products, so a flag is true only when the exact products are
+equal (Freivalds, "Probabilistic machines can use less running time", IFIP
+1977, with the random vector fixed and the exact check as fallback).
+``relation_flags`` reads every name and returns the flags with
 ``residuals=None``. ``relation_check`` adds ``residuals``, which maps each
-flag name to the Frobenius norm of its defect matrix (exactly 0.0 when the
-flag is true).
+primitive flag name to the Frobenius norm of its defect matrix (exactly 0.0
+when the flag is true). A reader of a few flags, such as a search
+predicate, takes the getter of ``_flags`` and decides only those.
 
 Words are multiplied in one place too: ``_product`` keeps a memo of words
 keyed by their letters and multiplies only a missing word, from its longest
@@ -75,19 +83,7 @@ class RelationReport:
     residuals: dict | None = field(compare=False)
 
     def flags(self):
-        return {
-            "comm": self.comm,
-            "ab_in_comm_a": self.ab_in_comm_a,
-            "ab_in_comm_b": self.ab_in_comm_b,
-            "ba_in_comm_a": self.ba_in_comm_a,
-            "ba_in_comm_b": self.ba_in_comm_b,
-            "comm_l": self.comm_l,
-            "comm_r": self.comm_r,
-            "comm_w": self.comm_w,
-            "c1_pair": self.c1_pair,
-            "c2_pair": self.c2_pair,
-            "c3_pair": self.c3_pair,
-        }
+        return {name: getattr(self, name) for name in _REPORT_NAMES}
 
     def to_json_dict(self):
         if self.residuals is None:
@@ -101,12 +97,12 @@ def relation_check(a, b):
     """Exact relation report for the ordered pair (a, b) of ExactMatrix:
     the flags of ``relation_flags`` and the residuals of the false ones."""
     words = {"a": a, "b": b}
-    flags = _decide(words)
+    flag = _Decider(words).flag
     residuals = {
-        k: 0.0 if flags[k] else (_product(words, x) - _product(words, y)).frobenius()
+        k: 0.0 if flag(k) else (_product(words, x) - _product(words, y)).frobenius()
         for k, (x, y) in _FLAG_WORDS.items()
     }
-    return _report(flags, residuals)
+    return _report(flag, residuals)
 
 
 def relation_flags(a, b):
@@ -116,22 +112,61 @@ def relation_flags(a, b):
     words differ on the probe is false. Only a flag the probe does not
     refute is decided by the exact products, each multiplied once.
     """
-    return _report(_decide({"a": a, "b": b}), None)
+    return _decide({"a": a, "b": b})
 
 
 def _decide(words):
-    """The five primitive flags of the pair in the memo ``words``, which
-    keeps the products of the flags the probe does not refute."""
-    a, b = words["a"], words["b"]
-    a._check_dim(b)
-    rows = {"a": _numerator_rows(a), "b": _numerator_rows(b)}
-    images = {"": _probe(a.dim)}
-    for w, first, rest in _PROBE_STEPS:
-        images[w] = _apply(rows[first], images[rest])
-    return {
-        k: images[x] == images[y] and _product(words, x) == _product(words, y)
-        for k, (x, y) in _FLAG_WORDS.items()
-    }
+    """The report, without residuals, of the pair in the memo ``words``,
+    which keeps the products of the flags the probe does not refute."""
+    return _report(_Decider(words).flag, None)
+
+
+def _flags(a, b):
+    """The getter ``flag(name)`` of the pair (a, b), for a reader of a few flags."""
+    return _Decider({"a": a, "b": b}).flag
+
+
+class _Decider:
+    """The flags of the pair in the memo ``words``, each decided when first read.
+
+    ``flag(name)`` takes any of the eleven report names and keeps its value.
+    A primitive flag computes the probe images of its two words, each kept
+    per suffix word, and multiplies the words (``_product``) only when the
+    images agree. A derived flag reads its names in the order of
+    ``_DERIVED`` and stops at the first that decides it.
+    """
+
+    __slots__ = ("_words", "_rows", "_images", "_values")
+
+    def __init__(self, words):
+        a, b = words["a"], words["b"]
+        a._check_dim(b)
+        self._words = words
+        self._rows = {"a": _numerator_rows(a), "b": _numerator_rows(b)}
+        self._images = {"": _probe(a.dim)}
+        self._values = {}
+
+    def flag(self, name):
+        value = self._values.get(name)
+        if value is None:
+            derived = _DERIVED.get(name)
+            if derived is None:
+                x, y = _FLAG_WORDS[name]
+                value = self._image(x) == self._image(y) and (
+                    _product(self._words, x) == _product(self._words, y)
+                )
+            else:
+                test, names = derived
+                value = test(map(self.flag, names))
+            self._values[name] = value
+        return value
+
+    def _image(self, w):
+        """The numerator of the word w times the probe, kept per word."""
+        v = self._images.get(w)
+        if v is None:
+            v = self._images[w] = _apply(self._rows[w[0]], self._image(w[1:]))
+        return v
 
 
 def _product(words, w):
@@ -175,15 +210,18 @@ _FLAG_WORDS = {
     "ba_in_comm_b": ("bab", "bba"),
 }
 
-# the nonempty suffixes of the compared words, shortest first: the probe
-# image of each is one matrix-vector product from that of its own suffix
-_PROBE_STEPS = tuple(
-    (w, w[0], w[1:])
-    for w in sorted(
-        {w[k:] for pair in _FLAG_WORDS.values() for w in pair for k in range(len(w))},
-        key=lambda w: (len(w), w),
-    )
-)
+# each derived flag: all or any of the flags it reads, in the order read
+_DERIVED = {
+    "comm_l": (all, ("ab_in_comm_a", "ba_in_comm_b")),
+    "comm_r": (all, ("ab_in_comm_b", "ba_in_comm_a")),
+    "comm_w": (all, ("ab_in_comm_a", "ab_in_comm_b", "ba_in_comm_a", "ba_in_comm_b")),
+    "c1_pair": (any, ("ab_in_comm_a", "ba_in_comm_a", "ba_in_comm_b")),
+    "c2_pair": (any, ("ab_in_comm_a", "ba_in_comm_a", "ab_in_comm_b")),
+    "c3_pair": (any, ("ab_in_comm_b", "ba_in_comm_b")),
+}
+
+# the names of a report, in the order of its fields
+_REPORT_NAMES = FLAG_NAMES + tuple(_DERIVED)
 
 
 def _probe(dim):
@@ -216,21 +254,6 @@ def _apply(rows, v):
     return re + im if any(im) else re
 
 
-def _report(flags, residuals):
-    """The report of the five primitive flags, with the memberships they imply."""
-    ab_a, ab_b = flags["ab_in_comm_a"], flags["ab_in_comm_b"]
-    ba_a, ba_b = flags["ba_in_comm_a"], flags["ba_in_comm_b"]
-    return RelationReport(
-        comm=flags["comm"],
-        ab_in_comm_a=ab_a,
-        ab_in_comm_b=ab_b,
-        ba_in_comm_a=ba_a,
-        ba_in_comm_b=ba_b,
-        comm_l=ab_a and ba_b,
-        comm_r=ab_b and ba_a,
-        comm_w=ab_a and ab_b and ba_a and ba_b,
-        c1_pair=ab_a or ba_a or ba_b,
-        c2_pair=ab_a or ba_a or ab_b,
-        c3_pair=ab_b or ba_b,
-        residuals=residuals,
-    )
+def _report(flag, residuals):
+    """The report of every name that the getter ``flag`` decides."""
+    return RelationReport(**{name: flag(name) for name in _REPORT_NAMES}, residuals=residuals)

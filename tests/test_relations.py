@@ -1,6 +1,10 @@
 """Relation flags: truth on frozen pairs, symmetry, duality."""
 
+import gc
+import itertools
 import random
+from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -9,8 +13,22 @@ from hypothesis import strategies as st
 
 from weakcomm.errors import DimensionMismatchError, SamplerBudgetError
 from weakcomm.exact import ExactMatrix, Scalar
-from weakcomm.instances import RelationClass, _witness_candidate, sample_pair
-from weakcomm.relations import _FLAG_WORDS, FLAG_NAMES, relation_check, relation_flags
+from weakcomm.instances import (
+    _PREDICATES,
+    RelationClass,
+    _witness_candidate,
+    derive_seed,
+    sample_pair,
+    search_witness,
+)
+from weakcomm.relations import (
+    _FLAG_WORDS,
+    FLAG_NAMES,
+    RelationReport,
+    _flags,
+    relation_check,
+    relation_flags,
+)
 
 E = ExactMatrix.single_entry
 
@@ -314,3 +332,103 @@ def test_relation_check_matches_the_reference_on_search_candidates():
             a, b = _witness_candidate(rng, dim), _witness_candidate(rng, dim)
             true_flags += _assert_matches_reference(a, b)
     assert true_flags > 100
+
+
+# -- flags decided on demand -------------------------------------------------------
+
+# the eleven names of a report
+_NAMES = tuple(f.name for f in fields(RelationReport) if f.name != "residuals")
+
+# the predicates in the form that reads a whole report: the oracle of _PREDICATES
+_REPORT_PREDICATES = {
+    "not_c1": lambda r: not r.c1_pair,
+    "not_c2": lambda r: not r.c2_pair,
+    "not_c3": lambda r: not r.c3_pair,
+    "comm_w_not_comm": lambda r: r.comm_w and not r.comm,
+    "comm_l_not_comm": lambda r: r.comm_l and not r.comm,
+    "comm_r_not_comm": lambda r: r.comm_r and not r.comm,
+    "comm_l_not_comm_r": lambda r: r.comm_l and not r.comm_r,
+    "comm_r_not_comm_l": lambda r: r.comm_r and not r.comm_l,
+    "comm_not_comm": lambda r: r.comm and not r.comm,
+}
+
+
+def _getter_pairs():
+    """Sampled pairs of every class at dims 2-5, then search candidates at
+    dims 2-4, each in both orders."""
+    sampled = []
+    for cls in RelationClass:
+        for dim in (2, 3, 4, 5):
+            for seed, nilpotent in itertools.product(range(2), (False, True)):
+                try:
+                    sampled.append(sample_pair(cls, dim, 700 + seed, cls is not RelationClass.COMM, nilpotent))
+                except SamplerBudgetError:
+                    continue
+    assert len(sampled) > 60
+    for a, b in sampled:
+        yield a, b
+        yield b, a
+    for dim in (2, 3, 4):
+        rng = random.Random(3000 + dim)
+        for _ in range(300):
+            a, b = _witness_candidate(rng, dim), _witness_candidate(rng, dim)
+            yield a, b
+            yield b, a
+
+
+def test_each_flag_read_alone_equals_the_report():
+    # a fresh getter per name decides that name alone; one getter read in
+    # reverse field order decides every name from the flags it kept
+    true_flags = 0
+    for x, y in _getter_pairs():
+        report = relation_flags(x, y)
+        for name in _NAMES:
+            assert _flags(x, y)(name) == getattr(report, name), (name, x, y)
+        flag = _flags(x, y)
+        assert [flag(n) for n in reversed(_NAMES)] == [getattr(report, n) for n in reversed(_NAMES)]
+        true_flags += sum(report.flags().values())
+    assert true_flags > 1000
+
+
+def test_predicates_agree_with_their_report_form():
+    assert set(_PREDICATES) == set(_REPORT_PREDICATES)
+    met = Counter()
+    for x, y in _getter_pairs():
+        report = relation_flags(x, y)
+        for name, pred in _PREDICATES.items():
+            want = _REPORT_PREDICATES[name](report)
+            assert pred(_flags(x, y)) == want, (name, x, y)
+            met[name] += want
+    # every satisfiable predicate is met, so both of its outcomes are compared
+    assert {name for name in _PREDICATES if not met[name]} == {"comm_not_comm"}
+
+
+def test_a_refuted_first_conjunct_ends_the_screen(monkeypatch):
+    # comm_w reads ab_in_comm_a first. When the probe refutes it, screening
+    # the candidate for comm_w_not_comm takes the images of aba and aab and
+    # of their suffixes a, ba, b and ab, and no product
+    from weakcomm import _kernel_py, relations
+
+    rng = random.Random(derive_seed("witness", "comm_w_not_comm", 4, 1))
+    a, b = _witness_candidate(rng, 4), _witness_candidate(rng, 4)
+    assert not relation_flags(a, b).ab_in_comm_a
+    applied, multiplied = [], []
+    apply, mat_mul = relations._apply, _kernel_py.mat_mul
+    monkeypatch.setattr(relations, "_apply", lambda rows, v: applied.append(v) or apply(rows, v))
+    monkeypatch.setattr(_kernel_py, "mat_mul", lambda *args: multiplied.append(args) or mat_mul(*args))
+    assert search_witness("comm_w_not_comm", 4, 1, 1) is None
+    assert len(applied) == 6 and multiplied == []
+    decider = relations._Decider({"a": a, "b": b})
+    assert not _PREDICATES["comm_w_not_comm"](decider.flag)
+    assert set(decider._images) == {"", "a", "b", "ab", "ba", "aab", "aba"}
+
+
+def test_search_makes_no_reference_cycles():
+    # every screened pair is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        search_witness("comm_w_not_comm", 4, 400, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -22,7 +22,7 @@ import pytest
 
 from weakcomm.cli import main
 from weakcomm.identities import IdentityId, _suite_plan, check_identity
-from weakcomm.instances import ExampleId, RelationClass, sample_pair
+from weakcomm.instances import ExampleId, RelationClass, sample_pair, witness_predicates
 
 VERIFY = "verify --dims 2,3,4 --samples 5 --seed 3"
 SEARCH = "search --dim 4 --budget 400 --seed 5 --predicate "
@@ -165,6 +165,66 @@ PINS = {
         "4d4a5e1f5292f867e6a78c386029ad27ec6ee9bb874f33c1c58932a1af0aa3a0",
         "2fd93db16a1bff2d97ebf2270e414748b7c990a49a080d75132d4a0ef9f10b76",
     ),
+    "search --dim 2 --budget 400 --seed 5 --predicate not_c1": (
+        0,
+        "09b998208d78aea4bada7e5f62f2779362d6c377ea203bf3fcc6a5388d89417b",
+        "18721cb1c36b02d6473068136f2fb1aab77d4102c812b86a61a7b4ad4cb12a05",
+    ),
+    SEARCH + "not_c1": (
+        0,
+        "3fcbdecea2ba7c4c9ccea6ea206ffdc9e9d974d99ce7139f3e46799f26f9baaf",
+        "401688132e1fde3f4d37de529b9daf6dcbf2009dbc7a0cfd4bce6d8b81c388f8",
+    ),
+    "search --dim 2 --budget 400 --seed 5 --predicate not_c2": (
+        0,
+        "c3f2e9d60b9bd940b610bb17f2b19c49939a392b08af5056d316815c12e3079b",
+        "6c55eb80520fb2ce7bd1dbe6ac04575548fa9395d94d1c8191cba0a018958921",
+    ),
+    SEARCH + "not_c2": (
+        0,
+        "59e7a342c7c6ce99cbd5e74ff14038f41618f15240e25678efe173a29ac5998d",
+        "e997fc6de517a9bf7f66c5a1cd1d5e27f24111daf12f12917206e6db923a24f6",
+    ),
+    "search --dim 2 --budget 400 --seed 5 --predicate not_c3": (
+        0,
+        "833ed9f718cac5253c91bab0bb424b6994d68672314b0f7a66738361ab11998f",
+        "c0c7b834f9ed00eab26d308ba379cd647131db91615bec1b299366acca95fa42",
+    ),
+    SEARCH + "not_c3": (
+        0,
+        "d6c8c1fc491b4bc6f0b7c9244840f77c56e65cebdc28266c6fb873739acf30d5",
+        "c556b07ce868d054d8038596c955a7b8f4f291df7f88e9fe9dbd34285af66243",
+    ),
+    "search --dim 2 --budget 400 --seed 5 --predicate comm_l_not_comm": (
+        0,
+        "2b8d6759a758611350c778d44e384a23f9cf7873c01496dbf034c9389f1943cb",
+        "37550cf195c17a79d34f1d852684c6ab0b1d883776380e51b4784b2d6d6e8c94",
+    ),
+    SEARCH + "comm_l_not_comm": (
+        0,
+        "28fb74ff65533cc08db8e72e433f67499b25e066d5ca13011e7629bcfa3e22b7",
+        "ac2a7d7df6c117b6cefacd113dac5afcd4b9344136f8cdea4235976590756350",
+    ),
+    "search --dim 2 --budget 400 --seed 5 --predicate comm_r_not_comm": (
+        0,
+        "fc048be5a2f3cc1a786213a2b6d5de0f7ff09a7fef9e581e91bfb0a9866f0996",
+        "af05d0a2e7dcc6d8270c01f9917491eabefb9f7612148fa4f533ee200bbc9e56",
+    ),
+    SEARCH + "comm_r_not_comm": (
+        0,
+        "55c7caac609469dd53c747868b851f51592631e22b693add16199188f81bad06",
+        "a0d01e9e2d39bb0097902e6aa2fa0c410c774e85b45babd1bf188a862b099707",
+    ),
+    "search --dim 2 --budget 400 --seed 5 --predicate comm_not_comm": (
+        1,
+        "04498ae6f3c08979fcc1c77dca15a63714627bc92c276365103081561f75a31f",
+        "6be195db682f3870ac76bd3161b8232166c4e314fc65838bb7eb1fd1e48c7d10",
+    ),
+    SEARCH + "comm_not_comm": (
+        1,
+        "5831cb6adfbaaca337045afa12bc1add4fa678356f4e6ea8970f66eb59215071",
+        "4e8270f7273c1727e1067a85b6ea6bfabe7f31c088e215727b73ad5c3ced057b",
+    ),
     "truncate EXNILP_T" + SIZES: (
         0,
         "9ba25eb53815c852567a0246efb550b19b454dd02b9a51f67228d74f4749a870",
@@ -211,6 +271,12 @@ def digests(command, capsys):
 
 def test_pins_cover_every_example():
     assert {f"example {e.value}" for e in ExampleId} <= set(PINS)
+
+
+def test_pins_cover_every_predicate():
+    for dim in (2, 4):
+        commands = {f"search --dim {dim} --budget 400 --seed 5 --predicate {p}" for p in witness_predicates()}
+        assert commands <= set(PINS)
 
 
 @pytest.mark.parametrize("command", list(PINS))
