@@ -87,7 +87,16 @@ def build_parser():
     p_example.add_argument("id", choices=[e.value for e in ExampleId])
     p_example.add_argument("--dim", type=int, default=None)
 
-    p_search = sub.add_parser("search", help="search for a witness pair")
+    p_search = sub.add_parser(
+        "search",
+        help="search for a witness pair",
+        description=(
+            "Search sampled pairs for a witness of a relation predicate. "
+            "comm_w_not_comm has no witness at --dim 2: comm_w makes c = ab - ba "
+            "square to zero and commute with a and b in every algebra, and in 2x2 "
+            "matrices that forces c = 0 (see the README)."
+        ),
+    )
     p_search.add_argument("--predicate", required=True, choices=witness_predicates())
     p_search.add_argument("--dim", type=int, required=True)
     p_search.add_argument("--budget", type=int, default=10_000)

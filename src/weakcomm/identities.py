@@ -37,6 +37,19 @@ evaluating the conclusion, which the report never reads. A fault can
 be injected into one identity (its computed verdict is inverted) to prove
 the harness actually detects failures.
 
+``verify_suite`` serves most met word-identity hypotheses from proofs, not
+from products. The conclusions of the sixteen table rows, BINOM and
+TELESCOPE (n != 2), R.iv, R.i and R.ii (lam = 0) and NIL_TELE are word
+combinations that lie in the ideal of Q<a,b> generated by the word
+relations of their hypotheses (``freealg``), so they vanish in every
+algebra where those relations hold. The suite decides each such claim once
+per process, in a proof table (``_proof_table``), and counts a met
+hypothesis of a proved claim as a pass without multiplying a word. This is
+exact: the hypothesis is still decided on the pair's exact matrices, where
+a flag is true only when its exact products agree, and the conclusion then
+holds by a theorem. A claim the table does not prove is evaluated as
+before, and ``check_identity`` evaluates every conclusion.
+
 Each pair comes from its own seed, derived from (seed, class, index), so
 the pairs are independent: ``verify_suite`` checks them in forked worker
 processes, one per usable CPU. A pair's outcome, its verdicts and one
@@ -318,6 +331,13 @@ def _telescope(n, lhs, s_ab, diff_right):
     return terms
 
 
+def _telescopes(n):
+    """TELESCOPE's four orders: S from s_ba and s_ab, with a - b on each side."""
+    for s_ab in (False, True):
+        for diff_right in (True, False):
+            yield _telescope(n, [], s_ab, diff_right)
+
+
 def _power_words(left):
     """(ab)^n = a^n b^n and three words equal to (ba)^n, n = 2, 3, 4: those of
     L1.I.ii (ab in comm(a)) if left, else of L1.II.ii (ab in comm(b))."""
@@ -362,11 +382,37 @@ def _binom(n):
         yield [("s" * n, 1)] + [(x * k + y * (n - k), -comb(n, k)) for k in range(n + 1)]
 
 
+def _r_iv(comm_l, comm_r):
+    """R.iv's combinations: comm_l of the pair (s, b) if comm_l, and its
+    comm_r if comm_r."""
+    if comm_l:
+        yield _memb("sb", "s")
+        yield _memb("bs", "b")
+    if comm_r:
+        yield _memb("sb", "b")
+        yield _memb("bs", "s")
+
+
+# NIL_TELE's branches: flag -> (x, base, diff_right); under the flag and x in
+# comm(base^n), the telescopes of orders n+1..n+3 with a - b on the right
+# (diff_right) or on the left vanish
+_NIL_TELE_BRANCHES = {"comm_l": ("b", "a", True), "comm_r": ("a", "b", False)}
+
+
+def _nil_tele(branch, n):
+    """The combinations of NIL_TELE's ``branch`` with power n."""
+    diff_right = _NIL_TELE_BRANCHES[branch][2]
+    for m in (n + 1, n + 2, n + 3):
+        yield _telescope(m, [], False, diff_right)
+
+
 # -- checkers -------------------------------------------------------------------
 # Each checker maps (ctx, params) to (hypothesis_met, conclude), where
 # conclude() gives (holds, residual, witness). The hypothesis is decided
 # first and the conclusion builds nothing until it is called, so a caller
-# that only counts a vacuous evaluation skips its cost.
+# that only counts a vacuous evaluation skips its cost. The conclusion of a
+# word identity is a _Vanish, which also names the proof-table claims that
+# prove it (see _proof_table).
 #
 # The word identities whose hypothesis is a conjunction of RelationReport
 # flags are rows of _WORD_IDENTITIES: identity -> (the flags, recipe), where
@@ -420,13 +466,29 @@ _WORD_IDENTITIES = {
 }
 
 
-def _word_checker(conjuncts, recipe):
+class _Vanish:
+    """The conclusion that the combinations of ``combos()`` vanish on the pair.
+
+    ``claims`` are the keys of the proof table that together prove it: the
+    same combinations in the ideal of the hypothesis's word relations.
+    """
+
+    __slots__ = ("ctx", "combos", "claims")
+
+    def __init__(self, ctx, combos, claims):
+        self.ctx, self.combos, self.claims = ctx, combos, claims
+
+    def __call__(self):
+        return _from_defects(map(self.ctx.defect, self.combos()))
+
+
+def _word_checker(identity, conjuncts, recipe):
     """The checker of a _WORD_IDENTITIES row."""
 
     def check(ctx, p):
         rep = ctx.report
         hyp = all(getattr(rep, flag) for flag in conjuncts)
-        return hyp, lambda: _from_defects(map(ctx.defect, recipe(p)))
+        return hyp, _Vanish(ctx, lambda: recipe(p), ((identity, p.get("n")),))
 
     return check
 
@@ -434,55 +496,45 @@ def _word_checker(conjuncts, recipe):
 # With A = a - lam and B = b - mu, ABA - AAB = A(BA - AB) = (a - lam)(ba - ab)
 # and BAA - ABA = (ba - ab)(a - lam), whatever mu is.
 def _shifted_memb(ctx, x, lam):
-    """Defect of x = ab or ba in comm(a), less lam(ba - ab); the pair itself
-    when lam = 0."""
-    if lam.is_zero():
-        return ctx.defect(_memb(x, "a"))
+    """Defect of x = ab or ba in comm(a), less lam(ba - ab), for lam != 0."""
     w = ctx.word
     return (w(x + "a") - w("a" + x)) - (w("ba") - w("ab")) * lam
 
 
-def _chk_r_i(ctx, p):
-    lam = Scalar.coerce(p.get("lam", 0))
-    hyp = ctx.report.ab_in_comm_a and (ctx.report.comm or lam.is_zero())
-    return hyp, lambda: _from_defects([_shifted_memb(ctx, "ab", lam)])
+# R.i and R.ii: identity -> (x, the flag that x is in comm(a))
+_SHIFTED = {IdentityId.R_i: ("ab", "ab_in_comm_a"), IdentityId.R_ii: ("ba", "ba_in_comm_a")}
 
 
-def _chk_r_ii(ctx, p):
-    lam = Scalar.coerce(p.get("lam", 0))
-    hyp = ctx.report.ba_in_comm_a and (ctx.report.comm or lam.is_zero())
-    return hyp, lambda: _from_defects([_shifted_memb(ctx, "ba", lam)])
+def _shifted_checker(identity):
+    """The checker of R.i or R.ii."""
+    x, flag = _SHIFTED[identity]
+
+    def check(ctx, p):
+        lam = Scalar.coerce(p.get("lam", 0))
+        hyp = getattr(ctx.report, flag) and (ctx.report.comm or lam.is_zero())
+        if lam.is_zero():
+            return hyp, _Vanish(ctx, lambda: [_memb(x, "a")], ((identity, 0),))
+        return hyp, lambda: _from_defects([_shifted_memb(ctx, x, lam)])
+
+    return check
 
 
 def _chk_r_iv(ctx, p):
     # comm_l and comm_r of the pair (s, b), from the memoized words
-    rep = ctx.report
-
-    def defects():
-        if rep.comm_l:
-            yield _memb("sb", "s")
-            yield _memb("bs", "b")
-        if rep.comm_r:
-            yield _memb("sb", "b")
-            yield _memb("bs", "s")
-
-    return rep.comm_l or rep.comm_r, lambda: _from_defects(map(ctx.defect, defects()))
+    branch = ctx.report.comm_l, ctx.report.comm_r
+    return any(branch), _Vanish(ctx, lambda: _r_iv(*branch), ((IdentityId.R_iv, *branch),))
 
 
 def _chk_binom(ctx, p):
     n = p.get("n", 3)
     hyp = ctx.report.comm_w and n != 2
-    return hyp, lambda: _from_defects(map(ctx.defect, _binom(n)))
+    return hyp, _Vanish(ctx, lambda: _binom(n), ((IdentityId.BINOM, n),))
 
 
 def _chk_telescope(ctx, p):
     n = p.get("n", 3)
     hyp = ctx.report.comm_w and n != 2
-    return hyp, lambda: _from_defects(
-        ctx.defect(_telescope(n, [], s_ab, diff_right))
-        for s_ab in (False, True)
-        for diff_right in (True, False)
-    )
+    return hyp, _Vanish(ctx, lambda: _telescopes(n), ((IdentityId.TELESCOPE, n),))
 
 
 def _chk_exp_corr(ctx, p):
@@ -560,19 +612,17 @@ def _detect_power_membership(ctx, x, base):
 
 def _chk_nil_tele(ctx, p):
     # applicability rests on the membership search, so it is decided in full
-    rep = ctx.report
     n_given = p.get("n")
-    orders = []
-    if rep.comm_l:
-        n = n_given if n_given is not None else _detect_power_membership(ctx, "b", "a")
-        if n is not None and _in_comm(ctx, "b", "a" * n):
-            orders += [(m, True) for m in (n + 1, n + 2, n + 3)]
-    if rep.comm_r:
-        n = n_given if n_given is not None else _detect_power_membership(ctx, "a", "b")
-        if n is not None and _in_comm(ctx, "a", "b" * n):
-            orders += [(m, False) for m in (n + 1, n + 2, n + 3)]
-    return bool(orders), lambda: _from_defects(
-        ctx.defect(_telescope(m, [], False, diff_right)) for m, diff_right in orders
+    branches = []
+    for flag, (x, base, _) in _NIL_TELE_BRANCHES.items():
+        if getattr(ctx.report, flag):
+            n = n_given if n_given is not None else _detect_power_membership(ctx, x, base)
+            if n is not None and _in_comm(ctx, x, base * n):
+                branches.append((flag, n))
+    return bool(branches), _Vanish(
+        ctx,
+        lambda: (c for branch in branches for c in _nil_tele(*branch)),
+        tuple((IdentityId.NIL_TELE, *branch) for branch in branches),
     )
 
 
@@ -671,8 +721,8 @@ def _chk_kriterion_range(ctx, p):
 
 # the identities with a checker of their own, in catalog order
 _BESPOKE = {
-    IdentityId.R_i: _chk_r_i,
-    IdentityId.R_ii: _chk_r_ii,
+    IdentityId.R_i: _shifted_checker(IdentityId.R_i),
+    IdentityId.R_ii: _shifted_checker(IdentityId.R_ii),
     IdentityId.R_iv: _chk_r_iv,
     IdentityId.BINOM: _chk_binom,
     IdentityId.TELESCOPE: _chk_telescope,
@@ -691,7 +741,7 @@ _BESPOKE = {
 }
 
 _CHECKERS = {
-    **{ident: _word_checker(*row) for ident, row in _WORD_IDENTITIES.items()},
+    **{ident: _word_checker(ident, *row) for ident, row in _WORD_IDENTITIES.items()},
     **_BESPOKE,
 }
 
@@ -744,13 +794,17 @@ _SUITE_EVALUATIONS = tuple(
 )
 
 
-def _run_checker(identity, ctx, params, invert=False, skip_vacuous=False):
-    """The checker's result; with ``skip_vacuous`` None for an unmet
-    hypothesis, whose conclusion is then never evaluated."""
+def _run_checker(identity, ctx, params, invert=False, proofs=None):
+    """The checker's result. With ``proofs``, verify_suite's proof table, an
+    unmet hypothesis gives None and its conclusion is never evaluated, and
+    a met one whose conclusion the table proves holds without evaluation."""
     hyp, conclude = _CHECKERS[identity](ctx, params)
-    if skip_vacuous and not hyp:
+    if proofs is not None and not hyp:
         return None
-    ok, residual, witness = conclude()
+    if proofs is not None and _proved(conclude, proofs):
+        ok, residual, witness = True, 0.0, None
+    else:
+        ok, residual, witness = conclude()
     if invert and hyp:
         ok = not ok
     return IdentityResult(
@@ -786,6 +840,73 @@ def check_identity(identity, a, b, n=None, lam=None, mu=None):
         if name not in _READS.get(identity, ()):
             raise ValueError(f"{identity.value} does not read the parameter {name}")
     return _run_checker(identity, PairContext(a, b), params)
+
+
+# -- proofs -----------------------------------------------------------------------
+# A word identity's conclusion is a theorem of the free algebra Q<a,b> when
+# its combinations lie in the ideal of the word relations its hypothesis
+# asserts (freealg). verify_suite decides such a theorem once per process,
+# then serves every met hypothesis of it without evaluating the conclusion.
+
+
+def _suite_claims(max_dim):
+    """(key, (flags, extra), combos) of each conclusion that verify_suite
+    can serve from a proof on pairs of dimension <= max_dim: the flags and
+    the extra word relations of its hypothesis, and the combinations that
+    must vanish.
+
+    The keys are those the checkers name in their _Vanish: a table row at
+    each point of its suite grid, BINOM and TELESCOPE at n != 2, R.iv per
+    (comm_l, comm_r) branch, R.i and R.ii at lam = 0, and NIL_TELE per branch
+    and power n <= max_dim, the largest that its membership search detects.
+    """
+    for identity, (conjuncts, recipe) in _WORD_IDENTITIES.items():
+        for p in _suite_plan(identity):
+            yield (identity, p.get("n")), (conjuncts, ()), recipe(p)
+    for p in _BINOM_GRID:
+        n = p["n"]
+        if n != 2:
+            yield (IdentityId.BINOM, n), (("comm_w",), ()), _binom(n)
+            yield (IdentityId.TELESCOPE, n), (("comm_w",), ()), _telescopes(n)
+    for branch in ((True, False), (False, True), (True, True)):
+        flags = tuple(f for f, on in zip(("comm_l", "comm_r"), branch) if on)
+        yield (IdentityId.R_iv, *branch), (flags, ()), _r_iv(*branch)
+    for identity, (x, flag) in _SHIFTED.items():
+        yield (identity, 0), ((flag,), ()), [_memb(x, "a")]
+    for flag, (x, base, _) in _NIL_TELE_BRANCHES.items():
+        for n in range(1, max_dim + 1):
+            relation = tuple(w for w, _ in _memb(x, base * n))
+            yield (IdentityId.NIL_TELE, flag, n), ((flag,), (relation,)), _nil_tele(flag, n)
+
+
+# claim key -> proved; _proof_table adds the claims of larger dimensions
+_PROOFS = {}
+
+
+def _proof_table(max_dim):
+    """The proof table of every claim in ``_suite_claims(max_dim)``.
+
+    It is kept for the process and grows only by the claims it lacks, so
+    verify_suite builds it once, before it forks its workers, which inherit
+    it. The congruences it decides with are dropped once it is built.
+    """
+    from .freealg import Congruence, flag_relations
+
+    congruences = {}
+    for key, (flags, extra), combos in _suite_claims(max_dim):
+        if key not in _PROOFS:
+            relations = flag_relations(flags) + extra
+            cong = congruences.get(relations)
+            if cong is None:
+                cong = congruences[relations] = Congruence(relations)
+            _PROOFS[key] = all(cong.refute(c) is None for c in combos)
+    return _PROOFS
+
+
+def _proved(conclude, proofs):
+    """Whether the table ``proofs`` proves every claim of the conclusion."""
+    claims = getattr(conclude, "claims", ())
+    return bool(claims) and all(proofs.get(key, False) for key in claims)
 
 
 # -- suite ------------------------------------------------------------------------
@@ -847,6 +968,7 @@ def verify_suite(
     for cls in classes:
         for i in range(samples_per_class):
             dim = dims[i % len(dims)]
+            # every comm_w pair of 2x2 matrices commutes (README, search)
             strict = cls is not RelationClass.COMM and not (
                 cls is RelationClass.COMM_W and dim < 3
             )
@@ -855,7 +977,8 @@ def verify_suite(
         ident.value: {"pass": 0, "vacuous": 0, "fail": 0, "first_failure": None}
         for ident in IdentityId
     }
-    outcomes = _outcomes(jobs, lambda job: _pair_outcome(job, inject_fault))
+    proofs = _proof_table(min(max(dims), 8))  # sample_pair draws dims 2..8
+    outcomes = _outcomes(jobs, lambda job: _pair_outcome(job, inject_fault, proofs))
     try:
         for (cls, i, *_), (verdicts, failures) in zip(jobs, outcomes):
             for (identity, _), verdict in zip(_SUITE_EVALUATIONS, verdicts):
@@ -882,8 +1005,8 @@ def verify_suite(
     return SuiteReport(config=config, identities=counts, totals=totals)
 
 
-def _pair_outcome(job, inject_fault):
-    """Sample one pair and run the suite plan on it.
+def _pair_outcome(job, inject_fault, proofs):
+    """Sample one pair and run the suite plan on it, serving from ``proofs``.
 
     Returns the verdicts in ``_SUITE_EVALUATIONS`` order and, keyed by
     identity, the payload of each failing identity's first failing
@@ -898,7 +1021,7 @@ def _pair_outcome(job, inject_fault):
     verdicts, failures = [], {}
     for identity, params in _SUITE_EVALUATIONS:
         res = _run_checker(
-            identity, ctx, params, invert=identity is inject_fault, skip_vacuous=True
+            identity, ctx, params, invert=identity is inject_fault, proofs=proofs
         )
         verdict = "vacuous" if res is None else res.verdict
         verdicts.append(verdict)

@@ -1043,6 +1043,47 @@ def test_suite_counts_equal_the_full_evaluation(monkeypatch, seed, inject_fault)
         assert rep.totals == totals, workers
 
 
+# -- proofs: the suite serves proved conclusions without evaluating them ---------
+
+
+@pytest.mark.parametrize("inject_fault", [None, "TELESCOPE", "L1.III.ii", "R.iv", "NEWTON_R"])
+def test_proofs_and_evaluation_give_one_report(monkeypatch, inject_fault):
+    # the live proof table, and an empty one under which every conclusion of
+    # a met hypothesis is evaluated on the matrices
+    classes = [c.value for c in RelationClass]
+    args = (classes, (2, 3, 4, 5), 4, 31)
+    proved = verify_suite(*args, inject_fault=inject_fault)
+    monkeypatch.setattr(identities, "_proof_table", lambda max_dim: {})
+    evaluated = verify_suite(*args, inject_fault=inject_fault)
+    assert proved.to_json() == evaluated.to_json()
+    if inject_fault is not None:
+        assert proved.identities[inject_fault]["fail"] > 0
+
+
+def test_every_served_conclusion_evaluates_to_zero(monkeypatch):
+    # record each conclusion the table proves, then evaluate it on its pair
+    served = []
+    original = identities._proved
+
+    def recording(conclude, proofs):
+        ok = original(conclude, proofs)
+        if ok:
+            served.append(conclude)
+        return ok
+
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
+    monkeypatch.setattr(identities, "_proved", recording)
+    rep = verify_suite(dims=(2, 3, 4, 5), samples_per_class=4, seed=31)
+    assert rep.failures == 0
+    claims = {key[0] for conclude in served for key in conclude.claims}
+    assert claims == set(identities._WORD_IDENTITIES) | {
+        IdentityId.R_i, IdentityId.R_ii, IdentityId.R_iv,
+        IdentityId.BINOM, IdentityId.TELESCOPE, IdentityId.NIL_TELE,
+    }
+    for conclude in served:
+        assert conclude() == (True, 0.0, None), conclude.claims
+
+
 def _newton_r_sides(a, b, n):
     rhs = ExactMatrix.zeros(a.dim)
     for k in range(1, n + 1):
@@ -1053,13 +1094,16 @@ def _newton_r_sides(a, b, n):
 def test_suite_renders_the_witness_of_a_forced_hypothesis(monkeypatch):
     # none-class pairs with ab_in_comm_a and comm_r forced: L1.I.iii fails
     # on a defect pair and NEWTON_R on a word combination, and the suite's
-    # first failure must render what check_identity and lhs - rhs render
+    # first failure must render what check_identity and lhs - rhs render;
+    # a proof trusts the flags, so with the proof table empty the forged
+    # hypotheses still reach the evaluator
     original = PairContext._init
 
     def forced(self, words, report):
         original(self, words, dataclasses.replace(report, ab_in_comm_a=True, comm_r=True))
 
     monkeypatch.setattr(PairContext, "_init", forced)
+    monkeypatch.setattr(identities, "_proof_table", lambda max_dim: {})
     rep = verify_suite(["none"], (2, 3), 2, 17)
     sides = {
         "L1.I.iii": lambda a, b, p: (a * (a + b) * a, a * a * (a + b)),

@@ -269,6 +269,16 @@ def digests(command, capsys):
     return status, json_sha, md_sha
 
 
+# the acceptance gate, verify's default shape with its seed, and its JSON report
+GATE = ("verify --dims 2,3,4 --samples 250 --seed 7",
+        "f568f518a4f13b3ee4400593bb2f6178605819e010932fbe3c4bd6f35e2b19c6")
+
+
+def test_gate_report_is_pinned(capsys):
+    command, sha = GATE
+    assert _report(command.split(), "json", capsys) == (0, sha)
+
+
 def test_pins_cover_every_example():
     assert {f"example {e.value}" for e in ExampleId} <= set(PINS)
 
