@@ -8,6 +8,14 @@ represented matrix is (RE + i*IM) / den.
 ``echelon`` is the package's only elimination: ranks, kernels, images and
 every canonical subspace basis in ``exact`` start from it.
 
+``nilpotency_degree_ints`` works on the integer numerators alone, since
+whether a power is zero does not depend on the denominator. It holds each
+power as ``sparse_rows``, one list of (col, re, im) nonzeros per row, and
+multiplies with ``sparse_mul``: Gustavson's row-by-row product (ACM TOMS 4,
+1978) with one dense accumulator of length d, divided by the gcd of its
+entries so that the numerators of long shift powers stay small. Past the
+one scan of its input, no step touches a d*d block.
+
 The products, ``charpoly_ints`` and ``echelon`` skip zero entries: they
 return the same integers as the dense loops, with work proportional to the
 nonzero entries. ``charpoly_ints`` lists the nonzeros of its matrix once and
@@ -201,6 +209,81 @@ def charpoly_ints(d, re, im):
     cre = [bre[d - j] for j in range(d + 1)]
     cim = [bim[d - j] for j in range(d + 1)]
     return cre, cim
+
+
+def sparse_rows(d, re, im):
+    """The nonzeros of a flat d x d integer matrix, as d rows of (col, re, im)."""
+    return [
+        [(j, re[off + j], im[off + j]) for j in range(d) if re[off + j] or im[off + j]]
+        for off in range(0, d * d, d)
+    ]
+
+
+def sparse_mul(d, a, b):
+    """Gustavson's row-by-row product of two ``sparse_rows`` matrices, divided
+    by the gcd of its entries.
+
+    Row i of a*b accumulates b's row k times a's entry (i, k) into one dense
+    accumulator of length d; ``mark`` records which columns row i has
+    touched, so only those are read back. The result is a positive multiple
+    of a*b, with the same zero pattern.
+    """
+    acc_re = [0] * d
+    acc_im = [0] * d
+    mark = [-1] * d
+    out = []
+    g = 0
+    for i, row in enumerate(a):
+        cols = []
+        for k, ar, ai in row:
+            for j, br, bi in b[k]:
+                if mark[j] == i:
+                    acc_re[j] += ar * br - ai * bi
+                    acc_im[j] += ar * bi + ai * br
+                else:
+                    mark[j] = i
+                    cols.append(j)
+                    acc_re[j] = ar * br - ai * bi
+                    acc_im[j] = ar * bi + ai * br
+        nz = []
+        for j in cols:
+            vr = acc_re[j]
+            vi = acc_im[j]
+            if vr or vi:
+                nz.append((j, vr, vi))
+                if g != 1:
+                    g = gcd(g, vr, vi)
+        out.append(nz)
+    if g > 1:
+        out = [[(j, vr // g, vi // g) for j, vr, vi in row] for row in out]
+    return out
+
+
+def nilpotency_degree_ints(d, re, im):
+    """Least m >= 1 with A**m == 0 for a flat d x d integer matrix A, or None.
+
+    A is nilpotent exactly when A**d == 0. The squares A**(2**j) are taken
+    up to an exponent of at least d or to zero; then binary lifting finds
+    the largest m with A**m != 0, high bits first: bit j stays set when
+    A**m * A**(2**j) is still nonzero. Every power is a ``sparse_mul``
+    product, known only up to a positive factor, which never changes
+    whether it is zero.
+    """
+    squares = [sparse_rows(d, re, im)]
+    exponent = 1
+    while exponent < d and any(squares[-1]):
+        squares.append(sparse_mul(d, squares[-1], squares[-1]))
+        exponent *= 2
+    if any(squares[-1]):
+        return None
+    power = None  # A**m up to a factor, None while m == 0
+    m = 0
+    for j in range(len(squares) - 2, -1, -1):
+        candidate = squares[j] if power is None else sparse_mul(d, power, squares[j])
+        if any(candidate):
+            power = candidate
+            m += 1 << j
+    return m + 1
 
 
 def _gdiv_exact(xr, xi, pr, pi):

@@ -3,8 +3,8 @@
 Four commands: verify (run the identity suite over sampled pairs), example
 (rebuild a registry pair or operator spec and re-verify its claims), search
 (look for a witness pair satisfying a relation predicate), truncate (finite
-sections of an operator spec, with exact charpolys and the spectra read off
-them).
+sections of an operator spec, with exact nilpotency degrees and the charpolys
+and spectra they imply).
 
 Exit status: 0 when everything verified (vacuous verdicts do not fail),
 1 when any check failed or a search came up empty, 2 on configuration
@@ -200,21 +200,21 @@ def _run_truncate(args):
     rows = []
     for n in args.sizes:
         t = shiftlab.truncate(spec, n)
-        poly = charpoly(t)
-        rest = poly.strip_zero_roots()
-        if rest.degree > 0:
+        # an n x n matrix is nilpotent exactly when its charpoly is x^n
+        degree = nilpotency_degree(t)
+        if degree is None:
             raise ConfigError(
-                f"{args.id} at n = {n}: charpoly {poly.literal()} has nonzero roots, "
+                f"{args.id} at n = {n}: charpoly {charpoly(t).literal()} has nonzero roots, "
                 "and truncate certifies only the root 0"
             )
         rows.append(
             {
                 "n": n,
-                "charpoly": poly.literal(),
-                "nilpotency_degree": nilpotency_degree(t),
+                "charpoly": f"x^{n}",  # --sizes are >= 2
+                "nilpotency_degree": degree,
                 "certified_kernel_dim": shiftlab.finite_support_kernel(spec, n).dim,
-                # the root 0 with the multiplicity of the factor x
-                "spectrum": [[0.0, 0.0, poly.degree - rest.degree]],
+                # the root 0 with multiplicity n
+                "spectrum": [[0.0, 0.0, n]],
                 "max_modulus": 0.0,
             }
         )

@@ -664,26 +664,8 @@ def _kernel_basis(ncols, pivots, reduced, ambient):
 
 def nilpotency_degree(a):
     """Least n >= 1 with a**n == 0, or None when a is not nilpotent."""
-    # a d x d matrix is nilpotent exactly when a**d == 0; squares[j] is
-    # a**(2**j), squared up to an exponent of at least d or to zero
-    squares = [a]
-    exponent = 1
-    while exponent < a.dim and not squares[-1].is_zero():
-        squares.append(squares[-1] * squares[-1])
-        exponent *= 2
-    if not squares[-1].is_zero():
-        return None
-    # binary lifting for the largest m with a**m != 0, high bits first: m is
-    # below the exponent of the first zero square, and bit j stays set when
-    # a**m * a**(2**j) is still nonzero (power is a**m, None for m == 0)
-    power = None
-    m = 0
-    for j in range(len(squares) - 2, -1, -1):
-        candidate = squares[j] if power is None else power * squares[j]
-        if not candidate.is_zero():
-            power = candidate
-            m += 1 << j
-    return m + 1
+    # a**n is zero exactly when its numerator is, so the denominator is dropped
+    return kernel.nilpotency_degree_ints(a.dim, a._re, a._im)
 
 
 def exp_exact_nilpotent(a):

@@ -8,8 +8,10 @@ from coordinate n-1 onward are kernel vectors of the infinite operator:
 certifying genuine point-spectrum facts is the purpose of
 ``finite_support_kernel``. Eigenvalues of truncations, by contrast, are
 evidence only: finite sections of non-normal operators need not converge to
-the true spectrum. The ``truncate`` command reads each section's spectrum
-off its exact charpoly and certifies only the root 0.
+the true spectrum. The ``truncate`` command decides each section's
+nilpotency exactly: an n x n section is nilpotent exactly when its charpoly
+is x^n, so its spectrum is the root 0 with multiplicity n. It certifies only
+that root, and stops at a section that is not nilpotent.
 
 Spec text format (one key per line, ``#`` comments allowed):
 

@@ -213,6 +213,20 @@ def test_truncate_rejects_a_section_with_nonzero_roots(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_truncate_runs_no_charpoly_on_nilpotent_sections(monkeypatch, capsys):
+    from weakcomm import _kernel_py
+
+    def no_charpoly(d, re, im):
+        raise AssertionError("charpoly_ints called")
+
+    monkeypatch.setattr(_kernel_py, "charpoly_ints", no_charpoly)
+    for entry in ("EXNILP_T", "EXNILP_N", "EXNILP_Q"):
+        status, out, err = _run_inproc(["truncate", entry, "--sizes", "4,6,10"], capsys)
+        assert status == 0 and err == "", entry
+        rows = json.loads(out)["rows"]
+        assert [row["charpoly"] for row in rows] == ["x^4", "x^6", "x^10"]
+
+
 def test_truncate_bad_sizes():
     proc = subprocess.run(
         [sys.executable, "-m", "weakcomm", "truncate", "EXNILP_T", "--sizes", "6,4"],

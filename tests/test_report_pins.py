@@ -3,7 +3,9 @@
 Each pinned command runs through ``weakcomm.cli.main`` in-process, once per
 format, and the sha256 of its whole report is compared with the value
 recorded when the pin was set. The truncate reports are pinned whole too:
-their ``spectrum`` and ``max_modulus`` are read off the exact charpoly.
+each row's charpoly, ``spectrum`` and ``max_modulus`` follow from its exact
+nilpotency degree. The sections at n = 160 and 320 pin that reach, and a
+test holds them to under a second.
 
 An injected fault inverts verdicts whose conclusion holds, so its first
 failure carries no defect. The defect literals and residuals of the
@@ -17,6 +19,7 @@ RAD_PROD and RAD_SUM, decided exactly, at the pairs of the first.
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -27,6 +30,8 @@ from weakcomm.instances import ExampleId, RelationClass, sample_pair, witness_pr
 VERIFY = "verify --dims 2,3,4 --samples 5 --seed 3"
 SEARCH = "search --dim 4 --budget 400 --seed 5 --predicate "
 SIZES = " --sizes 4,6,10"
+# the largest pinned sections; their reach is held to under a second below
+LARGE_TRUNCATE = "truncate EXNILP_T --sizes 160,320"
 
 # command -> (exit status, sha256 of the JSON report, sha256 of the Markdown report)
 PINS = {
@@ -240,6 +245,11 @@ PINS = {
         "5c98ccc308f1fae3e4cbc9f2b3f4586380945ad2587d5f3a1e0d33500c866c8a",
         "8f5d4b5b6fd1115dc4bac36f03952a4790fad8232c9aa6d3e85d523acc3bfdf4",
     ),
+    LARGE_TRUNCATE: (
+        0,
+        "dd2a4bcab294e2caba15625237e421e3ee464a96ecbe8145632667e1ac14bb2f",
+        "1d735e19b046475a8f3ca3c910097a2eefc6bf8c3247ea34f566db5f0a212e76",
+    ),
 }
 
 # sha256 of the JSON lines of _expansion_sweep(), and its fail count
@@ -292,6 +302,13 @@ def test_pins_cover_every_predicate():
 @pytest.mark.parametrize("command", list(PINS))
 def test_report_is_pinned(command, capsys):
     assert digests(command, capsys) == PINS[command]
+
+
+def test_large_truncate_takes_under_a_second(capsys):
+    start = time.perf_counter()
+    assert main(LARGE_TRUNCATE.split()) == 0
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
 
 
 def _sweep_pairs():
