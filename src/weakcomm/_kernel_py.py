@@ -16,6 +16,14 @@ multiplies with ``sparse_mul``: Gustavson's row-by-row product (ACM TOMS 4,
 entries so that the numerators of long shift powers stay small. Past the
 one scan of its input, no step touches a d*d block.
 
+``poly_divmod`` and ``poly_chain`` are the package's only polynomial
+division and remainder sequence, on ascending Gaussian-integer lists
+``(re, im)``: one pseudo-remainder step whose multiplier is |l| for a real
+leading coefficient l and |l|^2 otherwise, and the primitive remainder
+sequence built on it. ``exact.ExactPoly`` takes quotients, gcds and
+squarefree parts from them, and ``algebraic`` its Sturm sequences, exact
+quotients and root tests.
+
 The products, ``charpoly_ints`` and ``echelon`` skip zero entries: they
 return the same integers as the dense loops, with work proportional to the
 nonzero entries. ``charpoly_ints`` lists the nonzeros of its matrix once and
@@ -284,6 +292,69 @@ def nilpotency_degree_ints(d, re, im):
             power = candidate
             m += 1 << j
     return m + 1
+
+
+def poly_divmod(ar, ai, br, bi):
+    """Pseudo-division of Gaussian-integer polynomials: (m, qr, qi, rr, ri)
+    with m * A = Q * B + R, m a positive integer and deg R < deg B.
+
+    Polynomials are ascending lists (re, im); B is nonzero, and R has its
+    trailing zeros stripped. With l the leading coefficient of B, each step
+    multiplies the remainder by |l| and subtracts c * sign(l) times the
+    shifted B when l is real, and otherwise multiplies by |l|^2 and
+    subtracts c * conj(l), c the leading coefficient of the remainder. So a
+    real B costs no more than real pseudo-division, and m is a positive
+    multiple, which keeps the signs a Sturm sequence needs.
+    """
+    db = len(br) - 1
+    lr, li = br[-1], bi[-1]
+    if li:
+        step, ur, ui = lr * lr + li * li, lr, -li
+    else:
+        step, ur, ui = abs(lr), (1 if lr > 0 else -1), 0
+    rr, ri = list(ar), list(ai)
+    steps = max(0, len(rr) - db)
+    qr, qi = [0] * steps, [0] * steps
+    m = 1
+    for k in range(steps - 1, -1, -1):
+        cr, ci = rr[k + db], ri[k + db]
+        if step != 1:
+            m *= step
+            rr = [step * x for x in rr[: k + db]]
+            ri = [step * y for y in ri[: k + db]]
+            for j in range(k + 1, steps):
+                qr[j] *= step
+                qi[j] *= step
+        tr, ti = cr * ur - ci * ui, cr * ui + ci * ur
+        qr[k], qi[k] = tr, ti
+        if tr or ti:
+            for j in range(db):
+                xr, xi = br[j], bi[j]
+                rr[k + j] -= tr * xr - ti * xi
+                ri[k + j] -= tr * xi + ti * xr
+    n = min(len(rr), db)
+    while n and not (rr[n - 1] or ri[n - 1]):
+        n -= 1
+    return m, qr, qi, rr[:n], ri[:n]
+
+
+def poly_chain(ar, ai, br, bi):
+    """The primitive remainder sequence of A and B (B nonzero): A, B, then
+    each negated pseudo-remainder of the last two over the gcd of its parts,
+    down to the last nonzero one, as (re, im) pairs.
+
+    The last element is gcd(A, B) up to a constant factor; when B = A' and A
+    is real, the sequence is a Sturm sequence of A (Basu, Pollack, Roy,
+    *Algorithms in Real Algebraic Geometry*). Dividing out the content keeps
+    the coefficients small (Brown, J. ACM 18, 1971).
+    """
+    chain = [(list(ar), list(ai)), (list(br), list(bi))]
+    while True:
+        _, _, _, rr, ri = poly_divmod(*chain[-2], *chain[-1])
+        if not rr:
+            return chain
+        g = gcd(*rr, *ri)
+        chain.append(([-x // g for x in rr], [-y // g for y in ri]))
 
 
 def _gdiv_exact(xr, xi, pr, pi):

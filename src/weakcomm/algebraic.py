@@ -19,14 +19,17 @@ first step that answers decides:
    of M_w, whose roots are lam_i * conj(lam_j) over the roots of the
    radical and whose power sums are |s_k|^2. Each such root is isolated by
    a Sturm sequence (Basu, Pollack, Roy, *Algorithms in Real Algebraic
-   Geometry*) and refined by halving until C = rho(ab)^2 lies strictly on
-   one side of A*B = rho(a)^2 rho(b)^2, or S = rho(s)^2 on one side of
-   (sqrt(A) + sqrt(B))^2. Refinement cannot separate a tie, so once it has
-   stalled a tie polynomial decides: the composed product of M_a and M_b
-   for the product, and G(t) = prod((t - x - y)^2 - 4xy) over the roots x
-   of M_a and y of M_b for the sum. Every root of either has modulus at
-   most the bound, so if C (or S) is one of its roots the bound holds; if
-   not, the two numbers differ and refinement goes on until they separate.
+   Geometry*), the kernel's primitive remainder sequence ``poly_chain`` of
+   the squarefree part of M_w and its derivative; the sequence of M_w and
+   its derivative gives that squarefree part. The root is then refined by
+   halving until C = rho(ab)^2 lies strictly on one side of A*B = rho(a)^2
+   rho(b)^2, or S = rho(s)^2 on one side of (sqrt(A) + sqrt(B))^2.
+   Refinement cannot separate a tie, so once it has stalled a tie
+   polynomial decides: the composed product of M_a and M_b for the
+   product, and G(t) = prod((t - x - y)^2 - 4xy) over the roots x of M_a
+   and y of M_b for the sum. Every root of either has modulus at most the
+   bound, so if C (or S) is one of its roots the bound holds; if not, the
+   two numbers differ and refinement goes on until they separate.
 
 Everything runs on integers. A radical with denominator D is scaled to the
 monic polynomial with Gaussian-integer coefficients whose roots are D
@@ -40,7 +43,9 @@ certified enclosures, floored at 0.0.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm, sqrt
+from math import comb, lcm, sqrt
+
+from . import _kernel_py as kernel
 
 __all__ = ["radius_product_bound", "radius_sum_bound"]
 
@@ -75,9 +80,9 @@ def _zero_bound(rw):
 def _bound(ra, rb, rw, product):
     """Steps 2 and 3 for w = ab if product, else w = a + b."""
     f = lcm(ra._den, rb._den, rw._den)
-    pa, pb = _scaled(ra, f), _scaled(rb, f)
-    n = pa.degree * pb.degree
-    (ar, ai), (br, bi) = pa.power_sums(n), pb.power_sums(n)
+    pa, pb = _integral(ra, f), _integral(rb, f)
+    n = (len(pa[0]) - 1) * (len(pb[0]) - 1)
+    (ar, ai), (br, bi) = _power_sums(*pa, n), _power_sums(*pb, n)
     if product:  # the power sums of the f^2 alpha beta
         sr = [xr * yr - xi * yi for xr, xi, yr, yi in zip(ar, ai, br, bi)]
         si = [xr * yi + xi * yr for xr, xi, yr, yi in zip(ar, ai, br, bi)]
@@ -89,8 +94,10 @@ def _bound(ra, rb, rw, product):
                 xr, xi, yr, yi = ar[j], ai[j], br[k - j], bi[k - j]
                 sr[k] += c * (xr * yr - xi * yi)
                 si[k] += c * (xr * yi + xi * yr)
-    composed = _GaussPoly.from_power_sums(sr, si)
-    if composed.divisible_by(_scaled(rw, f * f if product else f)):
+    # the scaled radical of w is monic, so it divides exactly when the
+    # pseudo-remainder is zero
+    wr, wi = _integral(rw, f * f if product else f)
+    if not kernel.poly_divmod(*_from_power_sums(sr, si), wr, wi)[3]:
         return True, 0.0
     return _compare(_largest_root(rw), _largest_root(ra), _largest_root(rb), product)
 
@@ -101,119 +108,73 @@ def _is_x(p):
 
 
 # -- Gaussian-integer polynomials ------------------------------------------------
+# Ascending lists (re, im) of ints; the polynomials here are monic.
 
 
-class _GaussPoly:
-    """Monic polynomial with Gaussian-integer coefficients, ascending lists."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re, self.im = re, im
-
-    @property
-    def degree(self):
-        return len(self.re) - 1
-
-    def power_sums(self, n):
-        """Lists (re, im) of the power sums s_0..s_n of the roots (Newton)."""
-        re, im, m = self.re, self.im, self.degree
-        sr, si = [m] + [0] * n, [0] * (n + 1)
-        for k in range(1, n + 1):
-            xr, xi = (k * re[m - k], k * im[m - k]) if k <= m else (0, 0)
-            for i in range(1, min(k - 1, m) + 1):
-                cr, ci, yr, yi = re[m - i], im[m - i], sr[k - i], si[k - i]
-                xr += cr * yr - ci * yi
-                xi += cr * yi + ci * yr
-            sr[k], si[k] = -xr, -xi
-        return sr, si
-
-    @classmethod
-    def from_power_sums(cls, sr, si):
-        """The monic polynomial of degree sr[0] whose roots have the power
-        sums (sr, si); each step of Newton's inverse divides exactly by k."""
-        n = sr[0]
-        re, im = [0] * n + [1], [0] * (n + 1)
-        for k in range(1, n + 1):
-            xr, xi = sr[k], si[k]
-            for i in range(1, k):
-                cr, ci, yr, yi = re[n - i], im[n - i], sr[k - i], si[k - i]
-                xr += cr * yr - ci * yi
-                xi += cr * yi + ci * yr
-            (qr, rr), (qi, ri) = divmod(-xr, k), divmod(-xi, k)
-            if rr or ri:
-                raise ArithmeticError(f"power sums of no integral polynomial (k={k})")
-            re[n - k], im[n - k] = qr, qi
-        return cls(re, im)
-
-    def divisible_by(self, d):
-        """True when the monic d divides self."""
-        rr, ri = list(self.re), list(self.im)
-        m = d.degree
-        for k in range(len(rr) - 1, m - 1, -1):
-            cr, ci = rr[k], ri[k]
-            if cr or ci:
-                for j in range(m + 1):
-                    rr[k - m + j] -= cr * d.re[j] - ci * d.im[j]
-                    ri[k - m + j] -= cr * d.im[j] + ci * d.re[j]
-        return not (any(rr[:m]) or any(ri[:m]))
+def _power_sums(re, im, n):
+    """Lists (re, im) of the power sums s_0..s_n of the roots (Newton)."""
+    m = len(re) - 1
+    sr, si = [m] + [0] * n, [0] * (n + 1)
+    for k in range(1, n + 1):
+        xr, xi = (k * re[m - k], k * im[m - k]) if k <= m else (0, 0)
+        for i in range(1, min(k - 1, m) + 1):
+            cr, ci, yr, yi = re[m - i], im[m - i], sr[k - i], si[k - i]
+            xr += cr * yr - ci * yi
+            xi += cr * yi + ci * yr
+        sr[k], si[k] = -xr, -xi
+    return sr, si
 
 
-def _scaled(p, f):
-    """f^m p(x/f) for the monic ExactPoly p of degree m, whose denominator
-    divides f: its roots are f times those of p, its coefficients Gaussian
-    integers."""
-    den, m = p._den, p.degree
-    q = f // den
-    re = [x * q * f ** (m - k - 1) for k, x in enumerate(p._re[:-1])]
-    im = [y * q * f ** (m - k - 1) for k, y in enumerate(p._im[:-1])]
-    return _GaussPoly(re + [1], im + [0])
+def _from_power_sums(sr, si):
+    """(re, im) of the monic polynomial of degree sr[0] whose roots have the
+    power sums (sr, si); each step of Newton's inverse divides exactly by k."""
+    n = sr[0]
+    re, im = [0] * n + [1], [0] * (n + 1)
+    for k in range(1, n + 1):
+        xr, xi = sr[k], si[k]
+        for i in range(1, k):
+            cr, ci, yr, yi = re[n - i], im[n - i], sr[k - i], si[k - i]
+            xr += cr * yr - ci * yi
+            xi += cr * yi + ci * yr
+        (qr, rr), (qi, ri) = divmod(-xr, k), divmod(-xi, k)
+        if rr or ri:
+            raise ArithmeticError(f"power sums of no integral polynomial (k={k})")
+        re[n - k], im[n - k] = qr, qi
+    return re, im
+
+
+def _scaled(p, k, den=1):
+    """k^n p(x/k) / den for the coefficient list p of degree n: its roots are
+    k times those of p. The division is exact when den divides k and p's
+    leading coefficient."""
+    n = len(p) - 1
+    return [c * k ** (n - i) // den for i, c in enumerate(p)]
+
+
+def _integral(p, f):
+    """(re, im) of f^m p(x/f) for the monic ExactPoly p of degree m, whose
+    denominator divides f: its roots are f times those of p, its
+    coefficients Gaussian integers."""
+    return _scaled(p._re, f, p._den), _scaled(p._im, f, p._den)
 
 
 # -- real roots --------------------------------------------------------------------
 # Real integer polynomials are ascending lists of ints.
 
 
-def _primitive(p):
-    """p over the positive gcd of its coefficients."""
-    g = gcd(*p)
-    return [c // g for c in p]
-
-
-def _neg_prem(a, b):
-    """Minus a positive multiple of the remainder of a by b, primitive (or [])."""
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    sign, scale = (1, lb) if lb > 0 else (-1, -lb)
-    while len(r) - 1 >= db and r:
-        lr = r[-1]
-        shift = len(r) - 1 - db
-        r = [scale * x for x in r]
-        for j, c in enumerate(b):
-            r[shift + j] -= sign * lr * c
-        while r and not r[-1]:
-            r.pop()
-    return _primitive([-x for x in r]) if r else []
-
-
 def _chain(a, b):
-    """a, b and the negated primitive pseudo-remainders down to the last
-    nonzero one: a Sturm sequence when b = a', and its last element is
-    gcd(a, b) up to a constant."""
-    chain = [a, b]
-    while True:
-        r = _neg_prem(chain[-2], chain[-1])
-        if not r:
-            return chain
-        chain.append(r)
+    """The primitive remainder sequence of the real a and b: a Sturm sequence
+    when b = a', and its last element is gcd(a, b) up to a constant."""
+    return [re for re, _ in kernel.poly_chain(a, [0] * len(a), b, [0] * len(b))]
 
 
 def _derivative(p):
     return [k * c for k, c in enumerate(p)][1:]
 
 
-def _sign_at(p, num, den):
-    """The sign of p(num/den), den > 0, from its homogenized integer value."""
+def _sign_at(p, x):
+    """The sign of p(x) for a rational x, from its homogenized integer value."""
+    num, den = x.numerator, x.denominator
     acc, power = 0, 1
     for c in reversed(p):  # acc = den^deg(p) * p(num/den) at the end
         acc = acc * num + c * power
@@ -225,28 +186,12 @@ def _variations(chain, x):
     """Sign changes of the chain at x (zeros dropped)."""
     count, last = 0, 0
     for p in chain:
-        s = _sign_at(p, x.numerator, x.denominator)
+        s = _sign_at(p, x)
         if s:
             if last and s != last:
                 count += 1
             last = s
     return count
-
-
-def _divmod_monic(p, d):
-    """(quotient, remainder) of integer polynomials for a monic d; the
-    remainder has its trailing zeros stripped."""
-    r, m = list(p), len(d) - 1
-    q = [0] * max(0, len(p) - m)
-    for k in range(len(p) - 1, m - 1, -1):
-        c = q[k - m] = r[k]
-        if c:
-            for j in range(m + 1):
-                r[k - m + j] -= c * d[j]
-    r = r[:m]
-    while r and not r[-1]:
-        r.pop()
-    return q, r
 
 
 def _sturm(p):
@@ -257,16 +202,13 @@ def _sturm(p):
     if len(g) == 1:
         return p, chain
     # g divides the monic p, so by Gauss's lemma the primitive g is +-monic
-    s, r = _divmod_monic(p, g if g[-1] > 0 else [-c for c in g])
+    # and the pseudo-division is exact division
+    if g[-1] < 0:
+        g = [-c for c in g]
+    _, s, _, r, _ = kernel.poly_divmod(p, [0] * len(p), g, [0] * len(g))
     if r:
         raise ArithmeticError("gcd(p, p') does not divide p")
     return s, _chain(s, _derivative(s))
-
-
-def _rescaled(p, k):
-    """k^n p(x/k) for p of degree n: the roots of p times k."""
-    n = len(p) - 1
-    return [c * k ** (n - i) for i, c in enumerate(p)]
 
 
 class _Root:
@@ -297,7 +239,12 @@ class _Root:
                 lo = mid
             else:
                 hi = mid
+        if _sign_at(p, hi) == 0:
+            lo = hi  # halving met the root
         self.lo, self.hi = lo, hi
+        # lo may be a smaller root; refine until neither end is a root
+        while self.lo != self.hi and _sign_at(p, self.lo) == 0:
+            self.refine()
 
     def refine(self):
         """Halve the enclosure; p is positive above the root and, on the
@@ -306,7 +253,7 @@ class _Root:
         if lo == hi:
             return
         mid = (lo + hi) / 2
-        s = _sign_at(self.poly, mid.numerator, mid.denominator)
+        s = _sign_at(self.poly, mid)
         if s == 0:
             self.lo = self.hi = mid
         elif s > 0:
@@ -328,20 +275,15 @@ class _Root:
         q over the scale q_scale."""
         common = lcm(self.scale, q_scale)
         k = common // self.scale
-        p, q = _rescaled(self.poly, k), _rescaled(q, common // q_scale)
+        p, q = _scaled(self.poly, k), _scaled(q, common // q_scale)
         lo, hi = self.lo * k, self.hi * k
         if lo == hi:
-            return _sign_at(q, lo.numerator, lo.denominator) == 0
-        r = _divmod_monic(q, p)[1]
-        if not r:
-            return True
-        g = _chain(p, r)[-1]
-        if len(g) == 1:
-            return False
-        # g divides the squarefree p, so it is squarefree and its Sturm
-        # sequence counts its roots in (lo, hi], where p has only this one
-        sturm = _chain(g, _derivative(g))
-        return _variations(sturm, lo) > _variations(sturm, hi)
+            return _sign_at(q, lo) == 0
+        # g = gcd(q, p) divides the squarefree p, whose only root in (lo, hi]
+        # is this one and which vanishes at neither end: g vanishes at the
+        # root exactly when it changes sign on the interval
+        g = _chain(q, p)[-1]
+        return _sign_at(g, lo) != _sign_at(g, hi)
 
     def to_float(self):
         """The root as a double, read off an enclosure whose ends round alike."""
@@ -355,11 +297,11 @@ class _Root:
 
 def _real_power_sums(p, n):
     """Power sums s_0..s_n of the roots of the monic integer polynomial p."""
-    return _GaussPoly(p, [0] * len(p)).power_sums(n)[0]
+    return _power_sums(p, [0] * len(p), n)[0]
 
 
 def _from_real_power_sums(s):
-    return _GaussPoly.from_power_sums(s, [0] * len(s)).re
+    return _from_power_sums(s, [0] * len(s))[0]
 
 
 def _largest_root(radical):
@@ -367,9 +309,8 @@ def _largest_root(radical):
     roots are D^2 lam_i conj(lam_j) for the roots lam of p and D its
     denominator, over the scale D^2."""
     f = radical._den
-    g = _scaled(radical, f)
-    n = g.degree * g.degree
-    sr, si = g.power_sums(n)
+    re, im = _integral(radical, f)
+    sr, si = _power_sums(re, im, (len(re) - 1) ** 2)
     return _Root(_from_real_power_sums([x * x + y * y for x, y in zip(sr, si)]), f * f)
 
 
@@ -411,7 +352,7 @@ def _tie_polynomial(a, b, product):
         sa, sb = _real_power_sums(pa, n), _real_power_sums(pb, n)
         return _from_real_power_sums([x * y for x, y in zip(sa, sb)]), a.scale * b.scale
     scale = lcm(a.scale, b.scale)
-    pa, pb = _rescaled(pa, scale // a.scale), _rescaled(pb, scale // b.scale)
+    pa, pb = _scaled(pa, scale // a.scale), _scaled(pb, scale // b.scale)
     # the power sums of G: sum over x, y of (sqrt x + sqrt y)^2k + (sqrt x - sqrt y)^2k
     sa, sb = _real_power_sums(pa, 2 * n), _real_power_sums(pb, 2 * n)
     s = [2 * n] + [

@@ -13,10 +13,12 @@ Three immutable value types live here:
     ``(re, im)`` over one positive denominator, normalized by
     ``kernel.normalize`` with trailing zeros stripped, so equality is
     structural. Arithmetic stays in integers: products are convolutions,
-    division is pseudo-division over Z[i] followed by one exact division,
-    and ``charpoly`` builds the form straight from ``charpoly_ints``.
-    Supports gcd, squarefree parts and radicals, and evaluation at
-    matrices. ``coeffs`` is a Scalar view for printing and tests.
+    division is the kernel's pseudo-division ``poly_divmod`` over Z[i]
+    followed by one exact division, gcds and squarefree parts (so radicals)
+    come from its primitive remainder sequence ``poly_chain``, and
+    ``charpoly`` builds the form straight from ``charpoly_ints``. Also
+    evaluates at matrices. ``coeffs`` is a Scalar view for printing and
+    tests.
 
 ``SubspaceBasis``
     A subspace in the same format: its canonical reduced row echelon rows as
@@ -423,42 +425,21 @@ class ExactPoly:
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        """Pseudo-division over Z[i], then one exact division.
+        """Pseudo-division over Z[i] (``kernel.poly_divmod``), then one exact division.
 
-        With A, B the integer numerators of self and other and l the leading
-        coefficient of B, k = deg A - deg B + 1 steps give l^k*A = Q*B + R;
-        the quotient and remainder are Q/l^k and R/l^k, rescaled by the two
-        denominators.
+        With A, B the integer numerators of self and other, the kernel gives
+        m*A = Q*B + R for a positive integer m; the quotient and remainder
+        are Q/m and R/m, rescaled by the two denominators.
         """
         if not isinstance(other, ExactPoly):
             return NotImplemented
         if other.is_zero():
             raise ZeroPolynomialError("polynomial division by zero")
-        db = other.degree
-        steps = len(self._re) - db
-        if steps <= 0:
-            return ExactPoly.zero(), self
-        br, bi = other._re, other._im
-        lr, li = br[-1], bi[-1]
-        rr, ri = list(self._re), list(self._im)
-        qr, qi = [0] * steps, [0] * steps
-        pr, pi = 1, 0  # l^(steps done)
-        for k in range(steps - 1, -1, -1):
-            cr, ci = rr[k + db], ri[k + db]
-            rr, ri = _gmul(rr, ri, lr, li)
-            qr, qi = _gmul(qr, qi, lr, li)
-            pr, pi = pr * lr - pi * li, pr * li + pi * lr
-            qr[k] += cr
-            qi[k] += ci
-            if cr or ci:
-                for j in range(db + 1):
-                    rr[k + j] -= cr * br[j] - ci * bi[j]
-                    ri[k + j] -= cr * bi[j] + ci * br[j]
-        # 1/l^k = conj(l^k) / |l^k|^2
-        den = self._den * (pr * pr + pi * pi)
+        m, qr, qi, rr, ri = kernel.poly_divmod(self._re, self._im, other._re, other._im)
+        den = self._den * m
         return (
-            ExactPoly._from_rep(den, *_gmul(qr, qi, other._den * pr, -other._den * pi)),
-            ExactPoly._from_rep(den, *_gmul(rr[:db], ri[:db], pr, -pi)),
+            ExactPoly._from_rep(den, [x * other._den for x in qr], [y * other._den for y in qi]),
+            ExactPoly._from_rep(den, rr, ri),
         )
 
     def __mod__(self, other):
@@ -495,14 +476,18 @@ class ExactPoly:
         if self.is_zero():
             raise ZeroPolynomialError("zero polynomial has no monic form")
         lr, li = self._re[-1], self._im[-1]
-        return ExactPoly._from_rep(lr * lr + li * li, *_gmul(self._re, self._im, lr, -li))
+        pairs = list(zip(self._re, self._im))
+        return ExactPoly._from_rep(
+            lr * lr + li * li, [x * lr + y * li for x, y in pairs], [y * lr - x * li for x, y in pairs]
+        )
 
     def gcd(self, other):
-        """Monic greatest common divisor (zero polynomial if both are zero)."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """Monic greatest common divisor (zero polynomial if both are zero),
+        the last element of the primitive remainder sequence."""
+        if other.is_zero():
+            return self if self.is_zero() else self.monic()
+        re, im = kernel.poly_chain(self._re, self._im, other._re, other._im)[-1]
+        return ExactPoly._from_rep(1, re, im).monic()
 
     def squarefree_part(self):
         """Monic product of the distinct irreducible factors."""
@@ -577,11 +562,6 @@ class ExactPoly:
 
     def __repr__(self):
         return f"ExactPoly({self.literal()!r})"
-
-
-def _gmul(re, im, zr, zi):
-    """Gaussian-integer lists (re, im) times the Gaussian integer zr + zi*i."""
-    return [x * zr - y * zi for x, y in zip(re, im)], [x * zi + y * zr for x, y in zip(re, im)]
 
 
 def poly_radical(p):

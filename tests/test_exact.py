@@ -9,6 +9,7 @@ test.
 
 import pickle
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -1515,6 +1516,55 @@ def test_poly_radical():
     assert poly_radical(p).literal() == "x^2 - x"
     assert poly_radical_nonzero(p).literal() == "x - 1"
     assert poly_radical_nonzero(x ** 4).literal() == "1"
+
+
+def test_large_squarefree_part_takes_under_half_a_second():
+    # degree 25 with 100-bit coefficients: a Euclid over the fraction field
+    # took 3.4 s here, the primitive remainder sequence takes milliseconds
+    rng = random.Random(1)
+    p = ExactPoly([rng.randrange(-(2**100), 2**100) for _ in range(25)] + [1])
+    start = time.perf_counter()
+    assert p.squarefree_part() == p
+    assert time.perf_counter() - start < 0.5
+
+
+def _poly_mul(ar, ai, br, bi):
+    re, im = [0] * (len(ar) + len(br) - 1), [0] * (len(ar) + len(br) - 1)
+    for i, (xr, xi) in enumerate(zip(ar, ai)):
+        for j, (yr, yi) in enumerate(zip(br, bi)):
+            re[i + j] += xr * yr - xi * yi
+            im[i + j] += xr * yi + xi * yr
+    return re, im
+
+
+def test_poly_divmod_kernel_identity():
+    # m*A = Q*B + R with m > 0 and deg R < deg B, for real and Gaussian
+    # leading coefficients of either sign
+    rng = random.Random(23)
+    for trial in range(200):
+        da, db = rng.randint(0, 7), rng.randint(0, 4)
+        ar, ai = [rng.randint(-9, 9) for _ in range(da + 1)], [0] * (da + 1)
+        br, bi = [rng.randint(-9, 9) for _ in range(db)] + [rng.choice((-3, -1, 2))], [0] * (db + 1)
+        if trial % 2:
+            ai = [rng.randint(-9, 9) for _ in range(da + 1)]
+            bi[-1] = rng.randint(-2, 2)
+        m, qr, qi, rr, ri = _kernel_py.poly_divmod(ar, ai, br, bi)
+        assert m > 0 and len(rr) == len(ri) <= db
+        assert not rr or rr[-1] or ri[-1]
+        re, im = _poly_mul(qr, qi, br, bi) if qr else ([], [])
+        for a, qb, r in ((ar, re, rr), (ai, im, ri)):
+            n = max(len(a), len(qb))
+            a, qb, r = (list(c) + [0] * (n - len(c)) for c in (a, qb, r))
+            assert [m * x for x in a] == [x + y for x, y in zip(qb, r)]
+
+
+def test_poly_chain_ends_in_the_gcd():
+    # (x - 1)^2 (x + 2) and its derivative share x - 1; every element after
+    # the first two is primitive
+    p = [2, -3, 0, 1]
+    chain = _kernel_py.poly_chain(p, [0] * 4, [-3, 0, 3], [0] * 3)
+    assert chain[-1] == ([-1, 1], [0, 0])
+    assert all(gcd(*re, *im) == 1 for re, im in chain[2:])
 
 
 def test_poly_eval():
