@@ -5,16 +5,16 @@ Matrices are carried in a normalized flat representation: a triple
 row-major lists of ints of length d*d, and gcd(den, content) == 1. The
 represented matrix is (RE + i*IM) / den.
 
-``echelon`` is the package's only elimination: ranks, kernels, images and
-every canonical subspace basis in ``exact`` start from it.
-
-``nilpotency_degree_ints`` works on the integer numerators alone, since
-whether a power is zero does not depend on the denominator. It holds each
-power as ``sparse_rows``, one list of (col, re, im) nonzeros per row, and
-multiplies with ``sparse_mul``: Gustavson's row-by-row product (ACM TOMS 4,
+Sparse integer blocks are carried as ``sparse_rows``: one list of
+(col, re, im) nonzeros per row, as ``shiftlab`` builds its sections.
+``echelon``, the package's only elimination, runs on them: ranks, kernels,
+images and every canonical subspace basis in ``exact`` start from it.
+``nilpotency_degree_ints`` reads integer numerators alone, since whether a
+power is zero does not depend on the denominator, and multiplies its
+powers with ``sparse_mul``: Gustavson's row-by-row product (ACM TOMS 4,
 1978) with one dense accumulator of length d, divided by the gcd of its
-entries so that the numerators of long shift powers stay small. Past the
-one scan of its input, no step touches a d*d block.
+entries so that the numerators of long shift powers stay small. Neither
+touches a d*d block.
 
 ``poly_divmod`` and ``poly_chain`` are the package's only polynomial
 division and remainder sequence, on ascending Gaussian-integer lists
@@ -24,11 +24,12 @@ sequence built on it. ``exact.ExactPoly`` takes quotients, gcds and
 squarefree parts from them, and ``algebraic`` its Sturm sequences, exact
 quotients and root tests.
 
-The products, ``charpoly_ints`` and ``echelon`` skip zero entries: they
-return the same integers as the dense loops, with work proportional to the
-nonzero entries. ``charpoly_ints`` lists the nonzeros of its matrix once and
-carries the nonzero columns of each row of its iterate from step to step, so
-no step scans a d*d block for nonzeros. Every exact division checks its
+The products and ``charpoly_ints`` skip zero entries, and ``echelon``
+keeps the rows that are nonzero in each column: they return the same
+integers as the dense loops, with work proportional to the nonzero
+entries. ``charpoly_ints`` lists the nonzeros of its matrix once and
+carries the nonzero columns of each row of its iterate from step to step,
+so no step scans a d*d block for nonzeros. Every exact division checks its
 remainder and raises ``ArithmeticError`` when it is not zero, so a broken
 invariant fails loudly (also under ``python -O``).
 """
@@ -219,11 +220,11 @@ def charpoly_ints(d, re, im):
     return cre, cim
 
 
-def sparse_rows(d, re, im):
-    """The nonzeros of a flat d x d integer matrix, as d rows of (col, re, im)."""
+def sparse_rows(ncols, re, im):
+    """The nonzeros of a flat row-major block of ncols columns, as rows of (col, re, im)."""
     return [
-        [(j, re[off + j], im[off + j]) for j in range(d) if re[off + j] or im[off + j]]
-        for off in range(0, d * d, d)
+        [(j, re[off + j], im[off + j]) for j in range(ncols) if re[off + j] or im[off + j]]
+        for off in range(0, len(re), ncols)
     ]
 
 
@@ -267,8 +268,8 @@ def sparse_mul(d, a, b):
     return out
 
 
-def nilpotency_degree_ints(d, re, im):
-    """Least m >= 1 with A**m == 0 for a flat d x d integer matrix A, or None.
+def nilpotency_degree_ints(rows):
+    """Least m >= 1 with A**m == 0 for the d x d integer A in ``sparse_rows``, or None.
 
     A is nilpotent exactly when A**d == 0. The squares A**(2**j) are taken
     up to an exponent of at least d or to zero; then binary lifting finds
@@ -277,7 +278,8 @@ def nilpotency_degree_ints(d, re, im):
     product, known only up to a positive factor, which never changes
     whether it is zero.
     """
-    squares = [sparse_rows(d, re, im)]
+    d = len(rows)
+    squares = [rows]
     exponent = 1
     while exponent < d and any(squares[-1]):
         squares.append(sparse_mul(d, squares[-1], squares[-1]))
@@ -367,72 +369,72 @@ def _gdiv_exact(xr, xi, pr, pi):
     return qr, qi
 
 
-def echelon(nrows, ncols, re, im):
-    """Fraction-free Bareiss elimination over the Gaussian integers.
+def echelon(ncols, rows):
+    """Fraction-free Bareiss elimination over the Gaussian integers, on
+    ``sparse_rows`` with ncols columns.
 
-    Input: flat row-major integer matrix. Returns (rank, pivots, ere, eim)
-    where pivots lists the pivot column of each of the first `rank` rows of
-    the echelon form.
+    Returns (pivots, echelon): the pivot column of each nonzero row of the
+    echelon form, and those rows as lists of (col, re, im) nonzeros in no
+    particular column order. The rows below them are zero.
 
-    Each step sets x = (p*x - f*y) / prev for the entries right of the pivot
-    column, where p is the pivot, f the target row's entry in the pivot
-    column, y the pivot row's entry and prev the previous pivot (Bareiss
-    1968). Only columns where the pivot row or the target row is nonzero
-    are visited, and a row with f == 0 is left as it is when p == prev.
+    The pivot of a column is the first row, in the current order and at or
+    below the current one, that is nonzero there; it is swapped into place.
+    Each step sets x = (p*x - f*y) / prev on a row below the pivot, where p
+    is the pivot, f the row's entry in the pivot column, y the pivot row's
+    entry and prev the previous pivot (Bareiss 1968). Each column keeps the
+    set of rows below the current one that are nonzero in it, so a step
+    visits only the rows with f != 0, or every row below when p != prev,
+    and only at their nonzero columns and the pivot row's.
     """
-    r = [list(re[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
-    m = [list(im[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
+    work = [{j: (vr, vi) for j, vr, vi in row} for row in rows]
+    live = [set() for _ in range(ncols)]
+    for i, row in enumerate(work):
+        for j in row:
+            live[j].add(i)
+    order = list(range(len(work)))  # the row at each position
+    place = order[:]  # the position of each row
     prev_r, prev_i = 1, 0
     pivots = []
-    row = 0
     for col in range(ncols):
-        if row == nrows:
+        top = len(pivots)
+        if top == len(work):
             break
-        p = -1
-        for rr in range(row, nrows):
-            if r[rr][col] or m[rr][col]:
-                p = rr
-                break
-        if p < 0:
+        targets = live[col]
+        if not targets:
             continue
-        if p != row:
-            r[row], r[p] = r[p], r[row]
-            m[row], m[p] = m[p], m[row]
-        prow_r = r[row]
-        prow_i = m[row]
-        pr = prow_r[col]
-        pi = prow_i[col]
-        same_pivot = pr == prev_r and pi == prev_i
-        pivot_nz = {cc for cc in range(col + 1, ncols) if prow_r[cc] or prow_i[cc]}
-        for rr in range(row + 1, nrows):
-            tr = r[rr]
-            ti = m[rr]
-            fr = tr[col]
-            fi = ti[col]
-            if not (fr or fi) and same_pivot:
-                continue
-            cols = {cc for cc in range(col + 1, ncols) if tr[cc] or ti[cc]}
-            if fr or fi:
-                cols |= pivot_nz
-            for cc in cols:
-                yr = prow_r[cc]
-                yi = prow_i[cc]
-                xr = (pr * tr[cc] - pi * ti[cc]) - (fr * yr - fi * yi)
-                xi = (pr * ti[cc] + pi * tr[cc]) - (fr * yi + fi * yr)
+        p = min(targets, key=place.__getitem__)
+        q = order[top]
+        order[top], order[place[p]] = p, q
+        place[q], place[p] = place[p], top
+        y = work[p]
+        for j in y:
+            live[j].discard(p)
+        pr, pi = y.pop(col)
+        if pr != prev_r or pi != prev_i:
+            targets = order[top + 1:]
+        for t in targets:
+            x = work[t]
+            fr, fi = x.pop(col, (0, 0))
+            for cc in (x.keys() | y.keys()) if fr or fi else list(x):
+                xr, xi = x.get(cc, (0, 0))
+                yr, yi = y.get(cc, (0, 0))
+                vr = (pr * xr - pi * xi) - (fr * yr - fi * yi)
+                vi = (pr * xi + pi * xr) - (fr * yi + fi * yr)
                 if prev_i:
-                    xr, xi = _gdiv_exact(xr, xi, prev_r, prev_i)
+                    vr, vi = _gdiv_exact(vr, vi, prev_r, prev_i)
                 elif prev_r != 1:
-                    xr, rem_r = divmod(xr, prev_r)
-                    xi, rem_i = divmod(xi, prev_r)
+                    vr, rem_r = divmod(vr, prev_r)
+                    vi, rem_i = divmod(vi, prev_r)
                     if rem_r or rem_i:
                         raise ArithmeticError(f"Bareiss step is not divisible by {prev_r}")
-                tr[cc] = xr
-                ti[cc] = xi
-            tr[col] = 0
-            ti[col] = 0
+                if vr or vi:
+                    if cc not in x:
+                        live[cc].add(t)
+                    x[cc] = (vr, vi)
+                elif cc in x:
+                    del x[cc]
+                    live[cc].discard(t)
+        y[col] = (pr, pi)
         prev_r, prev_i = pr, pi
         pivots.append(col)
-        row += 1
-    ere = [v for rowvals in r for v in rowvals]
-    eim = [v for rowvals in m for v in rowvals]
-    return row, pivots, ere, eim
+    return pivots, [[(j, vr, vi) for j, (vr, vi) in work[i].items()] for i in order[:len(pivots)]]

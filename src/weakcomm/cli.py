@@ -20,7 +20,8 @@ import sys
 
 from . import __version__
 from .errors import WeakcommError
-from .exact import charpoly, nilpotency_degree
+from ._kernel_py import nilpotency_degree_ints
+from .exact import charpoly
 from .identities import IdentityId, verify_suite
 from .instances import (
     ExampleId,
@@ -199,10 +200,11 @@ def _run_truncate(args):
         )
     rows = []
     for n in args.sizes:
-        t = shiftlab.truncate(spec, n)
+        _, section = shiftlab._section(spec, n)
         # an n x n matrix is nilpotent exactly when its charpoly is x^n
-        degree = nilpotency_degree(t)
+        degree = nilpotency_degree_ints(section)
         if degree is None:
+            t = shiftlab.truncate(spec, n)
             raise ConfigError(
                 f"{args.id} at n = {n}: charpoly {charpoly(t).literal()} has nonzero roots, "
                 "and truncate certifies only the root 0"
@@ -212,7 +214,7 @@ def _run_truncate(args):
                 "n": n,
                 "charpoly": f"x^{n}",  # --sizes are >= 2
                 "nilpotency_degree": degree,
-                "certified_kernel_dim": shiftlab.finite_support_kernel(spec, n).dim,
+                "certified_kernel_dim": shiftlab.finite_support_kernel(spec, n, rows=section).dim,
                 # the root 0 with multiplicity n
                 "spectrum": [[0.0, 0.0, n]],
                 "max_modulus": 0.0,

@@ -27,9 +27,10 @@ Three immutable value types live here:
     intersections and images all run on that block.
 
 Every rank, kernel, image and subspace comes from one canonical reduced row
-echelon form, ``_rref``: Bareiss ``echelon`` from ``_kernel_py`` over the
-Gaussian integers, then one back-substitution in integers and a single
-division by the last pivot. Scalars appear only at the parse/print boundary.
+echelon form, ``_rref``: Bareiss ``echelon`` from ``_kernel_py`` on sparse
+Gaussian-integer rows, then one back-substitution over their nonzeros and a
+single division by the last pivot. Scalars appear only at the parse/print
+boundary.
 
 Matrix literal format (used by the CLI and the registry data files): rows
 separated by ``;``, entries separated by ``,``, each entry a scalar literal
@@ -613,39 +614,35 @@ def rank_kernel(a):
     """
     d = a.dim
     _, re, im = a._rep()
-    pivots, reduced = _rref(d, d, re, im)
-    rank = len(pivots)
-    image_re = [re[i * d + j] for j in pivots for i in range(d)]
-    image_im = [im[i * d + j] for j in pivots for i in range(d)]
-    return (
-        rank,
-        _kernel_basis(d, pivots, reduced, d),
-        SubspaceBasis._make(d, *_rref(rank, d, image_re, image_im)),
-    )
+    pivots, kernel_basis = _kernel(d, kernel.sparse_rows(d, re, im), d)
+    if len(pivots) == d:
+        return d, kernel_basis, SubspaceBasis.full(d)
+    columns = [
+        [(i, re[i * d + j], im[i * d + j]) for i in range(d) if re[i * d + j] or im[i * d + j]]
+        for j in pivots
+    ]
+    return len(pivots), kernel_basis, SubspaceBasis._make(d, *_rref(d, columns))
 
 
-def _kernel_basis(ncols, pivots, reduced, ambient):
-    """Kernel of the reduced block ``_rref`` returned for a block of ncols
-    columns, in ambient >= ncols coordinates, zero beyond the first ncols.
+def _kernel(ncols, rows, ambient):
+    """The pivots of Gaussian-integer ``sparse_rows`` with ncols columns, and
+    their kernel in ambient >= ncols coordinates, zero beyond the first ncols.
 
     With N/den the reduced form, free column f gives the kernel vector den at
     f and -N[i][f] at pivot i.
     """
-    den, rre, rim = reduced
-    free = sorted(set(range(ncols)) - set(pivots))
-    ker_re, ker_im = [0] * (len(free) * ambient), [0] * (len(free) * ambient)
-    for k, f in enumerate(free):
-        ker_re[k * ambient + f] = den
-        for i, p in enumerate(pivots):
-            ker_re[k * ambient + p] = -rre[i * ncols + f]
-            ker_im[k * ambient + p] = -rim[i * ncols + f]
-    return SubspaceBasis._make(ambient, *_rref(len(free), ambient, ker_re, ker_im))
+    pivots, den, reduced = _reduce(ncols, rows)
+    vectors = {f: [(f, den, 0)] for f in sorted(set(range(ncols)) - set(pivots))}
+    for p, row in zip(pivots, reduced):
+        for f, xr, xi in row:
+            vectors[f].append((p, -xr, -xi))
+    return pivots, SubspaceBasis._make(ambient, *_rref(ambient, list(vectors.values())))
 
 
 def nilpotency_degree(a):
     """Least n >= 1 with a**n == 0, or None when a is not nilpotent."""
     # a**n is zero exactly when its numerator is, so the denominator is dropped
-    return kernel.nilpotency_degree_ints(a.dim, a._re, a._im)
+    return kernel.nilpotency_degree_ints(kernel.sparse_rows(a.dim, a._re, a._im))
 
 
 def exp_exact_nilpotent(a):
@@ -666,57 +663,70 @@ def exp_exact_nilpotent(a):
 # -- subspaces --------------------------------------------------------------------
 
 
-def _rref(nrows, ncols, re, im):
-    """Canonical reduced row echelon form of a flat Gaussian-integer row block.
+def _reduce(ncols, rows):
+    """Reduced row echelon form of Gaussian-integer ``sparse_rows`` with
+    ncols columns, over one denominator that is not yet normalized.
 
-    Returns (pivots, (den, re, im)): the pivot column of each nonzero reduced
-    row, and those rows as one flat integer block over a positive
-    denominator, normalized by ``kernel.normalize``. Each input row is
-    divided by its content, which keeps Bareiss pivots small on sparse rows
-    such as shift sections; ``echelon`` then clears below each pivot. Its
-    last pivot D is the determinant of the pivot minor, so D*R is integral
-    (Cramer's rule): one back-substitution, bottom row first, clears above
-    each pivot in integers with
+    Returns (pivots, den, reduced): the pivot column of each nonzero reduced
+    row, and each such row's nonzeros off its pivot column, where its entry
+    is den. Each input row is divided by its content, which keeps Bareiss
+    pivots small on sparse rows such as shift sections; ``echelon`` then
+    clears below each pivot. Its last pivot D is the determinant of the
+    pivot minor, so D*R is integral (Cramer's rule): one back-substitution,
+    bottom row first, clears above each pivot in integers with
     D*R_i = (D*E_i - sum over k > i of E_i[p_k] * D*R_k) / E_i[p_i],
-    and R = D*R * conj(D) / |D|^2.
+    and R = D*R * conj(D) / |D|^2. Every step reads nonzeros only.
     """
-    re, im = list(re), list(im)
-    for off in range(0, nrows * ncols, ncols):
-        g = gcd(*re[off:off + ncols], *im[off:off + ncols])
-        if g > 1:
-            re[off:off + ncols] = [x // g for x in re[off:off + ncols]]
-            im[off:off + ncols] = [x // g for x in im[off:off + ncols]]
-    rank, pivots, ere, eim = kernel.echelon(nrows, ncols, re, im)
-    if not rank:
-        return pivots, (1, [], [])
-    last = (rank - 1) * ncols + pivots[-1]
-    dr, di = ere[last], eim[last]
-    nrm = dr * dr + di * di
-    out_re, out_im = [0] * (rank * ncols), [0] * (rank * ncols)
+    primitive = []
+    for row in rows:
+        g = 0
+        for _, vr, vi in row:
+            g = gcd(g, vr, vi)
+            if g == 1:
+                break
+        primitive.append([(j, vr // g, vi // g) for j, vr, vi in row] if g > 1 else row)
+    pivots, echelon = kernel.echelon(ncols, primitive)
+    if not pivots:
+        return pivots, 1, []
+    rank = len(pivots)
+    where = {p: k for k, p in enumerate(pivots)}
+    dr, di = next((er, ei) for j, er, ei in echelon[-1] if j == pivots[-1])
     scaled = [None] * rank  # D*R_i over its nonzero non-pivot columns
     for i in range(rank - 1, -1, -1):
-        off = i * ncols
-        row = {}
-        for j in range(pivots[i] + 1, ncols):
-            er, ei = ere[off + j], eim[off + j]
-            if er or ei:
+        row, above = {}, []
+        for j, er, ei in echelon[i]:
+            k = where.get(j)
+            if k is None:
                 row[j] = (er * dr - ei * di, er * di + ei * dr)
-        for k in range(i + 1, rank):
-            cr, ci = ere[off + pivots[k]], eim[off + pivots[k]]
-            if cr or ci:
-                del row[pivots[k]]
-                for j, (yr, yi) in scaled[k].items():
-                    xr, xi = row.get(j, (0, 0))
-                    row[j] = (xr - cr * yr + ci * yi, xi - cr * yi - ci * yr)
-        pr, pi = ere[off + pivots[i]], eim[off + pivots[i]]
+            elif k == i:
+                pr, pi = er, ei
+            else:
+                above.append((scaled[k], er, ei))
+        for other, cr, ci in above:
+            for j, (yr, yi) in other.items():
+                xr, xi = row.get(j, (0, 0))
+                row[j] = (xr - cr * yr + ci * yi, xi - cr * yi - ci * yr)
         scaled[i] = {
             j: kernel._gdiv_exact(xr, xi, pr, pi) for j, (xr, xi) in row.items() if xr or xi
         }
-        out_re[off + pivots[i]] = nrm
-        for j, (xr, xi) in scaled[i].items():
-            out_re[off + j] = xr * dr + xi * di
-            out_im[off + j] = xi * dr - xr * di
-    return pivots, kernel.normalize(nrm, out_re, out_im)
+    reduced = [
+        [(j, xr * dr + xi * di, xi * dr - xr * di) for j, (xr, xi) in row.items()]
+        for row in scaled
+    ]
+    return pivots, dr * dr + di * di, reduced
+
+
+def _rref(ncols, rows):
+    """The canonical form of ``_reduce`` as (pivots, (den, re, im)): the
+    reduced rows as one flat integer block over a positive denominator,
+    normalized by ``kernel.normalize``."""
+    pivots, den, reduced = _reduce(ncols, rows)
+    out_re, out_im = [0] * (len(pivots) * ncols), [0] * (len(pivots) * ncols)
+    for off, p, row in zip(range(0, len(out_re), ncols), pivots, reduced):
+        out_re[off + p] = den
+        for j, xr, xi in row:
+            out_re[off + j], out_im[off + j] = xr, xi
+    return pivots, kernel.normalize(den, out_re, out_im)
 
 
 class SubspaceBasis:
@@ -766,7 +776,7 @@ class SubspaceBasis:
         if any(len(v) != ambient for v in vectors):
             raise DimensionMismatchError("vectors of mixed length")
         _, re, im = _clear_denominators(_parts(v) for vec in vectors for v in vec)
-        return cls._make(ambient, *_rref(len(vectors), ambient, re, im))
+        return cls._make(ambient, *_rref(ambient, kernel.sparse_rows(ambient, re, im)))
 
     @classmethod
     def zero(cls, ambient):
@@ -821,9 +831,9 @@ class SubspaceBasis:
     def sum_with(self, other):
         if self.ambient != other.ambient:
             raise DimensionMismatchError("ambient dimensions differ")
-        rows = self.dim + other.dim
-        block = _rref(rows, self.ambient, self._re + other._re, self._im + other._im)
-        return SubspaceBasis._make(self.ambient, *block)
+        n = self.ambient
+        rows = kernel.sparse_rows(n, self._re + other._re, self._im + other._im)
+        return SubspaceBasis._make(n, *_rref(n, rows))
 
     def intersect(self, other):
         """Zassenhaus block elimination.
@@ -838,7 +848,7 @@ class SubspaceBasis:
         u, w = self._rows(), other._rows()
         re = [x for r, _ in u for x in r + r] + [x for r, _ in w for x in r + (0,) * n]
         im = [y for _, i in u for y in i + i] + [y for _, i in w for y in i + (0,) * n]
-        pivots, (den, bre, bim) = _rref(len(u) + len(w), 2 * n, re, im)
+        pivots, (den, bre, bim) = _rref(2 * n, kernel.sparse_rows(2 * n, re, im))
         k = sum(p < n for p in pivots)
         right = [o + j for o in range(k * 2 * n, len(bre), 2 * n) for j in range(n, 2 * n)]
         rep = kernel.normalize(den, [bre[x] for x in right], [bim[x] for x in right])
@@ -850,7 +860,7 @@ class SubspaceBasis:
             raise DimensionMismatchError("matrix dim differs from ambient")
         n, k = self.ambient, self.dim
         _, re, im = (self._matrix() * a.transpose())._rep()
-        return SubspaceBasis._make(n, *_rref(k, n, re[:k * n], im[:k * n]))
+        return SubspaceBasis._make(n, *_rref(n, kernel.sparse_rows(n, re[:k * n], im[:k * n])))
 
     def _key(self):
         return self.ambient, self._den, self._re, self._im

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
 from pathlib import Path
 from enum import Enum
@@ -224,14 +225,18 @@ def _pattern_comm_w(rng, dim, nilpotent):
 def _comm_r_system(a):
     """Matrix of b -> b*a^2 - a*b*a on row-major b, for an integer matrix a.
 
-    Column (p, q) is E_pq*a^2 - a*E_pq*a.
+    Row (i, j), column (p, q) holds (E_pq*a^2 - a*E_pq*a)_ij, which is
+    [i == p]*(a^2)_qj - a_ip*a_qj.
     """
-    d, a2 = a.dim, a * a
-    n2 = d * d
-    re, im = [0] * (n2 * n2), [0] * (n2 * n2)
-    for c, e in enumerate(ExactMatrix.single_entry(d, p, q) for p in range(d) for q in range(d)):
-        _, re[c::n2], im[c::n2] = (e * a2 - a * e * a)._rep()
-    return ExactMatrix._from_rep(n2, (1, re, im))
+    d = a.dim
+    _, ar, ai = a._rep()
+    _, sr, si = (a * a)._rep()
+    re, im = [], []
+    for i, j, p, q in product(range(d), repeat=4):
+        xr, xi, yr, yi = ar[i * d + p], ai[i * d + p], ar[q * d + j], ai[q * d + j]
+        re.append((sr[q * d + j] if i == p else 0) - (xr * yr - xi * yi))
+        im.append((si[q * d + j] if i == p else 0) - (xr * yi + xi * yr))
+    return ExactMatrix._from_rep(d * d, (1, re, im))
 
 
 def _solve_comm_r(rng, dim):

@@ -3,7 +3,10 @@
 An :class:`LTwoOpSpec` describes an operator as a shift direction, a rational
 weight rule in the coordinate index, and a finite list of extra entries. The
 operator acts on l2 sequences; ``truncate`` compresses it onto the first n
-coordinates as an exact matrix. Kernel vectors of the truncation that vanish
+coordinates as an exact matrix. A section is built once, as integer sparse
+rows (``_section``): ``truncate`` makes its matrix from them, and the
+``truncate`` command decides nilpotency and the certified kernel on them
+alone, with no dense n x n step. Kernel vectors of the truncation that vanish
 from coordinate n-1 onward are kernel vectors of the infinite operator:
 certifying genuine point-spectrum facts is the purpose of
 ``finite_support_kernel``. Eigenvalues of truncations, by contrast, are
@@ -35,7 +38,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import LiteralFormatError
-from .exact import ExactMatrix, _clear_denominators, _kernel_basis, _parts, _rref
+from ._kernel_py import normalize
+from .exact import ExactMatrix, _clear_denominators, _kernel, _parts
 from .scalar import _RATIONAL, Scalar
 
 __all__ = [
@@ -168,42 +172,57 @@ def _merge_rules(r1, r2):
     )
 
 
-def truncate(spec, n):
-    """Exact n x n compression onto the first n coordinates."""
+def _section(spec, n):
+    """The n-section as (den, rows): integer ``sparse_rows`` over a positive
+    den, which may share a factor with them.
+
+    The weights of k = 1..n-1 sit at cell (k, k-1) for down or (k-1, k) for
+    up. Finite-rank entries add to their cell, and a cell that sums to zero
+    is dropped (EXNILP_N relies on T + N cancelling at (2, 1)).
+    """
     if n < 1 or n < spec.support():
         raise ValueError(f"truncation size {n} below finite-rank support {spec.support()}")
-    re, im = [0] * (n * n), [0] * (n * n)
-    den = 1
+    cells = [(r - 1, c - 1) for r, c, _ in spec.finite_rank]
+    values = [_parts(v) for _, _, v in spec.finite_rank]
     if spec.direction != "none":
-        # the weights of k = 1..n-1 fill the diagonal below (down) or above
-        # (up) the main one, which starts at cell (1, 0) or (0, 1)
-        den, wre, wim = _clear_denominators(spec.weights.weight(k) for k in range(1, n))
-        start = n if spec.direction == "down" else 1
-        re[start::n + 1], im[start::n + 1] = wre, wim
-    out = ExactMatrix._from_rep(n, (den, re, im))
-    # finite-rank entries add to whatever already sits in their cell
-    # (EXNILP_N relies on T + N cancelling at (2, 1))
-    for r, c, v in spec.finite_rank:
-        out = out + ExactMatrix.single_entry(n, r - 1, c - 1, v)
-    return out
+        down = spec.direction == "down"
+        cells += [(k, k - 1) if down else (k - 1, k) for k in range(1, n)]
+        values += [spec.weights.weight(k) for k in range(1, n)]
+    den, re, im = _clear_denominators(values)
+    rows = [{} for _ in range(n)]
+    for (i, j), vr, vi in zip(cells, re, im):
+        xr, xi = rows[i].get(j, (0, 0))
+        rows[i][j] = (xr + vr, xi + vi)
+    return den, [[(j, vr, vi) for j, (vr, vi) in row.items() if vr or vi] for row in rows]
 
 
-def finite_support_kernel(spec, n):
+def truncate(spec, n):
+    """Exact n x n compression onto the first n coordinates, from ``_section``'s rows."""
+    den, rows = _section(spec, n)
+    re, im = [0] * (n * n), [0] * (n * n)
+    for off, row in zip(range(0, n * n, n), rows):
+        for j, vr, vi in row:
+            re[off + j], im[off + j] = vr, vi
+    return ExactMatrix._from_rep(n, normalize(den, re, im))
+
+
+def finite_support_kernel(spec, n, *, rows=None):
     """Kernel vectors of the n-truncation supported inside coordinates < n.
 
     Such vectors are annihilated by the infinite operator itself: every row
     of the infinite matrix that meets coordinates 1..n-1 is present in the
     truncation. The basis is therefore a certified subspace of the true
-    kernel, stable as n grows.
+    kernel, stable as n grows. A caller that holds the section's ``rows``
+    from ``_section`` passes them, so that they are not built twice.
     """
     if n < spec.support() + 1 or n < 2:
         raise ValueError(f"need n >= support+1 = {spec.support() + 1} and n >= 2")
-    _, re, im = truncate(spec, n)._rep()
+    if rows is None:
+        _, rows = _section(spec, n)
     # the kernel vectors that vanish at the last coordinate are the kernel of
     # the section without its last column, padded with a zero
-    cols = [k for k in range(n * n) if k % n != n - 1]
-    pivots, reduced = _rref(n, n - 1, [re[k] for k in cols], [im[k] for k in cols])
-    return _kernel_basis(n - 1, pivots, reduced, n)
+    block = [[cell for cell in row if cell[0] != n - 1] for row in rows]
+    return _kernel(n - 1, block, n)[1]
 
 
 # -- text format -------------------------------------------------------------

@@ -199,14 +199,15 @@ def test_truncate_spectrum_matches_the_float_oracle(capsys):
 
 def test_truncate_rejects_a_section_with_nonzero_roots(monkeypatch, capsys):
     from weakcomm import shiftlab
-    from weakcomm.exact import ExactMatrix
 
-    original = shiftlab.truncate
+    original = shiftlab._section
 
     def with_a_diagonal_entry(spec, n):
-        return original(spec, n) + ExactMatrix.single_entry(n, 0, 0, 1)
+        # a down shift's first row is empty; the entry den at (0, 0) is 1
+        den, rows = original(spec, n)
+        return den, [[(0, den, 0)], *rows[1:]]
 
-    monkeypatch.setattr(shiftlab, "truncate", with_a_diagonal_entry)
+    monkeypatch.setattr(shiftlab, "_section", with_a_diagonal_entry)
     status, out, err = _run_inproc(["truncate", "EXNILP_T", "--sizes", "4,6"], capsys)
     assert status == 2 and out == ""
     assert err.startswith("error: EXNILP_T at n = 4: charpoly x^4 - x^3 has nonzero roots")
@@ -225,6 +226,38 @@ def test_truncate_runs_no_charpoly_on_nilpotent_sections(monkeypatch, capsys):
         assert status == 0 and err == "", entry
         rows = json.loads(out)["rows"]
         assert [row["charpoly"] for row in rows] == ["x^4", "x^6", "x^10"]
+
+
+def test_truncate_builds_each_section_once_as_sparse_rows(monkeypatch, capsys):
+    from weakcomm import _kernel_py, shiftlab
+    from weakcomm.exact import ExactMatrix
+
+    built, converted, dense = [], [], []
+    section, sparse_rows = shiftlab._section, _kernel_py.sparse_rows
+    init_rep = ExactMatrix._init_rep
+
+    def counted_section(spec, n):
+        built.append(n)
+        return section(spec, n)
+
+    def counted_sparse_rows(ncols, re, im):
+        converted.append(ncols)
+        return sparse_rows(ncols, re, im)
+
+    def counted_init_rep(self, dim, rep):
+        if dim >= 10:
+            dense.append(dim)
+        init_rep(self, dim, rep)
+
+    monkeypatch.setattr(shiftlab, "_section", counted_section)
+    monkeypatch.setattr(_kernel_py, "sparse_rows", counted_sparse_rows)
+    monkeypatch.setattr(ExactMatrix, "_init_rep", counted_init_rep)
+    status, _, err = _run_inproc(["truncate", "EXNILP_T", "--sizes", "10,20,40,80"], capsys)
+    assert status == 0 and err == ""
+    # nilpotency and the certified kernel read the one sparse build of each
+    # section: no dense section, and no flat block converted to rows
+    assert built == [10, 20, 40, 80]
+    assert converted == [] and dense == []
 
 
 def test_truncate_bad_sizes():

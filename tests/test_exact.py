@@ -633,17 +633,70 @@ def _echelon_inputs():
             re[zero_row * ncols:(zero_row + 1) * ncols] = [0] * ncols
             im[zero_row * ncols:(zero_row + 1) * ncols] = [0] * ncols
         yield nrows, ncols, re, im
-    for example in (ExampleId.EXNILP_T, ExampleId.EXNILP_N, ExampleId.EXNILP_Q):
-        spec, _ = paper_example(example)
+    examples = (ExampleId.EXNILP_T, ExampleId.EXNILP_N, ExampleId.EXNILP_Q)
+    specs = [paper_example(e)[0] for e in examples]
+    for spec in specs:
         for n in (10, 20):
             _, re, im = truncate(spec, n)._rep()
             yield n, n, re, im
+    # sections at n = 30 over their common denominator, without the content
+    # division of _rref, so that pivots are not units and the Bareiss
+    # divisions are exact divisions by them; the transposes are up shifts
+    t, n, q = specs
+    for spec in (*specs, t + n, t + q):
+        section = truncate(spec, 30)
+        for m in (section, section.transpose()):
+            _, re, im = m._rep()
+            yield 30, 30, re, im
+    # a dense Gaussian block, and a taller one of lower rank
+    yield (9, 9, *_rand_int_matrix(rng, 9, 9, 1.0, True))
+    yield (10, 8, *_rank_deficient(rng, 10, 8, True))
+    # pivot rows with entries that the rows they clear lack (fill-in), and
+    # rows with entries that the pivot row lacks
+    yield 4, 5, [2, 0, 3, 0, 1, 4, 0, 0, 0, 0, 0, 1, 0, 5, 0, 6, 0, 0, 7, 0], [0] * 20
+    yield 3, 4, [1, 2, 0, 0, 3, 0, 0, 1, 0, 0, 5, 0], [1, 0, 0, 3, 0, 0, 0, 0, 2, 0, 0, 1]
+
+
+def sparse_echelon(nrows, ncols, re, im):
+    """``echelon`` on the rows of a flat block, as a dense (rank, pivots, re, im)."""
+    pivots, rows = _kernel_py.echelon(ncols, _kernel_py.sparse_rows(ncols, re, im))
+    ere, eim = [0] * (nrows * ncols), [0] * (nrows * ncols)
+    for off, row in zip(range(0, nrows * ncols, ncols), rows):
+        for j, vr, vi in row:
+            assert vr or vi
+            ere[off + j], eim[off + j] = vr, vi
+    return len(pivots), pivots, ere, eim
 
 
 def test_echelon_matches_dense_reference():
+    non_unit = 0
     for nrows, ncols, re, im in _echelon_inputs():
         expected = reference_echelon(nrows, ncols, re, im)
-        assert _kernel_py.echelon(nrows, ncols, re, im) == expected, (nrows, ncols, re, im)
+        assert sparse_echelon(nrows, ncols, re, im) == expected, (nrows, ncols, re, im)
+        _, pivots, ere, eim = expected
+        if nrows == 30:
+            at = [i * ncols + p for i, p in enumerate(pivots)]
+            non_unit += any(ere[k] ** 2 + eim[k] ** 2 > 1 for k in at)
+    # every n = 30 section but EXNILP_N's single entry and its transpose
+    assert non_unit == 8
+
+
+def test_echelon_raises_on_a_broken_division(monkeypatch):
+    # the third row's last entry is divided by the first pivot, real or not
+    for pr, pi in ((2, 0), (1, 1)):
+        rows = [
+            [(0, pr, pi), (1, 1, 0), (2, 1, 0)],
+            [(0, 1, 0), (1, 3, 0), (2, 1, 0)],
+            [(0, 1, 0), (1, 1, 0), (2, 2, 0)],
+        ]
+        re = [v for row in rows for _, v, _ in row]
+        im = [v for row in rows for _, _, v in row]
+        assert sparse_echelon(3, 3, re, im) == reference_echelon(3, 3, re, im)
+        with monkeypatch.context() as patch:
+            # a division that leaves a remainder
+            patch.setattr(_kernel_py, "divmod", lambda x, y: (x // y, 1), raising=False)
+            with pytest.raises(ArithmeticError):
+                _kernel_py.echelon(3, rows)
 
 
 # -- oracle: Gauss-Jordan over Scalars ----------------------------------------------------
@@ -719,7 +772,7 @@ def reference_span(vectors):
 def reference_rank_kernel(a):
     d = a.dim
     _, re, im = a._rep()
-    rank, pivots, ere, eim = _kernel_py.echelon(d, d, re, im)
+    rank, pivots, ere, eim = sparse_echelon(d, d, re, im)
     kernel = reference_kernel_from_echelon(d, d, rank, pivots, ere, eim)
     return rank, reference_span(kernel), reference_span([a.column(j) for j in pivots])
 

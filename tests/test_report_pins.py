@@ -5,7 +5,7 @@ format, and the sha256 of its whole report is compared with the value
 recorded when the pin was set. The truncate reports are pinned whole too:
 each row's charpoly, ``spectrum`` and ``max_modulus`` follow from its exact
 nilpotency degree. The sections at n = 160 and 320 pin that reach, and a
-test holds them to under a second.
+test holds them to under a second; the section at n = 640 is pinned too.
 
 An injected fault inverts verdicts whose conclusion holds, so its first
 failure carries no defect. The defect literals and residuals of the
@@ -249,6 +249,11 @@ PINS = {
         0,
         "dd2a4bcab294e2caba15625237e421e3ee464a96ecbe8145632667e1ac14bb2f",
         "1d735e19b046475a8f3ca3c910097a2eefc6bf8c3247ea34f566db5f0a212e76",
+    ),
+    "truncate EXNILP_T --sizes 640": (
+        0,
+        "7e581e0ab20eb3444efdfd682978cd9c40df04cf2b841ecbe7bf9aaf3c8bf290",
+        "5c8117579d2998409d75b99488a5b010e67bf62f3044ac7add3d5b8fdd717c32",
     ),
 }
 
