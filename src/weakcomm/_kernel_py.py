@@ -6,15 +6,19 @@ row-major lists of ints of length d*d, and gcd(den, content) == 1. The
 represented matrix is (RE + i*IM) / den.
 
 Sparse integer blocks are carried as ``sparse_rows``: one list of
-(col, re, im) nonzeros per row, as ``shiftlab`` builds its sections.
+(col, re, im) nonzeros per row, as ``shiftlab`` builds its sections;
+``dense_rows`` spreads them back to a flat block.
 ``echelon``, the package's only elimination, runs on them: ranks, kernels,
 images and every canonical subspace basis in ``exact`` start from it.
-``nilpotency_degree_ints`` reads integer numerators alone, since whether a
-power is zero does not depend on the denominator, and multiplies its
-powers with ``sparse_mul``: Gustavson's row-by-row product (ACM TOMS 4,
-1978) with one dense accumulator of length d, divided by the gcd of its
-entries so that the numerators of long shift powers stay small. Neither
-touches a d*d block.
+``sparse_mul`` is the one sparse product: Gustavson's row-by-row product
+(ACM TOMS 4, 1978) with one dense accumulator of length d, which also
+returns the gcd of its entries. ``charpoly_ints`` makes each
+Faddeev-LeVerrier step with it and ends at the adjugate, so ``exact``
+takes charpolys and inverses from one pass. ``nilpotency_degree_ints``
+reads integer numerators alone, since whether a power is zero does not
+depend on the denominator, and divides each power by its gcd so that the
+numerators of long shift powers stay small. None of them touches a d*d
+block.
 
 ``poly_divmod`` and ``poly_chain`` are the package's only polynomial
 division and remainder sequence, on ascending Gaussian-integer lists
@@ -24,14 +28,11 @@ sequence built on it. ``exact.ExactPoly`` takes quotients, gcds and
 squarefree parts from them, and ``algebraic`` its Sturm sequences, exact
 quotients and root tests.
 
-The products and ``charpoly_ints`` skip zero entries, and ``echelon``
-keeps the rows that are nonzero in each column: they return the same
-integers as the dense loops, with work proportional to the nonzero
-entries. ``charpoly_ints`` lists the nonzeros of its matrix once and
-carries the nonzero columns of each row of its iterate from step to step,
-so no step scans a d*d block for nonzeros. Every exact division checks its
-remainder and raises ``ArithmeticError`` when it is not zero, so a broken
-invariant fails loudly (also under ``python -O``).
+The products skip zero entries, and ``echelon`` keeps the rows that are
+nonzero in each column: they return the same integers as the dense loops,
+with work proportional to the nonzero entries. Every exact division checks
+its remainder and raises ``ArithmeticError`` when it is not zero, so a
+broken invariant fails loudly (also under ``python -O``).
 """
 
 from __future__ import annotations
@@ -136,88 +137,55 @@ def mat_pow(d, a, k):
     return out
 
 
-def charpoly_ints(d, re, im):
-    """Faddeev-LeVerrier over the Gaussian integers.
+def charpoly_ints(rows):
+    """Faddeev-LeVerrier over the Gaussian integers, on ``sparse_rows``.
 
-    Input: an integer matrix (flat re/im of length d*d, no denominator).
-    Output: ascending coefficient lists (cre, cim) of det(lambda*I - A),
-    length d+1, monic. All intermediate divisions are exact.
+    Input: a d x d integer matrix A as ``sparse_rows`` (no denominator).
+    Output: (cre, cim, last), the ascending coefficient lists of
+    det(lambda*I - A), length d+1, monic, and the last iterate M_d as
+    ``sparse_rows``. All intermediate divisions are exact.
 
-    Each step sets M <- A*M + c_k*I. The nonzero entries of A are listed per
-    row once, and the nonzero columns of M are carried per row from step to
-    step: row i of A*M can only be nonzero in the union of the carried
-    columns of the rows that A's row i meets, plus the diagonal once c_k is
-    added. The last step needs only the trace of A*M.
+    With M_1 = I, step k takes c_k = -tr(A*M_k)/k and, for k < d, sets
+    M_{k+1} = A*M_k + c_k*I; every product is a ``sparse_mul``. By
+    Cayley-Hamilton A*M_d = -c_d*I, with c_d = cre[0] + i*cim[0], so M_d is
+    (-1)^(d-1) times the adjugate of A.
     """
-    n = d * d
-    a_rows = [
-        [(kk, re[ioff + kk], im[ioff + kk]) for kk in range(d) if re[ioff + kk] or im[ioff + kk]]
-        for ioff in range(0, n, d)
-    ]
-    # descending coefficients b_0..b_d with b_0 = 1
-    bre = [0] * (d + 1)
-    bim = [0] * (d + 1)
-    bre[0] = 1
-    mre = [0] * n
-    mim = [0] * n
-    for i in range(d):
-        mre[i * d + i] = 1
-    m_nz = [[i] for i in range(d)]
+    d = len(rows)
+    # descending coefficients c_0..c_d with c_0 = 1
+    bre, bim = [1], [0]
+    m = [[(i, 1, 0)] for i in range(d)]
     for k in range(1, d + 1):
+        am, _ = sparse_mul(d, rows, m)
         tr_re = tr_im = 0
-        if k == d:
-            # only the trace of A*M is needed
-            for i in range(d):
-                for kk, avr, avi in a_rows[i]:
-                    bvr = mre[kk * d + i]
-                    bvi = mim[kk * d + i]
-                    tr_re += avr * bvr - avi * bvi
-                    tr_im += avr * bvi + avi * bvr
-        else:
-            amre = [0] * n
-            amim = [0] * n
-            cols = []
-            for i in range(d):
-                ioff = i * d
-                row = a_rows[i]
-                for kk, avr, avi in row:
-                    koff = kk * d
-                    for j in m_nz[kk]:
-                        bvr = mre[koff + j]
-                        bvi = mim[koff + j]
-                        amre[ioff + j] += avr * bvr - avi * bvi
-                        amim[ioff + j] += avr * bvi + avi * bvr
-                # a shift row meets one row of M: share its column list
-                if len(row) == 1:
-                    cols.append(m_nz[row[0][0]])
-                else:
-                    cols.append({j for kk, _, _ in row for j in m_nz[kk]})
-                tr_re += amre[ioff + i]
-                tr_im += amim[ioff + i]
+        for i, row in enumerate(am):
+            for j, vr, vi in row:
+                if j == i:
+                    tr_re += vr
+                    tr_im += vi
         ck_re, rem_re = divmod(-tr_re, k)
         ck_im, rem_im = divmod(-tr_im, k)
         if rem_re or rem_im:
             raise ArithmeticError(f"trace {tr_re}+{tr_im}i is not divisible by {k}")
-        bre[k] = ck_re
-        bim[k] = ck_im
-        if k < d:
-            mre = amre
-            mim = amim
-            diag = ck_re or ck_im
-            for i in range(d):
-                ioff = i * d
-                c = cols[i]
-                if diag:
-                    mre[ioff + i] += ck_re
-                    mim[ioff + i] += ck_im
-                nz = [j for j in c if mre[ioff + j] or mim[ioff + j]]
-                if diag and i not in c:
-                    nz.append(i)
-                m_nz[i] = nz
-    # ascending order: coefficient of lambda^j is b_{d-j}
-    cre = [bre[d - j] for j in range(d + 1)]
-    cim = [bim[d - j] for j in range(d + 1)]
-    return cre, cim
+        bre.append(ck_re)
+        bim.append(ck_im)
+        if k == d:
+            break
+        if ck_re or ck_im:
+            for i, row in enumerate(am):
+                for p, (j, vr, vi) in enumerate(row):
+                    if j == i:
+                        vr += ck_re
+                        vi += ck_im
+                        if vr or vi:
+                            row[p] = (i, vr, vi)
+                        else:
+                            del row[p]
+                        break
+                else:
+                    row.append((i, ck_re, ck_im))
+        m = am
+    # ascending order: coefficient of lambda^j is c_{d-j}
+    return bre[::-1], bim[::-1], m
 
 
 def sparse_rows(ncols, re, im):
@@ -228,14 +196,23 @@ def sparse_rows(ncols, re, im):
     ]
 
 
+def dense_rows(ncols, rows):
+    """The flat row-major (re, im) block of ``sparse_rows`` with ncols columns."""
+    re, im = [0] * (len(rows) * ncols), [0] * (len(rows) * ncols)
+    for off, row in zip(range(0, len(re), ncols), rows):
+        for j, vr, vi in row:
+            re[off + j], im[off + j] = vr, vi
+    return re, im
+
+
 def sparse_mul(d, a, b):
-    """Gustavson's row-by-row product of two ``sparse_rows`` matrices, divided
-    by the gcd of its entries.
+    """Gustavson's row-by-row product of two ``sparse_rows`` matrices, and
+    the gcd of its entries (0 for the zero product).
 
     Row i of a*b accumulates b's row k times a's entry (i, k) into one dense
     accumulator of length d; ``mark`` records which columns row i has
-    touched, so only those are read back. The result is a positive multiple
-    of a*b, with the same zero pattern.
+    touched, so only those are read back. The gcd is taken as the entries
+    are read back, and stops at 1.
     """
     acc_re = [0] * d
     acc_im = [0] * d
@@ -263,9 +240,7 @@ def sparse_mul(d, a, b):
                 if g != 1:
                     g = gcd(g, vr, vi)
         out.append(nz)
-    if g > 1:
-        out = [[(j, vr // g, vi // g) for j, vr, vi in row] for row in out]
-    return out
+    return out, g
 
 
 def nilpotency_degree_ints(rows):
@@ -275,21 +250,28 @@ def nilpotency_degree_ints(rows):
     up to an exponent of at least d or to zero; then binary lifting finds
     the largest m with A**m != 0, high bits first: bit j stays set when
     A**m * A**(2**j) is still nonzero. Every power is a ``sparse_mul``
-    product, known only up to a positive factor, which never changes
-    whether it is zero.
+    product divided by its gcd, so the numerators of long shift powers stay
+    small; a positive factor never changes whether a power is zero.
     """
     d = len(rows)
+
+    def product(x, y):
+        out, g = sparse_mul(d, x, y)
+        if g > 1:
+            out = [[(j, vr // g, vi // g) for j, vr, vi in row] for row in out]
+        return out
+
     squares = [rows]
     exponent = 1
     while exponent < d and any(squares[-1]):
-        squares.append(sparse_mul(d, squares[-1], squares[-1]))
+        squares.append(product(squares[-1], squares[-1]))
         exponent *= 2
     if any(squares[-1]):
         return None
     power = None  # A**m up to a factor, None while m == 0
     m = 0
     for j in range(len(squares) - 2, -1, -1):
-        candidate = squares[j] if power is None else sparse_mul(d, power, squares[j])
+        candidate = squares[j] if power is None else product(power, squares[j])
         if any(candidate):
             power = candidate
             m += 1 << j

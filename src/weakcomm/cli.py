@@ -21,7 +21,7 @@ import sys
 from . import __version__
 from .errors import WeakcommError
 from ._kernel_py import nilpotency_degree_ints
-from .exact import charpoly
+from .exact import _charpoly_rows
 from .identities import IdentityId, verify_suite
 from .instances import (
     ExampleId,
@@ -200,13 +200,13 @@ def _run_truncate(args):
         )
     rows = []
     for n in args.sizes:
-        _, section = shiftlab._section(spec, n)
+        den, section = shiftlab._section(spec, n)
         # an n x n matrix is nilpotent exactly when its charpoly is x^n
         degree = nilpotency_degree_ints(section)
         if degree is None:
-            t = shiftlab.truncate(spec, n)
+            p, _ = _charpoly_rows(n, den, section)
             raise ConfigError(
-                f"{args.id} at n = {n}: charpoly {charpoly(t).literal()} has nonzero roots, "
+                f"{args.id} at n = {n}: charpoly {p.literal()} has nonzero roots, "
                 "and truncate certifies only the root 0"
             )
         rows.append(
@@ -356,10 +356,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         payload, status = _RUNNERS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (WeakcommError, ValueError) as exc:
+    except (ConfigError, WeakcommError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = render(payload, args.format)

@@ -15,8 +15,7 @@ Three immutable value types live here:
     structural. Arithmetic stays in integers: products are convolutions,
     division is the kernel's pseudo-division ``poly_divmod`` over Z[i]
     followed by one exact division, gcds and squarefree parts (so radicals)
-    come from its primitive remainder sequence ``poly_chain``, and
-    ``charpoly`` builds the form straight from ``charpoly_ints``. Also
+    come from its primitive remainder sequence ``poly_chain``. Also
     evaluates at matrices. ``coeffs`` is a Scalar view for printing and
     tests.
 
@@ -25,6 +24,11 @@ Three immutable value types live here:
     one flat integer block over one positive denominator, plus the pivots, so
     equal subspaces have equal storage. Membership, containment, sums,
     intersections and images all run on that block.
+
+``charpoly`` and ``inverse`` share one Faddeev-LeVerrier pass,
+``charpoly_ints`` on the sparse rows of the integer numerator: the charpoly
+is built straight from its coefficients, and the inverse is its last
+iterate, the adjugate up to sign, over the constant term.
 
 Every rank, kernel, image and subspace comes from one canonical reduced row
 echelon form, ``_rref``: Bareiss ``echelon`` from ``_kernel_py`` on sparse
@@ -584,27 +588,40 @@ def poly_radical_nonzero(p):
 
 def charpoly(a):
     """Monic characteristic polynomial det(x*I - a), ascending coefficients."""
-    d = a.dim
-    den, re, im = a._rep()
-    cre, cim = kernel.charpoly_ints(d, re, im)
-    # coefficient j is cre[j] / den^(d-j) = cre[j] * den^j / den^d
-    scale = [den ** j for j in range(d + 1)]
-    return ExactPoly._from_rep(
-        den ** d, [x * s for x, s in zip(cre, scale)], [y * s for y, s in zip(cim, scale)]
-    )
+    return _charpoly_rows(a.dim, a._den, kernel.sparse_rows(a.dim, a._re, a._im))[0]
 
 
 def inverse(a):
-    """Exact inverse; raises ZeroDivisionError when singular."""
-    p = charpoly(a)
-    den, cr, ci = p._den, p._re[0], p._im[0]
+    """Exact inverse; raises ZeroDivisionError when singular.
+
+    The charpoly's Faddeev-LeVerrier pass on the numerator N = den * a ends
+    at M_d with N * M_d = -c * I, c the constant term of N's charpoly, so
+    a^-1 = -den * M_d / c: no matrix product beyond that pass.
+    """
+    d, den = a.dim, a._den
+    p, last = _charpoly_rows(d, den, kernel.sparse_rows(d, a._re, a._im))
+    cr, ci = p._re[0], p._im[0]
     if not (cr or ci):
         raise ZeroDivisionError("matrix is singular")
-    # p(a) = 0, so a * q(a) = -c0 * I with q(x) = (p(x) - c0) / x, and
-    # -1/c0 = -den * conj(cr + ci*i) / |cr + ci*i|^2
-    q = ExactPoly._from_rep(den, p._re[1:], p._im[1:])
-    rep = kernel.mat_scale(a.dim, q.eval_matrix(a)._rep(), -den * cr, den * ci, cr * cr + ci * ci)
-    return ExactMatrix._from_rep(a.dim, rep)
+    # c = den^d * (cr + ci*i) / p._den, so -den / c is
+    # -p._den * conj(cr + ci*i) / (den^(d-1) * |cr + ci*i|^2)
+    rep = kernel.mat_scale(
+        d, (den ** (d - 1), *kernel.dense_rows(d, last)), -p._den * cr, p._den * ci, cr * cr + ci * ci
+    )
+    return ExactMatrix._from_rep(d, rep)
+
+
+def _charpoly_rows(d, den, rows):
+    """The charpoly of the d x d matrix rows / den, for integer
+    ``sparse_rows`` over a positive den that may share a factor with them,
+    and the last Faddeev-LeVerrier iterate of ``kernel.charpoly_ints``."""
+    cre, cim, last = kernel.charpoly_ints(rows)
+    # coefficient j is cre[j] / den^(d-j) = cre[j] * den^j / den^d
+    scale = [den ** j for j in range(d + 1)]
+    p = ExactPoly._from_rep(
+        den ** d, [x * s for x, s in zip(cre, scale)], [y * s for y, s in zip(cim, scale)]
+    )
+    return p, last
 
 
 def rank_kernel(a):

@@ -83,17 +83,12 @@ def derive_seed(*parts):
 
 
 def class_matches(report, cls, require_noncommuting=False):
+    # every class but none names the report flag that decides it
     cls = RelationClass(cls)
-    if cls is RelationClass.COMM:
-        ok = report.comm
-    elif cls is RelationClass.COMM_L:
-        ok = report.comm_l
-    elif cls is RelationClass.COMM_R:
-        ok = report.comm_r
-    elif cls is RelationClass.COMM_W:
-        ok = report.comm_w
-    else:
+    if cls is RelationClass.NONE:
         ok = not (report.comm_l or report.comm_r or report.comm)
+    else:
+        ok = getattr(report, cls.value)
     if require_noncommuting:
         ok = ok and not report.comm
     return ok

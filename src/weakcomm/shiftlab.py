@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import LiteralFormatError
-from ._kernel_py import normalize
+from ._kernel_py import dense_rows, normalize
 from .exact import ExactMatrix, _clear_denominators, _kernel, _parts
 from .scalar import _RATIONAL, Scalar
 
@@ -199,11 +199,7 @@ def _section(spec, n):
 def truncate(spec, n):
     """Exact n x n compression onto the first n coordinates, from ``_section``'s rows."""
     den, rows = _section(spec, n)
-    re, im = [0] * (n * n), [0] * (n * n)
-    for off, row in zip(range(0, n * n, n), rows):
-        for j, vr, vi in row:
-            re[off + j], im[off + j] = vr, vi
-    return ExactMatrix._from_rep(n, normalize(den, re, im))
+    return ExactMatrix._from_rep(n, normalize(den, *dense_rows(n, rows)))
 
 
 def finite_support_kernel(spec, n, *, rows=None):

@@ -217,7 +217,7 @@ def test_truncate_rejects_a_section_with_nonzero_roots(monkeypatch, capsys):
 def test_truncate_runs_no_charpoly_on_nilpotent_sections(monkeypatch, capsys):
     from weakcomm import _kernel_py
 
-    def no_charpoly(d, re, im):
+    def no_charpoly(*args):
         raise AssertionError("charpoly_ints called")
 
     monkeypatch.setattr(_kernel_py, "charpoly_ints", no_charpoly)

@@ -387,7 +387,43 @@ def _charpoly_inputs():
 def test_charpoly_ints_matches_dense_reference():
     for d, re, im in _charpoly_inputs():
         expected = reference_charpoly_ints(d, re, im)
-        assert _kernel_py.charpoly_ints(d, re, im) == expected, (d, re, im)
+        cre, cim, _ = _kernel_py.charpoly_ints(_kernel_py.sparse_rows(d, re, im))
+        assert (cre, cim) == expected, (d, re, im)
+
+
+def test_charpoly_ints_ends_at_the_adjugate():
+    # A * M_d == -c_d * I, c_d the constant term, singular A included
+    rng = random.Random(414)
+    singular = 0
+    for case in range(240):
+        d = 1 + case % 7
+        re, im = _rand_int_matrix(rng, d, d, rng.choice((0.35, 1.0)), case % 2 == 1)
+        if case % 3 == 0:
+            # repeat a row, so that A is singular
+            i, k = rng.randrange(d), rng.randrange(d)
+            re[i * d : i * d + d], im[i * d : i * d + d] = re[k * d : k * d + d], im[k * d : k * d + d]
+        cre, cim, last = _kernel_py.charpoly_ints(_kernel_py.sparse_rows(d, re, im))
+        _, pre, pim = _kernel_py.mat_mul(d, (1, re, im), (1, *_kernel_py.dense_rows(d, last)))
+        ident = [int(i == j) for i in range(d) for j in range(d)]
+        assert pre == [-cre[0] * v for v in ident] and pim == [-cim[0] * v for v in ident]
+        singular += not (cre[0] or cim[0])
+    assert singular >= 40
+
+
+def test_inverse_multiplies_no_dense_matrices(monkeypatch):
+    rng = random.Random(415)
+    cases = []
+    while len(cases) < 60:
+        d = rng.randint(1, 5)
+        a = _rand_matrix(rng, d)
+        if rank_kernel(a)[0] == d:
+            cases.append((a, reference_inverse(a)))
+    calls = []
+    mat_mul = _kernel_py.mat_mul
+    monkeypatch.setattr(_kernel_py, "mat_mul", lambda *args: calls.append(args) or mat_mul(*args))
+    for a, expected in cases:
+        assert inverse(a) == expected
+    assert calls == []
 
 
 # -- matrix arithmetic ---------------------------------------------------------------
@@ -499,12 +535,14 @@ def test_sparse_mul_is_the_product_over_its_content():
             [factor * rng.randint(-9, 9) if rng.random() < 0.4 else 0 for _ in range(d * d)]
             for _ in range(4)
         )
-        rows = _kernel_py.sparse_mul(
+        product, content = _kernel_py.sparse_mul(
             d, _kernel_py.sparse_rows(d, re_a, im_a), _kernel_py.sparse_rows(d, re_b, im_b)
         )
         _, re, im = _kernel_py.mat_mul(d, (1, re_a, im_a), (1, re_b, im_b))
         g = gcd(*re, *im) or 1
         expected = _kernel_py.sparse_rows(d, [v // g for v in re], [v // g for v in im])
+        assert content == gcd(*re, *im)
+        rows = [[(j, vr // g, vi // g) for j, vr, vi in row] for row in product]
         assert [sorted(row) for row in rows] == expected
         assert gcd(*(v for row in rows for _, vr, vi in row for v in (vr, vi))) in (0, 1)
 
