@@ -498,17 +498,30 @@ class WitnessRecord:
 # the alphabet as Gaussian integers over its common denominator
 _SEARCH_DEN, _SEARCH_RE, _SEARCH_IM = _clear_denominators(map(_parts, _SEARCH_ALPHABET))
 _SEARCH_CELLS = tuple(zip(_SEARCH_RE, _SEARCH_IM))
+# a cell index is drawn as this many random bits, redrawn while out of range
+_SEARCH_BITS = len(_SEARCH_CELLS).bit_length()
 
 
 def _witness_candidate(rng, dim):
-    """A matrix of alphabet entries, drawn straight into its integer block."""
+    """A matrix of alphabet entries, drawn straight into its integer block.
+
+    The matrix is sparse when ``rng.random() < 0.5``. Each cell, row by
+    row, is zero when the matrix is sparse and a further ``rng.random()``
+    is below 0.6 (a dense matrix draws no such number). Otherwise it is
+    ``_SEARCH_CELLS[k]`` for the first k = ``rng.getrandbits(4)`` below 9,
+    the stream of ``rng.choice(_SEARCH_CELLS)`` without calling it.
+    """
     # zero-biased draws keep sparse patterns (the interesting ones) reachable
     sparse = rng.random() < 0.5
     n = dim * dim
     re, im = [0] * n, [0] * n
+    draw = rng.getrandbits
     for k in range(n):
         if not (sparse and rng.random() < 0.6):
-            re[k], im[k] = rng.choice(_SEARCH_CELLS)
+            c = draw(_SEARCH_BITS)
+            while c >= len(_SEARCH_CELLS):
+                c = draw(_SEARCH_BITS)
+            re[k], im[k] = _SEARCH_CELLS[c]
     return ExactMatrix._from_rep(dim, normalize(_SEARCH_DEN, re, im))
 
 

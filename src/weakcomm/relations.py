@@ -34,15 +34,19 @@ to right and stops at its first deciding flag, so ``comm_w`` on a pair
 whose ab_in_comm_a is false reads nothing more. A primitive flag is
 screened first. Its two words have the same letters, so their integer
 numerators over one denominator are compared, each applied to a fixed
-probe vector v with entries (-1)^j (j^2 + j + 41). A word's image of v is
-one matrix-vector product from that of its suffix, computed when first
-needed and kept, so the twelve suffix words cost at most twelve products.
-X v != Y v proves X != Y, so the flag is false. The probe is fixed, not
-drawn, so no random state is read. A flag the probe does not refute (every
-true flag, and a false one whose defect has v in its kernel) falls back to
-the exact products, so a flag is true only when the exact products are
-equal (Freivalds, "Probabilistic machines can use less running time", IFIP
-1977, with the random vector fixed and the exact check as fallback).
+probe vector v with entries (-1)^j (j^2 + j + 41) in Z/M, M = R^2 + 1,
+R = 2^32: x + iy maps to x + Ry, a ring homomorphism as R^2 = -1 mod M.
+A word's image of v is one matrix-vector product mod M from that of its
+suffix, computed when first needed and kept, so the twelve suffix words
+cost at most twelve products. X v != Y v mod M proves X != Y, so the flag
+is false. The probe is fixed, not drawn, so no random state is read. A
+flag the probe does not refute (every true flag, and a false one whose
+defect maps v to 0 mod M) falls back to the exact products, so a flag is
+true only when the exact products are equal (Freivalds, "Probabilistic
+machines can use less running time", IFIP 1977, with the random vector
+fixed and the exact check as fallback). No nonzero x + iy with |x|, |y| <
+R is 0 mod M, so while the images' parts stay below 2^31 the residues
+refute every flag that the exact images refute.
 ``relation_flags`` reads every name and returns the flags with
 ``residuals=None``. ``relation_check`` adds ``residuals``, which maps each
 primitive flag name to the Frobenius norm of its defect matrix (exactly 0.0
@@ -60,7 +64,8 @@ goes with it into its ``PairContext``, so ``verify`` decides its flags once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul, neg
+from functools import lru_cache
+from operator import mul
 
 __all__ = ["RelationReport", "relation_check", "relation_flags", "FLAG_NAMES"]
 
@@ -130,10 +135,11 @@ class _Decider:
     """The flags of the pair in the memo ``words``, each decided when first read.
 
     ``flag(name)`` takes any of the eleven report names and keeps its value.
-    A primitive flag computes the probe images of its two words, each kept
-    per suffix word, and multiplies the words (``_product``) only when the
-    images agree. A derived flag reads its names in the order of
-    ``_DERIVED`` and stops at the first that decides it.
+    A primitive flag computes the probe images of its two words mod M, each
+    kept per suffix word. Images that differ refute it (Z[i] -> Z/M is a ring
+    homomorphism), and below 2^31 they differ whenever the exact ones do;
+    only images that agree lead to ``_product``. A derived flag reads its
+    names in the order of ``_DERIVED`` and stops at the first that decides it.
     """
 
     __slots__ = ("_words", "_rows", "_images", "_values")
@@ -142,7 +148,7 @@ class _Decider:
         a, b = words["a"], words["b"]
         a._check_dim(b)
         self._words = words
-        self._rows = {"a": _numerator_rows(a), "b": _numerator_rows(b)}
+        self._rows = {"a": _residue_rows(a), "b": _residue_rows(b)}
         self._images = {"": _probe(a.dim)}
         self._values = {}
 
@@ -162,7 +168,7 @@ class _Decider:
         return value
 
     def _image(self, w):
-        """The numerator of the word w times the probe, kept per word."""
+        """The numerator of the word w times the probe, mod M, kept per word."""
         v = self._images.get(w)
         if v is None:
             v = self._images[w] = _apply(self._rows[w[0]], self._image(w[1:]))
@@ -224,34 +230,27 @@ _DERIVED = {
 _REPORT_NAMES = FLAG_NAMES + tuple(_DERIVED)
 
 
+# the probe's ring: Z[i] -> Z/M with i -> R, a homomorphism as R^2 = -1 mod M
+_R = 1 << 32
+_M = _R * _R + 1
+
+
+@lru_cache(maxsize=None)
 def _probe(dim):
-    """The fixed probe: entry j is (-1)^j (j^2 + j + 41), a prime for j < 40."""
+    """The fixed probe, built once per dim: entry j is (-1)^j (j^2 + j + 41)."""
     return tuple((j * j + j + 41) * (-1) ** j for j in range(dim))
 
 
-def _numerator_rows(m):
-    """The rows (RE | -IM) and (IM | RE) of the integer numerator RE + i*IM of m.
-
-    A dot product of the first or the second with (re | im) of a vector is
-    the real or the imaginary part of the numerator times that vector.
-    """
-    d, n = m.dim, m.dim * m.dim
-    re = [m._re[i : i + d] for i in range(0, n, d)]
-    im = [m._im[i : i + d] for i in range(0, n, d)]
-    return [r + tuple(map(neg, y)) for r, y in zip(re, im)], [y + r for r, y in zip(re, im)]
+def _residue_rows(m):
+    """The rows of the integer numerator RE + i*IM of m, each entry re + R*im."""
+    d = m.dim
+    e = [x + _R * y for x, y in zip(m._re, m._im)]
+    return [e[i : i + d] for i in range(0, d * d, d)]
 
 
 def _apply(rows, v):
-    """A numerator, given by its ``_numerator_rows``, times the vector v.
-
-    A vector is its real part, followed by its imaginary part only when that
-    is not zero, so equal vectors are equal lists; ``map`` stops at the end
-    of a real v.
-    """
-    first, second = rows
-    re = [sum(map(mul, r, v)) for r in first]
-    im = [sum(map(mul, r, v)) for r in second]
-    return re + im if any(im) else re
+    """A numerator, given by its ``_residue_rows``, times the vector v, mod M."""
+    return [sum(map(mul, r, v)) % _M for r in rows]
 
 
 def _report(flag, residuals):

@@ -429,3 +429,20 @@ def test_witness_candidate_matches_the_scalar_draw():
                 halves += got._den == 2
             assert new.random() == ref.random(), (dim, seed)
     assert halves > 1000
+
+
+def test_the_search_draw_never_calls_random_choice(monkeypatch):
+    # the candidate stream rests on Random.random and Random.getrandbits
+    # alone, not on how Random.choice turns random bits into an index
+    predicates = ("comm_w_not_comm", "comm_l_not_comm_r", "not_c3")
+    commands = [(p, dim, 400, 5) for p in predicates for dim in (3, 4)]
+    searched = [search_witness(*args) for args in commands]
+    drawn = [_witness_candidate(random.Random(seed), dim) for seed in range(20) for dim in range(1, 9)]
+    assert any(searched) and not all(searched)
+
+    def refuse(self, seq):
+        raise AssertionError("Random.choice was called")
+
+    monkeypatch.setattr(random.Random, "choice", refuse)
+    assert [search_witness(*args) for args in commands] == searched
+    assert [_witness_candidate(random.Random(seed), dim) for seed in range(20) for dim in range(1, 9)] == drawn

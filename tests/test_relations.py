@@ -423,6 +423,147 @@ def test_a_refuted_first_conjunct_ends_the_screen(monkeypatch):
     assert set(decider._images) == {"", "a", "b", "ab", "ba", "aab", "aba"}
 
 
+# -- the probe's residues mod M ------------------------------------------------------
+
+# the derived flags from the primitive ones, as the relations docstring defines them
+_REF_DERIVED = {
+    "comm_l": lambda f: f["ab_in_comm_a"] and f["ba_in_comm_b"],
+    "comm_r": lambda f: f["ab_in_comm_b"] and f["ba_in_comm_a"],
+    "comm_w": lambda f: all(f[k] for k in FLAG_NAMES[1:]),
+    "c1_pair": lambda f: f["ab_in_comm_a"] or f["ba_in_comm_a"] or f["ba_in_comm_b"],
+    "c2_pair": lambda f: f["ab_in_comm_a"] or f["ba_in_comm_a"] or f["ab_in_comm_b"],
+    "c3_pair": lambda f: f["ab_in_comm_b"] or f["ba_in_comm_b"],
+}
+
+
+def _ref_flags(a, b):
+    """The eleven flags of (a, b) from the exact products alone."""
+    words = {"a": a, "b": b}
+    flags = {k: _ref_word(words, x) == _ref_word(words, y) for k, (x, y) in _FLAG_WORDS.items()}
+    flags.update({name: test(flags) for name, test in _REF_DERIVED.items()})
+    return flags
+
+
+def test_a_wrapped_image_decides_no_flag():
+    # every image through a = M E01 is 0 mod M, and every compared word has
+    # the letter a, so the probe refutes no flag; yet ab = M E00 and
+    # ba = M E11 differ, and so do the words of every primitive flag
+    from weakcomm import relations
+
+    a, b = E(2, 0, 1) * relations._M, E(2, 1, 0)
+    for x, y in ((a, b), (b, a)):
+        want = _ref_flags(x, y)
+        assert not any(want.values())
+        words = {"a": x, "b": y}
+        decider = relations._Decider(words)
+        assert all(decider._image(w) == [0, 0] for pair in _FLAG_WORDS.values() for w in pair)
+        assert relation_flags(x, y).flags() == want
+        assert relations._decide(words).flags() == want
+        # the exact products of every flag were taken
+        assert set(words) == {"a", "b", "ab", "ba", "aab", "aba", "abb", "bab", "baa", "bba"}
+
+
+def _wide_part(rng, bits):
+    return rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
+
+
+def _wide_matrix(rng, dim, bits):
+    """A Gaussian integer matrix whose nonzero entries have ``bits``-bit parts."""
+    def entry():
+        return Scalar(_wide_part(rng, bits), _wide_part(rng, bits)) if rng.random() < 0.7 else Scalar(0)
+
+    return ExactMatrix([[entry() for _ in range(dim)] for _ in range(dim)])
+
+
+def _wide_pairs(rng):
+    """Pairs with 64- to 200-bit entries, whose images wrap mod M: unrelated
+    pairs, a with a polynomial in a, and sampled pairs of every class, each
+    letter scaled by a wide Gaussian scalar, which keeps every flag."""
+    for _ in range(40):
+        dim, bits = rng.randint(2, 5), rng.randint(64, 200)
+        a = _wide_matrix(rng, dim, bits)
+        yield a, _wide_matrix(rng, dim, bits)
+        scalars = [Scalar(_wide_part(rng, bits), _wide_part(rng, bits)) for _ in range(3)]
+        yield a, a * a * scalars[0] + a * scalars[1] + ExactMatrix.identity(dim) * scalars[2]
+    for k, cls in enumerate(RelationClass):
+        for dim in (2, 3, 4):
+            try:
+                a, b = sample_pair(cls, dim, 900 + k, cls is not RelationClass.COMM)
+            except SamplerBudgetError:
+                continue
+            bits = rng.randint(64, 200)
+            yield (a * Scalar(_wide_part(rng, bits), _wide_part(rng, bits)),
+                   b * Scalar(_wide_part(rng, bits), _wide_part(rng, bits)))
+
+
+def test_flags_match_the_reference_on_wide_gaussian_entries():
+    met, unmet = Counter(), Counter()
+    for a, b in _wide_pairs(random.Random(26)):
+        assert max(map(abs, a._re + a._im)).bit_length() > 64
+        for x, y in ((a, b), (b, a)):
+            want = _ref_flags(x, y)
+            for name in _NAMES:
+                assert _flags(x, y)(name) == want[name], (name, x, y)
+                met[name] += want[name]
+                unmet[name] += not want[name]
+    # every name is compared both when it holds and when it fails
+    assert set(met) == set(unmet) == set(_NAMES) and min(met.values()) > 0
+
+
+def test_a_gaussian_residue_vanishes_only_past_parts_of_two_to_the_32():
+    # x + iy -> x + Ry mod M is 0 for no nonzero x + iy with parts below
+    # 2^32 (the difference of two images with parts below 2^31), and it is
+    # 0 for -R + i, just past that bound
+    from weakcomm import relations
+
+    def residue(x, y):
+        return relations._apply(relations._residue_rows(ExactMatrix([[Scalar(x, y)]])), (1,))[0]
+
+    powers = tuple(sign * 2**k for k in range(8, 32) for sign in (1, -1))
+    parts = (0, 1, -1, 2**31 - 1, 2**32 - 1, -(2**32 - 1)) + powers
+    assert [(x, y) for x in parts for y in parts if residue(x, y) == 0] == [(0, 0)]
+    r = relations._R
+    assert residue(-r, 1) == residue(1, r) == residue(r * r + 1, 0) == 0
+
+
+def _gaussian_image(m, v):
+    """The integer numerator of m times the Gaussian vector v, exactly, as (re, im) pairs."""
+    d = m.dim
+    return [
+        (
+            sum(m._re[i * d + j] * vr - m._im[i * d + j] * vi for j, (vr, vi) in enumerate(v)),
+            sum(m._re[i * d + j] * vi + m._im[i * d + j] * vr for j, (vr, vi) in enumerate(v)),
+        )
+        for i in range(d)
+    ]
+
+
+def test_residues_refute_what_the_exact_images_refute():
+    # on search candidates of every dim, whose images have parts below 2^31,
+    # two words' residues differ exactly when their Gaussian images differ
+    from weakcomm import relations
+
+    refuted = kept = 0
+    for dim in range(2, 9):
+        rng = random.Random(4000 + dim)
+        for _ in range(40):
+            a, b = _witness_candidate(rng, dim), _witness_candidate(rng, dim)
+            decider = relations._Decider({"a": a, "b": b})
+            for x, y in _FLAG_WORDS.values():
+                exact = []
+                for w in (x, y):
+                    v = [(p, 0) for p in relations._probe(dim)]
+                    for letter in reversed(w):
+                        v = _gaussian_image(a if letter == "a" else b, v)
+                    assert max(max(abs(re), abs(im)) for re, im in v) < 2**31
+                    exact.append(v)
+                differ = decider._image(x) != decider._image(y)
+                assert differ == (exact[0] != exact[1]), (x, y, a, b)
+                refuted += differ
+                kept += not differ
+    assert refuted > 1000 and kept > 40
+
+
 def test_search_makes_no_reference_cycles():
     # every screened pair is freed by reference counting alone
     gc.collect()

@@ -170,6 +170,22 @@ PINS = {
         "4d4a5e1f5292f867e6a78c386029ad27ec6ee9bb874f33c1c58932a1af0aa3a0",
         "2fd93db16a1bff2d97ebf2270e414748b7c990a49a080d75132d4a0ef9f10b76",
     ),
+    # dim 8, the largest dim search takes: its probe images are the largest
+    "search --dim 8 --budget 400 --seed 5 --predicate comm_w_not_comm": (
+        1,
+        "3e221ccc3f4a085bcd472f282a0439b99da2258ae1414b48411d7fb7e9ae8dd4",
+        "9966f578f7dbbd99c2f36ede1ba4fd43353fc32a4a101c040ba7ebd112335e3b",
+    ),
+    "search --dim 8 --budget 400 --seed 5 --predicate comm_l_not_comm_r": (
+        1,
+        "6789fd68421bfbf9143aa7afaf4d080e963f125f37a9038ccff5e7c2a494be01",
+        "80a9996ac11b0a201643711c25d099038a7f5b7b61a5c6c3a572395cd481b628",
+    ),
+    "search --dim 8 --budget 400 --seed 5 --predicate comm_r_not_comm_l": (
+        1,
+        "e9158ed669669b0f4c44970d71a67bd4d155eea3b3595c789c8e5ddc1580fe34",
+        "cfd6aed3f356b3c6ed2cac9fd815f0bbe0d9aac43d4ab042d9554abcbb03672f",
+    ),
     "search --dim 2 --budget 400 --seed 5 --predicate not_c1": (
         0,
         "09b998208d78aea4bada7e5f62f2779362d6c377ea203bf3fcc6a5388d89417b",
