@@ -43,7 +43,7 @@ from .exact import (
     poly_radical_nonzero,
     rank_kernel,
 )
-from .relations import _decide, _flags, _product, relation_check, relation_flags
+from .relations import _R, _Decider, _decide, _flags, _product, relation_check, relation_flags
 from .scalar import Scalar
 from . import shiftlab
 
@@ -495,15 +495,17 @@ class WitnessRecord:
         }
 
 
-# the alphabet as Gaussian integers over its common denominator
+# the alphabet over its common denominator; each cell as a probe residue re + R*im, and back
 _SEARCH_DEN, _SEARCH_RE, _SEARCH_IM = _clear_denominators(map(_parts, _SEARCH_ALPHABET))
-_SEARCH_CELLS = tuple(zip(_SEARCH_RE, _SEARCH_IM))
+_SEARCH_CELLS = tuple(re + _R * im for re, im in zip(_SEARCH_RE, _SEARCH_IM))
+_SEARCH_PARTS = dict(zip(_SEARCH_CELLS, zip(_SEARCH_RE, _SEARCH_IM)))
 # a cell index is drawn as this many random bits, redrawn while out of range
 _SEARCH_BITS = len(_SEARCH_CELLS).bit_length()
 
 
-def _witness_candidate(rng, dim):
-    """A matrix of alphabet entries, drawn straight into its integer block.
+def _search_rows(rng, dim):
+    """A candidate's numerator over ``_SEARCH_DEN``, drawn straight into the
+    probe's residue rows: d lists of d cells ``_SEARCH_CELLS[k]``.
 
     The matrix is sparse when ``rng.random() < 0.5``. Each cell, row by
     row, is zero when the matrix is sparse and a further ``rng.random()``
@@ -514,19 +516,40 @@ def _witness_candidate(rng, dim):
     # zero-biased draws keep sparse patterns (the interesting ones) reachable
     sparse = rng.random() < 0.5
     n = dim * dim
-    re, im = [0] * n, [0] * n
+    cells = [0] * n
     draw = rng.getrandbits
     for k in range(n):
         if not (sparse and rng.random() < 0.6):
             c = draw(_SEARCH_BITS)
             while c >= len(_SEARCH_CELLS):
                 c = draw(_SEARCH_BITS)
-            re[k], im[k] = _SEARCH_CELLS[c]
-    return ExactMatrix._from_rep(dim, normalize(_SEARCH_DEN, re, im))
+            cells[k] = _SEARCH_CELLS[c]
+    return [cells[i : i + dim] for i in range(0, n, dim)]
+
+
+def _search_matrix(rows):
+    """The ExactMatrix of the residue rows that ``_search_rows`` drew."""
+    re, im = zip(*[_SEARCH_PARTS[c] for row in rows for c in row])
+    return ExactMatrix._from_rep(len(rows), normalize(_SEARCH_DEN, re, im))
+
+
+def _witness_candidate(rng, dim):
+    """A matrix of alphabet entries, the ``_search_rows`` draw built at once.
+
+    The search itself builds a candidate only when its flags need exact
+    products (``relations._Decider.words``); this is the same draw and the
+    same matrix, for a caller that wants every candidate built.
+    """
+    return _search_matrix(_search_rows(rng, dim))
 
 
 def search_witness(predicate, dim, budget, seed):
-    """First sampled pair satisfying the named predicate, or None."""
+    """First sampled pair satisfying the named predicate, or None.
+
+    Each candidate is drawn as residue rows (``_search_rows``) and screened
+    on them. Its ``ExactMatrix`` is built only for a flag the probe does not
+    refute, or for the witness, so a refuted pair builds no matrix.
+    """
     if predicate not in _PREDICATES:
         raise UnknownPredicateError(predicate)
     if not 2 <= dim <= 8:
@@ -536,12 +559,11 @@ def search_witness(predicate, dim, budget, seed):
     pred = _PREDICATES[predicate]
     rng = random.Random(derive_seed("witness", predicate, dim, seed))
     for i in range(1, budget + 1):
-        a = _witness_candidate(rng, dim)
-        b = _witness_candidate(rng, dim)
-        if pred(_flags(a, b)):
-            return WitnessRecord(
-                a=a, b=b, predicate=predicate, samples_tried=i, seed=seed
-            )
+        a, b = _search_rows(rng, dim), _search_rows(rng, dim)
+        decider = _Decider(_search_matrix, (a, b))
+        if pred(decider.flag):
+            a, b = decider.words()["a"], decider.words()["b"]
+            return WitnessRecord(a=a, b=b, predicate=predicate, samples_tried=i, seed=seed)
     return None
 
 

@@ -46,7 +46,14 @@ true only when the exact products are equal (Freivalds, "Probabilistic
 machines can use less running time", IFIP 1977, with the random vector
 fixed and the exact check as fallback). No nonzero x + iy with |x|, |y| <
 R is 0 mod M, so while the images' parts stay below 2^31 the residues
-refute every flag that the exact images refute.
+refute every flag that the exact images refute. A search candidate enters
+as the residue rows it was drawn into (``instances._search_rows``): its
+numerator over the alphabet's denominator 2, which is c times the
+normalized numerator for c = 1 or 2. Both words of a flag have the same
+letters, so both images are scaled by the same positive c_a^k c_b^l, a
+unit mod the odd M; their parts stay below 2^31 up to dim 8, so the probe
+refutes exactly the flags it refutes on the normalized numerators. The
+candidate's matrices are built only when a flag needs the exact products.
 ``relation_flags`` reads every name and returns the flags with
 ``residuals=None``. ``relation_check`` adds ``residuals``, which maps each
 primitive flag name to the Frobenius norm of its defect matrix (exactly 0.0
@@ -140,17 +147,31 @@ class _Decider:
     homomorphism), and below 2^31 they differ whenever the exact ones do;
     only images that agree lead to ``_product``. A derived flag reads its
     names in the order of ``_DERIVED`` and stops at the first that decides it.
+
+    ``_Decider(words)`` takes the residue rows from the letters of the memo
+    and fills it. The search passes ``rows``, the residue rows of a and b,
+    with a function in place of the memo that builds a letter's matrix from
+    its rows; ``words()`` calls it for both letters the first time a flag
+    needs the exact products, so a pair the probe refutes builds no matrix.
     """
 
     __slots__ = ("_words", "_rows", "_images", "_values")
 
-    def __init__(self, words):
-        a, b = words["a"], words["b"]
-        a._check_dim(b)
+    def __init__(self, words, rows=None):
+        if rows is None:
+            words["a"]._check_dim(words["b"])
+            rows = _residue_rows(words["a"]), _residue_rows(words["b"])
         self._words = words
-        self._rows = {"a": _residue_rows(a), "b": _residue_rows(b)}
-        self._images = {"": _probe(a.dim)}
+        self._rows = {"a": rows[0], "b": rows[1]}
+        self._images = {"": _probe(len(rows[0]))}
         self._values = {}
+
+    def words(self):
+        """The pair's memo. A function given in its place builds each letter
+        from its residue rows, once, when first needed."""
+        if callable(self._words):
+            self._words = {w: self._words(rows) for w, rows in self._rows.items()}
+        return self._words
 
     def flag(self, name):
         value = self._values.get(name)
@@ -159,7 +180,7 @@ class _Decider:
             if derived is None:
                 x, y = _FLAG_WORDS[name]
                 value = self._image(x) == self._image(y) and (
-                    _product(self._words, x) == _product(self._words, y)
+                    _product(self.words(), x) == _product(self.words(), y)
                 )
             else:
                 test, names = derived

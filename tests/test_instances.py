@@ -32,6 +32,8 @@ from weakcomm.instances import (
     sample_spectral_instance,
     search_witness,
     witness_predicates,
+    _search_matrix,
+    _search_rows,
     _witness_candidate,
 )
 from weakcomm.relations import relation_check, relation_flags
@@ -429,6 +431,24 @@ def test_witness_candidate_matches_the_scalar_draw():
                 halves += got._den == 2
             assert new.random() == ref.random(), (dim, seed)
     assert halves > 1000
+
+
+def test_search_rows_build_the_witness_candidates():
+    # a pair drawn as residue rows and built on demand by its decider equals
+    # the pair _witness_candidate draws from the same stream (which the test
+    # above holds to the Scalar draw), and leaves the stream at the same place
+    from weakcomm.relations import _Decider
+
+    for dim in range(1, 9):
+        for seed in range(150):
+            new, old = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                rows = _search_rows(new, dim), _search_rows(new, dim)
+                words = _Decider(_search_matrix, rows).words()
+                want = _witness_candidate(old, dim), _witness_candidate(old, dim)
+                for got, w in zip((words["a"], words["b"]), want):
+                    assert (got.dim, got._den, got._re, got._im) == (w.dim, w._den, w._re, w._im), seed
+            assert new.random() == old.random(), (dim, seed)
 
 
 def test_the_search_draw_never_calls_random_choice(monkeypatch):

@@ -15,7 +15,10 @@ from weakcomm.errors import DimensionMismatchError, SamplerBudgetError
 from weakcomm.exact import ExactMatrix, Scalar
 from weakcomm.instances import (
     _PREDICATES,
+    _SEARCH_PARTS,
     RelationClass,
+    _search_matrix,
+    _search_rows,
     _witness_candidate,
     derive_seed,
     sample_pair,
@@ -562,6 +565,153 @@ def test_residues_refute_what_the_exact_images_refute():
                 refuted += differ
                 kept += not differ
     assert refuted > 1000 and kept > 40
+
+
+def _drawn_image(rows, v):
+    """The drawn numerator over den 2, given by its residue rows, times the
+    Gaussian vector v, exactly, as (re, im) pairs."""
+    parts = [[_SEARCH_PARTS[c] for c in row] for row in rows]
+    return [
+        (
+            sum(re * vr - im * vi for (re, im), (vr, vi) in zip(row, v)),
+            sum(re * vi + im * vr for (re, im), (vr, vi) in zip(row, v)),
+        )
+        for row in parts
+    ]
+
+
+def test_drawn_residues_refute_what_the_exact_images_refute():
+    # a search candidate enters the probe as its den-2 numerator, which is
+    # the normalized one times 1 or 2; both words of a flag have the same
+    # letters, so their images are scaled alike, and below 2^31 the residues
+    # differ exactly when the normalized Gaussian images differ. The screen
+    # builds no matrix, and every flag equals relation_flags of the matrices
+    from weakcomm import relations
+
+    refuted = kept = scaled = 0
+    for dim in range(2, 9):
+        rng = random.Random(4100 + dim)
+        for _ in range(40):
+            a, b = _search_rows(rng, dim), _search_rows(rng, dim)
+            decider = relations._Decider(_search_matrix, (a, b))
+            built = {"a": _search_matrix(a), "b": _search_matrix(b)}
+            scaled += built["a"]._den == 1 or built["b"]._den == 1
+            for x, y in _FLAG_WORDS.values():
+                exact = []
+                for w in (x, y):
+                    v = drawn = [(p, 0) for p in relations._probe(dim)]
+                    for letter in reversed(w):
+                        v = _gaussian_image(built[letter], v)
+                        drawn = _drawn_image(a if letter == "a" else b, drawn)
+                    assert max(max(abs(re), abs(im)) for re, im in drawn) < 2**31
+                    exact.append(v)
+                differ = decider._image(x) != decider._image(y)
+                assert differ == (exact[0] != exact[1]), (x, y, a, b)
+                refuted += differ
+                kept += not differ
+            assert callable(decider._words)
+            assert [decider.flag(n) for n in _NAMES] == [
+                getattr(relation_flags(built["a"], built["b"]), n) for n in _NAMES
+            ]
+    assert refuted > 1000 and kept > 40 and scaled > 40
+
+
+def _count_calls(monkeypatch, owner, name, counter):
+    original = getattr(owner, name)
+
+    def counted(*args):
+        counter[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_a_refuted_search_builds_no_matrix(monkeypatch):
+    # on each of these 800 pairs the probe refutes the first flag that the
+    # predicate reads (comm, and ab_in_comm_a of comm_w), so the search
+    # builds no ExactMatrix, normalizes nothing and multiplies nothing
+    from weakcomm import _kernel_py, instances
+
+    calls = Counter()
+    for owner, name in (
+        (ExactMatrix, "_init_rep"),
+        (instances, "normalize"),
+        (_kernel_py, "normalize"),
+        (_kernel_py, "mat_mul"),
+    ):
+        _count_calls(monkeypatch, owner, name, calls)
+    assert search_witness("comm_not_comm", 4, 400, 0) is None
+    assert search_witness("comm_w_not_comm", 8, 400, 0) is None
+    assert calls == Counter()
+
+
+def test_a_witness_search_builds_only_its_fallback_pairs(monkeypatch):
+    # the letters are built for each pair whose flags reach the exact
+    # products, and for the witness, once: in the screen when it fell back,
+    # or else when it is returned. The record's own check is left out, so
+    # every memo that reaches the products is a screened pair
+    from weakcomm import instances, relations
+
+    fell_back = []
+    runs = (("comm_l_not_comm_r", 4, 400, 3), ("comm_l_not_comm_r", 4, 400, 5), ("not_c1", 4, 400, 1))
+    for args in runs:
+        built, memos = [], []
+        build, product = instances._search_matrix, relations._product
+
+        def counted_build(rows):
+            built.append(rows)
+            return build(rows)
+
+        def counted_product(words, w):
+            if not any(m is words for m in memos):
+                memos.append(words)
+            return product(words, w)
+
+        monkeypatch.setattr(instances, "_search_matrix", counted_build)
+        monkeypatch.setattr(relations, "_product", counted_product)
+        monkeypatch.setattr(instances, "WitnessRecord", lambda **kw: kw)
+        rec = search_witness(*args)
+        monkeypatch.undo()
+        assert rec is not None, args
+        fell_back.append(any(m["a"] is rec["a"] for m in memos))
+        assert len(built) == 2 * len(memos) + 2 * (not fell_back[-1]), args
+        assert [_search_matrix(rows) for rows in built[-2:]] == [rec["a"], rec["b"]]
+    assert fell_back == [True, True, False]
+
+
+# (pairs whose flags reach the exact products, pairs screened, witnesses) of
+# every predicate at seeds 0-9 and budget 400, per dim; each witness's own
+# check in WitnessRecord counts as one more pair when its flags reach the
+# products. Recorded before the screen ran on the drawn residues
+_FALLBACK_PIN = {2: (2177, 9464, 70), 4: (131, 20514, 47), 8: (0, 24030, 30)}
+
+
+def test_exact_fallbacks_are_pinned(monkeypatch):
+    from weakcomm import relations
+
+    memos = {}
+    product = relations._product
+
+    def counted(words, w):
+        memos.setdefault(id(words), words)
+        return product(words, w)
+
+    monkeypatch.setattr(relations, "_product", counted)
+    got = {}
+    for dim in _FALLBACK_PIN:
+        memos.clear()
+        pairs = found = 0
+        for name in sorted(_PREDICATES):
+            for seed in range(10):
+                rec = search_witness(name, dim, 400, seed)
+                pairs += rec.samples_tried if rec else 400
+                found += rec is not None
+        got[dim] = (len(memos), pairs, found)
+    assert got == _FALLBACK_PIN
+    # at dim 4, fewer than 1% of the candidates screened are built: a pair
+    # that reaches the products builds its two
+    fallbacks, pairs, _ = got[4]
+    assert fallbacks < 0.01 * pairs
 
 
 def test_search_makes_no_reference_cycles():
