@@ -8,11 +8,13 @@ force, samples random pairs inside each class, replays a registry of fixed
 examples, and studies truncations of weighted-shift operators whose
 spectral behavior separates the classes.
 
-Modules: scalar (literals), exact (arithmetic core), numeric (floating twin),
+Modules: scalar (literals), exact (arithmetic core),
 algebraic (exact spectral-radius bounds), relations (class flags),
 identities (checkable identity catalog),
 structure (kernels, ranges, spectra), instances (registry and samplers),
-shiftlab (operator truncations), cli (batch entry point).
+shiftlab (operator truncations), cli (batch entry point). They need only
+the standard library. numeric, a floating twin for the tests, is the one
+module that imports NumPy; the package does not import it.
 """
 
 from .scalar import Scalar
@@ -69,17 +71,6 @@ from .shiftlab import (
 
 __version__ = "0.1.0"
 
-# the floating twin loads NumPy, so its names are imported on first use (PEP 562)
-_NUMERIC_NAMES = ("CMatrix", "SpectrumSet", "eigenvalues", "expm", "spectral_radius_exact")
-
-
-def __getattr__(name):
-    if name in _NUMERIC_NAMES:
-        from . import numeric
-
-        return getattr(numeric, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "__version__",
     "Scalar",
@@ -93,11 +84,6 @@ __all__ = [
     "poly_radical",
     "poly_radical_nonzero",
     "rank_kernel",
-    "CMatrix",
-    "SpectrumSet",
-    "eigenvalues",
-    "expm",
-    "spectral_radius_exact",
     "RelationReport",
     "relation_check",
     "relation_flags",

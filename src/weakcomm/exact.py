@@ -246,14 +246,6 @@ class ExactMatrix:
         total = sum(x * x for x in self._re) + sum(y * y for y in self._im)
         return (total / (self._den * self._den)) ** 0.5
 
-    def to_complex_rows(self):
-        """Entries as a nested list of Python complex numbers."""
-        d, den = self.dim, self._den
-        return [
-            [complex(self._re[k] / den, self._im[k] / den) for k in range(i * d, (i + 1) * d)]
-            for i in range(d)
-        ]
-
     # -- presentation -----------------------------------------------------------
 
     def literal(self):
@@ -525,15 +517,6 @@ class ExactPoly:
             acc = kernel.mat_mul(d, acc, rep)
             acc = kernel.mat_add(d, acc, kernel.mat_scale(d, ident, cr, ci, 1))
         return ExactMatrix._from_rep(d, kernel.mat_scale(d, acc, 1, 0, self._den))
-
-    def to_complex_coeffs(self):
-        """Coefficients as Python complex numbers, ascending.
-
-        Each part is one correctly rounded integer division, the float of the
-        exact coefficient.
-        """
-        den = self._den
-        return [complex(x / den, y / den) for x, y in zip(self._re, self._im)]
 
     def literal(self, variable="x"):
         """Human-readable form, e.g. 'x^2 - 1'. The zero polynomial is '0'."""

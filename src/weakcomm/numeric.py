@@ -1,16 +1,15 @@
 """Floating-point twin of the exact layer.
 
-Provides complex double matrices, eigenvalue clustering, the largest root
-modulus of an exact polynomial, and the matrix exponential
-(scaling-and-squaring via scipy). Everything here is approximate by design;
-the exact layer is the source of truth and the test suites cross-check the
-two.
+Provides complex double matrices, eigenvalue clustering and the spectral
+radius of an exact matrix. Everything here is approximate by design; the
+exact layer is the source of truth and the tests cross-check the two.
 
-No command runs anything here. ``spectral_radius_exact``,
-``max_root_modulus``, ``eigenvalues`` and ``SpectrumSet`` are the float
-oracle of the tests and trace targets of the benchmark: ``verify`` decides
-the spectral radii of RAD_PROD and RAD_SUM exactly (``algebraic``), and
-``truncate`` reads its spectrum off the exact charpoly.
+No command runs anything here, and this is the only module of the package
+that imports NumPy. ``eigenvalues``, ``SpectrumSet`` and
+``spectral_radius_exact`` are the float oracle of the tests and trace
+targets of the benchmark: ``verify`` decides the spectral radii of RAD_PROD
+and RAD_SUM exactly (``algebraic``), and ``truncate`` reads its spectrum off
+the exact charpoly.
 
 Eigenvalues come from LAPACK (``numpy.linalg.eigvals``). Clustering uses an
 absolute distance threshold ``cluster_tol`` whose default (1e-8) is
@@ -23,15 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, EigenvalueConvergenceError
+from .exact import charpoly, poly_radical
 
-__all__ = [
-    "CMatrix",
-    "SpectrumSet",
-    "eigenvalues",
-    "spectral_radius_exact",
-    "max_root_modulus",
-    "expm",
-]
+__all__ = ["CMatrix", "SpectrumSet", "eigenvalues", "spectral_radius_exact"]
 
 DEFAULT_CLUSTER_TOL = 1e-8
 
@@ -55,7 +48,9 @@ class CMatrix:
 
     @classmethod
     def from_exact(cls, m):
-        return cls(m.to_complex_rows())
+        """The float of each exact entry; a part out of float range raises
+        OverflowError."""
+        return cls([[complex(float(z.re), float(z.im)) for z in row] for row in m.rows()])
 
     @property
     def dim(self):
@@ -164,35 +159,13 @@ def eigenvalues(m, cluster_tol=DEFAULT_CLUSTER_TOL):
 
 
 def spectral_radius_exact(m):
-    """Largest root modulus of the exact characteristic polynomial.
+    """Largest root modulus of the exact characteristic polynomial (0.0 when
+    the matrix is nilpotent).
 
     Repeated eigenvalues are stripped by the exact squarefree reduction
     before any floating point enters, so the numeric rooting only ever
     sees simple roots and avoids the O(eps^(1/k)) blowup that direct
     eigenvalue solvers suffer on defective matrices.
     """
-    from .exact import charpoly, poly_radical
-
-    return max_root_modulus(poly_radical(charpoly(m)))
-
-
-def max_root_modulus(p):
-    """Largest root modulus of an exact polynomial (0.0 when it has no roots).
-
-    Given a radical (squarefree part), the roots found are all simple.
-    """
-    roots = np.roots(p.to_complex_coeffs()[::-1])
-    if len(roots) == 0:
-        return 0.0
-    return float(np.max(np.abs(roots)))
-
-
-def expm(m):
-    """Matrix exponential by scaling-and-squaring; overflow raises."""
-    import scipy.linalg
-
-    out = scipy.linalg.expm(m.array)
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise OverflowError("matrix exponential overflowed")
-    return CMatrix(out)
-
+    coeffs = [complex(float(c.re), float(c.im)) for c in poly_radical(charpoly(m)).coeffs]
+    return float(np.max(np.abs(np.roots(coeffs[::-1]))))

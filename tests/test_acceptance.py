@@ -37,7 +37,7 @@ from weakcomm.instances import (
     sample_spectral_instance,
     search_witness,
 )
-from weakcomm.numeric import CMatrix, expm
+from weakcomm.numeric import CMatrix
 from weakcomm.relations import relation_check
 from weakcomm.shiftlab import finite_support_kernel, truncate
 from weakcomm.structure import (
@@ -48,6 +48,8 @@ from weakcomm.structure import (
     kernel_inclusion_reverse,
     nonzero_spectrum_equal_exact,
 )
+
+from float_oracle import expm
 
 
 class _Verdict:

@@ -1,8 +1,11 @@
 """Command line contract: exit codes, determinism, formats, file output."""
 
 import json
+import re
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -359,16 +362,27 @@ def test_cross_process_byte_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
+# Put first in a child's code: NumPy and SciPy cannot be imported, and every
+# attempt to import them, a guarded one too, is kept in ``tried``.
+_NO_NUMPY = (
+    "import sys\n"
+    "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+    "tried = []\n"
+    "sys.addaudithook(lambda event, args: event == 'import'"
+    " and args[0].split('.')[0] in ('numpy', 'scipy') and tried.append(args[0]))\n"
+)
+
+
 def test_verify_does_not_load_numpy():
     # RAD_PROD and RAD_SUM are decided exactly, also when a fault inverts them
-    code = (
-        "import contextlib, io, sys\n"
+    code = _NO_NUMPY + (
+        "import contextlib, io\n"
         "import weakcomm.cli\n"
         f"argv = {FAST_VERIFY!r}\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert weakcomm.cli.main(argv) == 0\n"
         "    assert weakcomm.cli.main(argv + ['--inject-fault', 'RAD_PROD']) == 1\n"
-        "assert 'numpy' not in sys.modules\n"
+        "assert not tried, tried\n"
         "print('ok')\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -378,10 +392,10 @@ def test_verify_does_not_load_numpy():
 
 def test_search_truncate_and_import_do_not_load_numpy():
     # NumPy serves only the float twin, which no command loads
-    code = (
-        "import contextlib, io, sys\n"
+    code = _NO_NUMPY + (
+        "import contextlib, io\n"
         "import weakcomm, weakcomm.cli\n"
-        "assert 'numpy' not in sys.modules, 'import'\n"
+        "assert not tried, 'import'\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for pred in ('comm_w_not_comm', 'comm_l_not_comm_r'):\n"
         "        weakcomm.cli.main(['search', '--dim', '3', '--budget', '200',"
@@ -389,9 +403,10 @@ def test_search_truncate_and_import_do_not_load_numpy():
         "    weakcomm.cli.main(['example', 'SEX_I_PQ'])\n"
         "    for fmt in ('json', 'markdown'):\n"
         "        weakcomm.cli.main(['truncate', 'EXNILP_N', '--sizes', '3,10', '--format', fmt])\n"
-        "assert 'numpy' not in sys.modules, 'commands'\n"
-        "weakcomm.CMatrix\n"
-        "assert 'numpy' in sys.modules, 'lazy name'\n"
+        "assert not tried, 'commands'\n"
+        "del sys.modules['numpy'], sys.modules['scipy']\n"
+        "import weakcomm.numeric\n"
+        "assert 'numpy' in tried, 'numeric'\n"
         "print('ok')\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -399,12 +414,26 @@ def test_search_truncate_and_import_do_not_load_numpy():
     assert proc.stdout == "ok\n"
 
 
-def test_numeric_names_stay_exported():
-    import weakcomm
+def test_install_has_no_runtime_dependency():
+    # NumPy and SciPy serve only the tests' float oracle
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+    test_extra = {re.match(r"[\w.-]+", req)[0] for req in project["optional-dependencies"]["test"]}
+    assert {"numpy", "scipy"} <= test_extra
 
+
+def test_numeric_names_live_only_in_numeric():
+    import weakcomm
+    import weakcomm.numeric
+
+    for name in ("CMatrix", "SpectrumSet", "eigenvalues", "spectral_radius_exact"):
+        assert name in weakcomm.numeric.__all__
+        assert getattr(weakcomm.numeric, name).__module__ == "weakcomm.numeric"
     for name in ("CMatrix", "SpectrumSet", "eigenvalues", "expm", "spectral_radius_exact"):
-        assert name in weakcomm.__all__
-        assert getattr(weakcomm, name).__module__ == "weakcomm.numeric"
+        assert name not in weakcomm.__all__
+        with pytest.raises(AttributeError):
+            getattr(weakcomm, name)
     with pytest.raises(AttributeError):
         weakcomm.no_such_name
 

@@ -1134,32 +1134,6 @@ def test_frobenius_matches_fraction_reference():
     assert big.frobenius() == _frobenius_reference(big) > 2.0 ** 490
 
 
-def test_to_complex_rows_matches_entry_route():
-    rng = random.Random(29)
-    seen = set()
-    for trial in range(300):
-        d = rng.randint(1, 4)
-        bits = rng.choice((3, 40, 620, 1100))
-        den = rng.choice((1, rng.randint(2, 50), rng.getrandbits(rng.randint(1, 80)) | 1))
-        re = [rng.randint(-(1 << bits), 1 << bits) for _ in range(d * d)]
-        if trial % 2:
-            im = [rng.randint(-(1 << bits), 1 << bits) for _ in range(d * d)]
-        else:
-            im = [0] * (d * d)
-        m = ExactMatrix._from_rep(d, _kernel_py.normalize(den, re, im))
-
-        def by_entry(m):
-            d = m.dim
-            return [[complex(FieldScalar.coerce(m.entry(i, j))) for j in range(d)]
-                    for i in range(d)]
-
-        expected = _outcome(by_entry, m)
-        assert _outcome(ExactMatrix.to_complex_rows, m) == expected
-        seen.add((bits, m._den > 1, expected == "overflow"))
-    # den > 1 with entries above 2**600, in range and overflowing
-    assert {(620, True, False), (1100, True, True)} <= seen
-
-
 def test_frobenius_overflow_raises_like_reference():
     m = ExactMatrix._from_rep(2, _kernel_py.normalize(1, [1 << 1100, 0, 0, 1], [0] * 4))
     with pytest.raises(OverflowError):
@@ -1553,7 +1527,6 @@ def test_poly_matches_scalar_reference():
         p, q = ExactPoly(ref.coeffs), ExactPoly(other.coeffs)
         _same(p, ref)
         assert p.degree == ref.degree
-        assert p.to_complex_coeffs() == [complex(c) for c in ref.coeffs]
         _same(p + q, ref + other)
         _same(p - q, ref - other)
         _same(p * q, ref * other)

@@ -34,7 +34,6 @@ from weakcomm.instances import (
     witness_predicates,
     _search_matrix,
     _search_rows,
-    _witness_candidate,
 )
 from weakcomm.relations import relation_check, relation_flags
 
@@ -405,6 +404,11 @@ def test_weak_but_not_commuting_witness_dim3():
     assert rec is not None
     rep = relation_check(rec.a, rec.b)
     assert rep.comm_w and not rep.comm
+
+
+def _witness_candidate(rng, dim):
+    """One search candidate, its residue rows drawn and built at once."""
+    return _search_matrix(_search_rows(rng, dim))
 
 
 def reference_witness_candidate(rng, dim):

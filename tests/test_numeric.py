@@ -1,6 +1,7 @@
 """Floating-point layer: eigenvalue clustering, radii, exponentials."""
 
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,16 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from weakcomm import _kernel_py
 from weakcomm.exact import ExactMatrix, Scalar, exp_exact_nilpotent
-from weakcomm.numeric import (
-    CMatrix,
-    SpectrumSet,
-    eigenvalues,
-    expm,
-    max_root_modulus,
-    spectral_radius_exact,
-)
+from weakcomm.numeric import CMatrix, SpectrumSet, eigenvalues, spectral_radius_exact
 from weakcomm.errors import DimensionMismatchError
+
+from field_scalar import FieldScalar
+from float_oracle import expm
 
 
 def test_cmatrix_construction_and_entry():
@@ -75,6 +73,39 @@ def test_from_exact_round_trip():
     assert m.entry(0, 0) == 0.5
     assert m.entry(0, 1) == -3j
     assert m.entry(1, 1) == complex(2 / 3, 1)
+
+
+def test_from_exact_matches_entry_route():
+    rng = random.Random(29)
+    seen = set()
+    for trial in range(300):
+        d = rng.randint(1, 4)
+        bits = rng.choice((3, 40, 620, 1100))
+        den = rng.choice((1, rng.randint(2, 50), rng.getrandbits(rng.randint(1, 80)) | 1))
+        re = [rng.randint(-(1 << bits), 1 << bits) for _ in range(d * d)]
+        if trial % 2:
+            im = [rng.randint(-(1 << bits), 1 << bits) for _ in range(d * d)]
+        else:
+            im = [0] * (d * d)
+        m = ExactMatrix._from_rep(d, _kernel_py.normalize(den, re, im))
+
+        def by_entry(m):
+            d = m.dim
+            return [[complex(FieldScalar.coerce(m.entry(i, j))) for j in range(d)]
+                    for i in range(d)]
+
+        expected = _outcome(by_entry, m)
+        assert _outcome(lambda m: CMatrix.from_exact(m).array.tolist(), m) == expected
+        seen.add((bits, m._den > 1, expected == "overflow"))
+    # den > 1 with entries above 2**600, in range and overflowing
+    assert {(620, True, False), (1100, True, True)} <= seen
+
+
+def _outcome(convert, m):
+    try:
+        return convert(m)
+    except OverflowError:
+        return "overflow"
 
 
 def test_spectrum_clustering_merges_near_points():
@@ -137,12 +168,13 @@ def test_spectral_radius_exact_is_root_modulus_of_radical():
 
     for lit in ("-1,4;-1,3", "0,1;0,0", "2,0,0;0,-3,1;0,0,-3", "0,-1;1,0"):
         m = ExactMatrix.parse(lit)
-        assert spectral_radius_exact(m) == max_root_modulus(poly_radical(charpoly(m)))
+        coeffs = [complex(float(c.re), float(c.im)) for c in poly_radical(charpoly(m)).coeffs]
+        assert spectral_radius_exact(m) == float(np.max(np.abs(np.roots(coeffs[::-1]))))
 
 
 def test_import_does_not_load_scipy():
     code = (
-        "import sys, weakcomm, weakcomm.cli\n"
+        "import sys, weakcomm, weakcomm.cli, weakcomm.numeric\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

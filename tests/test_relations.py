@@ -19,7 +19,6 @@ from weakcomm.instances import (
     RelationClass,
     _search_matrix,
     _search_rows,
-    _witness_candidate,
     derive_seed,
     sample_pair,
     search_witness,
@@ -34,6 +33,11 @@ from weakcomm.relations import (
 )
 
 E = ExactMatrix.single_entry
+
+
+def _witness_candidate(rng, dim):
+    """One search candidate, its residue rows drawn and built at once."""
+    return _search_matrix(_search_rows(rng, dim))
 
 
 def _rand_matrix(rng, dim):
