@@ -16,9 +16,10 @@ returns the gcd of its entries. ``charpoly_ints`` makes each
 Faddeev-LeVerrier step with it and ends at the adjugate, so ``exact``
 takes charpolys and inverses from one pass. ``nilpotency_degree_ints``
 reads integer numerators alone, since whether a power is zero does not
-depend on the denominator, and divides each power by its gcd so that the
-numerators of long shift powers stay small. None of them touches a d*d
-block.
+depend on the denominator. It first tries a certificate from the longest
+path of the graph of nonzeros, which decides a shift section with no
+product, and divides each power by its gcd so that the numerators of long
+shift powers stay small. None of them touches a d*d block.
 
 ``poly_divmod`` and ``poly_chain`` are the package's only polynomial
 division and remainder sequence, on ascending Gaussian-integer lists
@@ -246,14 +247,41 @@ def sparse_mul(d, a, b):
 def nilpotency_degree_ints(rows):
     """Least m >= 1 with A**m == 0 for the d x d integer A in ``sparse_rows``, or None.
 
-    A is nilpotent exactly when A**d == 0. The squares A**(2**j) are taken
-    up to an exponent of at least d or to zero; then binary lifting finds
-    the largest m with A**m != 0, high bits first: bit j stays set when
-    A**m * A**(2**j) is still nonzero. Every power is a ``sparse_mul``
-    product divided by its gcd, so the numerators of long shift powers stay
-    small; a positive factor never changes whether a power is zero.
+    First a certificate from the graph of A's nonzeros, with an edge j -> i
+    for each entry (i, j): entry (i, j) of A**m is a sum over the walks of m
+    edges from j to i. If the graph is acyclic and its longest path has L
+    edges, no walk has L+1 edges, so A**(L+1) == 0. Then e_j is pushed
+    through L column steps from each start j of a longest path; a nonzero
+    result shows A**L != 0, and the degree is exactly L+1.
+
+    A cycle, or terms that cancel on every longest path, leave the degree to
+    the squarings. A is nilpotent exactly when A**d == 0. The squares
+    A**(2**j) are taken up to an exponent of at least d or to zero; then
+    binary lifting finds the largest m with A**m != 0, high bits first: bit
+    j stays set when A**m * A**(2**j) is still nonzero. Every power and
+    column step is divided by the gcd of its entries, so the numerators of
+    long shift powers stay small; a positive factor never changes whether a
+    power is zero.
     """
     d = len(rows)
+    cols = [[] for _ in range(d)]
+    for i, row in enumerate(rows):
+        for j, vr, vi in row:
+            cols[j].append((i, vr, vi))
+    # Kahn's order from the sinks: a vertex enters once its out-edges are read
+    waiting = [len(col) for col in cols]
+    order = [j for j in range(d) if not waiting[j]]
+    height = [0] * d  # edges on the longest path from each vertex
+    for i in order:
+        for j, _, _ in rows[i]:
+            height[j] = max(height[j], height[i] + 1)
+            waiting[j] -= 1
+            if not waiting[j]:
+                order.append(j)
+    if len(order) == d:
+        top = max(height, default=0)
+        if any(_column_steps(cols, j, top) for j in range(d) if height[j] == top):
+            return top + 1
 
     def product(x, y):
         out, g = sparse_mul(d, x, y)
@@ -276,6 +304,25 @@ def nilpotency_degree_ints(rows):
             power = candidate
             m += 1 << j
     return m + 1
+
+
+def _column_steps(cols, j, steps):
+    """A**steps * e_j up to a positive factor, as its (row, re, im) nonzeros,
+    for A given by its columns of (row, re, im) nonzeros."""
+    v = [(j, 1, 0)]
+    for _ in range(steps):
+        w = {}
+        for k, xr, xi in v:
+            for i, ar, ai in cols[k]:
+                yr, yi = w.get(i, (0, 0))
+                w[i] = (yr + ar * xr - ai * xi, yi + ar * xi + ai * xr)
+        g = 0
+        for yr, yi in w.values():
+            g = gcd(g, yr, yi)
+        if not g:
+            return []
+        v = [(i, yr // g, yi // g) for i, (yr, yi) in w.items() if yr or yi]
+    return v
 
 
 def poly_divmod(ar, ai, br, bi):

@@ -351,9 +351,14 @@ _RUNNERS = {
 }
 
 
+_PARSER = None  # built on the first call; parsing keeps no state in it
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         payload, status = _RUNNERS[args.command](args)
     except (ConfigError, WeakcommError, ValueError) as exc:

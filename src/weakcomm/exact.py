@@ -686,8 +686,9 @@ def _reduce(ncols, rows):
                 break
         primitive.append([(j, vr // g, vi // g) for j, vr, vi in row] if g > 1 else row)
     pivots, echelon = kernel.echelon(ncols, primitive)
-    if not pivots:
-        return pivots, 1, []
+    if len(pivots) == ncols or not pivots:
+        # no pivot, or one in every column: the reduced form is 0 or I
+        return pivots, 1, [[] for _ in pivots]
     rank = len(pivots)
     where = {p: k for k, p in enumerate(pivots)}
     dr, di = next((er, ei) for j, er, ei in echelon[-1] if j == pivots[-1])

@@ -4,17 +4,20 @@ An :class:`LTwoOpSpec` describes an operator as a shift direction, a rational
 weight rule in the coordinate index, and a finite list of extra entries. The
 operator acts on l2 sequences; ``truncate`` compresses it onto the first n
 coordinates as an exact matrix. A section is built once, as integer sparse
-rows (``_section``): ``truncate`` makes its matrix from them, and the
-``truncate`` command decides nilpotency and the certified kernel on them
-alone, with no dense n x n step. Kernel vectors of the truncation that vanish
-from coordinate n-1 onward are kernel vectors of the infinite operator:
-certifying genuine point-spectrum facts is the purpose of
-``finite_support_kernel``. Eigenvalues of truncations, by contrast, are
-evidence only: finite sections of non-normal operators need not converge to
-the true spectrum. The ``truncate`` command decides each section's
-nilpotency exactly: an n x n section is nilpotent exactly when its charpoly
-is x^n, so its spectrum is the root 0 with multiplicity n. It certifies only
-that root, and stops at a section that is not nilpotent.
+rows (``_section``) whose weights are read off the rule as numerators over
+one common denominator, with no Fraction per weight: ``truncate`` makes its
+matrix from them, and the ``truncate`` command decides nilpotency and the
+certified kernel on them alone, with no dense n x n step. Kernel vectors of
+the truncation that vanish from coordinate n-1 onward are kernel vectors of
+the infinite operator: certifying genuine point-spectrum facts is the
+purpose of ``finite_support_kernel``. Eigenvalues of truncations, by
+contrast, are evidence only: finite sections of non-normal operators need
+not converge to the true spectrum. The ``truncate`` command decides each
+section's nilpotency exactly: an n x n section is nilpotent exactly when its
+charpoly is x^n, so its spectrum is the root 0 with multiplicity n. A shift
+section's graph is one path, so the longest-path certificate of
+``nilpotency_degree_ints`` gives its degree with no matrix product. It
+certifies only that root, and stops at a section that is not nilpotent.
 
 Spec text format (one key per line, ``#`` comments allowed):
 
@@ -36,10 +39,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import LiteralFormatError
 from ._kernel_py import dense_rows, normalize
-from .exact import ExactMatrix, _clear_denominators, _kernel, _parts
+from .exact import ExactMatrix, _kernel, _parts
 from .scalar import _RATIONAL, Scalar
 
 __all__ = [
@@ -59,6 +63,11 @@ _TERM_RE = re.compile(
 )
 
 
+def _scaled(den, pair):
+    """An exact (re, im) pair times den, for a den that clears its denominators."""
+    return tuple(x.numerator * (den // x.denominator) for x in pair)
+
+
 @dataclass(frozen=True)
 class WeightRule:
     """Weight at 1-based index k.
@@ -66,9 +75,9 @@ class WeightRule:
     Each parity term is None (contributes 0) or a (coef, shift) pair of a
     nonzero Fraction and an int, meaning coef/(k+shift). ``const`` adds to
     every index. ``prefix`` overrides the rule entirely at indices
-    1..len(prefix). ``const`` and the prefix entries are parsed literals;
-    ``weight`` reads their parts and adds in Fractions, so a weight is an
-    exact (re, im) pair ready for the integer format of ``exact``.
+    1..len(prefix). ``const`` and the prefix entries are parsed literals.
+    ``numerators`` is the rule's one formula: it reads the weights straight
+    into the integer format of ``exact``, and ``weight`` reads one of them.
     """
 
     even: tuple[Fraction, int] | None = None
@@ -76,18 +85,37 @@ class WeightRule:
     const: Scalar = Scalar(0)
     prefix: tuple[Scalar, ...] = ()
 
+    def numerators(self, count, den=1):
+        """(den, weights): the weights at indices 1..count as Gaussian-integer
+        (re, im) pairs over one positive den, a multiple of the den passed in.
+
+        den is one lcm of the prefix's and the constant's denominators and of
+        q*(k+a) for each term p/q at an index k, so the term adds the
+        integer p*(den // (q*(k+a))) to the constant's numerator and no
+        Fraction is built per weight. den need not be the least one: it may
+        share a factor with every numerator.
+        """
+        prefix = [_parts(w) for w in self.prefix[:count]]
+        const = _parts(self.const)
+        terms = [(k, self.odd if k % 2 else self.even) for k in range(len(prefix) + 1, count + 1)]
+        den = lcm(
+            den,
+            *(x.denominator for pair in (const, *prefix) for x in pair),
+            *(t[0].denominator * (k + t[1]) for k, t in terms if t),
+        )
+        weights = [_scaled(den, pair) for pair in prefix]
+        c_re, c_im = _scaled(den, const)
+        for k, t in terms:
+            x = c_re + t[0].numerator * (den // (t[0].denominator * (k + t[1]))) if t else c_re
+            weights.append((x, c_im))
+        return den, weights
+
     def weight(self, k):
         """The weight at index k as an exact (re, im) pair."""
         if k < 1:
             raise ValueError("weight index must be >= 1")
-        if k <= len(self.prefix):
-            return _parts(self.prefix[k - 1])
-        term = self.even if k % 2 == 0 else self.odd
-        re, im = _parts(self.const)
-        if term is not None:
-            coef, shift = term
-            re += Fraction(coef, k + shift)
-        return re, im
+        den, weights = self.numerators(k)
+        return tuple(Fraction(x, den) for x in weights[-1])
 
     def is_zero(self):
         return (
@@ -177,20 +205,24 @@ def _section(spec, n):
     den, which may share a factor with them.
 
     The weights of k = 1..n-1 sit at cell (k, k-1) for down or (k-1, k) for
-    up. Finite-rank entries add to their cell, and a cell that sums to zero
-    is dropped (EXNILP_N relies on T + N cancelling at (2, 1)).
+    up, read as numerators over one den with the finite-rank entries'
+    denominators (``WeightRule.numerators``). Finite-rank entries add to
+    their cell, and a cell that sums to zero is dropped (EXNILP_N relies on
+    T + N cancelling at (2, 1)).
     """
     if n < 1 or n < spec.support():
         raise ValueError(f"truncation size {n} below finite-rank support {spec.support()}")
+    finite = [_parts(v) for _, _, v in spec.finite_rank]
+    den = lcm(*(x.denominator for pair in finite for x in pair))
     cells = [(r - 1, c - 1) for r, c, _ in spec.finite_rank]
-    values = [_parts(v) for _, _, v in spec.finite_rank]
+    weights = []
     if spec.direction != "none":
+        den, weights = spec.weights.numerators(n - 1, den)
         down = spec.direction == "down"
         cells += [(k, k - 1) if down else (k - 1, k) for k in range(1, n)]
-        values += [spec.weights.weight(k) for k in range(1, n)]
-    den, re, im = _clear_denominators(values)
+    values = [_scaled(den, pair) for pair in finite] + weights
     rows = [{} for _ in range(n)]
-    for (i, j), vr, vi in zip(cells, re, im):
+    for (i, j), (vr, vi) in zip(cells, values):
         xr, xi = rows[i].get(j, (0, 0))
         rows[i][j] = (xr + vr, xi + vi)
     return den, [[(j, vr, vi) for j, (vr, vi) in row.items() if vr or vi] for row in rows]

@@ -336,6 +336,39 @@ def test_bad_values_exit_two(argv, capsys):
     assert "error" in captured.err
 
 
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    from weakcomm import cli
+
+    built = []
+    build_parser = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    commands = [
+        FAST_VERIFY,
+        ["search", "--predicate", "comm_l_not_comm_r", "--dim", "4", "--budget", "60", "--seed", "2"],
+        ["truncate", "EXNILP_N", "--sizes", "4,9"],
+        ["verify", "--classes", "comm_w", "--dims", "3", "--samples", "2", "--seed", "5",
+         "--format", "markdown"],
+    ]
+    rejected = ["truncate", "EXNILP_T", "--sizes", "6,4"]
+    for argv in commands:
+        with pytest.raises(SystemExit) as exc:
+            main(rejected)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        status, out, err = _run_inproc(argv, capsys)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "weakcomm", *argv], capture_output=True, text=True
+        )
+        assert (status, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert built == [1]
+
+
 def test_version():
     proc = subprocess.run(
         [sys.executable, "-m", "weakcomm", "--version"],

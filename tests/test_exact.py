@@ -38,7 +38,7 @@ from weakcomm.exact import (
 )
 from weakcomm.instances import ExampleId, RelationClass, paper_example, sample_pair
 from weakcomm.scalar import Scalar
-from weakcomm.shiftlab import finite_support_kernel, truncate
+from weakcomm.shiftlab import finite_support_kernel, parse_spec, truncate
 
 from field_scalar import FieldScalar
 
@@ -1445,9 +1445,7 @@ def test_nilpotency_degree_matches_linear_reference():
             assert (a ** degree).is_zero() and not (a ** (degree - 1)).is_zero()
 
 
-def test_nilpotency_degree_takes_logarithmic_products(monkeypatch):
-    spec, _ = paper_example(ExampleId.EXNILP_T)
-    section = truncate(spec, 160)
+def _count_sparse_mul(monkeypatch):
     calls = []
     sparse_mul = _kernel_py.sparse_mul
 
@@ -1456,10 +1454,82 @@ def test_nilpotency_degree_takes_logarithmic_products(monkeypatch):
         return sparse_mul(d, a, b)
 
     monkeypatch.setattr(_kernel_py, "sparse_mul", counted)
+    return calls
+
+
+def test_nilpotency_degree_takes_logarithmic_products(monkeypatch):
+    # EXNILP_T with loops at coordinates 1 and 2: the graph of the section
+    # has a cycle, so the path certificate declines it and the squarings run
+    spec, _ = paper_example(ExampleId.EXNILP_T)
+    spec += parse_spec("finite: 1 1 1\nfinite: 1 2 -2\nfinite: 2 2 -1\n")
+    section = truncate(spec, 160)
+    calls = _count_sparse_mul(monkeypatch)
     assert nilpotency_degree(section) == 160
     # squarings up to a^256, then one product for each of the bits 6..0:
     # below 2 * ceil(log2 160) = 16, where the linear loop made 167
     assert len(calls) == 8 + 7
+
+
+def test_nilpotency_degree_of_a_shift_section_takes_no_products(monkeypatch):
+    # the section of EXNILP_T is one path of n - 1 edges, and e_1 pushed
+    # along it is nonzero: the certificate decides the degree n alone
+    spec, _ = paper_example(ExampleId.EXNILP_T)
+    sections = {n: truncate(spec, n) for n in (160, 320)}
+    calls = _count_sparse_mul(monkeypatch)
+    for n, section in sections.items():
+        assert nilpotency_degree(section) == n
+    assert calls == []
+
+
+def test_nilpotency_degree_falls_back_when_paths_cancel(monkeypatch):
+    # the diamond 0 -> 1 -> 3, 0 -> 2 -> 3 with weights 1, 1, 1, -1: its
+    # longest paths have 2 edges, but A^2 e_0 = e_3 - e_3 = 0, so the
+    # certificate declines it and the squarings find A^2 = 0
+    rows = [[], [(0, 1, 0)], [(0, 1, 0)], [(1, 1, 0), (2, -1, 0)]]
+    calls = _count_sparse_mul(monkeypatch)
+    assert _kernel_py.nilpotency_degree_ints(rows) == 2
+    assert calls != []
+
+
+def _gaussian_entry(rng):
+    if rng.random() < 0.5:
+        return Scalar(0)
+    return Scalar(rng.randint(-2, 2), rng.randint(-1, 1) if rng.random() < 0.3 else 0)
+
+
+def test_nilpotency_degree_ints_matches_reference_on_random_matrices(monkeypatch):
+    # strictly lower matrices are nilpotent with acyclic graphs, permuting
+    # them hides the order, general matrices mostly have cycles, and
+    # conjugating a strictly lower one gives nilpotents with cycles; sparse
+    # small entries make some paths cancel as well
+    rng = random.Random(2909)
+    calls = _count_sparse_mul(monkeypatch)
+    certified = fell_back = 0
+    for case in range(1200):
+        d = rng.randint(1, 9)
+        kind = case % 4
+        rows = [
+            [_gaussian_entry(rng) if kind == 2 or j < i else Scalar(0) for j in range(d)]
+            for i in range(d)
+        ]
+        if kind == 1:
+            perm = list(range(d))
+            rng.shuffle(perm)
+            rows = [[rows[perm[i]][perm[j]] for j in range(d)] for i in range(d)]
+        a = ExactMatrix(rows)
+        if kind == 3:
+            u = _unimodular(rng, d)
+            a = u * a * inverse(u)
+        _, re, im = a._rep()
+        del calls[:]
+        degree = _kernel_py.nilpotency_degree_ints(_kernel_py.sparse_rows(d, re, im))
+        assert degree == reference_nilpotency_degree(a), a
+        if degree is not None:
+            if calls:
+                fell_back += 1
+            else:
+                certified += 1
+    assert certified > 400 and fell_back > 100
 
 
 def test_exp_exact_nilpotent():

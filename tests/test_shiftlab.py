@@ -4,16 +4,20 @@ from fractions import Fraction
 
 import pytest
 
+from weakcomm import shiftlab
+from weakcomm._kernel_py import dense_rows, nilpotency_degree_ints, normalize
 from weakcomm.errors import LiteralFormatError
 from weakcomm.exact import (
     ExactMatrix,
     Scalar,
     SubspaceBasis,
+    _clear_denominators,
+    _parts,
     charpoly,
     nilpotency_degree,
     rank_kernel,
 )
-from weakcomm.instances import ExampleId, paper_example
+from weakcomm.instances import ExampleId, example_entry, paper_example
 from weakcomm.relations import relation_check
 from weakcomm.shiftlab import (
     LTwoOpSpec,
@@ -174,6 +178,73 @@ def test_truncate_matches_scalar_grid_reference():
             expected = reference_truncate(spec, size)
             assert m == expected, (format_spec(spec), size)
             assert m._rep() == expected._rep(), (format_spec(spec), size)
+
+
+def _fraction_weight(rule, k):
+    """The weight at index k added up in Fractions, one per weight."""
+    if k <= len(rule.prefix):
+        return _parts(rule.prefix[k - 1])
+    term = rule.even if k % 2 == 0 else rule.odd
+    re, im = _parts(rule.const)
+    if term is not None:
+        re += Fraction(term[0], k + term[1])
+    return re, im
+
+
+def _fraction_section(spec, n):
+    """The section from Fraction weights over one ``_clear_denominators``."""
+    cells = [(r - 1, c - 1) for r, c, _ in spec.finite_rank]
+    values = [_parts(v) for _, _, v in spec.finite_rank]
+    if spec.direction != "none":
+        down = spec.direction == "down"
+        cells += [(k, k - 1) if down else (k - 1, k) for k in range(1, n)]
+        values += [_fraction_weight(spec.weights, k) for k in range(1, n)]
+    den, re, im = _clear_denominators(values)
+    rows = [{} for _ in range(n)]
+    for (i, j), vr, vi in zip(cells, re, im):
+        xr, xi = rows[i].get(j, (0, 0))
+        rows[i][j] = (xr + vr, xi + vi)
+    return den, [[(j, vr, vi) for j, (vr, vi) in row.items() if vr or vi] for row in rows]
+
+
+def test_integer_section_matches_the_fraction_route():
+    specs = [_spec(e) for e in ExampleId if example_entry(e).kind == "op_spec"]
+    specs += [
+        parse_spec(
+            "direction: up\nweights_even: -2/3/(k+2)\nweights_odd: 5/(k+0)\n"
+            "weights_prefix: 1/2 0 1/3i\nfinite: 1 3 1/2+1/7i\nfinite: 4 2 -3/4i\n"
+        ),
+        parse_spec("direction: down\nweights: 1/(k+1)\nweights: 1/2+1/3i\nfinite: 2 2 1/5\n"),
+    ]
+    compared = 0
+    for spec in specs:
+        for k in range(1, 90):
+            assert spec.weights.weight(k) == _fraction_weight(spec.weights, k)
+        for n in range(max(2, spec.support() + 1), 90):
+            den, rows = shiftlab._section(spec, n)
+            old_den, old_rows = _fraction_section(spec, n)
+            expected = normalize(old_den, *dense_rows(n, old_rows))
+            assert normalize(den, *dense_rows(n, rows)) == expected
+            assert truncate(spec, n)._rep() == expected
+            assert nilpotency_degree_ints(rows) == nilpotency_degree_ints(old_rows)
+            kernel = finite_support_kernel(spec, n, rows=rows)
+            assert kernel == finite_support_kernel(spec, n, rows=old_rows)
+            compared += 1
+    assert compared > 400
+
+
+def test_section_builds_no_fraction_per_weight(monkeypatch):
+    spec = _spec(ExampleId.EXNILP_T)
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    shiftlab._section(spec, 320)
+    assert built == []
 
 
 def test_truncate_respects_support():
