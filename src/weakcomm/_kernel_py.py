@@ -8,8 +8,9 @@ represented matrix is (RE + i*IM) / den.
 Sparse integer blocks are carried as ``sparse_rows``: one list of
 (col, re, im) nonzeros per row, as ``shiftlab`` builds its sections;
 ``dense_rows`` spreads them back to a flat block.
-``echelon``, the package's only elimination, runs on them: ranks, kernels,
-images and every canonical subspace basis in ``exact`` start from it.
+``echelon``, the package's only Bareiss elimination, runs on them: ranks,
+kernels, images and every canonical subspace basis in ``exact`` start from
+it, on the rows that ``exact._reduce`` leaves after peeling row singletons.
 ``sparse_mul`` is the one sparse product: Gustavson's row-by-row product
 (ACM TOMS 4, 1978) with one dense accumulator of length d, which also
 returns the gcd of its entries. ``charpoly_ints`` makes each
@@ -17,9 +18,10 @@ Faddeev-LeVerrier step with it and ends at the adjugate, so ``exact``
 takes charpolys and inverses from one pass. ``nilpotency_degree_ints``
 reads integer numerators alone, since whether a power is zero does not
 depend on the denominator. It first tries a certificate from the longest
-path of the graph of nonzeros, which decides a shift section with no
-product, and divides each power by its gcd so that the numerators of long
-shift powers stay small. None of them touches a d*d block.
+paths of the graph of nonzeros, which decides a shift section in one pass
+over its nonzeros when a longest path is unique, and divides each power by
+its gcd so that the numerators of long shift powers stay small. None of
+them touches a d*d block.
 
 ``poly_divmod`` and ``poly_chain`` are the package's only polynomial
 division and remainder sequence, on ascending Gaussian-integer lists
@@ -250,9 +252,14 @@ def nilpotency_degree_ints(rows):
     First a certificate from the graph of A's nonzeros, with an edge j -> i
     for each entry (i, j): entry (i, j) of A**m is a sum over the walks of m
     edges from j to i. If the graph is acyclic and its longest path has L
-    edges, no walk has L+1 edges, so A**(L+1) == 0. Then e_j is pushed
-    through L column steps from each start j of a longest path; a nonzero
-    result shows A**L != 0, and the degree is exactly L+1.
+    edges, no walk has L+1 edges, so A**(L+1) == 0. Kahn's pass, from the
+    sinks, finds each vertex's height and counts its longest paths, capped
+    at 2. Every walk of L edges from a start j of height L is a longest
+    path, so when j has only one, A**L e_j is a single product of nonzero
+    Gaussian integers, A**L != 0 and the degree is exactly L+1: a shift
+    section is decided in one pass over its nonzeros. Otherwise A's
+    columns are gathered and e_j is pushed through L column steps from each
+    start j; a nonzero result again gives the degree L+1.
 
     A cycle, or terms that cancel on every longest path, leave the degree to
     the squarings. A is nilpotent exactly when A**d == 0. The squares
@@ -264,23 +271,34 @@ def nilpotency_degree_ints(rows):
     power is zero.
     """
     d = len(rows)
-    cols = [[] for _ in range(d)]
-    for i, row in enumerate(rows):
-        for j, vr, vi in row:
-            cols[j].append((i, vr, vi))
     # Kahn's order from the sinks: a vertex enters once its out-edges are read
-    waiting = [len(col) for col in cols]
+    waiting = [0] * d
+    for row in rows:
+        for j, _, _ in row:
+            waiting[j] += 1
     order = [j for j in range(d) if not waiting[j]]
     height = [0] * d  # edges on the longest path from each vertex
+    paths = [1] * d  # the number of those paths, capped at 2
     for i in order:
+        h = height[i] + 1
         for j, _, _ in rows[i]:
-            height[j] = max(height[j], height[i] + 1)
+            if h > height[j]:
+                height[j], paths[j] = h, paths[i]
+            elif h == height[j]:
+                paths[j] = min(2, paths[j] + paths[i])
             waiting[j] -= 1
             if not waiting[j]:
                 order.append(j)
     if len(order) == d:
         top = max(height, default=0)
-        if any(_column_steps(cols, j, top) for j in range(d) if height[j] == top):
+        starts = [j for j in range(d) if height[j] == top]
+        if any(paths[j] == 1 for j in starts):
+            return top + 1
+        cols = [[] for _ in range(d)]
+        for i, row in enumerate(rows):
+            for j, vr, vi in row:
+                cols[j].append((i, vr, vi))
+        if any(_column_steps(cols, j, top) for j in starts):
             return top + 1
 
     def product(x, y):

@@ -31,10 +31,11 @@ is built straight from its coefficients, and the inverse is its last
 iterate, the adjugate up to sign, over the constant term.
 
 Every rank, kernel, image and subspace comes from one canonical reduced row
-echelon form, ``_rref``: Bareiss ``echelon`` from ``_kernel_py`` on sparse
-Gaussian-integer rows, then one back-substitution over their nonzeros and a
-single division by the last pivot. Scalars appear only at the parse/print
-boundary.
+echelon form, ``_rref``: row singletons peeled in time linear in the
+nonzeros, then Bareiss ``echelon`` from ``_kernel_py`` on the sparse
+Gaussian-integer rows that are left, one back-substitution over their
+nonzeros and a single division by the last pivot. Scalars appear only at
+the parse/print boundary.
 
 Matrix literal format (used by the CLI and the registry data files): rows
 separated by ``;``, entries separated by ``,``, each entry a scalar literal
@@ -629,7 +630,11 @@ def _kernel(ncols, rows, ambient):
     their kernel in ambient >= ncols coordinates, zero beyond the first ncols.
 
     With N/den the reduced form, free column f gives the kernel vector den at
-    f and -N[i][f] at pivot i.
+    f and -N[i][f] at pivot i. A pivot that ``_reduce`` peels has the reduced
+    row e_i, zero at every free column, so it adds to no kernel vector. When
+    every pivot is peeled, as on a shift section, each kernel vector is
+    den * e_f, a singleton that ``_rref`` peels too, and no Bareiss step
+    runs.
     """
     pivots, den, reduced = _reduce(ncols, rows)
     vectors = {f: [(f, den, 0)] for f in sorted(set(range(ncols)) - set(pivots))}
@@ -669,26 +674,70 @@ def _reduce(ncols, rows):
 
     Returns (pivots, den, reduced): the pivot column of each nonzero reduced
     row, and each such row's nonzeros off its pivot column, where its entry
-    is den. Each input row is divided by its content, which keeps Bareiss
-    pivots small on sparse rows such as shift sections; ``echelon`` then
-    clears below each pivot. Its last pivot D is the determinant of the
-    pivot minor, so D*R is integral (Cramer's rule): one back-substitution,
-    bottom row first, clears above each pivot in integers with
+    is den. First the row singletons are peeled, the first step of sparse
+    elimination toward a triangular form (Duff, Erisman, Reid, *Direct
+    Methods for Sparse Matrices*, 1986): a row with one live nonzero, at
+    column j, puts e_j in the row space, so j is a pivot, its reduced row is
+    e_j (an empty list) and column j leaves every other row, which may make
+    another row a singleton or empty it. A live count per row and a list of
+    rows per column repeat this in time linear in the nonzeros, and a shift
+    section peels whole. Zero rows are dropped, the other rows are divided
+    by their content, which keeps Bareiss pivots small, and ``echelon``
+    clears below each pivot of the rows that the peel leaves, without the
+    peeled columns; it is not called when none is left. Its last pivot D
+    is the determinant of the pivot minor, so D*R is integral (Cramer's
+    rule): one back-substitution, bottom row first, clears above each pivot
+    in integers with
     D*R_i = (D*E_i - sum over k > i of E_i[p_k] * D*R_k) / E_i[p_i],
-    and R = D*R * conj(D) / |D|^2. Every step reads nonzeros only.
+    and R = D*R * conj(D) / |D|^2. No peeled column is live in those rows,
+    so their reduced rows are zero at the peeled pivots. Every step reads
+    nonzeros only.
     """
-    primitive = []
+    primitive, queue = [], []
     for row in rows:
+        if len(row) < 2:
+            # zero rows are dropped, and a singleton's value is never read:
+            # it is peeled or emptied
+            if row:
+                queue.append(len(primitive))
+                primitive.append(row)
+            continue
         g = 0
         for _, vr, vi in row:
             g = gcd(g, vr, vi)
             if g == 1:
                 break
         primitive.append([(j, vr // g, vi // g) for j, vr, vi in row] if g > 1 else row)
-    pivots, echelon = kernel.echelon(ncols, primitive)
-    if len(pivots) == ncols or not pivots:
-        # no pivot, or one in every column: the reduced form is 0 or I
-        return pivots, 1, [[] for _ in pivots]
+    peeled = []
+    if queue:
+        live = [len(row) for row in primitive]
+        rows_of = [[] for _ in range(ncols)]
+        for i, row in enumerate(primitive):
+            for j, _, _ in row:
+                rows_of[j].append(i)
+        done = [False] * ncols
+        for i in queue:  # rows join the queue as the peel leaves them one nonzero
+            if live[i] != 1:
+                continue  # emptied by an earlier peel
+            for j, _, _ in primitive[i]:
+                if not done[j]:
+                    break
+            done[j] = True
+            peeled.append(j)
+            for t in rows_of[j]:
+                live[t] -= 1
+                if live[t] == 1:
+                    queue.append(t)
+        primitive = [
+            [cell for cell in row if not done[cell[0]]]
+            for row, count in zip(primitive, live)
+            if count > 0
+        ]
+    pivots, echelon = kernel.echelon(ncols, primitive) if primitive else ([], [])
+    if len(pivots) + len(peeled) == ncols or not pivots:
+        # every pivot peeled, or one in every column: each reduced row is
+        # the pivot's unit vector
+        return sorted(pivots + peeled), 1, [[] for _ in range(len(pivots) + len(peeled))]
     rank = len(pivots)
     where = {p: k for k, p in enumerate(pivots)}
     dr, di = next((er, ei) for j, er, ei in echelon[-1] if j == pivots[-1])
@@ -714,6 +763,9 @@ def _reduce(ncols, rows):
         [(j, xr * dr + xi * di, xi * dr - xr * di) for j, (xr, xi) in row.items()]
         for row in scaled
     ]
+    if peeled:
+        merged = sorted([*zip(pivots, reduced), *((p, []) for p in peeled)])
+        pivots, reduced = [p for p, _ in merged], [row for _, row in merged]
     return pivots, dr * dr + di * di, reduced
 
 

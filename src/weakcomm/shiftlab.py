@@ -92,22 +92,29 @@ class WeightRule:
         den is one lcm of the prefix's and the constant's denominators and of
         q*(k+a) for each term p/q at an index k, so the term adds the
         integer p*(den // (q*(k+a))) to the constant's numerator and no
-        Fraction is built per weight. den need not be the least one: it may
-        share a factor with every numerator.
+        Fraction is built per weight: each parity's p, q and a are read once,
+        as ints. den need not be the least one: it may share a factor with
+        every numerator.
         """
         prefix = [_parts(w) for w in self.prefix[:count]]
         const = _parts(self.const)
-        terms = [(k, self.odd if k % 2 else self.even) for k in range(len(prefix) + 1, count + 1)]
+        # each parity's term p/(q*k + q*a) as (p, q, q*a); no term is 0/(0*k + 1)
+        parity = [
+            (t[0].numerator, t[0].denominator, t[0].denominator * t[1]) if t else (0, 0, 1)
+            for t in (self.even, self.odd)
+        ]
+        terms = []  # (p, q*(k+a)) at each index k past the prefix
+        for k in range(len(prefix) + 1, count + 1):
+            p, q, b = parity[k % 2]
+            terms.append((p, q * k + b))
         den = lcm(
             den,
             *(x.denominator for pair in (const, *prefix) for x in pair),
-            *(t[0].denominator * (k + t[1]) for k, t in terms if t),
+            *(q for _, q in terms),
         )
-        weights = [_scaled(den, pair) for pair in prefix]
         c_re, c_im = _scaled(den, const)
-        for k, t in terms:
-            x = c_re + t[0].numerator * (den // (t[0].denominator * (k + t[1]))) if t else c_re
-            weights.append((x, c_im))
+        weights = [_scaled(den, pair) for pair in prefix]
+        weights += [(c_re + p * (den // q), c_im) for p, q in terms]
         return den, weights
 
     def weight(self, k):
@@ -214,18 +221,27 @@ def _section(spec, n):
         raise ValueError(f"truncation size {n} below finite-rank support {spec.support()}")
     finite = [_parts(v) for _, _, v in spec.finite_rank]
     den = lcm(*(x.denominator for pair in finite for x in pair))
-    cells = [(r - 1, c - 1) for r, c, _ in spec.finite_rank]
-    weights = []
+    rows = [[] for _ in range(n)]
     if spec.direction != "none":
         den, weights = spec.weights.numerators(n - 1, den)
-        down = spec.direction == "down"
-        cells += [(k, k - 1) if down else (k - 1, k) for k in range(1, n)]
-    values = [_scaled(den, pair) for pair in finite] + weights
-    rows = [{} for _ in range(n)]
-    for (i, j), (vr, vi) in zip(cells, values):
-        xr, xi = rows[i].get(j, (0, 0))
-        rows[i][j] = (xr + vr, xi + vi)
-    return den, [[(j, vr, vi) for j, (vr, vi) in row.items() if vr or vi] for row in rows]
+        # weight k sits in row k for down, row k - 1 for up
+        down = int(spec.direction == "down")
+        rows[down:n - 1 + down] = [
+            [(k - down, vr, vi)] if vr or vi else [] for k, (vr, vi) in enumerate(weights, 1)
+        ]
+    # a dict only for the rows that the finite-rank part touches
+    touched = {}
+    for (r, c, _), pair in zip(spec.finite_rank, finite):
+        cells = touched.setdefault(r - 1, {})
+        vr, vi = _scaled(den, pair)
+        xr, xi = cells.get(c - 1, (0, 0))
+        cells[c - 1] = (xr + vr, xi + vi)
+    for i, cells in touched.items():
+        for j, vr, vi in rows[i]:
+            xr, xi = cells.get(j, (0, 0))
+            cells[j] = (xr + vr, xi + vi)
+        rows[i] = [(j, vr, vi) for j, (vr, vi) in cells.items() if vr or vi]
+    return den, rows
 
 
 def truncate(spec, n):
@@ -241,7 +257,10 @@ def finite_support_kernel(spec, n, *, rows=None):
     of the infinite matrix that meets coordinates 1..n-1 is present in the
     truncation. The basis is therefore a certified subspace of the true
     kernel, stable as n grows. A caller that holds the section's ``rows``
-    from ``_section`` passes them, so that they are not built twice.
+    from ``_section`` passes them, so that they are not built twice. The
+    elimination peels row singletons first (``exact._reduce``): a shift
+    section's rows each hold one weight, so it peels whole and the kernel
+    costs time linear in the section's nonzeros, with no Bareiss step.
     """
     if n < spec.support() + 1 or n < 2:
         raise ValueError(f"need n >= support+1 = {spec.support() + 1} and n >= 2")

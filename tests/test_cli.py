@@ -263,6 +263,45 @@ def test_truncate_builds_each_section_once_as_sparse_rows(monkeypatch, capsys):
     assert converted == [] and dense == []
 
 
+def test_truncate_certificates_at_large_sizes_take_no_elimination_or_product(
+    monkeypatch, capsys
+):
+    from weakcomm import _kernel_py
+
+    eliminated, steps, products = [], [], []
+    echelon, column_steps, sparse_mul = (
+        _kernel_py.echelon,
+        _kernel_py._column_steps,
+        _kernel_py.sparse_mul,
+    )
+
+    def counted_echelon(ncols, rows):
+        if rows:
+            eliminated.append(ncols)
+        return echelon(ncols, rows)
+
+    def counted_column_steps(cols, j, count):
+        steps.append(j)
+        return column_steps(cols, j, count)
+
+    def counted_sparse_mul(d, a, b):
+        products.append(d)
+        return sparse_mul(d, a, b)
+
+    monkeypatch.setattr(_kernel_py, "echelon", counted_echelon)
+    monkeypatch.setattr(_kernel_py, "_column_steps", counted_column_steps)
+    monkeypatch.setattr(_kernel_py, "sparse_mul", counted_sparse_mul)
+    status, out, err = _run_inproc(["truncate", "EXNILP_T", "--sizes", "160,320"], capsys)
+    assert status == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    degrees = [(r["nilpotency_degree"], r["certified_kernel_dim"]) for r in rows]
+    assert degrees == [(160, 0), (320, 0)]
+    # each section is one path: the peel takes every row of the certified
+    # kernel's block and the unique longest path gives the degree, so the
+    # work is linear in the nonzeros, with no Bareiss step and no product
+    assert eliminated == [] and steps == [] and products == []
+
+
 def test_truncate_bad_sizes():
     proc = subprocess.run(
         [sys.executable, "-m", "weakcomm", "truncate", "EXNILP_T", "--sizes", "6,4"],

@@ -28,6 +28,8 @@ from weakcomm.exact import (
     SubspaceBasis,
     _clear_denominators,
     _parts,
+    _reduce,
+    _rref,
     charpoly,
     exp_exact_nilpotent,
     inverse,
@@ -1071,6 +1073,127 @@ def test_rank_kernel_matches_reference():
         assert (rank, _canonical(kernel), _canonical(image)) == reference_rank_kernel(a), a
 
 
+def _peel_rows(rng):
+    """Sparse Gaussian-integer rows, (ncols, rows), shaped for the singleton peel.
+
+    A chain of rows each holds its own column and some columns of the rows
+    before it, so the peel cascades along it; twins repeat a singleton on a
+    chain column, zero rows and rows inside the chain's columns are emptied,
+    and free rows over all columns are left to Bareiss.
+    """
+    ncols = rng.randint(1, 8)
+    nrows = rng.randint(1, 9)
+    chain = rng.sample(range(ncols), rng.randint(0, min(nrows, ncols)))
+    patterns = [
+        {c, *rng.sample(chain[:t], rng.randint(0, min(2, t)))} for t, c in enumerate(chain)
+    ]
+    while len(patterns) < nrows:
+        kind = rng.randrange(4)
+        if kind == 0:
+            patterns.append(set())
+        elif kind == 1 and chain:
+            patterns.append({rng.choice(chain)})
+        elif kind == 2 and chain:
+            patterns.append(set(rng.sample(chain, rng.randint(1, len(chain)))))
+        else:
+            patterns.append(set(rng.sample(range(ncols), rng.randint(1, ncols))))
+    rng.shuffle(patterns)
+
+    def entry():
+        while True:
+            vr, vi = rng.randint(-4, 4), rng.randint(-2, 2) if rng.random() < 0.3 else 0
+            if vr or vi:
+                return rng.choice((1, 1, 3, 6)) * vr, vi
+
+    return ncols, [[(j, *entry()) for j in sorted(cols)] for cols in patterns]
+
+
+def _naive_peel(rows):
+    """The peel by a slow loop: (peeled columns, the column sets left to Bareiss).
+
+    Any row with one column outside the peeled set peels that column, until
+    none is left; the peeled set is the least one closed under that rule, so
+    the order does not matter.
+    """
+    patterns = [{j for j, _, _ in row} for row in rows]
+    peeled = set()
+    while True:
+        fresh = {j for cols in patterns for j in cols - peeled if len(cols - peeled) == 1}
+        if not fresh:
+            return peeled, [cols - peeled for cols in patterns if cols - peeled]
+        peeled.add(min(fresh))
+
+
+def _chunks(flat, ncols):
+    return [flat[o:o + ncols] for o in range(0, len(flat), ncols)]
+
+
+def _dense_rows(ncols, rows):
+    """``sparse_rows`` of Gaussian integers as dense rows of Scalars."""
+    dense = [[Scalar(0)] * ncols for _ in rows]
+    for vec, row in zip(dense, rows):
+        for j, vr, vi in row:
+            vec[j] = Scalar(vr, vi)
+    return dense
+
+
+def test_reduce_peels_singletons_and_matches_reference(monkeypatch):
+    rng = random.Random(3011)
+    seen = dict.fromkeys(("cascade", "emptied", "twins", "zero row", "tall", "wide"), 0)
+    seen.update(whole=0, bareiss=0)
+    handed = []
+    echelon = _kernel_py.echelon
+
+    def recorded(ncols, rows):
+        handed.append([{j for j, _, _ in row} for row in rows])
+        return echelon(ncols, rows)
+
+    for _ in range(400):
+        ncols, rows = _peel_rows(rng)
+        peeled, left = _naive_peel(rows)
+        singles = [row[0][0] for row in rows if len(row) == 1]
+        inside = sum(1 for row in rows if row and {j for j, _, _ in row} <= peeled)
+        seen["cascade"] += bool(peeled - set(singles))
+        seen["emptied"] += inside > len(peeled)  # one row peels each column
+        seen["twins"] += len(singles) > len(set(singles))
+        seen["zero row"] += any(not row for row in rows)
+        seen["tall"] += len(rows) > ncols
+        seen["wide"] += len(rows) < ncols
+        seen["bareiss" if left else "whole"] += 1
+        # echelon gets exactly the rows that the peel leaves, without the
+        # peeled columns, and is not called when the peel takes every row
+        del handed[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernel_py, "echelon", recorded)
+            pivots, den, reduced = _reduce(ncols, rows)
+        assert handed == ([left] if left else []), rows
+        assert peeled <= set(pivots)
+        vectors = _dense_rows(ncols, rows)
+        got = []
+        for p, row in zip(pivots, reduced):
+            vec = [FieldScalar(0)] * ncols
+            vec[p] = FieldScalar(1)
+            for j, xr, xi in row:
+                vec[j] = FieldScalar(Fraction(xr, den), Fraction(xi, den))
+            got.append(vec)
+        assert (got, pivots) == reference_rref(vectors), rows
+        basis = SubspaceBasis.span(vectors, ambient=ncols)
+        assert _canonical(basis) == reference_span(vectors), rows
+        canonical_pivots, (cden, cre, cim) = _rref(ncols, rows)
+        canonical = [
+            [FieldScalar(Fraction(x, cden), Fraction(y, cden)) for x, y in zip(re, im)]
+            for re, im in zip(_chunks(cre, ncols), _chunks(cim, ncols))
+        ]
+        assert (canonical, canonical_pivots) == reference_rref(vectors), rows
+        d = max(ncols, len(rows))
+        square = [vec + [Scalar(0)] * (d - ncols) for vec in vectors]
+        square = ExactMatrix(square + [[Scalar(0)] * d] * (d - len(rows)))
+        rank, kernel_basis, image = rank_kernel(square)
+        got = (rank, _canonical(kernel_basis), _canonical(image))
+        assert got == reference_rank_kernel(square), rows
+    assert all(seen.values()), seen
+
+
 def test_kernel_negative_den_sign_flip():
     assert _kernel_py.normalize(-2, [2, 0, 0, 2], [0, 0, 0, 0]) == (
         1,
@@ -1491,6 +1614,41 @@ def test_nilpotency_degree_falls_back_when_paths_cancel(monkeypatch):
     assert calls != []
 
 
+def _count_column_steps(monkeypatch):
+    calls = []
+    column_steps = _kernel_py._column_steps
+
+    def counted(cols, j, steps):
+        calls.append(j)
+        return column_steps(cols, j, steps)
+
+    monkeypatch.setattr(_kernel_py, "_column_steps", counted)
+    return calls
+
+
+def test_nilpotency_degree_certified_by_a_unique_longest_path(monkeypatch):
+    # two starts of height 2: vertex 0 has the two paths of a diamond that
+    # cancels (0 -> 1 -> 3, 0 -> 2 -> 3 with weights 1, 1, 1, -1), vertex 4
+    # the one path 4 -> 5 -> 6, which gives A^2 e_4 = (2 - i)(2 + i) e_6 =
+    # 5 e_6: the path alone certifies the degree
+    rows = [[], [(0, 1, 0)], [(0, 1, 0)], [(1, 1, 0), (2, -1, 0)], [], [(4, 2, 1)], [(5, 2, -1)]]
+    steps, products = _count_column_steps(monkeypatch), _count_sparse_mul(monkeypatch)
+    assert _kernel_py.nilpotency_degree_ints(rows) == 3
+    assert steps == [] and products == []
+    dense_re, dense_im = _kernel_py.dense_rows(7, rows)
+    a = ExactMatrix._from_rep(7, (1, dense_re, dense_im))
+    assert reference_nilpotency_degree(a) == 3
+
+
+def test_nilpotency_degree_takes_column_steps_on_two_longest_paths(monkeypatch):
+    # the diamond with weights 1, 1, 1, 1: two longest paths that add up,
+    # A^2 e_0 = 2 e_3, so the column steps certify the degree 3
+    rows = [[], [(0, 1, 0)], [(0, 1, 0)], [(1, 1, 0), (2, 1, 0)]]
+    steps, products = _count_column_steps(monkeypatch), _count_sparse_mul(monkeypatch)
+    assert _kernel_py.nilpotency_degree_ints(rows) == 3
+    assert steps == [0] and products == []
+
+
 def _gaussian_entry(rng):
     if rng.random() < 0.5:
         return Scalar(0)
@@ -1504,7 +1662,9 @@ def test_nilpotency_degree_ints_matches_reference_on_random_matrices(monkeypatch
     # small entries make some paths cancel as well
     rng = random.Random(2909)
     calls = _count_sparse_mul(monkeypatch)
+    steps = _count_column_steps(monkeypatch)
     certified = fell_back = 0
+    outcomes = dict.fromkeys(("unique path", "column steps", "squarings"), 0)
     for case in range(1200):
         d = rng.randint(1, 9)
         kind = case % 4
@@ -1521,7 +1681,7 @@ def test_nilpotency_degree_ints_matches_reference_on_random_matrices(monkeypatch
             u = _unimodular(rng, d)
             a = u * a * inverse(u)
         _, re, im = a._rep()
-        del calls[:]
+        del calls[:], steps[:]
         degree = _kernel_py.nilpotency_degree_ints(_kernel_py.sparse_rows(d, re, im))
         assert degree == reference_nilpotency_degree(a), a
         if degree is not None:
@@ -1529,7 +1689,9 @@ def test_nilpotency_degree_ints_matches_reference_on_random_matrices(monkeypatch
                 fell_back += 1
             else:
                 certified += 1
+            outcomes["squarings" if calls else "column steps" if steps else "unique path"] += 1
     assert certified > 400 and fell_back > 100
+    assert all(outcomes.values()), outcomes
 
 
 def test_exp_exact_nilpotent():
