@@ -18,10 +18,10 @@ Faddeev-LeVerrier step with it and ends at the adjugate, so ``exact``
 takes charpolys and inverses from one pass. ``nilpotency_degree_ints``
 reads integer numerators alone, since whether a power is zero does not
 depend on the denominator. It first tries a certificate from the longest
-paths of the graph of nonzeros, which decides a shift section in one pass
-over its nonzeros when a longest path is unique, and divides each power by
-its gcd so that the numerators of long shift powers stay small. None of
-them touches a d*d block.
+paths of a ``pattern``, the columns of each row's nonzeros, which decides a
+shift section with no value read when a longest path is unique, and
+divides each power by its gcd so that the numerators of long shift powers
+stay small. None of them touches a d*d block.
 
 ``poly_divmod`` and ``poly_chain`` are the package's only polynomial
 division and remainder sequence, on ascending Gaussian-integer lists
@@ -40,6 +40,7 @@ broken invariant fails loudly (also under ``python -O``).
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 
 
@@ -246,20 +247,26 @@ def sparse_mul(d, a, b):
     return out, g
 
 
-def nilpotency_degree_ints(rows):
-    """Least m >= 1 with A**m == 0 for the d x d integer A in ``sparse_rows``, or None.
+def pattern(rows):
+    """The sparsity pattern of ``sparse_rows``: the columns of each row's nonzeros."""
+    return [[cell[0] for cell in row] for row in rows]
 
-    First a certificate from the graph of A's nonzeros, with an edge j -> i
-    for each entry (i, j): entry (i, j) of A**m is a sum over the walks of m
+
+def nilpotency_degree_ints(cols_of, values):
+    """Least m >= 1 with A**m == 0 for the d x d integer A, or None, from A's
+    ``pattern`` and a function that returns A's ``sparse_rows``.
+
+    First a certificate from the pattern's graph, with an edge j -> i for
+    each entry (i, j): entry (i, j) of A**m is a sum over the walks of m
     edges from j to i. If the graph is acyclic and its longest path has L
     edges, no walk has L+1 edges, so A**(L+1) == 0. Kahn's pass, from the
     sinks, finds each vertex's height and counts its longest paths, capped
     at 2. Every walk of L edges from a start j of height L is a longest
     path, so when j has only one, A**L e_j is a single product of nonzero
     Gaussian integers, A**L != 0 and the degree is exactly L+1: a shift
-    section is decided in one pass over its nonzeros. Otherwise A's
-    columns are gathered and e_j is pushed through L column steps from each
-    start j; a nonzero result again gives the degree L+1.
+    section is decided in one pass, with no call to ``values``. Otherwise
+    A's columns are gathered and e_j is pushed through L column steps from
+    each start j; a nonzero result again gives the degree L+1.
 
     A cycle, or terms that cancel on every longest path, leave the degree to
     the squarings. A is nilpotent exactly when A**d == 0. The squares
@@ -270,18 +277,17 @@ def nilpotency_degree_ints(rows):
     long shift powers stay small; a positive factor never changes whether a
     power is zero.
     """
-    d = len(rows)
+    d = len(cols_of)
     # Kahn's order from the sinks: a vertex enters once its out-edges are read
     waiting = [0] * d
-    for row in rows:
-        for j, _, _ in row:
-            waiting[j] += 1
-    order = [j for j in range(d) if not waiting[j]]
+    for j in chain.from_iterable(cols_of):
+        waiting[j] += 1
+    order = [j for j, count in enumerate(waiting) if not count]
     height = [0] * d  # edges on the longest path from each vertex
     paths = [1] * d  # the number of those paths, capped at 2
     for i in order:
         h = height[i] + 1
-        for j, _, _ in rows[i]:
+        for j in cols_of[i]:
             if h > height[j]:
                 height[j], paths[j] = h, paths[i]
             elif h == height[j]:
@@ -291,11 +297,11 @@ def nilpotency_degree_ints(rows):
                 order.append(j)
     if len(order) == d:
         top = max(height, default=0)
-        starts = [j for j in range(d) if height[j] == top]
+        starts = [j for j, level in enumerate(height) if level == top]
         if any(paths[j] == 1 for j in starts):
             return top + 1
         cols = [[] for _ in range(d)]
-        for i, row in enumerate(rows):
+        for i, row in enumerate(values()):
             for j, vr, vi in row:
                 cols[j].append((i, vr, vi))
         if any(_column_steps(cols, j, top) for j in starts):
@@ -307,7 +313,7 @@ def nilpotency_degree_ints(rows):
             out = [[(j, vr // g, vi // g) for j, vr, vi in row] for row in out]
         return out
 
-    squares = [rows]
+    squares = [values()]
     exponent = 1
     while exponent < d and any(squares[-1]):
         squares.append(product(squares[-1], squares[-1]))

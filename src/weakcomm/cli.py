@@ -200,11 +200,11 @@ def _run_truncate(args):
         )
     rows = []
     for n in args.sizes:
-        den, section = shiftlab._section(spec, n)
+        pattern, values = section = shiftlab._section(spec, n)
         # an n x n matrix is nilpotent exactly when its charpoly is x^n
-        degree = nilpotency_degree_ints(section)
+        degree = nilpotency_degree_ints(pattern, lambda: values()[1])
         if degree is None:
-            p, _ = _charpoly_rows(n, den, section)
+            p, _ = _charpoly_rows(n, *values())
             raise ConfigError(
                 f"{args.id} at n = {n}: charpoly {p.literal()} has nonzero roots, "
                 "and truncate certifies only the root 0"
@@ -214,7 +214,7 @@ def _run_truncate(args):
                 "n": n,
                 "charpoly": f"x^{n}",  # --sizes are >= 2
                 "nilpotency_degree": degree,
-                "certified_kernel_dim": shiftlab.finite_support_kernel(spec, n, rows=section).dim,
+                "certified_kernel_dim": shiftlab.finite_support_kernel(spec, n, section=section).dim,
                 # the root 0 with multiplicity n
                 "spectrum": [[0.0, 0.0, n]],
                 "max_modulus": 0.0,

@@ -615,7 +615,8 @@ def rank_kernel(a):
     """
     d = a.dim
     _, re, im = a._rep()
-    pivots, kernel_basis = _kernel(d, kernel.sparse_rows(d, re, im), d)
+    rows = kernel.sparse_rows(d, re, im)
+    pivots, kernel_basis = _kernel(d, kernel.pattern(rows), lambda: rows)
     if len(pivots) == d:
         return d, kernel_basis, SubspaceBasis.full(d)
     columns = [
@@ -625,9 +626,8 @@ def rank_kernel(a):
     return len(pivots), kernel_basis, SubspaceBasis._make(d, *_rref(d, columns))
 
 
-def _kernel(ncols, rows, ambient):
-    """The pivots of Gaussian-integer ``sparse_rows`` with ncols columns, and
-    their kernel in ambient >= ncols coordinates, zero beyond the first ncols.
+def _kernel(ncols, cols_of, values):
+    """The pivots and kernel of ``sparse_rows`` with ncols columns, given as for ``_reduce``.
 
     With N/den the reduced form, free column f gives the kernel vector den at
     f and -N[i][f] at pivot i. A pivot that ``_reduce`` peels has the reduced
@@ -636,18 +636,21 @@ def _kernel(ncols, rows, ambient):
     den * e_f, a singleton that ``_rref`` peels too, and no Bareiss step
     runs.
     """
-    pivots, den, reduced = _reduce(ncols, rows)
+    pivots, den, reduced = _reduce(ncols, cols_of, values)
+    if len(pivots) == ncols:
+        return pivots, SubspaceBasis.zero(ncols)
     vectors = {f: [(f, den, 0)] for f in sorted(set(range(ncols)) - set(pivots))}
     for p, row in zip(pivots, reduced):
         for f, xr, xi in row:
             vectors[f].append((p, -xr, -xi))
-    return pivots, SubspaceBasis._make(ambient, *_rref(ambient, list(vectors.values())))
+    return pivots, SubspaceBasis._make(ncols, *_rref(ncols, list(vectors.values())))
 
 
 def nilpotency_degree(a):
     """Least n >= 1 with a**n == 0, or None when a is not nilpotent."""
     # a**n is zero exactly when its numerator is, so the denominator is dropped
-    return kernel.nilpotency_degree_ints(kernel.sparse_rows(a.dim, a._re, a._im))
+    rows = kernel.sparse_rows(a.dim, a._re, a._im)
+    return kernel.nilpotency_degree_ints(kernel.pattern(rows), lambda: rows)
 
 
 def exp_exact_nilpotent(a):
@@ -668,71 +671,68 @@ def exp_exact_nilpotent(a):
 # -- subspaces --------------------------------------------------------------------
 
 
-def _reduce(ncols, rows):
+def _peel(ncols, cols_of):
+    """The row-singleton peel on a ``pattern`` alone: (peeled, left), the
+    pivot columns it finds and the rows it leaves nonzero. A row with one
+    live nonzero, at column j, puts e_j in the row space, so j is a pivot and
+    column j leaves every other row, which may make another row a singleton
+    or empty it: the first step of sparse elimination toward a triangular
+    form (Duff, Erisman, Reid, *Direct Methods for Sparse Matrices*, 1986),
+    in time linear in the nonzeros. A shift section peels whole.
+    """
+    # each singleton's column, then each row's of rest as it falls to one
+    queue = [cols[0] for cols in cols_of if len(cols) == 1]
+    live = [len(cols) for cols in cols_of]
+    rest = [i for i, count in enumerate(live) if count > 1]
+    if not queue:
+        return [], rest
+    rows_of = {}  # the rows of rest at each column
+    for i in rest:
+        for j in cols_of[i]:
+            rows_of.setdefault(j, []).append(i)
+    done = [False] * ncols
+    peeled = []
+    for j in queue:
+        if done[j]:
+            continue  # peeled meanwhile, which emptied the row that queued it
+        done[j] = True
+        peeled.append(j)
+        if j in rows_of:
+            for t in rows_of[j]:
+                live[t] -= 1
+                if live[t] == 1:
+                    queue.append(next(k for k in cols_of[t] if not done[k]))
+    return peeled, [i for i in rest if live[i]]
+
+
+def _reduce(ncols, cols_of, values):
     """Reduced row echelon form of Gaussian-integer ``sparse_rows`` with
-    ncols columns, over one denominator that is not yet normalized.
+    ncols columns, given as their ``pattern`` and a function that returns
+    them, over one denominator that is not yet normalized.
 
     Returns (pivots, den, reduced): the pivot column of each nonzero reduced
     row, and each such row's nonzeros off its pivot column, where its entry
-    is den. First the row singletons are peeled, the first step of sparse
-    elimination toward a triangular form (Duff, Erisman, Reid, *Direct
-    Methods for Sparse Matrices*, 1986): a row with one live nonzero, at
-    column j, puts e_j in the row space, so j is a pivot, its reduced row is
-    e_j (an empty list) and column j leaves every other row, which may make
-    another row a singleton or empty it. A live count per row and a list of
-    rows per column repeat this in time linear in the nonzeros, and a shift
-    section peels whole. Zero rows are dropped, the other rows are divided
-    by their content, which keeps Bareiss pivots small, and ``echelon``
-    clears below each pivot of the rows that the peel leaves, without the
-    peeled columns; it is not called when none is left. Its last pivot D
-    is the determinant of the pivot minor, so D*R is integral (Cramer's
-    rule): one back-substitution, bottom row first, clears above each pivot
-    in integers with
+    is den. ``values`` is called only when ``_peel`` leaves a row, and only
+    those rows are read, without the peeled columns and divided by their
+    content, which keeps Bareiss pivots small. ``echelon`` clears below each
+    pivot. Its last pivot D is the determinant of the pivot minor, so D*R is
+    integral (Cramer's rule): one back-substitution, bottom row first,
+    clears above each pivot in integers with
     D*R_i = (D*E_i - sum over k > i of E_i[p_k] * D*R_k) / E_i[p_i],
     and R = D*R * conj(D) / |D|^2. No peeled column is live in those rows,
     so their reduced rows are zero at the peeled pivots. Every step reads
     nonzeros only.
     """
-    primitive, queue = [], []
-    for row in rows:
-        if len(row) < 2:
-            # zero rows are dropped, and a singleton's value is never read:
-            # it is peeled or emptied
-            if row:
-                queue.append(len(primitive))
-                primitive.append(row)
-            continue
+    peeled, left = _peel(ncols, cols_of)
+    rows, gone, primitive = values() if left else None, set(peeled), []
+    for i in left:
+        row = [cell for cell in rows[i] if cell[0] not in gone] if gone else rows[i]
         g = 0
         for _, vr, vi in row:
             g = gcd(g, vr, vi)
             if g == 1:
                 break
         primitive.append([(j, vr // g, vi // g) for j, vr, vi in row] if g > 1 else row)
-    peeled = []
-    if queue:
-        live = [len(row) for row in primitive]
-        rows_of = [[] for _ in range(ncols)]
-        for i, row in enumerate(primitive):
-            for j, _, _ in row:
-                rows_of[j].append(i)
-        done = [False] * ncols
-        for i in queue:  # rows join the queue as the peel leaves them one nonzero
-            if live[i] != 1:
-                continue  # emptied by an earlier peel
-            for j, _, _ in primitive[i]:
-                if not done[j]:
-                    break
-            done[j] = True
-            peeled.append(j)
-            for t in rows_of[j]:
-                live[t] -= 1
-                if live[t] == 1:
-                    queue.append(t)
-        primitive = [
-            [cell for cell in row if not done[cell[0]]]
-            for row, count in zip(primitive, live)
-            if count > 0
-        ]
     pivots, echelon = kernel.echelon(ncols, primitive) if primitive else ([], [])
     if len(pivots) + len(peeled) == ncols or not pivots:
         # every pivot peeled, or one in every column: each reduced row is
@@ -773,7 +773,7 @@ def _rref(ncols, rows):
     """The canonical form of ``_reduce`` as (pivots, (den, re, im)): the
     reduced rows as one flat integer block over a positive denominator,
     normalized by ``kernel.normalize``."""
-    pivots, den, reduced = _reduce(ncols, rows)
+    pivots, den, reduced = _reduce(ncols, kernel.pattern(rows), lambda: rows)
     out_re, out_im = [0] * (len(pivots) * ncols), [0] * (len(pivots) * ncols)
     for off, p, row in zip(range(0, len(out_re), ncols), pivots, reduced):
         out_re[off + p] = den

@@ -3,21 +3,22 @@
 An :class:`LTwoOpSpec` describes an operator as a shift direction, a rational
 weight rule in the coordinate index, and a finite list of extra entries. The
 operator acts on l2 sequences; ``truncate`` compresses it onto the first n
-coordinates as an exact matrix. A section is built once, as integer sparse
-rows (``_section``) whose weights are read off the rule as numerators over
-one common denominator, with no Fraction per weight: ``truncate`` makes its
-matrix from them, and the ``truncate`` command decides nilpotency and the
-certified kernel on them alone, with no dense n x n step. Kernel vectors of
-the truncation that vanish from coordinate n-1 onward are kernel vectors of
-the infinite operator: certifying genuine point-spectrum facts is the
-purpose of ``finite_support_kernel``. Eigenvalues of truncations, by
-contrast, are evidence only: finite sections of non-normal operators need
-not converge to the true spectrum. The ``truncate`` command decides each
-section's nilpotency exactly: an n x n section is nilpotent exactly when its
-charpoly is x^n, so its spectrum is the root 0 with multiplicity n. A shift
-section's graph is one path, so the longest-path certificate of
-``nilpotency_degree_ints`` gives its degree with no matrix product. It
-certifies only that root, and stops at a section that is not nilpotent.
+coordinates as an exact matrix. ``_section`` builds a section once: its
+sparsity pattern, read off the spec with no weight value, and on demand its
+integer sparse rows, whose weights are numerators over one denominator with
+no Fraction per weight. ``truncate`` makes its matrix from the rows. The
+``truncate`` command decides each section's nilpotency and certified kernel
+on the pattern, by the longest-path certificate of ``nilpotency_degree_ints``
+and the singleton peel, and reads the values only when a certificate fails;
+a shift section, whose graph is one path, reads none. An n x n section is
+nilpotent exactly when its charpoly is x^n, so its spectrum is the root 0
+with multiplicity n; the command certifies only that root, and stops at a
+section that is not nilpotent. Kernel vectors of the truncation that vanish
+from coordinate n-1 onward are kernel vectors of the infinite operator:
+certifying genuine point-spectrum facts is the purpose of
+``finite_support_kernel``. Eigenvalues of truncations, by contrast, are
+evidence only: finite sections of non-normal operators need not converge to
+the true spectrum.
 
 Spec text format (one key per line, ``#`` comments allowed):
 
@@ -78,6 +79,7 @@ class WeightRule:
     1..len(prefix). ``const`` and the prefix entries are parsed literals.
     ``numerators`` is the rule's one formula: it reads the weights straight
     into the integer format of ``exact``, and ``weight`` reads one of them.
+    ``zeros`` finds where the rule vanishes with no weight value.
     """
 
     even: tuple[Fraction, int] | None = None
@@ -123,6 +125,23 @@ class WeightRule:
             raise ValueError("weight index must be >= 1")
         den, weights = self.numerators(k)
         return tuple(Fraction(x, den) for x in weights[-1])
+
+    def zeros(self, count):
+        """The indices 1..count of the zero weights. Past the prefix, a parity
+        with no term is zero where the constant is, and a term p/(k+a), never
+        zero, cancels a real constant c at k = -p/c - a only."""
+        out = {k for k, w in enumerate(self.prefix[:count], 1) if w == 0}
+        c_re, c_im = _parts(self.const)
+        for parity, term in enumerate((self.even, self.odd)):
+            first = len(self.prefix) + 1
+            indices = range(first + (first - parity) % 2, count + 1, 2)
+            if term is None and not (c_re or c_im):
+                out.update(indices)
+            elif term is not None and c_re and not c_im:
+                k = -term[0] / c_re - term[1]
+                if k.denominator == 1 and int(k) in indices:
+                    out.add(int(k))
+        return out
 
     def is_zero(self):
         return (
@@ -208,68 +227,73 @@ def _merge_rules(r1, r2):
 
 
 def _section(spec, n):
-    """The n-section as (den, rows): integer ``sparse_rows`` over a positive
-    den, which may share a factor with them.
+    """The n-section as (pattern, values): the ``pattern`` of its nonzeros,
+    read off the spec with no weight value, and a function that builds its
+    integer ``sparse_rows`` over a positive den, which may share a factor
+    with them, as (den, rows) on its first call.
 
-    The weights of k = 1..n-1 sit at cell (k, k-1) for down or (k-1, k) for
-    up, read as numerators over one den with the finite-rank entries'
-    denominators (``WeightRule.numerators``). Finite-rank entries add to
-    their cell, and a cell that sums to zero is dropped (EXNILP_N relies on
-    T + N cancelling at (2, 1)).
+    The weight of k = 1..n-1 sits at cell (k, k-1) for down or (k-1, k) for
+    up, unless ``WeightRule.zeros`` finds it zero. Finite-rank entries add
+    to their cell as exact values, and a cell that sums to zero is dropped
+    (EXNILP_N relies on T + N cancelling at (2, 1)).
     """
     if n < 1 or n < spec.support():
         raise ValueError(f"truncation size {n} below finite-rank support {spec.support()}")
-    finite = [_parts(v) for _, _, v in spec.finite_rank]
-    den = lcm(*(x.denominator for pair in finite for x in pair))
-    rows = [[] for _ in range(n)]
+    down = int(spec.direction == "down")
+    pattern = [[]] * n  # rows are replaced, never changed in place
     if spec.direction != "none":
-        den, weights = spec.weights.numerators(n - 1, den)
-        # weight k sits in row k for down, row k - 1 for up
-        down = int(spec.direction == "down")
-        rows[down:n - 1 + down] = [
-            [(k - down, vr, vi)] if vr or vi else [] for k, (vr, vi) in enumerate(weights, 1)
-        ]
-    # a dict only for the rows that the finite-rank part touches
-    touched = {}
-    for (r, c, _), pair in zip(spec.finite_rank, finite):
-        cells = touched.setdefault(r - 1, {})
-        vr, vi = _scaled(den, pair)
-        xr, xi = cells.get(c - 1, (0, 0))
-        cells[c - 1] = (xr + vr, xi + vi)
-    for i, cells in touched.items():
-        for j, vr, vi in rows[i]:
-            xr, xi = cells.get(j, (0, 0))
-            cells[j] = (xr + vr, xi + vi)
-        rows[i] = [(j, vr, vi) for j, (vr, vi) in cells.items() if vr or vi]
-    return den, rows
+        zeros = spec.weights.zeros(n - 1)
+        # weight k sits in row k - 1 + down, column k - down
+        pattern[down:n - 1 + down] = [[] if k in zeros else [k - down] for k in range(1, n)]
+    touched = {}  # the exact value of each cell that the finite-rank part touches
+    for r, c, v in spec.finite_rank:
+        i, j = r - 1, c - 1
+        if (i, j) not in touched:
+            touched[i, j] = spec.weights.weight(j + down) if j in pattern[i] else (0, 0)
+        touched[i, j] = tuple(x + y for x, y in zip(touched[i, j], _parts(v)))
+    for (i, j), pair in touched.items():
+        pattern[i] = [t for t in pattern[i] if t != j] + ([j] if any(pair) else [])
+
+    built = []
+
+    def values():
+        if not built:
+            den = lcm(*(x.denominator for pair in touched.values() for x in pair))
+            if spec.direction != "none":
+                den, weights = spec.weights.numerators(n - 1, den)
+            # weight k sits in column k - down, read over one den
+            built.append((den, [
+                [(j, *(_scaled(den, touched[i, j]) if (i, j) in touched else weights[j + down - 1]))
+                 for j in cols]
+                for i, cols in enumerate(pattern)
+            ]))
+        return built[0]
+
+    return pattern, values
 
 
 def truncate(spec, n):
     """Exact n x n compression onto the first n coordinates, from ``_section``'s rows."""
-    den, rows = _section(spec, n)
+    den, rows = _section(spec, n)[1]()
     return ExactMatrix._from_rep(n, normalize(den, *dense_rows(n, rows)))
 
 
-def finite_support_kernel(spec, n, *, rows=None):
+def finite_support_kernel(spec, n, *, section=None):
     """Kernel vectors of the n-truncation supported inside coordinates < n.
 
     Such vectors are annihilated by the infinite operator itself: every row
     of the infinite matrix that meets coordinates 1..n-1 is present in the
     truncation. The basis is therefore a certified subspace of the true
-    kernel, stable as n grows. A caller that holds the section's ``rows``
-    from ``_section`` passes them, so that they are not built twice. The
-    elimination peels row singletons first (``exact._reduce``): a shift
-    section's rows each hold one weight, so it peels whole and the kernel
-    costs time linear in the section's nonzeros, with no Bareiss step.
+    kernel, stable as n grows. A caller that holds the ``section`` from
+    ``_section`` passes it, so that it is not built twice. The elimination
+    peels row singletons on the pattern first (``exact._peel``): a shift
+    section peels whole, in time linear in its nonzeros, with no value read.
     """
     if n < spec.support() + 1 or n < 2:
         raise ValueError(f"need n >= support+1 = {spec.support() + 1} and n >= 2")
-    if rows is None:
-        _, rows = _section(spec, n)
-    # the kernel vectors that vanish at the last coordinate are the kernel of
-    # the section without its last column, padded with a zero
-    block = [[cell for cell in row if cell[0] != n - 1] for row in rows]
-    return _kernel(n - 1, block, n)[1]
+    pattern, values = section or _section(spec, n)
+    # the kernel vectors zero at the last coordinate: append the row e_(n-1)
+    return _kernel(n, pattern + [[n - 1]], lambda: values()[1] + [[(n - 1, 1, 0)]])[1]
 
 
 # -- text format -------------------------------------------------------------

@@ -207,8 +207,13 @@ def test_truncate_rejects_a_section_with_nonzero_roots(monkeypatch, capsys):
 
     def with_a_diagonal_entry(spec, n):
         # a down shift's first row is empty; the entry den at (0, 0) is 1
-        den, rows = original(spec, n)
-        return den, [[(0, den, 0)], *rows[1:]]
+        pattern, values = original(spec, n)
+
+        def with_the_entry():
+            den, rows = values()
+            return den, [[(0, den, 0)], *rows[1:]]
+
+        return [[0], *pattern[1:]], with_the_entry
 
     monkeypatch.setattr(shiftlab, "_section", with_a_diagonal_entry)
     status, out, err = _run_inproc(["truncate", "EXNILP_T", "--sizes", "4,6"], capsys)
@@ -291,15 +296,67 @@ def test_truncate_certificates_at_large_sizes_take_no_elimination_or_product(
     monkeypatch.setattr(_kernel_py, "echelon", counted_echelon)
     monkeypatch.setattr(_kernel_py, "_column_steps", counted_column_steps)
     monkeypatch.setattr(_kernel_py, "sparse_mul", counted_sparse_mul)
-    status, out, err = _run_inproc(["truncate", "EXNILP_T", "--sizes", "160,320"], capsys)
+    expected = {
+        "EXNILP_T": [(160, 0), (320, 0)],
+        "EXNILP_N": [(2, 158), (2, 318)],
+        "EXNILP_Q": [(2, 79), (2, 159)],
+    }
+    for entry, degrees in expected.items():
+        status, out, err = _run_inproc(["truncate", entry, "--sizes", "160,320"], capsys)
+        assert status == 0 and err == ""
+        rows = json.loads(out)["rows"]
+        assert [(r["nilpotency_degree"], r["certified_kernel_dim"]) for r in rows] == degrees
+    # each section is one path (T), one edge (N) or disjoint edges (Q): the
+    # peel takes every row of the certified kernel's block and a unique
+    # longest path gives the degree, so the work is linear in the nonzeros,
+    # with no Bareiss step and no product
+    assert eliminated == [] and steps == [] and products == []
+
+
+def _count_numerators(monkeypatch):
+    from weakcomm.shiftlab import WeightRule
+
+    calls = []
+    numerators = WeightRule.numerators
+
+    def counted(self, count, den=1):
+        calls.append(count)
+        return numerators(self, count, den)
+
+    monkeypatch.setattr(WeightRule, "numerators", counted)
+    return calls
+
+
+def test_truncate_reads_no_weight_value_of_a_registry_spec(monkeypatch, capsys):
+    calls = _count_numerators(monkeypatch)
+    for entry in ("EXNILP_T", "EXNILP_N", "EXNILP_Q"):
+        for sizes in ("10,20,40,80", "160,320"):
+            status, _, err = _run_inproc(["truncate", entry, "--sizes", sizes], capsys)
+            assert status == 0 and err == "", entry
+    # the peel and the unique longest paths decide every section on its pattern
+    assert calls == []
+
+
+def test_truncate_builds_the_values_once_for_a_section_that_needs_them(monkeypatch, capsys):
+    from weakcomm import cli
+    from weakcomm.shiftlab import parse_spec
+
+    # the block [[1, 1], [-1, -1]] is a cycle whose rows the peel leaves, so
+    # both the degree (squarings) and the kernel (Bareiss) need the values
+    spec = parse_spec(
+        "direction: up\nweights: 1/(k+1)\nweights_prefix: 0 0\n"
+        "finite: 1 1 1\nfinite: 1 2 1\nfinite: 2 1 -1\nfinite: 2 2 -1\n"
+    )
+    monkeypatch.setattr(cli, "paper_example", lambda _id: (spec, None))
+    calls = _count_numerators(monkeypatch)
+    status, out, err = _run_inproc(["truncate", "EXNILP_T", "--sizes", "6,9,12"], capsys)
     assert status == 0 and err == ""
     rows = json.loads(out)["rows"]
-    degrees = [(r["nilpotency_degree"], r["certified_kernel_dim"]) for r in rows]
-    assert degrees == [(160, 0), (320, 0)]
-    # each section is one path: the peel takes every row of the certified
-    # kernel's block and the unique longest path gives the degree, so the
-    # work is linear in the nonzeros, with no Bareiss step and no product
-    assert eliminated == [] and steps == [] and products == []
+    assert [(r["nilpotency_degree"], r["certified_kernel_dim"]) for r in rows] == [
+        (4, 2), (7, 2), (10, 2)
+    ]
+    # one build of the n - 1 weights of each section
+    assert calls == [5, 8, 11]
 
 
 def test_truncate_bad_sizes():

@@ -1165,7 +1165,7 @@ def test_reduce_peels_singletons_and_matches_reference(monkeypatch):
         del handed[:]
         with monkeypatch.context() as patch:
             patch.setattr(_kernel_py, "echelon", recorded)
-            pivots, den, reduced = _reduce(ncols, rows)
+            pivots, den, reduced = _reduce(ncols, _kernel_py.pattern(rows), lambda: rows)
         assert handed == ([left] if left else []), rows
         assert peeled <= set(pivots)
         vectors = _dense_rows(ncols, rows)
@@ -1610,7 +1610,7 @@ def test_nilpotency_degree_falls_back_when_paths_cancel(monkeypatch):
     # certificate declines it and the squarings find A^2 = 0
     rows = [[], [(0, 1, 0)], [(0, 1, 0)], [(1, 1, 0), (2, -1, 0)]]
     calls = _count_sparse_mul(monkeypatch)
-    assert _kernel_py.nilpotency_degree_ints(rows) == 2
+    assert _kernel_py.nilpotency_degree_ints(_kernel_py.pattern(rows), lambda: rows) == 2
     assert calls != []
 
 
@@ -1633,7 +1633,7 @@ def test_nilpotency_degree_certified_by_a_unique_longest_path(monkeypatch):
     # 5 e_6: the path alone certifies the degree
     rows = [[], [(0, 1, 0)], [(0, 1, 0)], [(1, 1, 0), (2, -1, 0)], [], [(4, 2, 1)], [(5, 2, -1)]]
     steps, products = _count_column_steps(monkeypatch), _count_sparse_mul(monkeypatch)
-    assert _kernel_py.nilpotency_degree_ints(rows) == 3
+    assert _kernel_py.nilpotency_degree_ints(_kernel_py.pattern(rows), lambda: rows) == 3
     assert steps == [] and products == []
     dense_re, dense_im = _kernel_py.dense_rows(7, rows)
     a = ExactMatrix._from_rep(7, (1, dense_re, dense_im))
@@ -1645,7 +1645,7 @@ def test_nilpotency_degree_takes_column_steps_on_two_longest_paths(monkeypatch):
     # A^2 e_0 = 2 e_3, so the column steps certify the degree 3
     rows = [[], [(0, 1, 0)], [(0, 1, 0)], [(1, 1, 0), (2, 1, 0)]]
     steps, products = _count_column_steps(monkeypatch), _count_sparse_mul(monkeypatch)
-    assert _kernel_py.nilpotency_degree_ints(rows) == 3
+    assert _kernel_py.nilpotency_degree_ints(_kernel_py.pattern(rows), lambda: rows) == 3
     assert steps == [0] and products == []
 
 
@@ -1682,7 +1682,8 @@ def test_nilpotency_degree_ints_matches_reference_on_random_matrices(monkeypatch
             a = u * a * inverse(u)
         _, re, im = a._rep()
         del calls[:], steps[:]
-        degree = _kernel_py.nilpotency_degree_ints(_kernel_py.sparse_rows(d, re, im))
+        rows = _kernel_py.sparse_rows(d, re, im)
+        degree = _kernel_py.nilpotency_degree_ints(_kernel_py.pattern(rows), lambda: rows)
         assert degree == reference_nilpotency_degree(a), a
         if degree is not None:
             if calls:

@@ -6,11 +6,13 @@ import pytest
 
 from weakcomm import shiftlab
 from weakcomm._kernel_py import dense_rows, nilpotency_degree_ints, normalize
+from weakcomm._kernel_py import pattern as _pattern_of
 from weakcomm.errors import LiteralFormatError
 from weakcomm.exact import (
     ExactMatrix,
     Scalar,
     SubspaceBasis,
+    _charpoly_rows,
     _clear_denominators,
     _parts,
     charpoly,
@@ -207,30 +209,106 @@ def _fraction_section(spec, n):
     return den, [[(j, vr, vi) for j, (vr, vi) in row.items() if vr or vi] for row in rows]
 
 
-def test_integer_section_matches_the_fraction_route():
-    specs = [_spec(e) for e in ExampleId if example_entry(e).kind == "op_spec"]
-    specs += [
-        parse_spec(
-            "direction: up\nweights_even: -2/3/(k+2)\nweights_odd: 5/(k+0)\n"
-            "weights_prefix: 1/2 0 1/3i\nfinite: 1 3 1/2+1/7i\nfinite: 4 2 -3/4i\n"
-        ),
-        parse_spec("direction: down\nweights: 1/(k+1)\nweights: 1/2+1/3i\nfinite: 2 2 1/5\n"),
-    ]
+def _degree(rows):
+    """The nilpotency degree with the pattern read off the full integer rows."""
+    return nilpotency_degree_ints(_pattern_of(rows), lambda: rows)
+
+
+def _full_kernel(spec, n, den, rows):
+    """``finite_support_kernel`` with the pattern read off the full integer rows."""
+    return finite_support_kernel(spec, n, section=(_pattern_of(rows), lambda: (den, rows)))
+
+
+# hand-built specs, each with what it exercises on the pattern route
+_ROUTE_SPECS = {
+    "prefix and finite rank": (
+        "direction: up\nweights_even: -2/3/(k+2)\nweights_odd: 5/(k+0)\n"
+        "weights_prefix: 1/2 0 1/3i\nfinite: 1 3 1/2+1/7i\nfinite: 4 2 -3/4i\n"
+    ),
+    "complex constant": "direction: down\nweights: 1/(k+1)\nweights: 1/2+1/3i\nfinite: 2 2 1/5\n",
+    # 1 - 2/k is zero at k = 2 only
+    "vanishes once": "direction: down\nweights: 1\nweights_even: -2/(k+0)\n",
+    # -3/(k+1) + 1 is zero at k = 2, which is even, so no odd weight is zero
+    "root of the other parity": "direction: up\nweights_odd: -3/(k+1)\nweights: 1\n",
+    "root not an integer": "direction: down\nweights: 1/(k+0)\nweights: -2/5\n",
+    "zero prefix": "direction: up\nweights_prefix: 1 0 1/2 0\nweights: 1/(k+1)\n",
+    "zero parity": "direction: up\nweights_even: 2/(k+3)\nweights_prefix: 0 5\n",
+    # the finite-rank entry cancels the weight 1/2 at (2, 1)
+    "cancelled cell": "direction: down\nweights: 1/(k+1)\nfinite: 2 1 -1/2\n",
+    # 0 -> 1 -> 3 and 0 -> 2 -> 3 add up to 2 + 1/3 at 3: the longest path
+    # from 0 is not unique, and the kernel keeps row 3 for Bareiss
+    "column steps": "direction: down\nweights_odd: 1/(k+0)\nfinite: 3 1 1\nfinite: 4 2 2\n",
+    # the same two paths cancel, so the squarings find A^2 = 0
+    "paths cancel": "direction: down\nweights_odd: 1/(k+0)\nfinite: 3 1 1\nfinite: 4 2 -1/3\n",
+    # the block [[1, 1], [-1, -1]] squares to zero but is a cycle, and its
+    # rows are left to Bareiss; the up shift past it is a separate path
+    "cycle": (
+        "direction: up\nweights: 1/(k+1)\nweights_prefix: 0 0\n"
+        "finite: 1 1 1\nfinite: 1 2 1\nfinite: 2 1 -1\nfinite: 2 2 -1\n"
+    ),
+    "none": "direction: none\nfinite: 1 1 1\nfinite: 1 2 1\nfinite: 2 1 -1\nfinite: 2 2 -1\n",
+    # the cycle 0 -> 1 -> 2 -> 0 has a nonzero product: not nilpotent
+    "not nilpotent": "direction: down\nweights: 1/(k+1)\nfinite: 1 3 1\n",
+}
+
+
+def test_integer_section_matches_the_fraction_route(monkeypatch, capsys):
+    # the pattern route against the full integer rows of Fraction weights,
+    # for n <= 90: the pattern, the values, the degree, the certified
+    # kernel, the error text of a section that is not nilpotent, and the
+    # fallback that each spec needs
+    from weakcomm import _kernel_py, cli
+
+    routes = []
+    for name in ("_column_steps", "sparse_mul", "echelon"):
+        monkeypatch.setattr(
+            _kernel_py,
+            name,
+            lambda *args, _f=getattr(_kernel_py, name), _n=name: routes.append(_n) or _f(*args),
+        )
+    specs = {e.value: _spec(e) for e in ExampleId if example_entry(e).kind == "op_spec"}
+    specs.update((name, parse_spec(text)) for name, text in _ROUTE_SPECS.items())
+    taken = {name: set() for name in specs}
     compared = 0
-    for spec in specs:
+    for name, spec in specs.items():
         for k in range(1, 90):
             assert spec.weights.weight(k) == _fraction_weight(spec.weights, k)
-        for n in range(max(2, spec.support() + 1), 90):
-            den, rows = shiftlab._section(spec, n)
+        for n in range(max(2, spec.support() + 1), 91):
+            pattern, values = shiftlab._section(spec, n)
+            built = []
+
+            def counted_values(_values=values):
+                built.append(n)
+                return _values()
+
+            del routes[:]
+            degree = nilpotency_degree_ints(pattern, lambda: counted_values()[1])
+            kernel = finite_support_kernel(spec, n, section=(pattern, counted_values))
+            taken[name].update(routes)
+            if not routes:
+                # the peel and the unique longest path read no value
+                assert built == [], (name, n)
             old_den, old_rows = _fraction_section(spec, n)
+            assert [set(cols) for cols in pattern] == [set(c) for c in _pattern_of(old_rows)]
+            den, rows = values()
             expected = normalize(old_den, *dense_rows(n, old_rows))
             assert normalize(den, *dense_rows(n, rows)) == expected
             assert truncate(spec, n)._rep() == expected
-            assert nilpotency_degree_ints(rows) == nilpotency_degree_ints(old_rows)
-            kernel = finite_support_kernel(spec, n, rows=rows)
-            assert kernel == finite_support_kernel(spec, n, rows=old_rows)
+            assert degree == _degree(old_rows), (name, n)
+            assert kernel == _full_kernel(spec, n, old_den, old_rows), (name, n)
+            if degree is None and n in (4, 47, 90):
+                monkeypatch.setattr(cli, "paper_example", lambda _id, _s=spec: (_s, None))
+                assert cli.main(["truncate", "EXNILP_T", "--sizes", str(n)]) == 2
+                p, _ = _charpoly_rows(n, old_den, old_rows)
+                assert capsys.readouterr().err.startswith(
+                    f"error: EXNILP_T at n = {n}: charpoly {p.literal()} has nonzero roots"
+                )
             compared += 1
-    assert compared > 400
+    assert compared > 1200
+    assert all(not taken[e.value] for e in ExampleId if example_entry(e).kind == "op_spec")
+    assert taken["column steps"] == {"_column_steps", "echelon"}
+    assert {"sparse_mul", "echelon"} <= taken["cycle"]
+    assert "sparse_mul" in taken["paths cancel"] and "sparse_mul" in taken["not nilpotent"]
 
 
 def test_section_builds_no_fraction_per_weight(monkeypatch):
@@ -243,7 +321,7 @@ def test_section_builds_no_fraction_per_weight(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    shiftlab._section(spec, 320)
+    shiftlab._section(spec, 320)[1]()
     assert built == []
 
 
