@@ -22,8 +22,8 @@ Three immutable value types live here:
 ``SubspaceBasis``
     A subspace in the same format: its canonical reduced row echelon rows as
     one flat integer block over one positive denominator, plus the pivots, so
-    equal subspaces have equal storage. Membership, containment, sums,
-    intersections and images all run on that block.
+    equal subspaces have equal storage. Membership and containment reduce
+    against that block; sums, intersections and images eliminate from it.
 
 ``charpoly`` and ``inverse`` share one Faddeev-LeVerrier pass,
 ``charpoly_ints`` on the sparse rows of the integer numerator: the charpoly
@@ -493,6 +493,8 @@ class ExactPoly:
             raise ZeroPolynomialError("zero polynomial has no squarefree part")
         if self.degree == 0:
             return ExactPoly.one()
+        if not any(self._re[:-1]) and not any(self._im[:-1]):
+            return ExactPoly.variable()  # c * x^n, e.g. a nilpotent charpoly
         g = self.gcd(self.derivative())
         q, r = divmod(self, g)
         if not r.is_zero():
@@ -614,16 +616,21 @@ def rank_kernel(a):
     Returns (rank, kernel, image) with rank + kernel.dim == dim always.
     """
     d = a.dim
-    _, re, im = a._rep()
-    rows = kernel.sparse_rows(d, re, im)
-    pivots, kernel_basis = _kernel(d, kernel.pattern(rows), lambda: rows)
+    pivots, kernel_basis = _null_space(a)
     if len(pivots) == d:
         return d, kernel_basis, SubspaceBasis.full(d)
+    re, im = a._re, a._im
     columns = [
         [(i, re[i * d + j], im[i * d + j]) for i in range(d) if re[i * d + j] or im[i * d + j]]
         for j in pivots
     ]
     return len(pivots), kernel_basis, SubspaceBasis._make(d, *_rref(d, columns))
+
+
+def _null_space(a):
+    """The pivot columns (so the rank) and the canonical kernel of a square matrix."""
+    rows = kernel.sparse_rows(a.dim, a._re, a._im)
+    return _kernel(a.dim, kernel.pattern(rows), lambda: rows)
 
 
 def _kernel(ncols, cols_of, values):
@@ -681,9 +688,13 @@ def _peel(ncols, cols_of):
     in time linear in the nonzeros. A shift section peels whole.
     """
     # each singleton's column, then each row's of rest as it falls to one
-    queue = [cols[0] for cols in cols_of if len(cols) == 1]
-    live = [len(cols) for cols in cols_of]
-    rest = [i for i, count in enumerate(live) if count > 1]
+    queue, live, rest = [], [], []
+    for i, cols in enumerate(cols_of):
+        live.append(len(cols))
+        if len(cols) > 1:
+            rest.append(i)
+        elif cols:
+            queue.append(cols[0])
     if not queue:
         return [], rest
     rows_of = {}  # the rows of rest at each column
@@ -866,7 +877,9 @@ class SubspaceBasis:
         return self.coordinates_of(vec) is not None
 
     def contains(self, other):
-        return self.sum_with(other) == self
+        if self.ambient != other.ambient:
+            raise DimensionMismatchError("ambient dimensions differ")
+        return self._spans(other._rows())
 
     def coordinates_of(self, vec):
         """Coefficients of vec in this basis, or None when not contained.
@@ -877,9 +890,26 @@ class SubspaceBasis:
         vec = list(vec)
         if len(vec) != self.ambient:
             raise DimensionMismatchError("vector length differs from ambient")
-        if not self.contains(SubspaceBasis.span([vec], ambient=self.ambient)):
+        if not self._spans([_clear_denominators(map(_parts, vec))[1:]]):
             return None
         return tuple(Scalar.coerce(vec[p]) for p in self._pivots)
+
+    def _spans(self, vectors):
+        """Whether each integer vector (re, im) of ``vectors`` is in the span:
+        with N_i = den * R_i the stored rows, den * w - sum_i w[p_i] * N_i = 0,
+        which holds at every pivot, so only the free columns are reduced."""
+        den, pivots, rows = self._den, self._pivots, self._rows()
+        free = sorted(set(range(self.ambient)) - set(pivots))
+        for re, im in vectors:
+            terms = [(re[p], im[p], nr, ni) for p, (nr, ni) in zip(pivots, rows) if re[p] or im[p]]
+            for j in free:
+                xr, xi = den * re[j], den * im[j]
+                for cr, ci, nr, ni in terms:
+                    xr -= cr * nr[j] - ci * ni[j]
+                    xi -= cr * ni[j] + ci * nr[j]
+                if xr or xi:
+                    return False
+        return True
 
     def sum_with(self, other):
         if self.ambient != other.ambient:

@@ -29,6 +29,11 @@ RAD_PROD and RAD_SUM compare spectral radii with zero tolerance: the
 charpoly radicals of the pair's words go to ``algebraic``, which decides
 each bound exactly, and no checker reads a float or loads NumPy.
 
+KER_INCL and KRITERION_RANGE call the cores of ``structure``'s kernel
+inclusions and range/kernel criterion, with the hypotheses, the degree of b
+and c = ba - ab taken from the ``PairContext``, so no hypothesis is decided
+twice and no image basis is built.
+
 ``verify_suite`` samples pairs from the relation-class samplers and runs
 the whole catalog over them deterministically, producing a JSON-stable
 report with per-identity counts and a first-failure witness. It decides
@@ -79,7 +84,7 @@ from .exact import (
 )
 from .relations import _decide, _product
 from .scalar import Scalar
-from .structure import kernel_inclusion_forward, kernel_inclusion_reverse, range_kernel_criterion
+from .structure import _criterion, _kernel_annihilated
 
 __all__ = [
     "IdentityId",
@@ -702,9 +707,12 @@ def _chk_ker_incl(ctx, p):
         return False, _vacuous
 
     def conclude():
-        ok = kernel_inclusion_forward(ctx.a, ctx.b, lam)
-        if ctx.word("bb").is_zero() or ctx.report.ab_in_comm_b:
-            ok = ok and kernel_inclusion_reverse(ctx.a, ctx.b, lam)
+        # kernel_inclusion_forward, then _reverse when bb == 0 (q = 2) or ab in comm(b)
+        shift, p = ctx.word("") * lam, ctx.nil_degree("b")
+        x, y = ctx.a - shift, ctx.s - shift
+        ok = _kernel_annihilated(x, y, p)
+        if ok and (ctx.word("bb").is_zero() or ctx.report.ab_in_comm_b):
+            ok = _kernel_annihilated(y, x, 2 if ctx.word("bb").is_zero() else p)
         return _bool_result(ok, f"kernel inclusion failed at lam={lam.literal()}")
 
     return True, conclude
@@ -712,7 +720,7 @@ def _chk_ker_incl(ctx, p):
 
 def _chk_kriterion_range(ctx, p):
     def conclude():
-        first, second = range_kernel_criterion(ctx.b, ctx.a)
+        first, second = _criterion(ctx.a, ctx.ba - ctx.ab)  # range_kernel_criterion(b, a)
         ok = first == ctx.report.ab_in_comm_a and second == ctx.report.ba_in_comm_a
         return _bool_result(ok, "range/kernel criterion disagrees with product flags")
 

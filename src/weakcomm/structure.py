@@ -15,15 +15,21 @@ The pair-level operations implement exact range/kernel criteria for
 one-sided commutation, eigenspace invariance under a one-sidedly commuting
 companion, kernel inclusions under nilpotent perturbation, and exact
 spectrum comparisons through characteristic-polynomial radicals.
+
+The criteria and inclusions build kernels only, as canonical bases, and
+decide each containment by reduction against one: a range by the columns
+that span it (``_criterion``), ker(x) inside ker(y^p) by applying y p times
+to the kernel basis of x (``_kernel_annihilated``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import HypothesisNotMetError, NotNilpotentError
 from .exact import (
     ExactMatrix,
+    _null_space,
     charpoly,
     nilpotency_degree,
     poly_radical,
@@ -115,12 +121,20 @@ def range_kernel_criterion(s, t):
     Returns (first, second) where
       first  <=> ran(s*t - t*s) inside ker(t)   (equivalent to t*s in comm(t))
       second <=> ran(t) inside ker(s*t - t*s)   (equivalent to s*t in comm(t))
-    computed from genuine range/kernel bases, not from the product flags.
+    computed by ``_criterion``, which reduces each range's spanning columns
+    against the other's canonical kernel basis, not from the product flags.
     """
-    c = s * t - t * s
-    _, ker_t, img_t = rank_kernel(t)
-    _, ker_c, img_c = rank_kernel(c)
-    return ker_t.contains(img_c), ker_c.contains(img_t)
+    return _criterion(t, s * t - t * s)
+
+
+def _criterion(t, c):
+    """(ran(c) inside ker(t), ran(t) inside ker(c)): the columns of each
+    matrix, reduced against the canonical kernel basis of the other."""
+    d = t.dim
+    return tuple(
+        _null_space(k)[1]._spans((r._re[j::d], r._im[j::d]) for j in range(d))
+        for r, k in ((c, t), (t, c))
+    )
 
 
 @dataclass(frozen=True)
@@ -131,12 +145,7 @@ class RestrictionVerdict:
     subspace_dim: int
 
     def to_json_dict(self):
-        return {
-            "hypothesis_met": self.hypothesis_met,
-            "invariant": self.invariant,
-            "restrictions_commute": self.restrictions_commute,
-            "subspace_dim": self.subspace_dim,
-        }
+        return asdict(self)
 
 
 def invariant_restriction(s, t, lam):
@@ -152,9 +161,8 @@ def invariant_restriction(s, t, lam):
     hypothesis_met = (st * t) == (t * st)
     if not hypothesis_met:
         return RestrictionVerdict(False, False, False, 0)
-    d = t.dim
-    shifted = t - ExactMatrix.identity(d) * lam
-    _, eigenspace, _ = rank_kernel(shifted)
+    shifted = t - ExactMatrix.identity(t.dim) * lam
+    eigenspace = _null_space(shifted)[1]
     m = eigenspace.dim
     invariant = eigenspace.contains(eigenspace.image_under(s))
     if not invariant:
@@ -199,11 +207,8 @@ def kernel_inclusion_forward(t, n, lam, p=None):
     nt = n * t
     if (t * nt) != (nt * t):
         raise HypothesisNotMetError("t does not commute with n*t")
-    d = t.dim
-    ident = ExactMatrix.identity(d)
-    _, lhs, _ = rank_kernel(t - ident * lam)
-    _, rhs, _ = rank_kernel((t + n - ident * lam) ** p)
-    return rhs.contains(lhs)
+    shift = ExactMatrix.identity(t.dim) * lam
+    return _kernel_annihilated(t - shift, t + n - shift, p)
 
 
 def kernel_inclusion_reverse(t, n, lam, p=None):
@@ -216,8 +221,7 @@ def kernel_inclusion_reverse(t, n, lam, p=None):
     lam = Scalar.coerce(lam)
     if lam.is_zero():
         raise ValueError("lam must be nonzero")
-    nt = n * t
-    tn = t * n
+    nt, tn = n * t, t * n
     if (n * n).is_zero() and (t * nt) == (nt * t):
         q = 2
     elif (n * tn) == (tn * n):
@@ -226,11 +230,16 @@ def kernel_inclusion_reverse(t, n, lam, p=None):
         raise HypothesisNotMetError(
             "need n**2 == 0 with t in comm(n*t), or n in comm(t*n) with n nilpotent"
         )
-    d = t.dim
-    ident = ExactMatrix.identity(d)
-    _, lhs, _ = rank_kernel(t + n - ident * lam)
-    _, rhs, _ = rank_kernel((t - ident * lam) ** q)
-    return rhs.contains(lhs)
+    shift = ExactMatrix.identity(t.dim) * lam
+    return _kernel_annihilated(t + n - shift, t - shift, q)
+
+
+def _kernel_annihilated(x, y, p):
+    """ker(x) inside ker(y^p): y applied p times to the kernel basis of x leaves zero."""
+    v, yt = _null_space(x)[1]._matrix(), y.transpose()
+    for _ in range(p):
+        v = v * yt  # row i of V * y^T is y times basis vector i
+    return v.is_zero()
 
 
 def nonzero_spectrum_equal_exact(a, b):
@@ -252,13 +261,7 @@ class DisPropagationVerdict:
     stable_degree_t: int
 
     def to_json_dict(self):
-        return {
-            "hypothesis_met": self.hypothesis_met,
-            "holds": self.holds,
-            "stable_degree_ts": self.stable_degree_ts,
-            "stable_degree_s": self.stable_degree_s,
-            "stable_degree_t": self.stable_degree_t,
-        }
+        return asdict(self)
 
 
 def dis_propagation(s, t):

@@ -986,6 +986,25 @@ def test_subspace_ops_match_scalar_references():
             assert (rank, _canonical(kernel), _canonical(img)) == reference_rank_kernel(sq)
 
 
+def test_contains_agrees_with_the_sum_test():
+    # contains reduces the other basis against the stored block; the sum test
+    # eliminates the stacked rows. Both decide other <= self.
+    rng = random.Random(4111)
+    seen = set()
+    for n, u, w in _subspace_pairs():
+        a, b = SubspaceBasis.span(u, ambient=n), SubspaceBasis.span(w, ambient=n)
+        m = ExactMatrix(_rand_rows(rng, n, n, rng.random() < 0.3, rng.choice((0.3, 1.0))))
+        bases = (a, b, a.sum_with(b), a.intersect(b), a.image_under(m), SubspaceBasis.zero(n))
+        for x in bases:
+            for y in bases:
+                want = x.sum_with(y) == x
+                assert x.contains(y) == want, (u, w)
+                seen.add(want)
+    assert seen == {True, False}
+    with pytest.raises(DimensionMismatchError):
+        SubspaceBasis.full(2).contains(SubspaceBasis.full(3))
+
+
 @pytest.fixture
 def count_scalars(monkeypatch):
     """Call it to start counting Scalar constructions; it returns their arguments."""
@@ -1813,6 +1832,31 @@ def test_poly_radical():
     assert poly_radical(p).literal() == "x^2 - x"
     assert poly_radical_nonzero(p).literal() == "x - 1"
     assert poly_radical_nonzero(x ** 4).literal() == "1"
+
+
+def _remainder_sequence_squarefree(p):
+    """squarefree_part's general route: p / gcd(p, p'), made monic."""
+    q, r = divmod(p, p.gcd(p.derivative()))
+    assert r.is_zero()
+    return q.monic()
+
+
+def test_squarefree_part_of_a_monomial_is_x():
+    x = ExactPoly.variable()
+    for c in (Scalar(3), Scalar(Fraction(-2, 5)), Scalar(0, 7), Scalar(0, Fraction(-1, 3)),
+              Scalar(1, 1), Scalar(Fraction(-3, 2), 4)):
+        for n in range(1, 9):
+            p = x ** n * c
+            assert p.degree == n and not any(p._re[:-1]) and not any(p._im[:-1])
+            assert p.squarefree_part() == _remainder_sequence_squarefree(p) == x
+            assert poly_radical(p) == x
+            assert poly_radical_nonzero(p) == ExactPoly.one()
+            # a nonzero lower term takes the remainder sequence as before
+            for q in (p + ExactPoly((c,)), p * (x - ExactPoly((c,)))):
+                assert q.squarefree_part() == _remainder_sequence_squarefree(q)
+                assert poly_radical_nonzero(q) == _remainder_sequence_squarefree(
+                    q.strip_zero_roots()
+                )
 
 
 def test_large_squarefree_part_takes_under_half_a_second():

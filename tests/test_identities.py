@@ -17,7 +17,7 @@ from math import comb
 
 import pytest
 
-from weakcomm import algebraic, identities, instances
+from weakcomm import algebraic, exact, identities, instances, structure
 from weakcomm.cli import main
 from weakcomm.errors import SamplerBudgetError
 from weakcomm.errors import UnknownIdentityError
@@ -333,6 +333,51 @@ def test_verify_never_reaches_the_general_comparison(monkeypatch):
     assert rep.failures == 0
     assert rep.identities["RAD_PROD"]["pass"] > 0 and rep.identities["RAD_SUM"]["pass"] > 0
     assert compared == []
+
+
+def test_subspace_checkers_build_no_image_and_eliminate_only_for_kernels(monkeypatch):
+    # KER_INCL and KRITERION_RANGE read kernels only: no rank_kernel, so no
+    # image basis, and each containment is a reduction, so the only _rref
+    # calls are the canonical forms of the kernels that _kernel builds
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
+    inside = []
+    counts = {"rank_kernel": 0, "_rref": 0, "_kernel": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += bool(inside)
+            return original(*args, **kwargs)
+
+        return counted
+
+    for module, name in ((exact, "rank_kernel"), (structure, "rank_kernel"),
+                         (exact, "_rref"), (exact, "_kernel")):
+        monkeypatch.setattr(module, name, counting(name, getattr(exact, name)))
+
+    def marked(checker):
+        def check(ctx, params):
+            hyp, conclude = checker(ctx, params)
+
+            def run():
+                inside.append(True)
+                try:
+                    return conclude()
+                finally:
+                    inside.pop()
+
+            return hyp, run
+
+        return check
+
+    concluded = {}
+    for ident in (IdentityId.KER_INCL, IdentityId.KRITERION_RANGE):
+        monkeypatch.setitem(identities._CHECKERS, ident, marked(identities._CHECKERS[ident]))
+    rep = verify_suite(dims=(2, 3, 4), samples_per_class=4, seed=5)
+    for ident in ("KER_INCL", "KRITERION_RANGE"):
+        concluded[ident] = rep.identities[ident]["pass"] + rep.identities[ident]["fail"]
+    assert rep.failures == 0 and all(concluded.values()), concluded
+    assert counts["rank_kernel"] == 0
+    assert 0 < counts["_rref"] <= counts["_kernel"], counts
 
 
 def test_spec_identities_on_spectral_instance():

@@ -10,6 +10,8 @@ from weakcomm.exact import ExactMatrix, Scalar, rank_kernel
 from weakcomm.instances import sample_spectral_instance
 from weakcomm.relations import relation_check
 from weakcomm.structure import (
+    _criterion,
+    _kernel_annihilated,
     chain_profile,
     dis_propagation,
     full_spectrum_equal_exact,
@@ -209,3 +211,71 @@ def test_chain_profile_json_round_trip():
     json.dumps(d)
     assert d["alpha_seq"] == [1, 1, 1, 0]
     assert d["stable_degree"] == 3
+
+
+# -- the subspace cores against the elimination route ------------------------------
+
+_LAMS = (Scalar(1), Scalar(-1), Scalar(0, 1), Scalar(2))
+
+
+def _old_inclusion(x, y, p):
+    """ker(x) inside ker(y^p) by rank_kernel of the power and a sum test."""
+    lhs, rhs = rank_kernel(x)[1], rank_kernel(y ** p)[1]
+    return rhs.sum_with(lhs) == rhs
+
+
+def _old_criterion(t, c):
+    """(ran(c) inside ker(t), ran(t) inside ker(c)) from rank_kernel's kernel
+    and image bases and sum tests."""
+    _, ker_t, img_t = rank_kernel(t)
+    _, ker_c, img_c = rank_kernel(c)
+    return ker_t.sum_with(img_c) == ker_t, ker_c.sum_with(img_t) == ker_c
+
+
+def _differential_cases():
+    """(t, n, lam, p) over dims 2-5 and lam in _LAMS, unconstrained by any
+    hypothesis. t - lam is an integer matrix, singular in two cases of three
+    (a dependent last row), and n is random, strictly upper triangular, zero or
+    a polynomial in t, so that every outcome occurs."""
+    rng = random.Random(3301)
+    for k in range(320):
+        d, lam = 2 + k % 4, _LAMS[(k // 4) % 4]
+        rows = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        if k % 3:
+            coeffs = [rng.randint(-1, 1) for _ in range(d - 1)]
+            rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(d)]
+        t = ExactMatrix(rows) + ExactMatrix.identity(d) * lam
+        kind = k % 5
+        if kind == 0:
+            n = ExactMatrix.zeros(d)
+        elif kind == 1:
+            n = t * t - t * 2
+        elif kind == 2:
+            n = _rand_matrix(rng, d)
+        else:
+            n = ExactMatrix.zeros(d)
+            for i in range(d - 1):
+                n = n + E(d, i, rng.randint(i + 1, d - 1), rng.randint(-2, 2))
+        yield t, n, lam, rng.randint(1, 3)
+
+
+def test_inclusion_core_matches_the_elimination_route():
+    seen = set()
+    for t, n, lam, p in _differential_cases():
+        shift = ExactMatrix.identity(t.dim) * lam
+        x, y = t - shift, t + n - shift
+        for u, v in ((x, y), (y, x)):
+            got = _kernel_annihilated(u, v, p)
+            assert got == _old_inclusion(u, v, p), (t, n, lam, p)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_criterion_core_matches_the_elimination_route():
+    seen = set()
+    for t, s, _, _ in _differential_cases():
+        c = s * t - t * s
+        got = _criterion(t, c)
+        assert got == _old_criterion(t, c) == range_kernel_criterion(s, t), (t, s)
+        seen.update(enumerate(got))
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
