@@ -55,6 +55,14 @@ a flag is true only when its exact products agree, and the conclusion then
 holds by a theorem. A claim the table does not prove is evaluated as
 before, and ``check_identity`` evaluates every conclusion.
 
+All these hypotheses but NIL_TELE's read only the relation flags, so on a
+pair such an evaluation's verdict, vacuous, pass by proof or one to decide
+on the matrices (R.i and R.ii at lam != 0), depends only on the report.
+Each ``verify_suite`` call derives these verdicts from its proof table on
+the first pair of each report (``_flag_verdicts``) and serves them to the
+pairs with that report; a checker runs only where the verdict is open,
+for the other identities and for an injected fault's.
+
 Each pair comes from its own seed, derived from (seed, class, index), so
 the pairs are independent: ``verify_suite`` checks them in forked worker
 processes, one per usable CPU. A pair's outcome, its verdicts and one
@@ -77,6 +85,7 @@ from .algebraic import radius_product_bound, radius_sum_bound
 from .errors import UnknownIdentityError
 from .exact import (
     ExactMatrix,
+    ExactPoly,
     charpoly,
     exp_exact_nilpotent,
     nilpotency_degree,
@@ -264,6 +273,9 @@ class PairContext:
         return self._cached(("nil", w), lambda: nilpotency_degree(self.word(w)))
 
     def radical(self, w):
+        """The charpoly radical of word w: x where w's nilpotency degree is cached."""
+        if self._memo.get(("nil", w)) is not None:
+            return ExactPoly.variable()
         return self._cached(("radical", w), lambda: poly_radical(charpoly(self.word(w))))
 
     def radical_nonzero(self, w):
@@ -986,7 +998,8 @@ def verify_suite(
         for ident in IdentityId
     }
     proofs = _proof_table(min(max(dims), 8))  # sample_pair draws dims 2..8
-    outcomes = _outcomes(jobs, lambda job: _pair_outcome(job, inject_fault, proofs))
+    served = {}  # report -> _flag_verdicts of its first pair, built under these proofs
+    outcomes = _outcomes(jobs, lambda job: _pair_outcome(job, inject_fault, proofs, served))
     try:
         for (cls, i, *_), (verdicts, failures) in zip(jobs, outcomes):
             for (identity, _), verdict in zip(_SUITE_EVALUATIONS, verdicts):
@@ -1013,8 +1026,9 @@ def verify_suite(
     return SuiteReport(config=config, identities=counts, totals=totals)
 
 
-def _pair_outcome(job, inject_fault, proofs):
-    """Sample one pair and run the suite plan on it, serving from ``proofs``.
+def _pair_outcome(job, inject_fault, proofs, served):
+    """Sample one pair and run the suite plan on it, serving from ``proofs``
+    and, per relation report, from ``served`` (see ``_flag_verdicts``).
 
     Returns the verdicts in ``_SUITE_EVALUATIONS`` order and, keyed by
     identity, the payload of each failing identity's first failing
@@ -1026,12 +1040,15 @@ def _pair_outcome(job, inject_fault, proofs):
     a, b = pair = sample_pair(cls, dim, pair_seed, require_noncommuting=strict)
     ctx = PairContext.__new__(PairContext)
     ctx._init(pair.words, pair.report)
+    entries = served.get(ctx.report)
+    if entries is None:
+        entries = served[ctx.report] = _flag_verdicts(ctx, proofs)
     verdicts, failures = [], {}
-    for identity, params in _SUITE_EVALUATIONS:
-        res = _run_checker(
-            identity, ctx, params, invert=identity is inject_fault, proofs=proofs
-        )
-        verdict = "vacuous" if res is None else res.verdict
+    for (identity, params), verdict in zip(_SUITE_EVALUATIONS, entries):
+        fault = identity is inject_fault
+        if verdict is None or fault:
+            res = _run_checker(identity, ctx, params, invert=fault, proofs=proofs)
+            verdict = "vacuous" if res is None else res.verdict
         verdicts.append(verdict)
         if verdict == "fail" and identity.value not in failures:
             failures[identity.value] = {
@@ -1046,6 +1063,26 @@ def _pair_outcome(job, inject_fault, proofs):
                 "defect": res.defect,
             }
     return verdicts, failures
+
+
+# the identities whose hypotheses in the suite plan read only relation flags
+_FLAG_DECIDED = {*_WORD_IDENTITIES, IdentityId.BINOM, IdentityId.TELESCOPE, IdentityId.R_iv,
+                 IdentityId.R_i, IdentityId.R_ii}
+
+
+def _flag_verdicts(ctx, proofs):
+    """The verdict of each of ``_SUITE_EVALUATIONS`` on every pair whose
+    report is ``ctx.report``: vacuous where a ``_FLAG_DECIDED`` hypothesis is
+    unmet, pass where it is met and ``proofs`` proves the conclusion, and
+    None, for the checker to decide on the pair, everywhere else."""
+    entries = []
+    for identity, params in _SUITE_EVALUATIONS:
+        verdict = None
+        if identity in _FLAG_DECIDED:
+            hyp, conclude = _CHECKERS[identity](ctx, params)
+            verdict = "vacuous" if not hyp else "pass" if _proved(conclude, proofs) else None
+        entries.append(verdict)
+    return tuple(entries)
 
 
 def _worker_count(jobs):

@@ -248,13 +248,16 @@ def _solve_comm_r(rng, dim):
     kernel = _null_space(_comm_r_system(a))[1]
     if kernel.dim == 0:
         return None
-    basis = [ExactMatrix._from_rep(dim, normalize(kernel._den, *row)) for row in kernel._rows()]
+    rows = kernel._rows()
     for _ in range(24):
-        b = ExactMatrix.zeros(dim)
-        for m in basis:
+        # one integer combination of the kernel rows over their denominator
+        re = im = [0] * (dim * dim)
+        for row_re, row_im in rows:
             c = rng.randint(-2, 2)
             if c:
-                b = b + m * c
+                re = [x + c * y for x, y in zip(re, row_re)]
+                im = [x + c * y for x, y in zip(im, row_im)]
+        b = ExactMatrix._from_rep(dim, normalize(kernel._den, re, im))
         flag = _flags(a, b)
         if flag("comm_r") and not flag("comm"):
             return a, b

@@ -786,6 +786,49 @@ def test_spectral_memo_matches_direct():
     assert nilpotent_seen
 
 
+def test_radical_of_a_word_of_cached_nilpotency_degree_is_x(monkeypatch):
+    # nilpotent words, upper triangular and conjugated out of that shape: a
+    # cached degree gives the radical x without a charpoly, which equals the
+    # radical of the charpoly; a cached None (not nilpotent) gives the
+    # radical of the charpoly
+    rng = random.Random(5)
+    words = ("a", "b", "ab", "ba", "s", "aab", "bab")
+    nilpotent = not_nilpotent = 0
+    for dim in (2, 3, 4, 5):
+        for _ in range(6):
+            upper = [
+                ExactMatrix([[rng.randint(-3, 3) if j > i else 0 for j in range(dim)]
+                             for i in range(dim)])
+                for _ in range(2)
+            ]
+            # unit lower times unit upper: invertible, full of nonzeros
+            p = ExactMatrix([[rng.randint(-2, 2) if j < i else int(i == j) for j in range(dim)]
+                             for i in range(dim)])
+            p = p * p.transpose()
+            q = exact.inverse(p)
+            pairs = [upper, [p * m * q for m in upper], [upper[0], upper[1].transpose()]]
+            for a, b in pairs:
+                ctx = PairContext(a, b)
+                for w in words:
+                    want = poly_radical(charpoly(ctx.word(w)))
+                    degree = ctx.nil_degree(w)
+                    with monkeypatch.context() as m:
+                        if degree is not None:
+                            m.setattr(identities, "charpoly", None)  # must not be called
+                        got = ctx.radical(w)
+                    assert got == want, (a.literal(), b.literal(), w)
+                    if degree is None:
+                        not_nilpotent += 1
+                    else:
+                        nilpotent += 1
+                        assert got == exact.ExactPoly.variable()
+    assert nilpotent > 300 and not_nilpotent > 50
+    # a degree not yet cached: the radical of the charpoly, which is x
+    n = ExactMatrix.parse("0,1,0;0,0,1;0,0,0")
+    ctx = PairContext(n, n)
+    assert ctx.radical("a") == poly_radical(charpoly(n)) == exact.ExactPoly.variable()
+
+
 def test_words_are_products_of_letters():
     a, b = _pair(ExampleId.SEX_I_PQ)
     ctx = PairContext(a, b)
@@ -1165,6 +1208,63 @@ def test_suite_renders_the_witness_of_a_forced_hypothesis(monkeypatch):
         lhs, rhs = defect_sides(a, b, ff["params"])
         assert ff["defect"] == (lhs - rhs).literal()
         assert ff["residual"] == (lhs - rhs).frobenius()
+
+
+# the evaluations whose suite verdict the relation flags decide: every table
+# row, BINOM, TELESCOPE, R.iv, and R.i and R.ii at every (lam, mu)
+FLAG_DECIDED = set(identities._WORD_IDENTITIES) | {
+    IdentityId.BINOM, IdentityId.TELESCOPE, IdentityId.R_iv, IdentityId.R_i, IdentityId.R_ii,
+}
+
+
+@pytest.mark.parametrize("inject_fault", [None, "L1.I.i", "BINOM", "R.i", "RAD_PROD"])
+def test_served_verdicts_and_checkers_give_one_report(monkeypatch, inject_fault):
+    # the verdicts served per flag set, and none served, so that every
+    # evaluation runs its checker
+    classes = [c.value for c in RelationClass]
+    args = (classes, (2, 3, 4, 5), 4, 37)
+    served = verify_suite(*args, inject_fault=inject_fault)
+    monkeypatch.setattr(
+        identities, "_flag_verdicts", lambda ctx, proofs: (None,) * len(identities._SUITE_EVALUATIONS)
+    )
+    checked = verify_suite(*args, inject_fault=inject_fault)
+    assert served.to_json() == checked.to_json()
+    if inject_fault is not None:
+        assert served.identities[inject_fault]["fail"] > 0
+
+
+def test_flag_decided_verdicts_reach_their_checker_once_per_flag_set(monkeypatch):
+    # a serial suite: an evaluation whose verdict the flags decide (its
+    # hypothesis unmet, or met with its conclusion proved) reaches its
+    # checker once per relation report, while that report's verdicts are
+    # built; the others reach theirs on every pair
+    proofs = identities._proof_table(5)
+    reached = {}
+    calls = 0
+
+    def counting(identity, checker):
+        def check(ctx, params):
+            nonlocal calls
+            calls += 1
+            hyp, conclude = checker(ctx, params)
+            if identity in FLAG_DECIDED and (not hyp or identities._proved(conclude, proofs)):
+                key = ctx.report, identity, json.dumps(_json_params(params), sort_keys=True)
+                reached[key] = reached.get(key, 0) + 1
+            return hyp, conclude
+
+        return check
+
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
+    for identity, checker in list(identities._CHECKERS.items()):
+        monkeypatch.setitem(identities._CHECKERS, identity, counting(identity, checker))
+    pairs = 6 * len(RelationClass)
+    rep = verify_suite(dims=(2, 3, 4, 5), samples_per_class=6, seed=41)
+    assert rep.failures == 0
+    reports = {report for report, _, _ in reached}
+    assert 1 < len(reports) < pairs
+    assert max(reached.values()) == 1, max(reached, key=reached.get)
+    # 61 evaluations a pair; the flags leave the verdict open on about 15
+    assert calls < 20 * pairs + len(identities._SUITE_EVALUATIONS) * len(reports)
 
 
 def test_suite_builds_no_combination_without_a_hypothesis(monkeypatch):

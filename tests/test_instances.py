@@ -144,6 +144,50 @@ def test_comm_r_system_matches_cell_by_cell_reference():
             assert b * a * a == a * b * a
 
 
+def reference_solve_comm_r(rng, dim):
+    """_solve_comm_r with each candidate built as a chain of normalized
+    ``m * c`` and ``b + ...`` over the kernel basis matrices."""
+    from weakcomm._kernel_py import normalize
+    from weakcomm.exact import _null_space
+    from weakcomm.instances import _comm_r_system
+    from weakcomm.relations import _flags
+
+    rows = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+    coeffs = [rng.randint(-2, 2) for _ in range(dim - 1)]
+    rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(dim)]
+    a = ExactMatrix(rows)
+    kernel = _null_space(_comm_r_system(a))[1]
+    if kernel.dim == 0:
+        return None
+    basis = [ExactMatrix._from_rep(dim, normalize(kernel._den, *row)) for row in kernel._rows()]
+    for _ in range(24):
+        b = ExactMatrix.zeros(dim)
+        for m in basis:
+            c = rng.randint(-2, 2)
+            if c:
+                b = b + m * c
+        flag = _flags(a, b)
+        if flag("comm_r") and not flag("comm"):
+            return a, b
+    return None
+
+
+def test_solve_comm_r_candidates_match_the_matrix_chain():
+    # the candidates, the pair drawn and the rng state after it
+    from weakcomm.instances import _solve_comm_r
+
+    found = missed = 0
+    for seed in range(60):
+        for dim in (2, 3, 4):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got, want = _solve_comm_r(rng, dim), reference_solve_comm_r(ref, dim)
+            assert got == want, (seed, dim)
+            assert rng.random() == ref.random(), (seed, dim)
+            found += got is not None
+            missed += got is None
+    assert found > 30 and missed > 10
+
+
 def test_solve_comm_r_draws_are_pinned():
     # (seed, dim) -> (a, b) literals, drawn with the system built cell by cell
     # as in reference_comm_r_system

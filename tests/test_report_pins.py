@@ -50,6 +50,14 @@ PINS = {
         "e1b6d1c5936bdc281b6a46d0462fd5777a72905b1d26a016ef26d7a778f548f8",
         "b5dccbe8109e66821222dfff532fa4a428f51757c4c02d62b63933aac0d97681",
     ),
+    # dims 5 and 6, which the pins above do not sample: six of its seven
+    # relation-flag sets occur at both dims, so verdicts built on a pair of
+    # one dim are served to pairs of the other
+    "verify --dims 5,6 --samples 4 --seed 11": (
+        0,
+        "75b1a25aa8cf2c6ab197e4e9098da5954bac4f0e66be7565b23d135356e53ebe",
+        "727fbc4805873eb8d2f77091a5efee8824f5e9536af0b747819e64a27045fabf",
+    ),
     "example SEX_I_PQ": (
         0,
         "357bd9ba06dab989462e0d4829afb25e9b92c91122f0eb35048240c740444b60",
