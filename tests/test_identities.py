@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import pickle
@@ -1505,3 +1506,43 @@ def test_seven_identities_hold_when_vacuous(identity):
         res = check_identity(identity, a, b)
         assert not res.hypothesis_met
         assert (res.holds, res.residual, res.witness) == (True, 0.0, None)
+
+
+# -- pins of check_identity's outcomes and of the proof claims -------------------
+
+
+def _outcome_lines():
+    """check_identity's JSON dict at every suite evaluation, on a plain and a
+    nilpotent pair of every relation class at dims 2-4, one line each."""
+    lines = []
+    for k, cls in enumerate(RelationClass):
+        for dim in (2, 3, 4):
+            for nilpotent in (False, True):
+                a, b = sample_pair(cls, dim, 500 + 7 * k + dim, nilpotent=nilpotent)
+                for identity, params in identities._SUITE_EVALUATIONS:
+                    res = check_identity(identity, a, b, **params)
+                    lines.append(json.dumps(res.to_json_dict(), sort_keys=True))
+    return lines
+
+
+def test_check_identity_outcomes_are_pinned():
+    # the raw outcome of every evaluation, a vacuous one's included
+    lines = _outcome_lines()
+    vacuous = sum('"verdict": "vacuous"' in line for line in lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), vacuous, digest) == (
+        1830, 644, "bced306b890ac605ad5460bd14b2d6d3f746a055e197c750c6bb6878875002d2"
+    )
+
+
+def test_proof_claims_are_pinned():
+    # what each claim asserts and whether the table proves it, not its key
+    from weakcomm.freealg import flag_relations
+
+    table = identities._proof_table(8)
+    triples = sorted(
+        json.dumps([sorted(flag_relations(flags) + extra), [list(c) for c in combos], table[key]])
+        for key, (flags, extra), combos in identities._suite_claims(8)
+    )
+    digest = hashlib.sha256("\n".join(triples).encode()).hexdigest()
+    assert (len(triples), digest) == (59, "035f7de4141413a70d262a4042341a8b9850d5478dd025dbb0b3de7d95fc9dfa")
