@@ -1,29 +1,36 @@
 """Catalog of verifiable consequences of one-sided commutation hypotheses.
 
-Every identity in the catalog is a statement "hypothesis (relation flags,
-possibly nilpotency) implies conclusion (exact matrix/polynomial equation,
-membership, degree bound, or spectral-radius inequality)". Checking an
-identity on a concrete pair yields an :class:`IdentityResult` with a
-three-way verdict:
+Every identity in the catalog is a statement "hypothesis implies
+conclusion", declared once, in ``_IDENTITIES``. The hypothesis is a
+disjunction of branches, each a conjunction of named atoms: relation flags,
+parameter atoms such as ``lam != 0``, and atoms of the pair's words,
+``nil(w)``, ``zero(w)`` and NIL_TELE's ``x in comm(base^n)``. The
+conclusion is an exact matrix or polynomial equation, a membership, a
+degree bound or a spectral-radius inequality. The README's identity catalog
+states each hypothesis. Checking an identity on a concrete pair yields an
+:class:`IdentityResult` with a three-way verdict:
 
     pass     hypothesis met, conclusion holds
     fail     hypothesis met, conclusion violated
     vacuous  hypothesis not met
 
-For most identities ``check_identity`` still evaluates the conclusion of a
-vacuous result and reports its raw outcome informationally. Seven do not.
-EXP_CORR, NIL_PROD, NIL_SUM, QUASI_CLOSURE and KER_INCL return ``_vacuous``
-(holds, residual 0.0, no witness) without evaluating anything. R.iv and
-NIL_TELE build their defect list from the flags, so an unmet hypothesis
-leaves it empty and the result holds.
+A conclusion is stated either of the pair or per branch, and that decides
+what ``check_identity`` reports on a vacuous pair. A conclusion of the pair
+is evaluated wherever it is asked for, so a vacuous result carries its raw
+outcome informationally. A conclusion per branch is the conjunction of the
+conclusions of the branches that hold, so a vacuous pair has none to
+evaluate, and the result holds with residual 0.0 and no witness. Seven
+identities state theirs per branch: R.iv, NIL_TELE, NIL_PROD and
+QUASI_CLOSURE, whose branches differ, and EXP_CORR, NIL_SUM and KER_INCL,
+whose conclusions read a nilpotency degree that their hypothesis proves
+finite.
 
 The word identities (L1.*, R.*, NEWTON_*, BINOM, TELESCOPE, NIL_TELE) are
 polynomial identities in a, b and s = a + b. Each states that some word
 combinations vanish: sequences of (word, int) terms over the letters a, b
-and s. ``PairContext.defect`` is their one evaluator. The sixteen whose
-hypothesis is a conjunction of relation flags are rows of one table,
-``_WORD_IDENTITIES``, which pairs the flags with a recipe of
-combinations; the others have checkers of their own.
+and s. ``PairContext.defect`` is their one evaluator. R.i and R.ii are word
+identities at lam = 0 only; at lam != 0 their conclusion is a matrix
+equation.
 
 RAD_PROD and RAD_SUM compare spectral radii with zero tolerance: the
 charpoly radicals of the pair's words go to ``algebraic``, which decides
@@ -43,25 +50,27 @@ be injected into one identity (its computed verdict is inverted) to prove
 the harness actually detects failures.
 
 ``verify_suite`` serves most met word-identity hypotheses from proofs, not
-from products. The conclusions of the sixteen table rows, BINOM and
-TELESCOPE (n != 2), R.iv, R.i and R.ii (lam = 0) and NIL_TELE are word
-combinations that lie in the ideal of Q<a,b> generated by the word
-relations of their hypotheses (``freealg``), so they vanish in every
-algebra where those relations hold. The suite decides each such claim once
-per process, in a proof table (``_proof_table``), and counts a met
-hypothesis of a proved claim as a pass without multiplying a word. This is
-exact: the hypothesis is still decided on the pair's exact matrices, where
-a flag is true only when its exact products agree, and the conclusion then
-holds by a theorem. A claim the table does not prove is evaluated as
-before, and ``check_identity`` evaluates every conclusion.
+from products. A word conclusion on the branches that hold is a theorem of
+Q<a,b> when its combinations lie in the ideal generated by the word
+relations of those branches' atoms (``freealg``), so it vanishes in every
+algebra where those relations hold. The claims are derived from the
+declarations (``_suite_claims``), decided once per process in a proof table
+(``_proof_table``), and a met hypothesis of a proved claim counts as a pass
+without multiplying a word. This is exact: the hypothesis is still decided
+on the pair's exact matrices, where a flag is true only when its exact
+products agree, and the conclusion then holds by a theorem. A claim the
+table does not prove is evaluated, and ``check_identity`` evaluates every
+conclusion.
 
-All these hypotheses but NIL_TELE's read only the relation flags, so on a
-pair such an evaluation's verdict, vacuous, pass by proof or one to decide
-on the matrices (R.i and R.ii at lam != 0), depends only on the report.
-Each ``verify_suite`` call derives these verdicts from its proof table on
-the first pair of each report (``_flag_verdicts``) and serves them to the
-pairs with that report; a checker runs only where the verdict is open,
-for the other identities and for an injected fault's.
+The flags and parameter atoms of every branch are read before any atom of
+the pair's words. So an evaluation whose every branch has a false flag or
+parameter atom is vacuous, and one whose live branches read no word and
+whose conclusion the table proves is a pass, whatever the pair's matrices:
+both verdicts depend only on the relation report. Each ``verify_suite``
+call derives them from its proof table on the first pair of each report
+(``_flag_verdicts``) and serves them to the pairs with that report; a
+checker runs only where the verdict is open, and for an injected fault's
+identity.
 
 Each pair comes from its own seed, derived from (seed, class, index), so
 the pairs are independent: ``verify_suite`` checks them in forked worker
@@ -75,9 +84,10 @@ forked every pair is checked in the calling process.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm
 
 from . import _kernel_py
@@ -91,7 +101,7 @@ from .exact import (
     nilpotency_degree,
     poly_radical,
 )
-from .relations import _decide, _product
+from .relations import _REPORT_NAMES, _decide, _product
 from .scalar import Scalar
 from .structure import _criterion, _kernel_annihilated
 
@@ -314,12 +324,6 @@ def _bool_result(ok, defect):
     return ok, 0.0 if ok else 1.0, None if ok else defect
 
 
-def _vacuous():
-    """The conclusion of a checker whose unmet hypothesis leaves nothing to
-    evaluate, e.g. a nilpotency bound without a nilpotent factor."""
-    return True, 0.0, None
-
-
 # -- word combinations ----------------------------------------------------------
 # A word combination is a sequence of (word, c) terms over the letters a, b
 # and s = a + b, with c a nonzero int, standing for the sum of c * word; each
@@ -383,14 +387,14 @@ def _l1_telescopes(diff_right):
 
 
 def _newton(n, left):
-    """(a+b)^n less sum_k C(n-1, k-1) (a^(n-k) b^k + b^(n-k) a^k), k = 1..n,
-    with the powers in each product swapped if left."""
+    """The one combination (a+b)^n less sum_k C(n-1, k-1) (a^(n-k) b^k +
+    b^(n-k) a^k), k = 1..n, with the powers in each product swapped if left."""
     terms = [("s" * n, 1)]
     for k in range(1, n + 1):
         i, j = (k, n - k) if left else (n - k, k)
         c = -comb(n - 1, k - 1)
         terms += [("a" * i + "b" * j, c), ("b" * i + "a" * j, c)]
-    return terms
+    yield terms
 
 
 def _binom(n):
@@ -399,219 +403,134 @@ def _binom(n):
         yield [("s" * n, 1)] + [(x * k + y * (n - k), -comb(n, k)) for k in range(n + 1)]
 
 
-def _r_iv(comm_l, comm_r):
-    """R.iv's combinations: comm_l of the pair (s, b) if comm_l, and its
-    comm_r if comm_r."""
-    if comm_l:
-        yield _memb("sb", "s")
-        yield _memb("bs", "b")
-    if comm_r:
-        yield _memb("sb", "b")
-        yield _memb("bs", "s")
-
-
-# NIL_TELE's branches: flag -> (x, base, diff_right); under the flag and x in
-# comm(base^n), the telescopes of orders n+1..n+3 with a - b on the right
-# (diff_right) or on the left vanish
-_NIL_TELE_BRANCHES = {"comm_l": ("b", "a", True), "comm_r": ("a", "b", False)}
-
-
-def _nil_tele(branch, n):
-    """The combinations of NIL_TELE's ``branch`` with power n."""
-    diff_right = _NIL_TELE_BRANCHES[branch][2]
-    for m in (n + 1, n + 2, n + 3):
-        yield _telescope(m, [], False, diff_right)
-
-
-# -- checkers -------------------------------------------------------------------
-# Each checker maps (ctx, params) to (hypothesis_met, conclude), where
-# conclude() gives (holds, residual, witness). The hypothesis is decided
-# first and the conclusion builds nothing until it is called, so a caller
-# that only counts a vacuous evaluation skips its cost. The conclusion of a
-# word identity is a _Vanish, which also names the proof-table claims that
-# prove it (see _proof_table).
-#
-# The word identities whose hypothesis is a conjunction of RelationReport
-# flags are rows of _WORD_IDENTITIES: identity -> (the flags, recipe), where
-# recipe(params) yields the word combinations that must vanish in defect
-# order, so the first nonzero one is the witness. _word_checker makes their
-# checkers; the other identities have checkers of their own.
-
-_POWERS = (1, 2, 3, 4)
-_TRIPLE = (1, 2, 3)
-
-_WORD_IDENTITIES = {
-    IdentityId.L1_I_i: (
-        ("ab_in_comm_a",),
-        lambda p: (_memb("a" * n + "b", "a" * m) for n in _POWERS for m in _POWERS),
-    ),
-    IdentityId.L1_I_ii: (("ab_in_comm_a",), lambda p: _power_words(True)),
-    IdentityId.L1_I_iii: (("ab_in_comm_a",), lambda p: [_memb("as", "a")]),
-    IdentityId.L1_II_i: (
-        ("ab_in_comm_b",),
-        lambda p: (_memb("a" + "b" * n, "b" * m) for n in _POWERS for m in _POWERS),
-    ),
-    IdentityId.L1_II_ii: (("ab_in_comm_b",), lambda p: _power_words(False)),
-    IdentityId.L1_II_iii: (("ab_in_comm_b",), lambda p: [_memb("sb", "b")]),
-    IdentityId.L1_III_i: (
-        ("comm_l",),
-        lambda p: (
-            _memb("a" * n + "b" * m, "a" * k) for n in _TRIPLE for m in _TRIPLE for k in _TRIPLE
-        ),
-    ),
-    IdentityId.L1_III_ii: (("comm_l",), lambda p: _l1_telescopes(True)),
-    IdentityId.L1_III_iii: (("comm_l",), lambda p: [_memb("sa", "s"), _memb("bs", "b")]),
-    IdentityId.L1_IV_i: (
-        ("comm_r",),
-        lambda p: (
-            _memb("a" * n + "b" * m, "b" * k) for n in _TRIPLE for m in _TRIPLE for k in _TRIPLE
-        ),
-    ),
-    IdentityId.L1_IV_ii: (("comm_r",), lambda p: _l1_telescopes(False)),
-    IdentityId.L1_IV_iii: (("comm_r",), lambda p: [_memb("as", "s"), _memb("sb", "b")]),
-    IdentityId.R_iii: (
-        ("comm_w",),
-        lambda p: (_memb("a" * n, "b" * m) for n in _TRIPLE for m in _TRIPLE if n * m >= 2),
-    ),
-    # aab = aba = baa, the words of ab_in_comm_a and ba_in_comm_a
-    IdentityId.R_v: (
-        ("ab_in_comm_a", "ba_in_comm_a"),
-        lambda p: (_memb("a" * n, "b" * m) for n in (2, 3, 4) for m in _TRIPLE),
-    ),
-    IdentityId.NEWTON_R: (("comm_r",), lambda p: [_newton(p.get("n", 3), False)]),
-    IdentityId.NEWTON_L: (("comm_l",), lambda p: [_newton(p.get("n", 3), True)]),
+# R.iv's combinations per branch: comm_l or comm_r of the pair (s, b)
+_R_IV = {
+    "comm_l": (_memb("sb", "s"), _memb("bs", "b")),
+    "comm_r": (_memb("sb", "b"), _memb("bs", "s")),
 }
 
 
-class _Vanish:
-    """The conclusion that the combinations of ``combos()`` vanish on the pair.
-
-    ``claims`` are the keys of the proof table that together prove it: the
-    same combinations in the ideal of the hypothesis's word relations.
-    """
-
-    __slots__ = ("ctx", "combos", "claims")
-
-    def __init__(self, ctx, combos, claims):
-        self.ctx, self.combos, self.claims = ctx, combos, claims
-
-    def __call__(self):
-        return _from_defects(map(self.ctx.defect, self.combos()))
-
-
-def _word_checker(identity, conjuncts, recipe):
-    """The checker of a _WORD_IDENTITIES row."""
-
-    def check(ctx, p):
-        rep = ctx.report
-        hyp = all(getattr(rep, flag) for flag in conjuncts)
-        return hyp, _Vanish(ctx, lambda: recipe(p), ((identity, p.get("n")),))
-
-    return check
+def _nil_tele(q, held):
+    """NIL_TELE's combinations: under comm_l and b in comm(a^n), the
+    telescopes of orders n+1..n+3 with a - b on the right; under comm_r and
+    a in comm(b^n), with a - b on the left."""
+    for branch, n in held:
+        for m in (n + 1, n + 2, n + 3):
+            yield _telescope(m, [], False, branch.label == "comm_l")
 
 
 # With A = a - lam and B = b - mu, ABA - AAB = A(BA - AB) = (a - lam)(ba - ab)
 # and BAA - ABA = (ba - ab)(a - lam), whatever mu is.
-def _shifted_memb(ctx, x, lam):
-    """Defect of x = ab or ba in comm(a), less lam(ba - ab), for lam != 0."""
-    w = ctx.word
-    return (w(x + "a") - w("a" + x)) - (w("ba") - w("ab")) * lam
+def _shifted(x):
+    """The words and the conclusion of R.i (x = ab) or R.ii (x = ba): x is
+    in comm(a), less lam(ba - ab), a word combination at lam = 0."""
+
+    def words(q, held):
+        return [_memb(x, "a")] if q["lam"].is_zero() else None
+
+    def conclude(ctx, q, held):
+        w = ctx.word
+        return _from_defects([(w(x + "a") - w("a" + x)) - (w("ba") - w("ab")) * q["lam"]])
+
+    return words, conclude
 
 
-# R.i and R.ii: identity -> (x, the flag that x is in comm(a))
-_SHIFTED = {IdentityId.R_i: ("ab", "ab_in_comm_a"), IdentityId.R_ii: ("ba", "ba_in_comm_a")}
+# -- conclusions that are not word combinations ----------------------------------
+# Each maps (ctx, q, held) to (holds, residual, witness): q holds the
+# parameters with their defaults, and held the branches of the hypothesis
+# that hold on the pair, each with its power n (see _held).
 
 
-def _shifted_checker(identity):
-    """The checker of R.i or R.ii."""
-    x, flag = _SHIFTED[identity]
-
-    def check(ctx, p):
-        lam = Scalar.coerce(p.get("lam", 0))
-        hyp = getattr(ctx.report, flag) and (ctx.report.comm or lam.is_zero())
-        if lam.is_zero():
-            return hyp, _Vanish(ctx, lambda: [_memb(x, "a")], ((identity, 0),))
-        return hyp, lambda: _from_defects([_shifted_memb(ctx, x, lam)])
-
-    return check
-
-
-def _chk_r_iv(ctx, p):
-    # comm_l and comm_r of the pair (s, b), from the memoized words
-    branch = ctx.report.comm_l, ctx.report.comm_r
-    return any(branch), _Vanish(ctx, lambda: _r_iv(*branch), ((IdentityId.R_iv, *branch),))
-
-
-def _chk_binom(ctx, p):
-    n = p.get("n", 3)
-    hyp = ctx.report.comm_w and n != 2
-    return hyp, _Vanish(ctx, lambda: _binom(n), ((IdentityId.BINOM, n),))
-
-
-def _chk_telescope(ctx, p):
-    n = p.get("n", 3)
-    hyp = ctx.report.comm_w and n != 2
-    return hyp, _Vanish(ctx, lambda: _telescopes(n), ((IdentityId.TELESCOPE, n),))
-
-
-def _chk_exp_corr(ctx, p):
-    hyp = (
-        ctx.report.comm_w
-        and ctx.nil_degree("a") is not None
-        and ctx.nil_degree("b") is not None
-    )
-    if not hyp:
-        return False, _vacuous
+def _exp_corr(ctx, q, held):
     if ctx.nil_degree("s") is None:
-        return True, lambda: (False, 1.0, "a+b not nilpotent")
-
-    def conclude():
-        ea = exp_exact_nilpotent(ctx.a)
-        eb = exp_exact_nilpotent(ctx.b)
-        es = exp_exact_nilpotent(ctx.s)
-        commutator = ctx.ab - ctx.ba
-        defects = [
-            (ea * eb, es + commutator * Fraction(1, 2)),
-            (ea * eb - eb * ea, commutator),
-        ]
-        return _from_defects(defects)
-
-    return True, conclude
+        return False, 1.0, "a+b not nilpotent"
+    ea = exp_exact_nilpotent(ctx.a)
+    eb = exp_exact_nilpotent(ctx.b)
+    es = exp_exact_nilpotent(ctx.s)
+    commutator = ctx.ab - ctx.ba
+    defects = [
+        (ea * eb, es + commutator * Fraction(1, 2)),
+        (ea * eb - eb * ea, commutator),
+    ]
+    return _from_defects(defects)
 
 
-def _chk_nil_prod(ctx, p):
-    rep = ctx.report
-    qa, qb = ctx.nil_degree("a"), ctx.nil_degree("b")
-    via_ab = rep.ab_in_comm_a or rep.ab_in_comm_b
-    via_ba = rep.ba_in_comm_a or rep.ba_in_comm_b
-    if not ((qa is not None or qb is not None) and (via_ab or via_ba)):
-        return False, _vacuous
-
-    def conclude():
-        q = min(d for d in (qa, qb) if d is not None)
-        dab, dba = ctx.nil_degree("ab"), ctx.nil_degree("ba")
-        ok = dab is not None and dba is not None
-        if ok and via_ab:
-            ok = dab <= q and dba <= q + 1
-        if ok and via_ba:
-            ok = dba <= q and dab <= q + 1
-        return _bool_result(ok, f"d(ab)={dab}, d(ba)={dba}, bound q={q}")
-
-    return True, conclude
+def _nil_prod(ctx, q, held):
+    """d(x) <= q and d(y) <= q + 1 for each held branch of x in comm(a) or
+    comm(b), {x, y} = {ab, ba}, where q is the least degree of a held
+    branch's nilpotent factor."""
+    bound = min(ctx.nil_degree(w) for branch, _ in held for w in branch.nil)
+    d = {"ab": ctx.nil_degree("ab"), "ba": ctx.nil_degree("ba")}
+    ok = None not in d.values()
+    for x, y in ("ab", "ba"), ("ba", "ab"):
+        if ok and any(branch.label.startswith(x) for branch, _ in held):
+            ok = d[x] <= bound and d[y] <= bound + 1
+    return _bool_result(ok, f"d(ab)={d['ab']}, d(ba)={d['ba']}, bound q={bound}")
 
 
-def _chk_nil_sum(ctx, p):
-    rep = ctx.report
-    qa, qb = ctx.nil_degree("a"), ctx.nil_degree("b")
-    if not (qa is not None and qb is not None and (rep.comm_l or rep.comm_r)):
-        return False, _vacuous
+def _nil_sum(ctx, q, held):
+    qa, qb, ds = ctx.nil_degree("a"), ctx.nil_degree("b"), ctx.nil_degree("s")
+    ok = ds is not None and abs(qa - qb) <= ds <= qa + qb
+    return _bool_result(ok, f"d(a)={qa}, d(b)={qb}, d(a+b)={ds}")
 
-    def conclude():
-        ds = ctx.nil_degree("s")
-        ok = ds is not None and abs(qa - qb) <= ds <= qa + qb
-        return _bool_result(ok, f"d(a)={qa}, d(b)={qb}, d(a+b)={ds}")
 
-    return True, conclude
+def _quasi_closure(ctx, q, held):
+    """a + b is nilpotent on a held branch of comm_l or comm_r, and ab and ba
+    are on a held branch of a product flag."""
+    labels = {branch.label for branch, _ in held}
+    words = ["s"] if labels & {"comm_l", "comm_r"} else []
+    if labels - {"comm_l", "comm_r"}:
+        words += ["ab", "ba"]
+    ok = all(ctx.nil_degree(w) is not None for w in words)
+    return _bool_result(ok, "nilpotency lost")
+
+
+def _rad_prod(ctx, q, held):
+    r = ctx.radical
+    return (*radius_product_bound(r("a"), r("b"), r("ab")), None)
+
+
+def _rad_sum(ctx, q, held):
+    r = ctx.radical
+    return (*radius_sum_bound(r("a"), r("b"), r("s")), None)
+
+
+def _poly_defect(ok, lhs, rhs):
+    if ok:
+        return True, 0.0, None
+    return False, 1.0, f"{lhs.literal()} vs {rhs.literal()}"
+
+
+def _spec_incl(ctx, q, held):
+    ra, rs = ctx.radical_nonzero("a"), ctx.radical_nonzero("s")
+    return _poly_defect(ra.divides(rs), ra, rs)
+
+
+def _spec_eq_n2(ctx, q, held):
+    ra, rs = ctx.radical_nonzero("a"), ctx.radical_nonzero("s")
+    return _poly_defect(ra == rs, ra, rs)
+
+
+def _spec_eq_w(ctx, q, held):
+    fa, fs = ctx.radical("a"), ctx.radical("s")
+    return _poly_defect(fa == fs, fa, fs)
+
+
+def _ker_incl(ctx, q, held):
+    # kernel_inclusion_forward, then _reverse when bb == 0 (power 2) or ab in comm(b)
+    lam = q["lam"]
+    shift, p = ctx.word("") * lam, ctx.nil_degree("b")
+    x, y = ctx.a - shift, ctx.s - shift
+    ok = _kernel_annihilated(x, y, p)
+    if ok and (ctx.word("bb").is_zero() or ctx.report.ab_in_comm_b):
+        ok = _kernel_annihilated(y, x, 2 if ctx.word("bb").is_zero() else p)
+    return _bool_result(ok, f"kernel inclusion failed at lam={lam.literal()}")
+
+
+def _kriterion_range(ctx, q, held):
+    first, second = _criterion(ctx.a, ctx.ba - ctx.ab)  # range_kernel_criterion(b, a)
+    ok = first == ctx.report.ab_in_comm_a and second == ctx.report.ba_in_comm_a
+    return _bool_result(ok, "range/kernel criterion disagrees with product flags")
 
 
 def _in_comm(ctx, x, y):
@@ -627,156 +546,233 @@ def _detect_power_membership(ctx, x, base):
     return None
 
 
-def _chk_nil_tele(ctx, p):
-    # applicability rests on the membership search, so it is decided in full
-    n_given = p.get("n")
-    branches = []
-    for flag, (x, base, _) in _NIL_TELE_BRANCHES.items():
-        if getattr(ctx.report, flag):
-            n = n_given if n_given is not None else _detect_power_membership(ctx, x, base)
-            if n is not None and _in_comm(ctx, x, base * n):
-                branches.append((flag, n))
-    return bool(branches), _Vanish(
-        ctx,
-        lambda: (c for branch in branches for c in _nil_tele(*branch)),
-        tuple((IdentityId.NIL_TELE, *branch) for branch in branches),
-    )
+# -- hypotheses -------------------------------------------------------------------
 
 
-def _chk_rad_prod(ctx, p):
-    rep = ctx.report
-    hyp = rep.ab_in_comm_a or rep.ab_in_comm_b
-    r = ctx.radical
-    return hyp, lambda: (*radius_product_bound(r("a"), r("b"), r("ab")), None)
+class _Branch:
+    """One conjunction of a hypothesis, written "x & y": a hypothesis is a
+    disjunction of branches, "x & y | z", and "" is the one empty branch.
+    Its atoms are parsed into ``flags`` (RelationReport flags), ``params``
+    ("lam = 0", "lam != 0" or "n != 2", as name, whether it is an equality,
+    value), and the atoms of the pair's words: ``nil`` ("nil(w)", w is
+    nilpotent), ``zero`` ("zero(w)", w is 0) and ``member`` (x, base) for
+    NIL_TELE's "x in comm(base^n)", at the parameter n or else the least
+    n <= dim. Its ``label`` is its flags, joined, and it is ``decided``
+    where it has no atom of the pair's words."""
+
+    __slots__ = ("atoms", "flags", "params", "nil", "zero", "member", "label", "decided")
+
+    def __init__(self, text):
+        self.atoms = tuple(text.split(" & ")) if text else ()
+        self.flags, self.params, self.nil, self.zero, self.member = [], [], [], [], None
+        for atom in self.atoms:
+            fn, _, word = atom[:-1].partition("(")
+            parts = atom.split(" ")
+            if atom in _REPORT_NAMES:
+                self.flags.append(atom)
+            elif fn in ("nil", "zero") and atom.endswith(")") and word and set(word) <= set("abs"):
+                getattr(self, fn).append(word)
+            elif len(parts) == 3 and parts[0] in ("lam", "n") and parts[1] in ("=", "!="):
+                self.params.append((parts[0], parts[1] == "=", int(parts[2])))
+            elif parts[0] in ("a", "b") and parts[1:] in (["in", "comm(a^n)"], ["in", "comm(b^n)"]):
+                self.member = parts[0], parts[2][5]
+            else:
+                raise ValueError(f"unknown atom {atom!r}")
+        self.label = " & ".join(self.flags)
+        self.decided = not (self.nil or self.zero or self.member)
+
+    # loops, not all() over a generator: verify runs these about 50 times a pair
+    def allows(self, q):
+        """Whether the parameter atoms hold for the parameters q."""
+        for name, equal, value in self.params:
+            if (q[name] == value) != equal:
+                return False
+        return True
+
+    def reported(self, report, q):
+        """Whether the flags and the parameter atoms hold."""
+        for flag in self.flags:
+            if not getattr(report, flag):
+                return False
+        return self.allows(q)
+
+    def power(self, ctx, n):
+        """False where a word atom fails on the pair, else the power n of the
+        membership atom (for n None, the least n <= dim), or n without one."""
+        for w in self.nil:
+            if ctx.nil_degree(w) is None:
+                return False
+        for w in self.zero:
+            if not ctx.word(w).is_zero():
+                return False
+        if self.member is None:
+            return n
+        x, base = self.member
+        if n is None:
+            n = _detect_power_membership(ctx, x, base)
+        return n if n is not None and _in_comm(ctx, x, base * n) else False
 
 
-def _chk_rad_sum(ctx, p):
-    rep = ctx.report
-    hyp = rep.comm_l or rep.comm_r
-    r = ctx.radical
-    return hyp, lambda: (*radius_sum_bound(r("a"), r("b"), r("s")), None)
+@dataclass(frozen=True)
+class _Identity:
+    """One catalog identity: ``hypothesis``, its conclusion, the parameters
+    it reads (name -> default) and its parameter grid in ``verify_suite``.
+
+    The conclusion is that the combinations of ``words(q, held)`` vanish
+    (see PairContext.defect), and where ``words`` is None or gives None,
+    ``conclude(ctx, q, held)``. A conclusion ``per_branch`` is stated for
+    the branches that hold, so it is evaluated only over them: on a pair
+    where none holds there is nothing to evaluate, and it holds with
+    residual 0.0 and no witness. Any other conclusion is of the pair alone,
+    and is evaluated wherever it is asked for.
+    """
+
+    hypothesis: str
+    words: object = None
+    conclude: object = None
+    per_branch: bool = False
+    reads: dict = field(default_factory=dict)
+    grid: tuple = ({},)
+    branches: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "branches", tuple(map(_Branch, self.hypothesis.split(" | "))))
+
+    def conclusion(self, ctx, q, held):
+        combos = None if self.words is None else self.words(q, held)
+        if combos is None:
+            return self.conclude(ctx, q, held)
+        return _from_defects(map(ctx.defect, combos))
 
 
-def _chk_quasi_closure(ctx, p):
-    rep = ctx.report
-    qa, qb = ctx.nil_degree("a"), ctx.nil_degree("b")
-    sum_branch = qa is not None and qb is not None and (rep.comm_l or rep.comm_r)
-    prod_branch = (qa is not None or qb is not None) and (
-        rep.ab_in_comm_a or rep.ab_in_comm_b or rep.ba_in_comm_a or rep.ba_in_comm_b
-    )
-    if not (sum_branch or prod_branch):
-        return False, _vacuous
+_POWERS = (1, 2, 3, 4)
+_TRIPLE = (1, 2, 3)
+_N = {"n": 3}
+_NEWTON_GRID = tuple({"n": n} for n in (2, 3, 4, 5, 6, 7, 8))
+_BINOM_GRID = tuple({"n": n} for n in (1, 2, 3, 4, 5, 6))
+_LAM_MU = {"lam": Scalar(0), "mu": Scalar(0)}
+_LAM_MU_GRID = (
+    {"lam": Scalar(0), "mu": Scalar(0)},
+    {"lam": Scalar(0), "mu": Scalar(1)},
+    {"lam": Scalar(1), "mu": Scalar(0)},
+)
+_NIL_SUM = "comm_l & nil(a) & nil(b) | comm_r & nil(a) & nil(b)"
+_NIL_PROD = " | ".join(
+    f"{x}_in_comm_{y} & nil({z})" for x in ("ab", "ba") for y in "ab" for z in "ab"
+)
 
-    def conclude():
-        ok = True
-        if sum_branch:
-            ok = ok and ctx.nil_degree("s") is not None
-        if prod_branch:
-            ok = ok and ctx.nil_degree("ab") is not None and ctx.nil_degree("ba") is not None
-        return _bool_result(ok, "nilpotency lost")
-
-    return True, conclude
-
-
-def _poly_defect(ok, lhs, rhs):
-    if ok:
-        return True, 0.0, None
-    return False, 1.0, f"{lhs.literal()} vs {rhs.literal()}"
-
-
-def _chk_spec_incl(ctx, p):
-    def conclude():
-        ra, rs = ctx.radical_nonzero("a"), ctx.radical_nonzero("s")
-        return _poly_defect(ra.divides(rs), ra, rs)
-
-    return ctx.report.ba_in_comm_a and ctx.nil_degree("b") is not None, conclude
-
-
-def _chk_spec_eq_n2(ctx, p):
-    def conclude():
-        ra, rs = ctx.radical_nonzero("a"), ctx.radical_nonzero("s")
-        return _poly_defect(ra == rs, ra, rs)
-
-    return ctx.report.ba_in_comm_a and ctx.word("bb").is_zero(), conclude
-
-
-def _chk_spec_eq_w(ctx, p):
-    def conclude():
-        fa, fs = ctx.radical("a"), ctx.radical("s")
-        return _poly_defect(fa == fs, fa, fs)
-
-    return ctx.report.comm_w and ctx.nil_degree("b") is not None, conclude
-
-
-def _chk_ker_incl(ctx, p):
-    lam = Scalar.coerce(p.get("lam", 1))
-    hyp = (
-        not lam.is_zero()
-        and ctx.report.ba_in_comm_a
-        and ctx.nil_degree("b") is not None
-    )
-    if not hyp:
-        return False, _vacuous
-
-    def conclude():
-        # kernel_inclusion_forward, then _reverse when bb == 0 (q = 2) or ab in comm(b)
-        shift, p = ctx.word("") * lam, ctx.nil_degree("b")
-        x, y = ctx.a - shift, ctx.s - shift
-        ok = _kernel_annihilated(x, y, p)
-        if ok and (ctx.word("bb").is_zero() or ctx.report.ab_in_comm_b):
-            ok = _kernel_annihilated(y, x, 2 if ctx.word("bb").is_zero() else p)
-        return _bool_result(ok, f"kernel inclusion failed at lam={lam.literal()}")
-
-    return True, conclude
-
-
-def _chk_kriterion_range(ctx, p):
-    def conclude():
-        first, second = _criterion(ctx.a, ctx.ba - ctx.ab)  # range_kernel_criterion(b, a)
-        ok = first == ctx.report.ab_in_comm_a and second == ctx.report.ba_in_comm_a
-        return _bool_result(ok, "range/kernel criterion disagrees with product flags")
-
-    return True, conclude
-
-
-# the identities with a checker of their own, in catalog order
-_BESPOKE = {
-    IdentityId.R_i: _shifted_checker(IdentityId.R_i),
-    IdentityId.R_ii: _shifted_checker(IdentityId.R_ii),
-    IdentityId.R_iv: _chk_r_iv,
-    IdentityId.BINOM: _chk_binom,
-    IdentityId.TELESCOPE: _chk_telescope,
-    IdentityId.EXP_CORR: _chk_exp_corr,
-    IdentityId.NIL_PROD: _chk_nil_prod,
-    IdentityId.NIL_SUM: _chk_nil_sum,
-    IdentityId.NIL_TELE: _chk_nil_tele,
-    IdentityId.RAD_PROD: _chk_rad_prod,
-    IdentityId.RAD_SUM: _chk_rad_sum,
-    IdentityId.QUASI_CLOSURE: _chk_quasi_closure,
-    IdentityId.SPEC_INCL: _chk_spec_incl,
-    IdentityId.SPEC_EQ_N2: _chk_spec_eq_n2,
-    IdentityId.SPEC_EQ_W: _chk_spec_eq_w,
-    IdentityId.KER_INCL: _chk_ker_incl,
-    IdentityId.KRITERION_RANGE: _chk_kriterion_range,
+# every identity, declared once, in catalog order
+_IDENTITIES = {
+    IdentityId.L1_I_i: _Identity(
+        "ab_in_comm_a",
+        lambda q, held: (_memb("a" * n + "b", "a" * m) for n in _POWERS for m in _POWERS),
+    ),
+    IdentityId.L1_I_ii: _Identity("ab_in_comm_a", lambda q, held: _power_words(True)),
+    IdentityId.L1_I_iii: _Identity("ab_in_comm_a", lambda q, held: [_memb("as", "a")]),
+    IdentityId.L1_II_i: _Identity(
+        "ab_in_comm_b",
+        lambda q, held: (_memb("a" + "b" * n, "b" * m) for n in _POWERS for m in _POWERS),
+    ),
+    IdentityId.L1_II_ii: _Identity("ab_in_comm_b", lambda q, held: _power_words(False)),
+    IdentityId.L1_II_iii: _Identity("ab_in_comm_b", lambda q, held: [_memb("sb", "b")]),
+    IdentityId.L1_III_i: _Identity(
+        "comm_l",
+        lambda q, held: (
+            _memb("a" * n + "b" * m, "a" * k) for n in _TRIPLE for m in _TRIPLE for k in _TRIPLE
+        ),
+    ),
+    IdentityId.L1_III_ii: _Identity("comm_l", lambda q, held: _l1_telescopes(True)),
+    IdentityId.L1_III_iii: _Identity(
+        "comm_l", lambda q, held: [_memb("sa", "s"), _memb("bs", "b")]
+    ),
+    IdentityId.L1_IV_i: _Identity(
+        "comm_r",
+        lambda q, held: (
+            _memb("a" * n + "b" * m, "b" * k) for n in _TRIPLE for m in _TRIPLE for k in _TRIPLE
+        ),
+    ),
+    IdentityId.L1_IV_ii: _Identity("comm_r", lambda q, held: _l1_telescopes(False)),
+    IdentityId.L1_IV_iii: _Identity(
+        "comm_r", lambda q, held: [_memb("as", "s"), _memb("sb", "b")]
+    ),
+    IdentityId.R_i: _Identity(
+        "ab_in_comm_a & lam = 0 | ab_in_comm_a & comm & lam != 0",
+        *_shifted("ab"), reads=_LAM_MU, grid=_LAM_MU_GRID,
+    ),
+    IdentityId.R_ii: _Identity(
+        "ba_in_comm_a & lam = 0 | ba_in_comm_a & comm & lam != 0",
+        *_shifted("ba"), reads=_LAM_MU, grid=_LAM_MU_GRID,
+    ),
+    IdentityId.R_iii: _Identity(
+        "comm_w",
+        lambda q, held: (_memb("a" * n, "b" * m) for n in _TRIPLE for m in _TRIPLE if n * m >= 2),
+    ),
+    IdentityId.R_iv: _Identity(
+        "comm_l | comm_r",
+        lambda q, held: [c for branch, _ in held for c in _R_IV[branch.label]],
+        per_branch=True,
+    ),
+    # aab = aba = baa, the words of ab_in_comm_a and ba_in_comm_a
+    IdentityId.R_v: _Identity(
+        "ab_in_comm_a & ba_in_comm_a",
+        lambda q, held: (_memb("a" * n, "b" * m) for n in (2, 3, 4) for m in _TRIPLE),
+    ),
+    IdentityId.NEWTON_R: _Identity(
+        "comm_r", lambda q, held: _newton(q["n"], False), reads=_N, grid=_NEWTON_GRID
+    ),
+    IdentityId.NEWTON_L: _Identity(
+        "comm_l", lambda q, held: _newton(q["n"], True), reads=_N, grid=_NEWTON_GRID
+    ),
+    IdentityId.BINOM: _Identity(
+        "comm_w & n != 2", lambda q, held: _binom(q["n"]), reads=_N, grid=_BINOM_GRID
+    ),
+    IdentityId.TELESCOPE: _Identity(
+        "comm_w & n != 2", lambda q, held: _telescopes(q["n"]), reads=_N, grid=_BINOM_GRID
+    ),
+    IdentityId.EXP_CORR: _Identity(
+        "comm_w & nil(a) & nil(b)", conclude=_exp_corr, per_branch=True
+    ),
+    IdentityId.NIL_PROD: _Identity(_NIL_PROD, conclude=_nil_prod, per_branch=True),
+    IdentityId.NIL_SUM: _Identity(_NIL_SUM, conclude=_nil_sum, per_branch=True),
+    IdentityId.NIL_TELE: _Identity(
+        "comm_l & b in comm(a^n) | comm_r & a in comm(b^n)",
+        _nil_tele, per_branch=True, reads={"n": None},
+    ),
+    IdentityId.RAD_PROD: _Identity("ab_in_comm_a | ab_in_comm_b", conclude=_rad_prod),
+    IdentityId.RAD_SUM: _Identity("comm_l | comm_r", conclude=_rad_sum),
+    IdentityId.QUASI_CLOSURE: _Identity(
+        f"{_NIL_SUM} | {_NIL_PROD}", conclude=_quasi_closure, per_branch=True
+    ),
+    IdentityId.SPEC_INCL: _Identity("ba_in_comm_a & nil(b)", conclude=_spec_incl),
+    IdentityId.SPEC_EQ_N2: _Identity("ba_in_comm_a & zero(bb)", conclude=_spec_eq_n2),
+    IdentityId.SPEC_EQ_W: _Identity("comm_w & nil(b)", conclude=_spec_eq_w),
+    IdentityId.KER_INCL: _Identity(
+        "lam != 0 & ba_in_comm_a & nil(b)",
+        conclude=_ker_incl,
+        per_branch=True,
+        reads={"lam": Scalar(1)},
+        grid=({"lam": Scalar(1)}, {"lam": Scalar(-1)}, {"lam": Scalar(0, 1)}),
+    ),
+    IdentityId.KRITERION_RANGE: _Identity("", conclude=_kriterion_range),
 }
 
-_CHECKERS = {
-    **{ident: _word_checker(ident, *row) for ident, row in _WORD_IDENTITIES.items()},
-    **_BESPOKE,
-}
+
+def _params(identity, params):
+    """The parameters identity's checks read: its defaults, then params."""
+    return {**_IDENTITIES[identity].reads, **params}
 
 
-# the parameters an identity reads; check_identity rejects any other
-_READS = {
-    IdentityId.NEWTON_R: ("n",),
-    IdentityId.NEWTON_L: ("n",),
-    IdentityId.BINOM: ("n",),
-    IdentityId.TELESCOPE: ("n",),
-    IdentityId.NIL_TELE: ("n",),
-    IdentityId.R_i: ("lam", "mu"),
-    IdentityId.R_ii: ("lam", "mu"),
-    IdentityId.KER_INCL: ("lam",),
-}
+def _held(identity, ctx, q):
+    """The branches of identity's hypothesis that hold on the pair, each with
+    its power n (see _Branch.power). A branch's flags and parameter atoms
+    are read before its word atoms are decided, through the memo."""
+    held = []
+    for branch in _IDENTITIES[identity].branches:
+        if branch.reported(ctx.report, q):
+            n = branch.power(ctx, q.get("n"))
+            if n is not False:
+                held.append((branch, n))
+    return held
 
 
 def identity_catalog():
@@ -784,28 +780,9 @@ def identity_catalog():
     return list(IdentityId)
 
 
-# the parameter grids of verify_suite, built once and only read
-_NEWTON_GRID = tuple({"n": n} for n in (2, 3, 4, 5, 6, 7, 8))
-_BINOM_GRID = tuple({"n": n} for n in (1, 2, 3, 4, 5, 6))
-_LAM_MU_GRID = (
-    {"lam": Scalar(0), "mu": Scalar(0)},
-    {"lam": Scalar(0), "mu": Scalar(1)},
-    {"lam": Scalar(1), "mu": Scalar(0)},
-)
-_KER_INCL_GRID = ({"lam": Scalar(1)}, {"lam": Scalar(-1)}, {"lam": Scalar(0, 1)})
-
-
 def _suite_plan(identity):
     """Parameter grid for one identity inside verify_suite."""
-    if identity in (IdentityId.NEWTON_R, IdentityId.NEWTON_L):
-        return _NEWTON_GRID
-    if identity in (IdentityId.BINOM, IdentityId.TELESCOPE):
-        return _BINOM_GRID
-    if identity in (IdentityId.R_i, IdentityId.R_ii):
-        return _LAM_MU_GRID
-    if identity is IdentityId.KER_INCL:
-        return _KER_INCL_GRID
-    return ({},)
+    return _IDENTITIES[identity].grid
 
 
 # every (identity, params) evaluation of one pair, in report order
@@ -818,18 +795,21 @@ def _run_checker(identity, ctx, params, invert=False, proofs=None):
     """The checker's result. With ``proofs``, verify_suite's proof table, an
     unmet hypothesis gives None and its conclusion is never evaluated, and
     a met one whose conclusion the table proves holds without evaluation."""
-    hyp, conclude = _CHECKERS[identity](ctx, params)
-    if proofs is not None and not hyp:
+    decl, q = _IDENTITIES[identity], _params(identity, params)
+    held = _held(identity, ctx, q)
+    if proofs is not None and not held:
         return None
-    if proofs is not None and _proved(conclude, proofs):
+    if (not held and decl.per_branch) or (
+        proofs is not None and decl.words and _proved(proofs, identity, held)
+    ):
         ok, residual, witness = True, 0.0, None
     else:
-        ok, residual, witness = conclude()
-    if invert and hyp:
+        ok, residual, witness = decl.conclusion(ctx, q, held)
+    if invert and held:
         ok = not ok
     return IdentityResult(
         identity=identity,
-        hypothesis_met=hyp,
+        hypothesis_met=bool(held),
         holds=ok,
         residual=residual,
         params=params,
@@ -857,46 +837,60 @@ def check_identity(identity, a, b, n=None, lam=None, mu=None):
     if mu is not None:
         params["mu"] = Scalar.coerce(mu)
     for name in params:
-        if name not in _READS.get(identity, ()):
+        if name not in _IDENTITIES[identity].reads:
             raise ValueError(f"{identity.value} does not read the parameter {name}")
     return _run_checker(identity, PairContext(a, b), params)
 
 
-# -- proofs -----------------------------------------------------------------------
-# A word identity's conclusion is a theorem of the free algebra Q<a,b> when
-# its combinations lie in the ideal of the word relations its hypothesis
-# asserts (freealg). verify_suite decides such a theorem once per process,
-# then serves every met hypothesis of it without evaluating the conclusion.
+# -- proofs (see the module docstring) --------------------------------------------
+
+
+def _groups(held):
+    """The held branches as their proof claims group them: those the report
+    decides together, and each with a membership atom alone, at its power."""
+    decided = [h for h in held if h[0].decided]
+    return ([decided] if decided else []) + [[h] for h in held if not h[0].decided]
+
+
+def _key(identity, group):
+    """The key of the claim of identity on a group of held branches."""
+    return (identity, *(branch.label for branch, _ in group), group[0][1])
 
 
 def _suite_claims(max_dim):
-    """(key, (flags, extra), combos) of each conclusion that verify_suite
-    can serve from a proof on pairs of dimension <= max_dim: the flags and
-    the extra word relations of its hypothesis, and the combinations that
-    must vanish.
-
-    The keys are those the checkers name in their _Vanish: a table row at
-    each point of its suite grid, BINOM and TELESCOPE at n != 2, R.iv per
-    (comm_l, comm_r) branch, R.i and R.ii at lam = 0, and NIL_TELE per branch
-    and power n <= max_dim, the largest that its membership search detects.
-    """
-    for identity, (conjuncts, recipe) in _WORD_IDENTITIES.items():
-        for p in _suite_plan(identity):
-            yield (identity, p.get("n")), (conjuncts, ()), recipe(p)
-    for p in _BINOM_GRID:
-        n = p["n"]
-        if n != 2:
-            yield (IdentityId.BINOM, n), (("comm_w",), ()), _binom(n)
-            yield (IdentityId.TELESCOPE, n), (("comm_w",), ()), _telescopes(n)
-    for branch in ((True, False), (False, True), (True, True)):
-        flags = tuple(f for f, on in zip(("comm_l", "comm_r"), branch) if on)
-        yield (IdentityId.R_iv, *branch), (flags, ()), _r_iv(*branch)
-    for identity, (x, flag) in _SHIFTED.items():
-        yield (identity, 0), ((flag,), ()), [_memb(x, "a")]
-    for flag, (x, base, _) in _NIL_TELE_BRANCHES.items():
-        for n in range(1, max_dim + 1):
-            relation = tuple(w for w, _ in _memb(x, base * n))
-            yield (IdentityId.NIL_TELE, flag, n), ((flag,), (relation,)), _nil_tele(flag, n)
+    """(key, (flags, extra), combos) of each claim that verify_suite can
+    serve from a proof on pairs of dimension <= max_dim: the flags and the
+    membership relations of its branches, and the combinations that must
+    vanish. At each point of a word identity's grid, a claim is made for
+    every set of the branches the report decides that the parameters allow,
+    and for each branch with a membership atom at each power n <= max_dim,
+    the largest that its membership search detects."""
+    seen = set()
+    for identity, decl in _IDENTITIES.items():
+        if decl.words is None:
+            continue
+        for p in decl.grid:
+            q = _params(identity, p)
+            allowed = [b for b in decl.branches if b.allows(q)]
+            decided = [b for b in allowed if b.decided]
+            sets = [
+                [(b, q.get("n")) for b in s]
+                for k in range(1, len(decided) + 1)
+                for s in combinations(decided, k)
+            ]
+            sets += [[(b, n)] for b in allowed if b.member for n in range(1, max_dim + 1)]
+            for group in (group for held in sets for group in _groups(held)):
+                key, combos = _key(identity, group), decl.words(q, group)
+                if key in seen or combos is None:
+                    continue
+                seen.add(key)
+                flags = tuple(flag for branch, _ in group for flag in branch.flags)
+                extra = tuple(
+                    tuple(w for w, _ in _memb(branch.member[0], branch.member[1] * n))
+                    for branch, n in group
+                    if branch.member
+                )
+                yield key, (flags, extra), combos
 
 
 # claim key -> proved; _proof_table adds the claims of larger dimensions
@@ -923,10 +917,11 @@ def _proof_table(max_dim):
     return _PROOFS
 
 
-def _proved(conclude, proofs):
-    """Whether the table ``proofs`` proves every claim of the conclusion."""
-    claims = getattr(conclude, "claims", ())
-    return bool(claims) and all(proofs.get(key, False) for key in claims)
+def _proved(proofs, identity, held):
+    """Whether the table ``proofs`` proves every claim of identity's
+    conclusion on the held branches; one it lacks proves nothing."""
+    groups = _groups(held)
+    return bool(groups) and all(proofs.get(_key(identity, group), False) for group in groups)
 
 
 # -- suite ------------------------------------------------------------------------
@@ -1065,23 +1060,25 @@ def _pair_outcome(job, inject_fault, proofs, served):
     return verdicts, failures
 
 
-# the identities whose hypotheses in the suite plan read only relation flags
-_FLAG_DECIDED = {*_WORD_IDENTITIES, IdentityId.BINOM, IdentityId.TELESCOPE, IdentityId.R_iv,
-                 IdentityId.R_i, IdentityId.R_ii}
-
-
 def _flag_verdicts(ctx, proofs):
     """The verdict of each of ``_SUITE_EVALUATIONS`` on every pair whose
-    report is ``ctx.report``: vacuous where a ``_FLAG_DECIDED`` hypothesis is
-    unmet, pass where it is met and ``proofs`` proves the conclusion, and
-    None, for the checker to decide on the pair, everywhere else."""
+    report is ``ctx.report``, where the report decides it: vacuous where
+    every branch has a false flag or parameter atom, pass where the report
+    decides every live branch and ``proofs`` proves the conclusion on them,
+    and None, for the checker to decide on the pair, everywhere else."""
+    true = {flag for flag in _REPORT_NAMES if getattr(ctx.report, flag)}
     entries = []
-    for identity, params in _SUITE_EVALUATIONS:
-        verdict = None
-        if identity in _FLAG_DECIDED:
-            hyp, conclude = _CHECKERS[identity](ctx, params)
-            verdict = "vacuous" if not hyp else "pass" if _proved(conclude, proofs) else None
-        entries.append(verdict)
+    for identity, decl in _IDENTITIES.items():  # the order of _SUITE_EVALUATIONS
+        flagged = [b for b in decl.branches if true.issuperset(b.flags)]
+        for params in decl.grid:
+            q = _params(identity, params)
+            live = [(b, q.get("n")) for b in flagged if b.allows(q)]
+            verdict = None
+            if not live:
+                verdict = "vacuous"
+            elif decl.words and all(b.decided for b, _ in live) and _proved(proofs, identity, live):
+                verdict = "pass"
+            entries.append(verdict)
     return tuple(entries)
 
 

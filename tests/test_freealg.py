@@ -17,32 +17,43 @@ from weakcomm.identities import IdentityId, _suite_plan, check_identity
 from weakcomm.instances import RelationClass, sample_pair
 
 
+def _rows():
+    """The word identities whose hypothesis is one branch of flags alone,
+    each with that branch."""
+    for identity, decl in identities._IDENTITIES.items():
+        (branch, *rest) = decl.branches
+        if decl.words and not rest and branch.atoms == tuple(branch.flags):
+            yield identity, branch
+
+
 def _combinations(identity, params):
-    """The combinations of a table row, or of BINOM or TELESCOPE, at params."""
-    if identity is IdentityId.BINOM:
-        return list(identities._binom(params["n"]))
-    if identity is IdentityId.TELESCOPE:
-        return list(identities._telescopes(params["n"]))
-    return list(identities._WORD_IDENTITIES[identity][1](params))
+    """The combinations of a word identity at params, its branches held."""
+    q = identities._params(identity, params)
+    held = [(branch, q.get("n")) for branch in identities._IDENTITIES[identity].branches]
+    return list(identities._IDENTITIES[identity].words(q, held))
 
 
 def test_every_claim_the_suite_serves_is_proved():
+    # a claim's key is the identity, the flags of each branch it holds on,
+    # joined, and its power n
     table = identities._proof_table(8)
     rows = {
-        (identity, p.get("n"))
-        for identity in identities._WORD_IDENTITIES
+        (identity, branch.label, p.get("n"))
+        for identity, branch in _rows()
         for p in _suite_plan(identity)
     }
     assert len(rows) == 14 + 2 * 7
     expected = rows | {
-        *((ident, n) for ident in (IdentityId.BINOM, IdentityId.TELESCOPE) for n in (1, 3, 4, 5, 6)),
-        (IdentityId.R_iv, True, False),
-        (IdentityId.R_iv, False, True),
-        (IdentityId.R_iv, True, True),
-        (IdentityId.R_i, 0),
-        (IdentityId.R_ii, 0),
+        *((ident, "comm_w", n)
+          for ident in (IdentityId.BINOM, IdentityId.TELESCOPE) for n in (1, 3, 4, 5, 6)),
+        (IdentityId.R_iv, "comm_l", None),
+        (IdentityId.R_iv, "comm_r", None),
+        (IdentityId.R_iv, "comm_l", "comm_r", None),
+        (IdentityId.R_i, "ab_in_comm_a", None),
+        (IdentityId.R_ii, "ba_in_comm_a", None),
         *((IdentityId.NIL_TELE, flag, n) for flag in ("comm_l", "comm_r") for n in range(1, 9)),
     }
+    assert expected == {key for key, _, _ in identities._suite_claims(8)}
     assert expected <= set(table)
     assert all(table[key] for key in expected)
 
@@ -84,8 +95,8 @@ def test_binom_and_telescope_at_n2_are_refuted_and_fail_on_a_pair():
 
 def test_dropping_any_conjunct_refutes_each_multi_conjunct_row():
     rows = 0
-    for identity, (conjuncts, _) in identities._WORD_IDENTITIES.items():
-        relations = flag_relations(conjuncts)
+    for identity, branch in _rows():
+        relations = flag_relations(branch.flags)
         if len(relations) < 2:
             continue
         rows += 1

@@ -8,6 +8,7 @@ import json
 import os
 import pickle
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import threading
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -355,24 +357,21 @@ def test_subspace_checkers_build_no_image_and_eliminate_only_for_kernels(monkeyp
                          (exact, "_rref"), (exact, "_kernel")):
         monkeypatch.setattr(module, name, counting(name, getattr(exact, name)))
 
-    def marked(checker):
-        def check(ctx, params):
-            hyp, conclude = checker(ctx, params)
+    def marked(conclude):
+        def run(ctx, q, held):
+            inside.append(True)
+            try:
+                return conclude(ctx, q, held)
+            finally:
+                inside.pop()
 
-            def run():
-                inside.append(True)
-                try:
-                    return conclude()
-                finally:
-                    inside.pop()
-
-            return hyp, run
-
-        return check
+        return run
 
     concluded = {}
     for ident in (IdentityId.KER_INCL, IdentityId.KRITERION_RANGE):
-        monkeypatch.setitem(identities._CHECKERS, ident, marked(identities._CHECKERS[ident]))
+        decl = identities._IDENTITIES[ident]
+        marked_decl = dataclasses.replace(decl, conclude=marked(decl.conclude))
+        monkeypatch.setitem(identities._IDENTITIES, ident, marked_decl)
     rep = verify_suite(dims=(2, 3, 4), samples_per_class=4, seed=5)
     for ident in ("KER_INCL", "KRITERION_RANGE"):
         concluded[ident] = rep.identities[ident]["pass"] + rep.identities[ident]["fail"]
@@ -990,18 +989,20 @@ def test_word_combinations_match_the_loop_references():
 
 
 def _recipe_combinations():
-    """(identity, params, combination) for every combination of the flag
-    table's recipes and of BINOM's and the telescopes' builders, at each
-    suite grid point and at n = 1..8."""
+    """(identity, params, combination) for every combination of every word
+    identity's declaration, each branch held, at each suite grid point and
+    at n = 1..8; and of the telescopes' builder in its four orders."""
     orders = [{"n": n} for n in range(1, 9)]
-    for identity, (_, recipe) in identities._WORD_IDENTITIES.items():
+    for identity, decl in identities._IDENTITIES.items():
+        if decl.words is None:
+            continue
         for params in list(_suite_plan(identity)) + orders:
-            for terms in recipe(params):
+            q = identities._params(identity, params)
+            held = [(branch, q.get("n") or 1) for branch in decl.branches]
+            for terms in decl.words(q, held) or ():
                 yield identity, params, terms
     for params in orders:
         n = params["n"]
-        for terms in identities._binom(n):
-            yield IdentityId.BINOM, params, terms
         for s_ab in (False, True):
             for diff_right in (True, False):
                 terms = identities._telescope(n, [], s_ab, diff_right)
@@ -1019,19 +1020,67 @@ def test_recipes_yield_homogeneous_integer_combinations():
             assert set(w) <= {"a", "b", "s"}, (identity, params, w)
             assert type(c) is int and c != 0, (identity, params, w, c)
         seen.add(identity)
-    assert seen == set(identities._WORD_IDENTITIES) | {IdentityId.BINOM, IdentityId.TELESCOPE}
+    assert seen == {ident for ident, decl in identities._IDENTITIES.items() if decl.words}
+    assert len(seen) == 22
 
 
-def test_word_table_and_bespoke_checkers_cover_the_catalog_once():
-    # a {**table, **bespoke} merge would let a duplicate shadow its twin
-    table, bespoke = identities._WORD_IDENTITIES, identities._BESPOKE
-    assert len(table) == 16
-    assert set(table).isdisjoint(bespoke)
-    assert sorted(list(table) + list(bespoke)) == sorted(IdentityId)
-    assert identities._CHECKERS.keys() == set(IdentityId)
+def test_every_identity_is_declared_once_from_known_atoms():
+    # one declaration per identity, in catalog order; each atom a report
+    # flag or an atom kind, and each grid key a parameter the identity reads
+    assert list(identities._IDENTITIES) == list(IdentityId)
     flags = {f.name for f in dataclasses.fields(RelationReport)} - {"residuals"}
-    for identity, (conjuncts, _) in table.items():
-        assert conjuncts and set(conjuncts) <= flags, identity
+    for identity, decl in identities._IDENTITIES.items():
+        for branch in decl.branches:
+            assert set(branch.flags) <= flags, identity
+            kinds = (branch.flags, branch.params, branch.nil, branch.zero)
+            parsed = sum(map(len, kinds)) + (branch.member is not None)
+            assert parsed == len(branch.atoms), (identity, branch.atoms)
+            assert {name for name, _, _ in branch.params} <= set(decl.reads), identity
+        assert all(set(p) <= set(decl.reads) for p in decl.grid), identity
+    with pytest.raises(ValueError, match="unknown atom 'comm_x'"):
+        identities._Identity("comm_l & comm_x")
+    with pytest.raises(ValueError, match=r"unknown atom 'mu = 0'"):
+        identities._Identity("mu = 0")
+
+
+def _readme_catalog():
+    """(identity, hypothesis, grid) of each item of the README's identity
+    catalog, its wrapped lines joined; "true" is the empty hypothesis."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Identity catalog\n", 1)[1].split("\n## ", 1)[0]
+    items = []
+    for line in section.splitlines():
+        if line.startswith("- "):
+            items.append(line)
+        elif line.startswith("  ") and items:
+            items[-1] += " " + line.strip()
+    rows = []
+    for item in items:
+        m = re.fullmatch(r"- `([^`]+)`: `([^`]+)`(?: at `([^`]+)`)?: .+", item)
+        assert m, item
+        ident, hypothesis, grid = m.groups()
+        rows.append((ident, "" if hypothesis == "true" else hypothesis, _grid_points(grid)))
+    return rows
+
+
+def _grid_points(text):
+    """The points of "n = 1, 2" or "(lam, mu) = (0, 0), (1, 0)", as dicts of
+    literals; no text is the one empty point."""
+    if text is None:
+        return [{}]
+    names, values = text.split(" = ")
+    names = names.strip("()").split(", ")
+    points = re.findall(r"\(([^)]*)\)", values) if len(names) > 1 else values.split(", ")
+    return [dict(zip(names, point.split(", "))) for point in points]
+
+
+def test_readme_states_each_declared_identity():
+    declared = [
+        (ident.value, decl.hypothesis,
+         [{k: str(v) for k, v in _json_params(p).items()} for p in decl.grid])
+        for ident, decl in identities._IDENTITIES.items()
+    ]
+    assert _readme_catalog() == declared
 
 
 def test_defect_is_a_word_pair_only_for_a_difference_of_two_words():
@@ -1150,27 +1199,34 @@ def test_proofs_and_evaluation_give_one_report(monkeypatch, inject_fault):
 
 
 def test_every_served_conclusion_evaluates_to_zero(monkeypatch):
-    # record each conclusion the table proves, then evaluate it on its pair
-    served = []
-    original = identities._proved
+    # record each conclusion the table proves, with the pair being checked
+    # (the suite is serial), then evaluate it on that pair
+    served, current = [], []
+    original, init = identities._proved, PairContext._init
 
-    def recording(conclude, proofs):
-        ok = original(conclude, proofs)
+    def recording(proofs, identity, held):
+        ok = original(proofs, identity, held)
         if ok:
-            served.append(conclude)
+            served.append((current[-1], identity, held))
         return ok
+
+    def entering(self, words, report):
+        init(self, words, report)
+        current.append(self)
 
     monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
     monkeypatch.setattr(identities, "_proved", recording)
+    monkeypatch.setattr(PairContext, "_init", entering)
     rep = verify_suite(dims=(2, 3, 4, 5), samples_per_class=4, seed=31)
     assert rep.failures == 0
-    claims = {key[0] for conclude in served for key in conclude.claims}
-    assert claims == set(identities._WORD_IDENTITIES) | {
-        IdentityId.R_i, IdentityId.R_ii, IdentityId.R_iv,
-        IdentityId.BINOM, IdentityId.TELESCOPE, IdentityId.NIL_TELE,
-    }
-    for conclude in served:
-        assert conclude() == (True, 0.0, None), conclude.claims
+    claims = {identity for _, identity, _ in served}
+    assert claims == {ident for ident, decl in identities._IDENTITIES.items() if decl.words}
+    for ctx, identity, held in served:
+        # a proved claim is at lam = 0, the default, and at the power of its branches
+        n = held[0][1]
+        q = identities._params(identity, {} if n is None else {"n": n})
+        conclusion = identities._IDENTITIES[identity].conclusion(ctx, q, held)
+        assert conclusion == (True, 0.0, None), (identity, q)
 
 
 def _newton_r_sides(a, b, n):
@@ -1211,13 +1267,6 @@ def test_suite_renders_the_witness_of_a_forced_hypothesis(monkeypatch):
         assert ff["residual"] == (lhs - rhs).frobenius()
 
 
-# the evaluations whose suite verdict the relation flags decide: every table
-# row, BINOM, TELESCOPE, R.iv, and R.i and R.ii at every (lam, mu)
-FLAG_DECIDED = set(identities._WORD_IDENTITIES) | {
-    IdentityId.BINOM, IdentityId.TELESCOPE, IdentityId.R_iv, IdentityId.R_i, IdentityId.R_ii,
-}
-
-
 @pytest.mark.parametrize("inject_fault", [None, "L1.I.i", "BINOM", "R.i", "RAD_PROD"])
 def test_served_verdicts_and_checkers_give_one_report(monkeypatch, inject_fault):
     # the verdicts served per flag set, and none served, so that every
@@ -1234,38 +1283,36 @@ def test_served_verdicts_and_checkers_give_one_report(monkeypatch, inject_fault)
         assert served.identities[inject_fault]["fail"] > 0
 
 
-def test_flag_decided_verdicts_reach_their_checker_once_per_flag_set(monkeypatch):
-    # a serial suite: an evaluation whose verdict the flags decide (its
-    # hypothesis unmet, or met with its conclusion proved) reaches its
-    # checker once per relation report, while that report's verdicts are
-    # built; the others reach theirs on every pair
+def test_flag_decided_verdicts_reach_no_checker(monkeypatch):
+    # a serial suite: an evaluation whose verdict the report decides (every
+    # branch has a false flag or parameter atom, or the live branches read
+    # no word and their conclusion is proved) is served from its report's
+    # table and reaches no checker; the others reach theirs on every pair
     proofs = identities._proof_table(5)
-    reached = {}
+    reached, reports = [], set()
     calls = 0
+    original = identities._run_checker
 
-    def counting(identity, checker):
-        def check(ctx, params):
-            nonlocal calls
-            calls += 1
-            hyp, conclude = checker(ctx, params)
-            if identity in FLAG_DECIDED and (not hyp or identities._proved(conclude, proofs)):
-                key = ctx.report, identity, json.dumps(_json_params(params), sort_keys=True)
-                reached[key] = reached.get(key, 0) + 1
-            return hyp, conclude
-
-        return check
+    def counting(identity, ctx, params, **kwargs):
+        nonlocal calls
+        calls += 1
+        reports.add(ctx.report)
+        q = identities._params(identity, params)
+        live = [b for b in identities._IDENTITIES[identity].branches if b.reported(ctx.report, q)]
+        held = [(b, q.get("n")) for b in live]
+        if not live or all(b.decided for b in live) and identities._proved(proofs, identity, held):
+            reached.append((identity, params))
+        return original(identity, ctx, params, **kwargs)
 
     monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
-    for identity, checker in list(identities._CHECKERS.items()):
-        monkeypatch.setitem(identities._CHECKERS, identity, counting(identity, checker))
+    monkeypatch.setattr(identities, "_run_checker", counting)
     pairs = 6 * len(RelationClass)
     rep = verify_suite(dims=(2, 3, 4, 5), samples_per_class=6, seed=41)
     assert rep.failures == 0
-    reports = {report for report, _, _ in reached}
     assert 1 < len(reports) < pairs
-    assert max(reached.values()) == 1, max(reached, key=reached.get)
-    # 61 evaluations a pair; the flags leave the verdict open on about 15
-    assert calls < 20 * pairs + len(identities._SUITE_EVALUATIONS) * len(reports)
+    assert reached == []
+    # 61 evaluations a pair; the report leaves the verdict open on about 12
+    assert calls < 15 * pairs
 
 
 def test_suite_builds_no_combination_without_a_hypothesis(monkeypatch):
@@ -1279,6 +1326,15 @@ def test_suite_builds_no_combination_without_a_hypothesis(monkeypatch):
     assert rep.totals["vacuous"] > 0
     for name in ("NEWTON_R", "NEWTON_L", "BINOM", "TELESCOPE", "L1.III.ii", "L1.IV.ii"):
         assert rep.identities[name]["vacuous"] == 6 * len(_suite_plan(IdentityId(name)))
+
+
+def test_suite_computes_no_nilpotency_degree_without_a_flag(monkeypatch, one_worker):
+    # none-class pairs: the flags of every hypothesis with a nil atom are
+    # false, and the report decides them before any degree is computed
+    degrees = _counting(monkeypatch, identities, "nilpotency_degree")
+    rep = verify_suite(["none"], (2, 3, 4), 30, 7)
+    assert rep.failures == 0 and rep.identities["NIL_PROD"]["vacuous"] == 30
+    assert degrees == []
 
 
 def _count_products(monkeypatch):
@@ -1426,7 +1482,7 @@ def test_r_v_hypothesis_reads_the_flags(monkeypatch):
     # whose probe refuted one of them, the hypothesis multiplies no word
     for a, b in _memo_sweep():
         aba = a * b * a
-        hyp, _ = identities._CHECKERS[IdentityId.R_v](PairContext(a, b), {})
+        hyp = bool(identities._held(IdentityId.R_v, PairContext(a, b), {}))
         assert hyp == (aba == a * a * b and aba == b * a * a)
     calls = _count_products(monkeypatch)
     refuted = 0
@@ -1436,8 +1492,7 @@ def test_r_v_hypothesis_reads_the_flags(monkeypatch):
             continue
         refuted += 1
         words, before = set(ctx._words), len(calls)
-        hyp, _ = identities._CHECKERS[IdentityId.R_v](ctx, {})
-        assert not hyp
+        assert not identities._held(IdentityId.R_v, ctx, {})
         assert set(ctx._words) == words and len(calls) == before
     assert refuted > 6
 
