@@ -22,8 +22,7 @@ conclusions of the branches that hold, so a vacuous pair has none to
 evaluate, and the result holds with residual 0.0 and no witness. Seven
 identities state theirs per branch: R.iv, NIL_TELE, NIL_PROD and
 QUASI_CLOSURE, whose branches differ, and EXP_CORR, NIL_SUM and KER_INCL,
-whose conclusions read a nilpotency degree that their hypothesis proves
-finite.
+whose conclusions need the nilpotency that their hypothesis asserts.
 
 The word identities (L1.*, R.*, NEWTON_*, BINOM, TELESCOPE, NIL_TELE) are
 polynomial identities in a, b and s = a + b. Each states that some word
