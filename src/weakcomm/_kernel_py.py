@@ -29,7 +29,9 @@ division and remainder sequence, on ascending Gaussian-integer lists
 leading coefficient l and |l|^2 otherwise, and the primitive remainder
 sequence built on it. ``exact.ExactPoly`` takes quotients, gcds and
 squarefree parts from them, and ``algebraic`` its Sturm sequences, exact
-quotients and root tests.
+quotients and root tests. ``squarefree_mod_q`` certifies a polynomial
+squarefree from its image modulo a prime, so that most squarefree parts
+need no remainder sequence.
 
 The products skip zero entries, and ``echelon`` keeps the rows that are
 nonzero in each column: they return the same integers as the dense loops,
@@ -410,6 +412,48 @@ def poly_chain(ar, ai, br, bi):
             return chain
         g = gcd(*rr, *ri)
         chain.append(([-x // g for x in rr], [-y // g for y in ri]))
+
+
+# F_q for the prime q = 2^64 - 59, q = 1 mod 4, with SQRT_M1^2 = -1 mod q:
+# x + iy -> x + SQRT_M1 * y is a ring homomorphism Z[i] -> F_q
+Q = (1 << 64) - 59
+SQRT_M1 = 2296021864060584341
+
+
+def squarefree_mod_q(ar, ai):
+    """True when the Gaussian-integer polynomial A, of degree n >= 1, is
+    certified squarefree by its image B in F_q[x]: the leading coefficient
+    of A maps to a nonzero value, n < q and gcd(B, B') = 1 in F_q[x].
+    False means only that no certificate was found.
+
+    The certificate is exact. The image of A' is B', and the leading
+    coefficients of A and A' map to nonzero values (that of A' is n times
+    that of A, and 0 < n < q), so the Sylvester matrix of B and B' is the
+    entrywise image of that of A and A', and Res(B, B') is the image of
+    Res(A, A'). Coprime B and B' have a nonzero resultant, so
+    Res(A, A') != 0, and A has no repeated root.
+    """
+    q = Q
+    f = [(x + SQRT_M1 * y) % q for x, y in zip(ar, ai)]
+    n = len(f) - 1
+    if not f[-1] or n >= q:
+        return False
+    g = [k * c % q for k, c in enumerate(f)][1:]
+    while len(g) > 1:  # Euclid's algorithm; g's leading coefficient is nonzero
+        inv = pow(g[-1], -1, q)
+        head = len(g) - 1
+        while len(f) > head:
+            c = f.pop() * inv % q
+            if c:
+                off = len(f) - head
+                for j in range(head):
+                    f[off + j] = (f[off + j] - c * g[j]) % q
+        while f and not f[-1]:
+            f.pop()
+        if not f:
+            return False  # g, of degree >= 1, divides f
+        f, g = g, f
+    return True
 
 
 def _gdiv_exact(xr, xi, pr, pi):

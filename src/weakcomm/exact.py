@@ -15,7 +15,9 @@ Three immutable value types live here:
     structural. Arithmetic stays in integers: products are convolutions,
     division is the kernel's pseudo-division ``poly_divmod`` over Z[i]
     followed by one exact division, gcds and squarefree parts (so radicals)
-    come from its primitive remainder sequence ``poly_chain``. Also
+    come from its primitive remainder sequence ``poly_chain``, except that a
+    polynomial that ``squarefree_mod_q`` certifies squarefree modulo a
+    prime is its own squarefree part. Also
     evaluates at matrices. ``coeffs`` is a Scalar view for printing and
     tests.
 
@@ -488,13 +490,17 @@ class ExactPoly:
         return ExactPoly._from_rep(1, re, im).monic()
 
     def squarefree_part(self):
-        """Monic product of the distinct irreducible factors."""
+        """Monic product of the distinct irreducible factors: the monic form
+        itself where ``kernel.squarefree_mod_q`` certifies it squarefree,
+        else the quotient by gcd(p, p') from the remainder sequence."""
         if self.is_zero():
             raise ZeroPolynomialError("zero polynomial has no squarefree part")
         if self.degree == 0:
             return ExactPoly.one()
         if not any(self._re[:-1]) and not any(self._im[:-1]):
             return ExactPoly.variable()  # c * x^n, e.g. a nilpotent charpoly
+        if kernel.squarefree_mod_q(self._re, self._im):
+            return self.monic()
         g = self.gcd(self.derivative())
         q, r = divmod(self, g)
         if not r.is_zero():

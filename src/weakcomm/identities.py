@@ -65,15 +65,20 @@ The flags and parameter atoms of every branch are read before any atom of
 the pair's words. So an evaluation whose every branch has a false flag or
 parameter atom is vacuous, and one whose live branches read no word and
 whose conclusion the table proves is a pass, whatever the pair's matrices:
-both verdicts depend only on the relation report. Each ``verify_suite``
-call derives them from its proof table on the first pair of each report
-(``_flag_verdicts``) and serves them to the pairs with that report; a
-checker runs only where the verdict is open, and for an injected fault's
-identity.
+both verdicts depend only on the relation report. The proof table keeps
+one plan per report (``_report_plan``), built on the first pair with that
+report and kept as long as the table: the served verdicts, and for each
+open evaluation its parameters and its live branches, those whose flags
+and parameter atoms hold. A pair copies the verdicts and runs a checker
+only on the open evaluations, deciding the word atoms of their live
+branches, and on every evaluation of an injected fault's identity. The
+derived flags are functions of the five primitive ones, so a table holds
+at most 32 plans.
 
 Each pair comes from its own seed, derived from (seed, class, index), so
 the pairs are independent: ``verify_suite`` checks them in forked worker
-processes, one per usable CPU. A pair's outcome, its verdicts and one
+processes, one per usable CPU, which inherit the table and every plan
+built before the fork. A pair's outcome, its verdicts and one
 payload per failing identity, is pickled through a pipe, and the outcomes
 are merged in (class, index) order, which alone decides each first failure.
 The report is the same on any number of CPUs, and where no worker can be
@@ -88,6 +93,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import _kernel_py
 from .algebraic import radius_product_bound, radius_sum_bound
@@ -231,7 +238,8 @@ class PairContext:
         a, b = self.a, self.b = words["a"], words["b"]
         self.dim = a.dim
         words.update({"": ExactMatrix.identity(a.dim), "s": a + b})
-        self._words, self.report, self._memo = words, report, {}
+        self._words, self.report = words, report
+        self._nil, self._radicals, self._radicals_nonzero = {}, {}, {}
 
     @property
     def ab(self):
@@ -272,20 +280,20 @@ class PairContext:
                 return self.word(x), self.word(y)
         return self.combo(terms)
 
-    def _cached(self, key, compute):
-        memo = self._memo
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
-
     def nil_degree(self, w):
-        return self._cached(("nil", w), lambda: nilpotency_degree(self.word(w)))
+        nil = self._nil
+        if w not in nil:
+            nil[w] = nilpotency_degree(self.word(w))
+        return nil[w]
 
     def radical(self, w):
         """The charpoly radical of word w: x where w's nilpotency degree is cached."""
-        if self._memo.get(("nil", w)) is not None:
+        if self._nil.get(w) is not None:
             return ExactPoly.variable()
-        return self._cached(("radical", w), lambda: poly_radical(charpoly(self.word(w))))
+        radicals = self._radicals
+        if w not in radicals:
+            radicals[w] = poly_radical(charpoly(self.word(w)))
+        return radicals[w]
 
     def radical_nonzero(self, w):
         """``poly_radical_nonzero`` of the charpoly, derived from the radical.
@@ -293,7 +301,10 @@ class PairContext:
         The radical is monic and squarefree, so x divides it at most once and
         dividing that factor out leaves the monic radical of the nonzero roots.
         """
-        return self._cached(("radical_nonzero", w), lambda: self.radical(w).strip_zero_roots())
+        radicals = self._radicals_nonzero
+        if w not in radicals:
+            radicals[w] = self.radical(w).strip_zero_roots()
+        return radicals[w]
 
 
 def _from_defects(defects):
@@ -580,21 +591,16 @@ class _Branch:
         self.label = " & ".join(self.flags)
         self.decided = not (self.nil or self.zero or self.member)
 
-    # loops, not all() over a generator: verify runs these about 50 times a pair
     def allows(self, q):
         """Whether the parameter atoms hold for the parameters q."""
-        for name, equal, value in self.params:
-            if (q[name] == value) != equal:
-                return False
-        return True
+        return all((q[name] == value) == equal for name, equal, value in self.params)
 
     def reported(self, report, q):
         """Whether the flags and the parameter atoms hold."""
-        for flag in self.flags:
-            if not getattr(report, flag):
-                return False
-        return self.allows(q)
+        return all(getattr(report, flag) for flag in self.flags) and self.allows(q)
 
+    # loops, not all() over a generator: verify runs this on every live
+    # branch of every open evaluation of every pair
     def power(self, ctx, n):
         """False where a word atom fails on the pair, else the power n of the
         membership atom (for n None, the least n <= dim), or n without one."""
@@ -761,16 +767,25 @@ def _params(identity, params):
     return {**_IDENTITIES[identity].reads, **params}
 
 
-def _held(identity, ctx, q):
+def _live(identity, report, q):
+    """The branches of identity's hypothesis whose flags and parameter atoms
+    hold under the relation report, at the parameters q."""
+    return tuple(b for b in _IDENTITIES[identity].branches if b.reported(report, q))
+
+
+def _held(identity, ctx, q, live=None):
     """The branches of identity's hypothesis that hold on the pair, each with
     its power n (see _Branch.power). A branch's flags and parameter atoms
-    are read before its word atoms are decided, through the memo."""
-    held = []
-    for branch in _IDENTITIES[identity].branches:
-        if branch.reported(ctx.report, q):
-            n = branch.power(ctx, q.get("n"))
-            if n is not False:
-                held.append((branch, n))
+    are read before its word atoms are decided, through the memo; ``live``,
+    where given, holds the branches whose flags and parameter atoms hold
+    (``_live``), so only their word atoms are decided."""
+    if live is None:
+        live = _live(identity, ctx.report, q)
+    held, n = [], q.get("n")
+    for branch in live:
+        power = branch.power(ctx, n)
+        if power is not False:
+            held.append((branch, power))
     return held
 
 
@@ -790,12 +805,15 @@ _SUITE_EVALUATIONS = tuple(
 )
 
 
-def _run_checker(identity, ctx, params, invert=False, proofs=None):
+def _run_checker(identity, ctx, params, invert=False, proofs=None, planned=None):
     """The checker's result. With ``proofs``, verify_suite's proof table, an
     unmet hypothesis gives None and its conclusion is never evaluated, and
-    a met one whose conclusion the table proves holds without evaluation."""
-    decl, q = _IDENTITIES[identity], _params(identity, params)
-    held = _held(identity, ctx, q)
+    a met one whose conclusion the table proves holds without evaluation.
+    ``planned`` is (q, live) from the plan of ctx's report (``_report_plan``):
+    the parameters with their defaults, and the live branches."""
+    decl = _IDENTITIES[identity]
+    q, live = planned or (_params(identity, params), None)
+    held = _held(identity, ctx, q, live)
     if proofs is not None and not held:
         return None
     if (not held and decl.per_branch) or (
@@ -892,8 +910,20 @@ def _suite_claims(max_dim):
                 yield key, (flags, extra), combos
 
 
-# claim key -> proved; _proof_table adds the claims of larger dimensions
-_PROOFS = {}
+class _ProofTable(dict):
+    """Claim key -> proved. ``max_dim`` is the largest dimension whose claims
+    it holds, and ``plans`` maps each relation report to its plan
+    (``_report_plan``), built under this table."""
+
+    __slots__ = ("max_dim", "plans")
+
+    def __init__(self):
+        super().__init__()
+        self.max_dim, self.plans = 0, {}
+
+
+# _proof_table adds the claims of larger dimensions
+_PROOFS = _ProofTable()
 
 
 def _proof_table(max_dim):
@@ -901,19 +931,25 @@ def _proof_table(max_dim):
 
     It is kept for the process and grows only by the claims it lacks, so
     verify_suite builds it once, before it forks its workers, which inherit
-    it. The congruences it decides with are dropped once it is built.
+    it with every plan built so far. The claims of a dimension include
+    those of every smaller one, so a table that holds them is returned at
+    once. The congruences it decides with are dropped once it is built.
     """
     from .freealg import Congruence, flag_relations
 
+    table = _PROOFS
+    if max_dim <= table.max_dim:
+        return table
     congruences = {}
     for key, (flags, extra), combos in _suite_claims(max_dim):
-        if key not in _PROOFS:
+        if key not in table:
             relations = flag_relations(flags) + extra
             cong = congruences.get(relations)
             if cong is None:
                 cong = congruences[relations] = Congruence(relations)
-            _PROOFS[key] = all(cong.refute(c) is None for c in combos)
-    return _PROOFS
+            table[key] = all(cong.refute(c) is None for c in combos)
+    table.max_dim = max_dim
+    return table
 
 
 def _proved(proofs, identity, held):
@@ -992,15 +1028,14 @@ def verify_suite(
         for ident in IdentityId
     }
     proofs = _proof_table(min(max(dims), 8))  # sample_pair draws dims 2..8
-    served = {}  # report -> _flag_verdicts of its first pair, built under these proofs
-    outcomes = _outcomes(jobs, lambda job: _pair_outcome(job, inject_fault, proofs, served))
+    slots = [(counts[identity.value], identity.value) for identity, _ in _SUITE_EVALUATIONS]
+    outcomes = _outcomes(jobs, lambda job: _pair_outcome(job, inject_fault, proofs))
     try:
         for (cls, i, *_), (verdicts, failures) in zip(jobs, outcomes):
-            for (identity, _), verdict in zip(_SUITE_EVALUATIONS, verdicts):
-                slot = counts[identity.value]
+            for (slot, name), verdict in zip(slots, verdicts):
                 slot[verdict] += 1
                 if verdict == "fail" and slot["first_failure"] is None:
-                    slot["first_failure"] = failures[identity.value]
+                    slot["first_failure"] = failures[name]
             if progress is not None:
                 progress(cls.value, i)
     finally:
@@ -1020,9 +1055,11 @@ def verify_suite(
     return SuiteReport(config=config, identities=counts, totals=totals)
 
 
-def _pair_outcome(job, inject_fault, proofs, served):
-    """Sample one pair and run the suite plan on it, serving from ``proofs``
-    and, per relation report, from ``served`` (see ``_flag_verdicts``).
+def _pair_outcome(job, inject_fault, proofs):
+    """Sample one pair and run the suite on it: the verdicts of its report's
+    plan in ``proofs`` (``_report_plan``), built here on the report's first
+    pair, and a checker on each open evaluation and on every evaluation of
+    the injected fault's identity.
 
     Returns the verdicts in ``_SUITE_EVALUATIONS`` order and, keyed by
     identity, the payload of each failing identity's first failing
@@ -1034,16 +1071,22 @@ def _pair_outcome(job, inject_fault, proofs, served):
     a, b = pair = sample_pair(cls, dim, pair_seed, require_noncommuting=strict)
     ctx = PairContext.__new__(PairContext)
     ctx._init(pair.words, pair.report)
-    entries = served.get(ctx.report)
-    if entries is None:
-        entries = served[ctx.report] = _flag_verdicts(ctx, proofs)
-    verdicts, failures = [], {}
-    for (identity, params), verdict in zip(_SUITE_EVALUATIONS, entries):
+    plan = proofs.plans.get(ctx.report)
+    if plan is None:
+        plan = proofs.plans[ctx.report] = _report_plan(ctx.report, proofs)
+    verdicts, failures = list(plan.verdicts), {}
+    todo = plan.open
+    if inject_fault is not None:
+        faulted = [
+            _evaluation(k, ctx.report)
+            for k, (identity, _) in enumerate(_SUITE_EVALUATIONS)
+            if identity is inject_fault and verdicts[k] is not None
+        ]
+        todo = sorted((*todo, *faulted), key=itemgetter(0))
+    for k, identity, params, q, live in todo:
         fault = identity is inject_fault
-        if verdict is None or fault:
-            res = _run_checker(identity, ctx, params, invert=fault, proofs=proofs)
-            verdict = "vacuous" if res is None else res.verdict
-        verdicts.append(verdict)
+        res = _run_checker(identity, ctx, params, invert=fault, proofs=proofs, planned=(q, live))
+        verdict = verdicts[k] = "vacuous" if res is None else res.verdict
         if verdict == "fail" and identity.value not in failures:
             failures[identity.value] = {
                 "class": cls.value,
@@ -1059,26 +1102,49 @@ def _pair_outcome(job, inject_fault, proofs, served):
     return verdicts, failures
 
 
-def _flag_verdicts(ctx, proofs):
-    """The verdict of each of ``_SUITE_EVALUATIONS`` on every pair whose
-    report is ``ctx.report``, where the report decides it: vacuous where
+class _Plan(NamedTuple):
+    """verify_suite's plan for one relation report: the verdict of each of
+    ``_SUITE_EVALUATIONS`` that the report decides, None where it is open,
+    and the ``_evaluation`` of each open one, in that order."""
+
+    verdicts: tuple
+    open: tuple
+
+
+def _evaluation(k, report):
+    """(k, identity, params, q, live) of evaluation k of ``_SUITE_EVALUATIONS``
+    on the pairs whose report is ``report``: q holds the parameters with
+    their defaults and live the branches whose flags and parameter atoms
+    hold (``_live``)."""
+    identity, params = _SUITE_EVALUATIONS[k]
+    q = _params(identity, params)
+    return k, identity, params, q, _live(identity, report, q)
+
+
+def _report_plan(report, proofs):
+    """The plan of ``report`` under the proof table ``proofs``: vacuous where
     every branch has a false flag or parameter atom, pass where the report
     decides every live branch and ``proofs`` proves the conclusion on them,
-    and None, for the checker to decide on the pair, everywhere else."""
-    true = {flag for flag in _REPORT_NAMES if getattr(ctx.report, flag)}
-    entries = []
-    for identity, decl in _IDENTITIES.items():  # the order of _SUITE_EVALUATIONS
-        flagged = [b for b in decl.branches if true.issuperset(b.flags)]
-        for params in decl.grid:
-            q = _params(identity, params)
-            live = [(b, q.get("n")) for b in flagged if b.allows(q)]
-            verdict = None
-            if not live:
-                verdict = "vacuous"
-            elif decl.words and all(b.decided for b, _ in live) and _proved(proofs, identity, live):
-                verdict = "pass"
-            entries.append(verdict)
-    return tuple(entries)
+    and open, for a checker to decide on the pair, everywhere else. Served
+    verdicts read only claims of decided branches, which every dimension
+    enumerates, so a plan does not depend on the table's ``max_dim``."""
+    verdicts, open_ = [], []
+    for k in range(len(_SUITE_EVALUATIONS)):
+        entry = _evaluation(k, report)
+        _, identity, _, q, live = entry
+        verdict = None
+        if not live:
+            verdict = "vacuous"
+        elif (
+            _IDENTITIES[identity].words
+            and all(b.decided for b in live)
+            and _proved(proofs, identity, [(b, q.get("n")) for b in live])
+        ):
+            verdict = "pass"
+        verdicts.append(verdict)
+        if verdict is None:
+            open_.append(entry)
+    return _Plan(tuple(verdicts), tuple(open_))
 
 
 def _worker_count(jobs):

@@ -1869,6 +1869,99 @@ def test_large_squarefree_part_takes_under_half_a_second():
     assert time.perf_counter() - start < 0.5
 
 
+def _chain_calls(monkeypatch):
+    """A list that grows by one on each ``poly_chain`` call."""
+    calls, original = [], _kernel_py.poly_chain
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_kernel_py, "poly_chain", counting)
+    return calls
+
+
+def test_squarefree_certificate_maps_z_i_to_a_prime_field():
+    # q = 2^64 - 59 is prime (Miller-Rabin on the first twelve primes is
+    # deterministic below 3.3e24) and r^2 = -1 mod q, so x + iy -> x + ry
+    # is a ring homomorphism Z[i] -> F_q
+    q, r = _kernel_py.Q, _kernel_py.SQRT_M1
+    assert q == 2**64 - 59 and q % 4 == 1
+    assert r * r % q == q - 1
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(base, d, q)
+        assert x in (1, q - 1) or q - 1 in (pow(x, 2**j, q) for j in range(1, s))
+    rng = random.Random(71)
+    for _ in range(200):
+        xr, xi, yr, yi = (rng.randrange(-(2**80), 2**80) for _ in range(4))
+        image = lambda re, im: (re + r * im) % q  # noqa: E731
+        product = image(xr * yr - xi * yi, xr * yi + xi * yr)
+        assert product == image(xr, xi) * image(yr, yi) % q
+
+
+def test_certified_squarefree_parts_match_the_remainder_sequence(monkeypatch):
+    # every charpoly of a, b, ab and s from sample_pair, every class, dims
+    # 2-8, plain and nilpotent: the certificate holds exactly where p is
+    # squarefree, and there the part is p made monic, with no remainder
+    # sequence
+    chains = _chain_calls(monkeypatch)
+    certified = refused = 0
+    for k, cls in enumerate(RelationClass):
+        for dim in range(2, 9):
+            for nilpotent in (False, True):
+                a, b = sample_pair(cls, dim, 900 + 10 * k + dim, nilpotent=nilpotent)
+                for m in (a, b, a * b, a + b):
+                    p = charpoly(m)
+                    ref = _remainder_sequence_squarefree(p)
+                    ok = _kernel_py.squarefree_mod_q(p._re, p._im)
+                    assert ok == (ref.degree == p.degree), p.literal()
+                    if ok:
+                        certified += 1
+                        del chains[:]
+                        assert p.squarefree_part() == ref == p.monic()
+                        assert chains == []
+                    else:
+                        refused += 1
+                        assert p.squarefree_part() == ref
+    assert certified > 100 and refused > 100
+
+
+def test_squares_fall_back_to_the_remainder_sequence(monkeypatch):
+    # f^2 g is never certified, whatever f and g: its part comes from the
+    # remainder sequence, and equals the part of f g made squarefree
+    chains = _chain_calls(monkeypatch)
+    rng = random.Random(72)
+
+    def coeff():
+        return Scalar(rng.randint(-4, 4), rng.choice((0, rng.randint(-3, 3))))
+
+    for _ in range(120):
+        f = ExactPoly([coeff() for _ in range(rng.randint(1, 3))] + [1])
+        g = ExactPoly([coeff() for _ in range(rng.randint(0, 3))] + [rng.choice((1, -2, Scalar(1, 1)))])
+        p = f * f * g
+        assert not _kernel_py.squarefree_mod_q(p._re, p._im)
+        del chains[:]
+        part = p.squarefree_part()
+        assert part == _remainder_sequence_squarefree(p) == (f * g).squarefree_part()
+        assert chains
+
+
+def test_a_leading_coefficient_divisible_by_q_falls_back(monkeypatch):
+    # the image of q x^2 + x + 1 has degree 1, so it certifies nothing,
+    # although the polynomial is squarefree
+    chains = _chain_calls(monkeypatch)
+    q = _kernel_py.Q
+    for lead in (q, -3 * q, Scalar(q, q), Scalar(0, 2 * q)):
+        p = ExactPoly([1, 1, lead])
+        assert not _kernel_py.squarefree_mod_q(p._re, p._im)
+        del chains[:]
+        assert p.squarefree_part() == _remainder_sequence_squarefree(p) == p.monic()
+        assert chains
+
+
 def _poly_mul(ar, ai, br, bi):
     re, im = [0] * (len(ar) + len(br) - 1), [0] * (len(ar) + len(br) - 1)
     for i, (xr, xi) in enumerate(zip(ar, ai)):

@@ -58,8 +58,7 @@ def test_every_claim_the_suite_serves_is_proved():
     assert all(table[key] for key in expected)
 
 
-def test_the_table_grows_only_by_what_it_lacks(monkeypatch):
-    monkeypatch.setattr(identities, "_PROOFS", {})
+def test_the_table_grows_only_by_what_it_lacks(fresh_proofs):
     small = dict(identities._proof_table(3))
     assert (IdentityId.NIL_TELE, "comm_l", 3) in small
     assert (IdentityId.NIL_TELE, "comm_l", 4) not in small

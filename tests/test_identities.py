@@ -1191,16 +1191,17 @@ def test_proofs_and_evaluation_give_one_report(monkeypatch, inject_fault):
     classes = [c.value for c in RelationClass]
     args = (classes, (2, 3, 4, 5), 4, 31)
     proved = verify_suite(*args, inject_fault=inject_fault)
-    monkeypatch.setattr(identities, "_proof_table", lambda max_dim: {})
+    monkeypatch.setattr(identities, "_proof_table", lambda max_dim: identities._ProofTable())
     evaluated = verify_suite(*args, inject_fault=inject_fault)
     assert proved.to_json() == evaluated.to_json()
     if inject_fault is not None:
         assert proved.identities[inject_fault]["fail"] > 0
 
 
-def test_every_served_conclusion_evaluates_to_zero(monkeypatch):
+def test_every_served_conclusion_evaluates_to_zero(monkeypatch, fresh_proofs):
     # record each conclusion the table proves, with the pair being checked
-    # (the suite is serial), then evaluate it on that pair
+    # (the suite is serial), then evaluate it on that pair; the table is
+    # fresh, so each report's plan is built, and read, while this records
     served, current = [], []
     original, init = identities._proved, PairContext._init
 
@@ -1248,7 +1249,7 @@ def test_suite_renders_the_witness_of_a_forced_hypothesis(monkeypatch):
         original(self, words, dataclasses.replace(report, ab_in_comm_a=True, comm_r=True))
 
     monkeypatch.setattr(PairContext, "_init", forced)
-    monkeypatch.setattr(identities, "_proof_table", lambda max_dim: {})
+    monkeypatch.setattr(identities, "_proof_table", lambda max_dim: identities._ProofTable())
     rep = verify_suite(["none"], (2, 3), 2, 17)
     sides = {
         "L1.I.iii": lambda a, b, p: (a * (a + b) * a, a * a * (a + b)),
@@ -1268,19 +1269,109 @@ def test_suite_renders_the_witness_of_a_forced_hypothesis(monkeypatch):
 
 
 @pytest.mark.parametrize("inject_fault", [None, "L1.I.i", "BINOM", "R.i", "RAD_PROD"])
-def test_served_verdicts_and_checkers_give_one_report(monkeypatch, inject_fault):
+def test_served_verdicts_and_checkers_give_one_report(monkeypatch, fresh_proofs, inject_fault):
     # the verdicts served per flag set, and none served, so that every
-    # evaluation runs its checker
+    # evaluation runs its checker: 61 a pair, on a fresh table whose plans
+    # are built with none served
     classes = [c.value for c in RelationClass]
     args = (classes, (2, 3, 4, 5), 4, 37)
     served = verify_suite(*args, inject_fault=inject_fault)
-    monkeypatch.setattr(
-        identities, "_flag_verdicts", lambda ctx, proofs: (None,) * len(identities._SUITE_EVALUATIONS)
-    )
+    evaluations = len(identities._SUITE_EVALUATIONS)
+    assert evaluations == 61
+
+    def unserved(report, proofs):
+        every = tuple(identities._evaluation(k, report) for k in range(evaluations))
+        return identities._Plan((None,) * evaluations, every)
+
+    calls = 0
+    original = identities._run_checker
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "_PROOFS", identities._ProofTable())
+    monkeypatch.setattr(identities, "_report_plan", unserved)
+    monkeypatch.setattr(identities, "_run_checker", counting)
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
     checked = verify_suite(*args, inject_fault=inject_fault)
     assert served.to_json() == checked.to_json()
+    assert calls == evaluations * 4 * len(RelationClass)
     if inject_fault is not None:
         assert served.identities[inject_fault]["fail"] > 0
+
+
+def test_a_table_keeps_its_claims_and_plans_across_calls(monkeypatch, fresh_proofs):
+    # within one table, the claims are enumerated once per max_dim and each
+    # report's plan is built once: a second call does neither, and a larger
+    # max_dim over the same pairs (with three samples a class, dims 2-4 and
+    # 2-5 draw the same ones) enumerates the claims again and builds no plan
+    calls = {"claims": 0, "plans": 0}
+    claims, plan = identities._suite_claims, identities._report_plan
+
+    def counting_claims(max_dim):
+        calls["claims"] += 1
+        return claims(max_dim)
+
+    def counting_plans(report, proofs):
+        calls["plans"] += 1
+        return plan(report, proofs)
+
+    monkeypatch.setattr(identities, "_suite_claims", counting_claims)
+    monkeypatch.setattr(identities, "_report_plan", counting_plans)
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
+    first = verify_suite(dims=(2, 3, 4), samples_per_class=3, seed=43)
+    built = len(fresh_proofs.plans)
+    assert calls == {"claims": 1, "plans": built} and built > 1
+    again = verify_suite(dims=(2, 3, 4), samples_per_class=3, seed=43)
+    assert again.to_json() == first.to_json()
+    assert calls == {"claims": 1, "plans": built}
+    larger = verify_suite(dims=(2, 3, 4, 5), samples_per_class=3, seed=43)
+    assert larger.identities == first.identities
+    assert calls == {"claims": 2, "plans": built} and fresh_proofs.max_dim == 5
+
+
+def _every_report():
+    """The report of each of the 32 settings of the five primitive flags."""
+    from weakcomm.relations import _DERIVED, _report
+
+    for mask in range(1 << len(FLAG_NAMES)):
+        flags = {name: bool(mask >> k & 1) for k, name in enumerate(FLAG_NAMES)}
+        for name, (combine, read) in _DERIVED.items():
+            flags[name] = combine(flags[x] for x in read)
+        yield _report(flags.__getitem__, None)
+
+
+def test_plans_do_not_depend_on_the_table_dimension(monkeypatch):
+    plans, tables = {}, {}
+    for max_dim in (3, 8):
+        monkeypatch.setattr(identities, "_PROOFS", identities._ProofTable())
+        tables[max_dim] = identities._proof_table(max_dim)
+        plans[max_dim] = [identities._report_plan(r, tables[max_dim]) for r in _every_report()]
+    assert len(tables[3]) < len(tables[8])
+    assert plans[3] == plans[8]
+    # the plans serve both verdicts, leave some open, and differ by report
+    verdicts = {v for plan in plans[8] for v in plan.verdicts}
+    assert verdicts == {"pass", "vacuous", None}
+    assert len({plan.verdicts for plan in plans[8]}) > 16
+    for plan in plans[8]:
+        assert [k for k, v in enumerate(plan.verdicts) if v is None] == [e[0] for e in plan.open]
+
+
+@pytest.mark.parametrize("inject_fault", [None, "RAD_PROD"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cold_and_warm_tables_give_one_report(monkeypatch, fresh_proofs, workers, inject_fault):
+    # a cold table builds each plan on the report's first pair; a warm one
+    # serves the plans the first call built, and its workers inherit them
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: workers)
+    args = ([c.value for c in RelationClass], (2, 3, 4), 4, 47)
+    cold = verify_suite(*args, inject_fault=inject_fault)
+    assert fresh_proofs.plans
+    warm = verify_suite(*args, inject_fault=inject_fault)
+    assert cold.to_json() == warm.to_json()
+    if inject_fault is not None:
+        assert cold.identities[inject_fault]["fail"] > 0
 
 
 def test_flag_decided_verdicts_reach_no_checker(monkeypatch):
