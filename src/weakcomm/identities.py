@@ -24,12 +24,12 @@ identities state theirs per branch: R.iv, NIL_TELE, NIL_PROD and
 QUASI_CLOSURE, whose branches differ, and EXP_CORR, NIL_SUM and KER_INCL,
 whose conclusions need the nilpotency that their hypothesis asserts.
 
-The word identities (L1.*, R.*, NEWTON_*, BINOM, TELESCOPE, NIL_TELE) are
-polynomial identities in a, b and s = a + b. Each states that some word
-combinations vanish: sequences of (word, int) terms over the letters a, b
-and s. ``PairContext.defect`` is their one evaluator. R.i and R.ii are word
-identities at lam = 0 only; at lam != 0 their conclusion is a matrix
-equation.
+The word identities (L1.*, R.*, NEWTON_*, BINOM, TELESCOPE, NIL_TELE,
+KRITERION_RANGE) declare word combinations whose vanishing implies their
+conclusion: sequences of (word, int) terms over the letters a, b and
+s = a + b, which ``PairContext.defect`` evaluates. A pair evaluates R.i and
+R.ii as a matrix equation in lam, and KRITERION_RANGE as the range/kernel
+criterion, which ran(x) in ker(y) iff yx = 0 reduces to its words.
 
 RAD_PROD and RAD_SUM compare spectral radii with zero tolerance: the
 charpoly radicals of the pair's words go to ``algebraic``, which decides
@@ -419,6 +419,13 @@ _R_IV = {
     "comm_r": (_memb("sb", "b"), _memb("bs", "s")),
 }
 
+# KRITERION_RANGE's words, a(ba - ab) = aba - aab and (ba - ab)a = baa - aba:
+# as ran(x) is in ker(y) exactly when yx = 0, the criterion is then the flags
+_KRITERION = (
+    (("aba", 1), ("aab", -1), ("aba", -1), ("aab", 1)),
+    (("baa", 1), ("aba", -1), ("baa", -1), ("aba", 1)),
+)
+
 
 def _nil_tele(q, held):
     """NIL_TELE's combinations: under comm_l and b in comm(a^n), the
@@ -433,10 +440,10 @@ def _nil_tele(q, held):
 # and BAA - ABA = (ba - ab)(a - lam), whatever mu is.
 def _shifted(x):
     """The words and the conclusion of R.i (x = ab) or R.ii (x = ba): x is
-    in comm(a), less lam(ba - ab), a word combination at lam = 0."""
+    in comm(a), less lam(ba - ab); at lam != 0 comm adds ba = ab."""
 
     def words(q, held):
-        return [_memb(x, "a")] if q["lam"].is_zero() else None
+        return [_memb(x, "a")] + ([] if q["lam"].is_zero() else [_eq("ba", "ab")])
 
     def conclude(ctx, q, held):
         w = ctx.word
@@ -623,13 +630,14 @@ class _Identity:
     """One catalog identity: ``hypothesis``, its conclusion, the parameters
     it reads (name -> default) and its parameter grid in ``verify_suite``.
 
-    The conclusion is that the combinations of ``words(q, held)`` vanish
-    (see PairContext.defect), and where ``words`` is None or gives None,
-    ``conclude(ctx, q, held)``. A conclusion ``per_branch`` is stated for
-    the branches that hold, so it is evaluated only over them: on a pair
-    where none holds there is nothing to evaluate, and it holds with
-    residual 0.0 and no witness. Any other conclusion is of the pair alone,
-    and is evaluated wherever it is asked for.
+    ``words(q, held)`` lists the word combinations whose vanishing implies
+    the conclusion, which the proof table proves (see PairContext.defect),
+    and ``conclude(ctx, q, held)`` evaluates it on a pair, by default as
+    ``words``. A conclusion ``per_branch`` is stated for the branches that
+    hold, so it is evaluated only over them: on a pair where none holds
+    there is nothing to evaluate, and it holds with residual 0.0 and no
+    witness. Any other conclusion is of the pair alone, and is evaluated
+    wherever it is asked for.
     """
 
     hypothesis: str
@@ -644,10 +652,9 @@ class _Identity:
         object.__setattr__(self, "branches", tuple(map(_Branch, self.hypothesis.split(" | "))))
 
     def conclusion(self, ctx, q, held):
-        combos = None if self.words is None else self.words(q, held)
-        if combos is None:
+        if self.conclude is not None:
             return self.conclude(ctx, q, held)
-        return _from_defects(map(ctx.defect, combos))
+        return _from_defects(map(ctx.defect, self.words(q, held)))
 
 
 _POWERS = (1, 2, 3, 4)
@@ -758,7 +765,7 @@ _IDENTITIES = {
         reads={"lam": Scalar(1)},
         grid=({"lam": Scalar(1)}, {"lam": Scalar(-1)}, {"lam": Scalar(0, 1)}),
     ),
-    IdentityId.KRITERION_RANGE: _Identity("", conclude=_kriterion_range),
+    IdentityId.KRITERION_RANGE: _Identity("", lambda q, held: _KRITERION, _kriterion_range),
 }
 
 
@@ -897,8 +904,8 @@ def _suite_claims(max_dim):
             ]
             sets += [[(b, n)] for b in allowed if b.member for n in range(1, max_dim + 1)]
             for group in (group for held in sets for group in _groups(held)):
-                key, combos = _key(identity, group), decl.words(q, group)
-                if key in seen or combos is None:
+                key = _key(identity, group)
+                if key in seen:
                     continue
                 seen.add(key)
                 flags = tuple(flag for branch, _ in group for flag in branch.flags)
@@ -907,7 +914,7 @@ def _suite_claims(max_dim):
                     for branch, n in group
                     if branch.member
                 )
-                yield key, (flags, extra), combos
+                yield key, (flags, extra), decl.words(q, group)
 
 
 class _ProofTable(dict):

@@ -42,7 +42,8 @@ def test_every_claim_the_suite_serves_is_proved():
         for identity, branch in _rows()
         for p in _suite_plan(identity)
     }
-    assert len(rows) == 14 + 2 * 7
+    # KRITERION_RANGE's row is its one empty branch, ""
+    assert len(rows) == 15 + 2 * 7
     expected = rows | {
         *((ident, "comm_w", n)
           for ident in (IdentityId.BINOM, IdentityId.TELESCOPE) for n in (1, 3, 4, 5, 6)),
@@ -51,6 +52,8 @@ def test_every_claim_the_suite_serves_is_proved():
         (IdentityId.R_iv, "comm_l", "comm_r", None),
         (IdentityId.R_i, "ab_in_comm_a", None),
         (IdentityId.R_ii, "ba_in_comm_a", None),
+        (IdentityId.R_i, "ab_in_comm_a & comm", None),
+        (IdentityId.R_ii, "ba_in_comm_a & comm", None),
         *((IdentityId.NIL_TELE, flag, n) for flag in ("comm_l", "comm_r") for n in range(1, 9)),
     }
     assert expected == {key for key, _, _ in identities._suite_claims(8)}

@@ -341,7 +341,9 @@ def test_verify_never_reaches_the_general_comparison(monkeypatch):
 def test_subspace_checkers_build_no_image_and_eliminate_only_for_kernels(monkeypatch):
     # KER_INCL and KRITERION_RANGE read kernels only: no rank_kernel, so no
     # image basis, and each containment is a reduction, so the only _rref
-    # calls are the canonical forms of the kernels that _kernel builds
+    # calls are the canonical forms of the kernels that _kernel builds.
+    # verify serves KRITERION_RANGE from its words, so its checker runs
+    # through check_identity, on the pairs that the suite samples
     monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
     inside = []
     counts = {"rank_kernel": 0, "_rref": 0, "_kernel": 0}
@@ -367,14 +369,23 @@ def test_subspace_checkers_build_no_image_and_eliminate_only_for_kernels(monkeyp
 
         return run
 
-    concluded = {}
+    concluded, pairs = {}, []
     for ident in (IdentityId.KER_INCL, IdentityId.KRITERION_RANGE):
         decl = identities._IDENTITIES[ident]
         marked_decl = dataclasses.replace(decl, conclude=marked(decl.conclude))
         monkeypatch.setitem(identities._IDENTITIES, ident, marked_decl)
+    sample = instances.sample_pair
+
+    def sampling(*args, **kwargs):
+        pairs.append(sample(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(instances, "sample_pair", sampling)
     rep = verify_suite(dims=(2, 3, 4), samples_per_class=4, seed=5)
-    for ident in ("KER_INCL", "KRITERION_RANGE"):
-        concluded[ident] = rep.identities[ident]["pass"] + rep.identities[ident]["fail"]
+    concluded["KER_INCL"] = rep.identities["KER_INCL"]["pass"] + rep.identities["KER_INCL"]["fail"]
+    results = [check_identity(IdentityId.KRITERION_RANGE, a, b) for a, b in pairs]
+    concluded["KRITERION_RANGE"] = sum(res.hypothesis_met for res in results)
+    assert len(pairs) == 4 * len(RelationClass) and all(res.holds for res in results)
     assert rep.failures == 0 and all(concluded.values()), concluded
     assert counts["rank_kernel"] == 0
     assert 0 < counts["_rref"] <= counts["_kernel"], counts
@@ -756,6 +767,28 @@ def test_r_i_r_ii_match_the_shifted_products():
     assert nonzero > 0
 
 
+def test_r_i_r_ii_words_imply_the_conclusion_at_every_lam():
+    # the defect of the matrix equation is the words' first combination, x
+    # in comm(a), less lam times the second, ba = ab, on every pair: so the
+    # conclusion holds wherever the words vanish
+    nonzero = 0
+    for a, b in _memo_sweep():
+        ctx = PairContext(a, b)
+        for identity in (IdentityId.R_i, IdentityId.R_ii):
+            decl = identities._IDENTITIES[identity]
+            for lam in (0, 1, -1, Scalar(0, 1), Fraction(-2, 3)):
+                q = identities._params(identity, {"lam": Scalar.coerce(lam)})
+                combos = [ctx.combo(c) for c in decl.words(q, [])]
+                assert len(combos) == (1 if q["lam"].is_zero() else 2)
+                defect = combos[0]
+                if len(combos) == 2:
+                    defect = defect - combos[1] * q["lam"]
+                _, _, witness = decl.conclude(ctx, q, [])
+                assert (defect.is_zero() and witness is None) or witness == defect, (identity, lam)
+                nonzero += witness is not None
+    assert nonzero > 0
+
+
 def test_shared_context_matches_fresh_context():
     # One context serves the whole suite in verify_suite's order; every
     # result must equal the one a fresh context gives for that call alone.
@@ -999,7 +1032,7 @@ def _recipe_combinations():
         for params in list(_suite_plan(identity)) + orders:
             q = identities._params(identity, params)
             held = [(branch, q.get("n") or 1) for branch in decl.branches]
-            for terms in decl.words(q, held) or ():
+            for terms in decl.words(q, held):
                 yield identity, params, terms
     for params in orders:
         n = params["n"]
@@ -1021,7 +1054,7 @@ def test_recipes_yield_homogeneous_integer_combinations():
             assert type(c) is int and c != 0, (identity, params, w, c)
         seen.add(identity)
     assert seen == {ident for ident, decl in identities._IDENTITIES.items() if decl.words}
-    assert len(seen) == 22
+    assert len(seen) == 23
 
 
 def test_every_identity_is_declared_once_from_known_atoms():
@@ -1200,34 +1233,48 @@ def test_proofs_and_evaluation_give_one_report(monkeypatch, inject_fault):
 
 def test_every_served_conclusion_evaluates_to_zero(monkeypatch, fresh_proofs):
     # record each conclusion the table proves, with the pair being checked
-    # (the suite is serial), then evaluate it on that pair; the table is
-    # fresh, so each report's plan is built, and read, while this records
-    served, current = [], []
+    # (the suite is serial) and the parameters it was served at: a plan
+    # reads the live branches at them (_live) just before the proof, and a
+    # checker the held ones (_held); then evaluate it, and its words, there.
+    # The table is fresh, so each report's plan is built, and read, while
+    # this records
+    served, current, points = [], [], []
     original, init = identities._proved, PairContext._init
 
     def recording(proofs, identity, held):
         ok = original(proofs, identity, held)
         if ok:
-            served.append((current[-1], identity, held))
+            served.append((current[-1], identity, points[-1], held))
         return ok
 
     def entering(self, words, report):
         init(self, words, report)
         current.append(self)
 
+    def at_point(function):
+        def run(identity, pair, q, *args):
+            points.append(q)
+            return function(identity, pair, q, *args)
+
+        return run
+
     monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
     monkeypatch.setattr(identities, "_proved", recording)
+    monkeypatch.setattr(identities, "_live", at_point(identities._live))
+    monkeypatch.setattr(identities, "_held", at_point(identities._held))
     monkeypatch.setattr(PairContext, "_init", entering)
     rep = verify_suite(dims=(2, 3, 4, 5), samples_per_class=4, seed=31)
     assert rep.failures == 0
-    claims = {identity for _, identity, _ in served}
+    claims = {identity for _, identity, _, _ in served}
     assert claims == {ident for ident, decl in identities._IDENTITIES.items() if decl.words}
-    for ctx, identity, held in served:
-        # a proved claim is at lam = 0, the default, and at the power of its branches
-        n = held[0][1]
-        q = identities._params(identity, {} if n is None else {"n": n})
-        conclusion = identities._IDENTITIES[identity].conclusion(ctx, q, held)
-        assert conclusion == (True, 0.0, None), (identity, q)
+    # R.i and R.ii are served at lam = 1 too, where their words read comm
+    shifted = {(identity, q["lam"]) for _, identity, q, _ in served if "lam" in q}
+    assert shifted == {(i, Scalar(lam)) for i in (IdentityId.R_i, IdentityId.R_ii) for lam in (0, 1)}
+    for ctx, identity, q, held in served:
+        decl = identities._IDENTITIES[identity]
+        assert decl.conclusion(ctx, q, held) == (True, 0.0, None), (identity, q)
+        words = identities._from_defects(map(ctx.defect, decl.words(q, held)))
+        assert words == (True, 0.0, None), (identity, q)
 
 
 def _newton_r_sides(a, b, n):
@@ -1357,6 +1404,20 @@ def test_plans_do_not_depend_on_the_table_dimension(monkeypatch):
     assert len({plan.verdicts for plan in plans[8]}) > 16
     for plan in plans[8]:
         assert [k for k, v in enumerate(plan.verdicts) if v is None] == [e[0] for e in plan.open]
+
+
+def test_only_the_identities_that_need_the_matrices_are_left_open(fresh_proofs):
+    # every word identity, KRITERION_RANGE and R.i and R.ii at lam != 0
+    # among them, is served wherever the report decides its live branches;
+    # what stays open reads nilpotency, spectra, kernels or a membership
+    # power of the pair
+    table = identities._proof_table(8)
+    plans = [identities._report_plan(report, table) for report in _every_report()]
+    left_open = {identity.value for plan in plans for _, identity, _, _, _ in plan.open}
+    assert left_open == {
+        "EXP_CORR", "KER_INCL", "NIL_PROD", "NIL_SUM", "NIL_TELE", "QUASI_CLOSURE",
+        "RAD_PROD", "RAD_SUM", "SPEC_EQ_N2", "SPEC_EQ_W", "SPEC_INCL",
+    }
 
 
 @pytest.mark.parametrize("inject_fault", [None, "RAD_PROD"])
@@ -1686,9 +1747,30 @@ def test_proof_claims_are_pinned():
     from weakcomm.freealg import flag_relations
 
     table = identities._proof_table(8)
-    triples = sorted(
-        json.dumps([sorted(flag_relations(flags) + extra), [list(c) for c in combos], table[key]])
-        for key, (flags, extra), combos in identities._suite_claims(8)
+    # the claims of KRITERION_RANGE and of R.i and R.ii at lam != 0, each
+    # proved; the other 59 are pinned as they were before these were made
+    later = {
+        (IdentityId.KRITERION_RANGE, "", None),
+        (IdentityId.R_i, "ab_in_comm_a & comm", None),
+        (IdentityId.R_ii, "ba_in_comm_a & comm", None),
+    }
+    triples, earlier = [], []
+    for key, (flags, extra), combos in identities._suite_claims(8):
+        triple = json.dumps(
+            [sorted(flag_relations(flags) + extra), [list(c) for c in combos], table[key]]
+        )
+        triples.append(triple)
+        if key in later:
+            assert table[key], key
+        else:
+            earlier.append(triple)
+
+    def digest(lines):
+        return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+
+    assert (len(earlier), digest(earlier)) == (
+        59, "035f7de4141413a70d262a4042341a8b9850d5478dd025dbb0b3de7d95fc9dfa"
     )
-    digest = hashlib.sha256("\n".join(triples).encode()).hexdigest()
-    assert (len(triples), digest) == (59, "035f7de4141413a70d262a4042341a8b9850d5478dd025dbb0b3de7d95fc9dfa")
+    assert (len(triples), digest(triples)) == (
+        62, "c00c83ef6566002712838790de2aee737f1848ce0160f8dad5abffb6ca0a57f0"
+    )

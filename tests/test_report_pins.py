@@ -50,6 +50,23 @@ PINS = {
         "e1b6d1c5936bdc281b6a46d0462fd5777a72905b1d26a016ef26d7a778f548f8",
         "b5dccbe8109e66821222dfff532fa4a428f51757c4c02d62b63933aac0d97681",
     ),
+    # the faults of KRITERION_RANGE, and of R.i and R.ii, whose grids have
+    # lam = 1 and mu = 1: each inverts every verdict whose hypothesis is met
+    "verify --dims 2,3,4 --samples 20 --seed 7 --inject-fault KRITERION_RANGE": (
+        1,
+        "4af81f7cb96f6cfb3571386acf2cf6dd98aad1cafb9cf30146de8f200378b27b",
+        "b6251e93d0158b72d6066524c8e22e71be26e2837e0b6ab7ba065d41d347690a",
+    ),
+    "verify --dims 2,3,4 --samples 20 --seed 7 --inject-fault R.i": (
+        1,
+        "da23a6cb9a917ec4918baaca1858858cf821fb298bf49e27b4800162f65a7942",
+        "f89c3c8040e4fb271b057b7bda129647fe550e3a741499e17c96a4f3dd395ad9",
+    ),
+    "verify --dims 2,3,4 --samples 20 --seed 7 --inject-fault R.ii": (
+        1,
+        "dabf4fdc7ce4834e63a4943e9db9bcacfa8f11cd8c05f55db4eead092a5d5322",
+        "e2c24f094bb68e90410f5f1f584e855e6c28330b7b24b9e360b722be9065b891",
+    ),
     # dims 5 and 6, which the pins above do not sample: six of its seven
     # relation-flag sets occur at both dims, so verdicts built on a pair of
     # one dim are served to pairs of the other

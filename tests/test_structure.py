@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from weakcomm.errors import HypothesisNotMetError, NotNilpotentError
 from weakcomm.exact import ExactMatrix, Scalar, rank_kernel
-from weakcomm.instances import sample_spectral_instance
+from weakcomm.instances import RelationClass, sample_pair, sample_spectral_instance
 from weakcomm.relations import relation_check
 from weakcomm.structure import (
     _criterion,
@@ -108,6 +109,42 @@ def test_range_kernel_criterion_matches_product_flags():
         first, second = range_kernel_criterion(b, a)
         assert first == rep.ab_in_comm_a
         assert second == rep.ba_in_comm_a
+
+
+def _criterion_and_flags(a, b, report):
+    """_criterion(a, ba - ab) and the flags (ab_in_comm_a, ba_in_comm_a)."""
+    return _criterion(a, b * a - a * b), (report.ab_in_comm_a, report.ba_in_comm_a)
+
+
+def test_criterion_is_the_product_flags_on_the_dim_2_grid():
+    # verify serves KRITERION_RANGE from the flags, by ran(x) in ker(y) iff
+    # yx = 0; every pair with entries in {-1, 0, 1} meets each outcome
+    seen = set()
+    for entries in product((-1, 0, 1), repeat=8):
+        a = ExactMatrix([entries[0:2], entries[2:4]])
+        b = ExactMatrix([entries[4:6], entries[6:8]])
+        got, flags = _criterion_and_flags(a, b, relation_check(a, b))
+        assert got == flags, (a.literal(), b.literal())
+        seen.add(got)
+    assert len(seen) == 4
+
+
+def test_criterion_is_the_product_flags_on_sampled_pairs():
+    # the pairs verify samples, strict where a class allows, with the report
+    # the sampler carries to verify
+    seen = set()
+    for k, cls in enumerate(RelationClass):
+        for dim in range(2, 9):
+            strict = cls is not RelationClass.COMM and not (
+                cls is RelationClass.COMM_W and dim < 3
+            )
+            for seed in range(3):
+                pair = sample_pair(cls, dim, 900 + 30 * k + 3 * dim + seed, strict)
+                a, b = pair
+                got, flags = _criterion_and_flags(a, b, pair.report)
+                assert got == flags, (cls, dim, seed)
+                seen.add(got)
+    assert len(seen) == 4
 
 
 def test_invariant_restriction_on_spectral_instance():
