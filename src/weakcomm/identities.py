@@ -35,10 +35,15 @@ RAD_PROD and RAD_SUM compare spectral radii with zero tolerance: the
 charpoly radicals of the pair's words go to ``algebraic``, which decides
 each bound exactly, and no checker reads a float or loads NumPy.
 
-KER_INCL and KRITERION_RANGE call the cores of ``structure``'s kernel
-inclusions and range/kernel criterion, with the hypotheses, the degree of b
-and c = ba - ab taken from the ``PairContext``, so no hypothesis is decided
-twice and no image basis is built.
+Every checker reads the pair through its ``PairContext`` (defined in
+``relations``, which alone keeps the pair's words): the flags, the words
+and the spectral data, each computed once per pair. KER_INCL and
+KRITERION_RANGE call the cores of ``structure``'s kernel inclusions and
+range/kernel criterion, with the hypotheses, the degree of b and
+c = ba - ab taken from the context, so no hypothesis is decided twice and
+no image basis is built. ``check_identity`` builds a context per call, and
+``verify_suite`` checks the very context with which ``sample_pair``
+accepted the pair, so its flags are decided once.
 
 ``verify_suite`` samples pairs from the relation-class samplers and runs
 the whole catalog over them deterministically, producing a JSON-stable
@@ -92,22 +97,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
-from . import _kernel_py
 from .algebraic import radius_product_bound, radius_sum_bound
 from .errors import UnknownIdentityError
-from .exact import (
-    ExactMatrix,
-    ExactPoly,
-    charpoly,
-    exp_exact_nilpotent,
-    nilpotency_degree,
-    poly_radical,
-)
-from .relations import _REPORT_NAMES, _decide, _product
+from .exact import ExactMatrix, exp_exact_nilpotent
+from .relations import _REPORT_NAMES, PairContext
 from .scalar import Scalar
 from .structure import _criterion, _kernel_annihilated
 
@@ -203,108 +200,6 @@ def _json_params(params):
         else:
             out[k] = v
     return out
-
-
-class PairContext:
-    """Per-pair memo of the products and spectral data the checkers share.
-
-    A context serves one ordered pair (a, b) and nothing outlives it:
-    ``verify_suite`` builds one per sampled pair and ``check_identity`` a
-    fresh one per call. Products are keyed by words over the letters ``a``,
-    ``b`` and ``s`` (s = a + b), with ``""`` the identity; ``word`` builds a
-    missing word from its longest cached prefix or suffix (``relations._product``),
-    so each word is multiplied once per pair. ``report`` holds the relation
-    flags, without residuals; deciding them leaves in the memo the products
-    of the flags the probe does not refute, and no others. ``verify_suite``
-    takes both over from the sampled pair (``sample_pair``) through ``_init``.
-    ``combo`` sums integer multiples of words in one pass over their integer
-    numerators. ``defect`` evaluates a word combination, a sequence of such
-    (word, int) terms that must vanish: x - y as the pair of its two words,
-    decided by equality, and any other through ``combo``. Nilpotency
-    degrees are kept per word; for the base words ``a``, ``b``, ``ab`` and
-    ``s`` the charpoly radical and nonzero radical are each computed once.
-
-    ``ExactMatrix`` stores a normalized (den, re, im) that is unique for each
-    matrix, so a word's value does not depend on how its product was
-    associated: every result equals the one computed without the memo.
-    """
-
-    def __init__(self, a, b):
-        words = {"a": a, "b": b}
-        self._init(words, _decide(words))
-
-    def _init(self, words, report):
-        """Serve the pair of the memo ``words``, whose flags ``report`` holds."""
-        a, b = self.a, self.b = words["a"], words["b"]
-        self.dim = a.dim
-        words.update({"": ExactMatrix.identity(a.dim), "s": a + b})
-        self._words, self.report = words, report
-        self._nil, self._radicals, self._radicals_nonzero = {}, {}, {}
-
-    @property
-    def ab(self):
-        return self.word("ab")
-
-    @property
-    def ba(self):
-        return self.word("ba")
-
-    @property
-    def s(self):
-        return self._words["s"]
-
-    def word(self, w):
-        """The product of the letters of w, e.g. ``word("ab" * 2)`` = (ab)^2."""
-        m = self._words.get(w)  # most calls find the word: skip the call
-        return _product(self._words, w) if m is None else m
-
-    def combo(self, terms):
-        """Sum of c * word(w) over the (w, c) pairs; c is an int, w may repeat."""
-        terms = [(self.word(w), c) for w, c in terms]
-        # a list: unpacking a generator raised verify's peak RSS 2.5 MB (CPython 3.11)
-        den = lcm(*[m._den for m, _ in terms])
-        re = im = [0] * (self.dim * self.dim)
-        for m, c in terms:
-            f = c * (den // m._den)
-            re = [x + f * y for x, y in zip(re, m._re)]
-            im = [x + f * y for x, y in zip(im, m._im)]
-        return ExactMatrix._from_rep(self.dim, _kernel_py.normalize(den, re, im))
-
-    def defect(self, terms):
-        """The word combination ``terms`` on this pair, for ``_from_defects``:
-        x - y as the pair (word(x), word(y)), which is decided by equality,
-        and any other combination as its ``combo`` matrix."""
-        if len(terms) == 2:
-            (x, c), (y, d) = terms
-            if c == 1 and d == -1:
-                return self.word(x), self.word(y)
-        return self.combo(terms)
-
-    def nil_degree(self, w):
-        nil = self._nil
-        if w not in nil:
-            nil[w] = nilpotency_degree(self.word(w))
-        return nil[w]
-
-    def radical(self, w):
-        """The charpoly radical of word w: x where w's nilpotency degree is cached."""
-        if self._nil.get(w) is not None:
-            return ExactPoly.variable()
-        radicals = self._radicals
-        if w not in radicals:
-            radicals[w] = poly_radical(charpoly(self.word(w)))
-        return radicals[w]
-
-    def radical_nonzero(self, w):
-        """``poly_radical_nonzero`` of the charpoly, derived from the radical.
-
-        The radical is monic and squarefree, so x divides it at most once and
-        dividing that factor out leaves the monic radical of the nonzero roots.
-        """
-        radicals = self._radicals_nonzero
-        if w not in radicals:
-            radicals[w] = self.radical(w).strip_zero_roots()
-        return radicals[w]
 
 
 def _from_defects(defects):
@@ -801,14 +696,9 @@ def identity_catalog():
     return list(IdentityId)
 
 
-def _suite_plan(identity):
-    """Parameter grid for one identity inside verify_suite."""
-    return _IDENTITIES[identity].grid
-
-
 # every (identity, params) evaluation of one pair, in report order
 _SUITE_EVALUATIONS = tuple(
-    (identity, params) for identity in IdentityId for params in _suite_plan(identity)
+    (identity, params) for identity in IdentityId for params in _IDENTITIES[identity].grid
 )
 
 
@@ -1076,8 +966,7 @@ def _pair_outcome(job, inject_fault, proofs):
 
     cls, i, dim, pair_seed, strict = job
     a, b = pair = sample_pair(cls, dim, pair_seed, require_noncommuting=strict)
-    ctx = PairContext.__new__(PairContext)
-    ctx._init(pair.words, pair.report)
+    ctx = pair.context
     plan = proofs.plans.get(ctx.report)
     if plan is None:
         plan = proofs.plans[ctx.report] = _report_plan(ctx.report, proofs)

@@ -5,6 +5,12 @@ behavior anchors the whole test surface: each entry stores the matrices, the
 relation flags asserted for them, and word-equation claims ("PQP equals P2Q",
 "NR differs from RN") that are re-verified exactly on demand.
 
+Every pair is read through one ``relations.PairContext``, which keeps its
+flags, words and spectra. ``sample_pair`` and ``paper_example`` return the
+tuple (a, b) with the ``context`` that decided its flags, so ``verify`` and
+the registry's word claims and bespoke checks reuse it; the search screens
+each candidate through a context built from its drawn residue rows.
+
 Samplers produce deterministic pseudo-random pairs lying in a requested
 relation class. Classes are conjugation-stable (their defining equations are
 preserved by similarity), so structured seed patterns are dressed by random
@@ -43,7 +49,7 @@ from .exact import (
     nilpotency_degree,
     poly_radical_nonzero,
 )
-from .relations import _R, _Decider, _decide, _flags, _product, relation_check, relation_flags
+from .relations import _R, PairContext, _checked, relation_flags
 from .scalar import Scalar
 from . import shiftlab
 
@@ -258,8 +264,8 @@ def _solve_comm_r(rng, dim):
                 re = [x + c * y for x, y in zip(re, row_re)]
                 im = [x + c * y for x, y in zip(im, row_im)]
         b = ExactMatrix._from_rep(dim, normalize(kernel._den, re, im))
-        flag = _flags(a, b)
-        if flag("comm_r") and not flag("comm"):
+        ctx = PairContext(a, b)
+        if ctx.flag("comm_r") and not ctx.flag("comm"):
             return a, b
     return None
 
@@ -324,19 +330,25 @@ def _build_none(rng, dim, nilpotent):
 _SAMPLE_BUDGET = 64
 
 
-class _SampledPair(tuple):
-    """An accepted (a, b) with its flags ``report`` and the memo ``words`` that decided them."""
+class _Pair(tuple):
+    """The tuple (a, b) of a pair, with the ``PairContext`` that decided its flags."""
+
+
+def _pair(ctx):
+    pair = _Pair((ctx.a, ctx.b))
+    pair.context = ctx
+    return pair
 
 
 def sample_pair(class_, dim, seed, require_noncommuting=False, nilpotent=False):
     """Deterministic pair in the requested relation class.
 
     The returned pair always re-verifies: its relation flags match the class,
-    plus non-commutation or nilpotency when requested. It carries these flags
-    and their memo into its ``PairContext`` in ``verify_suite``. Exhausting the
-    attempt budget raises SamplerBudgetError with statistics; for classes
-    that are impossible to satisfy (strict comm_w at dim 2) this is the
-    expected outcome.
+    plus non-commutation or nilpotency when requested. It carries the
+    ``context`` that decided these flags, which ``verify_suite`` checks.
+    Exhausting the attempt budget raises SamplerBudgetError with
+    statistics; for classes that are impossible to satisfy (strict comm_w
+    at dim 2) this is the expected outcome.
     """
     cls = RelationClass(class_)
     if not 2 <= dim <= 8:
@@ -366,12 +378,9 @@ def sample_pair(class_, dim, seed, require_noncommuting=False, nilpotent=False):
             nilpotency_degree(a) is None or nilpotency_degree(b) is None
         ):
             continue
-        words = {"a": a, "b": b}
-        report = _decide(words)
-        if class_matches(report, cls, require_noncommuting):
-            pair = _SampledPair((a, b))
-            pair.words, pair.report = words, report
-            return pair
+        ctx = PairContext(a, b)
+        if class_matches(ctx.report, cls, require_noncommuting):
+            return _pair(ctx)
     raise SamplerBudgetError(
         f"no {cls.value} pair found at dim {dim}"
         + (" (strict weak commutation needs dim >= 3)" if cls is RelationClass.COMM_W and dim < 3 else ""),
@@ -456,7 +465,7 @@ _SEARCH_ALPHABET = (
     Scalar(0, -1),
 )
 
-# each predicate reads the flags it needs through a getter (``relations._flags``),
+# each predicate reads the flags it needs through a getter (``PairContext.flag``),
 # so a candidate is screened only as far as its first deciding flag
 _PREDICATES = {
     "not_c1": lambda f: not f("c1_pair"),
@@ -485,7 +494,7 @@ class WitnessRecord:
 
     def __post_init__(self):
         pred = _PREDICATES[self.predicate]
-        if not pred(_flags(self.a, self.b)):
+        if not pred(PairContext(self.a, self.b).flag):
             raise ValueError("witness does not satisfy its predicate")
 
     def to_json_dict(self):
@@ -553,10 +562,9 @@ def search_witness(predicate, dim, budget, seed):
     rng = random.Random(derive_seed("witness", predicate, dim, seed))
     for i in range(1, budget + 1):
         a, b = _search_rows(rng, dim), _search_rows(rng, dim)
-        decider = _Decider(_search_matrix, (a, b))
-        if pred(decider.flag):
-            a, b = decider.words()["a"], decider.words()["b"]
-            return WitnessRecord(a=a, b=b, predicate=predicate, samples_tried=i, seed=seed)
+        ctx = PairContext._of_rows((a, b), _search_matrix)
+        if pred(ctx.flag):
+            return WitnessRecord(a=ctx.a, b=ctx.b, predicate=predicate, samples_tried=i, seed=seed)
     return None
 
 
@@ -580,19 +588,13 @@ class ExampleId(str, Enum):
 
 def evaluate_word(word, a, b):
     """Product of a/b letters; "0" is the zero matrix, "1" the identity."""
-    return _claim_word({"a": a, "b": b}, word)
-
-
-def _claim_word(words, word):
-    """``evaluate_word`` on the pair of the memo ``words``, which keeps every product."""
-    dim = words["a"].dim
     if word == "0":
-        return ExactMatrix.zeros(dim)
+        return ExactMatrix.zeros(a.dim)
     if word == "1":
-        return ExactMatrix.identity(dim)
+        return ExactMatrix.identity(a.dim)
     if not word or not set(word) <= {"a", "b"}:
         raise ValueError(f"{word!r} is not 0, 1 or a word in the letters a and b")
-    return _product(words, word)
+    return PairContext(a, b).word(word)
 
 
 @dataclass(frozen=True)
@@ -895,8 +897,10 @@ def example_entry(example_id):
 def paper_example(example_id, dim=None):
     """Registry payload for one id: (pair-or-spec, relation report or None).
 
-    For pair entries the stored flag expectations are re-asserted on every
-    build, so a corrupted registry cannot hand out a wrong report.
+    A pair carries the ``context`` that decided its report, whose memo the
+    registry's word claims read. For pair entries the stored flag
+    expectations are re-asserted on every build, so a corrupted registry
+    cannot hand out a wrong report.
     """
     entry = example_entry(example_id)
     if entry.kind == "op_spec":
@@ -913,28 +917,28 @@ def paper_example(example_id, dim=None):
         if dim != entry.default_dim:
             raise ValueError(f"{entry.id.value} is fixed at dim {entry.default_dim}")
         a, b = _pair_from_file(entry.id.value)
-    report = relation_check(a, b)
+    ctx = PairContext(a, b)
+    report = _checked(ctx)
     for flag, want in (entry.expected_flags or {}).items():
         got = getattr(report, flag)
         if got != want:
             raise AssertionError(f"{entry.id.value}: flag {flag} is {got}, registry asserts {want}")
-    return (a, b), report
+    return _pair(ctx), report
 
 
 def _check_extra(example_id, payload, checks):
     """Bespoke exact checks per id, appended to the claim verdicts.
 
-    ``payload`` is the id's pair or spec, as paper_example built it.
+    ``payload`` is the id's pair, with its ``context``, or spec, as
+    paper_example built it.
     """
-    from .exact import exp_exact_nilpotent, poly_radical
+    from .exact import exp_exact_nilpotent
 
     eid = ExampleId(example_id)
     if eid is ExampleId.SEX_V_PQ:
-        a, b = payload
-        corr = exp_exact_nilpotent(a) * exp_exact_nilpotent(b) - exp_exact_nilpotent(
-            a + b
-        )
-        expected = (a * b - b * a) * Fraction(1, 2)
+        ctx, exp = payload.context, exp_exact_nilpotent
+        corr = exp(ctx.a) * exp(ctx.b) - exp(ctx.s)
+        expected = (ctx.ab - ctx.ba) * Fraction(1, 2)
         checks.append(("exp product correction equals half the commutator", corr == expected))
         checks.append(
             (
@@ -949,17 +953,15 @@ def _check_extra(example_id, payload, checks):
             )
         )
     elif eid is ExampleId.REMARK_TN:
-        a, b = payload
-        chi_t = charpoly(a)
-        rad_t = poly_radical_nonzero(chi_t)
-        rad_sum = poly_radical_nonzero(charpoly(a + b))
+        ctx = payload.context
+        rad_t, rad_sum = ctx.radical_nonzero("a"), ctx.radical_nonzero("s")
         checks.append(("nonzero radical of t is 1", rad_t.literal() == "1"))
         checks.append(
             ("nonzero radical of t+n is x^2 - 1", rad_sum.literal() == "x^2 - 1")
         )
         checks.append(("nonzero spectra differ", rad_t != rad_sum))
         checks.append(
-            ("full radical of t is x", poly_radical(chi_t).literal() == "x")
+            ("full radical of t is x", ctx.radical("a").literal() == "x")
         )
     elif eid is ExampleId.SEX_II_TS:
         a, b = payload
@@ -991,14 +993,14 @@ def _check_extra(example_id, payload, checks):
         for size in (4, 6):
             t = shiftlab.truncate(spec_t, size)
             n = shiftlab.truncate(spec_n, size)
-            words = {"a": t, "b": n}
-            rep = _decide(words)
+            ctx = PairContext(t, n)
+            rep = ctx.report
             chain_zero = all(
-                _product(words, w).is_zero() for w in ("aba", "baa", "ba", "bba", "bab", "abb")
+                ctx.word(w).is_zero() for w in ("aba", "baa", "ba", "bba", "bab", "abb")
             )
             checks.append((f"six-term product chain vanishes at n={size}", chain_zero))
             checks.append(
-                (f"remaining product t^2 n is nonzero at n={size}", not _product(words, "aab").is_zero())
+                (f"remaining product t^2 n is nonzero at n={size}", not ctx.word("aab").is_zero())
             )
             checks.append((f"pair is comm_r at n={size}", rep.comm_r))
             checks.append((f"pair is not comm_l at n={size}", not rep.comm_l))
@@ -1052,12 +1054,12 @@ def _registry_checks(entry, built):
     payload, report = built
     checks = []
     if entry.kind == "pair":
-        a, b = payload
         for flag, want in (entry.expected_flags or {}).items():
             checks.append((f"flag {flag} is {want}", getattr(report, flag) == want))
-        words = {"a": a, "b": b}
+        ctx = payload.context
         for lhs, rhs, equal in entry.claims:
-            got = _claim_word(words, lhs) == _claim_word(words, rhs)
+            x = ctx.word(lhs)
+            got = x.is_zero() if rhs == "0" else x == ctx.word(rhs)
             rel = "equals" if equal else "differs from"
             checks.append((f"word {lhs} {rel} word {rhs}", got == equal))
     else:

@@ -26,55 +26,62 @@ The pointwise pieces of the three algebra-wide commutativity conditions:
     c2_pair = ab_in_comm_a or ba_in_comm_a or ab_in_comm_b
     c3_pair = ab_in_comm_b or ba_in_comm_b
 
-Every flag is decided in one place, a ``_Decider`` per pair memo, and only
-when it is read: ``flag(name)`` decides one of the eleven report names and
-keeps it. The derived flags above are written once, in the table
-``_DERIVED``, which ``flag`` and ``_report`` both read. Each is read left
-to right and stops at its first deciding flag, so ``comm_w`` on a pair
-whose ab_in_comm_a is false reads nothing more. A primitive flag is
-screened first. Its two words have the same letters, so their integer
-numerators over one denominator are compared, each applied to a fixed
-probe vector v with entries (-1)^j (j^2 + j + 41) in Z/M, M = R^2 + 1,
-R = 2^32: x + iy maps to x + Ry, a ring homomorphism as R^2 = -1 mod M.
-A word's image of v is one matrix-vector product mod M from that of its
-suffix, computed when first needed and kept, so the twelve suffix words
-cost at most twelve products. X v != Y v mod M proves X != Y, so the flag
-is false. The probe is fixed, not drawn, so no random state is read. A
-flag the probe does not refute (every true flag, and a false one whose
-defect maps v to 0 mod M) falls back to the exact products, so a flag is
-true only when the exact products are equal (Freivalds, "Probabilistic
-machines can use less running time", IFIP 1977, with the random vector
-fixed and the exact check as fallback). No nonzero x + iy with |x|, |y| <
-R is 0 mod M, so while the images' parts stay below 2^31 the residues
-refute every flag that the exact images refute. A search candidate enters
-as the residue rows it was drawn into (``instances._search_rows``): its
-numerator over the alphabet's denominator 2, which is c times the
-normalized numerator for c = 1 or 2. Both words of a flag have the same
-letters, so both images are scaled by the same positive c_a^k c_b^l, a
-unit mod the odd M; their parts stay below 2^31 up to dim 8, so the probe
-refutes exactly the flags it refutes on the normalized numerators. The
-candidate's matrices are built only when a flag needs the exact products.
-``relation_flags`` reads every name and returns the flags with
-``residuals=None``. ``relation_check`` adds ``residuals``, which maps each
-primitive flag name to the Frobenius norm of its defect matrix (exactly 0.0
-when the flag is true). A reader of a few flags, such as a search
-predicate, takes the getter of ``_flags`` and decides only those.
+Everything the package reads of one pair is kept in one place, a
+``PairContext``: its words, its flags and its spectra, each computed when
+first read and kept. ``flag(name)`` decides one of the eleven report names
+and keeps it, and ``report`` holds all eleven, decided on first read. The
+derived flags above are written once, in the table ``_DERIVED``, which
+``flag`` and ``_report`` both read. Each is read left to right and stops at
+its first deciding flag, so ``comm_w`` on a pair whose ab_in_comm_a is
+false reads nothing more. A primitive flag is screened first. Its two
+words have the same letters, so their integer numerators over one
+denominator are compared, each applied to a fixed probe vector v with
+entries (-1)^j (j^2 + j + 41) in Z/M, M = R^2 + 1, R = 2^32: x + iy maps
+to x + Ry, a ring homomorphism as R^2 = -1 mod M. A word's image of v is
+one matrix-vector product mod M from that of its suffix, computed when
+first needed and kept, so the twelve suffix words cost at most twelve
+products. X v != Y v mod M proves X != Y, so the flag is false. The probe
+is fixed, not drawn, so no random state is read. A flag the probe does not
+refute (every true flag, and a false one whose defect maps v to 0 mod M)
+falls back to the exact products, so a flag is true only when the exact
+products are equal (Freivalds, "Probabilistic machines can use less
+running time", IFIP 1977, with the random vector fixed and the exact check
+as fallback). No nonzero x + iy with |x|, |y| < R is 0 mod M, so while the
+images' parts stay below 2^31 the residues refute every flag that the
+exact images refute. A search candidate enters as the residue rows it was
+drawn into (``instances._search_rows``): its numerator over the alphabet's
+denominator 2, which is c times the normalized numerator for c = 1 or 2.
+Both words of a flag have the same letters, so both images are scaled by
+the same positive c_a^k c_b^l, a unit mod the odd M; their parts stay below
+2^31 up to dim 8, so the probe refutes exactly the flags it refutes on the
+normalized numerators. The candidate's matrices are built only when a flag
+needs the exact products. ``relation_flags`` reads every name and returns
+the flags with ``residuals=None``. ``relation_check`` adds ``residuals``,
+which maps each primitive flag name to the Frobenius norm of its defect
+matrix (exactly 0.0 when the flag is true). A reader of a few flags, such
+as a search predicate, takes a context's ``flag`` and decides only those.
 
-Words are multiplied in one place too: ``_product`` keeps a memo of words
-keyed by their letters and multiplies only a missing word, from its longest
-memoized prefix or suffix. The screen, the residuals, ``PairContext`` in
-``identities`` and the registry's word claims all fill such a memo, and no
-memo multiplies a word twice. The memo that accepts a pair in ``sample_pair``
-goes with it into its ``PairContext``, so ``verify`` decides its flags once.
+Words are multiplied in one place too: ``_product`` multiplies a word
+missing from a context's memo, from its longest memoized prefix or
+suffix, and keeps it, so no context multiplies a word twice. This module
+is the only one that knows the memo: the sampler, the search, the registry
+and ``verify`` read a pair through its context. The context that accepts a
+pair in ``sample_pair`` or builds one in ``paper_example`` goes with the
+pair, as its ``context``, so ``verify`` and the registry's word claims
+decide no flag and multiply no word twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 from operator import mul
 
-__all__ = ["RelationReport", "relation_check", "relation_flags", "FLAG_NAMES"]
+from . import _kernel_py
+from .exact import ExactMatrix, ExactPoly, charpoly, nilpotency_degree, poly_radical
+
+__all__ = ["RelationReport", "relation_check", "relation_flags", "FLAG_NAMES", "PairContext"]
 
 FLAG_NAMES = ("comm", "ab_in_comm_a", "ab_in_comm_b", "ba_in_comm_a", "ba_in_comm_b")
 
@@ -108,13 +115,16 @@ class RelationReport:
 def relation_check(a, b):
     """Exact relation report for the ordered pair (a, b) of ExactMatrix:
     the flags of ``relation_flags`` and the residuals of the false ones."""
-    words = {"a": a, "b": b}
-    flag = _Decider(words).flag
+    return _checked(PairContext(a, b))
+
+
+def _checked(ctx):
+    """``relation_check`` on the pair of ctx, from the words its memo keeps."""
+    w = ctx.word
     residuals = {
-        k: 0.0 if flag(k) else (_product(words, x) - _product(words, y)).frobenius()
-        for k, (x, y) in _FLAG_WORDS.items()
+        k: 0.0 if ctx.flag(k) else (w(x) - w(y)).frobenius() for k, (x, y) in _FLAG_WORDS.items()
     }
-    return _report(flag, residuals)
+    return _report(ctx.flag, residuals)
 
 
 def relation_flags(a, b):
@@ -124,54 +134,91 @@ def relation_flags(a, b):
     words differ on the probe is false. Only a flag the probe does not
     refute is decided by the exact products, each multiplied once.
     """
-    return _decide({"a": a, "b": b})
+    return PairContext(a, b).report
 
 
-def _decide(words):
-    """The report, without residuals, of the pair in the memo ``words``,
-    which keeps the products of the flags the probe does not refute."""
-    return _report(_Decider(words).flag, None)
+class PairContext:
+    """One ordered pair (a, b): its words, flags and spectra, each computed
+    when first read and kept.
 
+    ``word(w)`` is the product of the letters of w over ``a``, ``b`` and
+    ``s`` (s = a + b), with ``""`` the identity. A missing word is built
+    from its longest kept prefix or suffix (``_product``), so each word is
+    multiplied once per pair; ``""`` and ``s`` are built when first read.
+    ``flag(name)`` decides one of the eleven report names: a primitive flag
+    by the images of its two words mod M, each kept per suffix word, and
+    only where they agree by the exact products; a derived flag by the
+    names of ``_DERIVED``, up to the first that decides it. ``report`` holds
+    every flag, without residuals, decided when first read. ``combo`` sums
+    integer multiples of words in one pass over their integer numerators,
+    and ``defect`` evaluates a word combination, a sequence of (word, int)
+    terms that must vanish: x - y as the pair of its two words, decided by
+    equality, and any other through ``combo``. ``nil_degree``, ``radical``
+    and ``radical_nonzero`` are kept per word.
 
-def _flags(a, b):
-    """The getter ``flag(name)`` of the pair (a, b), for a reader of a few flags."""
-    return _Decider({"a": a, "b": b}).flag
-
-
-class _Decider:
-    """The flags of the pair in the memo ``words``, each decided when first read.
-
-    ``flag(name)`` takes any of the eleven report names and keeps its value.
-    A primitive flag computes the probe images of its two words mod M, each
-    kept per suffix word. Images that differ refute it (Z[i] -> Z/M is a ring
-    homomorphism), and below 2^31 they differ whenever the exact ones do;
-    only images that agree lead to ``_product``. A derived flag reads its
-    names in the order of ``_DERIVED`` and stops at the first that decides it.
-
-    ``_Decider(words)`` takes the residue rows from the letters of the memo
-    and fills it. The search passes ``rows``, the residue rows of a and b,
-    with a function in place of the memo that builds a letter's matrix from
-    its rows; ``words()`` calls it for both letters the first time a flag
-    needs the exact products, so a pair the probe refutes builds no matrix.
+    ``PairContext(a, b)`` takes the matrices; a search candidate enters
+    through ``_of_rows`` as its residue rows, and its letters are built
+    from them when a word is first needed, so a pair the probe refutes
+    builds no matrix. ``ExactMatrix`` stores a normalized (den, re, im)
+    that is unique for each matrix, so a word's value does not depend on
+    how its product was associated.
     """
 
-    __slots__ = ("_words", "_rows", "_images", "_values")
+    def __init__(self, a, b):
+        a._check_dim(b)
+        self._start({"a": a, "b": b}, {"a": _residue_rows(a), "b": _residue_rows(b)}, None)
 
-    def __init__(self, words, rows=None):
-        if rows is None:
-            words["a"]._check_dim(words["b"])
-            rows = _residue_rows(words["a"]), _residue_rows(words["b"])
-        self._words = words
-        self._rows = {"a": rows[0], "b": rows[1]}
-        self._images = {"": _probe(len(rows[0]))}
+    @classmethod
+    def _of_rows(cls, rows, build):
+        """The candidate drawn as the residue rows (a, b); ``build`` makes a
+        letter's matrix from its rows."""
+        ctx = cls.__new__(cls)
+        ctx._start({}, {"a": rows[0], "b": rows[1]}, build)
+        return ctx
+
+    def _start(self, words, rows, build):
+        self.dim = len(rows["a"])
+        self._words, self._rows, self._build = words, rows, build
+        self._images = {"": _probe(self.dim)}
         self._values = {}
 
-    def words(self):
-        """The pair's memo. A function given in its place builds each letter
-        from its residue rows, once, when first needed."""
-        if callable(self._words):
-            self._words = {w: self._words(rows) for w, rows in self._rows.items()}
-        return self._words
+    @property
+    def a(self):
+        return self.word("a")
+
+    @property
+    def b(self):
+        return self.word("b")
+
+    @property
+    def s(self):
+        return self.word("s")
+
+    @property
+    def ab(self):
+        return self.word("ab")
+
+    @property
+    def ba(self):
+        return self.word("ba")
+
+    def word(self, w):
+        """The product of the letters of w, e.g. ``word("ab" * 2)`` = (ab)^2."""
+        m = self._words.get(w)  # most calls find the word: skip the call
+        return self._new_word(w) if m is None else m
+
+    def _new_word(self, w):
+        """A word missing from the memo. A candidate's letters are built
+        first, "" and s when first read, and any other word by ``_product``."""
+        words = self._words
+        if not words:
+            words["a"], words["b"] = map(self._build, self._rows.values())
+        if not w:
+            words[""] = ExactMatrix.identity(self.dim)
+        elif "s" in w and "s" not in words:
+            words["s"] = words["a"] + words["b"]
+        m = words.get(w)
+        return _product(words, w) if m is None else m
 
     def flag(self, name):
         value = self._values.get(name)
@@ -179,9 +226,7 @@ class _Decider:
             derived = _DERIVED.get(name)
             if derived is None:
                 x, y = _FLAG_WORDS[name]
-                value = self._image(x) == self._image(y) and (
-                    _product(self.words(), x) == _product(self.words(), y)
-                )
+                value = self._image(x) == self._image(y) and self.word(x) == self.word(y)
             else:
                 test, names = derived
                 value = test(map(self.flag, names))
@@ -195,9 +240,70 @@ class _Decider:
             v = self._images[w] = _apply(self._rows[w[0]], self._image(w[1:]))
         return v
 
+    @cached_property
+    def report(self):
+        """Every flag, without residuals."""
+        return _report(self.flag, None)
+
+    def combo(self, terms):
+        """Sum of c * word(w) over the (w, c) pairs; c is an int, w may repeat."""
+        terms = [(self.word(w), c) for w, c in terms]
+        # a list: unpacking a generator raised verify's peak RSS 2.5 MB (CPython 3.11)
+        den = lcm(*[m._den for m, _ in terms])
+        re = im = [0] * (self.dim * self.dim)
+        for m, c in terms:
+            f = c * (den // m._den)
+            re = [x + f * y for x, y in zip(re, m._re)]
+            im = [x + f * y for x, y in zip(im, m._im)]
+        return ExactMatrix._from_rep(self.dim, _kernel_py.normalize(den, re, im))
+
+    def defect(self, terms):
+        """The word combination ``terms`` on this pair, for
+        ``identities._from_defects``: x - y as the pair (word(x), word(y)),
+        which is decided by equality, and any other combination as its
+        ``combo`` matrix."""
+        if len(terms) == 2:
+            (x, c), (y, d) = terms
+            if c == 1 and d == -1:
+                return self.word(x), self.word(y)
+        return self.combo(terms)
+
+    @cached_property
+    def _spectra(self):
+        """Per word: its nilpotency degree, charpoly radical and nonzero radical."""
+        return {}, {}, {}
+
+    def nil_degree(self, w):
+        """The nilpotency degree of word w, or None where w is not nilpotent."""
+        nil = self._spectra[0]
+        if w not in nil:
+            nil[w] = nilpotency_degree(self.word(w))
+        return nil[w]
+
+    def radical(self, w):
+        """The charpoly radical of word w: x where w's nilpotency degree is kept."""
+        nil, radicals, _ = self._spectra
+        if nil.get(w) is not None:
+            return ExactPoly.variable()
+        if w not in radicals:
+            radicals[w] = poly_radical(charpoly(self.word(w)))
+        return radicals[w]
+
+    def radical_nonzero(self, w):
+        """``poly_radical_nonzero`` of the charpoly, derived from the radical.
+
+        The radical is monic and squarefree, so x divides it at most once and
+        dividing that factor out leaves the monic radical of the nonzero roots.
+        """
+        nonzero = self._spectra[2]
+        if w not in nonzero:
+            nonzero[w] = self.radical(w).strip_zero_roots()
+        return nonzero[w]
+
 
 def _product(words, w):
-    """The product of the letters of w, kept in the memo ``words``.
+    """The product of the letters of w, kept in the memo ``words`` of a
+    ``PairContext``.
 
     ``words`` maps words to matrices and holds at least every letter of w.
     A missing word is the product of its longest memoized prefix or suffix

@@ -36,7 +36,7 @@ from .exact import (
     poly_radical_nonzero,
     rank_kernel,
 )
-from .relations import _flags
+from .relations import PairContext
 from .scalar import Scalar
 
 __all__ = [
@@ -274,6 +274,6 @@ def dis_propagation(s, t):
     dis_ts = chain_profile(t * s).stable_degree
     dis_s = chain_profile(s).stable_degree
     dis_t = chain_profile(t).stable_degree
-    hypothesis_met = _flags(t, s)("comm_r") and dis_ts == 0
+    hypothesis_met = PairContext(t, s).flag("comm_r") and dis_ts == 0
     holds = (dis_s == 0 and dis_t <= 1) if hypothesis_met else False
     return DisPropagationVerdict(hypothesis_met, holds, dis_ts, dis_s, dis_t)

@@ -571,13 +571,44 @@ def test_example_checks_its_pair_once(monkeypatch, capsys):
     from weakcomm import instances
 
     calls = []
-    original = instances.relation_check
+    original = instances._checked
 
-    def counting(a, b):
-        calls.append((a, b))
-        return original(a, b)
+    def counting(ctx):
+        calls.append(ctx)
+        return original(ctx)
 
-    monkeypatch.setattr(instances, "relation_check", counting)
+    monkeypatch.setattr(instances, "_checked", counting)
     status, out, _ = _run_inproc(["example", "SEX_V_PQ"], capsys)
     assert status == 0 and json.loads(out)["all_ok"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "example_id", [e for e in ExampleId if e.value not in ("EXNILP_T", "EXNILP_N", "EXNILP_Q")]
+)
+def test_example_multiplies_each_word_of_its_pair_once(monkeypatch, capsys, example_id):
+    # the flags, the residuals, the word claims and the bespoke checks of an
+    # example read one memo per pair, so no word of the pair is multiplied
+    # twice: a product is first-time where its word is missing from the
+    # memo, and every multiplication makes one
+    from weakcomm import relations
+
+    made, memos, multiplied = [], [], []
+    product, times = relations._product, relations._times
+
+    def recording(words, w):
+        if w not in words:
+            memos.append(words)  # keeps the letters alive, so their ids stay unique
+            made.append((id(words["a"]), id(words["b"]), w))
+        return product(words, w)
+
+    def counting(x, y):
+        multiplied.append((x, y))
+        return times(x, y)
+
+    monkeypatch.setattr(relations, "_product", recording)
+    monkeypatch.setattr(relations, "_times", counting)
+    status, out, _ = _run_inproc(["example", example_id.value], capsys)
+    assert status == 0 and json.loads(out)["all_ok"]
+    assert len(made) >= 8 and len(multiplied) == len(made)
+    assert len(made) == len(set(made)), sorted(key[2] for key in made if made.count(key) > 1)

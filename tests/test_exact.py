@@ -1387,7 +1387,8 @@ def test_exact_types_pickle_round_trip():
             back._den = 2
     pair = sample_pair(RelationClass.COMM_L, 3, 1)
     back = pickle.loads(pickle.dumps(pair))
-    assert back == pair and back.report == pair.report and back.words == pair.words
+    ctx, back_ctx = pair.context, back.context
+    assert back == pair and back_ctx.report == ctx.report and back_ctx._words == ctx._words
 
 
 # -- inverse, rank, kernel -----------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from weakcomm import identities
 from weakcomm.freealg import Congruence, expand, flag_relations
-from weakcomm.identities import IdentityId, _suite_plan, check_identity
+from weakcomm.identities import IdentityId, check_identity
 from weakcomm.instances import RelationClass, sample_pair
 
 
@@ -40,7 +40,7 @@ def test_every_claim_the_suite_serves_is_proved():
     rows = {
         (identity, branch.label, p.get("n"))
         for identity, branch in _rows()
-        for p in _suite_plan(identity)
+        for p in identities._IDENTITIES[identity].grid
     }
     # KRITERION_RANGE's row is its one empty branch, ""
     assert len(rows) == 15 + 2 * 7

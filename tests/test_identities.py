@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from weakcomm import algebraic, exact, identities, instances, structure
+from weakcomm import algebraic, exact, identities, instances, relations, structure
 from weakcomm.cli import main
 from weakcomm.errors import SamplerBudgetError
 from weakcomm.errors import UnknownIdentityError
@@ -32,7 +32,6 @@ from weakcomm.identities import (
     _from_defects,
     _json_params,
     _run_checker,
-    _suite_plan,
     check_identity,
     identity_catalog,
     verify_suite,
@@ -795,7 +794,7 @@ def test_shared_context_matches_fresh_context():
     for a, b in _memo_sweep():
         ctx = PairContext(a, b)
         for identity in IdentityId:
-            for params in _suite_plan(identity):
+            for params in identities._IDENTITIES[identity].grid:
                 shared = _run_checker(identity, ctx, params)
                 fresh = check_identity(identity, a, b, **params)
                 assert shared == fresh, (identity, params, a.literal(), b.literal())
@@ -847,7 +846,7 @@ def test_radical_of_a_word_of_cached_nilpotency_degree_is_x(monkeypatch):
                     degree = ctx.nil_degree(w)
                     with monkeypatch.context() as m:
                         if degree is not None:
-                            m.setattr(identities, "charpoly", None)  # must not be called
+                            m.setattr(relations, "charpoly", None)  # must not be called
                         got = ctx.radical(w)
                     assert got == want, (a.literal(), b.literal(), w)
                     if degree is None:
@@ -1029,7 +1028,7 @@ def _recipe_combinations():
     for identity, decl in identities._IDENTITIES.items():
         if decl.words is None:
             continue
-        for params in list(_suite_plan(identity)) + orders:
+        for params in list(decl.grid) + orders:
             q = identities._params(identity, params)
             held = [(branch, q.get("n") or 1) for branch in decl.branches]
             for terms in decl.words(q, held):
@@ -1170,7 +1169,7 @@ def reference_verify_counts(classes, dims, samples_per_class, seed, inject_fault
             a, b = sample_pair(cls, dim, pair_seed, require_noncommuting=strict)
             ctx = PairContext(a, b)
             for identity in IdentityId:
-                for params in _suite_plan(identity):
+                for params in identities._IDENTITIES[identity].grid:
                     res = _run_checker(identity, ctx, params, invert=identity is inject_fault)
                     slot = counts[identity.value]
                     slot[res.verdict] += 1
@@ -1239,7 +1238,7 @@ def test_every_served_conclusion_evaluates_to_zero(monkeypatch, fresh_proofs):
     # The table is fresh, so each report's plan is built, and read, while
     # this records
     served, current, points = [], [], []
-    original, init = identities._proved, PairContext._init
+    original, sample = identities._proved, instances.sample_pair
 
     def recording(proofs, identity, held):
         ok = original(proofs, identity, held)
@@ -1247,9 +1246,10 @@ def test_every_served_conclusion_evaluates_to_zero(monkeypatch, fresh_proofs):
             served.append((current[-1], identity, points[-1], held))
         return ok
 
-    def entering(self, words, report):
-        init(self, words, report)
-        current.append(self)
+    def sampling(*args, **kwargs):
+        pair = sample(*args, **kwargs)
+        current.append(pair.context)
+        return pair
 
     def at_point(function):
         def run(identity, pair, q, *args):
@@ -1262,7 +1262,7 @@ def test_every_served_conclusion_evaluates_to_zero(monkeypatch, fresh_proofs):
     monkeypatch.setattr(identities, "_proved", recording)
     monkeypatch.setattr(identities, "_live", at_point(identities._live))
     monkeypatch.setattr(identities, "_held", at_point(identities._held))
-    monkeypatch.setattr(PairContext, "_init", entering)
+    monkeypatch.setattr(instances, "sample_pair", sampling)
     rep = verify_suite(dims=(2, 3, 4, 5), samples_per_class=4, seed=31)
     assert rep.failures == 0
     claims = {identity for _, identity, _, _ in served}
@@ -1289,13 +1289,22 @@ def test_suite_renders_the_witness_of_a_forced_hypothesis(monkeypatch):
     # on a defect pair and NEWTON_R on a word combination, and the suite's
     # first failure must render what check_identity and lhs - rhs render;
     # a proof trusts the flags, so with the proof table empty the forged
-    # hypotheses still reach the evaluator
-    original = PairContext._init
+    # hypotheses still reach the evaluator. The report is forced on the
+    # context of each sampled pair, once the sampler accepted it, and on
+    # the context check_identity builds
+    sample = instances.sample_pair
 
-    def forced(self, words, report):
-        original(self, words, dataclasses.replace(report, ab_in_comm_a=True, comm_r=True))
+    def force(ctx):
+        ctx.report = dataclasses.replace(ctx.report, ab_in_comm_a=True, comm_r=True)
+        return ctx
 
-    monkeypatch.setattr(PairContext, "_init", forced)
+    def forced(*args, **kwargs):
+        pair = sample(*args, **kwargs)
+        force(pair.context)
+        return pair
+
+    monkeypatch.setattr(instances, "sample_pair", forced)
+    monkeypatch.setattr(identities, "PairContext", lambda a, b: force(PairContext(a, b)))
     monkeypatch.setattr(identities, "_proof_table", lambda max_dim: identities._ProofTable())
     rep = verify_suite(["none"], (2, 3), 2, 17)
     sides = {
@@ -1477,13 +1486,14 @@ def test_suite_builds_no_combination_without_a_hypothesis(monkeypatch):
     rep = verify_suite(["none"], (2, 3, 4), 6, 29)
     assert rep.totals["vacuous"] > 0
     for name in ("NEWTON_R", "NEWTON_L", "BINOM", "TELESCOPE", "L1.III.ii", "L1.IV.ii"):
-        assert rep.identities[name]["vacuous"] == 6 * len(_suite_plan(IdentityId(name)))
+        grid = identities._IDENTITIES[IdentityId(name)].grid
+        assert rep.identities[name]["vacuous"] == 6 * len(grid)
 
 
 def test_suite_computes_no_nilpotency_degree_without_a_flag(monkeypatch, one_worker):
     # none-class pairs: the flags of every hypothesis with a nil atom are
     # false, and the report decides them before any degree is computed
-    degrees = _counting(monkeypatch, identities, "nilpotency_degree")
+    degrees = _counting(monkeypatch, relations, "nilpotency_degree")
     rep = verify_suite(["none"], (2, 3, 4), 30, 7)
     assert rep.failures == 0 and rep.identities["NIL_PROD"]["vacuous"] == 30
     assert degrees == []
@@ -1518,18 +1528,19 @@ def test_relation_check_multiplies_eight_words(monkeypatch):
 
 
 def test_pair_context_multiplies_only_the_words_of_unrefuted_flags(monkeypatch):
-    # the probe refutes every flag of the first pair, so construction
-    # multiplies nothing; SEX_I_PQ keeps three flags, whose seven words are
-    # multiplied once each
+    # construction multiplies nothing, and neither does deciding the report
+    # of the first pair, whose every flag the probe refutes; SEX_I_PQ keeps
+    # three flags, whose seven words are multiplied once each
     first = (ExactMatrix.parse("1,2,0;0,1/2,i;3,0,-1"), ExactMatrix.parse("0,1,1;i,0,2;0,0,1/3"))
     for (a, b), made in ((first, set()), (_pair(ExampleId.SEX_I_PQ), set(_RELATION_WORDS) - {"abb"})):
         letters = {"a": a, "b": b}
         want = relation_flags(a, b)
         calls = _count_products(monkeypatch)
         ctx = PairContext(a, b)
-        assert len(calls) == len(made)
-        assert set(ctx._words) == {"", "a", "b", "s"} | made
+        assert calls == [] and set(ctx._words) == {"a", "b"}
         assert ctx.report == want and ctx.report.residuals is None
+        assert len(calls) == len(made)
+        assert set(ctx._words) == {"a", "b"} | made
         words = {w: ctx.word(w) for w in _RELATION_WORDS}
         assert len(calls) == 8
         for w, m in words.items():
@@ -1543,8 +1554,6 @@ def test_pair_context_multiplies_only_the_words_of_unrefuted_flags(monkeypatch):
 def test_pair_context_multiplies_no_word_twice(monkeypatch):
     # one context per pair runs every checker of verify_suite's plan in
     # full; each word is multiplied once, by one product, and kept
-    from weakcomm import identities, relations
-
     pairs = _memo_sweep()
     original = relations._product
     made = []
@@ -1563,14 +1572,13 @@ def test_pair_context_multiplies_no_word_twice(monkeypatch):
         return m
 
     monkeypatch.setattr(relations, "_product", recording)
-    monkeypatch.setattr(identities, "_product", recording)
     calls = _count_products(monkeypatch)
     total = 0
     for a, b in pairs:
         made.clear()
         ctx = PairContext(a, b)
         for identity in IdentityId:
-            for params in _suite_plan(identity):
+            for params in identities._IDENTITIES[identity].grid:
                 _run_checker(identity, ctx, params)
         assert len(made) == len(set(made)), sorted(w for w in made if made.count(w) > 1)
         assert set(made) == set(ctx._words) - {"", "a", "b", "s"}
@@ -1579,38 +1587,40 @@ def test_pair_context_multiplies_no_word_twice(monkeypatch):
     assert inside == total
 
 
-def _sampled_context(pair):
-    """The context verify_suite builds on a pair that sample_pair accepted."""
-    ctx = PairContext.__new__(PairContext)
-    ctx._init(pair.words, pair.report)
-    return ctx
-
-
 def test_suite_decides_each_sampled_pair_once(monkeypatch):
-    # the sampler decides the flags that accept a pair, and the pair's
-    # context takes them over without deciding them again
-    from weakcomm import relations
+    # the sampler decides the flags that accept a pair, and verify checks
+    # that very context without deciding them again
+    decided, accepted, checked = [], [], []
+    report, sample, run = relations._report, instances.sample_pair, identities._run_checker
 
-    decided = {instances: 0, identities: 0}
+    def deciding(flag, residuals):
+        decided.append(flag.__self__)
+        return report(flag, residuals)
 
-    def counting(module):
-        def decide(words):
-            decided[module] += 1
-            return relations._decide(words)
+    def sampling(*args, **kwargs):
+        pair = sample(*args, **kwargs)
+        accepted.append(pair.context)
+        return pair
 
-        return decide
+    def checking(identity, ctx, *args, **kwargs):
+        checked.append(ctx)
+        return run(identity, ctx, *args, **kwargs)
 
     monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
-    for module in decided:
-        monkeypatch.setattr(module, "_decide", counting(module))
+    monkeypatch.setattr(relations, "_report", deciding)
+    monkeypatch.setattr(instances, "sample_pair", sampling)
+    monkeypatch.setattr(identities, "_run_checker", checking)
     rep = verify_suite(dims=(2, 3, 4), samples_per_class=5, seed=1)
     assert rep.failures == 0
-    assert decided[identities] == 0
-    assert decided[instances] >= 5 * len(RelationClass)
+    assert len(accepted) == 5 * len(RelationClass)
+    # every report was decided once, by the sampler, on the context it kept
+    assert len({id(ctx) for ctx in decided}) == len(decided) >= len(accepted)
+    assert all(any(ctx is d for d in decided) for ctx in accepted)
+    assert checked and all(any(ctx is c for c in accepted) for ctx in checked)
 
 
 def test_sampled_pair_context_equals_a_fresh_one():
-    # the memo and flags a sampled pair carries give the context that
+    # the context a sampled pair carries equals the one that
     # PairContext(a, b) builds; the pair is still the tuple (a, b)
     for cls in RelationClass:
         for dim in (2, 3, 4, 5):
@@ -1620,7 +1630,7 @@ def test_sampled_pair_context_equals_a_fresh_one():
                 pair = sample_pair(cls, dim, 60 + dim, require_noncommuting=strict)
                 a, b = pair
                 assert len(pair) == 2 and pair == (a, b) == tuple(pair)
-                ctx, fresh = _sampled_context(pair), PairContext(a, b)
+                ctx, fresh = pair.context, PairContext(a, b)
                 assert (ctx.a, ctx.b, ctx.dim) == (a, b, dim)
                 assert ctx.report == fresh.report
                 assert ctx.report.flags() == fresh.report.flags() and ctx.report.residuals is None
@@ -1639,7 +1649,7 @@ def test_r_v_hypothesis_reads_the_flags(monkeypatch):
     calls = _count_products(monkeypatch)
     refuted = 0
     for i, dim in enumerate((2, 3, 4) * 4):
-        ctx = PairContext(*sample_pair(RelationClass.NONE, dim, 40 + i))
+        ctx = sample_pair(RelationClass.NONE, dim, 40 + i).context
         if {"aab", "aba", "baa"} <= set(ctx._words):
             continue
         refuted += 1

@@ -150,7 +150,7 @@ def reference_solve_comm_r(rng, dim):
     from weakcomm._kernel_py import normalize
     from weakcomm.exact import _null_space
     from weakcomm.instances import _comm_r_system
-    from weakcomm.relations import _flags
+    from weakcomm.relations import PairContext
 
     rows = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
     coeffs = [rng.randint(-2, 2) for _ in range(dim - 1)]
@@ -166,8 +166,8 @@ def reference_solve_comm_r(rng, dim):
             c = rng.randint(-2, 2)
             if c:
                 b = b + m * c
-        flag = _flags(a, b)
-        if flag("comm_r") and not flag("comm"):
+        ctx = PairContext(a, b)
+        if ctx.flag("comm_r") and not ctx.flag("comm"):
             return a, b
     return None
 
@@ -282,11 +282,14 @@ def test_sampled_pair_carries_the_memo_that_accepted_it():
             strict = cls is not RelationClass.COMM and not (cls is RelationClass.COMM_W and dim < 3)
             pair = sample_pair(cls, dim, 30 + dim, require_noncommuting=strict)
             a, b = pair
-            assert pair.words["a"] is a and pair.words["b"] is b
-            assert pair.report == relation_flags(a, b)
-            assert class_matches(pair.report, cls, require_noncommuting=strict)
-            assert set(pair.words) - {"a", "b"} <= flag_words, (cls, dim)
-            for w, m in pair.words.items():
+            ctx = pair.context
+            assert ctx.a is a and ctx.b is b
+            # the sampler read the report that accepted the pair, and kept it
+            assert "report" in vars(ctx)
+            assert ctx.report == relation_flags(a, b)
+            assert class_matches(ctx.report, cls, require_noncommuting=strict)
+            assert set(ctx._words) - {"a", "b"} <= flag_words, (cls, dim)
+            for w, m in ctx._words.items():
                 assert m == functools.reduce(lambda x, y: x * y, ({"a": a, "b": b}[c] for c in w)), (cls, dim, w)
 
 
@@ -482,19 +485,19 @@ def test_witness_candidate_matches_the_scalar_draw():
 
 
 def test_search_rows_build_the_witness_candidates():
-    # a pair drawn as residue rows and built on demand by its decider equals
+    # a pair drawn as residue rows and built on demand by its context equals
     # the pair _witness_candidate draws from the same stream (which the test
     # above holds to the Scalar draw), and leaves the stream at the same place
-    from weakcomm.relations import _Decider
+    from weakcomm.relations import PairContext
 
     for dim in range(1, 9):
         for seed in range(150):
             new, old = random.Random(seed), random.Random(seed)
             for _ in range(2):
                 rows = _search_rows(new, dim), _search_rows(new, dim)
-                words = _Decider(_search_matrix, rows).words()
+                ctx = PairContext._of_rows(rows, _search_matrix)
                 want = _witness_candidate(old, dim), _witness_candidate(old, dim)
-                for got, w in zip((words["a"], words["b"]), want):
+                for got, w in zip((ctx.a, ctx.b), want):
                     assert (got.dim, got._den, got._re, got._im) == (w.dim, w._den, w._re, w._im), seed
             assert new.random() == old.random(), (dim, seed)
 

@@ -26,8 +26,8 @@ from weakcomm.instances import (
 from weakcomm.relations import (
     _FLAG_WORDS,
     FLAG_NAMES,
+    PairContext,
     RelationReport,
-    _flags,
     relation_check,
     relation_flags,
 )
@@ -390,8 +390,8 @@ def test_each_flag_read_alone_equals_the_report():
     for x, y in _getter_pairs():
         report = relation_flags(x, y)
         for name in _NAMES:
-            assert _flags(x, y)(name) == getattr(report, name), (name, x, y)
-        flag = _flags(x, y)
+            assert PairContext(x, y).flag(name) == getattr(report, name), (name, x, y)
+        flag = PairContext(x, y).flag
         assert [flag(n) for n in reversed(_NAMES)] == [getattr(report, n) for n in reversed(_NAMES)]
         true_flags += sum(report.flags().values())
     assert true_flags > 1000
@@ -404,7 +404,7 @@ def test_predicates_agree_with_their_report_form():
         report = relation_flags(x, y)
         for name, pred in _PREDICATES.items():
             want = _REPORT_PREDICATES[name](report)
-            assert pred(_flags(x, y)) == want, (name, x, y)
+            assert pred(PairContext(x, y).flag) == want, (name, x, y)
             met[name] += want
     # every satisfiable predicate is met, so both of its outcomes are compared
     assert {name for name in _PREDICATES if not met[name]} == {"comm_not_comm"}
@@ -425,9 +425,9 @@ def test_a_refuted_first_conjunct_ends_the_screen(monkeypatch):
     monkeypatch.setattr(_kernel_py, "mat_mul", lambda *args: multiplied.append(args) or mat_mul(*args))
     assert search_witness("comm_w_not_comm", 4, 1, 1) is None
     assert len(applied) == 6 and multiplied == []
-    decider = relations._Decider({"a": a, "b": b})
-    assert not _PREDICATES["comm_w_not_comm"](decider.flag)
-    assert set(decider._images) == {"", "a", "b", "ab", "ba", "aab", "aba"}
+    ctx = PairContext(a, b)
+    assert not _PREDICATES["comm_w_not_comm"](ctx.flag)
+    assert set(ctx._images) == {"", "a", "b", "ab", "ba", "aab", "aba"}
 
 
 # -- the probe's residues mod M ------------------------------------------------------
@@ -461,13 +461,12 @@ def test_a_wrapped_image_decides_no_flag():
     for x, y in ((a, b), (b, a)):
         want = _ref_flags(x, y)
         assert not any(want.values())
-        words = {"a": x, "b": y}
-        decider = relations._Decider(words)
-        assert all(decider._image(w) == [0, 0] for pair in _FLAG_WORDS.values() for w in pair)
+        ctx = PairContext(x, y)
+        assert all(ctx._image(w) == [0, 0] for pair in _FLAG_WORDS.values() for w in pair)
         assert relation_flags(x, y).flags() == want
-        assert relations._decide(words).flags() == want
+        assert ctx.report.flags() == want
         # the exact products of every flag were taken
-        assert set(words) == {"a", "b", "ab", "ba", "aab", "aba", "abb", "bab", "baa", "bba"}
+        assert set(ctx._words) == {"a", "b", "ab", "ba", "aab", "aba", "abb", "bab", "baa", "bba"}
 
 
 def _wide_part(rng, bits):
@@ -510,7 +509,7 @@ def test_flags_match_the_reference_on_wide_gaussian_entries():
         for x, y in ((a, b), (b, a)):
             want = _ref_flags(x, y)
             for name in _NAMES:
-                assert _flags(x, y)(name) == want[name], (name, x, y)
+                assert PairContext(x, y).flag(name) == want[name], (name, x, y)
                 met[name] += want[name]
                 unmet[name] += not want[name]
     # every name is compared both when it holds and when it fails
@@ -555,7 +554,7 @@ def test_residues_refute_what_the_exact_images_refute():
         rng = random.Random(4000 + dim)
         for _ in range(40):
             a, b = _witness_candidate(rng, dim), _witness_candidate(rng, dim)
-            decider = relations._Decider({"a": a, "b": b})
+            ctx = PairContext(a, b)
             for x, y in _FLAG_WORDS.values():
                 exact = []
                 for w in (x, y):
@@ -564,7 +563,7 @@ def test_residues_refute_what_the_exact_images_refute():
                         v = _gaussian_image(a if letter == "a" else b, v)
                     assert max(max(abs(re), abs(im)) for re, im in v) < 2**31
                     exact.append(v)
-                differ = decider._image(x) != decider._image(y)
+                differ = ctx._image(x) != ctx._image(y)
                 assert differ == (exact[0] != exact[1]), (x, y, a, b)
                 refuted += differ
                 kept += not differ
@@ -597,7 +596,7 @@ def test_drawn_residues_refute_what_the_exact_images_refute():
         rng = random.Random(4100 + dim)
         for _ in range(40):
             a, b = _search_rows(rng, dim), _search_rows(rng, dim)
-            decider = relations._Decider(_search_matrix, (a, b))
+            ctx = PairContext._of_rows((a, b), _search_matrix)
             built = {"a": _search_matrix(a), "b": _search_matrix(b)}
             scaled += built["a"]._den == 1 or built["b"]._den == 1
             for x, y in _FLAG_WORDS.values():
@@ -609,12 +608,12 @@ def test_drawn_residues_refute_what_the_exact_images_refute():
                         drawn = _drawn_image(a if letter == "a" else b, drawn)
                     assert max(max(abs(re), abs(im)) for re, im in drawn) < 2**31
                     exact.append(v)
-                differ = decider._image(x) != decider._image(y)
+                differ = ctx._image(x) != ctx._image(y)
                 assert differ == (exact[0] != exact[1]), (x, y, a, b)
                 refuted += differ
                 kept += not differ
-            assert callable(decider._words)
-            assert [decider.flag(n) for n in _NAMES] == [
+            assert ctx._words == {}
+            assert [ctx.flag(n) for n in _NAMES] == [
                 getattr(relation_flags(built["a"], built["b"]), n) for n in _NAMES
             ]
     assert refuted > 1000 and kept > 40 and scaled > 40
@@ -727,3 +726,39 @@ def test_search_makes_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- one module knows the word memo ---------------------------------------------
+
+
+def _memo_uses(path):
+    """The lines of the module at ``path`` that import or read ``_product``
+    or build a word dict with the keys "a" and "b" and no others."""
+    import ast
+
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "_product" for a in node.names):
+            uses.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "_product":
+            uses.append(node.lineno)
+        elif isinstance(node, ast.Dict) and len(node.keys) == 2:
+            keys = {k.value for k in node.keys if isinstance(k, ast.Constant)}
+            if keys == {"a", "b"}:
+                uses.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            if sorted(k.arg for k in node.keywords) == ["a", "b"]:
+                uses.append(node.lineno)
+    return uses
+
+
+def test_only_relations_knows_the_word_memo():
+    # every other module reads a pair's words through its PairContext
+    from pathlib import Path
+
+    import weakcomm
+
+    package = Path(weakcomm.__file__).parent
+    found = {p.name: _memo_uses(p) for p in sorted(package.glob("*.py"))}
+    assert found.pop("relations.py"), "the detector finds the memo where it is"
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -24,7 +24,7 @@ import time
 import pytest
 
 from weakcomm.cli import main
-from weakcomm.identities import IdentityId, _suite_plan, check_identity
+from weakcomm.identities import _IDENTITIES, IdentityId, check_identity
 from weakcomm.instances import ExampleId, RelationClass, sample_pair, witness_predicates
 
 VERIFY = "verify --dims 2,3,4 --samples 5 --seed 3"
@@ -406,14 +406,14 @@ def test_radius_verdicts_are_pinned():
 
 
 def _identity_sweep():
-    """check_identity results at each point of _suite_plan, one JSON line
+    """check_identity results at each point of an identity's grid, one JSON line
     each; RAD_PROD and RAD_SUM have a sweep of their own."""
     lines = []
     for a, b in _sweep_pairs():
         for ident in IdentityId:
             if ident in (IdentityId.RAD_PROD, IdentityId.RAD_SUM):
                 continue
-            for params in _suite_plan(ident):
+            for params in _IDENTITIES[ident].grid:
                 res = check_identity(ident, a, b, **params)
                 lines.append(json.dumps(res.to_json_dict(), sort_keys=True))
     return lines

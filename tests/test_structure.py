@@ -141,7 +141,7 @@ def test_criterion_is_the_product_flags_on_sampled_pairs():
             for seed in range(3):
                 pair = sample_pair(cls, dim, 900 + 30 * k + 3 * dim + seed, strict)
                 a, b = pair
-                got, flags = _criterion_and_flags(a, b, pair.report)
+                got, flags = _criterion_and_flags(a, b, pair.context.report)
                 assert got == flags, (cls, dim, seed)
                 seen.add(got)
     assert len(seen) == 4
