@@ -20,7 +20,7 @@ reads integer numerators alone, since whether a power is zero does not
 depend on the denominator. It first tries a certificate from the longest
 paths of a ``pattern``, the columns of each row's nonzeros, which decides a
 shift section with no value read when a longest path is unique, and
-divides each power by its gcd so that the numerators of long shift powers
+otherwise squares, dividing each power by its gcd so that the numerators
 stay small. None of them touches a d*d block.
 
 ``poly_divmod`` and ``poly_chain`` are the package's only polynomial
@@ -33,9 +33,9 @@ quotients and root tests. ``squarefree_mod_q`` certifies a polynomial
 squarefree from its image modulo a prime, so that most squarefree parts
 need no remainder sequence.
 
-The products skip zero entries, and ``echelon`` keeps the rows that are
-nonzero in each column: they return the same integers as the dense loops,
-with work proportional to the nonzero entries. Every exact division checks
+The products skip zero entries, and ``echelon`` keeps each row as a dict
+of its nonzeros: they return the same integers as the dense loops, with
+work proportional to the nonzero entries. Every exact division checks
 its remainder and raises ``ArithmeticError`` when it is not zero, so a
 broken invariant fails loudly (also under ``python -O``).
 """
@@ -266,18 +266,16 @@ def nilpotency_degree_ints(cols_of, values):
     at 2. Every walk of L edges from a start j of height L is a longest
     path, so when j has only one, A**L e_j is a single product of nonzero
     Gaussian integers, A**L != 0 and the degree is exactly L+1: a shift
-    section is decided in one pass, with no call to ``values``. Otherwise
-    A's columns are gathered and e_j is pushed through L column steps from
-    each start j; a nonzero result again gives the degree L+1.
+    section is decided in one pass, with no call to ``values``.
 
-    A cycle, or terms that cancel on every longest path, leave the degree to
-    the squarings. A is nilpotent exactly when A**d == 0. The squares
-    A**(2**j) are taken up to an exponent of at least d or to zero; then
-    binary lifting finds the largest m with A**m != 0, high bits first: bit
-    j stays set when A**m * A**(2**j) is still nonzero. Every power and
-    column step is divided by the gcd of its entries, so the numerators of
-    long shift powers stay small; a positive factor never changes whether a
-    power is zero.
+    Otherwise (a cycle, or several longest paths from every start, whose
+    terms may cancel) the squarings decide. A is nilpotent exactly when
+    A**d == 0. The squares A**(2**j) are taken up to an exponent of at least
+    d or to zero; then binary lifting finds the largest m with A**m != 0,
+    high bits first: bit j stays set when A**m * A**(2**j) is still
+    nonzero. Every power is divided by the gcd of its entries, so the
+    numerators of long powers stay small; a positive factor never changes
+    whether a power is zero.
     """
     d = len(cols_of)
     # Kahn's order from the sinks: a vertex enters once its out-edges are read
@@ -299,14 +297,7 @@ def nilpotency_degree_ints(cols_of, values):
                 order.append(j)
     if len(order) == d:
         top = max(height, default=0)
-        starts = [j for j, level in enumerate(height) if level == top]
-        if any(paths[j] == 1 for j in starts):
-            return top + 1
-        cols = [[] for _ in range(d)]
-        for i, row in enumerate(values()):
-            for j, vr, vi in row:
-                cols[j].append((i, vr, vi))
-        if any(_column_steps(cols, j, top) for j in starts):
+        if any(paths[j] == 1 for j, level in enumerate(height) if level == top):
             return top + 1
 
     def product(x, y):
@@ -330,25 +321,6 @@ def nilpotency_degree_ints(cols_of, values):
             power = candidate
             m += 1 << j
     return m + 1
-
-
-def _column_steps(cols, j, steps):
-    """A**steps * e_j up to a positive factor, as its (row, re, im) nonzeros,
-    for A given by its columns of (row, re, im) nonzeros."""
-    v = [(j, 1, 0)]
-    for _ in range(steps):
-        w = {}
-        for k, xr, xi in v:
-            for i, ar, ai in cols[k]:
-                yr, yi = w.get(i, (0, 0))
-                w[i] = (yr + ar * xr - ai * xi, yi + ar * xi + ai * xr)
-        g = 0
-        for yr, yi in w.values():
-            g = gcd(g, yr, yi)
-        if not g:
-            return []
-        v = [(i, yr // g, yi // g) for i, (yr, yi) in w.items() if yr or yi]
-    return v
 
 
 def poly_divmod(ar, ai, br, bi):
@@ -474,44 +446,31 @@ def echelon(ncols, rows):
     echelon form, and those rows as lists of (col, re, im) nonzeros in no
     particular column order. The rows below them are zero.
 
-    The pivot of a column is the first row, in the current order and at or
-    below the current one, that is nonzero there; it is swapped into place.
-    Each step sets x = (p*x - f*y) / prev on a row below the pivot, where p
-    is the pivot, f the row's entry in the pivot column, y the pivot row's
-    entry and prev the previous pivot (Bareiss 1968). Each column keeps the
-    set of rows below the current one that are nonzero in it, so a step
-    visits only the rows with f != 0, or every row below when p != prev,
-    and only at their nonzero columns and the pivot row's.
+    The pivot of a column is the first row at or below the current one that
+    is nonzero there; it is swapped into place. Each step sets
+    x = (p*x - f*y) / prev on a row below the pivot, where p is the pivot,
+    f the row's entry in the pivot column, y the pivot row's entry and prev
+    the previous pivot (Bareiss 1968). A row with f == 0 is left as it is
+    when p == prev, and is otherwise scaled by p / prev at its nonzeros.
     """
     work = [{j: (vr, vi) for j, vr, vi in row} for row in rows]
-    live = [set() for _ in range(ncols)]
-    for i, row in enumerate(work):
-        for j in row:
-            live[j].add(i)
-    order = list(range(len(work)))  # the row at each position
-    place = order[:]  # the position of each row
     prev_r, prev_i = 1, 0
     pivots = []
     for col in range(ncols):
         top = len(pivots)
         if top == len(work):
             break
-        targets = live[col]
-        if not targets:
+        p = next((i for i in range(top, len(work)) if col in work[i]), None)
+        if p is None:
             continue
-        p = min(targets, key=place.__getitem__)
-        q = order[top]
-        order[top], order[place[p]] = p, q
-        place[q], place[p] = place[p], top
-        y = work[p]
-        for j in y:
-            live[j].discard(p)
+        work[top], work[p] = work[p], work[top]
+        y = work[top]
         pr, pi = y.pop(col)
-        if pr != prev_r or pi != prev_i:
-            targets = order[top + 1:]
-        for t in targets:
-            x = work[t]
+        same = pr == prev_r and pi == prev_i
+        for x in work[top + 1:]:
             fr, fi = x.pop(col, (0, 0))
+            if same and not (fr or fi):
+                continue
             for cc in (x.keys() | y.keys()) if fr or fi else list(x):
                 xr, xi = x.get(cc, (0, 0))
                 yr, yi = y.get(cc, (0, 0))
@@ -525,13 +484,10 @@ def echelon(ncols, rows):
                     if rem_r or rem_i:
                         raise ArithmeticError(f"Bareiss step is not divisible by {prev_r}")
                 if vr or vi:
-                    if cc not in x:
-                        live[cc].add(t)
                     x[cc] = (vr, vi)
                 elif cc in x:
                     del x[cc]
-                    live[cc].discard(t)
         y[col] = (pr, pi)
         prev_r, prev_i = pr, pi
         pivots.append(col)
-    return pivots, [[(j, vr, vi) for j, (vr, vi) in work[i].items()] for i in order[:len(pivots)]]
+    return pivots, [[(j, vr, vi) for j, (vr, vi) in row.items()] for row in work[:len(pivots)]]

@@ -497,8 +497,6 @@ class ExactPoly:
             raise ZeroPolynomialError("zero polynomial has no squarefree part")
         if self.degree == 0:
             return ExactPoly.one()
-        if not any(self._re[:-1]) and not any(self._im[:-1]):
-            return ExactPoly.variable()  # c * x^n, e.g. a nilpotent charpoly
         if kernel.squarefree_mod_q(self._re, self._im):
             return self.monic()
         g = self.gcd(self.derivative())

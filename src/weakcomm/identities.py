@@ -50,8 +50,8 @@ the whole catalog over them deterministically, producing a JSON-stable
 report with per-identity counts and a first-failure witness. It decides
 each hypothesis first and counts an unmet one as vacuous without
 evaluating the conclusion, which the report never reads. A fault can
-be injected into one identity (its computed verdict is inverted) to prove
-the harness actually detects failures.
+be injected into one identity, whose pass and fail verdicts then swap, to
+prove the harness actually detects failures.
 
 ``verify_suite`` serves most met word-identity hypotheses from proofs, not
 from products. A word conclusion on the branches that hold is a theorem of
@@ -76,9 +76,9 @@ report and kept as long as the table: the served verdicts, and for each
 open evaluation its parameters and its live branches, those whose flags
 and parameter atoms hold. A pair copies the verdicts and runs a checker
 only on the open evaluations, deciding the word atoms of their live
-branches, and on every evaluation of an injected fault's identity. The
-derived flags are functions of the five primitive ones, so a table holds
-at most 32 plans.
+branches; an injected fault then swaps the pass and fail verdicts of its
+identity, and decides nothing anew. The derived flags are functions of
+the five primitive ones, so a table holds at most 32 plans.
 
 Each pair comes from its own seed, derived from (seed, class, index), so
 the pairs are independent: ``verify_suite`` checks them in forked worker
@@ -98,7 +98,6 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import itemgetter
 from typing import NamedTuple
 
 from .algebraic import radius_product_bound, radius_sum_bound
@@ -702,7 +701,7 @@ _SUITE_EVALUATIONS = tuple(
 )
 
 
-def _run_checker(identity, ctx, params, invert=False, proofs=None, planned=None):
+def _run_checker(identity, ctx, params, proofs=None, planned=None):
     """The checker's result. With ``proofs``, verify_suite's proof table, an
     unmet hypothesis gives None and its conclusion is never evaluated, and
     a met one whose conclusion the table proves holds without evaluation.
@@ -719,8 +718,6 @@ def _run_checker(identity, ctx, params, invert=False, proofs=None, planned=None)
         ok, residual, witness = True, 0.0, None
     else:
         ok, residual, witness = decl.conclusion(ctx, q, held)
-    if invert and held:
-        ok = not ok
     return IdentityResult(
         identity=identity,
         hypothesis_met=bool(held),
@@ -892,7 +889,7 @@ def verify_suite(
     """Run the whole identity catalog over sampled pairs of each relation class.
 
     Sampling is deterministic in (seed, class, index). ``inject_fault`` names
-    an identity whose computed verdict is inverted on every evaluation, a
+    an identity whose pass and fail verdicts swap on every evaluation, a
     self-test that the harness records failures. The pairs are checked on
     every CPU the process may use and merged in (class, index) order, so the
     report and the ``progress`` calls do not depend on the number of CPUs.
@@ -955,8 +952,9 @@ def verify_suite(
 def _pair_outcome(job, inject_fault, proofs):
     """Sample one pair and run the suite on it: the verdicts of its report's
     plan in ``proofs`` (``_report_plan``), built here on the report's first
-    pair, and a checker on each open evaluation and on every evaluation of
-    the injected fault's identity.
+    pair, and a checker on each open evaluation. The injected fault's
+    identity then has its pass and fail verdicts swapped; a swapped pass
+    fails with residual 0.0 and no defect.
 
     Returns the verdicts in ``_SUITE_EVALUATIONS`` order and, keyed by
     identity, the payload of each failing identity's first failing
@@ -971,19 +969,9 @@ def _pair_outcome(job, inject_fault, proofs):
     if plan is None:
         plan = proofs.plans[ctx.report] = _report_plan(ctx.report, proofs)
     verdicts, failures = list(plan.verdicts), {}
-    todo = plan.open
-    if inject_fault is not None:
-        faulted = [
-            _evaluation(k, ctx.report)
-            for k, (identity, _) in enumerate(_SUITE_EVALUATIONS)
-            if identity is inject_fault and verdicts[k] is not None
-        ]
-        todo = sorted((*todo, *faulted), key=itemgetter(0))
-    for k, identity, params, q, live in todo:
-        fault = identity is inject_fault
-        res = _run_checker(identity, ctx, params, invert=fault, proofs=proofs, planned=(q, live))
-        verdict = verdicts[k] = "vacuous" if res is None else res.verdict
-        if verdict == "fail" and identity.value not in failures:
+
+    def fail(identity, params, residual, defect):
+        if identity.value not in failures:
             failures[identity.value] = {
                 "class": cls.value,
                 "dim": dim,
@@ -992,9 +980,21 @@ def _pair_outcome(job, inject_fault, proofs):
                 "a": a.literal(),
                 "b": b.literal(),
                 "params": _json_params(params),
-                "residual": float(res.residual),
-                "defect": res.defect,
+                "residual": float(residual),
+                "defect": defect,
             }
+
+    for k, identity, params, q, live in plan.open:
+        res = _run_checker(identity, ctx, params, proofs=proofs, planned=(q, live))
+        verdict = verdicts[k] = "vacuous" if res is None else res.verdict
+        if verdict == "fail" and identity is not inject_fault:
+            fail(identity, params, res.residual, res.defect)
+    if inject_fault is not None:
+        for k, (identity, params) in enumerate(_SUITE_EVALUATIONS):
+            if identity is inject_fault and verdicts[k] != "vacuous":
+                verdicts[k] = "pass" if verdicts[k] == "fail" else "fail"
+                if verdicts[k] == "fail":
+                    fail(identity, params, 0.0, None)
     return verdicts, failures
 
 

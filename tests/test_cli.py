@@ -273,28 +273,19 @@ def test_truncate_certificates_at_large_sizes_take_no_elimination_or_product(
 ):
     from weakcomm import _kernel_py
 
-    eliminated, steps, products = [], [], []
-    echelon, column_steps, sparse_mul = (
-        _kernel_py.echelon,
-        _kernel_py._column_steps,
-        _kernel_py.sparse_mul,
-    )
+    eliminated, products = [], []
+    echelon, sparse_mul = _kernel_py.echelon, _kernel_py.sparse_mul
 
     def counted_echelon(ncols, rows):
         if rows:
             eliminated.append(ncols)
         return echelon(ncols, rows)
 
-    def counted_column_steps(cols, j, count):
-        steps.append(j)
-        return column_steps(cols, j, count)
-
     def counted_sparse_mul(d, a, b):
         products.append(d)
         return sparse_mul(d, a, b)
 
     monkeypatch.setattr(_kernel_py, "echelon", counted_echelon)
-    monkeypatch.setattr(_kernel_py, "_column_steps", counted_column_steps)
     monkeypatch.setattr(_kernel_py, "sparse_mul", counted_sparse_mul)
     expected = {
         "EXNILP_T": [(160, 0), (320, 0)],
@@ -310,7 +301,7 @@ def test_truncate_certificates_at_large_sizes_take_no_elimination_or_product(
     # peel takes every row of the certified kernel's block and a unique
     # longest path gives the degree, so the work is linear in the nonzeros,
     # with no Bareiss step and no product
-    assert eliminated == [] and steps == [] and products == []
+    assert eliminated == [] and products == []
 
 
 def _count_numerators(monkeypatch):

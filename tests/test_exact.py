@@ -38,7 +38,7 @@ from weakcomm.exact import (
     poly_radical_nonzero,
     rank_kernel,
 )
-from weakcomm.instances import ExampleId, RelationClass, paper_example, sample_pair
+from weakcomm.instances import ExampleId, RelationClass, _comm_r_system, paper_example, sample_pair
 from weakcomm.scalar import Scalar
 from weakcomm.shiftlab import finite_support_kernel, parse_spec, truncate
 
@@ -688,6 +688,12 @@ def _echelon_inputs():
         for m in (section, section.transpose()):
             _, re, im = m._rep()
             yield 30, 30, re, im
+    # the 16 x 16 systems b -> b a^2 - a b a of sampled dim-4 comm_r pairs,
+    # the largest blocks that any command eliminates
+    for seed in range(4):
+        a, _ = sample_pair(RelationClass.COMM_R, 4, seed)
+        _, re, im = _comm_r_system(a)._rep()
+        yield 16, 16, re, im
     # a dense Gaussian block, and a taller one of lower rank
     yield (9, 9, *_rand_int_matrix(rng, 9, 9, 1.0, True))
     yield (10, 8, *_rank_deficient(rng, 10, 8, True))
@@ -1634,39 +1640,28 @@ def test_nilpotency_degree_falls_back_when_paths_cancel(monkeypatch):
     assert calls != []
 
 
-def _count_column_steps(monkeypatch):
-    calls = []
-    column_steps = _kernel_py._column_steps
-
-    def counted(cols, j, steps):
-        calls.append(j)
-        return column_steps(cols, j, steps)
-
-    monkeypatch.setattr(_kernel_py, "_column_steps", counted)
-    return calls
-
-
 def test_nilpotency_degree_certified_by_a_unique_longest_path(monkeypatch):
     # two starts of height 2: vertex 0 has the two paths of a diamond that
     # cancels (0 -> 1 -> 3, 0 -> 2 -> 3 with weights 1, 1, 1, -1), vertex 4
     # the one path 4 -> 5 -> 6, which gives A^2 e_4 = (2 - i)(2 + i) e_6 =
     # 5 e_6: the path alone certifies the degree
     rows = [[], [(0, 1, 0)], [(0, 1, 0)], [(1, 1, 0), (2, -1, 0)], [], [(4, 2, 1)], [(5, 2, -1)]]
-    steps, products = _count_column_steps(monkeypatch), _count_sparse_mul(monkeypatch)
+    products = _count_sparse_mul(monkeypatch)
     assert _kernel_py.nilpotency_degree_ints(_kernel_py.pattern(rows), lambda: rows) == 3
-    assert steps == [] and products == []
+    assert products == []
     dense_re, dense_im = _kernel_py.dense_rows(7, rows)
     a = ExactMatrix._from_rep(7, (1, dense_re, dense_im))
     assert reference_nilpotency_degree(a) == 3
 
 
-def test_nilpotency_degree_takes_column_steps_on_two_longest_paths(monkeypatch):
+def test_nilpotency_degree_squares_on_two_longest_paths(monkeypatch):
     # the diamond with weights 1, 1, 1, 1: two longest paths that add up,
-    # A^2 e_0 = 2 e_3, so the column steps certify the degree 3
+    # A^2 e_0 = 2 e_3, which no path alone certifies, so the squarings find
+    # the degree 3
     rows = [[], [(0, 1, 0)], [(0, 1, 0)], [(1, 1, 0), (2, 1, 0)]]
-    steps, products = _count_column_steps(monkeypatch), _count_sparse_mul(monkeypatch)
+    products = _count_sparse_mul(monkeypatch)
     assert _kernel_py.nilpotency_degree_ints(_kernel_py.pattern(rows), lambda: rows) == 3
-    assert steps == [0] and products == []
+    assert products != []
 
 
 def _gaussian_entry(rng):
@@ -1682,9 +1677,7 @@ def test_nilpotency_degree_ints_matches_reference_on_random_matrices(monkeypatch
     # small entries make some paths cancel as well
     rng = random.Random(2909)
     calls = _count_sparse_mul(monkeypatch)
-    steps = _count_column_steps(monkeypatch)
     certified = fell_back = 0
-    outcomes = dict.fromkeys(("unique path", "column steps", "squarings"), 0)
     for case in range(1200):
         d = rng.randint(1, 9)
         kind = case % 4
@@ -1701,7 +1694,7 @@ def test_nilpotency_degree_ints_matches_reference_on_random_matrices(monkeypatch
             u = _unimodular(rng, d)
             a = u * a * inverse(u)
         _, re, im = a._rep()
-        del calls[:], steps[:]
+        del calls[:]
         rows = _kernel_py.sparse_rows(d, re, im)
         degree = _kernel_py.nilpotency_degree_ints(_kernel_py.pattern(rows), lambda: rows)
         assert degree == reference_nilpotency_degree(a), a
@@ -1710,9 +1703,7 @@ def test_nilpotency_degree_ints_matches_reference_on_random_matrices(monkeypatch
                 fell_back += 1
             else:
                 certified += 1
-            outcomes["squarings" if calls else "column steps" if steps else "unique path"] += 1
     assert certified > 400 and fell_back > 100
-    assert all(outcomes.values()), outcomes
 
 
 def test_exp_exact_nilpotent():

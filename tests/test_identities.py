@@ -1145,6 +1145,17 @@ def test_inject_fault_binom_flips_only_binom(capsys):
     assert after["vacuous"] == before["vacuous"]
 
 
+def test_inject_fault_runs_no_extra_checker(monkeypatch):
+    # a fault flips the verdicts of its identity; it decides nothing anew
+    monkeypatch.setattr(identities, "_worker_count", lambda jobs: 1)
+    calls = _counting(monkeypatch, identities, "_run_checker")
+    clean = verify_suite(dims=(2, 3, 4), samples_per_class=5, seed=3)
+    checked = len(calls)
+    faulty = verify_suite(dims=(2, 3, 4), samples_per_class=5, seed=3, inject_fault="BINOM")
+    assert len(calls) - checked == checked > 0
+    assert faulty.identities["BINOM"]["fail"] == clean.identities["BINOM"]["pass"] > 0
+
+
 # -- hypothesis first: the suite skips conclusions no verdict reads --------------
 
 
@@ -1170,10 +1181,14 @@ def reference_verify_counts(classes, dims, samples_per_class, seed, inject_fault
             ctx = PairContext(a, b)
             for identity in IdentityId:
                 for params in identities._IDENTITIES[identity].grid:
-                    res = _run_checker(identity, ctx, params, invert=identity is inject_fault)
+                    res = _run_checker(identity, ctx, params)
+                    verdict, residual, defect = res.verdict, res.residual, res.defect
+                    if identity is inject_fault and verdict != "vacuous":
+                        verdict = "pass" if verdict == "fail" else "fail"
+                        residual, defect = 0.0, None
                     slot = counts[identity.value]
-                    slot[res.verdict] += 1
-                    if res.verdict == "fail" and slot["first_failure"] is None:
+                    slot[verdict] += 1
+                    if verdict == "fail" and slot["first_failure"] is None:
                         slot["first_failure"] = {
                             "class": cls.value,
                             "dim": dim,
@@ -1182,8 +1197,8 @@ def reference_verify_counts(classes, dims, samples_per_class, seed, inject_fault
                             "a": a.literal(),
                             "b": b.literal(),
                             "params": _json_params(params),
-                            "residual": float(res.residual),
-                            "defect": res.defect,
+                            "residual": float(residual),
+                            "defect": defect,
                         }
     totals = {"pass": 0, "vacuous": 0, "fail": 0}
     for slot in counts.values():

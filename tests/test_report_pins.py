@@ -298,6 +298,169 @@ PINS = {
     ),
 }
 
+# the fault of every other identity at VERIFY, where each identity passes at
+# least once, so each fault flips a verdict
+PINS.update({
+    VERIFY + " --inject-fault " + name: pin
+    for name, pin in {
+        "L1.I.i": (
+            1,
+            "07eb907a139fc67d801cab850f2d5e3a96b98cb621dea1617d3a8e8ad7798a7d",
+            "7d98c20d113b4ca3553ba0a37c5beef67112df6c5598c0400e8305cc9193a38b",
+        ),
+        "L1.I.ii": (
+            1,
+            "402d454dcc4076b7a3c7caaa40a0e2b88b764b4d92174dba263451716be3d8f3",
+            "16d9af5fdb917cf1dd218db2ff4d534d394541416f0b2167d40bca0c29dfe5f8",
+        ),
+        "L1.I.iii": (
+            1,
+            "1f46487158e391327bcf381401b23d717854b3d6a58f96bb93947ed282507bb2",
+            "b15a671f7710d7e11b536ca2b29612da4f2c1814c40fe8a8053b55ff3cd6671a",
+        ),
+        "L1.II.i": (
+            1,
+            "fa16500cb142c098064e871f8a8c0a5ad0e75bb307731db4c89ca9ebfd7e0e7f",
+            "92bc973fd558d9770ee327bf20d6a858a73a276fa86a8081b43f31e6fa7d62d8",
+        ),
+        "L1.II.ii": (
+            1,
+            "ad1598c073b75807e052cff172b69b182052bd1589493f58d786fd765a452eac",
+            "ff31536d02b5224d4e95385c237f1c4492d690c7bae54a954fff4ca65d2dd131",
+        ),
+        "L1.II.iii": (
+            1,
+            "dca570192cdf78eb5c022f716495f2820312108748c3961c243972d127379c17",
+            "e4d207bbcbeed2f1267450e99501a8ae977700c88f62191a7a77b4b2c0b18cd6",
+        ),
+        "L1.III.i": (
+            1,
+            "48581631a3bf2fb301d749e64535ac4d2009232b172c7b8a33d53b39733ef52c",
+            "43d25c96ee9dd6c9c6fc4ab7b8f6a36fff7c16bddd03d8aa1ea0ca2352e068f9",
+        ),
+        "L1.III.ii": (
+            1,
+            "b7001a78499fdeaa1def5d6c84517f50114b02ddf2e3b9820c4a1d5cfdf0ba2d",
+            "3953c3d59c01562adbb51f72b1721d9f30e862b7b8c21297d2fb8730d80ec990",
+        ),
+        "L1.III.iii": (
+            1,
+            "b1ef0eaa488e2159c8bef397cba0ce712290718864a3eb5f673ef37c07bd49be",
+            "3eea140c2ef961199bc980e64f2a718af5c174c059e83e6ee0809984cd3ba4b7",
+        ),
+        "L1.IV.i": (
+            1,
+            "751e6893a7a1a08fce7982cc71f8f4e5c11a455abe5faf1f45ff5134bd995a51",
+            "c6219a6afb90ab67fb65d8ea9aa999aa6d97462eb69f74cc8cc7843feb62f5ee",
+        ),
+        "L1.IV.ii": (
+            1,
+            "032d4a3bd5d0cdb11aa8b4ec38d83e0dfd7aa88dccdf14f2773c8df420973c2f",
+            "526090dfd6ab67a215653d943a02583ee89835119c0b5d4a016af09f01564df4",
+        ),
+        "L1.IV.iii": (
+            1,
+            "311993ef3f3ea7eff7361c7b6684264cef18723ddfd41a9a4f78253d9907fc0d",
+            "49f0591451687dc299ec09a1ad233a414da313c76cd796d1435a555c7e1b937e",
+        ),
+        "R.i": (
+            1,
+            "0ee01b609e6773a6420480c8fe11adbb80ee2afdf3de0d813896689de1308111",
+            "d8e15c89fd4d62beaf9d4906ff7f23a7264e5f526dc921c66e2e5f8a2105fdd8",
+        ),
+        "R.ii": (
+            1,
+            "af04e2ef96c4bff267338d2fb86ae6466a6af504d12c490c69bdc92947ca16cf",
+            "ac7c61b36c1c65780496e52febb4c7177f6897eea6d9578eee417de2c3ad6fb1",
+        ),
+        "R.iii": (
+            1,
+            "1f706ea06dcbdc2bc6c6a265acb2802a590734ea81bae9c42ca7daadc6c7afd5",
+            "05a6218a22e6ff63f76c3f5e545ece17660becbae1e5902b7897a498538b19b1",
+        ),
+        "R.iv": (
+            1,
+            "bb08b7bd133b97b5590b38c436576e40fda77a2f5563e092d0d008af5c4db707",
+            "916e4c6167351f80a33ad2f9e7d2426c8288c718df260dce064db4036aa3c5b0",
+        ),
+        "R.v": (
+            1,
+            "a0ada932743bb68694e6d1e6febb7e76d396e9faf1a47a042e019b0f45efb580",
+            "eca9ac1c0d8b23b5cb7f4a45c01935b34e040f46fc530fba57e94a8cc2f9a39e",
+        ),
+        "NEWTON_L": (
+            1,
+            "5212b5f05a9cba4cc4b404b163261b3237d82d41d7bfd423c654d50469bf0308",
+            "93e54a9132e70c5b31bafe4adc160ddd72c1a59afc8de4465a9459a04d7c76f8",
+        ),
+        "BINOM": (
+            1,
+            "423975eafe9408bcc89a664ef44de7ec5d2057a07d731f57c0f2d31c428979b5",
+            "e014b3214153974275eaf2bd4f4602613605e6b3d0773af916af11361ae6b5cd",
+        ),
+        "EXP_CORR": (
+            1,
+            "f7d392ec3fdbd1446578d6787f8db6691e30abe6a98de07cc7c8a2d5c3b199df",
+            "1ef397d52542c7f64b6b8ee846244fa1942f3f89c896c769e3426f874554fc7b",
+        ),
+        "NIL_PROD": (
+            1,
+            "eb1887a25e44fe272166a9053c8f2104abc6338235a5e2d55c2e32d2c2d72f74",
+            "4ae4535668191b7b9c88ea23759aa931ac49c4c4d1a55ba4fde37cf489fe6d1f",
+        ),
+        "NIL_SUM": (
+            1,
+            "4aa29c864d5ad2fe88db56a1310c0f1a861b70a2b69157917023eeb65211e969",
+            "d01ffcb935c85b9d8ed898c877d8ad817b9f5fc28d74e815010827b4913001f0",
+        ),
+        "NIL_TELE": (
+            1,
+            "c453ae3d24409a382d2ea587b9d4fc36ede6ab9b82198aaf611710d91b574e16",
+            "94b0dbeebcb0d87f88eaa3fcd7b71ac08e3a1a2d8f766a83c0efd0e326ea31e1",
+        ),
+        "RAD_PROD": (
+            1,
+            "09367a080a7f0af384c5857882c0587011a666ae0dfb286d5b3b60ca4673b52b",
+            "b5a49cee1278d0dcd3576127cff2d5361cfc05d7f6d0b6d0a3b67f7daa8f1290",
+        ),
+        "RAD_SUM": (
+            1,
+            "0501d64ef7738014aeb6db8d6951fc165ff10010af151648713aa10ff2195520",
+            "6cbdf3dd08c316b9c210cf1e13a614f969ec28e827f19840a151b9473d80a264",
+        ),
+        "QUASI_CLOSURE": (
+            1,
+            "b5e0d48f307427718e90f6a93376ffe75c96fc2c9c7d5641b1d2229bb436531b",
+            "b0b3bc0f8a4bb36a03d93ab6317523506f189f25c6fd90c3f3255d3f5e13cecc",
+        ),
+        "SPEC_INCL": (
+            1,
+            "bc94fd036aded72972a56db388d43c2bdbc09c99f641c832cdbb4d9c0d7492cc",
+            "0fc106d722c76f1688f6ce2e5b3e8ccad48ff167a1ee10faad8bd5b1fb81ffe7",
+        ),
+        "SPEC_EQ_N2": (
+            1,
+            "3a85f998bebb0c34285c23fb4d6d50febf0fa8020fafef2388822ffa414f8c4f",
+            "ca90c8c0cbde5b03447e6ee859818101e1f902b8c04229a3566e722ad7aa0c89",
+        ),
+        "SPEC_EQ_W": (
+            1,
+            "3c227eefcb49316e80e4a1a67e285350e3dffcee6272abd798f897f794633dc0",
+            "98288c0901965aebce6d4b512a149245bab2326ae623b89b741986b4992716a4",
+        ),
+        "KER_INCL": (
+            1,
+            "8f9461cb1204ce70408c2fdc760b34353d42c183264a8509fbb9eb3ca0bbe1c0",
+            "5f69c15daf51716aa7f5568611be04775c5475676ada045c95a01f80c34279a3",
+        ),
+        "KRITERION_RANGE": (
+            1,
+            "34b5785e880329e5729d5bcbbd4120c0360ca342b55d83daa94db457ba70795e",
+            "6b9f2ebe47f5e8d2e310a299f0bae8a60ae85b041f6a3036f3785cf96df06009",
+        ),
+    }.items()
+})
+
 # sha256 of the JSON lines of _expansion_sweep(), and its fail count
 EXPANSION_PIN = ("d6fd4d8e3f4178c8bdb376d7f18461da8e852efd38ed954bb8966ffc568abf12", 80)
 
@@ -337,6 +500,10 @@ def test_gate_report_is_pinned(capsys):
 
 def test_pins_cover_every_example():
     assert {f"example {e.value}" for e in ExampleId} <= set(PINS)
+
+
+def test_pins_cover_every_fault():
+    assert {f"{VERIFY} --inject-fault {i.value}" for i in IdentityId} <= set(PINS)
 
 
 def test_pins_cover_every_predicate():

@@ -236,8 +236,9 @@ _ROUTE_SPECS = {
     # the finite-rank entry cancels the weight 1/2 at (2, 1)
     "cancelled cell": "direction: down\nweights: 1/(k+1)\nfinite: 2 1 -1/2\n",
     # 0 -> 1 -> 3 and 0 -> 2 -> 3 add up to 2 + 1/3 at 3: the longest path
-    # from 0 is not unique, and the kernel keeps row 3 for Bareiss
-    "column steps": "direction: down\nweights_odd: 1/(k+0)\nfinite: 3 1 1\nfinite: 4 2 2\n",
+    # from 0 is not unique, so the squarings find the degree, and the kernel
+    # keeps row 3 for Bareiss
+    "two longest paths": "direction: down\nweights_odd: 1/(k+0)\nfinite: 3 1 1\nfinite: 4 2 2\n",
     # the same two paths cancel, so the squarings find A^2 = 0
     "paths cancel": "direction: down\nweights_odd: 1/(k+0)\nfinite: 3 1 1\nfinite: 4 2 -1/3\n",
     # the block [[1, 1], [-1, -1]] squares to zero but is a cycle, and its
@@ -260,7 +261,7 @@ def test_integer_section_matches_the_fraction_route(monkeypatch, capsys):
     from weakcomm import _kernel_py, cli
 
     routes = []
-    for name in ("_column_steps", "sparse_mul", "echelon"):
+    for name in ("sparse_mul", "echelon"):
         monkeypatch.setattr(
             _kernel_py,
             name,
@@ -306,7 +307,7 @@ def test_integer_section_matches_the_fraction_route(monkeypatch, capsys):
             compared += 1
     assert compared > 1200
     assert all(not taken[e.value] for e in ExampleId if example_entry(e).kind == "op_spec")
-    assert taken["column steps"] == {"_column_steps", "echelon"}
+    assert taken["two longest paths"] == {"sparse_mul", "echelon"}
     assert {"sparse_mul", "echelon"} <= taken["cycle"]
     assert "sparse_mul" in taken["paths cancel"] and "sparse_mul" in taken["not nilpotent"]
 
