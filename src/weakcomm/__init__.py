@@ -15,105 +15,87 @@ structure (kernels, ranges, spectra), instances (registry and samplers),
 shiftlab (operator truncations), cli (batch entry point). They need only
 the standard library. numeric, a floating twin for the tests, is the one
 module that imports NumPy; the package does not import it.
+
+Importing the package loads none of its modules. Each public name below is
+imported from its module on first access (PEP 562), so a caller pays only
+for the layers it uses, and every layer stands on the arithmetic core
+(scalar, exact and its integer kernel). The registry and samplers
+(instances) load the core, relations and shiftlab; identities adds
+structure and algebraic. The cli loads the first set: its example, search
+and truncate commands run on it, and only verify loads identities.
 """
 
-from .scalar import Scalar
-from .exact import (
-    ExactMatrix,
-    ExactPoly,
-    SubspaceBasis,
-    charpoly,
-    exp_exact_nilpotent,
-    inverse,
-    nilpotency_degree,
-    poly_radical,
-    poly_radical_nonzero,
-    rank_kernel,
-)
-from .relations import RelationReport, relation_check, relation_flags
-from .identities import (
-    IdentityId,
-    IdentityResult,
-    SuiteReport,
-    check_identity,
-    identity_catalog,
-    verify_suite,
-)
-from .structure import (
-    ChainProfile,
-    chain_profile,
-    dis_propagation,
-    full_spectrum_equal_exact,
-    invariant_restriction,
-    kernel_inclusion_forward,
-    kernel_inclusion_reverse,
-    nonzero_spectrum_equal_exact,
-    range_kernel_criterion,
-)
-from .instances import (
-    ExampleId,
-    RelationClass,
-    WitnessRecord,
-    paper_example,
-    registry_self_test,
-    sample_pair,
-    sample_spectral_instance,
-    search_witness,
-)
-from .shiftlab import (
-    LTwoOpSpec,
-    WeightRule,
-    finite_support_kernel,
-    format_spec,
-    parse_spec,
-    truncate,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Scalar",
-    "ExactMatrix",
-    "ExactPoly",
-    "SubspaceBasis",
-    "charpoly",
-    "exp_exact_nilpotent",
-    "inverse",
-    "nilpotency_degree",
-    "poly_radical",
-    "poly_radical_nonzero",
-    "rank_kernel",
-    "RelationReport",
-    "relation_check",
-    "relation_flags",
-    "IdentityId",
-    "IdentityResult",
-    "SuiteReport",
-    "check_identity",
-    "identity_catalog",
-    "verify_suite",
-    "ChainProfile",
-    "chain_profile",
-    "dis_propagation",
-    "full_spectrum_equal_exact",
-    "invariant_restriction",
-    "kernel_inclusion_forward",
-    "kernel_inclusion_reverse",
-    "nonzero_spectrum_equal_exact",
-    "range_kernel_criterion",
-    "ExampleId",
-    "RelationClass",
-    "WitnessRecord",
-    "paper_example",
-    "registry_self_test",
-    "sample_pair",
-    "sample_spectral_instance",
-    "search_witness",
-    "LTwoOpSpec",
-    "WeightRule",
-    "finite_support_kernel",
-    "format_spec",
-    "parse_spec",
-    "truncate",
-]
+# module -> the public names it defines
+_LAYERS = {
+    "scalar": ("Scalar",),
+    "exact": (
+        "ExactMatrix",
+        "ExactPoly",
+        "SubspaceBasis",
+        "charpoly",
+        "exp_exact_nilpotent",
+        "inverse",
+        "nilpotency_degree",
+        "poly_radical",
+        "poly_radical_nonzero",
+        "rank_kernel",
+    ),
+    "relations": ("RelationReport", "relation_check", "relation_flags"),
+    "identities": (
+        "IdentityId",
+        "IdentityResult",
+        "SuiteReport",
+        "check_identity",
+        "identity_catalog",
+        "verify_suite",
+    ),
+    "structure": (
+        "ChainProfile",
+        "chain_profile",
+        "dis_propagation",
+        "full_spectrum_equal_exact",
+        "invariant_restriction",
+        "kernel_inclusion_forward",
+        "kernel_inclusion_reverse",
+        "nonzero_spectrum_equal_exact",
+        "range_kernel_criterion",
+    ),
+    "instances": (
+        "ExampleId",
+        "RelationClass",
+        "WitnessRecord",
+        "paper_example",
+        "registry_self_test",
+        "sample_pair",
+        "sample_spectral_instance",
+        "search_witness",
+    ),
+    "shiftlab": (
+        "LTwoOpSpec",
+        "WeightRule",
+        "finite_support_kernel",
+        "format_spec",
+        "parse_spec",
+        "truncate",
+    ),
+}
+_HOME = {name: module for module, names in _LAYERS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    # looked up on every access and never bound here, so a name always
+    # reads as its module holds it now
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -22,7 +22,6 @@ from . import __version__
 from .errors import WeakcommError
 from ._kernel_py import nilpotency_degree_ints
 from .exact import _charpoly_rows
-from .identities import IdentityId, verify_suite
 from .instances import (
     ExampleId,
     RelationClass,
@@ -32,7 +31,7 @@ from .instances import (
     search_witness,
     witness_predicates,
 )
-from .relations import relation_check
+from .relations import _checked
 from . import shiftlab
 
 SCHEMA_VERSION = 1
@@ -80,7 +79,7 @@ def build_parser():
     p_verify.add_argument(
         "--inject-fault",
         default=None,
-        choices=[i.value for i in IdentityId],
+        metavar="IDENTITY",
         help="invert one identity's verdicts (harness self-test)",
     )
 
@@ -120,6 +119,9 @@ def build_parser():
 
 
 def _run_verify(args):
+    # the one command that needs the identity suite loads it
+    from .identities import IdentityId, verify_suite
+
     classes = None
     if args.classes is not None:
         try:
@@ -128,12 +130,21 @@ def _run_verify(args):
             raise ConfigError(str(exc))
     if args.samples < 1:
         raise ConfigError("--samples must be >= 1")
+    fault = None
+    if args.inject_fault is not None:
+        try:
+            fault = IdentityId(args.inject_fault)
+        except ValueError:
+            raise ConfigError(
+                f"--inject-fault {args.inject_fault!r} is not an identity id; "
+                f"choose from {', '.join(i.value for i in IdentityId)}"
+            ) from None
     report = verify_suite(
         classes=classes,
         dims=args.dims,
         samples_per_class=args.samples,
         seed=args.seed,
-        inject_fault=IdentityId(args.inject_fault) if args.inject_fault else None,
+        inject_fault=fault,
     )
     payload = report.to_json_dict()
     payload["command"] = "verify"
@@ -186,7 +197,8 @@ def _run_search(args):
         payload["witness"] = None
         return payload, 1
     payload["witness"] = record.to_json_dict()
-    payload["relation"] = relation_check(record.a, record.b).to_json_dict()
+    # the residuals of the flags the search screen decided, from its words
+    payload["relation"] = _checked(record.context).to_json_dict()
     return payload, 0
 
 

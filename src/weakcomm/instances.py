@@ -9,7 +9,8 @@ Every pair is read through one ``relations.PairContext``, which keeps its
 flags, words and spectra. ``sample_pair`` and ``paper_example`` return the
 tuple (a, b) with the ``context`` that decided its flags, so ``verify`` and
 the registry's word claims and bespoke checks reuse it; the search screens
-each candidate through a context built from its drawn residue rows.
+each candidate through a context built from its drawn residue rows, and
+its ``WitnessRecord`` keeps the witness's context.
 
 Samplers produce deterministic pseudo-random pairs lying in a requested
 relation class. Classes are conjugation-stable (their defining equations are
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -491,10 +492,13 @@ class WitnessRecord:
     predicate: str
     samples_tried: int
     seed: int
+    # the PairContext of (a, b) that decided its flags; one is built when none is given
+    context: PairContext = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        pred = _PREDICATES[self.predicate]
-        if not pred(PairContext(self.a, self.b).flag):
+        if self.context is None:
+            object.__setattr__(self, "context", PairContext(self.a, self.b))
+        if not _PREDICATES[self.predicate](self.context.flag):
             raise ValueError("witness does not satisfy its predicate")
 
     def to_json_dict(self):
@@ -550,7 +554,8 @@ def search_witness(predicate, dim, budget, seed):
 
     Each candidate is drawn as residue rows (``_search_rows``) and screened
     on them. Its ``ExactMatrix`` is built only for a flag the probe does not
-    refute, or for the witness, so a refuted pair builds no matrix.
+    refute, or for the witness, so a refuted pair builds no matrix. The
+    record carries the screen's ``context``, so no flag is decided twice.
     """
     if predicate not in _PREDICATES:
         raise UnknownPredicateError(predicate)
@@ -564,7 +569,9 @@ def search_witness(predicate, dim, budget, seed):
         a, b = _search_rows(rng, dim), _search_rows(rng, dim)
         ctx = PairContext._of_rows((a, b), _search_matrix)
         if pred(ctx.flag):
-            return WitnessRecord(a=ctx.a, b=ctx.b, predicate=predicate, samples_tried=i, seed=seed)
+            return WitnessRecord(
+                a=ctx.a, b=ctx.b, predicate=predicate, samples_tried=i, seed=seed, context=ctx
+            )
     return None
 
 

@@ -11,7 +11,8 @@ import pytest
 
 from weakcomm import __version__
 from weakcomm.cli import main
-from weakcomm.instances import ExampleId
+from weakcomm.exact import ExactMatrix
+from weakcomm.instances import ExampleId, _search_matrix
 
 FAST_VERIFY = [
     "verify",
@@ -556,6 +557,88 @@ def test_numeric_names_live_only_in_numeric():
             getattr(weakcomm, name)
     with pytest.raises(AttributeError):
         weakcomm.no_such_name
+
+
+def test_every_public_name_resolves_to_its_module():
+    import weakcomm
+
+    for name in weakcomm.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(weakcomm, name)
+        assert obj.__module__.startswith("weakcomm."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert set(weakcomm.__all__) <= set(dir(weakcomm))
+    with pytest.raises(AttributeError):
+        weakcomm.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    code = (
+        "import weakcomm\n"
+        "from weakcomm import *\n"
+        "missing = [n for n in weakcomm.__all__ if n not in globals()]\n"
+        "assert not missing, missing\n"
+        "assert ExactMatrix is weakcomm.exact.ExactMatrix\n"
+        "print('ok')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_a_public_name_reads_a_patched_module():
+    # the package binds no name, so a patch at the defining module shows
+    import weakcomm
+    from weakcomm import relations
+
+    original = relations.relation_check
+    try:
+        relations.relation_check = marker = object()
+        assert weakcomm.relation_check is marker
+    finally:
+        relations.relation_check = original
+    assert weakcomm.relation_check is original
+
+
+def test_bad_inject_fault_exits_two_naming_the_ids():
+    from weakcomm.identities import IdentityId
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakcomm", *FAST_VERIFY, "--inject-fault", "NOPE"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "'NOPE'" in lines[0]
+    assert all(i.value in lines[0] for i in IdentityId)
+
+
+def test_search_witness_gets_one_context(monkeypatch, capsys):
+    # the screen's context decides the witness's flags, its record's check
+    # and the report's relation: each candidate, the witness too, starts one
+    from weakcomm import relations
+
+    started = []
+    start = relations.PairContext._start
+
+    def counting(ctx, words, rows, build):
+        started.append(rows)
+        return start(ctx, words, rows, build)
+
+    monkeypatch.setattr(relations.PairContext, "_start", counting)
+    argv = ["search", "--predicate", "comm_l_not_comm_r", "--dim", "3", "--seed", "0"]
+    status, out, _ = _run_inproc(argv, capsys)
+    payload = json.loads(out)
+    assert status == 0 and payload["found"]
+    assert len(started) == payload["witness"]["samples_tried"]
+    last = started[-1]
+    assert [ExactMatrix.parse(payload["witness"][k]) for k in "ab"] == [
+        _search_matrix(last[k]) for k in "ab"
+    ]
 
 
 def test_example_checks_its_pair_once(monkeypatch, capsys):
