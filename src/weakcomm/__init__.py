@@ -11,18 +11,19 @@ spectral behavior separates the classes.
 Modules: scalar (literals), exact (arithmetic core),
 algebraic (exact spectral-radius bounds), relations (class flags),
 identities (checkable identity catalog),
-structure (kernels, ranges, spectra), instances (registry and samplers),
-shiftlab (operator truncations), cli (batch entry point). They need only
-the standard library. numeric, a floating twin for the tests, is the one
-module that imports NumPy; the package does not import it.
+structure (kernels, ranges, spectra), registry (the paper's examples),
+instances (samplers and witness search), shiftlab (operator truncations),
+cli (batch entry point). They need only the standard library. numeric, a
+floating twin for the tests, is the one module that imports NumPy; the
+package does not import it.
 
 Importing the package loads none of its modules. Each public name below is
 imported from its module on first access (PEP 562), so a caller pays only
 for the layers it uses, and every layer stands on the arithmetic core
-(scalar, exact and its integer kernel). The registry and samplers
-(instances) load the core, relations and shiftlab; identities adds
-structure and algebraic. The cli loads the first set: its example, search
-and truncate commands run on it, and only verify loads identities.
+(scalar, exact and its integer kernel). The registry loads the core,
+relations and shiftlab, and the cli loads the registry: its example and
+truncate commands run on that set. search loads the samplers (instances),
+and verify loads them and identities, which adds structure and algebraic.
 """
 
 from importlib import import_module
@@ -64,12 +65,10 @@ _LAYERS = {
         "nonzero_spectrum_equal_exact",
         "range_kernel_criterion",
     ),
+    "registry": ("ExampleId", "paper_example", "registry_self_test"),
     "instances": (
-        "ExampleId",
         "RelationClass",
         "WitnessRecord",
-        "paper_example",
-        "registry_self_test",
         "sample_pair",
         "sample_spectral_instance",
         "search_witness",

@@ -22,16 +22,8 @@ from . import __version__
 from .errors import WeakcommError
 from ._kernel_py import nilpotency_degree_ints
 from .exact import _charpoly_rows
-from .instances import (
-    ExampleId,
-    RelationClass,
-    example_entry,
-    _registry_checks,
-    paper_example,
-    search_witness,
-    witness_predicates,
-)
-from .relations import _checked
+from .registry import ExampleId, example_entry, _registry_checks, paper_example
+from .relations import _checked, witness_predicates
 from . import shiftlab
 
 SCHEMA_VERSION = 1
@@ -121,6 +113,7 @@ def build_parser():
 def _run_verify(args):
     # the one command that needs the identity suite loads it
     from .identities import IdentityId, verify_suite
+    from .instances import RelationClass
 
     classes = None
     if args.classes is not None:
@@ -179,6 +172,9 @@ def _run_example(args):
 
 
 def _run_search(args):
+    # search and verify load the samplers and the search, each when it runs
+    from .instances import search_witness
+
     if args.dim < 2 or args.dim > 8:
         raise ConfigError("--dim must be in 2..8")
     if args.budget < 1:

@@ -68,38 +68,89 @@ is the only one that knows the memo: the sampler, the search, the registry
 and ``verify`` read a pair through its context. The context that accepts a
 pair in ``sample_pair`` or builds one in ``paper_example`` goes with the
 pair, as its ``context``, so ``verify`` and the registry's word claims
-decide no flag and multiply no word twice.
+decide no flag and multiply no word twice. ``_pair`` makes that tuple. The
+search predicates read only flags, so they are kept here too, in
+``_PREDICATES``: the cli lists them (``witness_predicates``) without
+loading the samplers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from . import _kernel_py
 from .exact import ExactMatrix, ExactPoly, charpoly, nilpotency_degree, poly_radical
 
-__all__ = ["RelationReport", "relation_check", "relation_flags", "FLAG_NAMES", "PairContext"]
+__all__ = [
+    "RelationReport",
+    "relation_check",
+    "relation_flags",
+    "FLAG_NAMES",
+    "PairContext",
+    "witness_predicates",
+]
 
 FLAG_NAMES = ("comm", "ab_in_comm_a", "ab_in_comm_b", "ba_in_comm_a", "ba_in_comm_b")
 
+# each flag compares two words: (ab)a with a(ab), and so on
+_FLAG_WORDS = {
+    "comm": ("ab", "ba"),
+    "ab_in_comm_a": ("aba", "aab"),
+    "ab_in_comm_b": ("abb", "bab"),
+    "ba_in_comm_a": ("baa", "aba"),
+    "ba_in_comm_b": ("bab", "bba"),
+}
 
-@dataclass(frozen=True)
+# each derived flag: all or any of the flags it reads, in the order read
+_DERIVED = {
+    "comm_l": (all, ("ab_in_comm_a", "ba_in_comm_b")),
+    "comm_r": (all, ("ab_in_comm_b", "ba_in_comm_a")),
+    "comm_w": (all, ("ab_in_comm_a", "ab_in_comm_b", "ba_in_comm_a", "ba_in_comm_b")),
+    "c1_pair": (any, ("ab_in_comm_a", "ba_in_comm_a", "ba_in_comm_b")),
+    "c2_pair": (any, ("ab_in_comm_a", "ba_in_comm_a", "ab_in_comm_b")),
+    "c3_pair": (any, ("ab_in_comm_b", "ba_in_comm_b")),
+}
+
+# the names of a report, in the order of its fields
+_REPORT_NAMES = FLAG_NAMES + tuple(_DERIVED)
+
+
 class RelationReport:
-    comm: bool
-    ab_in_comm_a: bool
-    ab_in_comm_b: bool
-    ba_in_comm_a: bool
-    ba_in_comm_b: bool
-    comm_l: bool
-    comm_r: bool
-    comm_w: bool
-    c1_pair: bool
-    c2_pair: bool
-    c3_pair: bool
-    residuals: dict | None = field(compare=False)
+    """The eleven flags of an ordered pair, named as in ``_REPORT_NAMES``,
+    and ``residuals``: the defect norm of each primitive flag, or None in a
+    ``relation_flags`` report. A report is immutable. Two reports are
+    equal, and hash alike, when their flags are; residuals are not compared.
+    """
+
+    __slots__ = (*_REPORT_NAMES, "residuals")
+
+    def __init__(self, *, residuals, **flags):
+        if flags.keys() != set(_REPORT_NAMES):
+            raise TypeError(f"a RelationReport takes the flags {', '.join(_REPORT_NAMES)}")
+        for name, value in flags.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "residuals", residuals)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RelationReport is immutable")
+
+    def __reduce__(self):
+        # __setattr__ blocks pickle's slot restore, so rebuild through __init__
+        return partial(RelationReport, **self.flags(), residuals=self.residuals), ()
+
+    def __eq__(self, other):
+        if type(other) is not RelationReport:
+            return NotImplemented
+        return _flag_values(self) == _flag_values(other)
+
+    def __hash__(self):
+        return hash(_flag_values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"RelationReport({fields})"
 
     def flags(self):
         return {name: getattr(self, name) for name in _REPORT_NAMES}
@@ -110,6 +161,9 @@ class RelationReport:
         out = dict(self.flags())
         out["residuals"] = {k: float(v) for k, v in sorted(self.residuals.items())}
         return out
+
+
+_flag_values = attrgetter(*_REPORT_NAMES)
 
 
 def relation_check(a, b):
@@ -300,6 +354,36 @@ class PairContext:
         return nonzero[w]
 
 
+class _Pair(tuple):
+    """The tuple (a, b) of a pair, with the ``PairContext`` that decided its flags."""
+
+
+def _pair(ctx):
+    pair = _Pair((ctx.a, ctx.b))
+    pair.context = ctx
+    return pair
+
+
+# the search predicates; each reads the flags it needs through a getter
+# (``PairContext.flag``), so a candidate is screened only as far as its
+# first deciding flag
+_PREDICATES = {
+    "not_c1": lambda f: not f("c1_pair"),
+    "not_c2": lambda f: not f("c2_pair"),
+    "not_c3": lambda f: not f("c3_pair"),
+    "comm_w_not_comm": lambda f: f("comm_w") and not f("comm"),
+    "comm_l_not_comm": lambda f: f("comm_l") and not f("comm"),
+    "comm_r_not_comm": lambda f: f("comm_r") and not f("comm"),
+    "comm_l_not_comm_r": lambda f: f("comm_l") and not f("comm_r"),
+    "comm_r_not_comm_l": lambda f: f("comm_r") and not f("comm_l"),
+    "comm_not_comm": lambda f: f("comm") and not f("comm"),
+}
+
+
+def witness_predicates():
+    return sorted(_PREDICATES)
+
+
 def _product(words, w):
     """The product of the letters of w, kept in the memo ``words`` of a
     ``PairContext``.
@@ -331,29 +415,6 @@ def _times(x, y):
     """x * y. A zero factor is already the normalized product, so it is
     returned without a multiplication."""
     return x if x.is_zero() else y if y.is_zero() else x * y
-
-
-# each flag compares two words: (ab)a with a(ab), and so on
-_FLAG_WORDS = {
-    "comm": ("ab", "ba"),
-    "ab_in_comm_a": ("aba", "aab"),
-    "ab_in_comm_b": ("abb", "bab"),
-    "ba_in_comm_a": ("baa", "aba"),
-    "ba_in_comm_b": ("bab", "bba"),
-}
-
-# each derived flag: all or any of the flags it reads, in the order read
-_DERIVED = {
-    "comm_l": (all, ("ab_in_comm_a", "ba_in_comm_b")),
-    "comm_r": (all, ("ab_in_comm_b", "ba_in_comm_a")),
-    "comm_w": (all, ("ab_in_comm_a", "ab_in_comm_b", "ba_in_comm_a", "ba_in_comm_b")),
-    "c1_pair": (any, ("ab_in_comm_a", "ba_in_comm_a", "ba_in_comm_b")),
-    "c2_pair": (any, ("ab_in_comm_a", "ba_in_comm_a", "ab_in_comm_b")),
-    "c3_pair": (any, ("ab_in_comm_b", "ba_in_comm_b")),
-}
-
-# the names of a report, in the order of its fields
-_REPORT_NAMES = FLAG_NAMES + tuple(_DERIVED)
 
 
 # the probe's ring: Z[i] -> Z/M with i -> R, a homomorphism as R^2 = -1 mod M

@@ -38,7 +38,7 @@ lines add entries (row, col, value) in 1-based coordinates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -69,23 +69,23 @@ def _scaled(den, pair):
     return tuple(x.numerator * (den // x.denominator) for x in pair)
 
 
-@dataclass(frozen=True)
-class WeightRule:
+class WeightRule(
+    namedtuple("WeightRule", "even odd const prefix", defaults=(None, None, Scalar(0), ()))
+):
     """Weight at 1-based index k.
 
-    Each parity term is None (contributes 0) or a (coef, shift) pair of a
-    nonzero Fraction and an int, meaning coef/(k+shift). ``const`` adds to
-    every index. ``prefix`` overrides the rule entirely at indices
+    Each parity term, ``even`` and ``odd``, is None (contributes 0) or a
+    (coef, shift) pair of a nonzero Fraction and an int, meaning
+    coef/(k+shift). ``const``, a Scalar, adds to every index. ``prefix``, a
+    tuple of Scalars, overrides the rule entirely at indices
     1..len(prefix). ``const`` and the prefix entries are parsed literals.
     ``numerators`` is the rule's one formula: it reads the weights straight
     into the integer format of ``exact``, and ``weight`` reads one of them.
-    ``zeros`` finds where the rule vanishes with no weight value.
+    ``zeros`` finds where the rule vanishes with no weight value. A rule is
+    an immutable tuple, equal to another rule with the same fields.
     """
 
-    even: tuple[Fraction, int] | None = None
-    odd: tuple[Fraction, int] | None = None
-    const: Scalar = Scalar(0)
-    prefix: tuple[Scalar, ...] = ()
+    __slots__ = ()
 
     def numerators(self, count, den=1):
         """(den, weights): the weights at indices 1..count as Gaussian-integer
@@ -152,20 +152,22 @@ class WeightRule:
         )
 
 
-@dataclass(frozen=True)
-class LTwoOpSpec:
-    """Shift direction + weight rule + finite-rank entries (1-based)."""
+class LTwoOpSpec(namedtuple("LTwoOpSpec", "direction weights finite_rank")):
+    """Shift direction + weight rule + finite-rank entries (1-based).
 
-    direction: str = "none"
-    weights: WeightRule = field(default_factory=WeightRule)
-    finite_rank: tuple[tuple[int, int, Scalar], ...] = ()
+    ``finite_rank`` is a tuple of (row, col, Scalar) triples. A spec is an
+    immutable tuple, equal to another spec with the same fields.
+    """
 
-    def __post_init__(self):
-        if self.direction not in _DIRECTIONS:
+    __slots__ = ()
+
+    def __new__(cls, direction="none", weights=WeightRule(), finite_rank=()):
+        if direction not in _DIRECTIONS:
             raise ValueError(f"direction must be one of {_DIRECTIONS}")
-        for r, c, _ in self.finite_rank:
+        for r, c, _ in finite_rank:
             if r < 1 or c < 1:
                 raise ValueError("finite_rank indices are 1-based positive")
+        return super().__new__(cls, direction, weights, finite_rank)
 
     def support(self):
         """Largest coordinate index the finite-rank part touches."""

@@ -26,18 +26,20 @@ from weakcomm.exact import (
 )
 from weakcomm.identities import IdentityId, check_identity, verify_suite
 from weakcomm.instances import (
-    ExampleId,
     RelationClass,
     derive_seed,
-    evaluate_word,
-    example_entry,
-    paper_example,
-    registry_self_test,
     sample_pair,
     sample_spectral_instance,
     search_witness,
 )
 from weakcomm.numeric import CMatrix
+from weakcomm.registry import (
+    ExampleId,
+    evaluate_word,
+    example_entry,
+    paper_example,
+    registry_self_test,
+)
 from weakcomm.relations import relation_check
 from weakcomm.shiftlab import finite_support_kernel, truncate
 from weakcomm.structure import (

@@ -12,7 +12,8 @@ import pytest
 from weakcomm import __version__
 from weakcomm.cli import main
 from weakcomm.exact import ExactMatrix
-from weakcomm.instances import ExampleId, _search_matrix
+from weakcomm.instances import _search_matrix
+from weakcomm.registry import ExampleId
 
 FAST_VERIFY = [
     "verify",
@@ -184,7 +185,7 @@ def test_truncate_payload(capsys):
 
 def test_truncate_spectrum_matches_the_float_oracle(capsys):
     from weakcomm import shiftlab
-    from weakcomm.instances import example_entry, paper_example
+    from weakcomm.registry import example_entry, paper_example
     from weakcomm.numeric import CMatrix, eigenvalues
 
     for entry in ExampleId:
@@ -642,16 +643,16 @@ def test_search_witness_gets_one_context(monkeypatch, capsys):
 
 
 def test_example_checks_its_pair_once(monkeypatch, capsys):
-    from weakcomm import instances
+    from weakcomm import registry
 
     calls = []
-    original = instances._checked
+    original = registry._checked
 
     def counting(ctx):
         calls.append(ctx)
         return original(ctx)
 
-    monkeypatch.setattr(instances, "_checked", counting)
+    monkeypatch.setattr(registry, "_checked", counting)
     status, out, _ = _run_inproc(["example", "SEX_V_PQ"], capsys)
     assert status == 0 and json.loads(out)["all_ok"]
     assert len(calls) == 1

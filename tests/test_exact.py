@@ -38,7 +38,8 @@ from weakcomm.exact import (
     poly_radical_nonzero,
     rank_kernel,
 )
-from weakcomm.instances import ExampleId, RelationClass, _comm_r_system, paper_example, sample_pair
+from weakcomm.instances import RelationClass, _comm_r_system, sample_pair
+from weakcomm.registry import ExampleId, paper_example
 from weakcomm.scalar import Scalar
 from weakcomm.shiftlab import finite_support_kernel, parse_spec, truncate
 

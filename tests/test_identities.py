@@ -36,8 +36,9 @@ from weakcomm.identities import (
     identity_catalog,
     verify_suite,
 )
-from weakcomm.instances import ExampleId, RelationClass, paper_example, sample_pair
+from weakcomm.instances import RelationClass, sample_pair
 from weakcomm.numeric import spectral_radius_exact
+from weakcomm.registry import ExampleId, paper_example
 from weakcomm.relations import FLAG_NAMES, RelationReport, _probe, relation_check, relation_flags
 
 from field_scalar import FieldScalar
@@ -502,8 +503,9 @@ def test_r_iv_matches_relation_check_of_the_shifted_pair():
         shifted = relation_check(a + b, b)
         for forced in (("comm_l",), ("comm_r",), ("comm_l", "comm_r")):
             ctx = PairContext(a, b)
-            ctx.report = dataclasses.replace(
-                ctx.report, comm_l="comm_l" in forced, comm_r="comm_r" in forced
+            ctx.report = RelationReport(
+                **{**ctx.report.flags(), "comm_l": "comm_l" in forced, "comm_r": "comm_r" in forced},
+                residuals=None,
             )
             res = _run_checker(IdentityId.R_iv, ctx, {})
             assert res.hypothesis_met
@@ -1060,7 +1062,7 @@ def test_every_identity_is_declared_once_from_known_atoms():
     # one declaration per identity, in catalog order; each atom a report
     # flag or an atom kind, and each grid key a parameter the identity reads
     assert list(identities._IDENTITIES) == list(IdentityId)
-    flags = {f.name for f in dataclasses.fields(RelationReport)} - {"residuals"}
+    flags = set(relations._REPORT_NAMES)
     for identity, decl in identities._IDENTITIES.items():
         for branch in decl.branches:
             assert set(branch.flags) <= flags, identity
@@ -1310,7 +1312,9 @@ def test_suite_renders_the_witness_of_a_forced_hypothesis(monkeypatch):
     sample = instances.sample_pair
 
     def force(ctx):
-        ctx.report = dataclasses.replace(ctx.report, ab_in_comm_a=True, comm_r=True)
+        ctx.report = RelationReport(
+            **{**ctx.report.flags(), "ab_in_comm_a": True, "comm_r": True}, residuals=None
+        )
         return ctx
 
     def forced(*args, **kwargs):

@@ -17,25 +17,26 @@ import weakcomm
 from weakcomm.errors import SamplerBudgetError, UnknownExampleError, UnknownPredicateError
 from weakcomm.exact import ExactMatrix, Scalar, rank_kernel
 from weakcomm.instances import (
-    _PAIR_BUILDERS,
     _SEARCH_ALPHABET,
-    ExampleId,
     RelationClass,
     SpectralInstance,
     class_matches,
     derive_seed,
+    sample_pair,
+    sample_spectral_instance,
+    search_witness,
+    _search_matrix,
+    _search_rows,
+)
+from weakcomm.registry import (
+    _PAIR_BUILDERS,
+    ExampleId,
     evaluate_word,
     example_entry,
     paper_example,
     registry_self_test,
-    sample_pair,
-    sample_spectral_instance,
-    search_witness,
-    witness_predicates,
-    _search_matrix,
-    _search_rows,
 )
-from weakcomm.relations import relation_check, relation_flags
+from weakcomm.relations import relation_check, relation_flags, witness_predicates
 
 from field_scalar import FieldScalar
 
@@ -90,6 +91,14 @@ def test_evaluate_word():
 def test_unknown_example_rejected():
     with pytest.raises(UnknownExampleError):
         example_entry("SEX_IX")
+
+
+def test_registry_entries_are_immutable():
+    entry = example_entry(ExampleId.SEX_I_PQ)
+    for name in ("id", "kind", "min_dim", "expected_flags", "claims"):
+        with pytest.raises(AttributeError):
+            setattr(entry, name, None)
+    assert example_entry("SEX_I_PQ") is entry
 
 
 def test_paper_example_dim_validation():
@@ -207,7 +216,7 @@ def test_solve_comm_r_draws_are_pinned():
 
 
 def test_builder_entries_match_their_data_files():
-    from weakcomm.instances import _pair_from_file
+    from weakcomm.registry import _pair_from_file
 
     for eid in (ExampleId.SEX_II_TS, ExampleId.SEX_IV_N1N2, ExampleId.EX4_RN):
         (a, b), _ = paper_example(eid)

@@ -2,9 +2,9 @@
 
 import gc
 import itertools
+import pickle
 import random
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from weakcomm.errors import DimensionMismatchError, SamplerBudgetError
 from weakcomm.exact import ExactMatrix, Scalar
 from weakcomm.instances import (
-    _PREDICATES,
     _SEARCH_PARTS,
     RelationClass,
     _search_matrix,
@@ -25,9 +24,10 @@ from weakcomm.instances import (
 )
 from weakcomm.relations import (
     _FLAG_WORDS,
+    _PREDICATES,
+    _REPORT_NAMES,
     FLAG_NAMES,
     PairContext,
-    RelationReport,
     relation_check,
     relation_flags,
 )
@@ -226,6 +226,27 @@ def test_flags_match_relation_check_on_sampled_pairs():
     assert checked > 500
 
 
+def test_reports_are_equal_and_hash_alike_by_their_flags():
+    # a report is its eleven flags: the residuals are neither compared nor
+    # hashed, so a relation_check report (residuals a dict) and the
+    # relation_flags report (None) of one pair are one key; no field can be set
+    a = ExactMatrix.parse("0,1;0,0")
+    b = ExactMatrix.parse("1,0;0,0")
+    checked, flags = relation_check(a, b), relation_flags(a, b)
+    assert isinstance(checked.residuals, dict) and flags.residuals is None
+    assert checked == flags and not (checked != flags)
+    assert hash(checked) == hash(flags)
+    assert {checked: "pair"}[flags] == "pair"
+    other = relation_check(a, a)
+    assert other != checked and not (other == checked)
+    assert checked != tuple(checked.flags().values()) and checked != checked.flags()
+    for name in (*checked.flags(), "residuals"):
+        with pytest.raises(AttributeError):
+            setattr(checked, name, None)
+    back = pickle.loads(pickle.dumps(checked))
+    assert back == checked and back.residuals == checked.residuals
+
+
 def test_flags_read_no_random_state():
     a = ExactMatrix.parse("1,2,0;0,1/2,i;3,0,-1")
     b = ExactMatrix.parse("0,1,1;i,0,2;0,0,1/3")
@@ -344,7 +365,7 @@ def test_relation_check_matches_the_reference_on_search_candidates():
 # -- flags decided on demand -------------------------------------------------------
 
 # the eleven names of a report
-_NAMES = tuple(f.name for f in fields(RelationReport) if f.name != "residuals")
+_NAMES = _REPORT_NAMES
 
 # the predicates in the form that reads a whole report: the oracle of _PREDICATES
 _REPORT_PREDICATES = {

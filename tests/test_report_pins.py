@@ -25,7 +25,9 @@ import pytest
 
 from weakcomm.cli import main
 from weakcomm.identities import _IDENTITIES, IdentityId, check_identity
-from weakcomm.instances import ExampleId, RelationClass, sample_pair, witness_predicates
+from weakcomm.instances import RelationClass, sample_pair
+from weakcomm.registry import ExampleId
+from weakcomm.relations import witness_predicates
 
 VERIFY = "verify --dims 2,3,4 --samples 5 --seed 3"
 SEARCH = "search --dim 4 --budget 400 --seed 5 --predicate "

@@ -19,7 +19,7 @@ from weakcomm.exact import (
     nilpotency_degree,
     rank_kernel,
 )
-from weakcomm.instances import ExampleId, example_entry, paper_example
+from weakcomm.registry import ExampleId, example_entry, paper_example
 from weakcomm.relations import relation_check
 from weakcomm.shiftlab import (
     LTwoOpSpec,
@@ -125,6 +125,23 @@ def test_spec_validation():
         LTwoOpSpec(direction="left")
     with pytest.raises(ValueError):
         LTwoOpSpec(finite_rank=((0, 1, Scalar(1)),))
+
+
+def test_parsed_specs_are_equal_hashable_and_immutable():
+    text = (
+        "direction: down\nweights_even: 1/(k+1)\nweights_odd: -1/(k+2)\n"
+        "weights: 1/2\nweights_prefix: 1 0 i\nfinite: 2 1 -1/2\n"
+    )
+    first, again = parse_spec(text), parse_spec(text)
+    assert first is not again
+    for x, y in ((first, again), (first.weights, again.weights)):
+        assert x == y and not (x != y) and hash(x) == hash(y)
+        assert {x: "spec"}[y] == "spec"
+    assert parse_spec(text.replace("1/2", "1/3")) != first
+    with pytest.raises(AttributeError):
+        first.direction = "up"
+    with pytest.raises(AttributeError):
+        first.weights.const = Scalar(1)
 
 
 def test_truncate_weighted_shift():
